@@ -9,6 +9,11 @@
 
 let out_dir = "bench_out"
 
+(* Every human-readable timing the harness prints goes through here. *)
+let now () =
+  (* srclint: allow nondet-source bench timings are real wall-clock measurements by design *)
+  Unix.gettimeofday ()
+
 let ensure_out_dir () = if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755
 
 let save_csv name samples =
@@ -42,9 +47,9 @@ let env cfg =
   | Some e -> e
   | None ->
       Printf.printf "profiling templates and running single-trace attacks...\n%!";
-      let t0 = Unix.gettimeofday () in
+      let t0 = now () in
       let e = Reveal.Experiment.prepare cfg in
-      Printf.printf "(campaign finished in %.1f s)\n%!" (Unix.gettimeofday () -. t0);
+      Printf.printf "(campaign finished in %.1f s)\n%!" (now () -. t0);
       env_cache := Some e;
       e
 
@@ -121,11 +126,11 @@ let run_traceio _cfg =
   let traces = 8 and n = 64 in
   let device = Reveal.Device.create ~n () in
   let g = Mathkit.Prng.create ~seed:5L () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   Reveal.Device.record device ~path ~seed:5L ~traces ~scope_rng:g ~sampler_rng:g;
-  let t_write = Unix.gettimeofday () -. t0 in
+  let t_write = now () -. t0 in
   let size = Traceio.Archive.file_size path in
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let samples, raw =
     Traceio.Archive.fold path
       (fun (s, r) record ->
@@ -134,7 +139,7 @@ let run_traceio _cfg =
         (s + len, r + (8 * (len + (2 * events) + Array.length record.Traceio.Archive.noises))))
       (0, 0)
   in
-  let t_read = Unix.gettimeofday () -. t0 in
+  let t_read = now () -. t0 in
   let mb x = float_of_int x /. 1048576.0 in
   Printf.printf "recorded %d traces (n = %d): %d samples, %.2f MiB on disk (%.2fx vs raw 64-bit dump)\n" traces n
     samples (mb size)
@@ -146,9 +151,9 @@ let run_ctcheck _cfg =
   section "ctcheck: constant-time lint of the four firmware variants";
   List.iter
     (fun (name, variant) ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = now () in
       let r = Ctcheck.Lint.analyze_variant ~n:64 ~k:1 variant in
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = now () -. t0 in
       let viol = List.length (Ctcheck.Lint.violations r) in
       let confirmed = List.length (List.filter Ctcheck.Finding.is_confirmed r.Ctcheck.Lint.findings) in
       Printf.printf "  %-9s %d findings (%d violations, %d/%d oracle-confirmed), drift %s, %.3f s\n" name
@@ -191,9 +196,9 @@ let run_obs _cfg =
   (* the disabled context must cost nothing: replay the same campaign
      with and without instrumentation and report the wall-clock delta *)
   let time f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = now () in
     ignore (f ());
-    Unix.gettimeofday () -. t0
+    now () -. t0
   in
   let replay obs () = Reveal.Campaign.attack_archive ?obs prof archive in
   ignore (time (replay None));
@@ -227,52 +232,20 @@ let perf_tests () =
     Test.make ~name:"table1: segment+classify one 64-coeff trace"
       (Staged.stage (fun () -> ignore (Reveal.Campaign.attack_trace prof run)))
   in
-  (* table2 kernel: one Bayesian posterior *)
-  let window =
-    let samples = run.Reveal.Device.trace.Power.Ptrace.samples in
-    let wins = Sca.Segment.windows prof.Reveal.Campaign.segment samples in
-    (Sca.Segment.vectorize samples wins ~length:prof.Reveal.Campaign.window_length).(0)
-  in
-  let table2_kernel =
-    Test.make ~name:"table2: posterior over 29 candidates"
-      (Staged.stage (fun () -> ignore (Sca.Attack.posterior_all prof.Reveal.Campaign.attack window)))
-  in
-  (* numeric-core before/after pairs: the same scoring and replay work
-     through the boxed [float array] entry points (the pre-refactor
-     implementation, kept as the shim layer) and through the
-     Bigarray-backed Fvec kernels with a reused scratch arena.  The
-     two snapshot rows per pair are what BENCH_perf.json records as
-     the refactor's speedup. *)
+  (* the per-window scoring work exactly as the grader performs it,
+     and the same work over a whole replayed trace: Fvec views of the
+     trace buffer, one reused scratch arena *)
   let attack = prof.Reveal.Campaign.attack in
-  (* the per-window scoring work exactly as the grader performs it: the
-     boxed form is the five-call sequence the pre-refactor grading
-     stage ran per window; the fvec form is the fused single pass that
-     replaced it (bit-identical results, each template scored once) *)
-  let grade_boxed w =
-    ignore (Sca.Attack.sign_confidence attack w);
-    let v = Sca.Attack.classify attack w in
-    ignore (Sca.Attack.posterior_all attack w);
-    ignore (Sca.Attack.sign_fit attack w);
-    ignore (Sca.Attack.value_fit attack ~sign:v.Sca.Attack.sign w)
-  in
-  let scoring_boxed_kernel =
-    Test.make ~name:"numeric: template scoring, boxed arrays"
-      (Staged.stage (fun () -> grade_boxed window))
-  in
-  let window_fv = Mathkit.Fvec.of_array window in
   let attack_scratch = Sca.Attack.make_scratch attack in
+  let samples_fv = Mathkit.Fvec.of_array run.Reveal.Device.trace.Power.Ptrace.samples in
+  let window_fv =
+    let wins = Sca.Segment.windows_fv prof.Reveal.Campaign.segment samples_fv in
+    (Sca.Segment.views samples_fv wins ~length:prof.Reveal.Campaign.window_length).(0)
+  in
   let scoring_fvec_kernel =
     Test.make ~name:"numeric: template scoring, fvec+scratch"
       (Staged.stage (fun () -> ignore (Sca.Attack.grade_fv attack attack_scratch window_fv)))
   in
-  let samples = run.Reveal.Device.trace.Power.Ptrace.samples in
-  let replay_boxed_kernel =
-    Test.make ~name:"numeric: replay attack, boxed arrays"
-      (Staged.stage (fun () ->
-           let wins = Sca.Segment.windows prof.Reveal.Campaign.segment samples in
-           Array.iter grade_boxed (Sca.Segment.vectorize samples wins ~length:prof.Reveal.Campaign.window_length)))
-  in
-  let samples_fv = Mathkit.Fvec.of_array samples in
   let replay_fvec_kernel =
     Test.make ~name:"numeric: replay attack, fvec views+scratch"
       (Staged.stage (fun () ->
@@ -340,8 +313,8 @@ let perf_tests () =
            let basis = Lattice.Embed.kannan_basis inst in
            Lattice.Lll.reduce basis))
   in
-  (* fabric kernels: the two codecs every sharded campaign pays per
-     trace — the shard-result container and the wire framing *)
+  (* fabric kernel: the shard-result codec every sharded campaign pays
+     per shard *)
   let shard_result =
     let mk i =
       {
@@ -363,23 +336,6 @@ let perf_tests () =
     Test.make ~name:"fabric: shard-result codec round-trip (64 coeffs)"
       (Staged.stage (fun () ->
            ignore (Fabric.Shard.result_of_payload ~path:"bench" (Fabric.Shard.result_payload shard_result))))
-  in
-  let wire_header =
-    {
-      Traceio.Archive.variant = Riscv.Sampler_prog.Vulnerable;
-      n = 64;
-      seed = 1L;
-      samples_per_cycle = Power.Synth.default.Power.Synth.samples_per_cycle;
-      noise_sigma = Power.Synth.default.Power.Synth.noise_sigma;
-      trace_count = Traceio.Archive.count_unknown;
-      meta = [];
-    }
-  in
-  let wire_sink = open_out "/dev/null" in
-  let wire_sender = Traceio.Wire.create_sender ~peer:"bench" ~header:wire_header wire_sink in
-  let wire_kernel =
-    Test.make ~name:"fabric: wire-frame one 64-coeff record"
-      (Staged.stage (fun () -> Traceio.Wire.send wire_sender ~noises:run.Reveal.Device.noises run.Reveal.Device.trace))
   in
   (* telemetry pair: the same archive replay with live streaming armed
      (bounded queue -> background sender -> framed telemetry into
@@ -409,10 +365,7 @@ let perf_tests () =
   [
     fig3_kernel;
     table1_kernel;
-    table2_kernel;
-    scoring_boxed_kernel;
     scoring_fvec_kernel;
-    replay_boxed_kernel;
     replay_fvec_kernel;
     table3_kernel;
     table4_kernel;
@@ -421,7 +374,6 @@ let perf_tests () =
     bfv_kernel;
     lll_kernel;
     shard_kernel;
-    wire_kernel;
     telemetry_disabled_kernel;
     telemetry_streaming_kernel;
   ]
@@ -533,14 +485,14 @@ let run_perf () =
       let ols =
         Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]) instance results
       in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              rows := (name, est) :: !rows;
-              Printf.printf "  %-48s %12.1f ns/run\n%!" name est
-          | _ -> Printf.printf "  %-48s (no estimate)\n%!" name)
-        ols)
+      Hashtbl.fold (fun name result acc -> (name, result) :: acc) ols []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      |> List.iter (fun (name, result) ->
+             match Analyze.OLS.estimates result with
+             | Some [ est ] ->
+                 rows := (name, est) :: !rows;
+                 Printf.printf "  %-48s %12.1f ns/run\n%!" name est
+             | _ -> Printf.printf "  %-48s (no estimate)\n%!" name))
     (perf_tests ());
   write_snapshot quota (List.sort compare (List.rev !rows))
 

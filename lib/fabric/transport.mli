@@ -4,7 +4,7 @@
     protocol spoken over it is {!Traceio.Wire}, which is written
     against plain channels.  Two transports cover the fabric's needs:
     Unix-domain sockets (loopback worker fleets, tests) and TCP
-    (remote acquisition hosts).  Adding a transport means adding an
+    (a monitor on another host).  Adding a transport means adding an
     {!endpoint} constructor and its [listen]/[connect] arms; nothing
     in the wire protocol or the orchestrator changes (DESIGN.md
     section 13).

@@ -10,9 +10,9 @@
     produced by the RevEAL attack are per-coordinate (a coefficient of
     e2 is learnt exactly or approximately), for which the covariance
     stays diagonal and every update is O(1) — the same specialisation
-    the authors use for their large-dimension figures.  The
-    full-matrix version for arbitrary hint vectors lives in
-    {!Dbdd_full}. *)
+    the authors use for their large-dimension figures.  The test suite
+    checks it against a full-matrix reference for arbitrary hint
+    vectors. *)
 
 type t
 

@@ -47,6 +47,7 @@ let mul_vec_into t v ~out =
   if Fvec.length v <> t.m_cols then invalid_arg "Fmat.mul_vec_into: dimension mismatch";
   if Fvec.length out <> t.m_rows then invalid_arg "Fmat.mul_vec_into: output dimension mismatch";
   let vbuf = Fvec.buffer v and voff = Fvec.offset v and vstr = Fvec.stride v in
+  Fvec.check_range vbuf ~off:voff ~stride:vstr ~len:t.m_cols "Fmat.mul_vec_into";
   for i = 0 to t.m_rows - 1 do
     let acc = ref 0.0 in
     let base = i * t.m_cols in

@@ -4,42 +4,34 @@
    buffer instead of copying per window.
 
    Every kernel validates its bounds once up front and then runs an
-   unchecked inner loop; REVEAL_FVEC_BOUNDS=1 turns the unchecked
-   accesses back into checked ones for debugging.  Kernel arithmetic
-   (accumulation order, two-pass variance, strict argmax) mirrors the
-   historical float-array implementations in Stats/Matrix bit for bit
-   — the equivalence properties in test_mathkit pin this. *)
+   unchecked inner loop.  Kernel arithmetic (accumulation order,
+   two-pass variance, strict argmax) mirrors the historical
+   float-array implementations in Stats/Matrix bit for bit — the
+   equivalence properties in test_mathkit pin this. *)
 
 type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = { buf : buffer; off : int; len : int; stride : int }
 
-(* Debug bounds checking for the unchecked kernel loops.  Read once at
-   start-up: flipping it mid-run could change code paths between the
-   profiling and attack halves of one campaign. *)
-let bounds_checked =
-  match Sys.getenv_opt "REVEAL_FVEC_BOUNDS" with Some ("1" | "true" | "yes") -> true | _ -> false
-
+(* Unchecked access for callers that validated the index themselves:
+   [get]/[set] below, and sibling kernels (see Fmat) over their own
+   flat buffers. *)
 let uget (b : buffer) i =
-  if bounds_checked then Bigarray.Array1.get b i
-  else Bigarray.Array1.unsafe_get b i (* srclint: allow unsafe-index kernel loops validate bounds up front; REVEAL_FVEC_BOUNDS=1 re-enables checks *)
+  Bigarray.Array1.unsafe_get b i (* srclint: allow unsafe-index callers validate the index before the call *)
 
 let uset (b : buffer) i v =
-  if bounds_checked then Bigarray.Array1.set b i v
-  else Bigarray.Array1.unsafe_set b i v (* srclint: allow unsafe-index kernel loops validate bounds up front; REVEAL_FVEC_BOUNDS=1 re-enables checks *)
+  Bigarray.Array1.unsafe_set b i v (* srclint: allow unsafe-index callers validate the index before the call *)
 
 (* Up-front range validation for kernels that run raw unchecked loops
    over a strided view.  Without flambda a per-element [uget] call
    cannot inline across modules (and boxes its float result), so the
    hot loops apply the Bigarray primitives directly and call this once
-   before entering: a no-op normally, a full range check of the view
-   against the buffer under REVEAL_FVEC_BOUNDS=1. *)
+   before entering: O(1) per kernel call. *)
 let check_range (b : buffer) ~off ~stride ~len name =
-  if bounds_checked && len > 0 then begin
+  if len > 0 then begin
     let last = off + ((len - 1) * stride) in
     let lo = min off last and hi = max off last in
-    if lo < 0 || hi >= Bigarray.Array1.dim b then
-      invalid_arg (name ^ ": view range escapes the buffer (REVEAL_FVEC_BOUNDS)")
+    if lo < 0 || hi >= Bigarray.Array1.dim b then invalid_arg (name ^ ": view range escapes the buffer")
   end
 
 let length t = t.len

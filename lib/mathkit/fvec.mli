@@ -5,8 +5,7 @@
     buffer.  Views alias: [sub]/[strided] never copy, and a write
     through one view is visible through every other view of the same
     buffer.  Kernels validate bounds once up front and run unchecked
-    inner loops; setting [REVEAL_FVEC_BOUNDS=1] in the environment
-    restores per-access bounds checks for debugging.
+    inner loops.
 
     Kernel arithmetic (fold direction, two-pass variance, strict
     argmax, NaN behaviour) matches the historical [float array]
@@ -16,21 +15,20 @@ type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t
 
-(** Whether [REVEAL_FVEC_BOUNDS] re-enabled per-access checks. *)
-val bounds_checked : bool
-
 (** Raw buffer access for sibling kernel modules (see {!Fmat}):
-    unchecked unless [bounds_checked]. *)
+    unchecked — the caller validates the index. *)
 val uget : buffer -> int -> float
 
 val uset : buffer -> int -> float -> unit
 
 (** [check_range b ~off ~stride ~len name] validates the whole strided
-    index range against [b] — a no-op unless [bounds_checked].  Hot
-    kernels (here and in sibling modules) call it once up front and
-    then apply the Bigarray primitives directly, because without
-    flambda a per-element [uget] call cannot inline across modules and
-    boxes every float it returns. *)
+    index range against [b] in O(1).  Hot kernels (here and in sibling
+    modules) call it once up front and then apply the Bigarray
+    primitives directly, because without flambda a per-element [uget]
+    call cannot inline across modules and boxes every float it
+    returns.
+    @raise Invalid_argument (naming [name]) when the range escapes
+    the buffer. *)
 val check_range : buffer -> off:int -> stride:int -> len:int -> string -> unit
 
 (** [buffer]/[offset]/[stride] expose the view layout so sibling

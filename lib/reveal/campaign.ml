@@ -62,22 +62,6 @@ let attack_samples prof ~samples ~noises =
 let attack_trace prof (run : Device.run) =
   attack_samples prof ~samples:run.Device.trace.Power.Ptrace.samples ~noises:run.Device.noises
 
-let attack_signs_only prof (run : Device.run) =
-  let samples = Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples in
-  let count = Array.length run.Device.noises in
-  match Pipeline.run_segmenter Pipeline.strict_segmenter prof ~count samples with
-  | Error e -> failwith (Pipeline.error_to_string e)
-  | Ok seg ->
-      let scratch = Sca.Attack.make_scratch prof.attack in
-      Array.mapi
-        (fun i window ->
-          (compare run.Device.noises.(i) 0, Sca.Attack.classify_sign_only_fv prof.attack scratch window))
-        seg.Pipeline.vectors
-
-let attack_samples_resilient ?gate ?retry ?obs prof ~samples ~noises =
-  let retry = Option.map (fun f attempt -> Mathkit.Fvec.of_array (f attempt)) retry in
-  Grading.attack_resilient ?gate ?retry ?obs prof ~samples:(Mathkit.Fvec.of_array samples) ~noises
-
 (* --- aggregate statistics ------------------------------------------------- *)
 
 type stats = {

@@ -159,22 +159,6 @@ val attack_trace : profile -> Device.run -> coefficient_result array
     @raise Failure when segmentation finds a window count different
     from the device's coefficient count. *)
 
-val attack_signs_only : profile -> Device.run -> (int * int) array
-(** (actual sign, recovered sign) per coefficient — Table IV input. *)
-
-val attack_samples_resilient :
-  ?gate:gate ->
-  ?retry:(int -> float array) ->
-  ?obs:Obs.Ctx.t ->
-  profile ->
-  samples:float array ->
-  noises:int array ->
-  coefficient_result array
-(** {!Grading.attack_resilient}: fault-tolerant single-trace attack —
-    resilient segmentation, per-window confidence grading, and — when
-    [retry] is provided — a bounded re-measurement loop.  On a clean
-    trace the verdicts are bit-identical to {!attack_trace}. *)
-
 (** {1 Campaign drivers} *)
 
 type stats = {

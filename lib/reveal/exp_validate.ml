@@ -292,9 +292,10 @@ let averaging config =
       let window_sets =
         Array.init k (fun _ ->
             let run = Device.run device ~scope_rng ~draws in
-            let samples = run.Device.trace.Power.Ptrace.samples in
-            let wins = Sca.Segment.windows prof.Campaign.segment samples in
-            Sca.Segment.vectorize samples (Array.sub wins 0 n) ~length:prof.Campaign.window_length)
+            let samples = Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples in
+            let wins = Sca.Segment.windows_fv prof.Campaign.segment samples in
+            Array.map Mathkit.Fvec.to_array
+              (Sca.Segment.views samples (Array.sub wins 0 n) ~length:prof.Campaign.window_length))
       in
       let averaged =
         Array.init n (fun i ->
@@ -302,9 +303,12 @@ let averaging config =
             Array.iter (fun set -> Array.iteri (fun t x -> acc.(t) <- acc.(t) +. x) set.(i)) window_sets;
             Array.map (fun x -> x /. float_of_int k) acc)
       in
+      let scratch = Sca.Attack.make_scratch prof.Campaign.attack in
       let ok = ref 0 in
       Array.iteri
-        (fun i w -> if (Sca.Attack.classify prof.Campaign.attack w).Sca.Attack.value = fst draws.(i) then incr ok)
+        (fun i w ->
+          let g = Sca.Attack.grade_fv prof.Campaign.attack scratch (Mathkit.Fvec.of_array w) in
+          if g.Sca.Attack.g_verdict.Sca.Attack.value = fst draws.(i) then incr ok)
         averaged;
       { traces_averaged = k; value_accuracy = 100.0 *. float_of_int !ok /. float_of_int n })
     [ 1; 4; 16 ]
@@ -342,9 +346,9 @@ let ablate_features config =
     List.concat
       (List.init 4 (fun _ ->
            let run = Device.run_gaussian device ~scope_rng ~sampler_rng in
-           let samples = run.Device.trace.Power.Ptrace.samples in
-           let wins = Sca.Segment.windows segment samples in
-           let vecs = Sca.Segment.vectorize samples (Array.sub wins 0 n) ~length:window_length in
+           let samples = Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples in
+           let wins = Sca.Segment.windows_fv segment samples in
+           let vecs = Array.map Mathkit.Fvec.to_array (Sca.Segment.views samples (Array.sub wins 0 n) ~length:window_length) in
            Array.to_list (Array.mapi (fun i w -> (run.Device.noises.(i), w)) vecs)))
   in
   let in_labels = Hashtbl.create 32 in
@@ -352,7 +356,9 @@ let ablate_features config =
   let test_windows = List.filter (fun (v, _) -> Hashtbl.mem in_labels v) test_windows in
   let evaluate name project =
     let template = Sca.Template.build ~pois:[||] (List.map (fun (l, rows) -> (l, Array.map project rows)) classes) in
-    let ok = List.fold_left (fun acc (actual, w) -> if Sca.Template.classify template (project w) = actual then acc + 1 else acc) 0 test_windows in
+    let scratch = Sca.Template.make_scratch template in
+    let classify w = Sca.Template.classify_fv template scratch (Mathkit.Fvec.of_array (project w)) in
+    let ok = List.fold_left (fun acc (actual, w) -> if classify w = actual then acc + 1 else acc) 0 test_windows in
     { feature_method = name; accuracy = 100.0 *. float_of_int ok /. float_of_int (List.length test_windows) }
   in
   let class_array = Array.of_list (List.map snd classes) in

@@ -118,10 +118,8 @@ let make_ctx ?classifier prof =
    times value-posterior peak, both flat-prior) pick the rung. *)
 let classify_graded_i ~ctx ~insts prof gate ~quality window =
   let (Ctx ((module C), cls, scratch)) = ctx in
-  (* One fused scoring pass: [grade] returns every quantity the gate
-     consumes, bit-identical to the five single-purpose calls it
-     replaces (the classifier contract) — each template is scored once
-     instead of several times per window. *)
+  (* One scoring pass: [grade] returns every quantity the gate
+     consumes. *)
   let g = C.grade cls scratch window in
   let sign_conf = g.Sca.Attack.g_sign_confidence in
   let verdict = g.Sca.Attack.g_verdict in

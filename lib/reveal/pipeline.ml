@@ -29,7 +29,6 @@ type classifier = Classifier : (module Sca.Classifier.S with type t = 'c) * 'c -
 
 let template_classifier attack = Classifier ((module Sca.Classifier.Template), attack)
 let classifier_of_profile prof = template_classifier prof.attack
-let classifier_name (Classifier ((module C), _)) = C.name
 
 (* --- segmenter stage ------------------------------------------------------ *)
 

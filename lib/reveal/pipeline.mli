@@ -58,7 +58,6 @@ type classifier = Classifier : (module Sca.Classifier.S with type t = 'c) * 'c -
 
 val template_classifier : Sca.Attack.t -> classifier
 val classifier_of_profile : profile -> classifier
-val classifier_name : classifier -> string
 
 (** {1 Segmenter stage} *)
 

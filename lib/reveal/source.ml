@@ -99,8 +99,6 @@ let of_trace_source stream =
 
 let archive_replay ?strict ?obs path = of_trace_source (Traceio.Source.of_archive ?strict ?obs path)
 
-let remote ?strict ?obs ?close ~peer ic = of_trace_source (Traceio.Wire.source ?strict ?obs ?close ~peer ic)
-
 let of_runs ~name runs =
   let pos = ref 0 in
   let module M = struct

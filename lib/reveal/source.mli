@@ -53,15 +53,6 @@ val archive_replay : ?strict:bool -> ?obs:Obs.Ctx.t -> string -> Pipeline.source
     counters land in the context's metrics registry.
     @raise Traceio.Error.Io when the file cannot be opened. *)
 
-val remote :
-  ?strict:bool -> ?obs:Obs.Ctx.t -> ?close:(unit -> unit) -> peer:string -> in_channel -> Pipeline.source
-(** Stream records from a serving peer over {!Traceio.Wire} — the
-    distributed fabric's acquisition backend.  Same tolerant/strict
-    corruption discipline as {!archive_replay}; the header is read
-    before this returns.  [close] runs when the pipeline closes the
-    source — pass the socket teardown.  [peer] labels errors.
-    @raise Traceio.Error.Corrupt on a bad preamble or header. *)
-
 val of_runs : name:string -> Device.run array -> Pipeline.source
 (** An in-memory source over already-captured runs. *)
 

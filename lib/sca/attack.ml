@@ -61,83 +61,6 @@ let build ?(poi_count = 24) ?(sign_poi_count = 10) ~sigma classes =
   in
   { sign_template; neg_template; pos_template; neg_priors; pos_priors; prior_of_sign; pois_sign; pois_neg; pois_pos }
 
-let classify_sign_only t window = Template.classify t.sign_template (Sosd.pick window t.pois_sign)
-
-let sign_confidence t window =
-  let post = Template.posterior t.sign_template (Sosd.pick window t.pois_sign) in
-  Array.fold_left Float.max 0.0 post
-
-(* Posteriors normalise away the absolute likelihood, so a corrupted
-   window still yields a (meaninglessly) sharp posterior.  The absolute
-   best-class log density is the out-of-distribution signal: honest
-   windows score within a calibrated band, faulted ones fall off a
-   cliff (the Mahalanobis term is quadratic in the deviation). *)
-let best_log_likelihood template vec =
-  Array.fold_left Float.max neg_infinity (Template.log_likelihoods template vec)
-
-let sign_fit t window = best_log_likelihood t.sign_template (Sosd.pick window t.pois_sign)
-
-let value_fit t ~sign window =
-  match sign with
-  | -1 -> best_log_likelihood t.neg_template (Sosd.pick window t.pois_neg)
-  | 1 -> best_log_likelihood t.pos_template (Sosd.pick window t.pois_pos)
-  | _ ->
-      (* zero has no second-stage template: its value information lives
-         entirely in the branch region the sign template models *)
-      sign_fit t window
-
-(* Pure maximum likelihood, as in classical template attacks (and as
-   the paper's Table I/II scores behave): the class prior is NOT mixed
-   in — with single-trace likelihood margins of a few nats, a Gaussian
-   prior would drag every rare value onto its frequent neighbours. *)
-let group_posterior t sign window =
-  match sign with
-  | -1 -> (t.neg_template, Template.posterior t.neg_template (Sosd.pick window t.pois_neg))
-  | 1 -> (t.pos_template, Template.posterior t.pos_template (Sosd.pick window t.pois_pos))
-  | _ -> invalid_arg "Attack.group_posterior: sign must be -1 or 1"
-
-let classify t window =
-  let sign = classify_sign_only t window in
-  if sign = 0 then { sign; value = 0; posterior = [| (0, 1.0) |] }
-  else begin
-    let template, post = group_posterior t sign window in
-    let labels = template.Template.labels in
-    let best = Mathkit.Stats.argmax post in
-    { sign; value = labels.(best); posterior = Array.mapi (fun i l -> (l, post.(i))) labels }
-  end
-
-(* The joint posterior is Bayesian: the adversary knows the sampler's
-   distribution, so P(v | trace) uses the Gaussian prior both across
-   sign groups and within them.  (Classification above deliberately
-   does not — see the comment there.) *)
-let posterior_all t window =
-  let sign_post =
-    Template.posterior ~priors:t.prior_of_sign t.sign_template (Sosd.pick window t.pois_sign)
-  in
-  let sign_labels = t.sign_template.Template.labels in
-  let p_of_sign s =
-    let acc = ref 0.0 in
-    Array.iteri (fun i l -> if l = s then acc := sign_post.(i)) sign_labels;
-    !acc
-  in
-  let entries = ref [] in
-  (* zero *)
-  entries := (0, p_of_sign 0) :: !entries;
-  List.iter
-    (fun s ->
-      let template, priors =
-        match s with
-        | -1 -> (t.neg_template, t.neg_priors)
-        | _ -> (t.pos_template, t.pos_priors)
-      in
-      let post = Template.posterior ~priors template (Sosd.pick window (if s = -1 then t.pois_neg else t.pois_pos)) in
-      let ps = p_of_sign s in
-      Array.iteri (fun i l -> entries := (l, ps *. post.(i)) :: !entries) template.Template.labels)
-    [ -1; 1 ];
-  let arr = Array.of_list !entries in
-  Array.sort (fun (a, _) (b, _) -> compare a b) arr;
-  arr
-
 type graded = {
   g_verdict : verdict;
   g_posterior_all : (int * float) array;
@@ -181,13 +104,11 @@ let pick_into (s : Scratch.t) pois window =
   Sosd.pick_fv window pois ~out;
   out
 
-let classify_sign_only_fv t s window =
-  Template.classify_fv t.sign_template s.Scratch.sign (pick_into s t.pois_sign window)
-
-let sign_confidence_fv t s window =
-  let post = Template.posterior_fv t.sign_template s.Scratch.sign (pick_into s t.pois_sign window) in
-  Array.fold_left Float.max 0.0 post
-
+(* Posteriors normalise away the absolute likelihood, so a corrupted
+   window still yields a (meaninglessly) sharp posterior.  The absolute
+   best-class log density is the out-of-distribution signal: honest
+   windows score within a calibrated band, faulted ones fall off a
+   cliff (the Mahalanobis term is quadratic in the deviation). *)
 let best_log_likelihood_fv template scratch vec =
   Array.fold_left Float.max neg_infinity (Template.log_likelihoods_fv template scratch vec)
 
@@ -200,70 +121,29 @@ let value_fit_fv t s ~sign window =
   | 1 -> best_log_likelihood_fv t.pos_template s.Scratch.pos (pick_into s t.pois_pos window)
   | _ -> sign_fit_fv t s window
 
-let group_posterior_fv t s sign window =
-  match sign with
-  | -1 -> (t.neg_template, Template.posterior_fv t.neg_template s.Scratch.neg (pick_into s t.pois_neg window))
-  | 1 -> (t.pos_template, Template.posterior_fv t.pos_template s.Scratch.pos (pick_into s t.pois_pos window))
-  | _ -> invalid_arg "Attack.group_posterior: sign must be -1 or 1"
-
-let classify_fv t s window =
-  let sign = classify_sign_only_fv t s window in
-  if sign = 0 then { sign; value = 0; posterior = [| (0, 1.0) |] }
-  else begin
-    let template, post = group_posterior_fv t s sign window in
-    let labels = template.Template.labels in
-    let best = Mathkit.Stats.argmax post in
-    { sign; value = labels.(best); posterior = Array.mapi (fun i l -> (l, post.(i))) labels }
-  end
-
-(* [posterior_all] over scratch.  The sign posterior is borrowed from
-   the sign scratch, which the value-group scoring below never touches,
-   so reading it after each group posterior is safe. *)
-let posterior_all_fv t s window =
-  let sign_post =
-    Template.posterior_fv ~priors:t.prior_of_sign t.sign_template s.Scratch.sign
-      (pick_into s t.pois_sign window)
-  in
-  let sign_labels = t.sign_template.Template.labels in
-  let p_of_sign sg =
-    let acc = ref 0.0 in
-    Array.iteri (fun i l -> if l = sg then acc := sign_post.(i)) sign_labels;
-    !acc
-  in
-  let entries = ref [] in
-  entries := (0, p_of_sign 0) :: !entries;
-  List.iter
-    (fun sg ->
-      let template, priors, pois, tsc =
-        match sg with
-        | -1 -> (t.neg_template, t.neg_priors, t.pois_neg, s.Scratch.neg)
-        | _ -> (t.pos_template, t.pos_priors, t.pois_pos, s.Scratch.pos)
-      in
-      let post = Template.posterior_fv ~priors template tsc (pick_into s pois window) in
-      let ps = p_of_sign sg in
-      Array.iteri (fun i l -> entries := (l, ps *. post.(i)) :: !entries) template.Template.labels)
-    [ -1; 1 ];
-  let arr = Array.of_list !entries in
-  Array.sort (fun (a, _) (b, _) -> compare a b) arr;
-  arr
-
-(* The fused grading pass: everything the confidence gate consumes per
-   window, from ONE scoring of each template.  The separate entry
-   points above score the sign template up to four times and a value
-   template up to three times per graded window; [Template.scores_fv]
+(* The grading pass: everything the confidence gate consumes per
+   window, from ONE scoring of each template.  [Template.scores_fv]
    computes each template's rows once and this function derives the
-   five grading quantities from them.  Every derived value replicates
-   the arithmetic of the corresponding single call exactly, so the
-   fusion is bit-invisible (test_sca pins this) — it is the main
-   per-window win of the numeric-core refactor. *)
+   five grading quantities from them; the fits carry the bits
+   [sign_fit_fv]/[value_fit_fv] return (test_sca pins every field
+   against a boxed reference implementation).
+
+   The verdict is pure maximum likelihood, as in classical template
+   attacks (and as the paper's Table I/II scores behave): the class
+   prior is NOT mixed in — with single-trace likelihood margins of a
+   few nats, a Gaussian prior would drag every rare value onto its
+   frequent neighbours.  The joint posterior, by contrast, is
+   Bayesian: the adversary knows the sampler's distribution, so
+   P(v | trace) uses the Gaussian prior both across sign groups and
+   within them. *)
 let grade_fv t s window =
   let sign_sc = Template.scores_fv ~priors:t.prior_of_sign t.sign_template s.Scratch.sign (pick_into s t.pois_sign window) in
   let sign_labels = t.sign_template.Template.labels in
   let sign = sign_labels.(Mathkit.Stats.argmax sign_sc.Template.s_post) in
   let g_sign_confidence = Array.fold_left Float.max 0.0 sign_sc.Template.s_post in
   let g_sign_fit = sign_sc.Template.s_best_ll in
-  (* Both value groups always feed the joint posterior, exactly like
-     posterior_all — but only the recovered sign's template has its
+  (* Both value groups always feed the joint posterior — but only the
+     recovered sign's template has its
      flat posterior (verdict) and best density (fit floor) read.  The
      other group — both groups, under a zero sign — contributes its
      priored row alone, so the rows no consumer reads are simply not

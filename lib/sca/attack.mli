@@ -15,10 +15,10 @@
       Table I.
 
     Matching classifies the sign first and then dispatches to that
-    group's template; zero needs no second stage.  [classify] returns
-    the hard decision plus the posterior over all candidate values —
-    Table I consumes the former, the LWE-hint integration (Tables
-    II-III) the latter. *)
+    group's template; zero needs no second stage.  {!grade_fv}
+    returns the hard decision plus the posterior over all candidate
+    values — Table I consumes the former, the LWE-hint integration
+    (Tables II-III) the latter. *)
 
 type t = {
   sign_template : Template.t;
@@ -52,41 +52,13 @@ val build :
     [sigma] shapes the value priors.  Defaults: 16 POIs per value
     group, 6 sign POIs. *)
 
-val classify : t -> float array -> verdict
-(** Attack one window (combined attack). *)
+(** {1 Scoring}
 
-val classify_sign_only : t -> float array -> int
-(** Branch-vulnerability-only attack (Table IV). *)
-
-val sign_confidence : t -> float array -> float
-(** Peak of the (flat-prior) sign posterior for this window — how
-    unambiguous the branch-region match is.  Near 1/3 means the window
-    does not look like any sign class (e.g. after a segmentation
-    failure); confidence gating uses it to demote garbage windows. *)
-
-val sign_fit : t -> float array -> float
-(** Best-class Gaussian log density of the window under the sign
-    template — an absolute goodness-of-fit.  Posteriors normalise the
-    likelihood away, so a corrupted window can still look confident;
-    its fit, by contrast, collapses (the exponent is quadratic in the
-    deviation from the nearest class mean).  Confidence gating compares
-    this against a floor calibrated on profiling windows. *)
-
-val value_fit : t -> sign:int -> float array -> float
-(** Best-class log density under the value template of [sign]'s group
-    (for sign 0, the sign template — zero has no second stage). *)
-
-val posterior_all : t -> float array -> (int * float) array
-(** Joint posterior over all candidates:
-    P(v) = P(sign of v) * P(v | its group) — the raw Table II rows. *)
-
-(** {1 Fvec scoring}
-
-    Allocation-free counterparts over {!Mathkit.Fvec} views.  A
-    {!Scratch.t} bundles the POI gather buffer and the three template
-    scratches in one arena; build one per domain ([make_scratch] once,
-    score many windows).  Arithmetic is bit-identical to the
-    [float array] path above. *)
+    Windows arrive as {!Mathkit.Fvec} views.  A {!Scratch.t} bundles
+    the POI gather buffer and the three template scratches in one
+    arena; build one per domain ([make_scratch] once, score many
+    windows) — scoring allocates nothing per window beyond its
+    results. *)
 
 module Scratch : sig
   type t
@@ -94,12 +66,17 @@ end
 
 val make_scratch : t -> Scratch.t
 
-val classify_fv : t -> Scratch.t -> Mathkit.Fvec.t -> verdict
-val classify_sign_only_fv : t -> Scratch.t -> Mathkit.Fvec.t -> int
-val sign_confidence_fv : t -> Scratch.t -> Mathkit.Fvec.t -> float
 val sign_fit_fv : t -> Scratch.t -> Mathkit.Fvec.t -> float
+(** Best-class Gaussian log density of the window under the sign
+    template — an absolute goodness-of-fit.  Posteriors normalise the
+    likelihood away, so a corrupted window can still look confident;
+    its fit, by contrast, collapses (the exponent is quadratic in the
+    deviation from the nearest class mean).  Profiling calibrates the
+    confidence gate's floor on it. *)
+
 val value_fit_fv : t -> Scratch.t -> sign:int -> Mathkit.Fvec.t -> float
-val posterior_all_fv : t -> Scratch.t -> Mathkit.Fvec.t -> (int * float) array
+(** Best-class log density under the value template of [sign]'s group
+    (for sign 0, the sign template — zero has no second stage). *)
 
 (** Everything the confidence gate consumes for one window. *)
 type graded = {
@@ -111,9 +88,13 @@ type graded = {
 }
 
 val grade_fv : t -> Scratch.t -> Mathkit.Fvec.t -> graded
-(** Fused grading: each template is scored exactly once and all five
-    quantities are derived from the shared score rows.  Calling the
-    five single-purpose entry points above performs the same template
-    scorings several times over; every field here is bit-identical to
-    the value the corresponding separate call returns, so the fusion
-    is observationally invisible — only faster. *)
+(** Score one window: each template is scored at most once and all
+    five quantities are derived from the shared score rows.
+    [g_verdict] classifies the sign by maximum likelihood, then the
+    value within the recovered sign's group (zero needs no second
+    stage); [g_posterior_all] is the joint Bayesian posterior
+    P(v) = P(sign of v) * P(v | its group) over every candidate, the
+    raw Table II rows; [g_sign_confidence] is the peak of the
+    flat-prior sign posterior — near 1/3 the window looks like no sign
+    class; the two fits are {!sign_fit_fv} and {!value_fit_fv} (under
+    the recovered sign), bit for bit. *)

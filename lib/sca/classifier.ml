@@ -2,29 +2,14 @@ module type S = sig
   type t
   type scratch
 
-  val name : string
   val make_scratch : t -> scratch
-  val classify : t -> scratch -> Mathkit.Fvec.t -> Attack.verdict
-  val posterior_all : t -> scratch -> Mathkit.Fvec.t -> (int * float) array
-  val sign_confidence : t -> scratch -> Mathkit.Fvec.t -> float
-  val sign_fit : t -> scratch -> Mathkit.Fvec.t -> float
-  val value_fit : t -> scratch -> sign:int -> Mathkit.Fvec.t -> float
-
   val grade : t -> scratch -> Mathkit.Fvec.t -> Attack.graded
-  (** All five grading quantities from one pass; each field must equal
-      what the corresponding function above returns for the window. *)
 end
 
 module Template : S with type t = Attack.t and type scratch = Attack.Scratch.t = struct
   type t = Attack.t
   type scratch = Attack.Scratch.t
 
-  let name = "template"
   let make_scratch = Attack.make_scratch
-  let classify = Attack.classify_fv
-  let posterior_all = Attack.posterior_all_fv
-  let sign_confidence = Attack.sign_confidence_fv
-  let sign_fit = Attack.sign_fit_fv
-  let value_fit = Attack.value_fit_fv
   let grade = Attack.grade_fv
 end

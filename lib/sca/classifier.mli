@@ -1,14 +1,15 @@
 (** The narrow per-window classifier interface of the attack pipeline.
 
     Everything the grading and hint stages need from a trained
-    classifier fits in this signature: a hard verdict, the full value
-    posterior, and the three absolute goodness-of-fit scores the
-    confidence gate compares against its calibrated floors.  Windows
-    arrive as {!Mathkit.Fvec} views (possibly aliasing the trace
-    buffer — implementations must treat them as read-only), and every
-    scoring call threads a [scratch] the implementation allocated in
-    [make_scratch]: per-domain reusable buffers, so the hot loop is
-    allocation-free.  A stateless classifier can use [scratch = unit].
+    classifier fits in one call: {!S.grade} returns a hard verdict,
+    the full value posterior, the sign confidence and the two absolute
+    goodness-of-fit scores the confidence gate compares against its
+    calibrated floors.  Windows arrive as {!Mathkit.Fvec} views
+    (possibly aliasing the trace buffer — implementations must treat
+    them as read-only), and every call threads a [scratch] the
+    implementation allocated in [make_scratch]: per-domain reusable
+    buffers, so the hot loop is allocation-free.  A stateless
+    classifier can use [scratch = unit].
 
     The combined template attack ({!Attack}) is the first instance; an
     ML classifier (GALACTICS-style) or a per-variant specialisation
@@ -22,34 +23,16 @@ module type S = sig
   (** Per-domain mutable scoring workspace.  Never share one scratch
       across domains. *)
 
-  val name : string
-
   val make_scratch : t -> scratch
   (** Fresh scratch sized for this classifier. *)
 
-  val classify : t -> scratch -> Mathkit.Fvec.t -> Attack.verdict
-  (** Hard decision for one window view. *)
-
-  val posterior_all : t -> scratch -> Mathkit.Fvec.t -> (int * float) array
-  (** Joint posterior over every candidate value. *)
-
-  val sign_confidence : t -> scratch -> Mathkit.Fvec.t -> float
-  (** Peak of the flat-prior sign posterior (how unambiguous the
-      branch-region match is). *)
-
-  val sign_fit : t -> scratch -> Mathkit.Fvec.t -> float
-  (** Best-class log density under the sign model — absolute
-      goodness-of-fit, gate input. *)
-
-  val value_fit : t -> scratch -> sign:int -> Mathkit.Fvec.t -> float
-  (** Best-class log density under [sign]'s value model. *)
-
   val grade : t -> scratch -> Mathkit.Fvec.t -> Attack.graded
-  (** All five grading quantities from one scoring pass.  Contract:
-      each field equals — bitwise — what the corresponding
-      single-purpose function above returns for the same window, so
-      the grader may call either form interchangeably.  Implementations
-      that cannot share work may simply bundle the five calls. *)
+  (** Score one window view: the verdict, the joint posterior over
+      every candidate value, the peak of the flat-prior sign posterior
+      (how unambiguous the branch-region match is), and the best-class
+      log densities under the sign model and under the recovered
+      sign's value model — the gate's inputs.  See
+      {!Attack.grade_fv}. *)
 end
 
 module Template : S with type t = Attack.t and type scratch = Attack.Scratch.t

@@ -176,19 +176,9 @@ let windows_fv cfg samples = windows_of_bursts (burst_regions_fv cfg samples) ~t
 
 let windows cfg samples = windows_fv cfg (Fvec.of_array samples)
 
-let vectorize samples wins ~length =
-  if length <= 0 then invalid_arg "Segment.vectorize: length must be positive";
-  Array.map
-    (fun w ->
-      Array.init length (fun i ->
-          let idx = w.start + i in
-          if idx < w.stop && idx < Array.length samples then samples.(idx) else 0.0))
-    wins
-
-(* The Fvec counterpart of {!vectorize}: a window fully inside both
-   its burst span and the trace is a borrowed sub-view (no copy); a
-   short window gets the same zero-padded copy vectorize would build.
-   Values are identical either way. *)
+(* A window fully inside both its burst span and the trace is a
+   borrowed sub-view (no copy); a short window gets a zero-padded
+   fresh vector.  Values are identical either way. *)
 let views samples wins ~length =
   if length <= 0 then invalid_arg "Segment.views: length must be positive";
   let n = Fvec.length samples in

@@ -54,11 +54,6 @@ val windows : config -> float array -> window array
     coefficient [i]'s sign/assignment code.  The final window runs to
     the end of the trace. *)
 
-val vectorize : float array -> window array -> length:int -> float array array
-(** Clip every window to its first [length] samples (windows shorter
-    than [length] are zero-padded) — the fixed-dimension vectors the
-    templates consume. *)
-
 (** {1 Resilient segmentation}
 
     {!windows} silently returns however many windows it finds; on a
@@ -109,10 +104,11 @@ val burst_regions_fv : config -> Mathkit.Fvec.t -> window array
 val windows_fv : config -> Mathkit.Fvec.t -> window array
 
 val views : Mathkit.Fvec.t -> window array -> length:int -> Mathkit.Fvec.t array
-(** {!vectorize} without the copies: a window whose first [length]
-    samples lie inside both its span and the trace is returned as a
-    borrowed sub-view of [samples]; shorter windows get the same
-    zero-padded fresh vector {!vectorize} would build.  Views alias
-    the trace — treat them as read-only. *)
+(** Clip every window to its first [length] samples — the
+    fixed-dimension vectors the templates consume.  A window whose
+    first [length] samples lie inside both its span and the trace is
+    returned as a borrowed sub-view of [samples]; shorter windows get
+    a zero-padded fresh vector.  Views alias the trace — treat them as
+    read-only. *)
 
 val segment_fv : config -> expected:int -> Mathkit.Fvec.t -> (segmented, segment_error) result

@@ -25,25 +25,6 @@ let build ?(regularization = 1e-6) ~pois classes =
   let log_det = Mathkit.Linalg.logdet cov in
   { labels; means; inv_cov; inv_cov_fm = Mathkit.Fmat.of_matrix inv_cov; log_det; pois }
 
-let log_likelihoods t x =
-  let d = float_of_int (Array.length x) in
-  let const = -0.5 *. ((d *. log (2.0 *. Float.pi)) +. t.log_det) in
-  Array.map (fun mu -> const -. (0.5 *. Mathkit.Linalg.mahalanobis_sq ~inv_cov:t.inv_cov x mu)) t.means
-
-let posterior ?priors t x =
-  let ll = log_likelihoods t x in
-  (match priors with
-  | Some p ->
-      if Array.length p <> Array.length ll then invalid_arg "Template.posterior: prior length mismatch";
-      Array.iteri (fun i pi -> ll.(i) <- ll.(i) +. log (Float.max pi 1e-300)) p
-  | None -> ());
-  let z = Mathkit.Stats.log_sum_exp ll in
-  Array.map (fun l -> exp (l -. z)) ll
-
-let classify ?priors t x =
-  let p = posterior ?priors t x in
-  t.labels.(Mathkit.Stats.argmax p)
-
 let dimension t = match t.means with [||] -> 0 | ms -> Array.length ms.(0)
 
 (* Per-template reusable buffers.  [diff] holds x - mu for the fused
@@ -62,9 +43,9 @@ let make_scratch ?arena t =
   let k = Array.length t.labels in
   { diff; ll = Array.make k 0.0; post = Array.make k 0.0; post_p = Array.make k 0.0 }
 
-(* Bit-identical to [log_likelihoods]: the diff elements are computed
-   the same way and [Fmat.quadratic_form] replicates the accumulation
-   order of [Matrix.dot d (Matrix.mul_vec inv_cov d)] exactly. *)
+(* [Fmat.quadratic_form] replicates the accumulation order of
+   [Matrix.dot d (Matrix.mul_vec inv_cov d)] exactly, so the scores
+   equal the boxed [Linalg.mahalanobis_sq] arithmetic bit for bit. *)
 let log_likelihoods_fv t s x =
   let open Mathkit in
   let dim = Fvec.length x in
@@ -86,20 +67,15 @@ let log_likelihoods_fv t s x =
     t.means;
   s.ll
 
-let posterior_fv ?priors t s x =
+let posterior_fv t s x =
   let ll = log_likelihoods_fv t s x in
-  (match priors with
-  | Some p ->
-      if Array.length p <> Array.length ll then invalid_arg "Template.posterior: prior length mismatch";
-      Array.iteri (fun i pi -> ll.(i) <- ll.(i) +. log (Float.max pi 1e-300)) p
-  | None -> ());
   let z = Mathkit.Stats.log_sum_exp ll in
   for i = 0 to Array.length ll - 1 do
     s.post.(i) <- exp (ll.(i) -. z)
   done;
   s.post
 
-let classify_fv ?priors t s x = t.labels.(Mathkit.Stats.argmax (posterior_fv ?priors t s x))
+let classify_fv t s x = t.labels.(Mathkit.Stats.argmax (posterior_fv t s x))
 
 type scores = { s_best_ll : float; s_post : float array; s_post_p : float array }
 
@@ -107,8 +83,8 @@ type scores = { s_best_ll : float; s_post : float array; s_post_p : float array 
    best-class log density (fit gating), the flat-prior posterior
    (classification, confidence) and the priored posterior (the joint
    Bayesian posterior).  Each derived row replicates the arithmetic of
-   the corresponding single-purpose entry point exactly — same values
-   in the same order — so fusing several calls into one [scores_fv] is
+   [log_likelihoods_fv]/[posterior_fv] exactly — same values in the
+   same order — so fusing several calls into one [scores_fv] is
    bit-invisible to every consumer.  Both rows are BORROWED, valid
    until the next call on the same scratch. *)
 (* [Array.fold_left Float.max neg_infinity xs], with the common case
@@ -162,10 +138,3 @@ let priored_posterior_fv ~priors t s x =
     s.post_p.(i) <- exp (ll.(i) -. zp)
   done;
   s.post_p
-
-let restrict t keep =
-  let idx = ref [] in
-  Array.iteri (fun i label -> if keep label then idx := i :: !idx) t.labels;
-  let idx = Array.of_list (List.rev !idx) in
-  if Array.length idx = 0 then invalid_arg "Template.restrict: no classes left";
-  { t with labels = Array.map (fun i -> t.labels.(i)) idx; means = Array.map (fun i -> t.means.(i)) idx }

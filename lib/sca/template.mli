@@ -26,27 +26,12 @@ val build : ?regularization:float -> pois:int array -> (int * float array array)
     [regularization] (default 1e-6) times the mean diagonal.
     @raise Invalid_argument when any class has < 2 rows. *)
 
-val log_likelihoods : t -> float array -> float array
-(** Per-class Gaussian log density of one POI vector (same order as
-    [labels]). *)
+(** {1 Scoring}
 
-val posterior : ?priors:float array -> t -> float array -> float array
-(** Normalised class probabilities; [priors] defaults to uniform. *)
-
-val classify : ?priors:float array -> t -> float array -> int
-(** Maximum-likelihood (or MAP, with priors) label. *)
-
-val restrict : t -> (int -> bool) -> t
-(** Keep only classes whose label satisfies the predicate — used to
-    condition the value template on the recovered sign. *)
-
-(** {1 Fvec scoring}
-
-    Allocation-free counterparts of the scoring entry points above:
-    the caller owns a {!scratch} (one per domain — scratches must not
-    be shared across domains) and the [_fv] functions return rows
-    BORROWED from it, valid until the next call on the same scratch.
-    Arithmetic is bit-identical to the [float array] path. *)
+    The caller owns a {!scratch} (one per domain — scratches must not
+    be shared across domains) and the scoring functions return rows
+    BORROWED from it, valid until the next call on the same
+    scratch. *)
 
 val dimension : t -> int
 (** POI-vector dimensionality the template scores (length of each
@@ -64,8 +49,15 @@ val make_scratch : ?arena:Mathkit.Fvec.Scratch.t -> t -> scratch
     freshly allocated otherwise. *)
 
 val log_likelihoods_fv : t -> scratch -> Mathkit.Fvec.t -> float array
-val posterior_fv : ?priors:float array -> t -> scratch -> Mathkit.Fvec.t -> float array
-val classify_fv : ?priors:float array -> t -> scratch -> Mathkit.Fvec.t -> int
+(** Per-class Gaussian log density of one POI vector (same order as
+    [labels]). *)
+
+val posterior_fv : t -> scratch -> Mathkit.Fvec.t -> float array
+(** Normalised class probabilities under a flat prior
+    ({!priored_posterior_fv} weighs in class priors). *)
+
+val classify_fv : t -> scratch -> Mathkit.Fvec.t -> int
+(** Maximum-likelihood label. *)
 
 type scores = {
   s_best_ll : float;  (** [Float.max] fold over the log likelihoods *)
@@ -75,10 +67,10 @@ type scores = {
 
 val scores_fv : priors:float array -> t -> scratch -> Mathkit.Fvec.t -> scores
 (** One log-likelihood pass, then every score a grading consumer
-    needs.  Each row is bit-identical to the corresponding
-    single-purpose entry point ([log_likelihoods] max, [posterior]
-    without and with [priors]), so one [scores_fv] call substitutes
-    for several separate scoring calls without observable effect.
+    needs.  Each row is bit-identical to the corresponding separate
+    computation ([log_likelihoods_fv] max, [posterior_fv], and that
+    posterior with [priors] mixed in), so one [scores_fv] call
+    substitutes for several scoring calls without observable effect.
     Both rows are borrowed from the scratch. *)
 
 val priored_posterior_fv : priors:float array -> t -> scratch -> Mathkit.Fvec.t -> float array

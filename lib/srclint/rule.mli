@@ -21,8 +21,7 @@
       [Triage.Signature] already learned this lesson the hard way.
     - {!Unsafe_index}: [*.unsafe_get] / [*.unsafe_set] anywhere —
       bounds-unchecked access is sanctioned only in the audited
-      {!Mathkit.Fvec} kernel loops (which validate bounds up front
-      and re-enable checked access under [REVEAL_FVEC_BOUNDS=1]),
+      {!Mathkit.Fvec} kernel loops (which validate bounds up front),
       each site carrying its own allow with a written reason.
 
     Suppression is per-site via an allow comment naming the rule and

@@ -34,9 +34,6 @@ type record_fv = {
   fv_samples : Mathkit.Fvec.t;
 }
 
-let fv_of_record (r : record) =
-  { fv_index = r.index; fv_noises = r.noises; fv_samples = Mathkit.Fvec.of_array r.trace.Power.Ptrace.samples }
-
 let variant_code = function
   | Riscv.Sampler_prog.Vulnerable -> 0
   | Riscv.Sampler_prog.Branchless -> 1

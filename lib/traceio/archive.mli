@@ -54,42 +54,8 @@ type record_fv = {
     the event streams — which replay never reads — are validated but
     not materialised. *)
 
-val fv_of_record : record -> record_fv
-(** Convert an already-decoded record (one copy of the samples). *)
-
 val variant_name : Riscv.Sampler_prog.variant -> string
 val meta_find : header -> string -> string option
-
-(** {1 Payload codec}
-
-    The header/record byte codecs, independent of the file container.
-    {!Wire} streams the same payloads over a socket, and the property
-    tests corrupt them directly. *)
-
-val count_unknown : int
-(** The [trace_count] placeholder (0xFFFFFFFF) a streaming writer
-    leaves in the header until it finalises — also the value a live
-    wire stream advertises when its length is open-ended. *)
-
-val header_payload : header -> count:int -> string
-(** Encode a header with an explicit [count] in the [trace_count]
-    slot (the struct's own field is ignored so writers can patch the
-    final count in without rebuilding the header). *)
-
-val header_of_payload : path:string -> string -> header
-(** @raise Error.Corrupt when the payload does not decode or declares
-    impossible dimensions ([path] contextualises the message). *)
-
-val record_payload : index:int -> noises:int array -> Power.Ptrace.t -> string
-
-val record_of_payload : path:string -> header:header -> expect_index:int -> string -> record
-(** @raise Error.Corrupt on any decode failure, an index other than
-    [expect_index], or a record inconsistent with [header]. *)
-
-val record_fv_of_payload : path:string -> header:header -> expect_index:int -> string -> record_fv
-(** [record_of_payload] into the replay shape: identical validation
-    (same errors on the same corrupt payloads), samples decoded
-    straight into the vector, event streams checked and discarded. *)
 
 (** {1 Writing}
 

@@ -1,7 +1,7 @@
 (** Pull-based record streams — the storage-side source adapter.
 
-    An archive on disk, an already-decoded record array, or any future
-    acquisition backend presents the same three operations: pull the
+    An archive on disk, or any other acquisition backend wrapped with
+    {!make_fv}, presents the same three operations: pull the
     next event, know what it is called, release it.  The attack
     pipeline's archive-replay source is a thin wrapper over this
     adapter, so corruption policy (skip-and-count vs fail-fast) is
@@ -23,8 +23,8 @@ val next : t -> event
 
 val next_fv : t -> event_fv
 (** Pull in the replay shape.  Archive-backed sources decode natively
-    (no intermediate [float array]); other backends convert.  [next]
-    and [next_fv] advance the same cursor — pick one per consumer. *)
+    (no intermediate [float array]).  [next] and [next_fv] advance the
+    same cursor — pick one per consumer. *)
 
 val close : t -> unit
 (** Idempotent; releases the underlying reader, if any. *)
@@ -44,19 +44,12 @@ val of_reader : ?strict:bool -> name:string -> Archive.reader -> t
 (** Same, over an already-open reader (closing the source closes the
     reader). *)
 
-val of_records : name:string -> Archive.record array -> t
-(** An in-memory stream — synthetic campaigns and tests. *)
-
-val make : name:string -> next:(unit -> event) -> close:(unit -> unit) -> t
-(** Wrap an arbitrary acquisition backend (e.g. {!Wire.source}'s
-    socket receiver).  [next] must keep returning [`End_of_archive]
-    once it has; [close] must be idempotent.  {!next_fv} converts
-    [next]'s records. *)
-
 val make_fv :
   name:string -> next:(unit -> event) -> next_fv:(unit -> event_fv) -> close:(unit -> unit) -> t
-(** {!make} with a native replay-shape decoder for backends that can
-    skip the boxed intermediate. *)
+(** Wrap an arbitrary acquisition backend: [next] and [next_fv] pull
+    the same stream in the two record shapes and must advance one
+    shared cursor.  Both must keep returning [`End_of_archive] once
+    they have; [close] must be idempotent. *)
 
 val fold : t -> ('a -> Archive.record -> 'a) -> 'a -> ('a * int)
 (** Drain the stream; returns the accumulator and the number of

@@ -1,12 +1,12 @@
-(* The archive record stream, re-framed for a socket: explicit tagged
-   frames and a mandatory end frame instead of a seek-back header
-   patch.  See wire.mli for the byte-level layout. *)
+(* Live telemetry over a byte pipe: a preamble, then CRC-framed
+   tagged frames and a mandatory end frame, so a cut connection is
+   never mistaken for a clean end.  See wire.mli for the byte-level
+   layout. *)
 
 let magic = "REVEALWS"
 let version = 1
 
-let tag_header = 'H'
-let tag_record = 'R'
+let tag_telemetry = 'T'
 let tag_end = 'E'
 
 let tagged tag payload =
@@ -15,218 +15,11 @@ let tagged tag payload =
   Buffer.add_string b payload;
   Buffer.contents b
 
-(* --- sending ------------------------------------------------------------ *)
-
-type sender_stats = { ss_records : Obs.Metrics.counter; ss_bytes : Obs.Metrics.counter }
-
-type sender = {
-  s_peer : string;
-  s_oc : out_channel;
-  s_header : Archive.header;
-  mutable s_count : int;
-  mutable s_finished : bool;
-  s_stats : sender_stats option;
-}
-
-let sender_stats_of obs =
-  if Obs.Ctx.enabled obs then
-    Some
-      {
-        ss_records = Obs.Ctx.counter obs "wire.records_sent";
-        ss_bytes = Obs.Ctx.counter obs "wire.payload_bytes_sent";
-      }
-  else None
-
-let create_sender ?(obs = Obs.Ctx.disabled) ~peer ~header oc =
-  Error.wrap_io peer (fun () ->
-      output_string oc magic;
-      output_string oc (String.init 2 (fun i -> Char.chr ((version lsr (8 * i)) land 0xFF))));
-  Frame.write ~path:peer oc (tagged tag_header (Archive.header_payload header ~count:header.Archive.trace_count));
-  Error.wrap_io peer (fun () -> flush oc);
-  { s_peer = peer; s_oc = oc; s_header = header; s_count = 0; s_finished = false; s_stats = sender_stats_of obs }
-
-let sender_count s = s.s_count
-
-let send s ~noises trace =
-  if s.s_finished then invalid_arg "Wire.send: sender already finished";
-  if Array.length noises <> s.s_header.Archive.n then
-    invalid_arg
-      (Printf.sprintf "Wire.send: %d noise labels for an n=%d stream" (Array.length noises) s.s_header.Archive.n);
-  if trace.Power.Ptrace.samples_per_cycle <> s.s_header.Archive.samples_per_cycle then
-    invalid_arg
-      (Printf.sprintf "Wire.send: trace sampled at %d/cycle, stream at %d/cycle" trace.Power.Ptrace.samples_per_cycle
-         s.s_header.Archive.samples_per_cycle);
-  let payload = Archive.record_payload ~index:s.s_count ~noises trace in
-  Frame.write ~path:s.s_peer s.s_oc (tagged tag_record payload);
-  Error.wrap_io s.s_peer (fun () -> flush s.s_oc);
-  s.s_count <- s.s_count + 1;
-  match s.s_stats with
-  | None -> ()
-  | Some st ->
-      Obs.Metrics.incr st.ss_records;
-      Obs.Metrics.incr ~by:(String.length payload) st.ss_bytes
-
-let finish s =
-  if not s.s_finished then begin
-    s.s_finished <- true;
-    let b = Buffer.create 4 in
-    Binio.put_u32 b s.s_count;
-    Frame.write ~path:s.s_peer s.s_oc (tagged tag_end (Buffer.contents b));
-    Error.wrap_io s.s_peer (fun () -> flush s.s_oc)
-  end
-
-(* --- receiving ---------------------------------------------------------- *)
-
-type receiver_stats = {
-  rs_obs : Obs.Ctx.t;
-  rs_records : Obs.Metrics.counter;
-  rs_skipped : Obs.Metrics.counter;
-  rs_bytes : Obs.Metrics.counter;
-}
-
-type receiver = {
-  r_peer : string;
-  r_ic : in_channel;
-  r_header : Archive.header;
-  r_strict : bool;
-  r_close : unit -> unit;
-  mutable r_next_index : int;
-  mutable r_finished : bool;
-  mutable r_closed : bool;
-  r_stats : receiver_stats option;
-}
-
-let receiver_stats_of obs =
-  if Obs.Ctx.enabled obs then
-    Some
-      {
-        rs_obs = obs;
-        rs_records = Obs.Ctx.counter obs "wire.records_received";
-        rs_skipped = Obs.Ctx.counter obs "wire.records_skipped";
-        rs_bytes = Obs.Ctx.counter obs "wire.payload_bytes_received";
-      }
-  else None
-
-let count_recv r payload =
-  match r.r_stats with
-  | None -> ()
-  | Some s ->
-      Obs.Metrics.incr s.rs_records;
-      Obs.Metrics.incr ~by:(String.length payload) s.rs_bytes
-
-let count_skip r msg =
-  match r.r_stats with
-  | None -> ()
-  | Some s ->
-      Obs.Metrics.incr s.rs_skipped;
-      Obs.Ctx.event ~level:Obs.Ctx.Warn
-        ~attrs:[ ("peer", Obs.Json.String r.r_peer); ("reason", Obs.Json.String msg) ]
-        s.rs_obs "wire.skip"
-
 (* Split a verified frame payload into its tag and body.  An empty
    payload cannot have come from a sender, so it is structural. *)
 let untag ~peer payload =
   if String.length payload = 0 then Error.corruptf "%s: empty wire frame" peer;
   (payload.[0], String.sub payload 1 (String.length payload - 1))
-
-let open_receiver ?(strict = false) ?(obs = Obs.Ctx.disabled) ?(close = ignore) ~peer ic =
-  let m = Error.wrap_io peer (fun () -> really_input_string ic (String.length magic)) in
-  if m <> magic then Error.corruptf "%s: not a reveal wire stream (magic %S, expected %S)" peer m magic;
-  let v = Error.wrap_io peer (fun () -> really_input_string ic 2) in
-  let v = Char.code v.[0] lor (Char.code v.[1] lsl 8) in
-  if v <> version then
-    Error.corruptf "%s: unsupported wire version %d (this build speaks version %d)" peer v version;
-  let header =
-    match Frame.read ~path:peer ic with
-    | None -> Error.corruptf "%s: connection closed before the header frame" peer
-    | Some payload -> (
-        match untag ~peer payload with
-        | t, body when t = tag_header -> Archive.header_of_payload ~path:peer body
-        | t, _ -> Error.corruptf "%s: expected header frame, got tag %C" peer t)
-  in
-  {
-    r_peer = peer;
-    r_ic = ic;
-    r_header = header;
-    r_strict = strict;
-    r_close = close;
-    r_next_index = 0;
-    r_finished = false;
-    r_closed = false;
-    r_stats = receiver_stats_of obs;
-  }
-
-let receiver_header r = r.r_header
-
-let skip_or_raise r msg =
-  if r.r_strict then Error.corruptf "%s: %s" r.r_peer msg
-  else begin
-    r.r_next_index <- r.r_next_index + 1;
-    count_skip r msg;
-    `Skipped msg
-  end
-
-let recv r =
-  if r.r_finished then `End_of_stream
-  else
-    match Frame.try_read ~path:r.r_peer r.r_ic with
-    | `End ->
-        Error.corruptf "%s: connection closed mid-stream after %d record slots (no end frame)" r.r_peer
-          r.r_next_index
-    | `Bad_crc msg ->
-        (* could have been any frame kind; treating it as a lost record
-           slot keeps later index checks aligned, and a mangled end
-           frame still surfaces as Corrupt at the following EOF *)
-        skip_or_raise r msg
-    | `Payload payload -> (
-        match untag ~peer:r.r_peer payload with
-        | t, body when t = tag_record -> (
-            match
-              Archive.record_of_payload ~path:r.r_peer ~header:r.r_header ~expect_index:r.r_next_index body
-            with
-            | rec_ ->
-                r.r_next_index <- r.r_next_index + 1;
-                count_recv r body;
-                `Record rec_
-            | exception Error.Corrupt msg -> skip_or_raise r msg)
-        | t, body when t = tag_end ->
-            let c = Binio.cursor ~name:r.r_peer body in
-            let count = Binio.get_u32 c in
-            Binio.expect_end c;
-            if count <> r.r_next_index then
-              Error.corruptf "%s: end frame declares %d record slots but %d were streamed" r.r_peer count
-                r.r_next_index;
-            r.r_finished <- true;
-            `End_of_stream
-        | t, _ when t = tag_header -> Error.corruptf "%s: duplicate header frame mid-stream" r.r_peer
-        | t, _ -> Error.corruptf "%s: unknown wire frame tag %C" r.r_peer t)
-
-let close_receiver r =
-  if not r.r_closed then begin
-    r.r_closed <- true;
-    r.r_close ()
-  end
-
-let source ?strict ?obs ?close ~peer ic =
-  let r = open_receiver ?strict ?obs ?close ~peer ic in
-  let next () =
-    match recv r with
-    | `Record rec_ -> `Record rec_
-    | `Skipped msg -> `Skipped msg
-    | `End_of_stream -> `End_of_archive
-  in
-  Source.make ~name:peer ~next ~close:(fun () -> close_receiver r)
-
-(* --- telemetry streams --------------------------------------------------- *)
-
-(* A second stream kind over the same preamble and frame discipline:
-   'T' frames carrying one obs JSONL line each, no header frame (the
-   trace's own "start" record is its header), same mandatory 'E' end
-   frame.  Keeping the byte layout identical to the archive stream
-   means the CRC/skip/truncation properties — and their tests — carry
-   over wholesale. *)
-
-let tag_telemetry = 'T'
 
 type telemetry_sender = {
   ts_peer : string;
@@ -319,10 +112,6 @@ let telemetry_recv r =
                 r.tr_peer count r.tr_next_index;
             r.tr_finished <- true;
             `End_of_stream
-        | t, _ when t = tag_header ->
-            Error.corruptf "%s: archive stream on a telemetry endpoint (header frame)" r.tr_peer
-        | t, _ when t = tag_record ->
-            Error.corruptf "%s: archive stream on a telemetry endpoint (record frame)" r.tr_peer
         | t, _ -> Error.corruptf "%s: unknown wire frame tag %C" r.tr_peer t)
 
 let telemetry_skipped r = r.tr_skipped

@@ -1,97 +1,8 @@
-(** Socket wire protocol: an archive's record stream over a byte pipe.
+(** Socket wire protocol: live observability telemetry over a byte
+    pipe.
 
-    A serving peer streams the same header/record payloads that
-    {!Archive} stores on disk, re-framed for a connection where seeking
-    back to patch a final count is impossible.  Layout (little-endian):
-
-    {v
-    "REVEALWS"  8-byte magic
-    u16         wire version (currently 1)
-    FRAME       'H' tag + header payload (trace_count may be
-                Archive.count_unknown for open-ended live streams)
-    FRAME*      'R' tag + record payload, indices 0,1,2,…
-    FRAME       'E' tag + u32 count of record slots streamed
-    v}
-
-    where FRAME is [u32 length | payload | u32 crc32] ({!Frame}) and
-    the tag is the payload's first byte.  The explicit end frame is
-    what stands in for the archive's patched header count: a connection
-    that drops mid-stream leaves no 'E' frame and the receiver raises
-    {!Error.Corrupt} instead of mistaking the cut for a clean end.
-
-    Corruption discipline mirrors {!Archive.try_next}: a record frame
-    that fails its CRC (or refuses to decode) is skippable — the frame
-    boundary survives, the receiver counts the slot and moves on — while
-    damage to the preamble, header frame, end frame or framing itself
-    is structural and always raises. *)
-
-val magic : string
-val version : int
-
-(** {1 Sending} *)
-
-type sender
-
-val create_sender : ?obs:Obs.Ctx.t -> peer:string -> header:Archive.header -> out_channel -> sender
-(** Writes the preamble and header frame immediately.  The header's
-    own [trace_count] field is forwarded verbatim — pass
-    {!Archive.count_unknown} when the stream length is open-ended.
-    [peer] contextualises error messages.  With an enabled [obs]
-    context the sender counts [wire.records_sent] /
-    [wire.payload_bytes_sent].
-    @raise Error.Io when the channel refuses the write. *)
-
-val send : sender -> noises:int array -> Power.Ptrace.t -> unit
-(** Stream one record; records are re-indexed 0,1,2,… in send order
-    (so serving a tolerant archive reader that skipped records still
-    yields a dense stream).  Flushes, so a live receiver sees the
-    record without waiting for the end of the stream.
-    @raise Invalid_argument when the record does not match the header
-    or the sender is finished. *)
-
-val sender_count : sender -> int
-
-val finish : sender -> unit
-(** Write the end frame and flush.  Idempotent.  Closing the channel
-    is the caller's business (it usually owns the socket). *)
-
-(** {1 Receiving} *)
-
-type receiver
-
-val open_receiver :
-  ?strict:bool -> ?obs:Obs.Ctx.t -> ?close:(unit -> unit) -> peer:string -> in_channel -> receiver
-(** Reads and validates the preamble and header frame.  Tolerant by
-    default (see module doc); [~strict:true] turns every record skip
-    into {!Error.Corrupt}.  [close] is invoked (once) by
-    {!close_receiver} — pass the socket teardown here.  With an
-    enabled [obs] context the receiver counts [wire.records_received],
-    [wire.records_skipped] and [wire.payload_bytes_received], and
-    emits a warn-level [wire.skip] event per skipped record.
-    @raise Error.Corrupt on a bad preamble, version or header frame. *)
-
-val receiver_header : receiver -> Archive.header
-
-val recv : receiver -> [ `Record of Archive.record | `Skipped of string | `End_of_stream ]
-(** Pull the next record slot.  [`End_of_stream] is returned at (and
-    after) the end frame, whose count must equal the slots streamed.
-    @raise Error.Corrupt when the connection ends without an end
-    frame, on structural frame damage, or (strict mode) on any
-    skippable record. *)
-
-val close_receiver : receiver -> unit
-(** Runs the [close] callback.  Idempotent. *)
-
-val source :
-  ?strict:bool -> ?obs:Obs.Ctx.t -> ?close:(unit -> unit) -> peer:string -> in_channel -> Source.t
-(** The receiver as a {!Source.t}, so remote acquisition plugs into
-    anything that replays archives.  Opens the receiver immediately
-    (the header is read before this returns). *)
-
-(** {1 Telemetry streams}
-
-    A second stream kind over the same preamble and {!Frame} layout,
-    carrying live observability lines instead of trace records:
+    A streaming peer frames obs JSONL lines for a connection (or a
+    file) where the reader cannot seek.  Layout (little-endian):
 
     {v
     "REVEALWS"  8-byte magic
@@ -100,12 +11,22 @@ val source :
     FRAME       'E' tag + u32 count of telemetry slots streamed
     v}
 
-    There is no header frame — the obs trace's own ["start"] record is
-    the stream's self-description.  The corruption discipline is the
-    archive stream's: a 'T' frame failing its CRC is skippable (the
-    slot is counted and the receiver moves on); preamble or framing
-    damage, an archive tag on a telemetry endpoint, or a cut before
-    the end frame is structural {!Error.Corrupt}. *)
+    where FRAME is [u32 length | payload | u32 crc32] ({!Frame}) and
+    the tag is the payload's first byte.  There is no header frame —
+    the obs trace's own ["start"] record is the stream's
+    self-description.  The explicit end frame is what makes a cut
+    visible: a connection that drops mid-stream leaves no 'E' frame
+    and the receiver raises {!Error.Corrupt} instead of mistaking the
+    cut for a clean end.
+
+    Corruption discipline mirrors {!Archive.try_next}: a 'T' frame
+    that fails its CRC is skippable — the frame boundary survives, the
+    receiver counts the slot and moves on — while preamble or framing
+    damage, any other tag, or a cut before the end frame is structural
+    {!Error.Corrupt}. *)
+
+val magic : string
+val version : int
 
 type telemetry_sender
 
@@ -137,8 +58,8 @@ val telemetry_recv : telemetry_receiver -> [ `Line of string | `Skipped of strin
 (** Pull the next telemetry slot.  [`End_of_stream] at (and after) the
     end frame, whose count must equal the slots streamed.
     @raise Error.Corrupt when the connection ends without an end
-    frame, on structural damage, on an archive-tagged frame, or
-    (strict mode) on any skippable frame. *)
+    frame, on structural damage, on a frame tagged other than 'T' or
+    'E', or (strict mode) on any skippable frame. *)
 
 val telemetry_skipped : telemetry_receiver -> int
 (** Slots lost to CRC damage so far (tolerant mode). *)

@@ -35,10 +35,11 @@ fi
 dune exec bin/reveal_cli.exe -- lint --variant v36 -n 8 > /dev/null
 
 echo "== smoke: srclint — the pipeline's own source stays deterministic =="
-# the self-applied gate: lib/ and bin/ must lint clean (every surviving
-# suppression carries a written reason), and the planted fixtures must
-# reproduce their goldens byte-for-byte, text and JSON
-dune exec bin/reveal_cli.exe -- srclint lib bin > "$tmp/srclint.out"
+# the self-applied gate: every directory that produces output must lint
+# clean (every surviving suppression carries a written reason), and the
+# planted fixtures must reproduce their goldens byte-for-byte, text and
+# JSON
+dune exec bin/reveal_cli.exe -- srclint lib bin bench tools campaign_bench > "$tmp/srclint.out"
 grep -q "verdict: CLEAN" "$tmp/srclint.out"
 (cd test && ../_build/default/bin/reveal_cli.exe srclint fixtures/srclint --check | cmp - golden/srclint.txt)
 (cd test && ../_build/default/bin/reveal_cli.exe srclint fixtures/srclint --check --json | cmp - golden/srclint.json)
@@ -106,6 +107,10 @@ dune exec bin/reveal_cli.exe -- report signs --seed 54398 -n 64 --per-value 80 -
   | cmp - test/golden/signs.txt
 dune exec bin/reveal_cli.exe -- report fig3 --seed 54398 -n 64 --per-value 80 --traces 2 \
   | cmp - test/golden/fig3.txt
+dune exec bin/reveal_cli.exe -- report averaging --seed 54398 -n 64 --per-value 80 --traces 2 \
+  | cmp - test/golden/averaging.txt
+dune exec bin/reveal_cli.exe -- report ablate-features --seed 54398 -n 64 --per-value 80 --traces 2 \
+  | cmp - test/golden/ablate_features.txt
 dune exec bin/reveal_cli.exe -- report signs --seed 7 -n 64 --per-value 40 --json > "$tmp/report.json"
 json_ok "$tmp/report.json" correct total accuracy_percent
 # unknown artefacts are a usage error
@@ -275,12 +280,9 @@ json_ok bench_out/BENCH_perf.json quota_s results
 # back-to-back runs on the same machine stay within the strict gate
 REVEAL_PERF_QUOTA=0.05 REVEAL_PERF_STRICT=1 dune exec bench/main.exe -- perf > "$tmp/perf-strict.out"
 grep -q "REVEAL_PERF_STRICT" "$tmp/perf-strict.out"
-# the numeric-core before/after pairs must be in the snapshot: the
-# boxed rows are the pre-refactor scoring path kept as the shim layer,
-# the fvec rows are the Bigarray kernels the pipeline actually runs
-grep -q "numeric: template scoring, boxed arrays" "$tmp/perf-strict.out"
+# the scoring rows must be in the snapshot: one window and one replayed
+# trace through the Bigarray kernels the pipeline actually runs
 grep -q "numeric: template scoring, fvec+scratch" "$tmp/perf-strict.out"
-grep -q "numeric: replay attack, boxed arrays" "$tmp/perf-strict.out"
 grep -q "numeric: replay attack, fvec views+scratch" "$tmp/perf-strict.out"
 # the telemetry pair: replaying with a streaming sink attached vs obs
 # disabled — both land in BENCH_perf.json so the streaming overhead is

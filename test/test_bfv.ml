@@ -606,110 +606,6 @@ let extension_cases =
 
 let suite = suite @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) extension_cases
 
-(* --- Serialisation ----------------------------------------------------------- *)
-
-let test_serial_params_roundtrip () =
-  List.iter
-    (fun p ->
-      let p' = Serial.params_of_bytes (Serial.params_to_bytes p) in
-      Alcotest.(check int) "n" p.Params.n p'.Params.n;
-      Alcotest.(check bool) "primes" true (p.Params.coeff_modulus = p'.Params.coeff_modulus);
-      Alcotest.(check int) "t" p.Params.plain_modulus p'.Params.plain_modulus)
-    [ Params.toy (); Params.seal_128_1024; Params.seal_128_2048 ]
-
-let test_serial_rq_roundtrip () =
-  let ctx = mul_ctx () in
-  let g = rng () in
-  for _ = 1 to 10 do
-    let x = Rq.uniform g ctx in
-    Alcotest.(check bool) "roundtrip" true (Rq.equal x (Serial.rq_of_bytes ctx (Serial.rq_to_bytes ctx x)))
-  done
-
-let test_serial_plaintext_roundtrip () =
-  let params = Params.toy () in
-  let g = rng () in
-  let m = random_plaintext g params in
-  Alcotest.(check bool) "roundtrip" true
-    (Keys.plaintext_equal m (Serial.plaintext_of_bytes params (Serial.plaintext_to_bytes params m)))
-
-let test_serial_ciphertext_roundtrip_and_decrypt () =
-  let ctx = toy_ctx () in
-  let g = rng () in
-  let sk, pk = fresh_keys g ctx in
-  let m = random_plaintext g (Rq.params ctx) in
-  let c, _ = Encryptor.encrypt g ctx pk m in
-  let c' = Serial.ciphertext_of_bytes ctx (Serial.ciphertext_to_bytes ctx c) in
-  Alcotest.(check int) "size" (Keys.ciphertext_size c) (Keys.ciphertext_size c');
-  Alcotest.(check bool) "decrypts after the roundtrip" true (Keys.plaintext_equal m (Decryptor.decrypt ctx sk c'))
-
-let test_serial_keys_roundtrip () =
-  let ctx = toy_ctx () in
-  let g = rng () in
-  let sk, pk = fresh_keys g ctx in
-  let sk' = Serial.secret_key_of_bytes ctx (Serial.secret_key_to_bytes ctx sk) in
-  let pk' = Serial.public_key_of_bytes ctx (Serial.public_key_to_bytes ctx pk) in
-  Alcotest.(check bool) "sk" true (Rq.equal sk.Keys.s sk'.Keys.s);
-  Alcotest.(check bool) "pk" true (Rq.equal pk.Keys.p0 pk'.Keys.p0 && Rq.equal pk.Keys.p1 pk'.Keys.p1);
-  (* the roundtripped keys still work together *)
-  let m = random_plaintext g (Rq.params ctx) in
-  let c, _ = Encryptor.encrypt g ctx pk' m in
-  Alcotest.(check bool) "functional" true (Keys.plaintext_equal m (Decryptor.decrypt ctx sk' c))
-
-let test_serial_rejects_cross_context () =
-  let ctx = toy_ctx () in
-  let other = Rq.context (Params.create ~n:16 ~coeff_modulus:[ Mathkit.Ntt.find_prime ~n:16 ~bits:21 ] ~plain_modulus:64) in
-  let g = rng () in
-  let x = Rq.uniform g ctx in
-  Alcotest.check_raises "fingerprint mismatch"
-    (Invalid_argument "Serial: object was saved under different parameters") (fun () ->
-      ignore (Serial.rq_of_bytes other (Serial.rq_to_bytes ctx x)))
-
-let test_serial_rejects_garbage () =
-  let ctx = toy_ctx () in
-  Alcotest.check_raises "bad magic" (Invalid_argument "Serial: bad magic") (fun () ->
-      ignore (Serial.rq_of_bytes ctx (Bytes.of_string "not a reveal object")));
-  (* truncation *)
-  let g = rng () in
-  let good = Serial.rq_to_bytes ctx (Rq.uniform g ctx) in
-  Alcotest.check_raises "truncated" (Invalid_argument "Serial: truncated input") (fun () ->
-      ignore (Serial.rq_of_bytes ctx (Bytes.sub good 0 (Bytes.length good - 3))))
-
-let test_serial_rejects_wrong_tag () =
-  let ctx = toy_ctx () in
-  let g = rng () in
-  let rq_bytes = Serial.rq_to_bytes ctx (Rq.uniform g ctx) in
-  (try
-     ignore (Serial.ciphertext_of_bytes ctx rq_bytes);
-     Alcotest.fail "expected rejection"
-   with Invalid_argument msg ->
-     Alcotest.(check bool) "mentions tag" true
-       (String.length msg > 0 && String.sub msg 0 17 = "Serial: wrong obj"))
-
-let test_serial_file_roundtrip () =
-  let ctx = toy_ctx () in
-  let g = rng () in
-  let x = Rq.uniform g ctx in
-  let path = Filename.temp_file "reveal" ".bin" in
-  Serial.save path (Serial.rq_to_bytes ctx x);
-  let x' = Serial.rq_of_bytes ctx (Serial.load path) in
-  Sys.remove path;
-  Alcotest.(check bool) "file roundtrip" true (Rq.equal x x')
-
-let serial_cases =
-  [
-    ("serial params roundtrip", test_serial_params_roundtrip);
-    ("serial rq roundtrip", test_serial_rq_roundtrip);
-    ("serial plaintext roundtrip", test_serial_plaintext_roundtrip);
-    ("serial ciphertext roundtrip + decrypt", test_serial_ciphertext_roundtrip_and_decrypt);
-    ("serial keys roundtrip", test_serial_keys_roundtrip);
-    ("serial rejects cross-context", test_serial_rejects_cross_context);
-    ("serial rejects garbage", test_serial_rejects_garbage);
-    ("serial rejects wrong tag", test_serial_rejects_wrong_tag);
-    ("serial file roundtrip", test_serial_file_roundtrip);
-  ]
-
-let suite = suite @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) serial_cases
-
 (* --- batched rotation via Galois keys ---------------------------------------- *)
 
 let batch_ctx () =
@@ -817,47 +713,8 @@ let bfv_qcheck =
         match Recover.recover_message ctx pk c ~e1:r.Encryptor.e1 ~e2:r.Encryptor.e2 with
         | Some m' -> Keys.plaintext_equal m m'
         | None -> false);
-    Test.make ~name:"serial: random corruption never roundtrips silently" ~count:50
-      (pair (int_bound 100000) (int_bound 255))
-      (fun (seed, corrupt_byte) ->
-        let g = Mathkit.Prng.create ~seed:(Int64.of_int seed) () in
-        let ctx = Rq.context toy in
-        let x = Rq.uniform g ctx in
-        let data = Serial.rq_to_bytes ctx x in
-        let pos = Mathkit.Prng.int g (Bytes.length data) in
-        let original = Char.code (Bytes.get data pos) in
-        if original = corrupt_byte then true (* not a corruption *)
-        else begin
-          Bytes.set data pos (Char.chr corrupt_byte);
-          match Serial.rq_of_bytes ctx data with
-          | exception Invalid_argument _ -> true (* rejected: good *)
-          | y -> not (Rq.equal x y) (* or decoded to something else; never silently equal *)
-        end);
   ]
 
 let suite = suite
   @ [ Alcotest.test_case "noise budget along chains" `Quick test_noise_budget_decreases_along_chain ]
   @ List.map QCheck_alcotest.to_alcotest bfv_qcheck
-
-let test_serial_keyswitch_roundtrip () =
-  let ctx = mul_ctx () in
-  let g = rng () in
-  let sk, _ = fresh_keys g ctx in
-  let rk = Keygen.relin_key ~digit_bits:8 g ctx sk in
-  let rk' = Serial.keyswitch_of_bytes ctx (Serial.keyswitch_to_bytes ctx rk) in
-  Alcotest.(check int) "digit bits" rk.Keyswitch.digit_bits rk'.Keyswitch.digit_bits;
-  Alcotest.(check int) "component count" (Array.length rk.Keyswitch.k0) (Array.length rk'.Keyswitch.k0);
-  Alcotest.(check bool) "identical keys" true
-    (Array.for_all2 Rq.equal rk.Keyswitch.k0 rk'.Keyswitch.k0
-    && Array.for_all2 Rq.equal rk.Keyswitch.k1 rk'.Keyswitch.k1);
-  (* the reloaded key still relinearises correctly *)
-  let pk = Keygen.public_key g ctx sk in
-  let params = Rq.params ctx in
-  let ma = random_plaintext g params and mb = random_plaintext g params in
-  let ca, _ = Encryptor.encrypt g ctx pk ma and cb, _ = Encryptor.encrypt g ctx pk mb in
-  let prod = Evaluator.relinearize ctx rk' (Evaluator.multiply ctx ca cb) in
-  let expected = Keys.plaintext_of_coeffs params (poly_mul_mod_t params ma.Keys.coeffs mb.Keys.coeffs) in
-  Alcotest.(check bool) "functional after reload" true
-    (Keys.plaintext_equal expected (Decryptor.decrypt ctx sk prod))
-
-let suite = suite @ [ Alcotest.test_case "serial keyswitch roundtrip" `Quick test_serial_keyswitch_roundtrip ]

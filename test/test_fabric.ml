@@ -174,133 +174,12 @@ let test_merge_checks () =
       Alcotest.(check int) "no corrupt skips" 0 stats.Reveal.Campaign.corrupt_skipped
   | Error e -> Alcotest.failf "empty merge should degenerate cleanly: %s" e
 
-(* --- wire protocol ----------------------------------------------------------- *)
-
-(* A small recorded campaign to stream: real traces, real codec. *)
-let wire_fixture =
-  lazy
-    (let path = Filename.temp_file "reveal_wire" ".rvt" in
-     let device = Reveal.Device.create ~n:8 () in
-     let g = Mathkit.Prng.create ~seed:11L () in
-     Reveal.Device.record device ~path ~seed:11L ~traces:3 ~scope_rng:g ~sampler_rng:g;
-     let header = Traceio.Archive.with_reader path Traceio.Archive.header in
-     let records = List.rev (Traceio.Archive.fold path (fun acc r -> r :: acc) []) in
-     at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
-     (header, records))
-
-let record_payload (r : Traceio.Archive.record) =
-  Traceio.Archive.record_payload ~index:r.Traceio.Archive.index ~noises:r.Traceio.Archive.noises
-    r.Traceio.Archive.trace
-
-let wire_image () =
-  let header, records = Lazy.force wire_fixture in
-  with_temp_file (fun path ->
-      let oc = open_out_bin path in
-      let sender = Traceio.Wire.create_sender ~peer:"test" ~header oc in
-      List.iter (fun r -> Traceio.Wire.send sender ~noises:r.Traceio.Archive.noises r.Traceio.Archive.trace) records;
-      Traceio.Wire.finish sender;
-      close_out oc;
-      read_file path)
-
-let drain_receiver r =
-  let rec loop acc skips =
-    match Traceio.Wire.recv r with
-    | `Record rec_ -> loop (rec_ :: acc) skips
-    | `Skipped _ -> loop acc (skips + 1)
-    | `End_of_stream -> (List.rev acc, skips)
-  in
-  loop [] 0
-
-let receive_image ?strict image =
-  with_temp_file (fun path ->
-      write_file path image;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let r = Traceio.Wire.open_receiver ?strict ~peer:"test" ic in
-          let recs, skips = drain_receiver r in
-          (Traceio.Wire.receiver_header r, recs, skips)))
-
-let test_wire_roundtrip () =
-  let header, records = Lazy.force wire_fixture in
-  let h, received, skips = receive_image (wire_image ()) in
-  Alcotest.(check int) "header n survives the wire" header.Traceio.Archive.n h.Traceio.Archive.n;
-  Alcotest.(check int) "no skips on a clean stream" 0 skips;
-  Alcotest.(check int) "every record arrives" (List.length records) (List.length received);
-  List.iter2
-    (fun a b -> Alcotest.(check string) "record payload is bit-identical" (record_payload a) (record_payload b))
-    records received;
-  (* recv after the end frame keeps answering End_of_stream *)
-  with_temp_file (fun path ->
-      write_file path (wire_image ());
-      let ic = open_in_bin path in
-      let r = Traceio.Wire.open_receiver ~peer:"test" ic in
-      ignore (drain_receiver r);
-      (match Traceio.Wire.recv r with
-      | `End_of_stream -> ()
-      | _ -> Alcotest.fail "recv past the end frame must stay End_of_stream");
-      close_in ic)
-
-(* Locate the first record frame: magic(8) + version(2), then the
-   header frame [len | payload | crc]. *)
-let first_record_frame_offset image =
-  let u32 at = Char.code image.[at] lor (Char.code image.[at + 1] lsl 8) lor (Char.code image.[at + 2] lsl 16) lor (Char.code image.[at + 3] lsl 24) in
-  let preamble = 10 in
-  preamble + 4 + u32 preamble + 4
+(* --- frames --------------------------------------------------------------------- *)
 
 let flip_byte image at =
   let b = Bytes.of_string image in
   Bytes.set b at (Char.chr (Char.code image.[at] lxor 0x01));
   Bytes.to_string b
-
-let test_wire_corrupt_record_skipped () =
-  let _, records = Lazy.force wire_fixture in
-  let image = wire_image () in
-  (* flip a payload byte inside record frame 0 (skip its length field) *)
-  let mutated = flip_byte image (first_record_frame_offset image + 4 + 8) in
-  let _, received, skips = receive_image mutated in
-  Alcotest.(check int) "one slot skipped" 1 skips;
-  Alcotest.(check int) "the other records still arrive" (List.length records - 1) (List.length received);
-  List.iter2
-    (fun a b -> Alcotest.(check string) "survivors are bit-identical" (record_payload a) (record_payload b))
-    (List.tl records) received;
-  Alcotest.(check bool) "strict mode raises instead" true
-    (rejected (fun () -> receive_image ~strict:true mutated))
-
-let test_wire_truncation_raises () =
-  let image = wire_image () in
-  (* cut the end frame off: EOF without 'E' must be loud, not a clean end *)
-  let cut = String.sub image 0 (String.length image - 13) in
-  (match receive_image cut with
-  | _ -> Alcotest.fail "truncated stream accepted as complete"
-  | exception Traceio.Error.Corrupt msg ->
-      Alcotest.(check bool) "error names the mid-stream close" true (contains msg "closed mid-stream"));
-  (* damage to the preamble is structural *)
-  Alcotest.(check bool) "bad magic rejected" true (rejected (fun () -> receive_image (flip_byte image 0)));
-  Alcotest.(check bool) "bad version rejected" true (rejected (fun () -> receive_image (flip_byte image 8)))
-
-let qcheck_wire =
-  let image = lazy (wire_image ()) in
-  let records = lazy (snd (Lazy.force wire_fixture)) in
-  QCheck.Test.make ~count:60 ~name:"wire: single bit flip is never silently accepted"
-    QCheck.(float_range 0.0 1.0)
-    (fun frac ->
-      let image = Lazy.force image in
-      let originals = Lazy.force records in
-      let bit = int_of_float (frac *. float_of_int ((String.length image * 8) - 1)) in
-      let mutated = Bytes.of_string image in
-      Bytes.set mutated (bit / 8) (Char.chr (Char.code image.[bit / 8] lxor (1 lsl (bit mod 8))));
-      match receive_image (Bytes.to_string mutated) with
-      | exception Traceio.Error.Corrupt _ -> true
-      | exception Traceio.Error.Io _ -> true
-      | _, received, skips ->
-          (* accepted: then something must have been skipped, or the
-             stream must still be byte-identical (impossible for a
-             CRC-protected image, so demand a skip) *)
-          skips > 0
-          || List.length received <> List.length originals
-          || not (List.for_all2 (fun a b -> record_payload a = record_payload b) originals received))
 
 let qcheck_frame_roundtrip =
   QCheck.Test.make ~count:50 ~name:"wire: frame round-trips arbitrary payloads"
@@ -314,79 +193,6 @@ let qcheck_frame_roundtrip =
           let r = Traceio.Frame.read ~path ic in
           close_in ic;
           r = Some payload))
-
-(* --- wire over a real socket -------------------------------------------------- *)
-
-(* The serving peer runs on its own domain: Unix.fork is off-limits
-   here (OCaml forbids it once any domain was ever spawned, and the
-   campaign layers use Mathkit.Parallel), and a separate domain
-   exercises the same full-duplex socket discipline. *)
-let serve_on_domain f =
-  let d = Domain.spawn (fun () -> match f () with () -> None | exception e -> Some e) in
-  fun () -> match Domain.join d with None -> () | Some e -> raise e
-
-let test_wire_over_socketpair () =
-  let header, records = Lazy.force wire_fixture in
-  let recv_fd, send_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let join =
-    serve_on_domain (fun () ->
-        let oc = Unix.out_channel_of_descr send_fd in
-        let sender = Traceio.Wire.create_sender ~peer:"server" ~header oc in
-        List.iter
-          (fun r -> Traceio.Wire.send sender ~noises:r.Traceio.Archive.noises r.Traceio.Archive.trace)
-          records;
-        Traceio.Wire.finish sender;
-        close_out oc)
-  in
-  let ic = Unix.in_channel_of_descr recv_fd in
-  let closed = ref false in
-  let src = Traceio.Wire.source ~peer:"socketpair" ~close:(fun () -> closed := true) ic in
-  let rec loop acc =
-    match Traceio.Source.next src with
-    | `Record r -> loop (r :: acc)
-    | `Skipped _ -> loop acc
-    | `End_of_archive -> List.rev acc
-  in
-  let received = loop [] in
-  Traceio.Source.close src;
-  close_in_noerr ic;
-  join ();
-  Alcotest.(check int) "all records crossed the socket" (List.length records) (List.length received);
-  List.iter2
-    (fun a b -> Alcotest.(check string) "socket records bit-identical" (record_payload a) (record_payload b))
-    records received;
-  Alcotest.(check bool) "close callback ran" true !closed
-
-(* A remote campaign over a Unix-socket transport equals the archive
-   replay of the same records: Source.remote is a drop-in acquisition
-   backend. *)
-let test_remote_campaign_matches_replay () =
-  let sock = Filename.temp_file "reveal_fabric" ".sock" in
-  Sys.remove sock;
-  let archive = Filename.temp_file "reveal_fabric" ".rvt" in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Sys.remove archive with Sys_error _ -> ());
-      try Sys.remove sock with Sys_error _ -> ())
-    (fun () ->
-      let device = Reveal.Device.create ~n:64 () in
-      let g = Mathkit.Prng.create ~seed:5L () in
-      Reveal.Device.record device ~path:archive ~seed:5L ~traces:2 ~scope_rng:g ~sampler_rng:g;
-      let prof = Lazy.force campaign_profile in
-      let baseline = Reveal.Campaign.attack_archive prof archive in
-      let listener = Fabric.Transport.listen (Fabric.Transport.Unix_socket sock) in
-      let join = serve_on_domain (fun () -> ignore (Fabric.Serve.archive_once listener ~path:archive)) in
-      let conn = Fabric.Transport.connect (Fabric.Transport.Unix_socket sock) in
-      let source =
-        Reveal.Source.remote ~peer:conn.Fabric.Transport.peer
-          ~close:(fun () -> Fabric.Transport.close_connection conn)
-          conn.Fabric.Transport.ic
-      in
-      let remote = Reveal.Campaign.run_source prof source in
-      join ();
-      Fabric.Transport.close_listener listener;
-      Alcotest.(check bool) "remote campaign stats equal archive replay" true (fst baseline = fst remote);
-      Alcotest.(check bool) "remote campaign results bit-identical" true (snd baseline = snd remote))
 
 (* --- orchestrator ------------------------------------------------------------- *)
 
@@ -701,6 +507,16 @@ let test_telemetry_roundtrip () =
    2): there is no header frame, the first 'T' frame sits at offset 10. *)
 let first_telemetry_frame_offset = 10
 
+(* The telemetry preamble followed by raw frames — e.g. the 'H'
+   header and 'R' record frames of a trace-archive stream. *)
+let framed_image frames =
+  with_temp_file (fun path ->
+      let oc = open_out_bin path in
+      output_string oc (String.sub (telemetry_image []) 0 first_telemetry_frame_offset);
+      List.iter (Traceio.Frame.write ~path oc) frames;
+      close_out oc;
+      read_file path)
+
 let test_telemetry_corruption_discipline () =
   let lines = telemetry_lines [ (32, 128) ] in
   let image = telemetry_image lines in
@@ -720,8 +536,11 @@ let test_telemetry_corruption_discipline () =
   (* preamble damage is structural, and an archive stream is not telemetry *)
   Alcotest.(check bool) "bad magic rejected" true (rejected (fun () -> receive_telemetry (flip_byte image 0)));
   Alcotest.(check bool) "bad version rejected" true (rejected (fun () -> receive_telemetry (flip_byte image 8)));
-  Alcotest.(check bool) "archive stream on a telemetry endpoint rejected" true
-    (rejected (fun () -> receive_telemetry (wire_image ())))
+  List.iter
+    (fun frame ->
+      Alcotest.(check bool) "archive stream on a telemetry endpoint rejected" true
+        (rejected (fun () -> receive_telemetry (framed_image [ frame ]))))
+    [ "Hheader"; "Rrecord" ]
 
 let qcheck_telemetry =
   let fixture = lazy (let lines = telemetry_lines [ (16, 64); (32, 64) ] ~trailing:2 in (lines, telemetry_image lines)) in
@@ -843,13 +662,7 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest qcheck_shard_codec
   @ [
       ("shard merge: typed errors and ordering", `Quick, test_merge_checks);
-      ("wire: clean stream round-trips", `Quick, test_wire_roundtrip);
-      ("wire: corrupt record skipped (strict raises)", `Quick, test_wire_corrupt_record_skipped);
-      ("wire: truncation and preamble damage are loud", `Quick, test_wire_truncation_raises);
-      QCheck_alcotest.to_alcotest qcheck_wire;
       QCheck_alcotest.to_alcotest qcheck_frame_roundtrip;
-      ("wire: records over a socketpair", `Quick, test_wire_over_socketpair);
-      ("remote campaign equals archive replay", `Quick, test_remote_campaign_matches_replay);
       ("orchestrator: typed failures and retry budget", `Quick, test_orchestrator_failure_typing);
       ("orchestrator: empty ranges spawn nothing", `Quick, test_orchestrator_empty_ranges);
       ("orchestrator: hung worker is killed and charged a timeout", `Quick, test_pool_timeout);

@@ -15,10 +15,9 @@ let fixture =
      (prof, run))
 
 let first_window prof (run : Reveal.Device.run) =
-  let samples = run.Reveal.Device.trace.Power.Ptrace.samples in
-  let wins = Sca.Segment.windows prof.Reveal.Campaign.segment samples in
-  Mathkit.Fvec.of_array
-    (Sca.Segment.vectorize samples (Array.sub wins 0 1) ~length:prof.Reveal.Campaign.window_length).(0)
+  let samples = Mathkit.Fvec.of_array run.Reveal.Device.trace.Power.Ptrace.samples in
+  let wins = Sca.Segment.windows_fv prof.Reveal.Campaign.segment samples in
+  (Sca.Segment.views samples (Array.sub wins 0 1) ~length:prof.Reveal.Campaign.window_length).(0)
 
 (* a classifier stage instance with fully scripted outputs *)
 let mock ?(value = 1) ?(sign = 1) ~sign_fit ~value_fit ~sign_conf posterior =
@@ -26,23 +25,15 @@ let mock ?(value = 1) ?(sign = 1) ~sign_fit ~value_fit ~sign_conf posterior =
     type t = unit
     type scratch = unit
 
-    let name = "mock"
     let make_scratch () = ()
-    let classify () () _ = { Sca.Attack.sign; value; posterior }
-    let posterior_all () () _ = posterior
-    let sign_confidence () () _ = sign_conf
-    let sign_fit () () _ = sign_fit
-    let value_fit () () ~sign:_ _ = value_fit
 
-    (* the bundled form the contract allows for classifiers with no
-       shared work: just the five calls *)
-    let grade t s w =
+    let grade () () _ =
       {
-        Sca.Attack.g_verdict = classify t s w;
-        g_posterior_all = posterior_all t s w;
-        g_sign_confidence = sign_confidence t s w;
-        g_sign_fit = sign_fit t s w;
-        g_value_fit = value_fit t s ~sign w;
+        Sca.Attack.g_verdict = { Sca.Attack.sign; value; posterior };
+        g_posterior_all = posterior;
+        g_sign_confidence = sign_conf;
+        g_sign_fit = sign_fit;
+        g_value_fit = value_fit;
       }
   end in
   Reveal.Pipeline.Classifier ((module M), ())
@@ -101,9 +92,8 @@ let test_fit_exactly_at_floor_passes () =
   let prof, run = Lazy.force fixture in
   let w = first_window prof run in
   let (Reveal.Pipeline.Classifier ((module C), cls)) = Reveal.Pipeline.classifier_of_profile prof in
-  let s = C.make_scratch cls in
-  let verdict = C.classify cls s w in
-  let sfit = C.sign_fit cls s w and vfit = C.value_fit cls s ~sign:verdict.Sca.Attack.sign w in
+  let g = C.grade cls (C.make_scratch cls) w in
+  let sfit = g.Sca.Attack.g_sign_fit and vfit = g.Sca.Attack.g_value_fit in
   (* floors moved up to exactly the window's own fit: the boundary is
      inclusive (demotion is strictly-below), so the grade still carries
      value information *)

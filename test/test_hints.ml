@@ -136,49 +136,49 @@ let toy = Hints.Lwe.seal_toy ~n:8
 
 let test_full_matches_lite_on_coordinate_hints () =
   let lite = Hints.Dbdd.create toy in
-  let full = Hints.Dbdd_full.create toy in
+  let full = Dbdd_full.create toy in
   Hints.Dbdd.perfect_hint lite 1;
   let v = Array.make 16 0.0 in
   v.(1) <- 1.0;
-  Hints.Dbdd_full.perfect_hint full ~v ~value:2.0;
-  Alcotest.(check (float 1e-6)) "same logvol" (Hints.Dbdd.logvol lite) (Hints.Dbdd_full.logvol full);
-  Alcotest.(check int) "same dim" (Hints.Dbdd.dim lite) (Hints.Dbdd_full.dim full);
+  Dbdd_full.perfect_hint full ~v ~value:2.0;
+  Alcotest.(check (float 1e-6)) "same logvol" (Hints.Dbdd.logvol lite) (Dbdd_full.logvol full);
+  Alcotest.(check int) "same dim" (Hints.Dbdd.dim lite) (Dbdd_full.dim full);
   (* approximate hint on another coordinate *)
   Hints.Dbdd.approximate_hint lite 3 ~measurement_variance:1.7;
   let v2 = Array.make 16 0.0 in
   v2.(3) <- 1.0;
-  Hints.Dbdd_full.approximate_hint full ~v:v2 ~value:0.5 ~measurement_variance:1.7;
-  Alcotest.(check (float 1e-6)) "still same logvol" (Hints.Dbdd.logvol lite) (Hints.Dbdd_full.logvol full)
+  Dbdd_full.approximate_hint full ~v:v2 ~value:0.5 ~measurement_variance:1.7;
+  Alcotest.(check (float 1e-6)) "still same logvol" (Hints.Dbdd.logvol lite) (Dbdd_full.logvol full)
 
 let test_full_mean_update () =
-  let full = Hints.Dbdd_full.create toy in
+  let full = Dbdd_full.create toy in
   let v = Array.make 16 0.0 in
   v.(0) <- 1.0;
-  Hints.Dbdd_full.perfect_hint full ~v ~value:5.0;
-  Alcotest.(check (float 1e-9)) "mean pinned" 5.0 (Hints.Dbdd_full.mean full).(0);
-  Alcotest.(check (float 1e-9)) "variance killed" 0.0 (Mathkit.Matrix.get (Hints.Dbdd_full.covariance full) 0 0)
+  Dbdd_full.perfect_hint full ~v ~value:5.0;
+  Alcotest.(check (float 1e-9)) "mean pinned" 5.0 (Dbdd_full.mean full).(0);
+  Alcotest.(check (float 1e-9)) "variance killed" 0.0 (Mathkit.Matrix.get (Dbdd_full.covariance full) 0 0)
 
 let test_full_general_direction_hint () =
-  let full = Hints.Dbdd_full.create toy in
-  let before = Hints.Dbdd_full.estimate_bikz full in
+  let full = Dbdd_full.create toy in
+  let before = Dbdd_full.estimate_bikz full in
   (* hint on e_0 + e_1 *)
   let v = Array.make 16 0.0 in
   v.(0) <- 1.0;
   v.(1) <- 1.0;
-  Hints.Dbdd_full.perfect_hint full ~v ~value:0.0;
-  Alcotest.(check bool) "easier" true (Hints.Dbdd_full.estimate_bikz full <= before);
+  Dbdd_full.perfect_hint full ~v ~value:0.0;
+  Alcotest.(check bool) "easier" true (Dbdd_full.estimate_bikz full <= before);
   (* covariance now correlates e_0 and e_1 *)
   Alcotest.(check bool) "correlation introduced" true
-    (Mathkit.Matrix.get (Hints.Dbdd_full.covariance full) 0 1 < 0.0)
+    (Mathkit.Matrix.get (Dbdd_full.covariance full) 0 1 < 0.0)
 
 let test_full_redundant_hint_raises () =
-  let full = Hints.Dbdd_full.create toy in
+  let full = Dbdd_full.create toy in
   let v = Array.make 16 0.0 in
   v.(2) <- 1.0;
-  Hints.Dbdd_full.perfect_hint full ~v ~value:1.0;
+  Dbdd_full.perfect_hint full ~v ~value:1.0;
   Alcotest.check_raises "redundant"
     (Invalid_argument "Dbdd_full.perfect_hint: hint direction outside ellipsoid support") (fun () ->
-      Hints.Dbdd_full.perfect_hint full ~v ~value:1.0)
+      Dbdd_full.perfect_hint full ~v ~value:1.0)
 
 (* --- Hint ------------------------------------------------------------------------- *)
 

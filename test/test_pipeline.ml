@@ -133,10 +133,11 @@ let test_campaign_signs_only_matches_verdicts () =
   let g = rng () in
   let device = Reveal.Device.create ~n:64 () in
   let run = Reveal.Device.run_gaussian device ~scope_rng:g ~sampler_rng:g in
-  let signs = Reveal.Campaign.attack_signs_only prof run in
   Array.iter
-    (fun (actual, recovered) -> Alcotest.(check int) "sign correct" actual recovered)
-    signs
+    (fun r ->
+      Alcotest.(check int) "sign correct" (compare r.Reveal.Campaign.actual 0)
+        r.Reveal.Campaign.verdict.Sca.Attack.sign)
+    (Reveal.Campaign.attack_trace prof run)
 
 (* --- Experiments -------------------------------------------------------------- *)
 

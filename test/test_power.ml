@@ -157,62 +157,6 @@ let suite =
       ("ascii plot shape", test_ascii_plot_shape);
     ]
 
-(* --- Align ------------------------------------------------------------- *)
-
-let sampler_trace () =
-  let g = rng () in
-  let device_like =
-    (* a structured synthetic waveform with unique features *)
-    Array.init 600 (fun i ->
-        (10.0 +. (8.0 *. sin (float_of_int i /. 7.0)) +. if i mod 97 < 4 then 12.0 else 0.0)
-        +. Mathkit.Prng.float g)
-  in
-  device_like
-
-let test_align_recovers_known_shift () =
-  let reference = sampler_trace () in
-  List.iter
-    (fun shift ->
-      let moved = Power.Align.apply_shift reference shift in
-      Alcotest.(check int) (Printf.sprintf "shift %d" shift) shift
-        (Power.Align.best_shift ~max_shift:40 ~reference moved))
-    [ 0; 5; -9; 23; -31 ]
-
-let test_align_apply_shift_zero_pads () =
-  let t = [| 1.0; 2.0; 3.0; 4.0 |] in
-  Alcotest.(check (array (float 0.0))) "left shift" [| 3.0; 4.0; 0.0; 0.0 |] (Power.Align.apply_shift t 2);
-  Alcotest.(check (array (float 0.0))) "right shift" [| 0.0; 1.0; 2.0; 3.0 |] (Power.Align.apply_shift t (-1))
-
-let test_align_all_restores_correlation () =
-  let g = rng () in
-  let reference = sampler_trace () in
-  let jittered =
-    Array.init 10 (fun _ -> Power.Align.apply_shift reference (Mathkit.Prng.int_in g (-20) 20))
-  in
-  let aligned = Power.Align.align_all ~max_shift:32 ~reference jittered in
-  (* compare on the interior: realignment zero-pads the exposed edges *)
-  let interior t = Array.sub t 40 520 in
-  let ref_core = interior reference in
-  Array.iter
-    (fun t ->
-      let c = Mathkit.Stats.correlation ref_core (interior t) in
-      Alcotest.(check bool) "aligned to reference" true (c > 0.95))
-    aligned
-
-let test_align_identity_on_aligned () =
-  let reference = sampler_trace () in
-  Alcotest.(check int) "no spurious shift" 0 (Power.Align.best_shift ~reference reference)
-
-let align_cases =
-  [
-    ("align recovers known shifts", test_align_recovers_known_shift);
-    ("align shift zero pads", test_align_apply_shift_zero_pads);
-    ("align_all restores correlation", test_align_all_restores_correlation);
-    ("align identity", test_align_identity_on_aligned);
-  ]
-
-let suite = suite @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) align_cases
-
 (* --- Fault ------------------------------------------------------------- *)
 
 let ptrace_of samples =

@@ -119,6 +119,17 @@ let test_golden_fig3 () =
     (read_file "golden/fig3.txt")
     (Reveal.Experiment.render_fig3 (Reveal.Experiment.fig3 golden_config))
 
+(* The two artefacts that score windows outside the campaign grader:
+   averaged windows, and flat templates over each feature extractor. *)
+let test_golden_artefact name () =
+  match Reveal.Experiment.artefact name golden_config with
+  | None -> Alcotest.failf "artefact %s is not registered" name
+  | Some doc ->
+      let file = String.map (function '-' -> '_' | c -> c) name in
+      Alcotest.(check string) (name ^ " text is bit-identical to the golden")
+        (read_file (Printf.sprintf "golden/%s.txt" file))
+        doc.Reveal.Report.text
+
 let test_doc_text_matches_render () =
   (* the two renderers of one doc can never drift: doc.text is the
      render_* output and every artefact builder returns both *)
@@ -155,6 +166,8 @@ let suite =
     ("golden: table4", `Quick, test_golden_table4);
     ("golden: signs", `Quick, test_golden_signs);
     ("golden: fig3", `Quick, test_golden_fig3);
+    ("golden: averaging", `Quick, test_golden_artefact "averaging");
+    ("golden: ablate-features", `Quick, test_golden_artefact "ablate-features");
     ("doc text matches render_*", `Quick, test_doc_text_matches_render);
     ("artefact registry", `Quick, test_artefact_registry);
   ]
