@@ -1,11 +1,13 @@
 (* Benchmark & reproduction harness.
 
-   With no argument: regenerate every table and figure of the paper at
-   the default (scaled-down) campaign sizes.  Individual artefacts can
-   be selected by name; `perf` runs one Bechamel micro-benchmark per
-   table/figure kernel.  REVEAL_FULL=1 or --full switches to the
-   paper's campaign sizes (220k profiling windows, 25k attacked
-   coefficients) — minutes instead of seconds. *)
+   With no argument (or `all`): regenerate every artefact of the
+   paper's evaluation registered in [Reveal.Experiment.artefacts] at
+   the default (scaled-down) campaign sizes, plus the ctcheck lint
+   table.  Any registry name selects one artefact; `traceio`, `ctcheck`
+   and `obs` are bench-only measurements, and `perf` runs one Bechamel
+   micro-benchmark per table/figure kernel.  REVEAL_FULL=1 or --full
+   switches to the paper's campaign sizes (220k profiling windows, 25k
+   attacked coefficients) — minutes instead of seconds. *)
 
 let out_dir = "bench_out"
 
@@ -40,86 +42,17 @@ let config () =
     Reveal.Experiment.default
   end
 
-let env_cache : Reveal.Experiment.env option ref = ref None
-
-let env cfg =
-  match !env_cache with
-  | Some e -> e
-  | None ->
-      Printf.printf "profiling templates and running single-trace attacks...\n%!";
-      let t0 = now () in
-      let e = Reveal.Experiment.prepare cfg in
-      Printf.printf "(campaign finished in %.1f s)\n%!" (now () -. t0);
-      env_cache := Some e;
-      e
-
 let section title = Printf.printf "\n===== %s =====\n%!" title
 
-let run_fig3 cfg =
-  section "Figure 3";
+(* The bench-only extra of Fig. 3: its traces as CSV for plotting. *)
+let save_fig3_csvs cfg =
   let f = Reveal.Experiment.fig3 cfg in
-  print_string (Reveal.Experiment.render_fig3 f);
   save_csv "fig3a_full_trace.csv" f.Reveal.Experiment.full_portion;
   save_csv "fig3b_zero.csv" f.Reveal.Experiment.sub_zero;
   save_csv "fig3b_pos.csv" f.Reveal.Experiment.sub_pos;
   save_csv "fig3b_neg.csv" f.Reveal.Experiment.sub_neg
 
-let run_table1 cfg = section "Table I"; print_string (Reveal.Experiment.render_table1 (env cfg))
-let run_table2 cfg = section "Table II"; print_string (Reveal.Experiment.render_table2 (Reveal.Experiment.table2 (env cfg)))
-let run_table3 cfg = section "Table III"; print_string (Reveal.Experiment.render_table3 (Reveal.Experiment.table3 (env cfg)))
-let run_table4 cfg = section "Table IV"; print_string (Reveal.Experiment.render_table4 (Reveal.Experiment.table4 (env cfg)))
-let run_signs cfg = section "Sign recovery (Section IV-B)"; print_string (Reveal.Experiment.render_signs (Reveal.Experiment.signs (env cfg)))
-
-let run_recover cfg =
-  section "End-to-end message recovery (Section III-A)";
-  print_string (Reveal.Experiment.render_recovery (Reveal.Experiment.recovery cfg))
-
-let run_toylattice cfg =
-  section "Estimator vs. lattice solver (validation)";
-  print_string (Reveal.Experiment.render_toylattice (Reveal.Experiment.toylattice cfg))
-
-let run_defenses cfg =
-  section "Countermeasures (Section V-A)";
-  print_string (Reveal.Experiment.render_defenses (Reveal.Experiment.defenses cfg))
-
-let run_tvla cfg =
-  section "Leakage assessment (TVLA)";
-  print_string (Reveal.Experiment.render_tvla (Reveal.Experiment.tvla cfg))
-
-let run_averaging cfg =
-  section "Multi-trace averaging baseline";
-  print_string (Reveal.Experiment.render_averaging (Reveal.Experiment.averaging cfg))
-
-let run_ablate_leakage cfg =
-  section "Ablation: leakage model";
-  print_string (Reveal.Experiment.render_ablation ~title:"leakage model" (Reveal.Experiment.ablate_leakage cfg))
-
-let run_ablate_noise cfg =
-  section "Ablation: measurement noise";
-  print_string (Reveal.Experiment.render_ablation ~title:"measurement noise" (Reveal.Experiment.ablate_noise cfg))
-
-let run_ablate_timing cfg =
-  section "Ablation: CPU timing model";
-  print_string (Reveal.Experiment.render_ablation ~title:"CPU timing model" (Reveal.Experiment.ablate_timing cfg))
-
-let run_ablate_features cfg =
-  section "Ablation: feature extraction (POI vs PCA)";
-  print_string (Reveal.Experiment.render_features (Reveal.Experiment.ablate_features cfg))
-
-let run_ablate_poi cfg =
-  section "Ablation: POI count";
-  print_string (Reveal.Experiment.render_ablation ~title:"POI count" (Reveal.Experiment.ablate_poi cfg))
-
-let run_fault_sweep cfg =
-  section "Fault sweep: graceful degradation under measurement faults";
-  let rows = Reveal.Experiment.fault_sweep cfg in
-  print_string (Reveal.Experiment.render_fault_sweep rows);
-  (match Reveal.Experiment.fault_sweep_check rows with
-  | Ok () -> print_endline "sweep invariants hold: recovery monotone, bikz never under-reported"
-  | Error msg -> Printf.printf "WARNING: sweep invariants violated:\n%s\n" msg);
-  print_string (Reveal.Experiment.render_zero_consistency (Reveal.Experiment.fault_zero_consistency cfg))
-
-let run_traceio _cfg =
+let run_traceio () =
   section "traceio: archive write/read throughput";
   ensure_out_dir ();
   let path = Filename.concat out_dir "bench_campaign.rvt" in
@@ -147,7 +80,7 @@ let run_traceio _cfg =
   Printf.printf "  capture+encode  %.3f s (%.1f MiB/s)\n" t_write (mb size /. t_write);
   Printf.printf "  read+verify     %.3f s (%.1f MiB/s, every checksum checked)\n" t_read (mb size /. t_read)
 
-let run_ctcheck _cfg =
+let run_ctcheck () =
   section "ctcheck: constant-time lint of the four firmware variants";
   List.iter
     (fun (name, variant) ->
@@ -168,7 +101,7 @@ let run_ctcheck _cfg =
       ("cdt", Riscv.Sampler_prog.Cdt_table);
     ]
 
-let run_obs _cfg =
+let run_obs () =
   section "obs: per-stage pipeline timings and instrumentation overhead";
   ensure_out_dir ();
   let archive = Filename.concat out_dir "obs_campaign.rvt" in
@@ -496,75 +429,34 @@ let run_perf () =
     (perf_tests ());
   write_snapshot quota (List.sort compare (List.rev !rows))
 
-let usage () =
-  print_endline
-    "usage: bench/main.exe [--full] [command]\n\
-     commands:\n\
-    \  all (default)   every table and figure\n\
-    \  fig3            Fig. 3 (a) full-trace peaks and (b) branch sub-traces\n\
-    \  table1          Table I   confusion matrix of the template attack\n\
-    \  table2          Table II  per-measurement guessing probabilities\n\
-    \  table3          Table III bikz with/without hints (full attack)\n\
-    \  table4          Table IV  bikz from the branch vulnerability only\n\
-    \  signs           sign-recovery success rate\n\
-    \  recover         end-to-end single-trace message recovery\n\
-    \  toylattice      estimator vs. LLL/BKZ on toy instances\n\
-    \  defenses        countermeasure study (v3.6 / shuffling)\n\
-    \  tvla            Welch t-test leakage assessment per sampler variant\n\
-    \  averaging       multi-trace averaging baseline (why single-trace matters)\n\
-    \  ablate-leakage  leakage-model ablation\n\
-    \  ablate-noise    measurement-noise sweep\n\
-    \  ablate-poi      POI-count sweep\n\
-    \  ablate-features feature-extraction comparison (SOST/SOSD/PCA/correlation)\n\
-    \  fault-sweep     measurement-fault intensity sweep (recovery / bikz curves)\n\
-    \  traceio         trace-archive write/read throughput\n\
-    \  ctcheck         constant-time lint of every firmware variant\n\
-    \  obs             per-stage pipeline timings + instrumentation overhead\n\
-    \  perf            Bechamel micro-benchmarks"
-
 let () =
   let args = Array.to_list Sys.argv |> List.tl |> List.filter (fun a -> a <> "--full") in
   let cfg = config () in
+  (* one profiled campaign, shared by every artefact that needs it *)
+  let env =
+    lazy
+      (Printf.printf "profiling templates and running single-trace attacks...\n%!";
+       let t0 = now () in
+       let e = Reveal.Experiment.prepare cfg in
+       Printf.printf "(campaign finished in %.1f s)\n%!" (now () -. t0);
+       e)
+  in
+  let artefact (name, build) =
+    section name;
+    print_string (build cfg env).Reveal.Report.text;
+    if name = "fig3" then save_fig3_csvs cfg
+  in
   match args with
   | [] | [ "all" ] ->
-      run_fig3 cfg;
-      run_table1 cfg;
-      run_table2 cfg;
-      run_table3 cfg;
-      run_table4 cfg;
-      run_signs cfg;
-      run_recover cfg;
-      run_toylattice cfg;
-      run_defenses cfg;
-      run_tvla cfg;
-      run_averaging cfg;
-      run_ablate_leakage cfg;
-      run_ablate_noise cfg;
-      run_ablate_poi cfg;
-      run_ablate_features cfg;
-      run_ablate_timing cfg;
-      run_fault_sweep cfg;
-      run_ctcheck cfg;
+      List.iter artefact Reveal.Experiment.artefacts;
+      run_ctcheck ();
       print_endline "\nall artefacts regenerated; see EXPERIMENTS.md for paper-vs-measured discussion"
-  | [ "fig3" ] | [ "fig3a" ] | [ "fig3b" ] -> run_fig3 cfg
-  | [ "table1" ] -> run_table1 cfg
-  | [ "table2" ] -> run_table2 cfg
-  | [ "table3" ] -> run_table3 cfg
-  | [ "table4" ] -> run_table4 cfg
-  | [ "signs" ] -> run_signs cfg
-  | [ "recover" ] -> run_recover cfg
-  | [ "toylattice" ] -> run_toylattice cfg
-  | [ "defenses" ] -> run_defenses cfg
-  | [ "tvla" ] -> run_tvla cfg
-  | [ "averaging" ] -> run_averaging cfg
-  | [ "ablate-leakage" ] -> run_ablate_leakage cfg
-  | [ "ablate-noise" ] -> run_ablate_noise cfg
-  | [ "ablate-poi" ] -> run_ablate_poi cfg
-  | [ "ablate-features" ] -> run_ablate_features cfg
-  | [ "ablate-timing" ] -> run_ablate_timing cfg
-  | [ "fault-sweep" ] -> run_fault_sweep cfg
-  | [ "traceio" ] -> run_traceio cfg
-  | [ "ctcheck" ] -> run_ctcheck cfg
-  | [ "obs" ] -> run_obs cfg
+  | [ "traceio" ] -> run_traceio ()
+  | [ "ctcheck" ] -> run_ctcheck ()
+  | [ "obs" ] -> run_obs ()
   | [ "perf" ] -> run_perf ()
-  | _ -> usage ()
+  | [ name ] when List.mem_assoc name Reveal.Experiment.artefacts ->
+      artefact (name, List.assoc name Reveal.Experiment.artefacts)
+  | _ ->
+      Printf.printf "usage: bench/main.exe [--full] [all | ARTEFACT | traceio | ctcheck | obs | perf]\nartefacts: %s\n"
+        (String.concat " " Reveal.Experiment.artefact_names)

@@ -6,58 +6,15 @@
 
 type t = { data : Fvec.buffer; m_rows : int; m_cols : int }
 
-let rows t = t.m_rows
-let cols t = t.m_cols
-
-let create rows cols =
-  if rows < 0 || cols < 0 then invalid_arg "Fmat.create: negative dimension";
-  let data = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (rows * cols) in
-  Bigarray.Array1.fill data 0.0;
-  { data; m_rows = rows; m_cols = cols }
-
-let get t i j =
-  if i < 0 || i >= t.m_rows || j < 0 || j >= t.m_cols then invalid_arg "Fmat.get: index out of bounds";
-  Fvec.uget t.data ((i * t.m_cols) + j)
-
-let set t i j v =
-  if i < 0 || i >= t.m_rows || j < 0 || j >= t.m_cols then invalid_arg "Fmat.set: index out of bounds";
-  Fvec.uset t.data ((i * t.m_cols) + j) v
-
 let of_matrix m =
   let r = Matrix.rows m and c = Matrix.cols m in
-  let t = create r c in
+  let data = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (r * c) in
   for i = 0 to r - 1 do
     for j = 0 to c - 1 do
-      Fvec.uset t.data ((i * c) + j) (Matrix.get m i j)
+      Fvec.uset data ((i * c) + j) (Matrix.get m i j)
     done
   done;
-  t
-
-let to_matrix t =
-  let m = Matrix.create t.m_rows t.m_cols in
-  for i = 0 to t.m_rows - 1 do
-    for j = 0 to t.m_cols - 1 do
-      Matrix.set m i j (Fvec.uget t.data ((i * t.m_cols) + j))
-    done
-  done;
-  m
-
-(* out <- t * v, each out_i accumulated j-ascending like Matrix.mul_vec. *)
-let mul_vec_into t v ~out =
-  if Fvec.length v <> t.m_cols then invalid_arg "Fmat.mul_vec_into: dimension mismatch";
-  if Fvec.length out <> t.m_rows then invalid_arg "Fmat.mul_vec_into: output dimension mismatch";
-  let vbuf = Fvec.buffer v and voff = Fvec.offset v and vstr = Fvec.stride v in
-  Fvec.check_range vbuf ~off:voff ~stride:vstr ~len:t.m_cols "Fmat.mul_vec_into";
-  for i = 0 to t.m_rows - 1 do
-    let acc = ref 0.0 in
-    let base = i * t.m_cols in
-    let vi = ref voff in
-    for j = 0 to t.m_cols - 1 do
-      acc := !acc +. (Fvec.uget t.data (base + j) *. Fvec.uget vbuf !vi);
-      vi := !vi + vstr
-    done;
-    Fvec.set out i !acc
-  done
+  { data; m_rows = r; m_cols = c }
 
 (* d^T t d, fused but in the exact accumulation order of
    [Matrix.dot d (Matrix.mul_vec t d)]: row sums j-ascending, outer

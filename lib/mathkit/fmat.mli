@@ -6,20 +6,7 @@
 
 type t
 
-val rows : t -> int
-val cols : t -> int
-
-(** Fresh zero-filled matrix. *)
-val create : int -> int -> t
-
-val get : t -> int -> int -> float
-val set : t -> int -> int -> float -> unit
 val of_matrix : Matrix.t -> t
-val to_matrix : t -> Matrix.t
-
-(** [mul_vec_into t v ~out]: [out <- t*v]; each row accumulated
-    j-ascending exactly like [Matrix.mul_vec]. *)
-val mul_vec_into : t -> Fvec.t -> out:Fvec.t -> unit
 
 (** [quadratic_form t d = d^T t d], fused, in the exact accumulation
     order of [Matrix.dot d (Matrix.mul_vec t d)] — the Mahalanobis

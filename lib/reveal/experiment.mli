@@ -292,11 +292,12 @@ val ablation_doc : title:string -> ablation_row list -> Report.doc
 val fault_sweep_doc : fault_sweep_row list -> Report.doc
 val zero_consistency_doc : zero_consistency -> Report.doc
 
-val artefacts : (string * (config -> Report.doc)) list
+val artefacts : (string * (config -> env Lazy.t -> Report.doc)) list
 (** Name -> builder registry, one entry per artefact of the paper's
-    evaluation.  Builders that need a profiled campaign run
-    {!prepare} themselves; each call is self-contained and
-    deterministic in [config.seed]. *)
+    evaluation.  Builders that need a profiled campaign force the
+    [env] they are handed, which must be [prepare] of the same
+    config; sharing one lazy env across builders profiles once.  Each
+    build is deterministic in [config.seed]. *)
 
 val artefact_names : string list
 

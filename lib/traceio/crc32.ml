@@ -2,22 +2,24 @@
    variant of zlib/PNG, chosen so archives can be cross-checked with
    any standard tool. *)
 
+(* Built when the module initialises, not lazily: OCaml 5 raises
+   [CamlinternalLazy.Undefined] when two domains force one lazy value
+   at once, and a telemetry sender domain and the pipeline both
+   checksum frames from the first record on. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let update crc s pos len =
   if pos < 0 || len < 0 || pos + len > String.length s then invalid_arg "Crc32.update: range out of bounds";
-  let t = Lazy.force table in
   let c = ref (crc lxor 0xFFFFFFFF) in
   for i = pos to pos + len - 1 do
     (* srclint: allow unsafe-index i ranges over [pos, pos+len) validated above *)
-    c := t.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!c lsr 8)
+    c := table.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 

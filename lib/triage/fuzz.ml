@@ -53,31 +53,7 @@ let verdict_of_failures = function
           Verdict.Crash (String.map (fun c -> if c = ' ' then '-' else Char.lowercase_ascii c) s))
 
 let trial_argv ~exe ~archive ~out ~flight t =
-  Array.of_list
-    [
-      exe;
-      "trial";
-      "--variant";
-      Plan.variant_to_string t.Plan.variant;
-      "--intensity";
-      Printf.sprintf "%g" t.Plan.intensity;
-      "--seed";
-      string_of_int t.Plan.seed;
-      "--segmenter";
-      Plan.segmenter_to_string t.Plan.segmenter;
-      "--gate";
-      Plan.gate_to_string t.Plan.gate;
-      "--traces";
-      string_of_int t.Plan.traces;
-      "--per-value";
-      string_of_int t.Plan.per_value;
-      "--archive-out";
-      archive;
-      "--out";
-      out;
-      "--flight";
-      flight;
-    ]
+  Array.of_list ((exe :: "trial" :: Plan.flags t) @ [ "--archive-out"; archive; "--out"; out; "--flight"; flight ])
 
 (* Auto-minimization re-derives the expected verdict by an in-process
    replay of the trial's archive — the same deterministic computation

@@ -18,33 +18,23 @@ type trial = {
   per_value : int;
 }
 
-let variant_to_string = function
-  | Riscv.Sampler_prog.Vulnerable -> "v32"
-  | Riscv.Sampler_prog.Branchless -> "v36"
-  | Riscv.Sampler_prog.Shuffled -> "shuffled"
-  | Riscv.Sampler_prog.Cdt_table -> "cdt"
+(* One name table per trial field: the CLI's enum flags, [flags], the
+   describe line, the JSON record and the signature format all read
+   these, so they can never drift. *)
+let variant_names =
+  [
+    ("v32", Riscv.Sampler_prog.Vulnerable);
+    ("v36", Riscv.Sampler_prog.Branchless);
+    ("shuffled", Riscv.Sampler_prog.Shuffled);
+    ("cdt", Riscv.Sampler_prog.Cdt_table);
+  ]
 
-let variant_of_string = function
-  | "v32" -> Some Riscv.Sampler_prog.Vulnerable
-  | "v36" -> Some Riscv.Sampler_prog.Branchless
-  | "shuffled" -> Some Riscv.Sampler_prog.Shuffled
-  | "cdt" -> Some Riscv.Sampler_prog.Cdt_table
-  | _ -> None
-
-let gate_to_string = function Default -> "default" | Aggressive -> "aggressive" | Paranoid -> "paranoid"
-
-let gate_of_string = function
-  | "default" -> Some Default
-  | "aggressive" -> Some Aggressive
-  | "paranoid" -> Some Paranoid
-  | _ -> None
-
-let segmenter_to_string = function Strict -> "strict" | Resilient -> "resilient"
-
-let segmenter_of_string = function
-  | "strict" -> Some Strict
-  | "resilient" -> Some Resilient
-  | _ -> None
+let gate_names = [ ("default", Default); ("aggressive", Aggressive); ("paranoid", Paranoid) ]
+let segmenter_names = [ ("strict", Strict); ("resilient", Resilient) ]
+let name_in table v = fst (List.find (fun (_, x) -> x = v) table)
+let variant_to_string = name_in variant_names
+let gate_to_string = name_in gate_names
+let segmenter_to_string = name_in segmenter_names
 
 (* The sampling space.  n is pinned: profiling needs every candidate
    value to appear twice per run (n >= 58 for the 29-value table), and
@@ -91,14 +81,32 @@ let describe t =
     (variant_to_string t.variant) t.intensity t.seed (segmenter_to_string t.segmenter) (gate_to_string t.gate)
     t.traces t.per_value t.n
 
+(* The scenario as [reveal trial] flags: what the fuzzer's workers run
+   and what the repro line prints. *)
+let flags t =
+  [
+    "--variant";
+    variant_to_string t.variant;
+    "--intensity";
+    Printf.sprintf "%g" t.intensity;
+    "--seed";
+    string_of_int t.seed;
+    "--segmenter";
+    segmenter_to_string t.segmenter;
+    "--gate";
+    gate_to_string t.gate;
+    "--traces";
+    string_of_int t.traces;
+    "--per-value";
+    string_of_int t.per_value;
+  ]
+
 (* The repro contract (README "Fuzzing & triage"): this one line,
    pasted into a shell, re-runs the scenario in-process and exits
    nonzero iff the verdict is a failure. *)
 let repro_command ?archive ~exe t =
-  Printf.sprintf "%s trial --variant %s --intensity %g --seed %d --segmenter %s --gate %s --traces %d --per-value %d%s"
-    exe (variant_to_string t.variant) t.intensity t.seed (segmenter_to_string t.segmenter) (gate_to_string t.gate)
-    t.traces t.per_value
-    (match archive with None -> "" | Some a -> " --archive " ^ Filename.quote a)
+  String.concat " " (exe :: "trial" :: flags t)
+  ^ match archive with None -> "" | Some a -> " --archive " ^ Filename.quote a
 
 let to_json t =
   Obs.Json.Obj

@@ -44,19 +44,24 @@ val plan : master_seed:int -> trials:int -> trial array
 val describe : trial -> string
 (** One stable line of [key=value] pairs (no paths, no timestamps). *)
 
+val flags : trial -> string list
+(** The scenario as [reveal trial] flags ([--variant ... --per-value
+    K]): the fuzzer's worker argv and the repro line both start with
+    these. *)
+
 val repro_command : ?archive:string -> exe:string -> trial -> string
-(** The one-line repro contract: [exe trial --variant ... --seed ...];
+(** The one-line repro contract: [exe trial] followed by {!flags};
     with [archive], the line replays that archive instead of
     re-recording ([--archive]). *)
 
 val to_json : trial -> Obs.Json.t
 
-(** {1 Field codecs} — shared by the CLI flags and the signature
-    format, so the two can never drift. *)
+(** {1 Field codecs} — name tables shared by the CLI flags and the
+    signature format, so the two can never drift. *)
 
+val variant_names : (string * Riscv.Sampler_prog.variant) list
+val gate_names : (string * gate_profile) list
+val segmenter_names : (string * segmenter) list
 val variant_to_string : Riscv.Sampler_prog.variant -> string
-val variant_of_string : string -> Riscv.Sampler_prog.variant option
 val gate_to_string : gate_profile -> string
-val gate_of_string : string -> gate_profile option
 val segmenter_to_string : segmenter -> string
-val segmenter_of_string : string -> segmenter option

@@ -21,11 +21,15 @@ let test_usage_errors_exit_2 () =
   Alcotest.(check int) "unknown flag" 2 (run "record --no-such-flag");
   (* impossible configuration: profiling needs every value twice per run,
      so a 16-coefficient device cannot host the 29-value profile set *)
-  Alcotest.(check int) "device too small to profile" 2 (run "attack --seed 7 -n 16")
+  Alcotest.(check int) "device too small to profile" 2 (run "attack --seed 7 -n 16");
+  Alcotest.(check int) "profile: device too small" 2 (run "profile -n 16");
+  Alcotest.(check int) "report: device too small" 2 (run "report table1 -n 16");
+  Alcotest.(check int) "disasm: empty firmware" 2 (run "disasm -n 0")
 
 let test_missing_archive_exits_3 () =
   Alcotest.(check int) "inspect missing file" 3 (run "inspect /nonexistent/path.rvt");
-  Alcotest.(check int) "replay missing file" 3 (run "replay-attack /nonexistent/path.rvt")
+  Alcotest.(check int) "replay missing file" 3 (run "replay-attack /nonexistent/path.rvt");
+  Alcotest.(check int) "trace: unwritable csv" 3 (run "trace -n 4 --csv /nonexistent/dir/x.csv")
 
 let stomp_byte path pos =
   let ic = open_in_bin path in
@@ -47,11 +51,92 @@ let test_record_inspect_roundtrip_and_corruption () =
       stomp_byte path 0;
       Alcotest.(check int) "corrupt archive" 3 (run (Printf.sprintf "inspect %s" (Filename.quote path))))
 
+(* --- transcript golden ----------------------------------------------------- *)
+
+(* Small, fast invocations covering every subcommand whose output does
+   not embed the executable path (fuzz and reduce print repro lines
+   that do).  They run in order in one fresh directory, so files an
+   early step writes (the archives, the profile cache, the obs trace)
+   feed the later steps and every printed path is relative.  The obs
+   trace comes from a trial, which attacks on one domain: a logical
+   clock read from several domains would tick in scheduling order. *)
+let transcript_invocations =
+  [
+    "disasm";
+    "disasm --variant v36 -n 2 --json";
+    "trace -n 3";
+    "trace -n 8 --json";
+    "estimate";
+    "estimate --sign-only --json";
+    "record --seed 5 -n 64 --traces 1";
+    "record --seed 6 -n 64 --traces 2 -o two.rvt --json";
+    "inspect campaign.rvt --records";
+    "inspect two.rvt --records --json";
+    "profile --seed 42 -n 64 --per-value 24";
+    "attack --seed 5 -n 64 --profile reveal_profile.bin -v";
+    "attack --seed 5 -n 64 --per-value 24 --json";
+    "replay-attack campaign.rvt --profile reveal_profile.bin -v";
+    "replay-attack two.rvt --profile reveal_profile.bin --json";
+    "replay-attack two.rvt --per-value 24 --min-values 0.99";
+    "lint --variant v32 -n 8";
+    "lint --variant v36 -n 8 --json";
+    "lint --variant cdt -n 8 --check";
+    "report --list";
+    "report signs -n 64 --per-value 24 --traces 1";
+    "report nope";
+    "report";
+    "trial --variant v32 --seed 123 --segmenter strict --traces 1 --per-value 24";
+    "trial --variant shuffled --intensity 0.75 --seed 9 --gate aggressive --traces 1 --per-value 24 --json";
+    "trial --variant v36 --seed 7 --traces 1 --per-value 24 --obs-out run.jsonl --obs-clock logical";
+    "obs summarize run.jsonl";
+    "obs merge run.jsonl --json";
+    "obs export run.jsonl";
+    "inspect missing.rvt";
+    "replay-attack missing.rvt --profile reveal_profile.bin";
+    "attack --profile missing.bin";
+    "obs summarize missing.jsonl";
+    "record --no-such-flag";
+    "no-such-subcommand";
+  ]
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* stdout of each invocation, then its exit code; stderr is dropped *)
+let transcript () =
+  let abs_exe = Filename.concat (Sys.getcwd ()) exe in
+  let dir = Fabric.Orchestrator.fresh_work_dir ~prefix:"reveal_cli_transcript" () in
+  let out = Filename.temp_file "reveal_cli_transcript" ".out" in
+  Fun.protect
+    ~finally:(fun () ->
+      Fabric.Orchestrator.remove_dir dir;
+      try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      let b = Buffer.create 65536 in
+      List.iter
+        (fun args ->
+          let code =
+            Sys.command
+              (Printf.sprintf "cd %s && %s %s > %s 2> /dev/null" (Filename.quote dir) (Filename.quote abs_exe) args
+                 (Filename.quote out))
+          in
+          Printf.bprintf b "$ reveal %s\n%s[exit %d]\n" args (read_file out) code)
+        transcript_invocations;
+      Buffer.contents b)
+
+let test_transcript_golden () =
+  Alcotest.(check string) "stdout and exit codes are bit-identical to the golden"
+    (read_file "golden/cli_transcript.txt") (transcript ())
+
 let cases =
   [
     ("cli: usage errors exit 2", test_usage_errors_exit_2);
     ("cli: missing archive exits 3", test_missing_archive_exits_3);
     ("cli: record/inspect ok, corrupt exits 3", test_record_inspect_roundtrip_and_corruption);
+    ("cli: transcript matches the golden", test_transcript_golden);
   ]
 
 let suite =

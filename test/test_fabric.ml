@@ -635,7 +635,7 @@ let test_monitor_replay_matches_merge () =
   let worker =
     Printf.sprintf
       "%s worker --seed %d -n %d --traces %d --shard-id 0 --shard-lo 0 --shard-hi %d --profile %s --out %s \
-       --obs-out %s --obs-stream %s --obs-clock logical --obs-source shard-0"
+       --obs-out %s --obs-stream %s --obs-clock logical"
       (Filename.quote exe) golden_seed golden_n golden_traces golden_traces (Filename.quote ppath)
       (Filename.quote (Filename.concat wd "out.bin"))
       (Filename.quote obs_file) (Filename.quote stream_file)
