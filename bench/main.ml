@@ -146,6 +146,20 @@ let run_obs () =
 
 (* --- Bechamel micro-benchmarks: one per table/figure kernel ------------- *)
 
+(* The instruction events of one honest n-coefficient run of the
+   default sampler firmware: what Device.run hands the scope model. *)
+let sampler_events ~n rng =
+  let layout = Riscv.Sampler_prog.default_layout in
+  let program = Riscv.Sampler_prog.build ~n:(n + 1) ~k:1 () in
+  let draws, _ = Riscv.Sampler_prog.draws_of_gaussian rng Mathkit.Gaussian.seal_default ~count:n in
+  let mem = Riscv.Memory.create layout.Riscv.Sampler_prog.ram_size in
+  Riscv.Memory.load_program mem 0 program.Riscv.Asm.words;
+  Riscv.Sampler_prog.stage_moduli mem layout [| 132120577 |];
+  Riscv.Sampler_prog.install_noise_port mem ~draws:(Array.append draws [| (0, 0) |]);
+  let recorder = Riscv.Trace.recorder () in
+  ignore (Riscv.Cpu.run ~max_steps:(200 * n * 64) (Riscv.Cpu.create ~tracer:(Riscv.Trace.record recorder) mem));
+  Riscv.Trace.events recorder
+
 let perf_tests () =
   let open Bechamel in
   let rng = Mathkit.Prng.create ~seed:1L () in
@@ -186,6 +200,19 @@ let perf_tests () =
            Array.iter
              (fun w -> ignore (Sca.Attack.grade_fv attack attack_scratch w))
              (Sca.Segment.views samples_fv wins ~length:prof.Reveal.Campaign.window_length)))
+  in
+  (* the scope model at the default ring size: synthesis of one
+     256-coefficient trace, and the fault pass over it at the mid
+     intensity the faulted campaign runs *)
+  let events256 = sampler_events ~n:256 rng in
+  let synth_kernel =
+    Test.make ~name:"power: synthesize 256-coeff trace"
+      (Staged.stage (fun () -> ignore (Power.Synth.synthesize ~rng Power.Synth.default events256)))
+  in
+  let trace256 = Power.Synth.synthesize ~rng Power.Synth.default events256 in
+  let fault_kernel =
+    Test.make ~name:"power: fault pass, 256-coeff trace at intensity 0.5"
+      (Staged.stage (fun () -> ignore (Power.Fault.apply ~rng (Power.Fault.of_intensity 0.5) trace256)))
   in
   (* table3 kernel: integrate 1024 hints and re-estimate beta *)
   let table3_kernel =
@@ -297,6 +324,8 @@ let perf_tests () =
   in
   [
     fig3_kernel;
+    synth_kernel;
+    fault_kernel;
     table1_kernel;
     scoring_fvec_kernel;
     replay_fvec_kernel;

@@ -1,6 +1,25 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state is four 64-bit words s0..s3, stored
+   little-endian at byte offsets 0, 8, 16 and 24 of a 32-byte buffer.
+   Int64 record fields are boxed: every state write in [bits64] would
+   allocate, and synthesis noise and fault injection draw once per
+   sample.  [Bytes.get_int64_le]/[set_int64_le] read and write the
+   words in place, so a step allocates at most the int64 it returns;
+   [float], [bool] and [int64_below] inline [bits64] and consume that
+   result unboxed.  DESIGN.md §16.1. *)
+type t = Bytes.t
 
 let default_seed = 0x5EA1_DA7E_1234_5678L
+
+let get g i = Bytes.get_int64_le g (8 * i)
+let set g i v = Bytes.set_int64_le g (8 * i) v
+
+let of_words s0 s1 s2 s3 =
+  let g = Bytes.create 32 in
+  set g 0 s0;
+  set g 1 s1;
+  set g 2 s2;
+  set g 3 s3;
+  g
 
 (* splitmix64: used only to expand the user seed into the 256-bit
    xoshiro state, as recommended by Blackman & Vigna. *)
@@ -19,24 +38,28 @@ let create ?(seed = default_seed) () =
   let s2 = splitmix64 st in
   let s3 = splitmix64 st in
   (* xoshiro must not be seeded with the all-zero state. *)
-  if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+  if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then of_words 1L 2L 3L 4L
+  else of_words s0 s1 s2 s3
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let copy = Bytes.copy
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 g =
+let[@inline] bits64 g =
   let open Int64 in
-  let result = mul (rotl (mul g.s1 5L) 7) 9L in
-  let t = shift_left g.s1 17 in
-  g.s2 <- logxor g.s2 g.s0;
-  g.s3 <- logxor g.s3 g.s1;
-  g.s1 <- logxor g.s1 g.s2;
-  g.s0 <- logxor g.s0 g.s3;
-  g.s2 <- logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+  let s0 = get g 0 and s1 = get g 1 and s2 = get g 2 and s3 = get g 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let t = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  let s2 = logxor s2 t in
+  let s3 = rotl s3 45 in
+  set g 0 s0;
+  set g 1 s1;
+  set g 2 s2;
+  set g 3 s3;
   result
 
 let split g = create ~seed:(bits64 g) ()
@@ -85,20 +108,15 @@ let shuffle g a =
 let jump_tbl = [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
 
 let jump g =
-  let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
+  let acc = Bytes.make 32 '\000' in
   Array.iter
     (fun jv ->
       for b = 0 to 63 do
-        if Int64.logand jv (Int64.shift_left 1L b) <> 0L then begin
-          s0 := Int64.logxor !s0 g.s0;
-          s1 := Int64.logxor !s1 g.s1;
-          s2 := Int64.logxor !s2 g.s2;
-          s3 := Int64.logxor !s3 g.s3
-        end;
+        if Int64.logand jv (Int64.shift_left 1L b) <> 0L then
+          for i = 0 to 3 do
+            set acc i (Int64.logxor (get acc i) (get g i))
+          done;
         ignore (bits64 g)
       done)
     jump_tbl;
-  g.s0 <- !s0;
-  g.s1 <- !s1;
-  g.s2 <- !s2;
-  g.s3 <- !s3
+  Bytes.blit acc 0 g 0 32

@@ -117,16 +117,67 @@ let histogram ~bins ~lo ~hi xs =
     xs;
   h
 
+(* [Float.compare x y < 0] without the three-way result: nan sorts
+   below every other float. *)
+let[@inline] lt (x : float) y = x < y || (x <> x && y = y)
+
+(* Wirth's selection: permutes [a] until [a.(k)] holds the k-th
+   smallest element under [Float.compare], with no larger element
+   before it and no smaller one after it.  The pivot is the median of
+   the range's ends and middle, so sorted and reversed inputs take
+   linear time; equal keys stop both scans, so ties do too. *)
+let select a k =
+  let l = ref 0 and r = ref (Array.length a - 1) in
+  while !l < !r do
+    let x =
+      let u = a.(!l) and v = a.((!l + !r) / 2) and w = a.(!r) in
+      if lt u v then (if lt v w then v else if lt u w then w else u)
+      else if lt u w then u
+      else if lt v w then w
+      else v
+    in
+    let i = ref !l and j = ref !r in
+    while !i <= !j do
+      while lt a.(!i) x do
+        incr i
+      done;
+      while lt x a.(!j) do
+        decr j
+      done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    if !j < k then l := !i;
+    if k < !i then r := !j
+  done
+
 let percentile xs p =
   if Array.length xs = 0 then invalid_arg "Stats.percentile: empty";
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  let n = Array.length sorted in
+  let a = Array.copy xs in
+  let n = Array.length a in
   let rank = p /. 100.0 *. float_of_int (n - 1) in
   let lo = int_of_float (Float.floor rank) and hi = int_of_float (Float.ceil rank) in
   let frac = rank -. Float.floor rank in
-  (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+  (* The order statistics a sort would put at [lo] and [hi]: select
+     [lo], then [hi] (= lo or lo + 1) is the least of what lies above. *)
+  select a lo;
+  let upper =
+    if hi = lo then a.(lo)
+    else begin
+      let m = ref a.(hi) in
+      for i = hi + 1 to n - 1 do
+        if lt a.(i) !m then m := a.(i)
+      done;
+      !m
+    end
+  in
+  (a.(lo) *. (1.0 -. frac)) +. (upper *. frac)
 
 let correlation xs ys =
   if Array.length xs <> Array.length ys then invalid_arg "Stats.correlation: length mismatch";

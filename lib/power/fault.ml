@@ -61,22 +61,31 @@ let of_intensity x =
       drift_period = full.drift_period;
     }
 
-(* --- individual stages ---------------------------------------------------- *)
+(* --- the fault pass ------------------------------------------------------------ *)
 
-(* Quiet level used for padding after jitter/drops: a low percentile is
-   robust to bursts dominating the trace. *)
-let quiet_level samples =
-  if Array.length samples = 0 then 0.0 else Mathkit.Stats.percentile samples 10.0
+(* The stages run in their semantic order — drift, glitches, clipping,
+   drop/dup, jitter — over one owned copy of the trace: drift and
+   glitches update it in place, clipping is folded into the drop/dup
+   emit loop, and jitter shifts the result in place.  Each stage draws
+   exactly what it would draw on its own, in the same order, so the
+   output is what running the stages one fresh array at a time gives,
+   bit for bit. *)
 
-let apply_drift c samples =
+(* [Float.min]/[Float.max] with the strict comparisons inline: without
+   flambda a call into [Float] boxes both arguments, once per sample.
+   Ties and nans, where signed zeros and nan propagation decide the
+   result, go to the stdlib functions themselves. *)
+let[@inline] fmin (x : float) y = if x < y then x else if y < x then y else Float.min x y
+let[@inline] fmax (x : float) y = if x > y then x else if y > x then y else Float.max x y
+
+let drift c s =
   let period = float_of_int c.drift_period in
-  Array.mapi
-    (fun i s -> s +. (c.drift_amplitude *. sin (2.0 *. Float.pi *. float_of_int i /. period)))
-    samples
+  for i = 0 to Array.length s - 1 do
+    s.(i) <- s.(i) +. (c.drift_amplitude *. sin (2.0 *. Float.pi *. float_of_int i /. period))
+  done
 
-let apply_glitches ~rng c samples =
-  let n = Array.length samples in
-  let samples = Array.copy samples in
+let glitches ~rng c s =
+  let n = Array.length s in
   let expected = c.glitch_rate *. float_of_int n /. 1000.0 in
   (* deterministic burst count: floor plus a Bernoulli for the remainder *)
   let count =
@@ -86,79 +95,85 @@ let apply_glitches ~rng c samples =
     let start = Mathkit.Prng.int rng (max 1 n) in
     let sign = if Mathkit.Prng.bool rng then 1.0 else -1.0 in
     for i = start to min (n - 1) (start + c.glitch_width - 1) do
-      samples.(i) <- samples.(i) +. (sign *. c.glitch_amplitude)
+      s.(i) <- s.(i) +. (sign *. c.glitch_amplitude)
     done
+  done
+
+(* Saturation level: everything above it is clipped to it. *)
+let clip_ceiling c s =
+  let lo = ref s.(0) and hi = ref s.(0) in
+  for i = 0 to Array.length s - 1 do
+    lo := fmin !lo s.(i);
+    hi := fmax !hi s.(i)
   done;
-  samples
+  !hi -. (c.clip_fraction *. (!hi -. !lo))
 
-let apply_clip c samples =
-  let n = Array.length samples in
-  if n = 0 then samples
-  else begin
-    let lo = Array.fold_left Float.min samples.(0) samples in
-    let hi = Array.fold_left Float.max samples.(0) samples in
-    let ceiling = hi -. (c.clip_fraction *. (hi -. lo)) in
-    Array.map (fun s -> Float.min s ceiling) samples
-  end
-
-(* One pass: each input sample is emitted 0x (drop), 1x, or 2x (dup). *)
-let apply_drop_dup ~rng c samples =
-  let acc = ref [] in
+(* Each input sample is emitted 0x (drop), 1x, or 2x (dup), clipped to
+   [ceiling] if there is one.  Every fate is drawn first, one byte per
+   sample, so the output is allocated once at its exact length. *)
+let drop_dup ~rng c ~ceiling s =
+  let n = Array.length s in
+  let fate = Bytes.create n in
   let count = ref 0 in
-  Array.iter
-    (fun s ->
-      let u = Mathkit.Prng.float rng in
-      if u < c.drop_rate then ()
-      else if u < c.drop_rate +. c.dup_rate then begin
-        acc := s :: s :: !acc;
-        count := !count + 2
-      end
-      else begin
-        acc := s :: !acc;
-        incr count
-      end)
-    samples;
-  let out = Array.make !count 0.0 in
-  let i = ref (!count - 1) in
-  List.iter
-    (fun s ->
-      out.(!i) <- s;
-      decr i)
-    !acc;
+  for i = 0 to n - 1 do
+    let u = Mathkit.Prng.float rng in
+    let k = if u < c.drop_rate then 0 else if u < c.drop_rate +. c.dup_rate then 2 else 1 in
+    Bytes.set_uint8 fate i k;
+    count := !count + k
+  done;
+  let out = Array.create_float !count in
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    let k = Bytes.get_uint8 fate i in
+    if k > 0 then begin
+      let v = match ceiling with Some m -> fmin s.(i) m | None -> s.(i) in
+      out.(!j) <- v;
+      if k = 2 then out.(!j + 1) <- v;
+      j := !j + k
+    end
+  done;
   out
 
-let apply_jitter ~rng c samples =
-  let n = Array.length samples in
+let jitter ~rng c s =
+  let n = Array.length s in
   let offset = Mathkit.Prng.int_in rng (-c.trigger_jitter) c.trigger_jitter in
   (* clamp after drawing, so RNG consumption is trace-length independent *)
   let offset = Int.max (-n) (Int.min n offset) in
-  if offset = 0 || n = 0 then samples
-  else begin
-    let pad = quiet_level samples in
-    let out = Array.make n pad in
-    if offset > 0 then
+  if offset <> 0 then begin
+    (* pad with the quiet level: a low percentile is robust to bursts
+       dominating the trace (offset <> 0, so the trace is not empty) *)
+    let pad = Mathkit.Stats.percentile s 10.0 in
+    if offset > 0 then begin
       (* trigger fired late: the first [offset] samples were missed *)
-      Array.blit samples offset out 0 (n - offset)
-    else Array.blit samples 0 out (-offset) (n + offset);
-    out
+      Array.blit s offset s 0 (n - offset);
+      Array.fill s (n - offset) offset pad
+    end
+    else begin
+      Array.blit s 0 s (-offset) (n + offset);
+      Array.fill s 0 (-offset) pad
+    end
   end
 
 let apply ~rng c (t : Ptrace.t) =
   if is_noop c then t
   else begin
-    let s = t.Ptrace.samples in
+    let s = Array.copy t.Ptrace.samples in
+    if c.drift_amplitude <> 0.0 && c.drift_period <> 0 then drift c s;
+    if c.glitch_rate <> 0.0 && c.glitch_amplitude <> 0.0 && c.glitch_width <> 0 then
+      glitches ~rng c s;
+    let ceiling = if c.clip_fraction <> 0.0 && Array.length s > 0 then Some (clip_ceiling c s) else None in
     let s =
-      if c.drift_amplitude <> 0.0 && c.drift_period <> 0 then apply_drift c s else s
+      if c.drop_rate <> 0.0 || c.dup_rate <> 0.0 then drop_dup ~rng c ~ceiling s
+      else begin
+        (match ceiling with
+        | Some m ->
+            for i = 0 to Array.length s - 1 do
+              s.(i) <- fmin s.(i) m
+            done
+        | None -> ());
+        s
+      end
     in
-    let s =
-      if c.glitch_rate <> 0.0 && c.glitch_amplitude <> 0.0 && c.glitch_width <> 0 then
-        apply_glitches ~rng c s
-      else s
-    in
-    let s = if c.clip_fraction <> 0.0 then apply_clip c s else s in
-    let s =
-      if c.drop_rate <> 0.0 || c.dup_rate <> 0.0 then apply_drop_dup ~rng c s else s
-    in
-    let s = if c.trigger_jitter <> 0 then apply_jitter ~rng c s else s in
+    if c.trigger_jitter <> 0 then jitter ~rng c s;
     { t with Ptrace.samples = s }
   end

@@ -9,8 +9,8 @@ type report = {
 (* --- one file -------------------------------------------------------------- *)
 
 (* Apply suppressions and synthesize the meta findings for one file. *)
-let file_findings ~file src =
-  match Engine.analyze_string ~file src with
+let file_findings ~library ~file src =
+  match Engine.analyze_string ~library ~file src with
   | Error _ as e -> e
   | Ok raws ->
       let scan = Suppress.scan src in
@@ -59,11 +59,11 @@ let file_findings ~file src =
       let expects = List.map (fun (eline, name) -> (file, eline, name)) scan.Suppress.expects in
       Ok (List.sort Finding.compare (broke @ unused @ bad), suppressed, expects)
 
-let report_of_strings ?(paths = []) sources =
+let report_of_strings ?(paths = []) ?(library = fun _ -> true) sources =
   let rec fold acc = function
     | [] -> Ok acc
     | (file, src) :: rest -> (
-        match file_findings ~file src with
+        match file_findings ~library:(library file) ~file src with
         | Error msg -> Error msg
         | Ok (fs, supp, exps) ->
             let findings, suppressed, expects = acc in
@@ -101,6 +101,36 @@ let read_file path =
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> Ok (really_input_string ic (in_channel_length ic)))
 
+(* The heads of a dune file's lists ("library", "name", ...), with
+   ";" comments skipped. *)
+let dune_heads src =
+  let n = String.length src in
+  let rec scan i acc =
+    if i >= n then acc
+    else
+      match src.[i] with
+      | ';' -> scan (Option.value ~default:n (String.index_from_opt src i '\n')) acc
+      | '(' ->
+          let j = ref (i + 1) in
+          while !j < n && (match src.[!j] with 'a' .. 'z' | '_' -> true | _ -> false) do
+            incr j
+          done;
+          scan !j (String.sub src (i + 1) (!j - i - 1) :: acc)
+      | _ -> scan (i + 1) acc
+  in
+  scan 0 []
+
+(* Library code is any file whose directory's dune file declares a
+   library, or that has no dune file at all.  A directory of only
+   executables or tests holds modules that only its own programs link. *)
+let in_library file =
+  match read_file (Filename.concat (Filename.dirname file) "dune") with
+  | Error _ -> true
+  | Ok src ->
+      let heads = dune_heads src in
+      List.mem "library" heads
+      || not (List.exists (fun h -> List.mem h heads) [ "executable"; "executables"; "test"; "tests" ])
+
 let lint_paths paths =
   let rec gather acc = function
     | [] -> Ok (List.sort String.compare acc)
@@ -115,7 +145,7 @@ let lint_paths paths =
       in
       match load [] files with
       | Error msg -> Error msg
-      | Ok sources -> report_of_strings ~paths sources)
+      | Ok sources -> report_of_strings ~paths ~library:in_library sources)
 
 (* --- verdicts ---------------------------------------------------------------- *)
 

@@ -14,14 +14,19 @@ type report = {
   expects : (string * int * string) list;  (** (file, line, rule name) expect directives *)
 }
 
-val report_of_strings : ?paths:string list -> (string * string) list -> (report, string) result
+val report_of_strings :
+  ?paths:string list -> ?library:(string -> bool) -> (string * string) list -> (report, string) result
 (** Lint in-memory [(file, source)] pairs — the unit tests' entry
-    point; {!lint_paths} routes through this. *)
+    point; {!lint_paths} routes through this.  [library file] (default:
+    always) says whether [file] is library code (see
+    {!Engine.analyze_string}). *)
 
 val lint_paths : string list -> (report, string) result
 (** Walk each path (recursing into directories, skipping [_build] and
     dot-entries), lint every [.ml] file in sorted order.  [Error] on
-    unreadable paths and files that do not parse. *)
+    unreadable paths and files that do not parse.  A file is library
+    code unless the [dune] file beside it declares executables or
+    tests and no library. *)
 
 val clean : report -> bool
 

@@ -109,6 +109,18 @@ let is_mutation n =
 
 let is_sync n = List.exists (fun p -> starts_with ~prefix:p n) sync_prefixes
 
+(* A module-level [lazy] (or [Lazy.from_fun]) value is shared by every
+   domain: the first two to force it at once race, and the loser raises
+   [CamlinternalLazy.Undefined].  Which domains reach a binding is not
+   visible from one file, so in library code every such binding is a
+   finding. *)
+let rec lazy_value e =
+  match e.pexp_desc with
+  | Pexp_lazy _ -> Some "lazy"
+  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> lazy_value e
+  | Pexp_apply (f, _) when head f = Some "Lazy.from_fun" -> Some "Lazy.from_fun"
+  | _ -> None
+
 (* --- rule 4: exception message strings ------------------------------------ *)
 
 let comparators =
@@ -140,7 +152,7 @@ let rec pat_string_construct p =
 
 (* --- the pass -------------------------------------------------------------- *)
 
-let analyze structure =
+let analyze ~library structure =
   let out = ref [] in
   let emit line rule detail = out := { r_line = line; r_rule = rule; r_detail = detail } :: !out in
   let sorted = ref 0 in
@@ -231,13 +243,37 @@ let analyze structure =
     (match p.ppat_desc with Ppat_exception inner -> exn_pattern inner | _ -> ());
     Ast_iterator.default_iterator.pat it p
   in
-  let it = { Ast_iterator.default_iterator with expr = expr_iter; pat = pat_iter } in
+  let structure_item_iter (it : Ast_iterator.iterator) si =
+    (match si.pstr_desc with
+    | Pstr_value (_, bindings) when library ->
+        List.iter
+          (fun vb ->
+            match lazy_value vb.pvb_expr with
+            | Some how ->
+                emit (line_of vb.pvb_loc) Rule.Domain_capture
+                  (Printf.sprintf
+                     "module-level %s value: two domains forcing it at once raise CamlinternalLazy.Undefined \
+                      — build it eagerly"
+                     how)
+            | None -> ())
+          bindings
+    | _ -> ());
+    Ast_iterator.default_iterator.structure_item it si
+  in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr = expr_iter;
+      pat = pat_iter;
+      structure_item = structure_item_iter;
+    }
+  in
   it.structure it structure;
   List.sort_uniq compare (List.rev !out)
 
-let analyze_string ~file src =
+let analyze_string ?(library = true) ~file src =
   let lexbuf = Lexing.from_string src in
   Lexing.set_filename lexbuf file;
   match Parse.implementation lexbuf with
-  | structure -> Ok (analyze structure)
+  | structure -> Ok (analyze ~library structure)
   | exception exn -> Error (Printf.sprintf "%s: parse error (%s)" file (Printexc.to_string exn))

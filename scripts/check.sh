@@ -111,6 +111,8 @@ dune exec bin/reveal_cli.exe -- report averaging --seed 54398 -n 64 --per-value 
   | cmp - test/golden/averaging.txt
 dune exec bin/reveal_cli.exe -- report ablate-features --seed 54398 -n 64 --per-value 80 --traces 2 \
   | cmp - test/golden/ablate_features.txt
+dune exec bin/reveal_cli.exe -- report fault-sweep --seed 54398 -n 64 --per-value 80 --traces 2 \
+  | cmp - test/golden/fault_sweep.txt
 dune exec bin/reveal_cli.exe -- report signs --seed 7 -n 64 --per-value 40 --json > "$tmp/report.json"
 json_ok "$tmp/report.json" correct total accuracy_percent
 # unknown artefacts are a usage error

@@ -24,3 +24,10 @@ let _locked () =
       Mutex.unlock m)
 
 let _pure () = Domain.spawn (fun () -> 1 + 1)
+
+(* A module-level lazy is shared by every domain: two forcing it at once
+   race to CamlinternalLazy.Undefined.  Built per call, it is not. *)
+(* srclint: expect domain-capture *)
+let _squares = lazy (Array.init 256 (fun i -> i * i))
+
+let _per_call () = lazy (Array.init 256 (fun i -> i * i))

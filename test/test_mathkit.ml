@@ -848,3 +848,127 @@ let suite =
   suite
   @ [ Alcotest.test_case "fvec edge cases" `Quick test_fvec_edges ]
   @ List.map QCheck_alcotest.to_alcotest fvec_qcheck_cases
+
+(* --- Prng known answers -------------------------------------------------------- *)
+
+(* The first eight outputs of fixed generators, recorded before the
+   state moved from boxed int64 fields to a byte buffer: every seeded
+   stream in the repository derives from these. *)
+let prng_kat =
+  [
+    ( "seed 0",
+      (fun () -> Prng.create ~seed:0L ()),
+      [|
+        0x99EC5F36CB75F2B4L; 0xBF6E1F784956452AL; 0x1A5F849D4933E6E0L; 0x6AA594F1262D2D2CL;
+        0xBBA5AD4A1F842E59L; 0xFFEF8375D9EBCACAL; 0x6C160DEED2F54C98L; 0x8920AD648FC30A3FL;
+      |] );
+    ( "seed 42",
+      (fun () -> Prng.create ~seed:42L ()),
+      [|
+        0x15780B2E0C2EC716L; 0x6104D9866D113A7EL; 0xAE17533239E499A1L; 0xECB8AD4703B360A1L;
+        0xFDE6DC7FE2EC5E64L; 0xC50DA53101795238L; 0xB82154855A65DDB2L; 0xD99A2743EBE60087L;
+      |] );
+    ( "default seed",
+      (fun () -> Prng.create ()),
+      [|
+        0x2B718947ED1F990CL; 0xE9CE662B4B21C3FDL; 0x5CD83FC331BCB763L; 0xE4EC72897C276934L;
+        0x6F7BF1728E8EB011L; 0x6CEDE5531A00C844L; 0x0DDCD8E0AEF5D151L; 0x5AAEBC87B335335BL;
+      |] );
+    ( "split of seed 42",
+      (fun () -> Prng.split (Prng.create ~seed:42L ())),
+      [|
+        0x8EE445D14631C453L; 0x106FA1A13296FE62L; 0x729A768806244CE5L; 0x91D83A17B20E6585L;
+        0x38C33DF442FC70FDL; 0xE33CD1B92E2E42F1L; 0x3162280B9DCFA5EFL; 0xB4F9F0541228B854L;
+      |] );
+    ( "seed 42 after a split",
+      (fun () ->
+        let g = Prng.create ~seed:42L () in
+        ignore (Prng.split g);
+        g),
+      [|
+        0x6104D9866D113A7EL; 0xAE17533239E499A1L; 0xECB8AD4703B360A1L; 0xFDE6DC7FE2EC5E64L;
+        0xC50DA53101795238L; 0xB82154855A65DDB2L; 0xD99A2743EBE60087L; 0xC2E96E726E97647EL;
+      |] );
+    ( "seed 42 after a jump",
+      (fun () ->
+        let g = Prng.create ~seed:42L () in
+        Prng.jump g;
+        g),
+      [|
+        0x50086EF83CBF4F4AL; 0xBA285EC21347D703L; 0x5EA1247B4DC6452AL; 0x03A5C66424702131L;
+        0x77369F9F12449A8BL; 0x1EAB92F3C9460792L; 0xF5484AA43E93F003L; 0x42E0A9AE4359C6FEL;
+      |] );
+    ( "default seed after a jump",
+      (fun () ->
+        let g = Prng.create () in
+        Prng.jump g;
+        g),
+      [|
+        0xA0F9F0A83F6DE7B6L; 0x1FAD4AC2F5A396C3L; 0x041DBF407EAF8607L; 0x9961E28E77FA635BL;
+        0x7DAF5BAA502394D8L; 0x8A0DB0C6195A3719L; 0xBB588C682D87E0FBL; 0x5563CD00F0DBECBFL;
+      |] );
+  ]
+
+let draw8 g = Array.init 8 (fun _ -> Prng.bits64 g)
+
+let test_prng_known_answers () =
+  List.iter
+    (fun (name, make, want) -> Alcotest.(check (array int64)) name want (draw8 (make ())))
+    prng_kat
+
+let test_prng_copy_independent () =
+  let g = Prng.create ~seed:42L () in
+  let c = Prng.copy g in
+  let from_g = draw8 g in
+  Alcotest.(check (array int64)) "a copy replays the stream" from_g (draw8 c);
+  (* advancing or jumping one leaves the other where it was *)
+  let g = Prng.create ~seed:42L () in
+  let c = Prng.copy g in
+  Prng.jump c;
+  ignore (draw8 c);
+  Alcotest.(check (array int64)) "the original is untouched by its copy" from_g (draw8 g)
+
+(* --- Stats.percentile against a sort ------------------------------------------ *)
+
+(* The definition [percentile] had before selection replaced the sort. *)
+let sorted_percentile xs p =
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
+  let n = Array.length sorted in
+  let rank = p /. 100.0 *. float_of_int (n - 1) in
+  let lo = int_of_float (Float.floor rank) and hi = int_of_float (Float.ceil rank) in
+  let frac = rank -. Float.floor rank in
+  (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+
+let test_percentile_rejects () =
+  Alcotest.check_raises "empty" (Invalid_argument "Stats.percentile: empty") (fun () ->
+      ignore (Stats.percentile [||] 50.0));
+  Alcotest.check_raises "p < 0" (Invalid_argument "Stats.percentile: p out of range") (fun () ->
+      ignore (Stats.percentile [| 1.0 |] (-0.5)));
+  Alcotest.check_raises "p > 100" (Invalid_argument "Stats.percentile: p out of range") (fun () ->
+      ignore (Stats.percentile [| 1.0 |] 100.5))
+
+let percentile_prop =
+  (* few distinct values, so ties are common; signed zeros and the odd
+     nan are in the pool *)
+  let value = QCheck.Gen.(oneof [ map float_of_int (int_range (-4) 4); float_range (-50.0) 50.0; oneofl [ 0.0; -0.0; nan ] ]) in
+  let p = QCheck.Gen.(oneof [ oneofl [ 0.0; 10.0; 50.0; 90.0; 100.0 ]; float_range 0.0 100.0 ]) in
+  QCheck.Test.make ~name:"Stats.percentile: selection picks the sort's order statistics" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(pair (array float) float)
+       QCheck.Gen.(pair (array_size (int_range 1 200) value) p))
+    (fun (xs, p) ->
+      let before = Array.copy xs in
+      Float.equal (Stats.percentile xs p) (sorted_percentile xs p)
+      && Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b) before xs)
+
+let suite =
+  suite
+  @ List.map
+      (fun (name, f) -> Alcotest.test_case name `Quick f)
+      [
+        ("prng known answers", test_prng_known_answers);
+        ("prng copy is independent", test_prng_copy_independent);
+        ("percentile rejects bad input", test_percentile_rejects);
+      ]
+  @ [ QCheck_alcotest.to_alcotest percentile_prop ]

@@ -231,7 +231,75 @@ let fault_reproducible_prop =
       in
       corrupt () = corrupt ())
 
-let suite = suite @ List.map QCheck_alcotest.to_alcotest [ fault_noop_prop; fault_reproducible_prop ]
+(* A random fault case: trace length (short ones, under the jitter
+   window, are drawn often), a 6-bit channel mask (drift, glitches,
+   clipping, drops, duplicates, jitter), an intensity in [0, 3], a seed
+   for the fault stream and one for the samples, and whether the
+   samples are few distinct levels (ties everywhere, signed zeros
+   included) or noisy bursts. *)
+let fault_case_gen =
+  QCheck.Gen.(
+    pair
+      (quad (oneof [ int_range 0 64; int_range 0 3000 ]) (int_bound 63) (float_range 0.0 3.0) int)
+      (pair int bool))
+
+let fault_case_print ((n, mask, intensity, seed), (sample_seed, ties)) =
+  Printf.sprintf "n=%d mask=%#x intensity=%g seed=%d sample_seed=%d ties=%b" n mask intensity seed sample_seed ties
+
+let fault_case =
+  QCheck.make ~print:fault_case_print fault_case_gen
+
+let fault_config mask intensity =
+  let c = Power.Fault.of_intensity intensity and off = Power.Fault.none in
+  let on k = mask land (1 lsl k) <> 0 in
+  {
+    Power.Fault.drift_amplitude = (if on 0 then c.Power.Fault.drift_amplitude else off.Power.Fault.drift_amplitude);
+    drift_period = (if on 0 then c.Power.Fault.drift_period else off.Power.Fault.drift_period);
+    glitch_rate = (if on 1 then c.Power.Fault.glitch_rate else off.Power.Fault.glitch_rate);
+    glitch_amplitude = (if on 1 then c.Power.Fault.glitch_amplitude else off.Power.Fault.glitch_amplitude);
+    glitch_width = (if on 1 then c.Power.Fault.glitch_width else off.Power.Fault.glitch_width);
+    clip_fraction = (if on 2 then c.Power.Fault.clip_fraction else off.Power.Fault.clip_fraction);
+    drop_rate = (if on 3 then c.Power.Fault.drop_rate else off.Power.Fault.drop_rate);
+    dup_rate = (if on 4 then c.Power.Fault.dup_rate else off.Power.Fault.dup_rate);
+    trigger_jitter = (if on 5 then c.Power.Fault.trigger_jitter else off.Power.Fault.trigger_jitter);
+  }
+
+let fault_trace n ~ties sample_seed =
+  let g = Mathkit.Prng.create ~seed:(Int64.of_int sample_seed) () in
+  ptrace_of
+    (Array.init n (fun i ->
+         if ties then (match Mathkit.Prng.int g 7 with 6 -> -0.0 | k -> float_of_int k)
+         else (if i mod 97 < 8 then 25.0 else 10.0) +. Mathkit.Prng.float g))
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+
+let fault_oracle_prop =
+  QCheck.Test.make ~name:"Fault: one-pass apply equals the staged oracle bit for bit" ~count:400 fault_case
+    (fun ((n, mask, intensity, seed), (sample_seed, ties)) ->
+      let t = fault_trace n ~ties sample_seed and cfg = fault_config mask intensity in
+      let g = Mathkit.Prng.create ~seed:(Int64.of_int seed) () in
+      let g' = Mathkit.Prng.copy g in
+      let got = (Power.Fault.apply ~rng:g cfg t).Power.Ptrace.samples in
+      let want = (Fault_oracle.apply ~rng:g' cfg t).Power.Ptrace.samples in
+      (* same samples, and the same draws consumed *)
+      same_bits got want && Mathkit.Prng.bits64 g = Mathkit.Prng.bits64 g')
+
+let fault_no_mutation_prop =
+  QCheck.Test.make ~name:"Fault: apply never mutates its input" ~count:200 fault_case
+    (fun ((n, mask, intensity, seed), (sample_seed, ties)) ->
+      let t = fault_trace n ~ties sample_seed and cfg = fault_config mask intensity in
+      let before = Array.copy t.Power.Ptrace.samples in
+      let out = Power.Fault.apply ~rng:(Mathkit.Prng.create ~seed:(Int64.of_int seed) ()) cfg t in
+      (* nor aliases it: an empty array is the one shared atom *)
+      same_bits before t.Power.Ptrace.samples
+      && (Power.Fault.is_noop cfg || n = 0 || out.Power.Ptrace.samples != t.Power.Ptrace.samples))
+
+let suite =
+  suite
+  @ List.map QCheck_alcotest.to_alcotest
+      [ fault_noop_prop; fault_reproducible_prop; fault_oracle_prop; fault_no_mutation_prop ]
 
 (* --- CSV round-trip and Fvec synthesis (numeric core refactor) ------------- *)
 

@@ -119,8 +119,10 @@ let test_golden_fig3 () =
     (read_file "golden/fig3.txt")
     (Reveal.Experiment.render_fig3 (Reveal.Experiment.fig3 golden_config))
 
-(* The two artefacts that score windows outside the campaign grader:
-   averaged windows, and flat templates over each feature extractor. *)
+(* Artefacts rendered straight from the registry: the two that score
+   windows outside the campaign grader (averaged windows, flat templates
+   over each feature extractor), and the fault sweep, the one golden
+   that runs the fault model. *)
 let test_golden_artefact name () =
   match Reveal.Experiment.artefact name golden_config with
   | None -> Alcotest.failf "artefact %s is not registered" name
@@ -168,6 +170,7 @@ let suite =
     ("golden: fig3", `Quick, test_golden_fig3);
     ("golden: averaging", `Quick, test_golden_artefact "averaging");
     ("golden: ablate-features", `Quick, test_golden_artefact "ablate-features");
+    ("golden: fault-sweep", `Quick, test_golden_artefact "fault-sweep");
     ("doc text matches render_*", `Quick, test_doc_text_matches_render);
     ("artefact registry", `Quick, test_artefact_registry);
   ]

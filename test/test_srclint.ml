@@ -109,6 +109,28 @@ let test_unsafe_index () =
   Alcotest.(check (list string)) "allowed kernel site is suppressed" [] (rule_names r);
   Alcotest.(check int) "and counted" 1 r.Srclint.Driver.suppressed
 
+let test_module_lazy () =
+  Alcotest.(check (list string))
+    "module-level lazy flagged" [ "domain-capture"; "domain-capture"; "domain-capture" ]
+    (rule_names
+       (report
+          (src
+             [
+               "let t = lazy (Array.make 256 0)";
+               "let (u : int array Lazy.t) = lazy [||]";
+               "let v = Lazy.from_fun (fun () -> 1)";
+             ])));
+  Alcotest.(check (list string))
+    "inside a submodule too" [ "domain-capture" ]
+    (rule_names (report (src [ "module M = struct let t = lazy 0 end" ])));
+  Alcotest.(check (list string))
+    "a lazy built per call or already forced is clean" []
+    (rule_names (report (src [ "let _f () = lazy 0"; "let _v = Lazy.from_val 0"; "let _g = Lazy.force" ])));
+  let exe = Srclint.Driver.report_of_strings ~library:(fun _ -> false) [ ("t.ml", src [ "let t = lazy 0" ]) ] in
+  Alcotest.(check (list string))
+    "executable code is exempt" []
+    (match exe with Ok r -> rule_names r | Error msg -> Alcotest.failf "unexpected srclint error: %s" msg)
+
 (* --- suppression directives -------------------------------------------------- *)
 
 let test_suppression () =
@@ -202,6 +224,7 @@ let unit_cases =
     ("srclint: nondet sources", test_nondet);
     ("srclint: hashtbl order", test_hashtbl_order);
     ("srclint: domain capture", test_domain_capture);
+    ("srclint: module-level lazy", test_module_lazy);
     ("srclint: exn message", test_exn_message);
     ("srclint: unsafe index", test_unsafe_index);
     ("srclint: suppression directives", test_suppression);
