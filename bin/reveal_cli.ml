@@ -236,7 +236,7 @@ let trace seed variant n csv json _obs =
     else Reveal.Device.run_gaussian device ~scope_rng:rng ~sampler_rng:rng
   in
   let trace = run.Reveal.Device.trace in
-  let bursts = Sca.Segment.burst_regions Sca.Segment.default trace.Power.Ptrace.samples in
+  let bursts = Sca.Segment.burst_regions_fv Sca.Segment.default (Mathkit.Fvec.of_array trace.Power.Ptrace.samples) in
   if json then begin
     Option.iter (fun path -> Power.Ptrace.save_csv path trace) csv;
     Reveal.Report.(
@@ -283,7 +283,11 @@ let attack seed n load_or_profile verbose json obs =
   let prof = load_or_profile ~json ~obs ~what:"profiling" (fun () -> device) rng in
   let scope_rng = Mathkit.Prng.split rng and sampler_rng = Mathkit.Prng.split rng in
   let run = Reveal.Device.run_gaussian device ~scope_rng ~sampler_rng in
-  let results = Reveal.Campaign.attack_trace prof run in
+  let results =
+    match Reveal.Campaign.attack_trace prof run with
+    | Ok results -> results
+    | Error e -> fail 3 "%s" (Reveal.Pipeline.error_to_string e)
+  in
   let count p = Array.fold_left (fun k r -> if p r then k + 1 else k) 0 results in
   let sign_ok = count (fun r -> compare r.Reveal.Campaign.actual 0 = r.Reveal.Campaign.verdict.Sca.Attack.sign) in
   let value_ok = count (fun r -> r.Reveal.Campaign.actual = r.Reveal.Campaign.verdict.Sca.Attack.value) in
@@ -464,11 +468,11 @@ let fault_sweep config intensities check json _obs =
            | _ -> []))))
   end
   else begin
-    print_string (Reveal.Experiment.render_fault_sweep rows);
+    print_string (Reveal.Experiment.fault_sweep_doc rows).text;
     (match verdict with
     | Zero_checked zc ->
         print_endline "sweep invariants hold: recovery monotone, bikz never under-reported";
-        print_string (Reveal.Experiment.render_zero_consistency zc)
+        print_string (Reveal.Experiment.zero_consistency_doc zc).text
     | _ -> ());
     Option.iter (fail 1 "%s") failure;
     if check then print_endline "zero-intensity attack is bit-identical to the clean pipeline"

@@ -16,6 +16,8 @@ let of_matrix m =
   done;
   { data; m_rows = r; m_cols = c }
 
+let to_arrays t = Array.init t.m_rows (fun i -> Array.init t.m_cols (fun j -> Fvec.uget t.data ((i * t.m_cols) + j)))
+
 (* d^T t d, fused but in the exact accumulation order of
    [Matrix.dot d (Matrix.mul_vec t d)]: row sums j-ascending, outer
    product i-ascending.  This is the Mahalanobis inner loop. *)

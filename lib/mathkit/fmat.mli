@@ -8,6 +8,10 @@ type t
 
 val of_matrix : Matrix.t -> t
 
+val to_arrays : t -> float array array
+(** The rows as fresh arrays, in order:
+    [of_matrix (Matrix.of_arrays (to_arrays t))] equals [t]. *)
+
 (** [quadratic_form t d = d^T t d], fused, in the exact accumulation
     order of [Matrix.dot d (Matrix.mul_vec t d)] — the Mahalanobis
     inner loop. *)

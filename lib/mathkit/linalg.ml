@@ -1,30 +1,10 @@
 exception Singular
 
-let cholesky a =
-  let n = Matrix.rows a in
-  if Matrix.cols a <> n then invalid_arg "Linalg.cholesky: not square";
-  let l = Matrix.create n n in
-  for i = 0 to n - 1 do
-    for j = 0 to i do
-      let s = ref (Matrix.get a i j) in
-      for k = 0 to j - 1 do
-        s := !s -. (Matrix.get l i k *. Matrix.get l j k)
-      done;
-      if i = j then begin
-        if !s <= 0.0 || Float.is_nan !s then raise Singular;
-        Matrix.set l i i (sqrt !s)
-      end
-      else Matrix.set l i j (!s /. Matrix.get l j j)
-    done
-  done;
-  l
-
 let lu a =
   let n = Matrix.rows a in
   if Matrix.cols a <> n then invalid_arg "Linalg.lu: not square";
   let m = Matrix.copy a in
   let perm = Array.init n (fun i -> i) in
-  let sign = ref 1 in
   for k = 0 to n - 1 do
     (* partial pivoting *)
     let pivot = ref k and best = ref (Float.abs (Matrix.get m k k)) in
@@ -44,8 +24,7 @@ let lu a =
       done;
       let t = perm.(k) in
       perm.(k) <- perm.(!pivot);
-      perm.(!pivot) <- t;
-      sign := - !sign
+      perm.(!pivot) <- t
     end;
     let mkk = Matrix.get m k k in
     for i = k + 1 to n - 1 do
@@ -57,11 +36,10 @@ let lu a =
         done
     done
   done;
-  (m, perm, !sign)
+  (m, perm)
 
-let lu_solve (m, perm, _sign) b =
+let lu_solve (m, perm) b =
   let n = Matrix.rows m in
-  if Array.length b <> n then invalid_arg "Linalg.solve: dimension mismatch";
   let y = Array.init n (fun i -> b.(perm.(i))) in
   (* forward substitution with unit lower factor *)
   for i = 0 to n - 1 do
@@ -78,24 +56,21 @@ let lu_solve (m, perm, _sign) b =
   done;
   y
 
-let solve a b = lu_solve (lu a) b
-
-let solve_many a b =
+(* A^-1 column by column: solve A x = e_j for each unit vector. *)
+let inverse a =
   let f = lu a in
-  let n = Matrix.rows b and c = Matrix.cols b in
-  let out = Matrix.create n c in
-  for j = 0 to c - 1 do
-    let x = lu_solve f (Matrix.col b j) in
+  let n = Matrix.rows a in
+  let out = Matrix.create n n in
+  for j = 0 to n - 1 do
+    let x = lu_solve f (Array.init n (fun i -> if i = j then 1.0 else 0.0)) in
     for i = 0 to n - 1 do
       Matrix.set out i j x.(i)
     done
   done;
   out
 
-let inverse a = solve_many a (Matrix.identity (Matrix.rows a))
-
 let logdet a =
-  let m, _, _ = lu a in
+  let m, _ = lu a in
   let n = Matrix.rows a in
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
@@ -105,42 +80,9 @@ let logdet a =
   done;
   !acc
 
-let logdet_spd a =
-  let l = cholesky a in
-  let n = Matrix.rows a in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. log (Matrix.get l i i)
-  done;
-  2.0 *. !acc
-
-let solve_spd a b =
-  let l = cholesky a in
-  let n = Matrix.rows a in
-  if Array.length b <> n then invalid_arg "Linalg.solve_spd: dimension mismatch";
-  let y = Array.copy b in
-  for i = 0 to n - 1 do
-    for j = 0 to i - 1 do
-      y.(i) <- y.(i) -. (Matrix.get l i j *. y.(j))
-    done;
-    y.(i) <- y.(i) /. Matrix.get l i i
-  done;
-  for i = n - 1 downto 0 do
-    for j = i + 1 to n - 1 do
-      y.(i) <- y.(i) -. (Matrix.get l j i *. y.(j))
-    done;
-    y.(i) <- y.(i) /. Matrix.get l i i
-  done;
-  y
-
 let regularize a eps =
   let n = Matrix.rows a in
   Matrix.init n (Matrix.cols a) (fun i j -> Matrix.get a i j +. if i = j then eps else 0.0)
-
-let mahalanobis_sq ~inv_cov x mu =
-  if Array.length x <> Array.length mu then invalid_arg "Linalg.mahalanobis_sq: length mismatch";
-  let d = Array.init (Array.length x) (fun i -> x.(i) -. mu.(i)) in
-  Matrix.dot d (Matrix.mul_vec inv_cov d)
 
 (* Cyclic Jacobi: repeatedly zero the largest off-diagonal entry with a
    Givens rotation.  Converges quadratically for symmetric input; the

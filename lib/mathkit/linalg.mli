@@ -1,46 +1,27 @@
 (** Numerical linear algebra on {!Matrix.t}.
 
     Everything the template attack and the DBDD estimator need:
-    Cholesky and LU factorisations, linear solves, inverses and
-    log-determinants.  Log-determinants matter because DBDD tracks the
-    log-volume of an ellipsoid whose determinant under/overflows any
-    float after a few hundred hints. *)
+    inverses and log-determinants by LU factorisation with partial
+    pivoting, and the symmetric eigendecomposition behind PCA.
+    Log-determinants matter because DBDD tracks the log-volume of an
+    ellipsoid whose determinant under/overflows any float after a few
+    hundred hints. *)
 
 exception Singular
-(** Raised when a factorisation meets a (numerically) singular or
-    non-positive-definite matrix. *)
-
-val cholesky : Matrix.t -> Matrix.t
-(** Lower-triangular L with L L^T = A for symmetric positive-definite A.
-    @raise Singular otherwise. *)
-
-val lu : Matrix.t -> Matrix.t * int array * int
-(** [lu a] is (packed LU factors, row permutation, permutation sign).
-    @raise Singular on singular input. *)
-
-val solve : Matrix.t -> float array -> float array
-(** Solve A x = b by LU with partial pivoting. *)
-
-val solve_many : Matrix.t -> Matrix.t -> Matrix.t
-(** Solve A X = B column-by-column. *)
+(** Raised when the LU factorisation meets a (numerically) singular
+    matrix. *)
 
 val inverse : Matrix.t -> Matrix.t
+(** A^-1, one LU solve per column of the identity.
+    @raise Singular on singular input. *)
+
 val logdet : Matrix.t -> float
 (** Log of |det A| (natural log) via LU.
     @raise Singular on singular input. *)
 
-val logdet_spd : Matrix.t -> float
-(** Log-determinant via Cholesky; cheaper and stabler for SPD input. *)
-
-val solve_spd : Matrix.t -> float array -> float array
-(** Solve with a Cholesky factorisation (input must be SPD). *)
-
 val regularize : Matrix.t -> float -> Matrix.t
 (** [regularize a eps] adds [eps] to the diagonal — the standard fix
     for near-singular pooled covariances in template attacks. *)
-
-val mahalanobis_sq : inv_cov:Matrix.t -> float array -> float array -> float
-(** Squared Mahalanobis distance (x-mu)^T S^{-1} (x-mu). *)
 
 val jacobi_eigen : ?max_sweeps:int -> Matrix.t -> float array * Matrix.t
 (** Eigendecomposition of a symmetric matrix by cyclic Jacobi

@@ -28,10 +28,6 @@ let add m n =
   check_same m n;
   init m.r m.c (fun i j -> m.a.(i).(j) +. n.a.(i).(j))
 
-let sub m n =
-  check_same m n;
-  init m.r m.c (fun i j -> m.a.(i).(j) -. n.a.(i).(j))
-
 let scale s m = init m.r m.c (fun i j -> s *. m.a.(i).(j))
 
 let mul m n =
@@ -60,8 +56,6 @@ let mul_vec m v =
       done;
       !acc)
 
-let outer u v = init (Array.length u) (Array.length v) (fun i j -> u.(i) *. v.(j))
-
 let dot u v =
   if Array.length u <> Array.length v then invalid_arg "Matrix.dot: length mismatch";
   let acc = ref 0.0 in
@@ -75,9 +69,6 @@ let axpy a x y =
   for i = 0 to Array.length x - 1 do
     y.(i) <- y.(i) +. (a *. x.(i))
   done
-
-let row m i = Array.copy m.a.(i)
-let col m j = Array.init m.r (fun i -> m.a.(i).(j))
 
 let trace m =
   let n = min m.r m.c in
@@ -105,17 +96,3 @@ let max_abs_diff m n =
     done
   done;
   !acc
-
-let is_symmetric ?(tol = 1e-9) m = m.r = m.c && max_abs_diff m (transpose m) <= tol
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.r - 1 do
-    Format.fprintf fmt "[";
-    for j = 0 to m.c - 1 do
-      if j > 0 then Format.fprintf fmt "; ";
-      Format.fprintf fmt "%g" m.a.(i).(j)
-    done;
-    Format.fprintf fmt "]@,"
-  done;
-  Format.fprintf fmt "@]"

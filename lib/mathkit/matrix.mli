@@ -21,24 +21,16 @@ val set : t -> int -> int -> float -> unit
 val copy : t -> t
 val transpose : t -> t
 val add : t -> t -> t
-val sub : t -> t -> t
 val scale : float -> t -> t
 val mul : t -> t -> t
 
 val mul_vec : t -> float array -> float array
 (** Matrix–vector product. *)
 
-val outer : float array -> float array -> t
-(** [outer u v] is the rank-1 matrix u v^T. *)
-
 val dot : float array -> float array -> float
 val axpy : float -> float array -> float array -> unit
 (** [axpy a x y] sets [y <- a*x + y] in place. *)
 
-val row : t -> int -> float array
-val col : t -> int -> float array
 val trace : t -> float
 val frobenius : t -> float
 val max_abs_diff : t -> t -> float
-val is_symmetric : ?tol:float -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -27,8 +27,6 @@ let variance_a xs =
     !acc /. float_of_int (n - 1)
   end
 
-let stddev_a xs = sqrt (variance_a xs)
-
 let mean_vector rows =
   if Array.length rows = 0 then invalid_arg "Stats.mean_vector: empty";
   let d = Array.length rows.(0) in

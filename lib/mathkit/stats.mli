@@ -14,7 +14,6 @@ val stddev : running -> float
 
 val mean_a : float array -> float
 val variance_a : float array -> float
-val stddev_a : float array -> float
 
 val mean_vector : float array array -> float array
 (** Component-wise mean over rows. *)

@@ -7,34 +7,19 @@ type t = {
 
 let length t = Array.length t.samples
 
-let sub t pos len =
-  if pos < 0 || len < 0 || pos + len > Array.length t.samples then invalid_arg "Ptrace.sub: window out of bounds";
-  Array.sub t.samples pos len
-
 let mean t = Mathkit.Stats.mean_a t.samples
-let stddev t = Mathkit.Stats.stddev_a t.samples
 
-let to_csv t =
-  let buf = Buffer.create (16 * Array.length t.samples) in
-  Buffer.add_string buf "index,power\n";
-  Array.iteri (fun i s -> Buffer.add_string buf (Printf.sprintf "%d,%.6f\n" i s)) t.samples;
-  Buffer.contents buf
-
-(* Streaming render: one small row buffer flushed per sample, instead
-   of materialising the whole file as a string first (to_csv + output
-   was a double copy of the trace). *)
-let write_rows oc ~get n =
+(* Streaming render: one small row buffer flushed per sample, so the
+   trace is never materialised a second time as one big string. *)
+let write_csv oc t =
   output_string oc "index,power\n";
   let row = Buffer.create 32 in
-  for i = 0 to n - 1 do
-    Buffer.clear row;
-    Printf.bprintf row "%d,%.6f\n" i (get i);
-    Buffer.output_buffer oc row
-  done
-
-let write_csv oc t = write_rows oc ~get:(fun i -> t.samples.(i)) (Array.length t.samples)
-
-let write_csv_fv oc v = write_rows oc ~get:(Mathkit.Fvec.get v) (Mathkit.Fvec.length v)
+  Array.iteri
+    (fun i s ->
+      Buffer.clear row;
+      Printf.bprintf row "%d,%.6f\n" i s;
+      Buffer.output_buffer oc row)
+    t.samples
 
 let save_csv path t =
   try
@@ -46,41 +31,6 @@ let save_csv path t =
        close_out_noerr oc;
        raise e)
   with Sys_error msg -> failwith (Printf.sprintf "Ptrace.save_csv: cannot write %s: %s" path msg)
-
-(* CSV round-trip read side.  Events are not representable in the CSV,
-   so they come back empty; [samples_per_cycle] is the caller's. *)
-let load_csv ?(samples_per_cycle = 1) path =
-  let ic =
-    try open_in path
-    with Sys_error msg -> failwith (Printf.sprintf "Ptrace.load_csv: cannot read %s: %s" path msg)
-  in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  let header = try input_line ic with End_of_file -> failwith (Printf.sprintf "Ptrace.load_csv: %s is empty" path) in
-  if header <> "index,power" then
-    failwith (Printf.sprintf "Ptrace.load_csv: %s does not start with an index,power header" path);
-  let rows = ref [] in
-  let line_no = ref 1 in
-  (try
-     while true do
-       let line = input_line ic in
-       incr line_no;
-       if String.trim line <> "" then
-         match String.index_opt line ',' with
-         | None -> failwith (Printf.sprintf "Ptrace.load_csv: %s line %d has no comma" path !line_no)
-         | Some c -> (
-             let v = String.sub line (c + 1) (String.length line - c - 1) in
-             match float_of_string_opt (String.trim v) with
-             | Some f -> rows := f :: !rows
-             | None ->
-                 failwith (Printf.sprintf "Ptrace.load_csv: %s line %d has a malformed power value %S" path !line_no v))
-     done
-   with End_of_file -> ());
-  {
-    samples = Array.of_list (List.rev !rows);
-    samples_per_cycle;
-    event_start = [||];
-    event_pc = [||];
-  }
 
 let ascii_plot ?(width = 100) ?(height = 16) samples =
   let n = Array.length samples in
@@ -125,7 +75,3 @@ let ascii_plot ?(width = 100) ?(height = 16) samples =
     Buffer.add_string buf (Printf.sprintf "          0 .. %d samples\n" n);
     Buffer.contents buf
   end
-
-let pp_summary fmt t =
-  Format.fprintf fmt "trace: %d samples (%d/cycle), mean %.2f, sd %.2f" (Array.length t.samples)
-    t.samples_per_cycle (mean t) (stddev t)

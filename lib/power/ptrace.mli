@@ -13,36 +13,13 @@ type t = {
 }
 
 val length : t -> int
-val sub : t -> int -> int -> float array
-(** [sub t pos len] copies a window.
-    @raise Invalid_argument when out of bounds. *)
-
 val mean : t -> float
-val stddev : t -> float
-
-val to_csv : t -> string
-(** "index,power" lines. *)
-
-val write_csv : out_channel -> t -> unit
-(** Stream the CSV rows to a channel — unlike [to_csv] the trace is
-    never materialised a second time as one big string. *)
-
-val write_csv_fv : out_channel -> Mathkit.Fvec.t -> unit
-(** {!write_csv} straight from a sample view (same format; synthesis
-    batches render without converting to [float array] first). *)
 
 val save_csv : string -> t -> unit
-(** @raise Failure when the file cannot be written; the message names
+(** Stream the trace as ["index,power"] CSV rows ([%.6f] samples;
+    events are not written).
+    @raise Failure when the file cannot be written; the message names
     the target path (never a bare [Sys_error]). *)
-
-val load_csv : ?samples_per_cycle:int -> string -> t
-(** Read back a {!save_csv} file.  The CSV carries no events, so
-    [event_start]/[event_pc] come back empty; [samples_per_cycle]
-    defaults to 1.
-    @raise Failure when the file is missing or malformed; the message
-    names the path. *)
 
 val ascii_plot : ?width:int -> ?height:int -> float array -> string
 (** Down-sampled ASCII rendering used by the figure benches. *)
-
-val pp_summary : Format.formatter -> t -> unit

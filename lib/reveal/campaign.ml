@@ -34,7 +34,6 @@ type gate = Grading.gate = {
   retry_budget : int;
 }
 
-let default_values = Constants.default_values
 let default_gate = Grading.default_gate
 let grade_counts = Grading.grade_counts
 let confident_mismatches = Grading.confident_mismatches
@@ -52,15 +51,10 @@ let load_profile = Profile_store.load
 
 (* --- per-trace attacks ---------------------------------------------------- *)
 
-(* The public per-trace entry points keep their [float array] shape —
-   the view refactor stops at these edges with an [of_array] each. *)
-let attack_samples prof ~samples ~noises =
-  match Grading.attack_strict prof ~samples:(Mathkit.Fvec.of_array samples) ~noises with
-  | Ok results -> results
-  | Error e -> failwith (Pipeline.error_to_string e)
-
+(* A run carries [float array] samples: one [of_array] at this edge. *)
 let attack_trace prof (run : Device.run) =
-  attack_samples prof ~samples:run.Device.trace.Power.Ptrace.samples ~noises:run.Device.noises
+  Grading.attack_strict prof ~samples:(Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples)
+    ~noises:run.Device.noises
 
 (* --- aggregate statistics ------------------------------------------------- *)
 

@@ -6,7 +6,7 @@
     grading mode and hand them to the one generic driver,
     {!run_source}.  The stages themselves live in {!Profiling}
     (template building), {!Profile_store} (cache v3), {!Grading}
-    (gate + retry ladder) and {!Source} (live / archive / synthetic);
+    (gate + retry ladder) and {!Source} (live / archive replay);
     their types are re-exported here under their historical names.
 
     The paper's sizes are 220 000 profiling runs and 25 000 attacked
@@ -25,10 +25,6 @@ type profile = Pipeline.profile = {
           out-of-distribution (faulted) and grade Unknown *)
   value_fit_floor : float;  (** same, for the value templates: below it a window is at best SignOnly *)
 }
-
-val default_values : int array
-(** -14 .. 14, the range the paper observed over 220 000 draws
-    ({!Constants.default_values}). *)
 
 val profile :
   ?values:int array ->
@@ -153,11 +149,10 @@ val confident_mismatches : coefficient_result array -> int
 val hint_of_result : sigma:float -> coordinate:int -> coefficient_result -> Hints.Hint.t
 (** {!Grading.hint_of_result}: the hint-degradation ladder. *)
 
-val attack_trace : profile -> Device.run -> coefficient_result array
+val attack_trace : profile -> Device.run -> (coefficient_result array, Pipeline.error) result
 (** Segment one honest trace (strict segmenter) and classify every
-    coefficient.
-    @raise Failure when segmentation finds a window count different
-    from the device's coefficient count. *)
+    coefficient.  [Error (Window_count _)] when segmentation finds a
+    window count different from the device's coefficient count. *)
 
 (** {1 Campaign drivers} *)
 

@@ -33,10 +33,6 @@ let variant t = t.variant
 let moduli t = Array.copy t.moduli
 let synth_config t = t.synth
 
-let with_synth t synth =
-  (* the firmware is unchanged; only the scope differs *)
-  { t with synth }
-
 let with_fault t fault = { t with fault }
 let fault_config t = t.fault
 
@@ -126,7 +122,7 @@ let profiling_draw t rng ~value =
   let _, rejections = draws.(0) in
   (value, rejections)
 
-(* --- record / replay ----------------------------------------------------- *)
+(* --- recording ------------------------------------------------------------ *)
 
 let open_recorder ?meta ?obs t ~path ~seed =
   Traceio.Archive.open_writer ?meta ?obs ~variant:t.variant ~n:t.n ~seed
@@ -152,52 +148,6 @@ let record ?(obs = Obs.Ctx.disabled) t ~path ~seed ~traces ~scope_rng ~sampler_r
             in
             record_run writer run
           done))
-
-let check_compatible t (h : Traceio.Archive.header) ~path =
-  let mismatch what a b =
-    invalid_arg (Printf.sprintf "Device.replay: %s: archive has %s %s, device expects %s" path what a b)
-  in
-  if h.Traceio.Archive.variant <> t.variant then
-    mismatch "sampler variant"
-      (Traceio.Archive.variant_name h.Traceio.Archive.variant)
-      (Traceio.Archive.variant_name t.variant);
-  if h.Traceio.Archive.n <> t.n then
-    mismatch "coefficient count" (string_of_int h.Traceio.Archive.n) (string_of_int t.n);
-  if h.Traceio.Archive.samples_per_cycle <> t.synth.Power.Synth.samples_per_cycle then
-    mismatch "samples per cycle"
-      (string_of_int h.Traceio.Archive.samples_per_cycle)
-      (string_of_int t.synth.Power.Synth.samples_per_cycle)
-
-type replay = Traceio.Archive.reader
-
-let open_replay ?expect path =
-  let reader = Traceio.Archive.open_reader path in
-  (match expect with
-  | Some t -> (
-      try check_compatible t (Traceio.Archive.header reader) ~path
-      with exn ->
-        Traceio.Archive.close_reader reader;
-        raise exn)
-  | None -> ());
-  reader
-
-let replay_header = Traceio.Archive.header
-
-(* A replayed run carries everything the attack consumes (trace +
-   ground-truth labels); the firmware's memory image is not archived,
-   so [poly] is empty. *)
-let run_of_record (r : Traceio.Archive.record) = { trace = r.Traceio.Archive.trace; noises = r.Traceio.Archive.noises; poly = [||] }
-
-let replay_next reader = Option.map run_of_record (Traceio.Archive.next reader)
-let close_replay = Traceio.Archive.close_reader
-
-let replay_iter ?expect path ~f =
-  let reader = open_replay ?expect path in
-  Fun.protect
-    ~finally:(fun () -> close_replay reader)
-    (fun () ->
-      let rec loop () = match replay_next reader with None -> () | Some run -> f run; loop () in
-      loop ())
 
 let of_header ?synth ?cycle_model (h : Traceio.Archive.header) =
   let synth =

@@ -29,9 +29,6 @@ val n : t -> int
 val variant : t -> Riscv.Sampler_prog.variant
 val moduli : t -> int array
 val synth_config : t -> Power.Synth.config
-val with_synth : t -> Power.Synth.config -> t
-(** Same firmware, different scope settings (noise sweeps). *)
-
 val with_fault : t -> Power.Fault.config option -> t
 (** Same firmware and scope, different acquisition-fault load. *)
 
@@ -60,14 +57,15 @@ val profiling_draw : t -> Mathkit.Prng.t -> value:int -> int * int
     device with all possible secrets" without distorting its timing
     distribution. *)
 
-(** {1 Record / replay}
+(** {1 Recording}
 
     Capture a campaign into a {!Traceio.Archive} once, re-attack it
-    offline any number of times.  Recording streams run by run —
-    memory stays bounded by one trace — and replay is lossless: a
-    replayed run is bit-identical to the live one (samples, events,
-    ground-truth labels), so offline analyses reproduce online results
-    exactly. *)
+    offline any number of times ({!Source.archive_replay}).  Recording
+    streams run by run — memory stays bounded by one trace — and the
+    archive is lossless: a replayed record is bit-identical to the
+    live run (samples, events, ground-truth labels), so offline
+    analyses reproduce online results exactly.  {!of_header} builds
+    the clone device offline profiling runs on. *)
 
 val open_recorder :
   ?meta:(string * string) list -> ?obs:Obs.Ctx.t -> t -> path:string -> seed:int64 -> Traceio.Archive.writer
@@ -94,24 +92,6 @@ val record :
     generators, exactly as in the live campaign entry points.  With an
     enabled [obs] context the capture loop runs inside a
     [device.record] span and the writer counts records and bytes. *)
-
-type replay
-(** A streaming cursor over an archived campaign. *)
-
-val open_replay : ?expect:t -> string -> replay
-(** Open an archive for replay.  With [expect], the archive header
-    must match the device's variant, coefficient count and sampling
-    rate.
-    @raise Invalid_argument on a parameter mismatch.
-    @raise Traceio.Error.Corrupt on a damaged archive. *)
-
-val replay_header : replay -> Traceio.Archive.header
-val replay_next : replay -> run option
-(** Next archived run.  [poly] is empty: the archive stores what the
-    scope saw and the ground truth, not the firmware's memory image. *)
-
-val close_replay : replay -> unit
-val replay_iter : ?expect:t -> string -> f:(run -> unit) -> unit
 
 val of_header : ?synth:Power.Synth.config -> ?cycle_model:(Riscv.Inst.klass -> int) -> Traceio.Archive.header -> t
 (** A clone device matching an archive's parameters — what offline

@@ -7,6 +7,7 @@ type config = {
 
 let default = { seed = 0xD47EL; device_n = 256; per_value = 400; attack_traces = 20 }
 let paper_scale = { seed = 0xD47EL; device_n = 1024; per_value = 7600; attack_traces = 25 }
+let golden_config = { seed = 0xD47EL; device_n = 64; per_value = 80; attack_traces = 2 }
 
 type env = {
   config : config;
@@ -46,8 +47,9 @@ let small_campaign ?(variant = Riscv.Sampler_prog.Vulnerable) ?synth ?cycle_mode
     let perm = Array.init n (fun i -> i) in
     Mathkit.Prng.shuffle sampler_rng perm;
     let run = Device.run_shuffled device ~scope_rng ~sampler_rng ~perm in
-    let results = Campaign.attack_trace prof run in
-    (prof, results)
+    match Campaign.attack_trace prof run with
+    | Ok results -> (prof, results)
+    | Error e -> failwith ("Experiment.small_campaign: " ^ Pipeline.error_to_string e)
   end
   else begin
     let _, results =

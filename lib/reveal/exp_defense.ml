@@ -54,9 +54,6 @@ let defenses_doc rows =
       \ the CDT sampler -- prior work's target [10][12] -- leaks less but is not leak-free)\n"
     defense_columns rows
 
-let render_defenses rows = (defenses_doc rows).Report.text
-let json_defenses rows = (defenses_doc rows).Report.json
-
 (* --- ablations ----------------------------------------------------------------------- *)
 
 type ablation_row = { label : string; sign_accuracy : float; value_accuracy : float }
@@ -128,6 +125,3 @@ let ablation_doc ~title rows =
   Report.table
     ~title:(Printf.sprintf "Ablation: %s\n" title)
     ~header:"  setting                        sign%   value%\n" ablation_columns rows
-
-let render_ablation ~title rows = (ablation_doc ~title rows).Report.text
-let json_ablation rows = Report.List (List.map (Report.row_json ablation_columns) rows)

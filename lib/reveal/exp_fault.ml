@@ -105,9 +105,6 @@ let fault_sweep_doc rows =
       \ along the ladder perfect -> approximate -> sign-only -> none)\n"
     fault_sweep_columns rows
 
-let render_fault_sweep rows = (fault_sweep_doc rows).Report.text
-let json_fault_sweep rows = (fault_sweep_doc rows).Report.json
-
 (* The two properties the sweep must honour: recovery degrades
    monotonically with intensity, and the reported hardness never drops
    below the clean run's (degradation must not make the attack look
@@ -199,22 +196,23 @@ let fault_zero_consistency config =
       bikz resilient (fun i r -> Campaign.hint_of_result ~sigma:prof.Campaign.sigma ~coordinate:i r);
   }
 
-let render_zero_consistency z =
-  Printf.sprintf
-    "Zero-fault regression: resilient pipeline vs classic pipeline over %d coefficients\n\
-    \  verdict mismatches: %d (must be 0)\n\
-    \  grades below Tentative: %d (must be 0 for bikz equality)\n\
-    \  bikz classic %.4f vs graded %.4f (must match)\n"
-    z.coefficients z.verdict_mismatches z.grade_downgrades z.bikz_classic z.bikz_graded
-
-let json_zero_consistency z =
-  Report.Obj
-    [
-      ("coefficients", Report.Int z.coefficients);
-      ("verdict_mismatches", Report.Int z.verdict_mismatches);
-      ("grade_downgrades", Report.Int z.grade_downgrades);
-      ("bikz_classic", Report.Float z.bikz_classic);
-      ("bikz_graded", Report.Float z.bikz_graded);
-    ]
-
-let zero_consistency_doc z = { Report.text = render_zero_consistency z; json = json_zero_consistency z }
+let zero_consistency_doc z =
+  let text =
+    Printf.sprintf
+      "Zero-fault regression: resilient pipeline vs classic pipeline over %d coefficients\n\
+      \  verdict mismatches: %d (must be 0)\n\
+      \  grades below Tentative: %d (must be 0 for bikz equality)\n\
+      \  bikz classic %.4f vs graded %.4f (must match)\n"
+      z.coefficients z.verdict_mismatches z.grade_downgrades z.bikz_classic z.bikz_graded
+  in
+  let json =
+    Report.Obj
+      [
+        ("coefficients", Report.Int z.coefficients);
+        ("verdict_mismatches", Report.Int z.verdict_mismatches);
+        ("grade_downgrades", Report.Int z.grade_downgrades);
+        ("bikz_classic", Report.Float z.bikz_classic);
+        ("bikz_graded", Report.Float z.bikz_graded);
+      ]
+  in
+  { Report.text; json }

@@ -17,8 +17,9 @@ let fig3 config =
   let run = Device.run device ~scope_rng:rng ~draws:[| (0, 1); (4, 0); (-5, 2) |] in
   let samples = run.Device.trace.Power.Ptrace.samples in
   let seg = Sca.Segment.default in
-  let bursts = Sca.Segment.burst_regions seg samples in
-  let wins = Sca.Segment.windows seg samples in
+  let view = Mathkit.Fvec.of_array samples in
+  let bursts = Sca.Segment.burst_regions_fv seg view in
+  let wins = Sca.Segment.windows_fv seg view in
   if Array.length wins < 4 then failwith "Experiment.fig3: segmentation failed";
   let sub i =
     let w = wins.(i) in
@@ -32,35 +33,36 @@ let fig3 config =
     sub_neg = sub 2;
   }
 
-let render_fig3 f =
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "Fig. 3 (a): power trace of three coefficient samplings\n";
-  Buffer.add_string buf
-    (Printf.sprintf "peaks (distribution calls) at sample ranges: %s\n"
-       (String.concat ", " (Array.to_list (Array.map (fun (a, b) -> Printf.sprintf "[%d,%d)" a b) f.bursts))));
-  Buffer.add_string buf (Power.Ptrace.ascii_plot ~width:110 ~height:14 f.full_portion);
-  Buffer.add_string buf "\nFig. 3 (b): branch sub-traces (control flow differs per case)\n";
-  Buffer.add_string buf "--- noise = 0 ---\n";
-  Buffer.add_string buf (Power.Ptrace.ascii_plot ~width:110 ~height:8 f.sub_zero);
-  Buffer.add_string buf "--- noise > 0 ---\n";
-  Buffer.add_string buf (Power.Ptrace.ascii_plot ~width:110 ~height:8 f.sub_pos);
-  Buffer.add_string buf "--- noise < 0 ---\n";
-  Buffer.add_string buf (Power.Ptrace.ascii_plot ~width:110 ~height:8 f.sub_neg);
-  Buffer.contents buf
-
-let json_fig3 f =
-  Report.Obj
-    [
-      ("samples", Report.Int (Array.length f.full_portion));
-      ( "bursts",
-        Report.List
-          (Array.to_list (Array.map (fun (a, b) -> Report.List [ Report.Int a; Report.Int b ]) f.bursts)) );
-      ("sub_zero_samples", Report.Int (Array.length f.sub_zero));
-      ("sub_pos_samples", Report.Int (Array.length f.sub_pos));
-      ("sub_neg_samples", Report.Int (Array.length f.sub_neg));
-    ]
-
-let fig3_doc f = { Report.text = render_fig3 f; json = json_fig3 f }
+let fig3_doc f =
+  let text =
+    let buf = Buffer.create 8192 in
+    Buffer.add_string buf "Fig. 3 (a): power trace of three coefficient samplings\n";
+    Buffer.add_string buf
+      (Printf.sprintf "peaks (distribution calls) at sample ranges: %s\n"
+         (String.concat ", " (Array.to_list (Array.map (fun (a, b) -> Printf.sprintf "[%d,%d)" a b) f.bursts))));
+    Buffer.add_string buf (Power.Ptrace.ascii_plot ~width:110 ~height:14 f.full_portion);
+    Buffer.add_string buf "\nFig. 3 (b): branch sub-traces (control flow differs per case)\n";
+    Buffer.add_string buf "--- noise = 0 ---\n";
+    Buffer.add_string buf (Power.Ptrace.ascii_plot ~width:110 ~height:8 f.sub_zero);
+    Buffer.add_string buf "--- noise > 0 ---\n";
+    Buffer.add_string buf (Power.Ptrace.ascii_plot ~width:110 ~height:8 f.sub_pos);
+    Buffer.add_string buf "--- noise < 0 ---\n";
+    Buffer.add_string buf (Power.Ptrace.ascii_plot ~width:110 ~height:8 f.sub_neg);
+    Buffer.contents buf
+  in
+  let json =
+    Report.Obj
+      [
+        ("samples", Report.Int (Array.length f.full_portion));
+        ( "bursts",
+          Report.List
+            (Array.to_list (Array.map (fun (a, b) -> Report.List [ Report.Int a; Report.Int b ]) f.bursts)) );
+        ("sub_zero_samples", Report.Int (Array.length f.sub_zero));
+        ("sub_pos_samples", Report.Int (Array.length f.sub_pos));
+        ("sub_neg_samples", Report.Int (Array.length f.sub_neg));
+      ]
+  in
+  { Report.text; json }
 
 (* --- Table I -------------------------------------------------------------- *)
 
@@ -70,49 +72,49 @@ let sign_accuracy_percent (s : Campaign.stats) =
 let value_accuracy_percent (s : Campaign.stats) =
   100.0 *. float_of_int s.Campaign.value_correct /. float_of_int (max 1 s.Campaign.value_total)
 
-let render_table1 env =
+let table1_doc env =
   let s = env.stats in
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "Table I: attack success percentages per actual coefficient (columns sum to 100)\n";
-  Buffer.add_string buf (Sca.Confusion.render ~lo:(-7) ~hi:7 s.Campaign.confusion);
-  Buffer.add_string buf
-    (Printf.sprintf "\nsign accuracy: %.2f%% (%d/%d)   value accuracy: %.2f%% (%d/%d)\n"
-       (sign_accuracy_percent s) s.Campaign.sign_correct s.Campaign.sign_total (value_accuracy_percent s)
-       s.Campaign.value_correct s.Campaign.value_total);
-  Buffer.contents buf
-
-let json_table1 env =
-  let s = env.stats in
-  let c = s.Campaign.confusion in
-  let lo = -7 and hi = 7 in
-  let range = List.init (hi - lo + 1) (fun i -> lo + i) in
-  let columns =
-    List.map
-      (fun actual ->
-        Report.Obj
-          [
-            ("actual", Report.Int actual);
-            ( "percent_predicted",
-              Report.Obj
-                (List.map
-                   (fun predicted ->
-                     (string_of_int predicted, Report.Float (Sca.Confusion.column_percent c ~actual ~predicted)))
-                   range) );
-          ])
-      range
+  let text =
+    let buf = Buffer.create 8192 in
+    Buffer.add_string buf "Table I: attack success percentages per actual coefficient (columns sum to 100)\n";
+    Buffer.add_string buf (Sca.Confusion.render ~lo:(-7) ~hi:7 s.Campaign.confusion);
+    Buffer.add_string buf
+      (Printf.sprintf "\nsign accuracy: %.2f%% (%d/%d)   value accuracy: %.2f%% (%d/%d)\n"
+         (sign_accuracy_percent s) s.Campaign.sign_correct s.Campaign.sign_total (value_accuracy_percent s)
+         s.Campaign.value_correct s.Campaign.value_total);
+    Buffer.contents buf
   in
-  Report.Obj
-    [
-      ("confusion_columns", Report.List columns);
-      ("sign_correct", Report.Int s.Campaign.sign_correct);
-      ("sign_total", Report.Int s.Campaign.sign_total);
-      ("sign_accuracy_percent", Report.Float (sign_accuracy_percent s));
-      ("value_correct", Report.Int s.Campaign.value_correct);
-      ("value_total", Report.Int s.Campaign.value_total);
-      ("value_accuracy_percent", Report.Float (value_accuracy_percent s));
-    ]
-
-let table1_doc env = { Report.text = render_table1 env; json = json_table1 env }
+  let json =
+    let c = s.Campaign.confusion in
+    let lo = -7 and hi = 7 in
+    let range = List.init (hi - lo + 1) (fun i -> lo + i) in
+    let columns =
+      List.map
+        (fun actual ->
+          Report.Obj
+            [
+              ("actual", Report.Int actual);
+              ( "percent_predicted",
+                Report.Obj
+                  (List.map
+                     (fun predicted ->
+                       (string_of_int predicted, Report.Float (Sca.Confusion.column_percent c ~actual ~predicted)))
+                     range) );
+            ])
+        range
+    in
+    Report.Obj
+      [
+        ("confusion_columns", Report.List columns);
+        ("sign_correct", Report.Int s.Campaign.sign_correct);
+        ("sign_total", Report.Int s.Campaign.sign_total);
+        ("sign_accuracy_percent", Report.Float (sign_accuracy_percent s));
+        ("value_correct", Report.Int s.Campaign.value_correct);
+        ("value_total", Report.Int s.Campaign.value_total);
+        ("value_accuracy_percent", Report.Float (value_accuracy_percent s));
+      ]
+  in
+  { Report.text; json }
 
 (* --- Table II -------------------------------------------------------------- *)
 
@@ -168,9 +170,6 @@ let table2_doc rows =
   Report.table ~title:"Table II: guessing probabilities derived from selected measurements\n"
     ~header:"secret |        -2        -1         0         1         2 |  centered  variance\n" table2_columns rows
 
-let render_table2 rows = (table2_doc rows).Report.text
-let json_table2 rows = (table2_doc rows).Report.json
-
 (* --- Tables III / IV --------------------------------------------------------- *)
 
 type security_report = Sink.security_report = {
@@ -207,22 +206,23 @@ let table3 env =
   in
   { paper_mode; calibrated }
 
-let render_table3 r =
-  Printf.sprintf
-    "Table III: cost of attack with/without hints, SEAL-128 (q=132120577, n=1024, sigma=3.2)\n\
-    \  attack without hints:                 %8.2f bikz  (~2^%.1f)   [paper: 382.25 bikz / 2^128]\n\
-    \  attack with hints (paper pipeline):   %8.2f bikz  (~2^%.1f)   [paper:  12.20 bikz / 2^4.4]\n\
-    \  attack with hints (calibrated):       %8.2f bikz  (~2^%.1f)   (honest posterior variances)\n\
-    \  calibrated hints: %d perfect, %d approximate\n"
-    r.paper_mode.bikz_no_hints r.paper_mode.bits_no_hints r.paper_mode.bikz_with_hints
-    r.paper_mode.bits_with_hints r.calibrated.bikz_with_hints r.calibrated.bits_with_hints
-    r.calibrated.perfect_hints r.calibrated.approximate_hints
-
-let json_table3 r =
-  Report.Obj
-    [ ("paper_mode", Sink.json_of_security r.paper_mode); ("calibrated", Sink.json_of_security r.calibrated) ]
-
-let table3_doc r = { Report.text = render_table3 r; json = json_table3 r }
+let table3_doc r =
+  let text =
+    Printf.sprintf
+      "Table III: cost of attack with/without hints, SEAL-128 (q=132120577, n=1024, sigma=3.2)\n\
+      \  attack without hints:                 %8.2f bikz  (~2^%.1f)   [paper: 382.25 bikz / 2^128]\n\
+      \  attack with hints (paper pipeline):   %8.2f bikz  (~2^%.1f)   [paper:  12.20 bikz / 2^4.4]\n\
+      \  attack with hints (calibrated):       %8.2f bikz  (~2^%.1f)   (honest posterior variances)\n\
+      \  calibrated hints: %d perfect, %d approximate\n"
+      r.paper_mode.bikz_no_hints r.paper_mode.bits_no_hints r.paper_mode.bikz_with_hints
+      r.paper_mode.bits_with_hints r.calibrated.bikz_with_hints r.calibrated.bits_with_hints
+      r.calibrated.perfect_hints r.calibrated.approximate_hints
+  in
+  let json =
+    Report.Obj
+      [ ("paper_mode", Sink.json_of_security r.paper_mode); ("calibrated", Sink.json_of_security r.calibrated) ]
+  in
+  { Report.text; json }
 
 type table4_report = {
   base : security_report;
@@ -278,50 +278,51 @@ let table4 env =
         ladder;
       }
 
-let render_table4 r =
-  let head =
-    Printf.sprintf
-      "Table IV: cost of attack using ONLY the branch vulnerability, SEAL-128\n\
-      \  attack without hints:        %8.2f bikz   [paper: 382.25]\n\
-      \  attack with sign hints:      %8.2f bikz   [paper: 253.29]\n\
-      \  attack with hints & guesses: %8.2f bikz   [paper: 252.83]\n\
-      \  number of guesses: %d   success probability: %.0f%%   [paper: 1 guess, 20%%]\n\
-      \  => signs alone cannot recover the message (2^%.1f remains)\n"
-      r.base.bikz_no_hints r.base.bikz_with_hints r.bikz_with_guess r.guesses
-      (100.0 *. r.guess_success_probability)
-      (Hints.Bkz_model.security_bits r.base.bikz_with_hints)
+let table4_doc r =
+  let text =
+    let head =
+      Printf.sprintf
+        "Table IV: cost of attack using ONLY the branch vulnerability, SEAL-128\n\
+        \  attack without hints:        %8.2f bikz   [paper: 382.25]\n\
+        \  attack with sign hints:      %8.2f bikz   [paper: 253.29]\n\
+        \  attack with hints & guesses: %8.2f bikz   [paper: 252.83]\n\
+        \  number of guesses: %d   success probability: %.0f%%   [paper: 1 guess, 20%%]\n\
+        \  => signs alone cannot recover the message (2^%.1f remains)\n"
+        r.base.bikz_no_hints r.base.bikz_with_hints r.bikz_with_guess r.guesses
+        (100.0 *. r.guess_success_probability)
+        (Hints.Bkz_model.security_bits r.base.bikz_with_hints)
+    in
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf head;
+    Buffer.add_string buf "  extension - guess ladder on the FULL attack's posteriors ([31]'s hints & guesses):\n";
+    List.iteri
+      (fun i step ->
+        if i = 0 || (i + 1) mod 4 = 0 then
+          Buffer.add_string buf
+            (Printf.sprintf "    %2d guesses: success %5.1f%%  -> %7.2f bikz\n" step.Hints.Hint.guesses
+               (100.0 *. step.Hints.Hint.success_probability)
+               step.Hints.Hint.bikz))
+      r.ladder;
+    Buffer.contents buf
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf head;
-  Buffer.add_string buf "  extension - guess ladder on the FULL attack's posteriors ([31]'s hints & guesses):\n";
-  List.iteri
-    (fun i step ->
-      if i = 0 || (i + 1) mod 4 = 0 then
-        Buffer.add_string buf
-          (Printf.sprintf "    %2d guesses: success %5.1f%%  -> %7.2f bikz\n" step.Hints.Hint.guesses
-             (100.0 *. step.Hints.Hint.success_probability)
-             step.Hints.Hint.bikz))
-    r.ladder;
-  Buffer.contents buf
-
-let json_table4 r =
-  Report.Obj
-    [
-      ("base", Sink.json_of_security r.base);
-      ("bikz_with_guess", Report.Float r.bikz_with_guess);
-      ("guesses", Report.Int r.guesses);
-      ("guess_success_probability", Report.Float r.guess_success_probability);
-      ( "ladder",
-        Report.List
-          (List.map
-             (fun (step : Hints.Hint.ladder_step) ->
-               Report.Obj
-                 [
-                   ("guesses", Report.Int step.Hints.Hint.guesses);
-                   ("success_probability", Report.Float step.Hints.Hint.success_probability);
-                   ("bikz", Report.Float step.Hints.Hint.bikz);
-                 ])
-             r.ladder) );
-    ]
-
-let table4_doc r = { Report.text = render_table4 r; json = json_table4 r }
+  let json =
+    Report.Obj
+      [
+        ("base", Sink.json_of_security r.base);
+        ("bikz_with_guess", Report.Float r.bikz_with_guess);
+        ("guesses", Report.Int r.guesses);
+        ("guess_success_probability", Report.Float r.guess_success_probability);
+        ( "ladder",
+          Report.List
+            (List.map
+               (fun (step : Hints.Hint.ladder_step) ->
+                 Report.Obj
+                   [
+                     ("guesses", Report.Int step.Hints.Hint.guesses);
+                     ("success_probability", Report.Float step.Hints.Hint.success_probability);
+                     ("bikz", Report.Float step.Hints.Hint.bikz);
+                   ])
+               r.ladder) );
+      ]
+  in
+  { Report.text; json }

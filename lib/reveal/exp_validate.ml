@@ -12,18 +12,19 @@ let signs env =
     accuracy_percent = 100.0 *. float_of_int s.Campaign.sign_correct /. float_of_int (max 1 s.Campaign.sign_total);
   }
 
-let render_signs r =
-  Printf.sprintf "Sign recovery: %d/%d = %.2f%%   [paper: 100%%]\n" r.correct r.total r.accuracy_percent
-
-let json_signs r =
-  Report.Obj
-    [
-      ("correct", Report.Int r.correct);
-      ("total", Report.Int r.total);
-      ("accuracy_percent", Report.Float r.accuracy_percent);
-    ]
-
-let signs_doc r = { Report.text = render_signs r; json = json_signs r }
+let signs_doc r =
+  let text =
+    Printf.sprintf "Sign recovery: %d/%d = %.2f%%   [paper: 100%%]\n" r.correct r.total r.accuracy_percent
+  in
+  let json =
+    Report.Obj
+      [
+        ("correct", Report.Int r.correct);
+        ("total", Report.Int r.total);
+        ("accuracy_percent", Report.Float r.accuracy_percent);
+      ]
+  in
+  { Report.text; json }
 
 type recovery_report = {
   n : int;
@@ -68,7 +69,11 @@ let recovery config =
   | Some m' when Bfv.Keys.plaintext_equal m m' -> ()
   | _ -> failwith "Experiment.recovery: eq. (3) sanity check failed");
   (* the attack *)
-  let results = Campaign.attack_trace prof run in
+  let results =
+    match Campaign.attack_trace prof run with
+    | Ok results -> results
+    | Error e -> failwith ("Experiment.recovery: " ^ Pipeline.error_to_string e)
+  in
   let recovered = Array.map (fun r -> r.Campaign.verdict.Sca.Attack.value) results in
   let exact = ref 0 in
   Array.iteri (fun i v -> if v = run.Device.noises.(i) then incr exact) recovered;
@@ -107,33 +112,34 @@ let recovery config =
     log2_full_recovery_probability = !log2_all;
   }
 
-let render_recovery r =
-  Printf.sprintf
-    "End-to-end single-trace recovery (n = %d):\n\
-    \  eq.(3) with true e1,e2: message recovered exactly (sanity check passed)\n\
-    \  attacked coefficients exactly right: %d / %d (%.1f%%)\n\
-    \  plaintext recovered from raw guesses alone: %b\n\
-    \  expected wrong coefficients (posterior-based): %.1f; P(all correct) = 2^%.0f\n\
-    \  => the lattice stage is what absorbs the residue:\n\
-    \  residual search space from posteriors: %.2f bikz (~2^%.1f)\n"
-    r.n r.coefficients_exact r.coefficients_total
-    (100.0 *. float_of_int r.coefficients_exact /. float_of_int r.coefficients_total)
-    r.message_recovered_exactly r.expected_wrong r.log2_full_recovery_probability r.residual_bikz
-    (Hints.Bkz_model.security_bits r.residual_bikz)
-
-let json_recovery r =
-  Report.Obj
-    [
-      ("n", Report.Int r.n);
-      ("coefficients_total", Report.Int r.coefficients_total);
-      ("coefficients_exact", Report.Int r.coefficients_exact);
-      ("message_recovered_exactly", Report.Bool r.message_recovered_exactly);
-      ("residual_bikz", Report.Float r.residual_bikz);
-      ("expected_wrong", Report.Float r.expected_wrong);
-      ("log2_full_recovery_probability", Report.Float r.log2_full_recovery_probability);
-    ]
-
-let recovery_doc r = { Report.text = render_recovery r; json = json_recovery r }
+let recovery_doc r =
+  let text =
+    Printf.sprintf
+      "End-to-end single-trace recovery (n = %d):\n\
+      \  eq.(3) with true e1,e2: message recovered exactly (sanity check passed)\n\
+      \  attacked coefficients exactly right: %d / %d (%.1f%%)\n\
+      \  plaintext recovered from raw guesses alone: %b\n\
+      \  expected wrong coefficients (posterior-based): %.1f; P(all correct) = 2^%.0f\n\
+      \  => the lattice stage is what absorbs the residue:\n\
+      \  residual search space from posteriors: %.2f bikz (~2^%.1f)\n"
+      r.n r.coefficients_exact r.coefficients_total
+      (100.0 *. float_of_int r.coefficients_exact /. float_of_int r.coefficients_total)
+      r.message_recovered_exactly r.expected_wrong r.log2_full_recovery_probability r.residual_bikz
+      (Hints.Bkz_model.security_bits r.residual_bikz)
+  in
+  let json =
+    Report.Obj
+      [
+        ("n", Report.Int r.n);
+        ("coefficients_total", Report.Int r.coefficients_total);
+        ("coefficients_exact", Report.Int r.coefficients_exact);
+        ("message_recovered_exactly", Report.Bool r.message_recovered_exactly);
+        ("residual_bikz", Report.Float r.residual_bikz);
+        ("expected_wrong", Report.Float r.expected_wrong);
+        ("log2_full_recovery_probability", Report.Float r.log2_full_recovery_probability);
+      ]
+  in
+  { Report.text; json }
 
 (* --- toy lattice validation -------------------------------------------------------- *)
 
@@ -202,9 +208,6 @@ let toylattice_doc rows =
     ~title:"Estimator vs. solver on toy Ring-LWE (sigma = 3.19, q shrinks as n grows to stay lattice-solvable):\n"
     ~footer:"(hints shrink the instance; estimator and solver must agree on the trend)\n" toylattice_columns rows
 
-let render_toylattice rows = (toylattice_doc rows).Report.text
-let json_toylattice rows = (toylattice_doc rows).Report.json
-
 (* --- leakage assessment -------------------------------------------------------------- *)
 
 type tvla_row = {
@@ -221,7 +224,7 @@ let tvla_windows device rng ~count ~draw =
     Array.init count (fun _ ->
         let run = Device.run device ~scope_rng:rng ~draws:[| draw rng |] in
         let samples = run.Device.trace.Power.Ptrace.samples in
-        let wins = Sca.Segment.windows seg samples in
+        let wins = Sca.Segment.windows_fv seg (Mathkit.Fvec.of_array samples) in
         if Array.length wins < 1 then failwith "Experiment.tvla: no window";
         let w = wins.(0) in
         Array.sub samples w.Sca.Segment.start (w.Sca.Segment.stop - w.Sca.Segment.start))
@@ -273,9 +276,6 @@ let tvla_doc rows =
       \ arithmetic is data-dependent -- the paper's 'may have a different vulnerability')\n"
     tvla_columns rows
 
-let render_tvla rows = (tvla_doc rows).Report.text
-let json_tvla rows = (tvla_doc rows).Report.json
-
 type averaging_row = { traces_averaged : int; value_accuracy : float }
 
 let averaging config =
@@ -325,9 +325,6 @@ let averaging_doc rows =
       "(BFV samples fresh noise per encryption, so the real adversary gets K = 1;\n\
       \ this is why the paper's attack is designed to be single-trace)\n"
     averaging_columns rows
-
-let render_averaging rows = (averaging_doc rows).Report.text
-let json_averaging rows = (averaging_doc rows).Report.json
 
 (* --- feature-extraction comparison ---------------------------------------------------- *)
 
@@ -387,6 +384,3 @@ let features_columns =
 let features_doc rows =
   Report.table ~title:"Feature-extraction comparison (flat 29-class templates, same data):\n" ~header:""
     features_columns rows
-
-let render_features rows = (features_doc rows).Report.text
-let json_features rows = (features_doc rows).Report.json

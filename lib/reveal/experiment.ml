@@ -33,5 +33,10 @@ let artefacts : (string * (config -> env Lazy.t -> Report.doc)) list =
 
 let artefact_names = List.map fst artefacts
 
+let golden_artefacts =
+  List.map
+    (fun name -> (name, String.map (function '-' -> '_' | c -> c) name ^ ".txt"))
+    [ "fig3"; "table1"; "table2"; "table3"; "table4"; "signs"; "averaging"; "ablate-features"; "fault-sweep" ]
+
 let artefact name config =
   Option.map (fun build -> build config (lazy (prepare config))) (List.assoc_opt name artefacts)

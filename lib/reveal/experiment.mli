@@ -3,9 +3,9 @@
     One function per artefact of the paper's evaluation (Fig. 3,
     Tables I-IV) plus the supporting validations and the ablations
     called out in DESIGN.md.  Every runner is deterministic given the
-    configuration's seed, returns its numbers in a record, and renders
-    a printable report through [render_*].  The bench executable is a
-    thin dispatcher over this module. *)
+    configuration's seed and returns its numbers in a record; the
+    {!artefacts} registry renders each one as a {!Report.doc}.  The
+    bench executable is a thin dispatcher over this module. *)
 
 type config = {
   seed : int64;
@@ -22,6 +22,10 @@ val paper_scale : config
 (** The paper's campaign: n = 1024, ~7600 windows/value (220k
     profiling samplings), 25 traces (25 600 attacked coefficients).
     Minutes, not seconds. *)
+
+val golden_config : config
+(** The campaign the report goldens are recorded with: n = 64, 80
+    windows/value, 2 traces, the default seed. *)
 
 val obs_golden_config : config
 (** Tiny campaign for the observability golden: n = 64, 40
@@ -52,13 +56,6 @@ type fig3 = {
 }
 
 val fig3 : config -> fig3
-val render_fig3 : fig3 -> string
-
-(* --- Table I ----------------------------------------------------------- *)
-
-val render_table1 : env -> string
-(** Confusion matrix, columns -7..7 as printed in the paper (the full
-    -14..14 matrix is in the stats record). *)
 
 (* --- Table II ---------------------------------------------------------- *)
 
@@ -70,7 +67,6 @@ type table2_row = {
 }
 
 val table2 : env -> table2_row list
-val render_table2 : table2_row list -> string
 
 (* --- Tables III / IV ----------------------------------------------------- *)
 
@@ -99,8 +95,6 @@ val table3 : env -> table3_report
 (** Full attack: posteriors of 1024 attacked coefficients as hints on
     the e2 coordinates of the SEAL-128 instance. *)
 
-val render_table3 : table3_report -> string
-
 type table4_report = {
   base : security_report;  (** sign/zero hints only *)
   bikz_with_guess : float;
@@ -112,14 +106,12 @@ type table4_report = {
 }
 
 val table4 : env -> table4_report
-val render_table4 : table4_report -> string
 
 (* --- supporting experiments ----------------------------------------------- *)
 
 type sign_report = { correct : int; total : int; accuracy_percent : float }
 
 val signs : env -> sign_report
-val render_signs : sign_report -> string
 
 type recovery_report = {
   n : int;
@@ -137,8 +129,6 @@ val recovery : config -> recovery_report
 (** End-to-end: encrypt on the device, attack the trace, rebuild e1/e2
     and run eq. (3); also quantifies the remaining search space. *)
 
-val render_recovery : recovery_report -> string
-
 type toylattice_row = {
   toy_n : int;
   hints_given : int;
@@ -151,8 +141,6 @@ val toylattice : config -> toylattice_row list
     instances handed to LLL/BKZ; solved iff the planted (u, e2) comes
     back.  More hints => lower predicted bikz => solvable. *)
 
-val render_toylattice : toylattice_row list -> string
-
 (* --- defenses and ablations -------------------------------------------------- *)
 
 type defense_report = {
@@ -164,8 +152,6 @@ type defense_report = {
 
 val defenses : config -> defense_report list
 (** Vulnerable vs v3.6-style branchless vs shuffled sampling order. *)
-
-val render_defenses : defense_report list -> string
 
 type tvla_row = {
   sampler : string;
@@ -180,8 +166,6 @@ val tvla : config -> tvla_row list
     the quantitative form of the paper's "v3.6 may have a different
     vulnerability". *)
 
-val render_tvla : tvla_row list -> string
-
 type averaging_row = { traces_averaged : int; value_accuracy : float }
 
 val averaging : config -> averaging_row list
@@ -190,8 +174,6 @@ val averaging : config -> averaging_row list
     push value recovery toward 100%.  BFV encryption forbids that —
     fresh noise every run — which is exactly why the paper's attack
     must work from a single trace. *)
-
-val render_averaging : averaging_row list -> string
 
 type ablation_row = { label : string; sign_accuracy : float; value_accuracy : float }
 
@@ -213,9 +195,6 @@ val ablate_features : config -> feature_row list
     method the paper cites), PCA principal-subspace templates
     (Archambeau et al.) and correlation-selected POIs.  Single 29-class
     templates, so the numbers isolate the feature choice. *)
-
-val render_features : feature_row list -> string
-val render_ablation : title:string -> ablation_row list -> string
 
 (* --- fault tolerance ---------------------------------------------------------- *)
 
@@ -243,8 +222,6 @@ val fault_sweep : ?intensities:float array -> config -> fault_sweep_row list
     the graded hints.  Deterministic given the config seed.  Default
     intensities: 0, 0.25, 0.5, 0.75, 1. *)
 
-val render_fault_sweep : fault_sweep_row list -> string
-
 val fault_sweep_check :
   ?recovery_tolerance:float -> ?bikz_tolerance:float -> fault_sweep_row list -> (unit, string) result
 (** The sweep's two invariants: recovery rate is monotone
@@ -267,28 +244,14 @@ val fault_zero_consistency : config -> zero_consistency
     same seeds — verdicts must match coefficient for coefficient and
     the graded hint ladder must reproduce the calibrated bikz. *)
 
-val render_zero_consistency : zero_consistency -> string
+(* --- rendered artefacts -------------------------------------------------------------- *)
 
-(* --- machine-readable artefacts -------------------------------------------------- *)
-
-(** Every artefact is also available as a {!Report.doc}: the historical
+(** Every artefact renders as a {!Report.doc}: the historical
     byte-exact text plus a JSON rendering of the same rows, both
-    produced from one declaration (see {!Report.table}).  The [_doc]
-    builders take the same inputs as the corresponding [render_*]. *)
+    produced from one declaration (see {!Report.table}).  The
+    {!artefacts} registry is the way in; the fault-sweep command also
+    renders its two reports directly. *)
 
-val fig3_doc : fig3 -> Report.doc
-val table1_doc : env -> Report.doc
-val table2_doc : table2_row list -> Report.doc
-val table3_doc : table3_report -> Report.doc
-val table4_doc : table4_report -> Report.doc
-val signs_doc : sign_report -> Report.doc
-val recovery_doc : recovery_report -> Report.doc
-val toylattice_doc : toylattice_row list -> Report.doc
-val defenses_doc : defense_report list -> Report.doc
-val tvla_doc : tvla_row list -> Report.doc
-val averaging_doc : averaging_row list -> Report.doc
-val features_doc : feature_row list -> Report.doc
-val ablation_doc : title:string -> ablation_row list -> Report.doc
 val fault_sweep_doc : fault_sweep_row list -> Report.doc
 val zero_consistency_doc : zero_consistency -> Report.doc
 
@@ -300,6 +263,11 @@ val artefacts : (string * (config -> env Lazy.t -> Report.doc)) list
     build is deterministic in [config.seed]. *)
 
 val artefact_names : string list
+
+val golden_artefacts : (string * string) list
+(** The artefacts pinned byte for byte at {!golden_config}, each with
+    its golden's file name.  The golden tests and the generator that
+    rewrites the goldens both walk this one list. *)
 
 val artefact : string -> config -> Report.doc option
 (** Look up and build one artefact; [None] for an unknown name. *)

@@ -16,8 +16,7 @@ type error =
 
 let error_to_string = function
   | Window_count { expected; found } ->
-      (* the historical message of the strict attack path — tests and
-         scripts match on it *)
+      (* the strict attack path's historical wording *)
       Printf.sprintf "Campaign: segmentation found %d windows for %d coefficients" found expected
   | Segmentation e -> Sca.Segment.error_to_string e
   | Corrupt_record msg -> Printf.sprintf "corrupt record: %s" msg
@@ -27,8 +26,7 @@ let error_to_string = function
 
 type classifier = Classifier : (module Sca.Classifier.S with type t = 'c) * 'c -> classifier
 
-let template_classifier attack = Classifier ((module Sca.Classifier.Template), attack)
-let classifier_of_profile prof = template_classifier prof.attack
+let classifier_of_profile prof = Classifier ((module Sca.Classifier.Template), prof.attack)
 
 (* --- segmenter stage ------------------------------------------------------ *)
 
@@ -76,7 +74,6 @@ end
 
 let strict_segmenter : segmenter = (module Strict_segmenter)
 let resilient_segmenter : segmenter = (module Resilient_segmenter)
-let segmenter_name (module S : SEGMENTER) = S.name
 let run_segmenter (module S : SEGMENTER) prof ~count samples = S.segment prof ~count samples
 
 (* --- source stage --------------------------------------------------------- *)
@@ -99,7 +96,6 @@ end
 
 type source = Source : (module SOURCE with type t = 's) * 's -> source
 
-let source_name (Source ((module S), _)) = S.name
 let next_item (Source ((module S), s)) = S.next s
 let close_source (Source ((module S), s)) = S.close s
 

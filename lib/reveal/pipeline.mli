@@ -1,6 +1,6 @@
 (** The staged attack pipeline: typed stage interfaces and errors.
 
-    Every campaign — live, archive replay, synthetic — is the same
+    Every campaign — live or archive replay — is the same
     composition
 
     {v Source -> Segmenter -> Classifier -> Grader -> Sink v}
@@ -42,21 +42,19 @@ type error =
   | Io of string
 
 val error_to_string : error -> string
-(** Renders [Window_count] as the historical
-    ["Campaign: segmentation found %d windows for %d coefficients"]
-    message — callers that must keep raising [Failure] with the legacy
-    text feed this through [failwith]. *)
+(** A one-line message for the user.  [Window_count] renders as
+    ["Campaign: segmentation found %d windows for %d coefficients"]. *)
 
 (** {1 Classifier stage}
 
     The per-window classification step, packed existentially so a
     driver can carry any {!Sca.Classifier.S} instance without a type
-    parameter.  {!template_classifier} wraps the combined template
-    attack; an ML classifier only has to implement the signature. *)
+    parameter.  {!classifier_of_profile} wraps the profile's combined
+    template attack; an ML classifier only has to implement the
+    signature. *)
 
 type classifier = Classifier : (module Sca.Classifier.S with type t = 'c) * 'c -> classifier
 
-val template_classifier : Sca.Attack.t -> classifier
 val classifier_of_profile : profile -> classifier
 
 (** {1 Segmenter stage} *)
@@ -88,10 +86,9 @@ val strict_segmenter : segmenter
     classic pipeline. *)
 
 val resilient_segmenter : segmenter
-(** {!Sca.Segment.segment}: repairs miscounted bursts and reports
+(** {!Sca.Segment.segment_fv}: repairs miscounted bursts and reports
     per-window quality.  The fault-tolerant pipeline. *)
 
-val segmenter_name : segmenter -> string
 val run_segmenter : segmenter -> profile -> count:int -> Mathkit.Fvec.t -> (segmented, error) result
 
 (** {1 Source stage}
@@ -127,7 +124,6 @@ end
 
 type source = Source : (module SOURCE with type t = 's) * 's -> source
 
-val source_name : source -> string
 val next_item : source -> [ `Item of item | `Skip of string | `End ]
 val close_source : source -> unit
 

@@ -8,7 +8,8 @@ let put_template b (t : Sca.Template.t) =
   Traceio.Codec.put_ints b t.Sca.Template.labels;
   Traceio.Binio.put_varint b (Int64.of_int (Array.length t.Sca.Template.means));
   Array.iter (Traceio.Codec.put_floats b) t.Sca.Template.means;
-  let cov = Mathkit.Matrix.to_arrays t.Sca.Template.inv_cov in
+  (* v3 layout: one float row per matrix row, in row order *)
+  let cov = Mathkit.Fmat.to_arrays t.Sca.Template.inv_cov in
   Traceio.Binio.put_varint b (Int64.of_int (Array.length cov));
   Array.iter (Traceio.Codec.put_floats b) cov;
   Traceio.Binio.put_f64 b t.Sca.Template.log_det;
@@ -29,10 +30,8 @@ let get_template ~path c =
     cov;
   let log_det = Traceio.Binio.get_f64 c in
   let pois = Traceio.Codec.get_ints c in
-  let inv_cov = Mathkit.Matrix.of_arrays cov in
-  (* the flat scoring copy is derived, never serialized — the cache
-     format is unchanged across the numeric-core refactor *)
-  { Sca.Template.labels; means; inv_cov; inv_cov_fm = Mathkit.Fmat.of_matrix inv_cov; log_det; pois }
+  let inv_cov = Mathkit.Fmat.of_matrix (Mathkit.Matrix.of_arrays cov) in
+  { Sca.Template.labels; means; inv_cov; log_det; pois }
 
 let put_threshold b = function
   | Sca.Segment.Auto -> Traceio.Binio.put_u8 b 0

@@ -14,7 +14,7 @@ let labelled_windows segment ~samples ~noises =
    attack traces segment identically. *)
 let calibrate_threshold device rng =
   let run = Device.run_gaussian device ~scope_rng:rng ~sampler_rng:rng in
-  Sca.Segment.auto_threshold Sca.Segment.default run.Device.trace.Power.Ptrace.samples
+  Sca.Segment.auto_threshold_fv Sca.Segment.default (Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples)
 
 let segment_of_threshold threshold =
   { Sca.Segment.default with Sca.Segment.threshold = Sca.Segment.Absolute threshold }

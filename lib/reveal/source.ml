@@ -98,33 +98,3 @@ let of_trace_source stream =
   Pipeline.Source ((module M), ())
 
 let archive_replay ?strict ?obs path = of_trace_source (Traceio.Source.of_archive ?strict ?obs path)
-
-let of_runs ~name runs =
-  let pos = ref 0 in
-  let module M = struct
-    type t = unit
-
-    let name = name
-
-    let next () =
-      if !pos >= Array.length runs then `End
-      else begin
-        let i = !pos in
-        let run : Device.run = runs.(i) in
-        incr pos;
-        `Item
-          {
-            Pipeline.index = i;
-            acquire =
-              (fun () ->
-                {
-                  Pipeline.samples = Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples;
-                  noises = run.Device.noises;
-                  remeasure = None;
-                });
-          }
-      end
-
-    let close () = ()
-  end in
-  Pipeline.Source ((module M), ())

@@ -1,9 +1,10 @@
 (** Concrete trace sources behind {!Pipeline.SOURCE}.
 
-    Three instances cover every campaign the repo runs: a live device
-    ({!device_live}), an archive replay ({!archive_replay}, over
-    {!Traceio.Source}), and an in-memory run list ({!of_runs},
-    synthetic campaigns and tests).  The drivers in {!Campaign} are
+    Two instances cover every campaign the repo runs: a live device
+    ({!device_live}, or a slice of one with {!device_live_range}) and
+    an archive replay ({!archive_replay}, over {!Traceio.Source}); any
+    other record stream adapts through {!of_trace_source}.  The
+    drivers in {!Campaign} are
     written against the source interface only — adding an acquisition
     backend (a remote scope, a different file format) means writing
     one of these, nothing else. *)
@@ -52,9 +53,6 @@ val archive_replay : ?strict:bool -> ?obs:Obs.Ctx.t -> string -> Pipeline.source
     [obs] forwards to the underlying archive reader, whose read/skip
     counters land in the context's metrics registry.
     @raise Traceio.Error.Io when the file cannot be opened. *)
-
-val of_runs : name:string -> Device.run array -> Pipeline.source
-(** An in-memory source over already-captured runs. *)
 
 val of_trace_source : Traceio.Source.t -> Pipeline.source
 (** Adapt any {!Traceio.Source} record stream (indices assigned in

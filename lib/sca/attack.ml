@@ -32,7 +32,7 @@ let group_template ~poi_count ~sigma classes =
   in
   (template, priors, pois)
 
-let build ?(poi_count = 24) ?(sign_poi_count = 10) ~sigma classes =
+let build ~poi_count ~sign_poi_count ~sigma classes =
   (match classes with [] -> invalid_arg "Attack.build: no profiling classes" | _ -> ());
   let group s = List.filter (fun (label, _) -> sign_of_label label = s) classes in
   let neg_template, neg_priors, pois_neg = group_template ~poi_count ~sigma (group (-1)) in

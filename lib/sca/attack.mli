@@ -40,17 +40,12 @@ type verdict = {
 
 val sign_of_label : int -> int
 
-val build :
-  ?poi_count:int ->
-  ?sign_poi_count:int ->
-  sigma:float ->
-  (int * float array array) list ->
-  t
-(** [build ~sigma classes] profiles from labelled windows
-    ([label, window_vectors]).  POIs are selected by SOSD —
-    independently for the sign grouping and within each sign group.
-    [sigma] shapes the value priors.  Defaults: 16 POIs per value
-    group, 6 sign POIs. *)
+val build : poi_count:int -> sign_poi_count:int -> sigma:float -> (int * float array array) list -> t
+(** [build ~poi_count ~sign_poi_count ~sigma classes] profiles from
+    labelled windows ([label, window_vectors]).  POIs are selected by
+    SOSD — [sign_poi_count] for the sign grouping and [poi_count]
+    within each sign group (the pipeline uses 6 and 16).  [sigma]
+    shapes the value priors. *)
 
 (** {1 Scoring}
 

@@ -41,22 +41,6 @@ let transform t window =
       done;
       !acc)
 
-let transform_all t rows = Array.map (transform t) rows
-
-(* View-reading variant for callers that hold Fvec windows; the
-   projection itself is cold (ablation only), so the result stays a
-   plain array.  Same arithmetic as [transform]. *)
-let transform_fv t window =
-  let d = Array.length t.mean in
-  if Mathkit.Fvec.length window <> d then invalid_arg "Pca.transform: dimension mismatch";
-  let centered = Array.init d (fun i -> Mathkit.Fvec.get window i -. t.mean.(i)) in
-  Array.init (components t) (fun c ->
-      let acc = ref 0.0 in
-      for i = 0 to d - 1 do
-        acc := !acc +. (centered.(i) *. Mathkit.Matrix.get t.basis i c)
-      done;
-      !acc)
-
 let explained classes ~k =
   let _, scatter = between_class_scatter classes in
   let values, _ = Mathkit.Linalg.jacobi_eigen scatter in

@@ -21,11 +21,6 @@ val components : t -> int
 val transform : t -> float array -> float array
 (** Project one window into the subspace. *)
 
-val transform_all : t -> float array array -> float array array
-
-val transform_fv : t -> Mathkit.Fvec.t -> float array
-(** [transform] reading from an {!Mathkit.Fvec} view (same values). *)
-
 val explained : (int * float array array) list -> k:int -> float
 (** Fraction of between-class variance captured by the top k
     components — the knob-tuning diagnostic. *)

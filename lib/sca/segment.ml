@@ -12,9 +12,7 @@ let default = { threshold = Auto; smooth_radius = 2; merge_gap = 55; min_burst =
 type window = { start : int; stop : int }
 
 (* The segmentation kernels are Fvec-native: one borrowed view of the
-   trace in, no per-stage copies.  The historical float-array entry
-   points below are thin of_array shims — same arithmetic, so the two
-   forms are bit-identical (pinned by test_sca). *)
+   trace in, no per-stage copies. *)
 
 module Fvec = Mathkit.Fvec
 
@@ -61,8 +59,6 @@ let smooth_fv radius samples =
     out
   end
 
-let smooth radius samples = Fvec.to_array (smooth_fv radius (Fvec.of_array samples))
-
 (* Otsu's method: pick the level that best separates the bimodal
    power histogram (busy divider vs ordinary code).  Unlike a
    percentile midpoint, it does not care what fraction of the trace is
@@ -107,8 +103,6 @@ let otsu_fv samples =
 let auto_threshold_fv cfg samples =
   let s = smooth_fv cfg.smooth_radius samples in
   otsu_fv s
-
-let auto_threshold cfg samples = auto_threshold_fv cfg (Fvec.of_array samples)
 
 let burst_regions_fv cfg samples =
   let n = Fvec.length samples in
@@ -163,8 +157,6 @@ let burst_regions_fv cfg samples =
     List.filter_map anchor groups |> Array.of_list
   end
 
-let burst_regions cfg samples = burst_regions_fv cfg (Fvec.of_array samples)
-
 let windows_of_bursts bursts ~trace_len =
   Array.mapi
     (fun i b ->
@@ -173,8 +165,6 @@ let windows_of_bursts bursts ~trace_len =
     bursts
 
 let windows_fv cfg samples = windows_of_bursts (burst_regions_fv cfg samples) ~trace_len:(Fvec.length samples)
-
-let windows cfg samples = windows_fv cfg (Fvec.of_array samples)
 
 (* A window fully inside both its burst span and the trace is a
    borrowed sub-view (no copy); a short window gets a zero-padded
@@ -274,7 +264,7 @@ let resync bursts ~expected ~trace_len =
   end
 
 let segment_fv cfg ~expected samples =
-  if expected <= 0 then invalid_arg "Segment.segment: expected must be positive";
+  if expected <= 0 then invalid_arg "Segment.segment_fv: expected must be positive";
   let trace_len = Fvec.length samples in
   if trace_len = 0 then Error Empty_trace
   else begin
@@ -319,5 +309,3 @@ let segment_fv cfg ~expected samples =
       end
     end
   end
-
-let segment cfg ~expected samples = segment_fv cfg ~expected (Fvec.of_array samples)

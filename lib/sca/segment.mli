@@ -21,7 +21,7 @@ type threshold =
   | Auto  (** Otsu's bimodal split of the smoothed power histogram *)
   | Percentile of float
   | Absolute of float
-      (** profiling calibrates once with {!auto_threshold} and pins the
+      (** profiling calibrates once with {!auto_threshold_fv} and pins the
           level so that all traces segment identically *)
 
 type config = {
@@ -37,27 +37,39 @@ val default : config
 type window = { start : int; stop : int }
 (** Half-open sample range [start, stop). *)
 
-val smooth : int -> float array -> float array
-(** Centred moving average. *)
+(** Every kernel reads the trace as a borrowed {!Mathkit.Fvec} view:
+    one view in, no per-stage copies.  A [float array] caller wraps it
+    with {!Mathkit.Fvec.of_array}. *)
 
-val auto_threshold : config -> float array -> float
+val smooth_fv : int -> Mathkit.Fvec.t -> Mathkit.Fvec.t
+(** Centred moving average (a fresh vector). *)
+
+val auto_threshold_fv : config -> Mathkit.Fvec.t -> float
 (** The level the Auto rule would pick for this trace.  An empty trace
     yields 0.0 and a flat trace yields its constant level — both leave
-    {!burst_regions} with zero bursts rather than crashing; use
-    {!segment} to get a typed error instead. *)
+    {!burst_regions_fv} with zero bursts rather than crashing; use
+    {!segment_fv} to get a typed error instead. *)
 
-val burst_regions : config -> float array -> window array
+val burst_regions_fv : config -> Mathkit.Fvec.t -> window array
 (** Merged high-power regions, one per distribution call. *)
 
-val windows : config -> float array -> window array
+val windows_fv : config -> Mathkit.Fvec.t -> window array
 (** Quiet regions between consecutive bursts: window [i] covers
     coefficient [i]'s sign/assignment code.  The final window runs to
     the end of the trace. *)
 
+val views : Mathkit.Fvec.t -> window array -> length:int -> Mathkit.Fvec.t array
+(** Clip every window to its first [length] samples — the
+    fixed-dimension vectors the templates consume.  A window whose
+    first [length] samples lie inside both its span and the trace is
+    returned as a borrowed sub-view of [samples]; shorter windows get
+    a zero-padded fresh vector.  Views alias the trace — treat them as
+    read-only. *)
+
 (** {1 Resilient segmentation}
 
-    {!windows} silently returns however many windows it finds; on a
-    faulty capture that poisons everything downstream.  {!segment}
+    {!windows_fv} silently returns however many windows it finds; on a
+    faulty capture that poisons everything downstream.  {!segment_fv}
     instead validates the count against the expected number of
     distribution calls, repairs what it can, and reports per-window
     quality so the attack can gate its confidence. *)
@@ -79,8 +91,8 @@ type segmented = { wins : window array; quality : quality array }
 
 val error_to_string : segment_error -> string
 
-val segment : config -> expected:int -> float array -> (segmented, segment_error) result
-(** [segment cfg ~expected samples] returns exactly [expected] windows
+val segment_fv : config -> expected:int -> Mathkit.Fvec.t -> (segmented, segment_error) result
+(** [segment_fv cfg ~expected samples] returns exactly [expected] windows
     or a typed error — never a silent short array.  When the burst
     count is off it first drops glitch-length spurious bursts
     (< 0.6 x median length), then plants synthetic bursts at the median
@@ -88,27 +100,5 @@ val segment : config -> expected:int -> float array -> (segmented, segment_error
     affected windows are flagged [Resynced].  Windows whose length is a
     gross outlier (median absolute deviation test) are flagged
     [Suspect].  On a clean trace with the right burst count the result
-    equals {!windows} with every flag [Clean].
+    equals {!windows_fv} with every flag [Clean].
     @raise Invalid_argument when [expected <= 0]. *)
-
-(** {1 Fvec-native segmentation}
-
-    The kernels above are implemented over borrowed {!Mathkit.Fvec}
-    views; the [float array] entry points are thin [of_array] shims.
-    Both forms compute identical values (pinned by the equivalence
-    tests), so a caller can adopt views incrementally. *)
-
-val smooth_fv : int -> Mathkit.Fvec.t -> Mathkit.Fvec.t
-val auto_threshold_fv : config -> Mathkit.Fvec.t -> float
-val burst_regions_fv : config -> Mathkit.Fvec.t -> window array
-val windows_fv : config -> Mathkit.Fvec.t -> window array
-
-val views : Mathkit.Fvec.t -> window array -> length:int -> Mathkit.Fvec.t array
-(** Clip every window to its first [length] samples — the
-    fixed-dimension vectors the templates consume.  A window whose
-    first [length] samples lie inside both its span and the trace is
-    returned as a borrowed sub-view of [samples]; shorter windows get
-    a zero-padded fresh vector.  Views alias the trace — treat them as
-    read-only. *)
-
-val segment_fv : config -> expected:int -> Mathkit.Fvec.t -> (segmented, segment_error) result

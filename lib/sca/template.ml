@@ -1,8 +1,7 @@
 type t = {
   labels : int array;
   means : float array array;
-  inv_cov : Mathkit.Matrix.t;
-  inv_cov_fm : Mathkit.Fmat.t;
+  inv_cov : Mathkit.Fmat.t;
   log_det : float;
   pois : int array;
 }
@@ -21,9 +20,9 @@ let build ?(regularization = 1e-6) ~pois classes =
   let mean_diag = Mathkit.Matrix.trace pooled /. float_of_int d in
   let eps = regularization *. Float.max mean_diag 1e-12 in
   let cov = Mathkit.Linalg.regularize pooled eps in
-  let inv_cov = Mathkit.Linalg.inverse cov in
+  let inv_cov = Mathkit.Fmat.of_matrix (Mathkit.Linalg.inverse cov) in
   let log_det = Mathkit.Linalg.logdet cov in
-  { labels; means; inv_cov; inv_cov_fm = Mathkit.Fmat.of_matrix inv_cov; log_det; pois }
+  { labels; means; inv_cov; log_det; pois }
 
 let dimension t = match t.means with [||] -> 0 | ms -> Array.length ms.(0)
 
@@ -45,7 +44,8 @@ let make_scratch ?arena t =
 
 (* [Fmat.quadratic_form] replicates the accumulation order of
    [Matrix.dot d (Matrix.mul_vec inv_cov d)] exactly, so the scores
-   equal the boxed [Linalg.mahalanobis_sq] arithmetic bit for bit. *)
+   equal the boxed Mahalanobis arithmetic of the test oracle bit for
+   bit. *)
 let log_likelihoods_fv t s x =
   let open Mathkit in
   let dim = Fvec.length x in
@@ -58,12 +58,12 @@ let log_likelihoods_fv t s x =
   Fvec.check_range dbuf ~off:doff ~stride:dstr ~len:dim "Template.log_likelihoods_fv";
   Array.iteri
     (fun k mu ->
-      if Array.length mu <> dim then invalid_arg "Linalg.mahalanobis_sq: length mismatch";
+      if Array.length mu <> dim then invalid_arg "Template.log_likelihoods_fv: length mismatch";
       for j = 0 to dim - 1 do
         (* srclint: allow unsafe-index both view ranges check_range'd above, mu length checked per class *)
         Bigarray.Array1.unsafe_set dbuf (doff + (j * dstr)) (Bigarray.Array1.unsafe_get xbuf (xoff + (j * xstr)) -. Array.unsafe_get mu j)
       done;
-      s.ll.(k) <- const -. (0.5 *. Fmat.quadratic_form t.inv_cov_fm s.diff))
+      s.ll.(k) <- const -. (0.5 *. Fmat.quadratic_form t.inv_cov s.diff))
     t.means;
   s.ll
 
@@ -115,7 +115,7 @@ let scores_fv ~priors t s x =
   for i = 0 to k - 1 do
     s.post.(i) <- exp (ll.(i) -. z)
   done;
-  if Array.length priors <> k then invalid_arg "Template.posterior: prior length mismatch";
+  if Array.length priors <> k then invalid_arg "Template.scores_fv: prior length mismatch";
   Array.iteri (fun i pi -> ll.(i) <- ll.(i) +. log (Float.max pi 1e-300)) priors;
   let zp = lse_with_max ll (max_fold ll) in
   for i = 0 to k - 1 do
@@ -131,7 +131,7 @@ let scores_fv ~priors t s x =
 let priored_posterior_fv ~priors t s x =
   let ll = log_likelihoods_fv t s x in
   let k = Array.length ll in
-  if Array.length priors <> k then invalid_arg "Template.posterior: prior length mismatch";
+  if Array.length priors <> k then invalid_arg "Template.priored_posterior_fv: prior length mismatch";
   Array.iteri (fun i pi -> ll.(i) <- ll.(i) +. log (Float.max pi 1e-300)) priors;
   let zp = lse_with_max ll (max_fold ll) in
   for i = 0 to k - 1 do

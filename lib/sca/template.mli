@@ -13,9 +13,7 @@
 type t = {
   labels : int array;  (** class labels, e.g. coefficient values *)
   means : float array array;
-  inv_cov : Mathkit.Matrix.t;  (** inverse pooled covariance *)
-  inv_cov_fm : Mathkit.Fmat.t;
-      (** same matrix, flat row-major — the scoring-kernel copy *)
+  inv_cov : Mathkit.Fmat.t;  (** inverse pooled covariance, flat row-major *)
   log_det : float;
   pois : int array;  (** POI indices into the window, kept for bookkeeping *)
 }

@@ -128,9 +128,6 @@ let open_writer ?(obs = Obs.Ctx.disabled) ?(meta = []) ~variant ~n ~seed ~sample
   Frame.write ~path oc (header_payload h ~count:count_unknown);
   { w_path = path; oc; w_header = h; count = 0; w_closed = false; w_stats = writer_stats_of obs }
 
-let writer_count w = w.count
-let writer_path w = w.w_path
-
 let record_payload ~index ~noises trace =
   let b = Buffer.create (4 * Array.length trace.Power.Ptrace.samples) in
   Binio.put_varint b (Int64.of_int index);
@@ -236,8 +233,6 @@ let open_reader ?(obs = Obs.Ctx.disabled) path =
   with exn -> fail_with exn
 
 let header r = r.header
-let reader_path r = r.r_path
-
 let close_reader r =
   if not r.r_closed then begin
     r.r_closed <- true;
@@ -351,11 +346,6 @@ let next_batch r ~max =
 let with_reader ?obs path f =
   let r = open_reader ?obs path in
   Fun.protect ~finally:(fun () -> close_reader r) (fun () -> f r)
-
-let iter path f =
-  with_reader path (fun r ->
-      let rec loop () = match next r with None -> () | Some x -> f x; loop () in
-      loop ())
 
 let fold path f init =
   with_reader path (fun r ->

@@ -85,9 +85,6 @@ val append : writer -> noises:int array -> Power.Ptrace.t -> unit
     (label count, samples per cycle).
     @raise Error.Io on a write failure (message carries the path). *)
 
-val writer_count : writer -> int
-val writer_path : writer -> string
-
 val close_writer : writer -> unit
 (** Patches the finalised record count into the header and closes the
     file.  Idempotent.  An archive whose writer never closed is
@@ -111,7 +108,6 @@ val open_reader : ?obs:Obs.Ctx.t -> string -> reader
     archive. *)
 
 val header : reader -> header
-val reader_path : reader -> string
 
 val next : reader -> record option
 (** Next verified record; [None] at the declared end.
@@ -140,7 +136,6 @@ val try_next_fv : reader -> [ `Record of record_fv | `Skipped of string | `End_o
 val close_reader : reader -> unit
 
 val with_reader : ?obs:Obs.Ctx.t -> string -> (reader -> 'a) -> 'a
-val iter : string -> (record -> unit) -> unit
 val fold : string -> ('a -> record -> 'a) -> 'a -> 'a
 
 val rewrite : ?keep:int list -> ?span:int * int -> src:string -> dst:string -> unit -> int

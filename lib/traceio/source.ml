@@ -13,7 +13,8 @@ let next t = t.next ()
 let next_fv t = t.next_fv ()
 let close t = t.close ()
 
-let of_reader ?(strict = false) ~name reader =
+let of_archive ?(strict = false) ?obs path =
+  let reader = Archive.open_reader ?obs path in
   let next () =
     if strict then match Archive.next reader with Some r -> `Record r | None -> `End_of_archive
     else Archive.try_next reader
@@ -22,18 +23,6 @@ let of_reader ?(strict = false) ~name reader =
     if strict then match Archive.next_fv reader with Some r -> `Record r | None -> `End_of_archive
     else Archive.try_next_fv reader
   in
-  { name; next; next_fv; close = (fun () -> Archive.close_reader reader) }
-
-let of_archive ?strict ?obs path =
-  of_reader ?strict ~name:path (Archive.open_reader ?obs path)
+  { name = path; next; next_fv; close = (fun () -> Archive.close_reader reader) }
 
 let make_fv ~name ~next ~next_fv ~close = { name; next; next_fv; close }
-
-let fold t f acc =
-  let rec loop acc skipped =
-    match t.next () with
-    | `End_of_archive -> (acc, skipped)
-    | `Skipped _ -> loop acc (skipped + 1)
-    | `Record r -> loop (f acc r) skipped
-  in
-  Fun.protect ~finally:t.close (fun () -> loop acc 0)

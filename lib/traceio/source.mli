@@ -35,14 +35,8 @@ val of_archive : ?strict:bool -> ?obs:Obs.Ctx.t -> string -> t
     resumes at the next frame boundary.  With [~strict:true] the same
     condition raises {!Error.Corrupt} instead.  [obs] is forwarded to
     {!Archive.open_reader}, so read/skip totals land in its metrics
-    registry rather than in per-caller local counts ({!fold}'s skip
-    return stays as a convenience, but the registry is the durable
-    record).
+    registry rather than in per-caller local counts.
     @raise Error.Io when the file cannot be opened. *)
-
-val of_reader : ?strict:bool -> name:string -> Archive.reader -> t
-(** Same, over an already-open reader (closing the source closes the
-    reader). *)
 
 val make_fv :
   name:string -> next:(unit -> event) -> next_fv:(unit -> event_fv) -> close:(unit -> unit) -> t
@@ -50,7 +44,3 @@ val make_fv :
     the same stream in the two record shapes and must advance one
     shared cursor.  Both must keep returning [`End_of_archive] once
     they have; [close] must be idempotent. *)
-
-val fold : t -> ('a -> Archive.record -> 'a) -> 'a -> ('a * int)
-(** Drain the stream; returns the accumulator and the number of
-    skipped records.  Closes the source, also on exceptions. *)

@@ -1,18 +1,25 @@
 (* Boxed [float array] reference implementation of template scoring and
    of the five grading quantities — the oracle the seed-54398 property
    in test_sca holds [Sca.Attack.grade_fv], [sign_fit_fv] and
-   [value_fit_fv] to, bit for bit.  Plain arrays and the Matrix/Linalg
+   [value_fit_fv] to, bit for bit.  Plain arrays and the boxed Matrix
    kernels, each quantity computed by its own scoring pass: nothing
    shared with the Fvec path beyond the trained templates. *)
 
 (* --- one template ------------------------------------------------------------ *)
 
+(* Squared Mahalanobis distance (x-mu)^T S^-1 (x-mu): the row sums of
+   [Matrix.mul_vec], then [Matrix.dot] — the order [Fmat.quadratic_form]
+   must replicate. *)
+let mahalanobis_sq ~inv_cov x mu =
+  if Array.length x <> Array.length mu then invalid_arg "Scoring_oracle.mahalanobis_sq: length mismatch";
+  let d = Array.init (Array.length x) (fun i -> x.(i) -. mu.(i)) in
+  Mathkit.Matrix.dot d (Mathkit.Matrix.mul_vec inv_cov d)
+
 let log_likelihoods (t : Sca.Template.t) x =
   let d = float_of_int (Array.length x) in
   let const = -0.5 *. ((d *. log (2.0 *. Float.pi)) +. t.Sca.Template.log_det) in
-  Array.map
-    (fun mu -> const -. (0.5 *. Mathkit.Linalg.mahalanobis_sq ~inv_cov:t.Sca.Template.inv_cov x mu))
-    t.Sca.Template.means
+  let inv_cov = Mathkit.Matrix.of_arrays (Mathkit.Fmat.to_arrays t.Sca.Template.inv_cov) in
+  Array.map (fun mu -> const -. (0.5 *. mahalanobis_sq ~inv_cov x mu)) t.Sca.Template.means
 
 let posterior ?priors t x =
   let ll = log_likelihoods t x in

@@ -59,8 +59,6 @@ let test_constants_ssot () =
   Alcotest.(check (array int)) "default_values -14..14"
     (Array.init 29 (fun i -> i - 14))
     Reveal.Constants.default_values;
-  Alcotest.(check bool) "Campaign.default_values is the Constants array" true
-    (Reveal.Campaign.default_values == Reveal.Constants.default_values);
   let g = Reveal.Campaign.default_gate in
   Alcotest.(check (float 0.0)) "gate confident" Reveal.Constants.gate_confident_threshold
     g.Reveal.Grading.confident_threshold;

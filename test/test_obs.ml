@@ -270,7 +270,13 @@ let test_disabled_noop () =
   Obs.Sink.emit Obs.Sink.null (Obs.Json.Int 1);
   Obs.Sink.close Obs.Sink.null;
   (* instrumenting a source with the disabled context is the identity *)
-  let src = Reveal.Source.of_runs ~name:"empty" [||] in
+  let src =
+    Reveal.Source.of_trace_source
+      (Traceio.Source.make_fv ~name:"empty"
+         ~next:(fun () -> `End_of_archive)
+         ~next_fv:(fun () -> `End_of_archive)
+         ~close:ignore)
+  in
   Alcotest.(check bool) "instrument_source disabled is physically the identity" true
     (Reveal.Pipeline.instrument_source Obs.Ctx.disabled src == src);
   Reveal.Pipeline.close_source src

@@ -12,6 +12,11 @@ let env = lazy (Reveal.Experiment.prepare small_config)
 
 let rng () = Mathkit.Prng.create ~seed:4242L ()
 
+let attack_trace prof run =
+  match Reveal.Campaign.attack_trace prof run with
+  | Ok results -> results
+  | Error e -> Alcotest.fail (Reveal.Pipeline.error_to_string e)
+
 (* --- Device ------------------------------------------------------------- *)
 
 let test_device_run_deterministic () =
@@ -40,7 +45,9 @@ let test_device_trailing_dummy_windows () =
   let g = rng () in
   let device = Reveal.Device.create ~n:8 () in
   let run = Reveal.Device.run_gaussian device ~scope_rng:g ~sampler_rng:g in
-  let wins = Sca.Segment.windows Sca.Segment.default run.Reveal.Device.trace.Power.Ptrace.samples in
+  let wins =
+    Sca.Segment.windows_fv Sca.Segment.default (Mathkit.Fvec.of_array run.Reveal.Device.trace.Power.Ptrace.samples)
+  in
   Alcotest.(check int) "n+1 windows (dummy included)" 9 (Array.length wins)
 
 let test_device_draw_queue_length_checked () =
@@ -119,7 +126,7 @@ let test_campaign_posteriors_are_distributions () =
   let g = rng () in
   let device = Reveal.Device.create ~n:64 () in
   let run = Reveal.Device.run_gaussian device ~scope_rng:g ~sampler_rng:g in
-  let results = Reveal.Campaign.attack_trace prof run in
+  let results = attack_trace prof run in
   Array.iter
     (fun r ->
       let total = Array.fold_left (fun acc (_, p) -> acc +. p) 0.0 r.Reveal.Campaign.posterior_all in
@@ -137,7 +144,29 @@ let test_campaign_signs_only_matches_verdicts () =
     (fun r ->
       Alcotest.(check int) "sign correct" (compare r.Reveal.Campaign.actual 0)
         r.Reveal.Campaign.verdict.Sca.Attack.sign)
-    (Reveal.Campaign.attack_trace prof run)
+    (attack_trace prof run)
+
+(* A trace cut between its last two bursts lost the trailing dummy's
+   delimiting burst: the strict attack reports the window count as a
+   typed error instead of raising. *)
+let test_campaign_truncated_trace_is_typed_error () =
+  let prof = Reveal.Experiment.env_profile (Lazy.force env) in
+  let g = rng () in
+  let device = Reveal.Device.create ~n:64 () in
+  let run = Reveal.Device.run_gaussian device ~scope_rng:g ~sampler_rng:g in
+  let samples = run.Reveal.Device.trace.Power.Ptrace.samples in
+  let bursts = Sca.Segment.burst_regions_fv prof.Reveal.Campaign.segment (Mathkit.Fvec.of_array samples) in
+  Alcotest.(check int) "n + 1 bursts (dummy included)" 65 (Array.length bursts);
+  let cut = (bursts.(63).Sca.Segment.stop + bursts.(64).Sca.Segment.start) / 2 in
+  let truncated =
+    { run with Reveal.Device.trace = { run.Reveal.Device.trace with Power.Ptrace.samples = Array.sub samples 0 cut } }
+  in
+  match Reveal.Campaign.attack_trace prof truncated with
+  | Error (Reveal.Pipeline.Window_count { expected; found }) ->
+      Alcotest.(check int) "expected the device's coefficients" 64 expected;
+      Alcotest.(check int) "found one window short" 64 found
+  | Error e -> Alcotest.failf "wrong error: %s" (Reveal.Pipeline.error_to_string e)
+  | Ok _ -> Alcotest.fail "a truncated trace was attacked"
 
 (* --- Experiments -------------------------------------------------------------- *)
 
@@ -226,6 +255,7 @@ let suite =
       ("campaign value accuracy in range", test_campaign_value_accuracy_reasonable);
       ("campaign posteriors are distributions", test_campaign_posteriors_are_distributions);
       ("campaign signs-only classifier", test_campaign_signs_only_matches_verdicts);
+      ("campaign truncated trace: typed window-count error", test_campaign_truncated_trace_is_typed_error);
       ("fig3 structure", test_fig3_structure);
       ("table2 zero secret certain", test_table2_zero_secret_is_certain);
       ("table3 hints reduce hardness", test_table3_hints_reduce_hardness);
@@ -250,7 +280,7 @@ let test_profile_save_load_roundtrip () =
   let g = rng () in
   let device = Reveal.Device.create ~n:64 () in
   let run = Reveal.Device.run_gaussian device ~scope_rng:g ~sampler_rng:g in
-  let a = Reveal.Campaign.attack_trace prof run and b = Reveal.Campaign.attack_trace prof' run in
+  let a = attack_trace prof run and b = attack_trace prof' run in
   Array.iteri
     (fun i ra ->
       Alcotest.(check int) "same verdicts" ra.Reveal.Campaign.verdict.Sca.Attack.value

@@ -40,6 +40,15 @@ let test_payload_roundtrip () =
   Alcotest.(check (float 0.0)) "sign fit floor survives" prof.Reveal.Campaign.sign_fit_floor
     decoded.Reveal.Campaign.sign_fit_floor
 
+(* The v3 bytes themselves, captured before the inverse covariance
+   became a flat matrix: a round trip alone would still pass if the
+   rows were written transposed, which would misread every existing
+   cache. *)
+let test_payload_bytes_pinned () =
+  let payload = Reveal.Profile_store.profile_payload (Lazy.force profile) in
+  Alcotest.(check int) "payload length" 9276 (String.length payload);
+  Alcotest.(check int) "payload CRC-32" 0x9a20d07b (Traceio.Crc32.digest payload)
+
 let test_file_roundtrip () =
   let prof = Lazy.force profile in
   with_temp_file (fun path ->
@@ -120,6 +129,7 @@ let test_stale_and_mismatched_versions () =
 let suite =
   [
     ("payload round-trip", `Quick, test_payload_roundtrip);
+    ("payload bytes pinned (v3)", `Quick, test_payload_bytes_pinned);
     ("file round-trip", `Quick, test_file_roundtrip);
     ("stale and mismatched versions rejected", `Quick, test_stale_and_mismatched_versions);
   ]

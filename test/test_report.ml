@@ -81,79 +81,30 @@ let test_row_json () =
 
 (* --- golden regression ----------------------------------------------------------- *)
 
-(* The exact configuration the goldens were recorded with before the
-   pipeline refactor; any byte of drift in Table I or Table IV text is
-   a regression of the attack itself, not of formatting. *)
-let golden_config =
-  { Reveal.Experiment.seed = 0xD47EL; device_n = 64; per_value = 80; attack_traces = 2 }
+(* One shared env: every campaign artefact profiles once. *)
+let golden_env = lazy (Reveal.Experiment.prepare Reveal.Experiment.golden_config)
 
-let golden_env = lazy (Reveal.Experiment.prepare golden_config)
-
-let test_golden_table1 () =
-  Alcotest.(check string) "table1 text is bit-identical to the pre-refactor golden"
-    (read_file "golden/table1.txt")
-    (Reveal.Experiment.render_table1 (Lazy.force golden_env))
-
-let test_golden_table2 () =
-  Alcotest.(check string) "table2 text is bit-identical to the golden"
-    (read_file "golden/table2.txt")
-    (Reveal.Experiment.render_table2 (Reveal.Experiment.table2 (Lazy.force golden_env)))
-
-let test_golden_table3 () =
-  Alcotest.(check string) "table3 text is bit-identical to the golden"
-    (read_file "golden/table3.txt")
-    (Reveal.Experiment.render_table3 (Reveal.Experiment.table3 (Lazy.force golden_env)))
-
-let test_golden_table4 () =
-  Alcotest.(check string) "table4 text is bit-identical to the pre-refactor golden"
-    (read_file "golden/table4.txt")
-    (Reveal.Experiment.render_table4 (Reveal.Experiment.table4 (Lazy.force golden_env)))
-
-let test_golden_signs () =
-  Alcotest.(check string) "signs text is bit-identical to the golden"
-    (read_file "golden/signs.txt")
-    (Reveal.Experiment.render_signs (Reveal.Experiment.signs (Lazy.force golden_env)))
-
-let test_golden_fig3 () =
-  Alcotest.(check string) "fig3 text is bit-identical to the golden"
-    (read_file "golden/fig3.txt")
-    (Reveal.Experiment.render_fig3 (Reveal.Experiment.fig3 golden_config))
-
-(* Artefacts rendered straight from the registry: the two that score
-   windows outside the campaign grader (averaged windows, flat templates
-   over each feature extractor), and the fault sweep, the one golden
-   that runs the fault model. *)
-let test_golden_artefact name () =
-  match Reveal.Experiment.artefact name golden_config with
-  | None -> Alcotest.failf "artefact %s is not registered" name
-  | Some doc ->
-      let file = String.map (function '-' -> '_' | c -> c) name in
-      Alcotest.(check string) (name ^ " text is bit-identical to the golden")
-        (read_file (Printf.sprintf "golden/%s.txt" file))
-        doc.Reveal.Report.text
-
-let test_doc_text_matches_render () =
-  (* the two renderers of one doc can never drift: doc.text is the
-     render_* output and every artefact builder returns both *)
-  let env = Lazy.force golden_env in
-  Alcotest.(check string) "table1 doc.text = render_table1"
-    (Reveal.Experiment.render_table1 env)
-    (Reveal.Experiment.table1_doc env).Reveal.Report.text;
-  let t4 = Reveal.Experiment.table4 env in
-  Alcotest.(check string) "table4 doc.text = render_table4"
-    (Reveal.Experiment.render_table4 t4)
-    (Reveal.Experiment.table4_doc t4).Reveal.Report.text
+(* Every golden artefact rendered straight from the registry, the same
+   list and builders tools/golden_gen.ml writes the files with; any
+   byte of drift is a regression of the attack itself, not of
+   formatting. *)
+let test_golden name file () =
+  let build = List.assoc name Reveal.Experiment.artefacts in
+  Alcotest.(check string) (name ^ " text is bit-identical to the golden")
+    (read_file ("golden/" ^ file))
+    (build Reveal.Experiment.golden_config golden_env).Reveal.Report.text
 
 let test_artefact_registry () =
   Alcotest.(check bool) "all 18 artefacts registered" true
     (List.length Reveal.Experiment.artefact_names = 18);
   Alcotest.(check bool) "unknown artefact is None" true
-    (Reveal.Experiment.artefact "no-such-artefact" golden_config = None);
+    (Reveal.Experiment.artefact "no-such-artefact" Reveal.Experiment.golden_config = None);
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " resolves") true
         (List.mem_assoc name Reveal.Experiment.artefacts))
-    [ "fig3"; "table1"; "table2"; "table3"; "table4"; "fault-sweep"; "zero-consistency" ]
+    ([ "zero-consistency" ] @ List.map fst Reveal.Experiment.golden_artefacts);
+  Alcotest.(check int) "nine golden artefacts" 9 (List.length Reveal.Experiment.golden_artefacts)
 
 let suite =
   [
@@ -162,15 +113,8 @@ let suite =
     ("json: containers", `Quick, test_json_containers);
     ("table combinator", `Quick, test_table_combinator);
     ("row_json", `Quick, test_row_json);
-    ("golden: table1", `Quick, test_golden_table1);
-    ("golden: table2", `Quick, test_golden_table2);
-    ("golden: table3", `Quick, test_golden_table3);
-    ("golden: table4", `Quick, test_golden_table4);
-    ("golden: signs", `Quick, test_golden_signs);
-    ("golden: fig3", `Quick, test_golden_fig3);
-    ("golden: averaging", `Quick, test_golden_artefact "averaging");
-    ("golden: ablate-features", `Quick, test_golden_artefact "ablate-features");
-    ("golden: fault-sweep", `Quick, test_golden_artefact "fault-sweep");
-    ("doc text matches render_*", `Quick, test_doc_text_matches_render);
     ("artefact registry", `Quick, test_artefact_registry);
   ]
+  @ List.map
+      (fun (name, file) -> ("golden: " ^ name, `Quick, test_golden name file))
+      Reveal.Experiment.golden_artefacts

@@ -4,6 +4,8 @@ let rng () = Mathkit.Prng.create ~seed:31337L ()
 
 (* --- Segment -------------------------------------------------------------- *)
 
+let fv = Mathkit.Fvec.of_array
+
 (* Synthetic trace: quiet level 10, bursts at 25. *)
 let synthetic_trace ~bursts ~quiet_len ~burst_len =
   let parts =
@@ -15,12 +17,12 @@ let synthetic_trace ~bursts ~quiet_len ~burst_len =
 
 let test_segment_finds_bursts () =
   let t = synthetic_trace ~bursts:3 ~quiet_len:200 ~burst_len:30 in
-  let bursts = Sca.Segment.burst_regions Sca.Segment.default t in
+  let bursts = Sca.Segment.burst_regions_fv Sca.Segment.default (fv t) in
   Alcotest.(check int) "three bursts" 3 (Array.length bursts)
 
 let test_segment_windows_between_bursts () =
   let t = synthetic_trace ~bursts:3 ~quiet_len:200 ~burst_len:30 in
-  let wins = Sca.Segment.windows Sca.Segment.default t in
+  let wins = Sca.Segment.windows_fv Sca.Segment.default (fv t) in
   Alcotest.(check int) "three windows" 3 (Array.length wins);
   Array.iteri
     (fun i w ->
@@ -36,7 +38,7 @@ let test_segment_merges_close_runs () =
     Array.concat
       [ Array.make 200 10.0; Array.make 20 25.0; Array.make 30 10.0; Array.make 20 25.0; Array.make 200 10.0 ]
   in
-  let bursts = Sca.Segment.burst_regions Sca.Segment.default t in
+  let bursts = Sca.Segment.burst_regions_fv Sca.Segment.default (fv t) in
   Alcotest.(check int) "merged" 1 (Array.length bursts)
 
 let test_segment_ignores_slivers () =
@@ -45,31 +47,31 @@ let test_segment_ignores_slivers () =
   let t = synthetic_trace ~bursts:2 ~quiet_len:300 ~burst_len:30 in
   t.(400) <- 30.0;
   (* sliver in the first window, away from boundaries *)
-  let bursts = Sca.Segment.burst_regions { Sca.Segment.default with Sca.Segment.smooth_radius = 0 } t in
+  let bursts = Sca.Segment.burst_regions_fv { Sca.Segment.default with Sca.Segment.smooth_radius = 0 } (fv t) in
   Alcotest.(check int) "still two bursts" 2 (Array.length bursts)
 
 let test_segment_boundary_sliver_does_not_shift () =
   let t = synthetic_trace ~bursts:2 ~quiet_len:300 ~burst_len:30 in
   let cfg = { Sca.Segment.default with Sca.Segment.smooth_radius = 0 } in
-  let before = Sca.Segment.burst_regions cfg t in
+  let before = Sca.Segment.burst_regions_fv cfg (fv t) in
   (* data-dependent spike right after the first burst *)
   let spike_pos = before.(0).Sca.Segment.stop + 1 in
   t.(spike_pos) <- 30.0;
-  let after = Sca.Segment.burst_regions cfg t in
+  let after = Sca.Segment.burst_regions_fv cfg (fv t) in
   Alcotest.(check int) "burst end unchanged" before.(0).Sca.Segment.stop after.(0).Sca.Segment.stop
 
 let test_segment_absolute_threshold () =
   let t = synthetic_trace ~bursts:2 ~quiet_len:200 ~burst_len:30 in
   let cfg = { Sca.Segment.default with Sca.Segment.threshold = Sca.Segment.Absolute 18.0 } in
-  Alcotest.(check int) "two bursts" 2 (Array.length (Sca.Segment.burst_regions cfg t))
+  Alcotest.(check int) "two bursts" 2 (Array.length (Sca.Segment.burst_regions_fv cfg (fv t)))
 
 let test_segment_smooth () =
-  let s = Sca.Segment.smooth 1 [| 0.0; 3.0; 0.0 |] in
-  Alcotest.(check (float 1e-9)) "center" 1.0 s.(1);
-  Alcotest.(check (float 1e-9)) "edge" 1.5 s.(0)
+  let s = Sca.Segment.smooth_fv 1 (fv [| 0.0; 3.0; 0.0 |]) in
+  Alcotest.(check (float 1e-9)) "center" 1.0 (Mathkit.Fvec.get s 1);
+  Alcotest.(check (float 1e-9)) "edge" 1.5 (Mathkit.Fvec.get s 0)
 
 let test_segment_empty () =
-  Alcotest.(check int) "empty trace" 0 (Array.length (Sca.Segment.burst_regions Sca.Segment.default [||]))
+  Alcotest.(check int) "empty trace" 0 (Array.length (Sca.Segment.burst_regions_fv Sca.Segment.default (fv [||])))
 
 let test_vectorize_pads () =
   let samples = Mathkit.Fvec.of_array (Array.init 100 float_of_int) in
@@ -161,6 +163,16 @@ let test_template_posterior_with_priors () =
   in
   Alcotest.(check bool) "prior dominates" true (p.(0) > 0.8)
 
+(* Both prior entry points name themselves when the prior length does
+   not match the template's class count. *)
+let test_template_prior_length_message () =
+  let t = Sca.Template.build ~pois:[| 0 |] [ (0, [| [| 0.0 |]; [| 1.0 |] |]); (1, [| [| 2.0 |]; [| 3.0 |] |]) ] in
+  let x = Mathkit.Fvec.of_array [| 1.5 |] and priors = [| 1.0 |] in
+  Alcotest.check_raises "scores_fv" (Invalid_argument "Template.scores_fv: prior length mismatch") (fun () ->
+      ignore (Sca.Template.scores_fv ~priors t (Sca.Template.make_scratch t) x));
+  Alcotest.check_raises "priored_posterior_fv" (Invalid_argument "Template.priored_posterior_fv: prior length mismatch")
+    (fun () -> ignore (Sca.Template.priored_posterior_fv ~priors t (Sca.Template.make_scratch t) x))
+
 let test_template_needs_two_rows () =
   Alcotest.check_raises "one row" (Invalid_argument "Template.build: class 0 needs >= 2 profiling vectors")
     (fun () -> ignore (Sca.Template.build ~pois:[| 0 |] [ (0, [| [| 1.0 |] |]) ]))
@@ -219,6 +231,7 @@ let suite =
       ("template posterior sums to 1", test_template_posterior_sums_to_one);
       ("template priors", test_template_posterior_with_priors);
       ("template needs two rows", test_template_needs_two_rows);
+      ("template prior length errors name their function", test_template_prior_length_message);
       ("confusion counts", test_confusion_counts);
       ("confusion unknown label", test_confusion_unknown_label);
       ("confusion render", test_confusion_render);
@@ -358,7 +371,7 @@ let test_pca_separates_class_means () =
   let p = Sca.Pca.fit ~k:1 classes in
   Alcotest.(check int) "one component" 1 (Sca.Pca.components p);
   (* projected class means must be well separated *)
-  let proj c = Mathkit.Stats.mean_a (Array.map (fun v -> v.(0)) (Sca.Pca.transform_all p c)) in
+  let proj c = Mathkit.Stats.mean_a (Array.map (fun v -> v.(0)) (Array.map (Sca.Pca.transform p) c)) in
   let d = Float.abs (proj (mk 0.0) -. proj (mk 3.0)) in
   Alcotest.(check bool) "separated in subspace" true (d > 3.0)
 
@@ -369,7 +382,7 @@ let test_pca_template_classifies () =
   let p = Sca.Pca.fit ~k:2 classes in
   let template =
     Sca.Template.build ~pois:[||]
-      (List.map (fun (l, rows) -> (l, Sca.Pca.transform_all p rows)) classes)
+      (List.map (fun (l, rows) -> (l, Array.map (Sca.Pca.transform p) rows)) classes)
   in
   let correct = ref 0 in
   for _ = 1 to 100 do
@@ -422,7 +435,7 @@ let segment_qcheck =
           done;
           pos := !pos + len + 150 + Mathkit.Prng.int g 100
         done;
-        let wins = Sca.Segment.windows Sca.Segment.default t in
+        let wins = Sca.Segment.windows_fv Sca.Segment.default (fv t) in
         let ok = ref true in
         Array.iteri
           (fun i w ->
@@ -445,8 +458,8 @@ let segment_qcheck =
               Array.make quiet 10.0;
             ]
         in
-        let bursts = Sca.Segment.burst_regions Sca.Segment.default t in
-        let wins = Sca.Segment.windows Sca.Segment.default t in
+        let bursts = Sca.Segment.burst_regions_fv Sca.Segment.default (fv t) in
+        let wins = Sca.Segment.windows_fv Sca.Segment.default (fv t) in
         Array.length bursts = Array.length wins
         && Array.for_all2 (fun b w -> b.Sca.Segment.stop = w.Sca.Segment.start) bursts wins);
   ]
@@ -470,27 +483,27 @@ let inject_burst samples lo len =
   t
 
 let test_segment_resilient_empty () =
-  Alcotest.(check bool) "typed error" true (Sca.Segment.segment Sca.Segment.default ~expected:3 [||] = Error Sca.Segment.Empty_trace)
+  Alcotest.(check bool) "typed error" true (Sca.Segment.segment_fv Sca.Segment.default ~expected:3 (fv [||]) = Error Sca.Segment.Empty_trace)
 
 let test_segment_resilient_flat () =
   Alcotest.(check bool) "typed error" true
-    (Sca.Segment.segment Sca.Segment.default ~expected:3 (Array.make 2000 10.0) = Error Sca.Segment.Flat_trace)
+    (Sca.Segment.segment_fv Sca.Segment.default ~expected:3 (fv (Array.make 2000 10.0)) = Error Sca.Segment.Flat_trace)
 
 let test_segment_resilient_invalid_expected () =
-  Alcotest.check_raises "expected must be positive" (Invalid_argument "Segment.segment: expected must be positive")
-    (fun () -> ignore (Sca.Segment.segment Sca.Segment.default ~expected:0 [| 1.0 |]))
+  Alcotest.check_raises "expected must be positive" (Invalid_argument "Segment.segment_fv: expected must be positive")
+    (fun () -> ignore (Sca.Segment.segment_fv Sca.Segment.default ~expected:0 (fv [| 1.0 |])))
 
 let test_segment_resilient_clean_matches_windows () =
   let t = synthetic_trace ~bursts:5 ~quiet_len:200 ~burst_len:30 in
-  match Sca.Segment.segment Sca.Segment.default ~expected:5 t with
+  match Sca.Segment.segment_fv Sca.Segment.default ~expected:5 (fv t) with
   | Error e -> Alcotest.fail (Sca.Segment.error_to_string e)
   | Ok seg ->
-      Alcotest.(check bool) "same windows as the classic path" true (seg.Sca.Segment.wins = Sca.Segment.windows Sca.Segment.default t);
+      Alcotest.(check bool) "same windows as the classic path" true (seg.Sca.Segment.wins = Sca.Segment.windows_fv Sca.Segment.default (fv t));
       Alcotest.(check bool) "all Clean" true (Array.for_all (fun q -> q = Sca.Segment.Clean) seg.Sca.Segment.quality)
 
 let test_segment_resilient_count_mismatch () =
   let t = synthetic_trace ~bursts:3 ~quiet_len:200 ~burst_len:30 in
-  match Sca.Segment.segment Sca.Segment.default ~expected:9 t with
+  match Sca.Segment.segment_fv Sca.Segment.default ~expected:9 (fv t) with
   | Error (Sca.Segment.Count_mismatch { expected = 9; found }) ->
       Alcotest.(check bool) "reports what it found" true (found < 9)
   | Ok _ | Error _ -> Alcotest.fail "hopeless count mismatch not reported"
@@ -499,8 +512,8 @@ let test_segment_resilient_missed_burst () =
   let t = synthetic_trace ~bursts:5 ~quiet_len:200 ~burst_len:30 in
   (* erase the middle burst: starts at 3*200 + 2*30 *)
   let t = erase_range t 660 30 in
-  Alcotest.(check int) "one burst really missing" 4 (Array.length (Sca.Segment.burst_regions Sca.Segment.default t));
-  match Sca.Segment.segment Sca.Segment.default ~expected:5 t with
+  Alcotest.(check int) "one burst really missing" 4 (Array.length (Sca.Segment.burst_regions_fv Sca.Segment.default (fv t)));
+  match Sca.Segment.segment_fv Sca.Segment.default ~expected:5 (fv t) with
   | Error e -> Alcotest.fail (Sca.Segment.error_to_string e)
   | Ok seg ->
       Alcotest.(check int) "resynchronised to the expected count" 5 (Array.length seg.Sca.Segment.wins);
@@ -513,8 +526,8 @@ let test_segment_resilient_spurious_burst () =
   let t = synthetic_trace ~bursts:4 ~quiet_len:200 ~burst_len:30 in
   (* a glitch masquerading as a (short) distribution call inside window 1 *)
   let t = inject_burst t 540 8 in
-  Alcotest.(check int) "glitch detected as a burst" 5 (Array.length (Sca.Segment.burst_regions Sca.Segment.default t));
-  match Sca.Segment.segment Sca.Segment.default ~expected:4 t with
+  Alcotest.(check int) "glitch detected as a burst" 5 (Array.length (Sca.Segment.burst_regions_fv Sca.Segment.default (fv t)));
+  match Sca.Segment.segment_fv Sca.Segment.default ~expected:4 (fv t) with
   | Error e -> Alcotest.fail (Sca.Segment.error_to_string e)
   | Ok seg ->
       Alcotest.(check int) "spurious burst dropped" 4 (Array.length seg.Sca.Segment.wins);
@@ -523,10 +536,10 @@ let test_segment_resilient_spurious_burst () =
 
 let test_segment_auto_threshold_flat_guard () =
   Alcotest.(check (float 1e-9)) "flat trace: threshold at the level" 10.0
-    (Sca.Segment.auto_threshold Sca.Segment.default (Array.make 512 10.0));
-  Alcotest.(check (float 1e-9)) "empty trace: zero" 0.0 (Sca.Segment.auto_threshold Sca.Segment.default [||]);
+    (Sca.Segment.auto_threshold_fv Sca.Segment.default (fv (Array.make 512 10.0)));
+  Alcotest.(check (float 1e-9)) "empty trace: zero" 0.0 (Sca.Segment.auto_threshold_fv Sca.Segment.default (fv [||]));
   Alcotest.(check int) "flat trace: no bursts" 0
-    (Array.length (Sca.Segment.burst_regions Sca.Segment.default (Array.make 512 10.0)))
+    (Array.length (Sca.Segment.burst_regions_fv Sca.Segment.default (fv (Array.make 512 10.0))))
 
 let resilient_cases =
   [
