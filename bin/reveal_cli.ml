@@ -511,7 +511,7 @@ let lint variant n k no_confirm check verbose json _obs =
   lint_verdict ~json ~check ~ok_line:"verdict table check: OK" ~what:"verdict drift" drift ok
 
 let srclint paths check json _obs =
-  let paths = if paths = [] then [ "lib"; "bin" ] else paths in
+  let paths = if paths = [] then [ "lib"; "bin"; "bench"; "tools"; "campaign_bench" ] else paths in
   match Srclint.Driver.lint_paths paths with
   | Error msg -> fail 2 "srclint: %s" msg
   | Ok report ->
@@ -988,6 +988,7 @@ let fuzz master_seed trials workers timeout work_dir known_path update_known no_
   if trials <= 0 then invalid_arg "fuzz: trials must be positive";
   if workers <= 0 then invalid_arg "fuzz: workers must be positive";
   if Option.fold ~none:false ~some:(fun t -> t <= 0.0) timeout then invalid_arg "fuzz: timeout must be positive";
+  if update_known && known_path = None then invalid_arg "fuzz: --update-known needs --known FILE";
   let chatter fmt = Printf.ksprintf (fun s -> if not json then prerr_endline ("fuzz: " ^ s)) fmt in
   let owned, wd =
     match work_dir with
@@ -1005,11 +1006,10 @@ let fuzz master_seed trials workers timeout work_dir known_path update_known no_
   in
   let open Triage.Fuzz in
   let novel = List.filter (fun o -> o.o_status = Novel) (Array.to_list batch.b_outcomes) in
-  (match (update_known, known_path) with
-  | true, Some p when novel <> [] ->
+  (match known_path with
+  | Some p when update_known && novel <> [] ->
       Triage.Signature.append p (List.map (fun o -> o.o_signature) novel);
       chatter "%d novel signature(s) appended to %s" (List.length novel) p
-  | true, None -> invalid_arg "fuzz: --update-known needs --known FILE"
   | _ -> ());
   let reduce_repro o path = Triage.Plan.repro_command ~archive:path ~exe:Sys.executable_name o.o_trial in
   if json then begin
@@ -1242,14 +1242,16 @@ let () =
                   by $(b,--check).";
                  "Exit codes: 0 when clean (or, with $(b,--check), when the findings match the expect table \
                   exactly); 1 on findings or drift; 2 on usage errors and unparseable sources. The pipeline's \
-                  own tree must stay clean — scripts/check.sh runs this over lib/ and bin/ on every gate.";
+                  own tree must stay clean — scripts/check.sh runs this over lib/, bin/, bench/, tools/ and \
+                  campaign_bench/ on every gate.";
                ])
           "Determinism and domain-safety lint of the pipeline's own OCaml source."
           Term.(
             const srclint
             $ Arg.(
                 value & pos_all string []
-                & info [] ~docv:"PATH" ~doc:"Files or directories to lint (default: lib bin).")
+                & info [] ~docv:"PATH"
+                    ~doc:"Files or directories to lint (default: lib bin bench tools campaign_bench).")
             $ check_arg "Compare the findings against the in-source expect directives; exit 1 on drift.");
         cmd "estimate" "DBDD security estimate for SEAL-128 under side-channel hints."
           Term.(

@@ -53,26 +53,3 @@ let batch_decode b m =
   let slots = Array.copy m.Keys.coeffs in
   Mathkit.Ntt.forward b.plan slots;
   slots
-
-let slot_permutation b ~element =
-  let n = b.params.Params.n in
-  let t = b.params.Params.plain_modulus in
-  (* batching requires a prime t = 1 mod 2n, so t > n and the markers
-     1..n are all distinct: encode them, apply the plaintext
-     automorphism, and read off where each marker surfaced *)
-  let markers = Array.init n (fun i -> i + 1) in
-  let m = batch_encode b markers in
-  let out = Array.make n 0 in
-  Array.iteri
-    (fun i c ->
-      let e = i * element mod (2 * n) in
-      if e < n then out.(e) <- (out.(e) + c) mod t
-      else out.(e - n) <- (((out.(e - n) - c) mod t) + t) mod t)
-    m.Keys.coeffs;
-  let rotated = batch_decode b { Keys.coeffs = out } in
-  let perm = Array.make n (-1) in
-  Array.iteri
-    (fun dst v -> if v >= 1 && v <= n then perm.(v - 1) <- dst)
-    rotated;
-  if Array.exists (fun x -> x < 0) perm then failwith "Encoder.slot_permutation: tracing failed";
-  perm

@@ -24,10 +24,3 @@ val batch : Rq.context -> batch option
 val batch_slots : batch -> int
 val batch_encode : batch -> int array -> Keys.plaintext
 val batch_decode : batch -> Keys.plaintext -> int array
-
-val slot_permutation : batch -> element:int -> int array
-(** The permutation the Galois automorphism X -> X^element induces on
-    the batch slots: slot [i] of the input lands in slot
-    [(slot_permutation b ~element).(i)] of
-    [Evaluator.apply_galois ~element].  Computed once per element by
-    tracing unit vectors through the encoder. *)

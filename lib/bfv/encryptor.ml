@@ -29,9 +29,3 @@ let encrypt ?(variant = V32) rng ctx pk m =
   let e2, e2_log = sampler rng ctx in
   let r = { u; e1; e2; e1_log; e2_log } in
   (encrypt_with ctx pk m r, r)
-
-let symmetric_encrypt rng ctx sk m =
-  let a = Rq.uniform rng ctx in
-  let e, _ = Sampler.set_poly_coeffs_normal_v32 rng ctx in
-  let c0 = Rq.sub ctx (delta_m ctx m) (Rq.add ctx (Rq.mul ctx a sk.Keys.s) e) in
-  { Keys.parts = [| c0; a |] }

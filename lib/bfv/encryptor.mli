@@ -29,8 +29,3 @@ val encrypt_with : Rq.context -> Keys.public_key -> Keys.plaintext -> randomness
 (** Deterministic encryption from explicit randomness — used to tie
     host encryption to the device simulation (same e1/e2) and by
     tests. *)
-
-val symmetric_encrypt :
-  Mathkit.Prng.t -> Rq.context -> Keys.secret_key -> Keys.plaintext -> Keys.ciphertext
-(** Secret-key encryption ( [Delta m - (a s + e)]_q , a ); provided
-    for completeness of the SEAL API surface. *)

@@ -12,15 +12,6 @@ let add ctx a b =
       | None, None -> assert false)
     a b
 
-let negate ctx a = { Keys.parts = Array.map (Rq.neg ctx) a.Keys.parts }
-let sub ctx a b = add ctx a (negate ctx b)
-
-let add_plain ctx c m =
-  let scaled = Rq.mul_scalar_planes ctx (Params.delta_mod (Rq.params ctx)) (Rq.of_centered ctx m.Keys.coeffs) in
-  let parts = Array.map Rq.copy c.Keys.parts in
-  parts.(0) <- Rq.add ctx parts.(0) scaled;
-  { Keys.parts = parts }
-
 let mul_plain ctx c m =
   if Array.for_all (fun x -> x = 0) m.Keys.coeffs then
     invalid_arg "Evaluator.mul_plain: transparent result (zero plaintext)";
@@ -102,47 +93,3 @@ let multiply ctx a b =
       out
   in
   { Keys.parts }
-
-let relinearize ctx key c =
-  if Array.length c.Keys.parts <> 3 then invalid_arg "Evaluator.relinearize: expected a 3-part ciphertext";
-  let delta0, delta1 = Keyswitch.switch ctx key c.Keys.parts.(2) in
-  { Keys.parts = [| Rq.add ctx c.Keys.parts.(0) delta0; Rq.add ctx c.Keys.parts.(1) delta1 |] }
-
-let apply_galois ctx key ~element c =
-  if Array.length c.Keys.parts <> 2 then invalid_arg "Evaluator.apply_galois: expected a 2-part ciphertext";
-  (* c(X^g) encrypts m(X^g) under s(X^g); key-switch the second
-     component back to s *)
-  let c0g = Rq.automorphism ctx element c.Keys.parts.(0) in
-  let c1g = Rq.automorphism ctx element c.Keys.parts.(1) in
-  let delta0, delta1 = Keyswitch.switch ctx key c1g in
-  { Keys.parts = [| Rq.add ctx c0g delta0; delta1 |] }
-
-let mod_switch ~from_ctx ~to_ctx c =
-  let from_primes = (Rq.params from_ctx).Params.coeff_modulus in
-  let to_primes = (Rq.params to_ctx).Params.coeff_modulus in
-  let k = Array.length from_primes in
-  if Array.length to_primes <> k - 1 || k < 2 then
-    invalid_arg "Evaluator.mod_switch: target must drop exactly the last prime";
-  Array.iteri
-    (fun j q -> if q <> from_primes.(j) then invalid_arg "Evaluator.mod_switch: prime chains do not match")
-    to_primes;
-  if (Rq.params from_ctx).Params.plain_modulus <> (Rq.params to_ctx).Params.plain_modulus then
-    invalid_arg "Evaluator.mod_switch: plain modulus must match";
-  let q_last = from_primes.(k - 1) in
-  let md_last = Mathkit.Modular.modulus q_last in
-  let to_moduli = Rq.moduli to_ctx in
-  let switch_part part =
-    (* c' = (c - [c]_{q_last}) / q_last per remaining plane, with the
-       centered representative so the rounding error stays small *)
-    let planes =
-      Array.init (k - 1) (fun j ->
-          let md = to_moduli.(j) in
-          let inv_q_last = Mathkit.Modular.inv md (Mathkit.Modular.reduce md q_last) in
-          Array.init (Rq.params to_ctx).Params.n (fun i ->
-              let r = Mathkit.Modular.to_centered md_last part.Rq.planes.(k - 1).(i) in
-              let shifted = Mathkit.Modular.sub md part.Rq.planes.(j).(i) (Mathkit.Modular.reduce md r) in
-              Mathkit.Modular.mul md shifted inv_q_last))
-    in
-    Rq.of_planes to_ctx planes
-  in
-  { Keys.parts = Array.map switch_part c.Keys.parts }

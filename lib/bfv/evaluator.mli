@@ -9,9 +9,6 @@
     size. *)
 
 val add : Rq.context -> Keys.ciphertext -> Keys.ciphertext -> Keys.ciphertext
-val sub : Rq.context -> Keys.ciphertext -> Keys.ciphertext -> Keys.ciphertext
-val negate : Rq.context -> Keys.ciphertext -> Keys.ciphertext
-val add_plain : Rq.context -> Keys.ciphertext -> Keys.plaintext -> Keys.ciphertext
 val mul_plain : Rq.context -> Keys.ciphertext -> Keys.plaintext -> Keys.ciphertext
 (** @raise Invalid_argument on an all-zero plaintext (SEAL does too:
     the result would be a transparent ciphertext). *)
@@ -20,19 +17,3 @@ val multiply : Rq.context -> Keys.ciphertext -> Keys.ciphertext -> Keys.cipherte
 (** Tensor product with exact t/q scaling; result has
     size1 + size2 - 1 parts. *)
 
-val relinearize : Rq.context -> Keyswitch.key -> Keys.ciphertext -> Keys.ciphertext
-(** Switch a 3-part product back to 2 parts using the evaluation key.
-    Adds key-switching noise proportional to the key's digit size, so
-    (like multiplication itself) it wants a multi-prime modulus.
-    @raise Invalid_argument on ciphertexts that are not 3-part. *)
-
-val apply_galois : Rq.context -> Keyswitch.key -> element:int -> Keys.ciphertext -> Keys.ciphertext
-(** Apply the automorphism X -> X^element to the encrypted plaintext:
-    Dec(apply_galois gk g c) = (Dec c)(X^g).  The key must have been
-    generated for the same element.  Fresh 2-part ciphertexts only. *)
-
-val mod_switch : from_ctx:Rq.context -> to_ctx:Rq.context -> Keys.ciphertext -> Keys.ciphertext
-(** Rescale a ciphertext from modulus q = q_1...q_k to q' = q_1...q_{k-1}
-    (drop the last prime), dividing the noise along with the modulus.
-    [to_ctx] must use exactly the first k-1 primes of [from_ctx].
-    @raise Invalid_argument otherwise. *)

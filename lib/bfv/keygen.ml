@@ -5,10 +5,3 @@ let public_key rng ctx sk =
   let e, _ = Sampler.set_poly_coeffs_normal_v32 rng ctx in
   let p0 = Rq.neg ctx (Rq.add ctx (Rq.mul ctx a sk.Keys.s) e) in
   { Keys.p0; p1 = a }
-
-let relin_key ?digit_bits rng ctx sk =
-  let s2 = Rq.mul ctx sk.Keys.s sk.Keys.s in
-  Keyswitch.generate ?digit_bits rng ctx sk ~target:s2
-
-let galois_key ?digit_bits rng ctx sk ~element =
-  Keyswitch.generate ?digit_bits rng ctx sk ~target:(Rq.automorphism ctx element sk.Keys.s)

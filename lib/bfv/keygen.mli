@@ -8,11 +8,3 @@ val secret_key : Mathkit.Prng.t -> Rq.context -> Keys.secret_key
 
 val public_key : Mathkit.Prng.t -> Rq.context -> Keys.secret_key -> Keys.public_key
 (** Uses the v3.2 noise sampler, like the encryptor. *)
-
-val relin_key : ?digit_bits:int -> Mathkit.Prng.t -> Rq.context -> Keys.secret_key -> Keyswitch.key
-(** Evaluation key (the paper's evk): switches s^2 back to s, enabling
-    {!Evaluator.relinearize}. *)
-
-val galois_key : ?digit_bits:int -> Mathkit.Prng.t -> Rq.context -> Keys.secret_key -> element:int -> Keyswitch.key
-(** Key for the automorphism X -> X^element (odd), enabling
-    {!Evaluator.apply_galois}. *)

@@ -13,8 +13,3 @@ let plaintext_of_coeffs params coeffs =
   { coeffs = Array.copy coeffs }
 
 let plaintext_equal a b = a.coeffs = b.coeffs
-
-let pp_plaintext fmt p =
-  Format.fprintf fmt "[";
-  Array.iteri (fun i c -> if i > 0 then Format.fprintf fmt "; %d" c else Format.fprintf fmt "%d" c) p.coeffs;
-  Format.fprintf fmt "]"

@@ -16,4 +16,3 @@ val plaintext_of_coeffs : Params.t -> int array -> plaintext
 (** Validates range. *)
 
 val plaintext_equal : plaintext -> plaintext -> bool
-val pp_plaintext : Format.formatter -> plaintext -> unit

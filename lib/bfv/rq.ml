@@ -69,25 +69,6 @@ let ternary rng ctx =
 
 let equal a b = a.planes = b.planes
 
-let automorphism ctx g a =
-  let n = ctx.params.Params.n in
-  if g land 1 = 0 || g <= 0 || g >= 2 * n then invalid_arg "Rq.automorphism: need odd g in (0, 2n)";
-  let planes =
-    Array.mapi
-      (fun j p ->
-        let md = ctx.moduli.(j) in
-        let out = Array.make n 0 in
-        for i = 0 to n - 1 do
-          (* X^i -> X^(i g); X^n = -1 folds the exponent's parity *)
-          let e = i * g mod (2 * n) in
-          if e < n then out.(e) <- Mathkit.Modular.add md out.(e) p.(i)
-          else out.(e - n) <- Mathkit.Modular.sub md out.(e - n) p.(i)
-        done;
-        out)
-      a.planes
-  in
-  { planes }
-
 let invert ctx a =
   let exception Not_invertible in
   try
@@ -102,8 +83,3 @@ let invert ctx a =
     in
     Some { planes }
   with Not_invertible -> None
-
-let pp fmt x =
-  Format.fprintf fmt "@[<v>";
-  Array.iteri (fun j p -> Format.fprintf fmt "plane %d: %a@," j Mathkit.Poly.pp p) x.planes;
-  Format.fprintf fmt "@]"

@@ -45,14 +45,7 @@ val uniform : Mathkit.Prng.t -> context -> t
 val ternary : Mathkit.Prng.t -> context -> t
 val equal : t -> t -> bool
 
-val automorphism : context -> int -> t -> t
-(** [automorphism ctx g x] is x(X^g) in R_q, for odd g with
-    0 < g < 2n — the Galois action SEAL uses for rotations.
-    @raise Invalid_argument on even or out-of-range g. *)
-
 val invert : context -> t -> t option
 (** Multiplicative inverse when every NTT coefficient is nonzero in
     every plane ([None] otherwise) — used by the attack algebra to
     divide by p_1. *)
-
-val pp : Format.formatter -> t -> unit

@@ -40,22 +40,15 @@ val analyze_variant :
     differential oracle with a staged wide modulus so that both words
     of every stored coefficient can witness. *)
 
-val run_variant :
-  ?n:int -> ?k:int -> ?origin:int -> Riscv.Sampler_prog.variant -> secret:int -> Riscv.Trace.event array
-(** One differential-oracle execution: every coefficient draw yields
-    [secret].  Exposed so tests can re-verify witnesses. *)
-
 val violations : report -> Finding.t list
 (** Findings of {!Finding.Violation} severity — the constant-time
     verdict is clean iff this is empty. *)
 
-val expected_findings : Riscv.Asm.program -> Riscv.Sampler_prog.variant -> (Finding.kind * int) list
-(** The paper's verdict table for this firmware, as (kind, address)
-    pairs derived from the decoded instruction stream. *)
-
 val check : report -> string list
-(** Drift between the analyzer's findings and {!expected_findings}
-    (plus any expected finding left unconfirmed when the oracle ran).
+(** Drift between the analyzer's findings and the paper's verdict
+    table for this firmware, as (kind, address) pairs derived from the
+    decoded instruction stream (plus any expected finding left
+    unconfirmed when the oracle ran).
     Empty means the verdict table holds. *)
 
 val render : ?verbose:bool -> report -> string

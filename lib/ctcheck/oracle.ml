@@ -26,9 +26,11 @@ let render_signature = function
   | Bus_values l -> Printf.sprintf "[%s]" (String.concat ";" (List.map (Printf.sprintf "0x%x") l))
   | Counts { hits; retired; cycles } -> Printf.sprintf "%d hits, %d retired, %d cycles" hits retired cycles
 
-let default_pairs = [ (3, -3); (1, 2); (0, 1) ]
+(* sign, magnitude and zero/non-zero distinguishers, all within every
+   sampler variant's range *)
+let pairs = [ (3, -3); (1, 2); (0, 1) ]
 
-let confirm_with cache ~run ~pairs (f : Finding.t) =
+let confirm_with cache ~run (f : Finding.t) =
   let events secret =
     match Hashtbl.find_opt cache secret with
     | Some ev -> ev
@@ -57,8 +59,8 @@ let confirm_with cache ~run ~pairs (f : Finding.t) =
   in
   try_pairs pairs
 
-let confirm ~run ?(pairs = default_pairs) f = confirm_with (Hashtbl.create 8) ~run ~pairs f
+let confirm ~run f = confirm_with (Hashtbl.create 8) ~run f
 
-let confirm_all ~run ?(pairs = default_pairs) findings =
+let confirm_all ~run findings =
   let cache = Hashtbl.create 8 in
-  List.map (confirm_with cache ~run ~pairs) findings
+  List.map (confirm_with cache ~run) findings

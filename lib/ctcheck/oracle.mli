@@ -22,19 +22,13 @@ type signature =
   | Bus_values of int list
   | Counts of { hits : int; retired : int; cycles : int }
 
-val signature_of : Finding.kind -> addr:int -> Riscv.Trace.event array -> signature
+val confirm : run:(secret:int -> Riscv.Trace.event array) -> Finding.t -> Finding.t
+(** Re-tags the finding, trying the secret pairs [(3, -3); (1, 2);
+    (0, 1)] — sign, magnitude and zero/non-zero distinguishers, all
+    within every sampler variant's range.  [run] executes the program
+    under one secret and returns its event stream; memoize it when
+    confirming many findings. *)
 
-val default_pairs : (int * int) list
-(** [(3, -3); (1, 2); (0, 1)] — sign, magnitude and zero/non-zero
-    distinguishers, all within every sampler variant's range. *)
-
-val confirm :
-  run:(secret:int -> Riscv.Trace.event array) -> ?pairs:(int * int) list -> Finding.t -> Finding.t
-(** Re-tags the finding.  [run] executes the program under one secret
-    and returns its event stream; memoize it when confirming many
-    findings. *)
-
-val confirm_all :
-  run:(secret:int -> Riscv.Trace.event array) -> ?pairs:(int * int) list -> Finding.t list -> Finding.t list
+val confirm_all : run:(secret:int -> Riscv.Trace.event array) -> Finding.t list -> Finding.t list
 (** {!confirm} for every finding, with [run] memoized across the
     list. *)

@@ -111,38 +111,10 @@ let result_of_payload ~path payload =
   Traceio.Binio.expect_end c;
   { shard; range = { lo; hi }; corrupt_skipped; results }
 
-let save path r =
-  let oc = Traceio.Error.open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Traceio.Error.wrap_io path (fun () ->
-          output_string oc magic;
-          output_string oc (String.init 2 (fun i -> Char.chr ((version lsr (8 * i)) land 0xFF))));
-      Traceio.Frame.write ~path oc (result_payload r))
+let save path r = Traceio.Frame.save ~path ~magic ~version (result_payload r)
 
 let load path =
-  let ic = Traceio.Error.open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let m = Traceio.Error.wrap_io path (fun () -> really_input_string ic (String.length magic)) in
-      if m <> magic then
-        Traceio.Error.corruptf "%s: not a shard result file (magic %S, expected %S)" path m magic;
-      let v = Traceio.Error.wrap_io path (fun () -> really_input_string ic 2) in
-      let v = Char.code v.[0] lor (Char.code v.[1] lsl 8) in
-      if v <> version then
-        Traceio.Error.corruptf "%s: unsupported shard result version %d (this build reads version %d)" path v
-          version;
-      let payload =
-        match Traceio.Frame.read ~path ic with
-        | None -> Traceio.Error.corruptf "%s: missing result frame" path
-        | Some p -> p
-      in
-      (match Traceio.Frame.read ~path ic with
-      | None -> ()
-      | Some _ -> Traceio.Error.corruptf "%s: trailing data after the result frame" path);
-      result_of_payload ~path payload)
+  result_of_payload ~path (Traceio.Frame.load ~path ~what:"shard result file" ~magic ~version)
 
 (* --- merge -------------------------------------------------------------- *)
 

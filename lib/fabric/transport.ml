@@ -51,7 +51,7 @@ type connection = { ic : in_channel; oc : out_channel; peer : string }
 
 type listener = { l_fd : Unix.file_descr; l_endpoint : endpoint; mutable l_closed : bool }
 
-let listen ?(backlog = 16) ep =
+let listen ep =
   wrap ep (fun () ->
       let fd = Unix.socket (domain_of ep) Unix.SOCK_STREAM 0 in
       (try
@@ -59,7 +59,7 @@ let listen ?(backlog = 16) ep =
          | Unix_socket path -> if Sys.file_exists path then Unix.unlink path
          | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
          Unix.bind fd (sockaddr_of ep);
-         Unix.listen fd backlog
+         Unix.listen fd 16
        with e ->
          Unix.close fd;
          raise e);
@@ -127,7 +127,3 @@ let close_connection c =
   (try flush c.oc with Sys_error _ -> ());
   (try close_out_noerr c.oc with Sys_error _ -> ());
   close_in_noerr c.ic
-
-let with_connection ?retries ?backoff_s ep f =
-  let c = connect ?retries ?backoff_s ep in
-  Fun.protect ~finally:(fun () -> close_connection c) (fun () -> f c)

@@ -30,9 +30,10 @@ type connection = {
 
 type listener
 
-val listen : ?backlog:int -> endpoint -> listener
-(** Bind and listen.  A stale Unix-socket file at the path is
-    unlinked first (the bind would otherwise fail forever).
+val listen : endpoint -> listener
+(** Bind and listen with a backlog of 16.  A stale Unix-socket file
+    at the path is unlinked first (the bind would otherwise fail
+    forever).
     @raise Traceio.Error.Io on any OS refusal. *)
 
 val accept : listener -> connection
@@ -54,6 +55,3 @@ val connect : ?retries:int -> ?backoff_s:float -> endpoint -> connection
 val close_connection : connection -> unit
 (** Flush and close both channel views.  Idempotent in effect (double
     close is swallowed). *)
-
-val with_connection : ?retries:int -> ?backoff_s:float -> endpoint -> (connection -> 'a) -> 'a
-(** [connect], run, close — also on exceptions. *)

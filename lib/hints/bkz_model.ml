@@ -23,14 +23,6 @@ let delta beta =
     go 0
   end
 
-let log_gh d =
-  (* ln gh(d) = ln Gamma(d/2 + 1)^(1/d) / sqrt(pi); use Stirling via
-     lgamma when available: OCaml has no lgamma in stdlib, so use the
-     standard approximation gh(d) ~ sqrt(d / (2 pi e)) for d >= 10. *)
-  let d = float_of_int d in
-  if d < 1.0 then invalid_arg "Bkz_model.log_gh";
-  0.5 *. log (d /. (2.0 *. Float.pi *. Float.exp 1.0))
-
 (* GSA intersect: the normalised secret has unit variance per
    coordinate, so its projection on the last beta-dimensional block has
    expected norm sqrt(beta); BKZ-beta finds it when that projection is
@@ -57,7 +49,6 @@ let beta_for ~d ~logvol =
   end
 
 let security_bits bikz = bikz /. 2.98
-let bikz_for_bits bits = bits *. 2.98
 
 let core_svp_classical_bits bikz = 0.292 *. bikz
 let core_svp_quantum_bits bikz = 0.265 *. bikz

@@ -12,10 +12,6 @@ val delta : float -> float
     ((beta/2 pi e)(pi beta)^(1/beta))^(1/(2(beta-1))) for beta >= 40
     and an experimental interpolation table below. *)
 
-val log_gh : int -> float
-(** Natural log of the Gaussian heuristic factor for dimension d:
-    expected lambda_1 = gh(d) * vol^(1/d). *)
-
 val beta_for : d:int -> logvol:float -> float
 (** Smallest (fractional) block size at which the GSA-intersect
     condition [sqrt(beta) <= delta(beta)^(2 beta - d - 1) *
@@ -27,17 +23,6 @@ val beta_for : d:int -> logvol:float -> float
 val security_bits : float -> float
 (** Paper's conversion: bikz / 2.98 bits (Section IV-C footnote:
     382.25 bikz corresponds to 128-bit security). *)
-
-val bikz_for_bits : float -> float
-(** Inverse of {!security_bits}. *)
-
-val core_svp_classical_bits : float -> float
-(** Core-SVP cost model: 0.292 * beta bits (Becker-Ducas-Gama-Laarhoven
-    sieving) — the conservative conversion used by the NIST-PQC
-    submissions, for cross-checking the paper's 2.98-bikz/bit rule. *)
-
-val core_svp_quantum_bits : float -> float
-(** 0.265 * beta (quantum sieving). *)
 
 val cost_summary : float -> (string * float) list
 (** All three bit-security conversions of one block size, labelled. *)

@@ -1,6 +1,6 @@
 type t = {
   mutable dim : int;  (** embedding dimension, incl. Kannan coordinate *)
-  mutable log_lattice_vol : float;
+  log_lattice_vol : float;
   variances : float array;
   active : bool array;
   mutable perfect_count : int;
@@ -56,21 +56,5 @@ let posterior_hint t i ~posterior_variance =
   if posterior_variance <= 1e-12 then perfect_hint t i
   else if posterior_variance < t.variances.(i) then t.variances.(i) <- posterior_variance
 
-let modular_hint t ~modulus =
-  if modulus <= 1 then invalid_arg "Dbdd.modular_hint: modulus must exceed 1";
-  t.log_lattice_vol <- t.log_lattice_vol +. log (float_of_int modulus)
-
-let short_vector_hint t ~norm_sq =
-  if norm_sq <= 0.0 then invalid_arg "Dbdd.short_vector_hint: norm must be positive";
-  (* Projecting Lambda orthogonally to a lattice vector v divides the
-     volume by ||v|| and drops the dimension. *)
-  t.log_lattice_vol <- t.log_lattice_vol -. (0.5 *. log norm_sq);
-  t.dim <- t.dim - 1
-
 let integrated t = t.perfect_count
 let estimate_bikz t = Bkz_model.beta_for ~d:t.dim ~logvol:(logvol t)
-let estimate_bits t = Bkz_model.security_bits (estimate_bikz t)
-
-let pp fmt t =
-  Format.fprintf fmt "DBDD(dim=%d, logvol=%.1f, perfect=%d, bikz=%.2f)" t.dim (logvol t) t.perfect_count
-    (estimate_bikz t)

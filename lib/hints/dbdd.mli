@@ -46,19 +46,8 @@ val posterior_hint : t -> int -> posterior_variance:float -> unit
     the matching measurement noise).  A posterior no smaller than the
     prior is ignored — a hint may not hurt. *)
 
-val modular_hint : t -> modulus:int -> unit
-(** Learn a linear form mod [modulus]: volume multiplies by the
-    modulus, dimension and variances unchanged (lite treatment). *)
-
-val short_vector_hint : t -> norm_sq:float -> unit
-(** Project out a known lattice vector of squared norm [norm_sq]
-    (used to forget q-vectors before estimating). *)
-
 val integrated : t -> int
 (** Number of perfect hints applied so far. *)
 
 val estimate_bikz : t -> float
 (** GSA-intersect block size of the current instance. *)
-
-val estimate_bits : t -> float
-val pp : Format.formatter -> t -> unit

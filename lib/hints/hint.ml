@@ -16,7 +16,7 @@ let variance dist =
   Array.fold_left (fun acc (v, p) -> acc +. (p *. (float_of_int v -. mu) *. (float_of_int v -. mu))) 0.0 dist
   /. total
 
-let of_posterior ?(perfect_threshold = 1e-9) ~coordinate dist =
+let of_posterior ~coordinate dist =
   if Array.length dist = 0 then invalid_arg "Hint.of_posterior: empty distribution";
   let mu = centered_mean dist in
   let var = variance dist in
@@ -28,7 +28,7 @@ let of_posterior ?(perfect_threshold = 1e-9) ~coordinate dist =
         best_value := v
       end)
     dist;
-  if var <= perfect_threshold then { coordinate; kind = Perfect !best_value }
+  if var <= 1e-9 then { coordinate; kind = Perfect !best_value }
   else { coordinate; kind = Approximate { mean = mu; variance = var; confidence = !best_p } }
 
 let sign_hint ~sigma ~coordinate sign =
@@ -60,21 +60,6 @@ let apply dbdd hint =
   | None_useful -> ()
 
 let apply_all dbdd hint_list = List.iter (apply dbdd) hint_list
-
-let guess_gain dbdd hint_list =
-  let candidates =
-    List.filter_map
-      (fun h -> match h.kind with Approximate { confidence; _ } when confidence > 0.0 -> Some (h, confidence) | _ -> None)
-      hint_list
-  in
-  match candidates with
-  | [] -> None
-  | _ ->
-      let best, confidence =
-        List.fold_left (fun (bh, bc) (h, c) -> if c > bc then (h, c) else (bh, bc)) (List.hd candidates) candidates
-      in
-      Dbdd.perfect_hint dbdd best.coordinate;
-      Some (confidence, Dbdd.estimate_bikz dbdd)
 
 type ladder_step = {
   guesses : int;

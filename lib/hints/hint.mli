@@ -17,9 +17,9 @@ type kind =
 
 type t = { coordinate : int; kind : kind }
 
-val of_posterior : ?perfect_threshold:float -> coordinate:int -> (int * float) array -> t
+val of_posterior : coordinate:int -> (int * float) array -> t
 (** [of_posterior ~coordinate dist] with [dist = (value, prob) array].
-    Variance below [perfect_threshold] (default 1e-9) makes the hint
+    Variance of at most 1e-9 makes the hint
     perfect — the paper's "probabilities rounded to 1 by floating
     point precision" case. *)
 
@@ -39,12 +39,6 @@ val apply : Dbdd.t -> t -> unit
 (** Integrate into the lite estimator. *)
 
 val apply_all : Dbdd.t -> t list -> unit
-
-val guess_gain : Dbdd.t -> t list -> (float * float) option
-(** Simulate the paper's "hints & guesses" row: pick the unintegrated
-    approximate hint with the highest confidence, apply it as a
-    perfect hint, and return (success probability, new bikz).  [None]
-    when no approximate hint remains. *)
 
 type ladder_step = {
   guesses : int;  (** cumulative number of guessed coordinates *)

@@ -57,12 +57,12 @@ let apply_block_transform basis ~k ~l u =
     basis.(k + i) <- acc
   done
 
-let reduce ?(delta = 0.99) ?(max_tours = 16) ~block_size basis =
+let reduce ~block_size basis =
   if block_size < 2 then invalid_arg "Bkz.reduce: block_size must be >= 2";
   let n = Array.length basis in
-  Lll.reduce ~delta basis;
+  Lll.reduce basis;
   let improved = ref true and tours = ref 0 in
-  while !improved && !tours < max_tours do
+  while !improved && !tours < 16 do
     improved := false;
     incr tours;
     for k = 0 to n - 2 do
@@ -75,15 +75,8 @@ let reduce ?(delta = 0.99) ?(max_tours = 16) ~block_size basis =
           if d = 1 then begin
             let u = unimodular_completion x in
             apply_block_transform basis ~k ~l u;
-            Lll.reduce ~delta basis;
+            Lll.reduce basis;
             improved := true
           end
     done
   done
-
-let hermite_factor basis =
-  let n = Array.length basis in
-  let g = Lll.gso basis in
-  let logvol = Array.fold_left (fun acc b2 -> acc +. (0.5 *. log b2)) 0.0 g.Lll.b_star_sq in
-  let b1 = sqrt (float_of_int (Zmat.norm_sq basis.(0))) in
-  b1 /. exp (logvol /. float_of_int n)

@@ -13,9 +13,7 @@ val unimodular_completion : int array -> int array array
 (** A unimodular matrix whose first row is the given primitive vector.
     @raise Invalid_argument when the gcd of the entries is not 1. *)
 
-val reduce : ?delta:float -> ?max_tours:int -> block_size:int -> Zmat.t -> unit
-(** In-place BKZ-[block_size]; stops after a tour with no improvement
-    or [max_tours] (default 16). *)
-
-val hermite_factor : Zmat.t -> float
-(** ||b_1|| / vol^(1/n), the quality metric BKZ improves. *)
+val reduce : block_size:int -> Zmat.t -> unit
+(** In-place BKZ-[block_size] over LLL with its default Lovász
+    parameter; stops after a tour with no improvement or after 16
+    tours. *)

@@ -14,7 +14,7 @@ let negacyclic_matrix ~q p =
           let d = j - i in
           if d >= 0 then p.(d) else Mathkit.Modular.neg md p.(d + n)))
 
-let kannan_basis ?(embedding_norm = 1) inst =
+let kannan_basis inst =
   let m = Array.length inst.b in
   let n = if m = 0 then 0 else Array.length inst.a.(0) in
   let dim = m + n + 1 in
@@ -31,7 +31,7 @@ let kannan_basis ?(embedding_norm = 1) inst =
   for j = 0 to m - 1 do
     basis.(dim - 1).(j) <- inst.b.(j)
   done;
-  basis.(dim - 1).(dim - 1) <- embedding_norm;
+  basis.(dim - 1).(dim - 1) <- 1;
   basis
 
 let recenter inst ~means =
@@ -102,7 +102,7 @@ let verify inst s e =
   done;
   !ok
 
-let solve ?(block_size = 2) ?(max_abs_secret = 1) inst =
+let solve ?(block_size = 2) inst =
   let m = Array.length inst.b in
   let n = if m = 0 then 0 else Array.length inst.a.(0) in
   if m = 0 || n = 0 then None
@@ -118,7 +118,7 @@ let solve ?(block_size = 2) ?(max_abs_secret = 1) inst =
         (* row = sgn * (-e, s, -1) *)
         let secret = Array.init n (fun i -> sgn * row.(m + i)) in
         let error = Array.init m (fun j -> -sgn * row.(j)) in
-        if Array.for_all (fun si -> abs si <= max_abs_secret) secret && verify inst secret error then
+        if Array.for_all (fun si -> abs si <= 1) secret && verify inst secret error then
           Some { secret; error }
         else None
       end

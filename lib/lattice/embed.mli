@@ -26,8 +26,8 @@ val negacyclic_matrix : q:int -> int array -> int array array
 (** Convolution matrix of a ring element p in Z_q[x]/(x^n + 1): row j
     maps u to coefficient j of p*u. *)
 
-val kannan_basis : ?embedding_norm:int -> instance -> Zmat.t
-(** The basis above with M = [embedding_norm] (default 1). *)
+val kannan_basis : instance -> Zmat.t
+(** The basis above with M = 1. *)
 
 val recenter : instance -> means:float array -> instance
 (** Subtract rounded hint means from b (approximate hints). *)
@@ -41,8 +41,7 @@ val eliminate_perfect : instance -> known:(int * int) list -> instance
 
 type solution = { secret : int array; error : int array }
 
-val solve : ?block_size:int -> ?max_abs_secret:int -> instance -> solution option
+val solve : ?block_size:int -> instance -> solution option
 (** LLL (+ BKZ when [block_size] > 2) on the embedding; extracts and
-    verifies a candidate (s, e).  [max_abs_secret] (default 1, the
-    ternary secret) filters candidates.  [None] if reduction did not
-    surface the planted vector. *)
+    verifies a candidate (s, e) with a ternary secret.  [None] if
+    reduction did not surface the planted vector. *)

@@ -103,8 +103,3 @@ let is_reduced ?(delta = 0.99) basis =
     done;
     !ok
   end
-
-let shortest basis =
-  let best = ref basis.(0) in
-  Array.iter (fun r -> if Zmat.norm_sq r < Zmat.norm_sq !best then best := r) basis;
-  Array.copy !best

@@ -18,5 +18,3 @@ val reduce : ?delta:float -> Zmat.t -> unit
     @raise Invalid_argument if rows are linearly dependent. *)
 
 val is_reduced : ?delta:float -> Zmat.t -> bool
-val shortest : Zmat.t -> Zmat.vec
-(** Shortest basis vector (after reduction, the first row). *)

@@ -36,23 +36,8 @@ let axpy c x y =
 
 let norm_sq v = dot v v
 let copy m = Array.map Array.copy m
-let rows m = Array.length m
 let cols m = if Array.length m = 0 then 0 else Array.length m.(0)
-let identity n = Array.init n (fun i -> Array.init n (fun j -> if i = j then 1 else 0))
-
 let swap_rows m i j =
   let t = m.(i) in
   m.(i) <- m.(j);
   m.(j) <- t
-
-let is_zero_vec v = Array.for_all (fun x -> x = 0) v
-
-let pp_vec fmt v =
-  Format.fprintf fmt "[";
-  Array.iteri (fun i x -> if i > 0 then Format.fprintf fmt " %d" x else Format.fprintf fmt "%d" x) v;
-  Format.fprintf fmt "]"
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  Array.iter (fun r -> Format.fprintf fmt "%a@," pp_vec r) m;
-  Format.fprintf fmt "@]"

@@ -22,10 +22,5 @@ val axpy : int -> vec -> vec -> unit
 
 val norm_sq : vec -> int
 val copy : t -> t
-val rows : t -> int
 val cols : t -> int
-val identity : int -> t
 val swap_rows : t -> int -> int -> unit
-val is_zero_vec : vec -> bool
-val pp_vec : Format.formatter -> vec -> unit
-val pp : Format.formatter -> t -> unit

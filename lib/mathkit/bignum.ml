@@ -95,8 +95,6 @@ let mul a b =
     normalize r
   end
 
-let mul_int a x = mul a (of_int x)
-
 let bits a =
   let n = Array.length a in
   if n = 0 then 0
@@ -179,7 +177,7 @@ let of_string s =
   String.iter
     (fun c ->
       if c < '0' || c > '9' then invalid_arg "Bignum.of_string: non-digit";
-      r := add (mul_int !r 10) (of_int (Char.code c - Char.code '0')))
+      r := add (mul !r (of_int 10)) (of_int (Char.code c - Char.code '0')))
     s;
   !r
 
@@ -207,5 +205,3 @@ let log2 a =
     let top = shift_right a (b - 53) in
     Float.log2 (Float.of_int (to_int top)) +. Float.of_int (b - 53)
   end
-
-let pp fmt a = Format.pp_print_string fmt (to_string a)

@@ -30,8 +30,6 @@ val sub : t -> t -> t
 (** @raise Invalid_argument if the result would be negative. *)
 
 val mul : t -> t -> t
-val mul_int : t -> int -> t
-
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(a / b, a mod b)].
     @raise Division_by_zero on zero divisor. *)
@@ -50,5 +48,3 @@ val round_div : t -> t -> t
 
 val log2 : t -> float
 (** Floating-point base-2 logarithm (for security-size arithmetic). *)
-
-val pp : Format.formatter -> t -> unit

@@ -43,10 +43,6 @@ let sample_noise p rng c =
   let x = clipped_normal p rng c in
   int_of_float (Float.round x)
 
-let pdf ~mu ~sigma x =
-  let z = (x -. mu) /. sigma in
-  exp (-0.5 *. z *. z) /. (sigma *. sqrt (2.0 *. Float.pi))
-
 let cdf ~mu ~sigma x =
   let z = (x -. mu) /. (sigma *. sqrt 2.0) in
   0.5 *. (1.0 +. Float.erf z)
@@ -54,15 +50,6 @@ let cdf ~mu ~sigma x =
 let discrete_probability ~sigma z =
   let z = float_of_int z in
   cdf ~mu:0.0 ~sigma (z +. 0.5) -. cdf ~mu:0.0 ~sigma (z -. 0.5)
-
-let discrete_variance ~sigma ~max =
-  let total = ref 0.0 and second = ref 0.0 in
-  for z = -max to max do
-    let p = discrete_probability ~sigma z in
-    total := !total +. p;
-    second := !second +. (p *. float_of_int (z * z))
-  done;
-  if !total <= 0.0 then 0.0 else !second /. !total
 
 let cdt_table ~sigma ~tail_cut =
   let bound = int_of_float (Float.round (sigma *. tail_cut)) in

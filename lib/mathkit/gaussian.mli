@@ -35,10 +35,6 @@ val seal_default : clipped
 (** sigma = 3.19 (8 / sqrt(2 pi)), max_deviation = 6 sigma — SEAL's
     defaults for the BFV error distribution. *)
 
-val clipped_normal : polar -> Prng.t -> clipped -> float
-(** Rejection-clipped normal double, as SEAL's
-    [ClippedNormalDistribution]. *)
-
 val sample_noise : polar -> Prng.t -> clipped -> int
 (** [round(clipped_normal ...)] — the [int64_t noise] of Fig. 2
     line 12.  Always within [-round(max_deviation),
@@ -54,12 +50,8 @@ val sample_cdt : Prng.t -> float array -> int
 val sample_binomial : Prng.t -> k:int -> int
 (** Centered binomial with parameter k: sum of k coin differences. *)
 
-val pdf : mu:float -> sigma:float -> float -> float
 val cdf : mu:float -> sigma:float -> float -> float
 
 val discrete_probability : sigma:float -> int -> float
 (** Probability that the rounded clipped normal equals the given
     integer: cdf mass of [\[z - 1/2, z + 1/2)]. *)
-
-val discrete_variance : sigma:float -> max:int -> float
-(** Variance of the rounded distribution truncated to [\[-max, max\]]. *)

@@ -87,7 +87,7 @@ let regularize a eps =
 (* Cyclic Jacobi: repeatedly zero the largest off-diagonal entry with a
    Givens rotation.  Converges quadratically for symmetric input; the
    dimensions PCA uses here (tens to a few hundred) are comfortable. *)
-let jacobi_eigen ?(max_sweeps = 64) a =
+let jacobi_eigen a =
   let n = Matrix.rows a in
   if Matrix.cols a <> n then invalid_arg "Linalg.jacobi_eigen: not square";
   let m = Matrix.copy a in
@@ -103,7 +103,7 @@ let jacobi_eigen ?(max_sweeps = 64) a =
   in
   let sweep = ref 0 in
   let scale = Float.max 1e-300 (Matrix.frobenius a) in
-  while off_diag_norm () > 1e-12 *. scale && !sweep < max_sweeps do
+  while off_diag_norm () > 1e-12 *. scale && !sweep < 64 do
     incr sweep;
     for p = 0 to n - 2 do
       for q = p + 1 to n - 1 do

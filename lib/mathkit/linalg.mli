@@ -23,10 +23,11 @@ val regularize : Matrix.t -> float -> Matrix.t
 (** [regularize a eps] adds [eps] to the diagonal — the standard fix
     for near-singular pooled covariances in template attacks. *)
 
-val jacobi_eigen : ?max_sweeps:int -> Matrix.t -> float array * Matrix.t
+val jacobi_eigen : Matrix.t -> float array * Matrix.t
 (** Eigendecomposition of a symmetric matrix by cyclic Jacobi
-    rotations: returns (eigenvalues, eigenvectors-as-columns), sorted
-    by decreasing eigenvalue.  Used by the PCA trace compression.
+    rotations (at most 64 sweeps): returns (eigenvalues,
+    eigenvectors-as-columns), sorted by decreasing eigenvalue.  Used
+    by the PCA trace compression.
     @raise Invalid_argument on non-square input. *)
 
 val principal_components : Matrix.t -> k:int -> Matrix.t

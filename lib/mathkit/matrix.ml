@@ -14,7 +14,6 @@ let of_arrays a =
   Array.iter (fun row -> if Array.length row <> c then invalid_arg "Matrix.of_arrays: ragged") a;
   { r; c; a = Array.map Array.copy a }
 
-let to_arrays m = Array.map Array.copy m.a
 let rows m = m.r
 let cols m = m.c
 let get m i j = m.a.(i).(j)

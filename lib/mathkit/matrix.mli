@@ -13,7 +13,6 @@ val create : int -> int -> t
 val init : int -> int -> (int -> int -> float) -> t
 val identity : int -> t
 val of_arrays : float array array -> t
-val to_arrays : t -> float array array
 val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> float

@@ -45,7 +45,6 @@ let plan md n =
     n_inv = Modular.inv md n;
   }
 
-let degree p = p.n
 let modulus p = p.md
 
 let bit_reverse_permute a =

@@ -13,7 +13,6 @@ val plan : Modular.modulus -> int -> plan
     of two) and prime modulus [q = 1 mod 2n].
     @raise Invalid_argument if the pair is not NTT-friendly. *)
 
-val degree : plan -> int
 val modulus : plan -> Modular.modulus
 
 val forward : plan -> int array -> unit

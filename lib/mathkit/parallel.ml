@@ -38,5 +38,3 @@ let map_array_with ?domains ~scratch f xs =
   end
 
 let map_array ?domains f xs = map_array_with ?domains ~scratch:(fun () -> ()) (fun () x -> f x) xs
-
-let init ?domains n f = map_array ?domains f (Array.init n (fun i -> i))

@@ -18,7 +18,4 @@ val map_array_with : ?domains:int -> scratch:(unit -> 's) -> ('s -> 'a -> 'b) ->
     item it processes.  Use for reusable buffers (Fvec arenas,
     classifier scratch) that must not be shared across domains. *)
 
-val init : ?domains:int -> int -> (int -> 'a) -> 'a array
-(** Parallel [Array.init]. *)
-
 val recommended_domains : unit -> int

@@ -12,7 +12,6 @@ let map2 f a b =
   Array.init (Array.length a) (fun i -> f a.(i) b.(i))
 
 let add md a b = map2 (Modular.add md) a b
-let sub md a b = map2 (Modular.sub md) a b
 let neg md a = Array.map (Modular.neg md) a
 let scale md c a = Array.map (Modular.mul md c) a
 
@@ -31,22 +30,5 @@ let mul_schoolbook md a b =
   done;
   c
 
-let mul ?plan md a b =
-  match plan with
-  | None -> mul_schoolbook md a b
-  | Some p ->
-      if Ntt.degree p <> Array.length a then invalid_arg "Poly.mul: plan degree mismatch";
-      if (Ntt.modulus p).Modular.value <> md.Modular.value then invalid_arg "Poly.mul: plan modulus mismatch";
-      Ntt.multiply p a b
-
 let uniform rng md n = Array.init n (fun _ -> Prng.int rng md.Modular.value)
-let ternary rng md n = Array.init n (fun _ -> Modular.of_centered md (Prng.ternary rng))
 let equal a b = a = b
-
-let infinity_norm_centered md a =
-  Array.fold_left (fun acc x -> max acc (abs (Modular.to_centered md x))) 0 a
-
-let pp fmt a =
-  Format.fprintf fmt "[";
-  Array.iteri (fun i x -> if i > 0 then Format.fprintf fmt "; %d" x else Format.fprintf fmt "%d" x) a;
-  Format.fprintf fmt "]"

@@ -3,9 +3,8 @@
     A polynomial is an [int array] of length n with canonical
     coefficients in [\[0, q)].  Functions are written against an
     explicit modulus so the same vectors can live in several residue
-    rings (RNS).  Multiplication uses the NTT when a plan is supplied
-    and falls back to schoolbook otherwise, which doubles as a test
-    oracle for the NTT path. *)
+    rings (RNS).  Fast products go through {!Ntt.multiply}; the
+    schoolbook product here is the test oracle for that path. *)
 
 type t = int array
 
@@ -19,24 +18,13 @@ val to_centered : Modular.modulus -> t -> int array
 (** Centered representatives in [(-q/2, q/2\]]. *)
 
 val add : Modular.modulus -> t -> t -> t
-val sub : Modular.modulus -> t -> t -> t
 val neg : Modular.modulus -> t -> t
 val scale : Modular.modulus -> int -> t -> t
 
 val mul_schoolbook : Modular.modulus -> t -> t -> t
 (** O(n^2) negacyclic product; reference implementation. *)
 
-val mul : ?plan:Ntt.plan -> Modular.modulus -> t -> t -> t
-(** Negacyclic product; uses [plan] when given (and checks it matches
-    the modulus and length), schoolbook otherwise. *)
-
 val uniform : Prng.t -> Modular.modulus -> int -> t
 (** Uniform element of R_q. *)
 
-val ternary : Prng.t -> Modular.modulus -> int -> t
-(** Coefficients uniform over {-1, 0, 1}, canonicalised — SEAL's R_2
-    distribution for secrets and the encryption sample u. *)
-
 val equal : t -> t -> bool
-val infinity_norm_centered : Modular.modulus -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -64,8 +64,6 @@ let[@inline] bits64 g =
 
 let split g = create ~seed:(bits64 g) ()
 
-let bits32 g = Int64.to_int32 (Int64.shift_right_logical (bits64 g) 32)
-
 let int64_below g bound =
   if Int64.compare bound 0L <= 0 then invalid_arg "Prng.int64_below: bound <= 0";
   (* Rejection sampling on the top bits to avoid modulo bias. *)

@@ -24,9 +24,6 @@ val split : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val bits32 : t -> int32
-(** Next 32 random bits. *)
-
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)].  [bound] must be
     positive.  Uses rejection sampling: no modulo bias. *)

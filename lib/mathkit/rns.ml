@@ -26,10 +26,7 @@ let create prime_list =
   { primes; moduli; product; punctured; inv_punctured }
 
 let primes b = Array.copy b.primes
-let moduli b = b.moduli
 let count b = Array.length b.primes
-let product b = b.product
-
 let decompose b x =
   if Bignum.compare x b.product >= 0 then invalid_arg "Rns.decompose: value out of range";
   Array.map (fun p -> Bignum.mod_int x p) b.primes

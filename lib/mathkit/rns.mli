@@ -14,12 +14,6 @@ val create : int list -> t
     @raise Invalid_argument otherwise. *)
 
 val primes : t -> int array
-val moduli : t -> Modular.modulus array
-val count : t -> int
-
-val product : t -> Bignum.t
-(** q = product of the basis primes. *)
-
 val decompose : t -> Bignum.t -> int array
 (** Residues of a value in [\[0, q)]. *)
 

@@ -8,7 +8,6 @@ let push r x =
   r.mean <- r.mean +. (delta /. float_of_int r.n);
   r.m2 <- r.m2 +. (delta *. (x -. r.mean))
 
-let count r = r.n
 let mean r = r.mean
 let variance r = if r.n < 2 then 0.0 else r.m2 /. float_of_int (r.n - 1)
 let stddev r = sqrt (variance r)

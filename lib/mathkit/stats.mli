@@ -5,7 +5,6 @@ type running
 
 val running : unit -> running
 val push : running -> float -> unit
-val count : running -> int
 val mean : running -> float
 val variance : running -> float
 (** Sample (n-1) variance; 0 for fewer than two points. *)

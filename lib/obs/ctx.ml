@@ -48,8 +48,6 @@ let create ?clock ?source ~sink () =
 
 let enabled t = t.enabled
 let metrics t = t.metrics
-let clock t = t.clock
-
 (* registry conveniences — resolve by name against the ctx registry *)
 let counter t name = Metrics.counter t.metrics name
 let gauge t name = Metrics.gauge t.metrics name

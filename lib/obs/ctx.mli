@@ -16,8 +16,6 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_name : level -> string
-
 type t
 
 val disabled : t
@@ -33,8 +31,6 @@ val create : ?clock:Clock.t -> ?source:string -> sink:Sink.t -> unit -> t
 
 val enabled : t -> bool
 val metrics : t -> Metrics.t
-val clock : t -> Clock.t
-
 val counter : t -> string -> Metrics.counter
 (** [Metrics.counter (metrics t)] — get-or-create by name. *)
 

@@ -51,7 +51,6 @@ let counter t name =
 
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c_cell by)
 let counter_value c = Atomic.get c.c_cell
-let counter_name c = c.c_name
 
 (* --- gauges ---------------------------------------------------------------- *)
 
@@ -66,7 +65,6 @@ let gauge t name =
 
 let set g v = Atomic.set g.g_cell v
 let gauge_value g = Atomic.get g.g_cell
-let gauge_name g = g.g_name
 
 (* --- histograms ------------------------------------------------------------ *)
 
@@ -147,8 +145,6 @@ let histogram_snapshot h =
   in
   Mutex.unlock h.h_lock;
   s
-
-let histogram_name h = h.h_name
 
 (* --- quantile estimation ---------------------------------------------------- *)
 

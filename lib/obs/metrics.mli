@@ -24,19 +24,14 @@ val counter : t -> string -> counter
 
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
-val counter_name : counter -> string
 
 (** {1 Gauges} — last-write-wins floats. *)
 
 val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 
 (** {1 Histograms} — fixed buckets, cumulative-free representation. *)
-
-val default_buckets : float array
-(** Decades from 10µs to 100s — sized for span durations in seconds. *)
 
 val histogram : ?buckets:float array -> t -> string -> histogram
 (** [buckets] are the ascending upper bounds (one bucket per bound
@@ -60,7 +55,6 @@ type histogram_snapshot = {
 }
 
 val histogram_snapshot : histogram -> histogram_snapshot
-val histogram_name : histogram -> string
 
 val estimate_quantile :
   count:int ->

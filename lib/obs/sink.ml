@@ -29,8 +29,6 @@ let jsonl_sink ~close_channel oc =
   in
   Emit { emit; close }
 
-let jsonl oc = jsonl_sink ~close_channel:false oc
-
 let file path =
   match open_out path with
   | oc -> jsonl_sink ~close_channel:true oc

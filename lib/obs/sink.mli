@@ -13,10 +13,6 @@ val null : t
 
 val is_null : t -> bool
 
-val jsonl : out_channel -> t
-(** One JSON line per event to an existing channel.  {!close} flushes
-    but does not close the channel — the caller owns it (e.g. stderr). *)
-
 val file : string -> t
 (** Opens [path] for writing; {!close} closes it.  Raises [Failure
     "Obs.Sink.file: cannot write <path>: ..."] when the path cannot be

@@ -49,9 +49,6 @@ val state_add : ?weight:int -> state -> Json.t -> unit
     record with a missing/unknown ["ev"] or broken required fields,
     with a message naming the 1-based record index. *)
 
-val state_skip : state -> unit
-(** Count a record that was deliberately not parsed. *)
-
 val state_finish : state -> t
 (** Freeze the state into a summary (sections sorted by name).  The
     state may keep accumulating afterwards; finish again for an

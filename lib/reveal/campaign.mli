@@ -45,8 +45,9 @@ val save_profile : string -> profile -> unit
 
 val load_profile : string -> profile
 (** {!Profile_store.load}.
-    @raise Invalid_argument with a clear message on a stale (v1 /
-    Marshal-era), version-mismatched, truncated or corrupt cache.
+    @raise Traceio.Error.Corrupt naming the file, with the advice to
+    re-run profiling, on a stale (v1 / Marshal-era),
+    version-mismatched, truncated, corrupt or over-long cache.
     @raise Traceio.Error.Io when the file cannot be read. *)
 
 (** {1 Profiling campaigns on disk}

@@ -7,7 +7,6 @@ let min_window_length = 16
 
 let profile_magic = "REVEALPF"
 let profile_version = 3
-let legacy_profile_magic_prefix = "REVEAL-P" (* "REVEAL-PROFILE-v1\n" of the Marshal era *)
 
 let meta_kind_key = "campaign:kind"
 let meta_threshold_key = "profiling:threshold-bits"

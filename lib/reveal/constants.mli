@@ -31,10 +31,6 @@ val min_window_length : int
 val profile_magic : string
 val profile_version : int
 
-val legacy_profile_magic_prefix : string
-(** Prefix of the Marshal-era v1 cache, recognised only to produce a
-    better error message. *)
-
 (** {1 Profiling-archive metadata keys} *)
 
 val meta_kind_key : string

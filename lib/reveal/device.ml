@@ -1,7 +1,6 @@
 type t = {
   variant : Riscv.Sampler_prog.variant;
   synth : Power.Synth.config;
-  moduli : int array;
   cycle_model : (Riscv.Inst.klass -> int) option;
   n : int;
   program : Riscv.Asm.program;
@@ -11,26 +10,24 @@ type t = {
 
 let seal_moduli = [| 132120577 |]
 
-let create ?(variant = Riscv.Sampler_prog.Vulnerable) ?(synth = Power.Synth.default) ?(moduli = seal_moduli)
-    ?cycle_model ?fault ~n () =
+let create ?(variant = Riscv.Sampler_prog.Vulnerable) ?(synth = Power.Synth.default) ?cycle_model ?fault ~n () =
   if n <= 0 then invalid_arg "Device.create: n must be positive";
   {
     variant;
     synth;
-    moduli;
     cycle_model;
     n;
     fault;
     (* one trailing dummy coefficient: every real coefficient's window
        is then delimited by a following distribution-call burst, so the
        last real window segments like all the others *)
-    program = Riscv.Sampler_prog.build ~variant ~n:(n + 1) ~k:(Array.length moduli) ();
+    program = Riscv.Sampler_prog.build ~variant ~n:(n + 1) ~k:(Array.length seal_moduli) ();
     layout = Riscv.Sampler_prog.default_layout;
   }
 
 let n t = t.n
 let variant t = t.variant
-let moduli t = Array.copy t.moduli
+let moduli _ = Array.copy seal_moduli
 let synth_config t = t.synth
 
 let with_fault t fault = { t with fault }
@@ -47,7 +44,7 @@ let execute t ~scope_rng ~draws ~perm =
   let draws = Array.append draws [| (0, 0) |] in
   let mem = Riscv.Memory.create t.layout.Riscv.Sampler_prog.ram_size in
   Riscv.Memory.load_program mem 0 t.program.Riscv.Asm.words;
-  Riscv.Sampler_prog.stage_moduli mem t.layout t.moduli;
+  Riscv.Sampler_prog.stage_moduli mem t.layout seal_moduli;
   (match perm with
   | Some p ->
       if t.variant <> Riscv.Sampler_prog.Shuffled then invalid_arg "Device: permutation needs the Shuffled variant";
@@ -94,7 +91,7 @@ let execute t ~scope_rng ~draws ~perm =
     poly =
       Array.map
         (fun plane -> Array.sub plane 0 t.n)
-        (Riscv.Sampler_prog.read_poly mem t.layout ~n:(t.n + 1) ~k:(Array.length t.moduli));
+        (Riscv.Sampler_prog.read_poly mem t.layout ~n:(t.n + 1) ~k:(Array.length seal_moduli));
   }
 
 let run t ~scope_rng ~draws = execute t ~scope_rng ~draws ~perm:None
@@ -149,15 +146,12 @@ let record ?(obs = Obs.Ctx.disabled) t ~path ~seed ~traces ~scope_rng ~sampler_r
             record_run writer run
           done))
 
-let of_header ?synth ?cycle_model (h : Traceio.Archive.header) =
+let of_header (h : Traceio.Archive.header) =
   let synth =
-    match synth with
-    | Some s -> s
-    | None ->
-        {
-          Power.Synth.default with
-          Power.Synth.samples_per_cycle = h.Traceio.Archive.samples_per_cycle;
-          noise_sigma = h.Traceio.Archive.noise_sigma;
-        }
+    {
+      Power.Synth.default with
+      Power.Synth.samples_per_cycle = h.Traceio.Archive.samples_per_cycle;
+      noise_sigma = h.Traceio.Archive.noise_sigma;
+    }
   in
-  create ~variant:h.Traceio.Archive.variant ~synth ?cycle_model ~n:h.Traceio.Archive.n ()
+  create ~variant:h.Traceio.Archive.variant ~synth ~n:h.Traceio.Archive.n ()

@@ -12,14 +12,13 @@ type t
 val create :
   ?variant:Riscv.Sampler_prog.variant ->
   ?synth:Power.Synth.config ->
-  ?moduli:int array ->
   ?cycle_model:(Riscv.Inst.klass -> int) ->
   ?fault:Power.Fault.config ->
   n:int ->
   unit ->
   t
 (** A device whose firmware samples [n] coefficients per run over the
-    given modulus chain (default: the paper's q = 132120577, k = 1).
+    paper's modulus q = 132120577 (k = 1).
     With [fault], every trace leaving the scope — live runs and
     recordings alike — is corrupted by that measurement-fault model;
     a no-op fault config leaves traces bit-identical to a faultless
@@ -93,8 +92,7 @@ val record :
     enabled [obs] context the capture loop runs inside a
     [device.record] span and the writer counts records and bytes. *)
 
-val of_header : ?synth:Power.Synth.config -> ?cycle_model:(Riscv.Inst.klass -> int) -> Traceio.Archive.header -> t
+val of_header : Traceio.Archive.header -> t
 (** A clone device matching an archive's parameters — what offline
-    profiling builds its templates on.  [synth] defaults to
-    {!Power.Synth.default} with the header's sampling rate and noise
-    sigma. *)
+    profiling builds its templates on: {!Power.Synth.default} with the
+    header's sampling rate and noise sigma. *)

@@ -110,14 +110,14 @@ let fault_sweep_doc rows =
    below the clean run's (degradation must not make the attack look
    stronger).  Small tolerances absorb grade flips of individual
    borderline coefficients. *)
-let fault_sweep_check ?(recovery_tolerance = 0.02) ?(bikz_tolerance = 0.5) rows =
+let fault_sweep_check rows =
   match rows with
   | [] -> Error "fault sweep produced no rows"
   | first :: _ ->
       let problems = ref [] in
       let rec walk = function
         | a :: (b :: _ as rest) ->
-            if b.recovery_rate > a.recovery_rate +. recovery_tolerance then
+            if b.recovery_rate > a.recovery_rate +. 0.02 then
               problems :=
                 Printf.sprintf "recovery rate rises from %.3f (intensity %.2f) to %.3f (intensity %.2f)"
                   a.recovery_rate a.intensity b.recovery_rate b.intensity
@@ -128,7 +128,7 @@ let fault_sweep_check ?(recovery_tolerance = 0.02) ?(bikz_tolerance = 0.5) rows 
       walk rows;
       List.iter
         (fun r ->
-          if r.graded_bikz < first.graded_bikz -. bikz_tolerance then
+          if r.graded_bikz < first.graded_bikz -. 0.5 then
             problems :=
               Printf.sprintf "bikz %.2f at intensity %.2f under-reports hardness vs clean run (%.2f)" r.graded_bikz
                 r.intensity first.graded_bikz

@@ -222,13 +222,11 @@ val fault_sweep : ?intensities:float array -> config -> fault_sweep_row list
     the graded hints.  Deterministic given the config seed.  Default
     intensities: 0, 0.25, 0.5, 0.75, 1. *)
 
-val fault_sweep_check :
-  ?recovery_tolerance:float -> ?bikz_tolerance:float -> fault_sweep_row list -> (unit, string) result
+val fault_sweep_check : fault_sweep_row list -> (unit, string) result
 (** The sweep's two invariants: recovery rate is monotone
-    non-increasing in intensity (up to [recovery_tolerance], default
-    0.02) and no row's bikz under-reports hardness versus the clean
-    first row by more than [bikz_tolerance] (default 0.5).  [Error]
-    carries a description of every violation. *)
+    non-increasing in intensity (up to a 0.02 tolerance) and no row's
+    bikz under-reports hardness versus the clean first row by more
+    than 0.5.  [Error] carries a description of every violation. *)
 
 type zero_consistency = {
   coefficients : int;

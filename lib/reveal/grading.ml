@@ -215,9 +215,9 @@ let null_verdict = { Sca.Attack.sign = 0; value = 0; posterior = [| (0, 1.0) |] 
 
 (* --- strict (classic) attack ---------------------------------------------- *)
 
-let attack_strict ?classifier ?ctx ?(obs = Obs.Ctx.disabled) prof ~samples ~noises =
+let attack_strict ?ctx ?(obs = Obs.Ctx.disabled) prof ~samples ~noises =
   let insts = instruments obs in
-  let ctx = match ctx with Some c -> c | None -> make_ctx ?classifier prof in
+  let ctx = match ctx with Some c -> c | None -> make_ctx prof in
   let count = Array.length noises in
   match
     Obs.Ctx.span obs "stage.segment" (fun () ->
@@ -253,10 +253,10 @@ let graded_windows ~ctx ?(segmenter = Pipeline.resilient_segmenter) ~obs ~insts 
              Array.init count (fun i ->
                  classify_graded_i ~ctx ~insts prof gate ~quality:quality.(i) vectors.(i))))
 
-let attack_resilient ?(gate = default_gate) ?classifier ?ctx ?segmenter ?retry
+let attack_resilient ?(gate = default_gate) ?ctx ?segmenter ?retry
     ?(obs = Obs.Ctx.disabled) prof ~samples ~noises =
   let insts = instruments obs in
-  let ctx = match ctx with Some c -> c | None -> make_ctx ?classifier prof in
+  let ctx = match ctx with Some c -> c | None -> make_ctx prof in
   let count = Array.length noises in
   let results =
     Array.init count (fun i ->

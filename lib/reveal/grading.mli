@@ -96,7 +96,6 @@ val null_verdict : Sca.Attack.verdict
 (** Placeholder verdict of an [Unrecoverable] coefficient. *)
 
 val attack_strict :
-  ?classifier:Pipeline.classifier ->
   ?ctx:ctx ->
   ?obs:Obs.Ctx.t ->
   Pipeline.profile ->
@@ -105,8 +104,8 @@ val attack_strict :
   (coefficient_result array, Pipeline.error) result
 (** The classic pipeline on one trace: strict segmentation, default
     gate, no retries; every result is [Clean].  [ctx] reuses a
-    prebuilt classifier context (it wins over [classifier]); without
-    one, a fresh context is resolved per call.  With an enabled [obs]
+    prebuilt classifier context; without one, a fresh context for the
+    profile's template classifier is resolved per call.  With an enabled [obs]
     context the segmentation and classification run inside
     [stage.segment] / [stage.classify] spans, and per-window quality,
     grade, and fit-score/confidence distributions land in the metrics
@@ -114,7 +113,6 @@ val attack_strict :
 
 val attack_resilient :
   ?gate:gate ->
-  ?classifier:Pipeline.classifier ->
   ?ctx:ctx ->
   ?segmenter:Pipeline.segmenter ->
   ?retry:(int -> Mathkit.Fvec.t) ->

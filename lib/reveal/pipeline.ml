@@ -11,16 +11,12 @@ type profile = {
 type error =
   | Window_count of { expected : int; found : int }
   | Segmentation of Sca.Segment.segment_error
-  | Corrupt_record of string
-  | Io of string
 
 let error_to_string = function
   | Window_count { expected; found } ->
       (* the strict attack path's historical wording *)
       Printf.sprintf "Campaign: segmentation found %d windows for %d coefficients" found expected
   | Segmentation e -> Sca.Segment.error_to_string e
-  | Corrupt_record msg -> Printf.sprintf "corrupt record: %s" msg
-  | Io msg -> msg
 
 (* --- classifier stage ----------------------------------------------------- *)
 

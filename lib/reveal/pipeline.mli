@@ -38,8 +38,6 @@ type error =
           coefficients + 1 (trailing dummy) *)
   | Segmentation of Sca.Segment.segment_error
       (** the resilient segmenter could not repair the trace *)
-  | Corrupt_record of string  (** a source produced an undecodable record *)
-  | Io of string
 
 val error_to_string : error -> string
 (** A one-line message for the user.  [Window_count] renders as

@@ -110,38 +110,14 @@ let profile_of_payload ~path payload =
   { Pipeline.attack; window_length; segment; values; sigma; sign_fit_floor; value_fit_floor }
 
 let save path prof =
-  let oc = Traceio.Error.open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> try close_out oc with Sys_error _ -> ())
-    (fun () ->
-      Traceio.Error.wrap_io path (fun () ->
-          output_string oc Constants.profile_magic;
-          output_string oc (String.init 2 (fun i -> Char.chr ((Constants.profile_version lsr (8 * i)) land 0xFF))));
-      Traceio.Frame.write ~path oc (profile_payload prof))
+  Traceio.Frame.save ~path ~magic:Constants.profile_magic ~version:Constants.profile_version (profile_payload prof)
 
+(* A Marshal-era v1 cache, a cache from another format version and a
+   damaged one all have the same remedy. *)
 let load path =
-  let ic = Traceio.Error.open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> try close_in ic with Sys_error _ -> ())
-    (fun () ->
-      try
-        let m = Traceio.Error.wrap_io path (fun () -> really_input_string ic (String.length Constants.profile_magic)) in
-        if m = Constants.legacy_profile_magic_prefix then
-          invalid_arg
-            (Printf.sprintf
-               "Campaign.load_profile: %s is a stale v1 (Marshal) profile cache — delete it and re-run profiling"
-               path);
-        if m <> Constants.profile_magic then
-          invalid_arg (Printf.sprintf "Campaign.load_profile: %s is not a profile cache (bad magic)" path);
-        let v = Traceio.Error.wrap_io path (fun () -> really_input_string ic 2) in
-        let v = Char.code v.[0] lor (Char.code v.[1] lsl 8) in
-        if v <> Constants.profile_version then
-          invalid_arg
-            (Printf.sprintf
-               "Campaign.load_profile: %s has profile-cache version %d, this build reads version %d — re-run \
-                profiling"
-               path v Constants.profile_version);
-        match Traceio.Frame.read ~path ic with
-        | None -> invalid_arg (Printf.sprintf "Campaign.load_profile: %s: truncated profile cache" path)
-        | Some payload -> profile_of_payload ~path payload
-      with Traceio.Error.Corrupt msg -> invalid_arg (Printf.sprintf "Campaign.load_profile: corrupt cache: %s" msg))
+  try
+    profile_of_payload ~path
+      (Traceio.Frame.load ~path ~what:"profile cache" ~magic:Constants.profile_magic
+         ~version:Constants.profile_version)
+  with Traceio.Error.Corrupt msg ->
+    Traceio.Error.corruptf "Campaign.load_profile: stale or corrupt cache: %s — delete it and re-run profiling" msg

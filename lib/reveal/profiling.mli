@@ -86,10 +86,7 @@ val profile_of_archive :
 
 (* Internals shared with tests and the campaign drivers. *)
 
-val labelled_windows : Sca.Segment.config -> samples:float array -> noises:int array -> (int * float array) array
 val calibrate_threshold : Device.t -> Mathkit.Prng.t -> float
-val segment_of_threshold : float -> Sca.Segment.config
 val profiling_shape : values:int array -> per_value:int -> Device.t -> int * int
 val profiling_run : Device.t -> values:int array -> copies:int -> int64 -> Device.run
 val fit_floor : float array -> float
-val profiling_meta_of_header : path:string -> Traceio.Archive.header -> float * int array

@@ -58,8 +58,6 @@ type error =
 
 exception Error of error
 
-val error_to_string : error -> string
-
 val assemble : ?origin:int -> item list -> program
 (** @raise Error on duplicate or undefined labels and on
     label-relative offsets that do not fit their encoding.

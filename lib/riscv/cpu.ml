@@ -5,7 +5,7 @@ type t = {
   mutable cycle : int;
   mutable retired : int;
   mutable halted : bool;
-  mutable tracer : Trace.event -> unit;
+  tracer : Trace.event -> unit;
   cycle_model : Inst.klass -> int;
   decode_cache : (int32, Inst.t) Hashtbl.t;
       (** decode is pure; memoising it models the simple fetch path
@@ -42,15 +42,12 @@ let create ?(tracer = fun _ -> ()) ?(cycle_model = cycles_of_class) mem =
     decode_cache = Hashtbl.create 512;
   }
 
-let memory cpu = cpu.mem
-let set_tracer cpu f = cpu.tracer <- f
 let pc cpu = cpu.pc
 let set_pc cpu v = cpu.pc <- u32 v
 let cycle cpu = cpu.cycle
 let retired cpu = cpu.retired
 let halted cpu = cpu.halted
 let reg cpu r = cpu.regs.(r)
-let reg_signed cpu r = signed32 cpu.regs.(r)
 
 let set_reg cpu r v = if r <> 0 then cpu.regs.(r) <- u32 v
 

@@ -14,8 +14,6 @@ val create : ?tracer:(Trace.event -> unit) -> ?cycle_model:(Inst.klass -> int) -
     overrides the PicoRV32 latency table — used by the timing-model
     robustness ablation. *)
 
-val memory : t -> Memory.t
-val set_tracer : t -> (Trace.event -> unit) -> unit
 val pc : t -> int
 val set_pc : t -> int -> unit
 val cycle : t -> int
@@ -23,9 +21,6 @@ val retired : t -> int
 val halted : t -> bool
 val reg : t -> Inst.reg -> int
 (** Unsigned 32-bit register value. *)
-
-val reg_signed : t -> Inst.reg -> int
-val set_reg : t -> Inst.reg -> int -> unit
 
 val step : t -> unit
 (** Execute one instruction.  [Ebreak]/[Ecall] set the halted flag.

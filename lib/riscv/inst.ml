@@ -2,10 +2,6 @@ type reg = int
 
 let x0 = 0
 let ra = 1
-let sp = 2
-let gp = 3
-let tp = 4
-
 let t i =
   if i < 0 || i > 6 then invalid_arg "Inst.t: t0..t6";
   if i < 3 then 5 + i else 28 + (i - 3)

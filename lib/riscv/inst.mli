@@ -10,10 +10,6 @@ type reg = int
 
 val x0 : reg
 val ra : reg
-val sp : reg
-val gp : reg
-val tp : reg
-
 val t : int -> reg
 (** Temporaries t0..t6. *)
 
@@ -22,9 +18,6 @@ val s : int -> reg
 
 val a : int -> reg
 (** Arguments a0..a7. *)
-
-val reg_name : reg -> string
-(** ABI name, e.g. [reg_name 10 = "a0"]. *)
 
 type t =
   | Lui of reg * int
@@ -95,5 +88,4 @@ val classify : ?taken:bool -> t -> klass
 (** [taken] matters only for branches (default: taken). *)
 
 val is_branch : t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

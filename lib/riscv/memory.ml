@@ -1,18 +1,15 @@
 type t = {
   ram : Bytes.t;
   mutable mmio_read : (int -> int32) option;
-  mutable mmio_write : (int -> int32 -> unit) option;
 }
 
 let mmio_base = 0x80000000
 
 let create sz =
   if sz <= 0 || sz land 3 <> 0 then invalid_arg "Memory.create: size must be positive and word aligned";
-  { ram = Bytes.make sz '\000'; mmio_read = None; mmio_write = None }
+  { ram = Bytes.make sz '\000'; mmio_read = None }
 
-let size m = Bytes.length m.ram
 let set_mmio_read m f = m.mmio_read <- Some f
-let set_mmio_write m f = m.mmio_write <- Some f
 
 let check m addr bytes =
   if addr < 0 || addr + bytes > Bytes.length m.ram then
@@ -32,15 +29,10 @@ let load_word m addr =
   end
 
 let store_word m addr v =
-  if is_mmio addr then
-    match m.mmio_write with
-    | Some f -> f addr v
-    | None -> invalid_arg "Memory.store_word: MMIO write with no handler"
-  else begin
-    if addr land 3 <> 0 then invalid_arg "Memory.store_word: unaligned";
-    check m addr 4;
-    Bytes.set_int32_le m.ram addr v
-  end
+  if is_mmio addr then invalid_arg "Memory.store_word: MMIO write with no handler";
+  if addr land 3 <> 0 then invalid_arg "Memory.store_word: unaligned";
+  check m addr 4;
+  Bytes.set_int32_le m.ram addr v
 
 let load_byte_u m addr =
   check m addr 1;
@@ -69,9 +61,3 @@ let store_half m addr v =
   Bytes.set_uint16_le m.ram addr (v land 0xFFFF)
 
 let load_program m addr words = Array.iteri (fun i w -> store_word m (addr + (4 * i)) w) words
-
-let blit_words m addr words =
-  Array.iteri (fun i w -> store_word m (addr + (4 * i)) (Int32.of_int (w land 0xFFFFFFFF))) words
-
-let read_words m addr count =
-  Array.init count (fun i -> Int32.to_int (load_word m (addr + (4 * i))) land 0xFFFFFFFF)

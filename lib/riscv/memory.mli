@@ -1,8 +1,8 @@
 (** Flat little-endian RAM with a memory-mapped I/O window.
 
-    Addresses [0, size) are RAM.  Addresses at or above {!mmio_base}
-    are routed to user-installed handlers — the simulated SoC uses one
-    MMIO register as the entropy port feeding the Gaussian sampler
+    Addresses [0, size) are RAM.  Word loads at or above {!mmio_base}
+    are routed to a user-installed handler — the simulated SoC uses
+    one MMIO register as the entropy port feeding the Gaussian sampler
     (the role the TRNG/AXI RNG peripheral plays on the FPGA board). *)
 
 type t
@@ -13,18 +13,18 @@ val mmio_base : int
 val create : int -> t
 (** [create size] allocates [size] bytes of zeroed RAM (word aligned). *)
 
-val size : t -> int
-
 val set_mmio_read : t -> (int -> int32) -> unit
 (** Handler for word loads at [addr >= mmio_base]; receives the
     absolute address. *)
-
-val set_mmio_write : t -> (int -> int32 -> unit) -> unit
 
 val load_word : t -> int -> int32
 (** @raise Invalid_argument on unaligned or out-of-range access. *)
 
 val store_word : t -> int -> int32 -> unit
+(** Stores are RAM-only: the sampler's MMIO ports are read-only.
+    @raise Invalid_argument on unaligned, out-of-range or MMIO
+    access. *)
+
 val load_byte : t -> int -> int  (** sign-extended *)
 
 val load_byte_u : t -> int -> int
@@ -36,11 +36,3 @@ val store_half : t -> int -> int -> unit
 
 val load_program : t -> int -> int32 array -> unit
 (** Copy encoded instruction words starting at the given address. *)
-
-val blit_words : t -> int -> int array -> unit
-(** Store an array of 32-bit values (given as ints) as consecutive
-    words; used to stage polynomial buffers for the sampler. *)
-
-val read_words : t -> int -> int -> int array
-(** [read_words m addr count] reads [count] consecutive words as
-    unsigned ints. *)

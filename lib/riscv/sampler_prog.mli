@@ -55,9 +55,6 @@ val build : ?variant:variant -> ?origin:int -> n:int -> k:int -> unit -> Asm.pro
 val noise_port : int
 (** MMIO address the program loads each accepted noise value from. *)
 
-val rejection_port : int
-(** MMIO address delivering the rejection count of the next draw. *)
-
 val uniform_port : int
 (** MMIO address the CDT firmware reads its 31-bit uniform word from. *)
 

@@ -13,12 +13,6 @@ type event = {
   mem_value : int option;
 }
 
-let writes_register e = e.rd_old <> e.rd_new
-
-let pp fmt e =
-  Format.fprintf fmt "@[#%d cyc=%d pc=%08x %a (rs1=%08x rs2=%08x rd:%08x->%08x)@]" e.index e.cycle e.pc
-    Inst.pp e.inst e.rs1_value e.rs2_value e.rd_old e.rd_new
-
 type recorder = { mutable events : event list; mutable count : int }
 
 let recorder () = { events = []; count = 0 }

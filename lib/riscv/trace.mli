@@ -21,9 +21,6 @@ type event = {
   mem_value : int option;  (** datum moved over the bus *)
 }
 
-val writes_register : event -> bool
-val pp : Format.formatter -> event -> unit
-
 type recorder = { mutable events : event list; mutable count : int }
 (** Convenience sink accumulating events in reverse order. *)
 

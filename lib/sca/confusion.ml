@@ -12,8 +12,6 @@ let create ~labels =
   let n = Array.length labels in
   { labels = Array.copy labels; index; counts = Array.make_matrix n n 0; total = 0 }
 
-let labels t = Array.copy t.labels
-
 let idx t label =
   match Hashtbl.find_opt t.index label with
   | Some i -> i
@@ -44,15 +42,6 @@ let accuracy t =
     Array.iteri (fun i _ -> diag := !diag + t.counts.(i).(i)) t.labels;
     float_of_int !diag /. float_of_int t.total
   end
-
-let per_class_accuracy t =
-  Array.to_list t.labels
-  |> List.filter_map (fun label ->
-         let a = idx t label in
-         let col = column_total t a in
-         if col = 0 then None
-         else Some (label, 100.0 *. float_of_int t.counts.(a).(a) /. float_of_int col))
-  |> Array.of_list
 
 let render ?lo ?hi t =
   let lo = match lo with Some v -> v | None -> Array.fold_left min max_int t.labels in

@@ -5,7 +5,6 @@ type t
 val create : labels:int array -> t
 (** Square matrix over the given label set. *)
 
-val labels : t -> int array
 val add : t -> actual:int -> predicted:int -> unit
 (** Labels outside the declared set raise [Invalid_argument]. *)
 
@@ -18,9 +17,6 @@ val column_percent : t -> actual:int -> predicted:int -> float
 
 val accuracy : t -> float
 (** Overall fraction on the diagonal. *)
-
-val per_class_accuracy : t -> (int * float) array
-(** (label, diagonal percentage) for classes that occurred. *)
 
 val render : ?lo:int -> ?hi:int -> t -> string
 (** Table I: rows = predicted, columns = actual, column percentages,

@@ -8,16 +8,6 @@ let correlation_trace traces hypothesis =
       let column = Array.init n (fun i -> traces.(i).(t)) in
       Mathkit.Stats.correlation column hypothesis)
 
-let best_candidate traces candidates =
-  (match candidates with [] -> invalid_arg "Cpa.best_candidate: no candidates" | _ -> ());
-  List.fold_left
-    (fun (best_label, best_rho) (label, hypothesis) ->
-      let rho = correlation_trace traces hypothesis in
-      let peak = Array.fold_left (fun acc r -> Float.max acc (Float.abs r)) 0.0 rho in
-      if peak > best_rho then (label, peak) else (best_label, best_rho))
-    (fst (List.hd candidates), -1.0)
-    candidates
-
 let hw_hypothesis values =
   Array.map (fun v -> float_of_int (Power.Leakage.hamming_weight v)) values
 

@@ -4,11 +4,10 @@
     the Hamming weight of a predicted intermediate) with every trace
     sample.  Two uses here:
 
-    - {!correlation_trace} / {!best_candidate}: the textbook
-      multi-trace distinguisher, included as the baseline the paper's
-      threat model rules out — BFV encryption draws fresh noise every
-      run, so there is no fixed secret for CPA to accumulate over
-      traces.  The benches demonstrate this failure explicitly.
+    - {!correlation_trace}: the textbook multi-trace distinguisher,
+      the baseline the paper's threat model rules out — BFV
+      encryption draws fresh noise every run, so there is no fixed
+      secret for CPA to accumulate over traces.
     - {!correlation_poi}: correlation against the *known* profiling
       labels as an alternative point-of-interest selector, compared
       with SOSD/SOST in the ablations. *)
@@ -17,15 +16,6 @@ val correlation_trace : float array array -> float array -> float array
 (** [correlation_trace traces hypothesis]: Pearson correlation of each
     sample column with the per-trace hypothesis values.
     @raise Invalid_argument on mismatched lengths. *)
-
-val best_candidate : float array array -> (int * float array) list -> int * float
-(** [best_candidate traces candidates] with
-    [candidates = (label, hypothesis) list]: the label whose
-    hypothesis achieves the largest absolute correlation anywhere in
-    the trace, with that peak correlation. *)
-
-val hw_hypothesis : int array -> float array
-(** Hamming weights (of the low 32 bits) as hypothesis values. *)
 
 val correlation_poi : ?count:int -> float array array -> int array -> int array
 (** POIs: the [count] (default 16) samples most correlated (absolute)

@@ -40,16 +40,3 @@ let transform t window =
         acc := !acc +. (centered.(i) *. Mathkit.Matrix.get t.basis i c)
       done;
       !acc)
-
-let explained classes ~k =
-  let _, scatter = between_class_scatter classes in
-  let values, _ = Mathkit.Linalg.jacobi_eigen scatter in
-  let total = Array.fold_left (fun acc v -> acc +. Float.max 0.0 v) 0.0 values in
-  if total <= 0.0 then 0.0
-  else begin
-    let top = ref 0.0 in
-    for i = 0 to min k (Array.length values) - 1 do
-      top := !top +. Float.max 0.0 values.(i)
-    done;
-    !top /. total
-  end

@@ -20,7 +20,3 @@ val fit : ?k:int -> (int * float array array) list -> t
 val components : t -> int
 val transform : t -> float array -> float array
 (** Project one window into the subspace. *)
-
-val explained : (int * float array array) list -> k:int -> float
-(** Fraction of between-class variance captured by the top k
-    components — the knob-tuning diagnostic. *)

@@ -6,7 +6,7 @@ type t = {
   pois : int array;
 }
 
-let build ?(regularization = 1e-6) ~pois classes =
+let build ~pois classes =
   (match classes with [] -> invalid_arg "Template.build: no classes" | _ -> ());
   List.iter
     (fun (label, rows) ->
@@ -18,7 +18,7 @@ let build ?(regularization = 1e-6) ~pois classes =
   let pooled = Mathkit.Stats.pooled_covariance (Array.of_list (List.map snd classes)) in
   let d = Mathkit.Matrix.rows pooled in
   let mean_diag = Mathkit.Matrix.trace pooled /. float_of_int d in
-  let eps = regularization *. Float.max mean_diag 1e-12 in
+  let eps = 1e-6 *. Float.max mean_diag 1e-12 in
   let cov = Mathkit.Linalg.regularize pooled eps in
   let inv_cov = Mathkit.Fmat.of_matrix (Mathkit.Linalg.inverse cov) in
   let log_det = Mathkit.Linalg.logdet cov in

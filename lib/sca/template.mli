@@ -18,10 +18,10 @@ type t = {
   pois : int array;  (** POI indices into the window, kept for bookkeeping *)
 }
 
-val build : ?regularization:float -> pois:int array -> (int * float array array) list -> t
+val build : pois:int array -> (int * float array array) list -> t
 (** [build ~pois classes] with [classes = (label, poi_vectors) list].
-    The covariance is pooled over classes and regularised by
-    [regularization] (default 1e-6) times the mean diagonal.
+    The covariance is pooled over classes and regularised by 1e-6
+    times the mean diagonal.
     @raise Invalid_argument when any class has < 2 rows. *)
 
 (** {1 Scoring}

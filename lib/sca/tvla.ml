@@ -28,7 +28,7 @@ let t_statistics fixed random =
 
 let threshold = 4.5
 
-let leaky_points ?(threshold = threshold) ts =
+let leaky_points ts =
   Array.to_list ts
   |> List.mapi (fun i t -> (i, t))
   |> List.filter (fun (_, t) -> Float.abs t > threshold)

@@ -17,8 +17,8 @@ val t_statistics : float array array -> float array array -> float array
 val threshold : float
 (** The conventional 4.5 pass/fail level. *)
 
-val leaky_points : ?threshold:float -> float array -> int array
-(** Sample indices whose |t| exceeds the threshold. *)
+val leaky_points : float array -> int array
+(** Sample indices whose |t| exceeds {!threshold}. *)
 
 val max_abs_t : float array -> float
 (** Largest |t| — the single-number verdict. *)

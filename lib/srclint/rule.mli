@@ -37,7 +37,3 @@ val name : t -> string
     ["domain-capture"], ["exn-message"], ["unsafe-index"]. *)
 
 val of_name : string -> t option
-
-val why : t -> string
-(** One-line rationale, rendered by [reveal srclint --rules]-style
-    documentation surfaces. *)

@@ -24,12 +24,6 @@ type parsed =
   | Expect of string  (** a core rule name or a meta finding name *)
   | Malformed of string  (** a directive that does not parse — reported as [bad-directive] *)
 
-val meta_names : string list
-(** [["unused-allow"; "bad-directive"]] — the driver-synthesized finding kinds. *)
-
-val expect_names : string list
-(** Every name an [expect] may reference: core rules plus {!meta_names}. *)
-
 val parse_line : string -> parsed
 (** Classify one source line.  Total: lines without the marker are
     {!Not_directive}, marker lines that fail to parse are

@@ -122,9 +122,7 @@ let open_writer ?(obs = Obs.Ctx.disabled) ?(meta = []) ~variant ~n ~seed ~sample
   if samples_per_cycle <= 0 then invalid_arg "Archive.open_writer: samples_per_cycle must be positive";
   let h = { variant; n; seed; samples_per_cycle; noise_sigma; trace_count = 0; meta } in
   let oc = Error.open_out_bin path in
-  Error.wrap_io path (fun () ->
-      output_string oc magic;
-      output_string oc (String.init 2 (fun i -> Char.chr ((version lsr (8 * i)) land 0xFF))));
+  Frame.write_preamble ~path oc ~magic ~version;
   Frame.write ~path oc (header_payload h ~count:count_unknown);
   { w_path = path; oc; w_header = h; count = 0; w_closed = false; w_stats = writer_stats_of obs }
 
@@ -215,13 +213,7 @@ let open_reader ?(obs = Obs.Ctx.disabled) path =
   let ic = Error.open_in_bin path in
   let fail_with exn = (try close_in ic with Sys_error _ -> ()); raise exn in
   try
-    let m = Error.wrap_io path (fun () -> really_input_string ic (String.length magic)) in
-    if m <> magic then
-      Error.corruptf "%s: not a reveal trace archive (magic %S, expected %S)" path m magic;
-    let v = Error.wrap_io path (fun () -> really_input_string ic 2) in
-    let v = Char.code v.[0] lor (Char.code v.[1] lsl 8) in
-    if v <> version then
-      Error.corruptf "%s: unsupported archive version %d (this build reads version %d)" path v version;
+    Frame.read_preamble ~path ic ~what:"reveal trace archive" ~magic ~version;
     let header =
       match Frame.read ~path ic with
       | None -> Error.corruptf "%s: missing header frame" path

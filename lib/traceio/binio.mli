@@ -26,9 +26,6 @@ val put_svarint : Buffer.t -> int64 -> unit
 val put_string : Buffer.t -> string -> unit
 (** Length (varint) + raw bytes. *)
 
-val zigzag : int64 -> int64
-val unzigzag : int64 -> int64
-
 type cursor
 (** Read position over an immutable string. *)
 

@@ -31,8 +31,6 @@ let write ~path oc payload =
       output_string oc payload;
       output_u32 oc (Crc32.digest payload))
 
-let size payload = 8 + String.length payload
-
 (* Shared reader core.  A checksum mismatch is only detected after the
    whole frame (length, payload, stored CRC) has been consumed, so the
    channel is positioned at the next frame boundary either way — which
@@ -75,3 +73,43 @@ let read ~path ic =
   | `Bad_crc msg -> raise (Error.Corrupt msg)
 
 let try_read = read_result
+
+(* --- files of the family ---------------------------------------------------- *)
+
+(* Every file and stream of the family opens with an 8-byte magic and
+   a little-endian u16 format version. *)
+let write_preamble ~path oc ~magic ~version =
+  Error.wrap_io path (fun () ->
+      output_string oc magic;
+      output_byte oc (version land 0xFF);
+      output_byte oc ((version lsr 8) land 0xFF))
+
+let read_preamble ~path ic ~what ~magic ~version =
+  let m = Error.wrap_io path (fun () -> really_input_string ic (String.length magic)) in
+  if m <> magic then Error.corruptf "%s: not a %s (magic %S, expected %S)" path what m magic;
+  let v = Error.wrap_io path (fun () -> really_input_string ic 2) in
+  let v = Char.code v.[0] lor (Char.code v.[1] lsl 8) in
+  if v <> version then
+    Error.corruptf "%s: unsupported %s version %d (this build reads version %d)" path what v version
+
+let save ~path ~magic ~version payload =
+  let oc = Error.open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      write_preamble ~path oc ~magic ~version;
+      write ~path oc payload;
+      Error.wrap_io path (fun () -> flush oc))
+
+let load ~path ~what ~magic ~version =
+  let ic = Error.open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      read_preamble ~path ic ~what ~magic ~version;
+      let payload =
+        match read ~path ic with Some p -> p | None -> Error.corruptf "%s: %s has no payload frame" path what
+      in
+      if Error.wrap_io path (fun () -> In_channel.input_char ic) <> None then
+        Error.corruptf "%s: trailing data after the %s payload frame" path what;
+      payload)

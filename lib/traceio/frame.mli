@@ -1,19 +1,14 @@
-(** CRC-checksummed chunk framing.
+(** CRC-checksummed chunk framing, and the container every file of
+    the format family shares.
 
     A frame is [u32 length | payload | u32 crc32(payload)], all
     little-endian.  Frames are the archive's unit of verification and
     of memory residency: readers hold exactly one frame's payload at a
-    time. *)
-
-val max_payload : int
-(** Hard ceiling on a frame payload (1 GiB) — a damaged length field
-    is rejected before any oversized allocation. *)
+    time.  A file or stream opens with a preamble: an 8-byte magic,
+    then the format version as a little-endian u16. *)
 
 val write : path:string -> out_channel -> string -> unit
 (** Append one frame.  [path] contextualises {!Error.Io} failures. *)
-
-val size : string -> int
-(** On-disk size of the frame [write] would emit for this payload. *)
 
 val read : path:string -> in_channel -> string option
 (** Next verified payload; [None] on a clean end of file.
@@ -29,3 +24,24 @@ val try_read : path:string -> in_channel -> [ `Payload of string | `Bad_crc of s
     the basis of skip-and-continue archive recovery.  Truncation and
     damaged length fields still raise {!Error.Corrupt}: they destroy
     the framing itself, there is no boundary to resume from. *)
+
+(** {1 Files of the family} *)
+
+val write_preamble : path:string -> out_channel -> magic:string -> version:int -> unit
+(** Write the 8-byte [magic] and the u16 [version]. *)
+
+val read_preamble : path:string -> in_channel -> what:string -> magic:string -> version:int -> unit
+(** Consume and check the preamble; [what] names the format in errors
+    (e.g. ["reveal trace archive"]).
+    @raise Error.Corrupt on another magic, another version or
+    truncation. *)
+
+val save : path:string -> magic:string -> version:int -> string -> unit
+(** Write a single-frame file: preamble, then one frame holding the
+    payload. *)
+
+val load : path:string -> what:string -> magic:string -> version:int -> string
+(** The payload of a single-frame file.
+    @raise Error.Corrupt on a bad preamble, a missing or damaged frame,
+    or any byte after the frame.
+    @raise Error.Io when the file cannot be read. *)

@@ -29,10 +29,8 @@ type telemetry_sender = {
 }
 
 let create_telemetry_sender ~peer oc =
-  Error.wrap_io peer (fun () ->
-      output_string oc magic;
-      output_string oc (String.init 2 (fun i -> Char.chr ((version lsr (8 * i)) land 0xFF)));
-      flush oc);
+  Frame.write_preamble ~path:peer oc ~magic ~version;
+  Error.wrap_io peer (fun () -> flush oc);
   { ts_peer = peer; ts_oc = oc; ts_count = 0; ts_finished = false }
 
 let telemetry_send s line =
@@ -57,29 +55,20 @@ type telemetry_receiver = {
   tr_peer : string;
   tr_ic : in_channel;
   tr_strict : bool;
-  tr_close : unit -> unit;
   mutable tr_next_index : int;
   mutable tr_skipped : int;
   mutable tr_finished : bool;
-  mutable tr_closed : bool;
 }
 
-let open_telemetry_receiver ?(strict = false) ?(close = ignore) ~peer ic =
-  let m = Error.wrap_io peer (fun () -> really_input_string ic (String.length magic)) in
-  if m <> magic then Error.corruptf "%s: not a reveal wire stream (magic %S, expected %S)" peer m magic;
-  let v = Error.wrap_io peer (fun () -> really_input_string ic 2) in
-  let v = Char.code v.[0] lor (Char.code v.[1] lsl 8) in
-  if v <> version then
-    Error.corruptf "%s: unsupported wire version %d (this build speaks version %d)" peer v version;
+let open_telemetry_receiver ?(strict = false) ~peer ic =
+  Frame.read_preamble ~path:peer ic ~what:"reveal wire stream" ~magic ~version;
   {
     tr_peer = peer;
     tr_ic = ic;
     tr_strict = strict;
-    tr_close = close;
     tr_next_index = 0;
     tr_skipped = 0;
     tr_finished = false;
-    tr_closed = false;
   }
 
 let telemetry_skip_or_raise r msg =
@@ -115,9 +104,3 @@ let telemetry_recv r =
         | t, _ -> Error.corruptf "%s: unknown wire frame tag %C" r.tr_peer t)
 
 let telemetry_skipped r = r.tr_skipped
-
-let close_telemetry_receiver r =
-  if not r.tr_closed then begin
-    r.tr_closed <- true;
-    r.tr_close ()
-  end

@@ -25,9 +25,6 @@
     damage, any other tag, or a cut before the end frame is structural
     {!Error.Corrupt}. *)
 
-val magic : string
-val version : int
-
 type telemetry_sender
 
 val create_telemetry_sender : peer:string -> out_channel -> telemetry_sender
@@ -47,11 +44,10 @@ val telemetry_finish : telemetry_sender -> unit
 
 type telemetry_receiver
 
-val open_telemetry_receiver :
-  ?strict:bool -> ?close:(unit -> unit) -> peer:string -> in_channel -> telemetry_receiver
+val open_telemetry_receiver : ?strict:bool -> peer:string -> in_channel -> telemetry_receiver
 (** Reads and validates the preamble.  Tolerant by default;
     [~strict:true] turns every skippable frame into {!Error.Corrupt}.
-    [close] is invoked (once) by {!close_telemetry_receiver}.
+    The channel stays the caller's to close.
     @raise Error.Corrupt on a bad preamble or version. *)
 
 val telemetry_recv : telemetry_receiver -> [ `Line of string | `Skipped of string | `End_of_stream ]
@@ -63,6 +59,3 @@ val telemetry_recv : telemetry_receiver -> [ `Line of string | `Skipped of strin
 
 val telemetry_skipped : telemetry_receiver -> int
 (** Slots lost to CRC damage so far (tolerant mode). *)
-
-val close_telemetry_receiver : telemetry_receiver -> unit
-(** Runs the [close] callback.  Idempotent. *)

@@ -8,48 +8,25 @@
     reproduce; in replay an Unknown coefficient is always
     [Unrecoverable], consistently on both sides.) *)
 
-val gate_of : Plan.gate_profile -> Reveal.Grading.gate
-
-val effective_profile : Plan.gate_profile -> Reveal.Campaign.profile -> Reveal.Campaign.profile
-(** [Aggressive] disables the profile's goodness-of-fit floors (its
-    scenario is a pipeline without its out-of-distribution tripwire);
-    the others return the profile unchanged. *)
-
 val profile_for : Plan.trial -> Reveal.Campaign.profile
 (** Build the trial's templates: fault-free clone device, seeded by
     the trial seed alone — any process rebuilds them bit-identically
-    from the trial row.  Already passed through
-    {!effective_profile}. *)
-
-val record_archive : Plan.trial -> path:string -> unit
-(** Capture the trial's faulted campaign ([traces] honest runs under
-    {!Power.Fault.of_intensity}[ intensity]) into an archive. *)
-
-val attack :
-  ?obs:Obs.Ctx.t ->
-  Plan.trial ->
-  Reveal.Campaign.profile ->
-  archive:string ->
-  Reveal.Campaign.stats * Reveal.Campaign.coefficient_result array
-(** Replay the attack over an archive in the trial's mode (strict
-    segmenter = Classic, resilient = gated).  Single-domain: trials
-    parallelise across orchestrator workers, not within.  [obs]
-    threads into the campaign driver (heartbeats and stage spans) —
-    the flight recorder's feed. *)
-
-val measure : ?obs:Obs.Ctx.t -> Plan.trial -> Reveal.Campaign.profile -> archive:string -> Verdict.measurements
-(** {!attack} plus the invariant checks (grade-count accounting,
-    correct-vs-total bounds, result-array length, and — for
-    zero-intensity resilient/default trials — bit-identity with the
-    classic pipeline).  Violated invariants land in
-    [m_violations] as stable identifiers. *)
+    from the trial row.  [Aggressive] trials get the profile with its
+    goodness-of-fit floors disabled (their scenario is a pipeline
+    without its out-of-distribution tripwire). *)
 
 val run : ?obs:Obs.Ctx.t -> ?archive:string -> Plan.trial -> Verdict.measurements
 (** The whole trial: profile, record (into [archive] if given, else a
     temp file removed afterwards — a [trial.record] span with an
-    enabled [obs]), measure.  Raises whatever the pipeline raises —
-    the caller decides whether that is a crash verdict (fuzzer) or a
-    reported error (CLI). *)
+    enabled [obs]), then measure: replay the attack over the archive
+    in the trial's mode (strict segmenter = Classic, resilient =
+    gated) on one domain, and check its invariants (grade-count
+    accounting, correct-vs-total bounds, result-array length, and —
+    for zero-intensity resilient/default trials — bit-identity with
+    the classic pipeline).  Violated invariants land in
+    [m_violations] as stable identifiers.  Raises whatever the
+    pipeline raises — the caller decides whether that is a crash
+    verdict (fuzzer) or a reported error (CLI). *)
 
 val record_and_measure : ?obs:Obs.Ctx.t -> Plan.trial -> archive:string -> Verdict.measurements
 (** {!run} keeping the archive at [archive] — the worker entry

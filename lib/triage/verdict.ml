@@ -132,37 +132,3 @@ let of_json j =
   | Some "timeout" ->
       Some (Timeout (Option.value ~default:0.0 (Option.bind (Obs.Json.member "seconds" j) Obs.Json.to_float_opt)))
   | _ -> None
-
-let measurements_of_json j =
-  let int k = Option.bind (Obs.Json.member k j) Obs.Json.to_int_opt in
-  match
-    ( int "confident",
-      int "tentative",
-      int "sign_only",
-      int "unknown",
-      int "value_correct",
-      int "value_total" )
-  with
-  | Some c, Some t, Some s, Some u, Some vc, Some vt ->
-      let d k = Option.value ~default:0 (int k) in
-      let violations =
-        match Obs.Json.member "violations" j with
-        | Some (Obs.Json.List l) -> List.filter_map Obs.Json.to_string_opt l
-        | _ -> []
-      in
-      Some
-        {
-          m_confident = c;
-          m_tentative = t;
-          m_sign_only = s;
-          m_unknown = u;
-          m_value_correct = vc;
-          m_value_total = vt;
-          m_sign_correct = d "sign_correct";
-          m_sign_total = d "sign_total";
-          m_confident_wrong = d "confident_wrong";
-          m_corrupt_skipped = d "corrupt_skipped";
-          m_results = d "results";
-          m_violations = violations;
-        }
-  | _ -> None

@@ -62,4 +62,3 @@ val to_string : t -> string
 val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> t option
 val measurements_to_json : measurements -> Obs.Json.t
-val measurements_of_json : Obs.Json.t -> measurements option

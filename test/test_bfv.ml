@@ -178,14 +178,6 @@ let test_encrypt_variants_decrypt () =
       Alcotest.(check bool) "variant roundtrip" true (Keys.plaintext_equal m (Decryptor.decrypt ctx sk c)))
     [ Encryptor.V32; Encryptor.V36; Encryptor.Cdt ]
 
-let test_symmetric_encrypt () =
-  let ctx = toy_ctx () in
-  let g = rng () in
-  let sk = Keygen.secret_key g ctx in
-  let m = random_plaintext g (Rq.params ctx) in
-  let c = Encryptor.symmetric_encrypt g ctx sk m in
-  Alcotest.(check bool) "symmetric roundtrip" true (Keys.plaintext_equal m (Decryptor.decrypt ctx sk c))
-
 let test_noise_budget_positive_fresh () =
   let ctx = Rq.context Params.seal_128_1024 in
   let g = rng () in
@@ -222,40 +214,6 @@ let test_homomorphic_add () =
     in
     Alcotest.(check bool) "enc(a)+enc(b) = a+b" true (Keys.plaintext_equal expected sum)
   done
-
-let test_homomorphic_sub_negate () =
-  let ctx = toy_ctx () in
-  let params = Rq.params ctx in
-  let g = rng () in
-  let sk, pk = fresh_keys g ctx in
-  let ma = random_plaintext g params and mb = random_plaintext g params in
-  let ca, _ = Encryptor.encrypt g ctx pk ma and cb, _ = Encryptor.encrypt g ctx pk mb in
-  let t = params.Params.plain_modulus in
-  let diff = Decryptor.decrypt ctx sk (Evaluator.sub ctx ca cb) in
-  let expected =
-    Keys.plaintext_of_coeffs params
-      (Array.init params.Params.n (fun i -> ((ma.Keys.coeffs.(i) - mb.Keys.coeffs.(i)) mod t + t) mod t))
-  in
-  Alcotest.(check bool) "sub" true (Keys.plaintext_equal expected diff);
-  let negated = Decryptor.decrypt ctx sk (Evaluator.negate ctx ca) in
-  let expected_neg =
-    Keys.plaintext_of_coeffs params (Array.map (fun c -> (t - c) mod t) ma.Keys.coeffs)
-  in
-  Alcotest.(check bool) "negate" true (Keys.plaintext_equal expected_neg negated)
-
-let test_homomorphic_add_plain () =
-  let ctx = toy_ctx () in
-  let params = Rq.params ctx in
-  let g = rng () in
-  let sk, pk = fresh_keys g ctx in
-  let ma = random_plaintext g params and mb = random_plaintext g params in
-  let ca, _ = Encryptor.encrypt g ctx pk ma in
-  let sum = Decryptor.decrypt ctx sk (Evaluator.add_plain ctx ca mb) in
-  let expected =
-    Keys.plaintext_of_coeffs params
-      (Array.init params.Params.n (fun i -> (ma.Keys.coeffs.(i) + mb.Keys.coeffs.(i)) mod params.Params.plain_modulus))
-  in
-  Alcotest.(check bool) "add_plain" true (Keys.plaintext_equal expected sum)
 
 (* parameters with enough noise budget for one multiplication *)
 let mul_ctx () =
@@ -440,12 +398,9 @@ let suite =
       ("encrypt/decrypt n=1024 (paper params)", test_encrypt_decrypt_seal_1024);
       ("encrypt/decrypt multi-prime", test_encrypt_decrypt_multi_prime);
       ("encrypt variants", test_encrypt_variants_decrypt);
-      ("symmetric encrypt", test_symmetric_encrypt);
       ("noise budget positive", test_noise_budget_positive_fresh);
       ("deterministic encrypt_with", test_deterministic_encrypt_with);
       ("homomorphic add", test_homomorphic_add);
-      ("homomorphic sub/negate", test_homomorphic_sub_negate);
-      ("homomorphic add_plain", test_homomorphic_add_plain);
       ("homomorphic mul_plain", test_homomorphic_mul_plain);
       ("homomorphic multiply", test_homomorphic_multiply);
       ("multiply then add", test_multiply_then_add);
@@ -460,204 +415,6 @@ let suite =
       ("recover fails with wrong noise", test_recover_fails_with_wrong_noise);
     ]
 
-(* --- Keyswitch / relinearisation / Galois / modulus switching ------------- *)
-
-let test_keyswitch_decompose_roundtrip () =
-  let ctx = mul_ctx () in
-  let g = rng () in
-  let x = Rq.uniform g ctx in
-  let digit_bits = 7 in
-  let digits = Keyswitch.decompose ctx x ~digit_bits in
-  (* recompose: sum_i T^i d_i must equal x in every plane *)
-  let moduli = Rq.moduli ctx in
-  let acc = ref (Rq.zero ctx) in
-  Array.iteri
-    (fun i d ->
-      let t_pow = Array.map (fun md -> Mathkit.Modular.pow md (Mathkit.Modular.reduce md (1 lsl digit_bits)) i) moduli in
-      acc := Rq.add ctx !acc (Rq.mul_scalar_planes ctx t_pow d))
-    digits;
-  Alcotest.(check bool) "recomposes" true (Rq.equal x !acc)
-
-let test_relinearize_preserves_plaintext () =
-  let ctx = mul_ctx () in
-  let params = Rq.params ctx in
-  let g = rng () in
-  let sk, pk = fresh_keys g ctx in
-  let rk = Keygen.relin_key ~digit_bits:8 g ctx sk in
-  for _ = 1 to 3 do
-    let ma = random_plaintext g params and mb = random_plaintext g params in
-    let ca, _ = Encryptor.encrypt g ctx pk ma and cb, _ = Encryptor.encrypt g ctx pk mb in
-    let prod = Evaluator.multiply ctx ca cb in
-    let relin = Evaluator.relinearize ctx rk prod in
-    Alcotest.(check int) "back to 2 parts" 2 (Keys.ciphertext_size relin);
-    let expected = Keys.plaintext_of_coeffs params (poly_mul_mod_t params ma.Keys.coeffs mb.Keys.coeffs) in
-    Alcotest.(check bool) "decrypts to the product" true
-      (Keys.plaintext_equal expected (Decryptor.decrypt ctx sk relin))
-  done
-
-let test_relinearized_ciphertext_composable () =
-  (* after relinearisation the ciphertext is a normal 2-part one:
-     adding another ciphertext must keep decrypting correctly *)
-  let ctx = mul_ctx () in
-  let params = Rq.params ctx in
-  let g = rng () in
-  let sk, pk = fresh_keys g ctx in
-  let rk = Keygen.relin_key ~digit_bits:8 g ctx sk in
-  let ma = random_plaintext g params and mb = random_plaintext g params and mc = random_plaintext g params in
-  let ca, _ = Encryptor.encrypt g ctx pk ma
-  and cb, _ = Encryptor.encrypt g ctx pk mb
-  and cc, _ = Encryptor.encrypt g ctx pk mc in
-  let result = Evaluator.add ctx (Evaluator.relinearize ctx rk (Evaluator.multiply ctx ca cb)) cc in
-  let t = params.Params.plain_modulus in
-  let ab = poly_mul_mod_t params ma.Keys.coeffs mb.Keys.coeffs in
-  let expected =
-    Keys.plaintext_of_coeffs params (Array.init params.Params.n (fun i -> (ab.(i) + mc.Keys.coeffs.(i)) mod t))
-  in
-  Alcotest.(check bool) "a*b + c after relin" true (Keys.plaintext_equal expected (Decryptor.decrypt ctx sk result))
-
-let plaintext_automorphism params element m =
-  let n = params.Params.n in
-  let t = params.Params.plain_modulus in
-  let out = Array.make n 0 in
-  Array.iteri
-    (fun i c ->
-      let e = i * element mod (2 * n) in
-      if e < n then out.(e) <- (out.(e) + c) mod t else out.(e - n) <- ((out.(e - n) - c) mod t + t) mod t)
-    m.Keys.coeffs;
-  Keys.plaintext_of_coeffs params out
-
-let test_apply_galois () =
-  let ctx = mul_ctx () in
-  let params = Rq.params ctx in
-  let g = rng () in
-  let sk, pk = fresh_keys g ctx in
-  List.iter
-    (fun element ->
-      let gk = Keygen.galois_key ~digit_bits:8 g ctx sk ~element in
-      let m = random_plaintext g params in
-      let c, _ = Encryptor.encrypt g ctx pk m in
-      let rotated = Evaluator.apply_galois ctx gk ~element c in
-      let expected = plaintext_automorphism params element m in
-      Alcotest.(check bool)
-        (Printf.sprintf "Dec(galois_%d(c)) = m(X^%d)" element element)
-        true
-        (Keys.plaintext_equal expected (Decryptor.decrypt ctx sk rotated)))
-    [ 3; 5; 31 ]
-
-let test_rq_automorphism_composes () =
-  let ctx = toy_ctx () in
-  let g = rng () in
-  let x = Rq.uniform g ctx in
-  (* g = 3 then g = 11 equals g = 33 mod 2n (n = 16, 2n = 32 -> 33 mod 32 = 1: identity) *)
-  let once = Rq.automorphism ctx 3 x in
-  let twice = Rq.automorphism ctx 11 once in
-  Alcotest.(check bool) "sigma_11 . sigma_3 = sigma_1 = id" true (Rq.equal x twice)
-
-let test_rq_automorphism_rejects_even () =
-  let ctx = toy_ctx () in
-  let g = rng () in
-  let x = Rq.uniform g ctx in
-  Alcotest.check_raises "even" (Invalid_argument "Rq.automorphism: need odd g in (0, 2n)") (fun () ->
-      ignore (Rq.automorphism ctx 2 x))
-
-let test_mod_switch_preserves_plaintext () =
-  let q1 = Mathkit.Ntt.find_prime ~n:16 ~bits:26 in
-  let q2 = Mathkit.Ntt.find_prime ~n:16 ~bits:27 in
-  let params2 = Params.create ~n:16 ~coeff_modulus:[ q1; q2 ] ~plain_modulus:64 in
-  let params1 = Params.create ~n:16 ~coeff_modulus:[ q1 ] ~plain_modulus:64 in
-  let from_ctx = Rq.context params2 and to_ctx = Rq.context params1 in
-  let g = rng () in
-  let sk = Keygen.secret_key g from_ctx in
-  let pk = Keygen.public_key g from_ctx sk in
-  (* the secret key lives in both rings: drop its last plane *)
-  let sk1 = { Keys.s = Rq.of_planes to_ctx [| sk.Keys.s.Rq.planes.(0) |] } in
-  for _ = 1 to 5 do
-    let m = random_plaintext g params2 in
-    let c, _ = Encryptor.encrypt g from_ctx pk m in
-    let c' = Evaluator.mod_switch ~from_ctx ~to_ctx c in
-    Alcotest.(check bool) "plaintext preserved across the switch" true
-      (Keys.plaintext_equal m (Decryptor.decrypt to_ctx sk1 c'))
-  done
-
-let test_mod_switch_rejects_mismatch () =
-  let q1 = Mathkit.Ntt.find_prime ~n:16 ~bits:26 in
-  let q2 = Mathkit.Ntt.find_prime ~n:16 ~bits:27 in
-  let q3 = Mathkit.Ntt.find_prime ~n:16 ~bits:28 in
-  let from_ctx = Rq.context (Params.create ~n:16 ~coeff_modulus:[ q1; q2 ] ~plain_modulus:64) in
-  let wrong = Rq.context (Params.create ~n:16 ~coeff_modulus:[ q3 ] ~plain_modulus:64) in
-  let g = rng () in
-  let sk = Keygen.secret_key g from_ctx in
-  let pk = Keygen.public_key g from_ctx sk in
-  let c, _ = Encryptor.encrypt g from_ctx pk (random_plaintext g (Rq.params from_ctx)) in
-  Alcotest.check_raises "wrong chain" (Invalid_argument "Evaluator.mod_switch: prime chains do not match")
-    (fun () -> ignore (Evaluator.mod_switch ~from_ctx ~to_ctx:wrong c))
-
-let extension_cases =
-  [
-    ("keyswitch decompose roundtrip", test_keyswitch_decompose_roundtrip);
-    ("relinearize preserves plaintext", test_relinearize_preserves_plaintext);
-    ("relinearized ciphertext composable", test_relinearized_ciphertext_composable);
-    ("apply_galois rotates plaintext", test_apply_galois);
-    ("rq automorphism composes", test_rq_automorphism_composes);
-    ("rq automorphism rejects even", test_rq_automorphism_rejects_even);
-    ("mod switch preserves plaintext", test_mod_switch_preserves_plaintext);
-    ("mod switch rejects mismatch", test_mod_switch_rejects_mismatch);
-  ]
-
-let suite = suite @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) extension_cases
-
-(* --- batched rotation via Galois keys ---------------------------------------- *)
-
-let batch_ctx () =
-  let q1 = Mathkit.Ntt.find_prime ~n:32 ~bits:26 in
-  let q2 = Mathkit.Ntt.find_prime ~n:32 ~bits:27 in
-  let params = Params.create ~n:32 ~coeff_modulus:[ q1; q2 ] ~plain_modulus:786433 in
-  let ctx = Rq.context params in
-  match Encoder.batch ctx with Some b -> (ctx, b) | None -> Alcotest.fail "batching unavailable"
-
-let test_slot_permutation_is_permutation () =
-  let _, b = batch_ctx () in
-  List.iter
-    (fun element ->
-      let perm = Encoder.slot_permutation b ~element in
-      let sorted = Array.copy perm in
-      Array.sort compare sorted;
-      Alcotest.(check (array int)) (Printf.sprintf "element %d" element) (Array.init 32 (fun i -> i)) sorted)
-    [ 3; 5; 9; 63 ]
-
-let test_encrypted_rotation_matches_permutation () =
-  let ctx, b = batch_ctx () in
-  let g = rng () in
-  let sk = Keygen.secret_key g ctx in
-  let pk = Keygen.public_key g ctx sk in
-  let element = 3 in
-  let gk = Keygen.galois_key ~digit_bits:8 g ctx sk ~element in
-  let perm = Encoder.slot_permutation b ~element in
-  let values = Array.init 32 (fun _ -> Mathkit.Prng.int g 1000) in
-  let c, _ = Encryptor.encrypt g ctx pk (Encoder.batch_encode b values) in
-  let rotated = Evaluator.apply_galois ctx gk ~element c in
-  let decoded = Encoder.batch_decode b (Decryptor.decrypt ctx sk rotated) in
-  Array.iteri
-    (fun src v -> Alcotest.(check int) (Printf.sprintf "slot %d -> %d" src perm.(src)) v decoded.(perm.(src)))
-    values
-
-let test_rotation_composition () =
-  (* applying element g twice equals applying g^2 mod 2n *)
-  let _, b = batch_ctx () in
-  let p3 = Encoder.slot_permutation b ~element:3 in
-  let p9 = Encoder.slot_permutation b ~element:9 in
-  let composed = Array.init 32 (fun i -> p3.(p3.(i))) in
-  Alcotest.(check (array int)) "p3 . p3 = p9" p9 composed
-
-let rotation_cases =
-  [
-    ("slot permutation is a permutation", test_slot_permutation_is_permutation);
-    ("encrypted rotation matches permutation", test_encrypted_rotation_matches_permutation);
-    ("rotation composition", test_rotation_composition);
-  ]
-
-let suite = suite @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) rotation_cases
-
 (* --- noise budget through operation chains ------------------------------------ *)
 
 let test_noise_budget_decreases_along_chain () =
@@ -665,12 +422,11 @@ let test_noise_budget_decreases_along_chain () =
   let params = Rq.params ctx in
   let g = rng () in
   let sk, pk = fresh_keys g ctx in
-  let rk = Keygen.relin_key ~digit_bits:8 g ctx sk in
   let m = random_plaintext g params in
   let c, _ = Encryptor.encrypt g ctx pk m in
   let fresh = Decryptor.noise_budget_bits ctx sk c in
   let after_add = Decryptor.noise_budget_bits ctx sk (Evaluator.add ctx c c) in
-  let product = Evaluator.relinearize ctx rk (Evaluator.multiply ctx c c) in
+  let product = Evaluator.multiply ctx c c in
   let after_mul = Decryptor.noise_budget_bits ctx sk product in
   Alcotest.(check bool) "fresh positive" true (fresh > 0.0);
   Alcotest.(check bool) "add costs little" true (after_add <= fresh && after_add > fresh -. 3.0);

@@ -10,6 +10,17 @@ let exe = Filename.concat (Filename.concat ".." "bin") "reveal_cli.exe"
 let run args =
   Sys.command (Printf.sprintf "%s %s > /dev/null 2>&1" (Filename.quote exe) args)
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  go 0
+
 let with_tmp f =
   let path = Filename.temp_file "reveal_cli_test" ".rvt" in
   Fun.protect
@@ -50,6 +61,49 @@ let test_record_inspect_roundtrip_and_corruption () =
       (* flip a magic byte: the reader must refuse the file, not misparse it *)
       stomp_byte path 0;
       Alcotest.(check int) "corrupt archive" 3 (run (Printf.sprintf "inspect %s" (Filename.quote path))))
+
+(* A damaged profile cache is corrupt input like a damaged archive: exit
+   3, and the message names the file. *)
+let test_damaged_profile_cache_exits_3 () =
+  let dir = Fabric.Orchestrator.fresh_work_dir ~prefix:"reveal_cli_cache" () in
+  Fun.protect
+    ~finally:(fun () -> Fabric.Orchestrator.remove_dir dir)
+    (fun () ->
+      let path name = Filename.concat dir name in
+      Alcotest.(check int) "profile succeeds" 0
+        (run (Printf.sprintf "profile --seed 42 -n 64 --per-value 24 -o %s" (Filename.quote (path "good.bin"))));
+      let good = read_file (path "good.bin") in
+      let damaged =
+        [
+          ("bad-magic.bin", "NOTAPROF" ^ String.sub good 8 (String.length good - 8));
+          ("future.bin", String.sub good 0 8 ^ "\004\000" ^ String.sub good 10 (String.length good - 10));
+          ("trailing.bin", good ^ "\000");
+        ]
+      in
+      List.iter
+        (fun (name, image) ->
+          let oc = open_out_bin (path name) in
+          output_string oc image;
+          close_out oc;
+          let err = path "stderr.txt" in
+          let code =
+            Sys.command
+              (Printf.sprintf "%s attack --seed 5 -n 64 --profile %s > /dev/null 2> %s" (Filename.quote exe)
+                 (Filename.quote (path name)) (Filename.quote err))
+          in
+          Alcotest.(check int) (name ^ " exits 3") 3 code;
+          Alcotest.(check bool) (name ^ " is named") true (contains ~affix:(path name) (read_file err)))
+        damaged)
+
+(* The flag check runs before the batch: no trial is spawned. *)
+let test_fuzz_update_known_needs_known () =
+  let dir = Fabric.Orchestrator.fresh_work_dir ~prefix:"reveal_cli_fuzz" () in
+  Fun.protect
+    ~finally:(fun () -> Fabric.Orchestrator.remove_dir dir)
+    (fun () ->
+      Alcotest.(check int) "usage error" 2
+        (run (Printf.sprintf "fuzz --trials 1 --workers 1 --update-known --work-dir %s" (Filename.quote dir)));
+      Alcotest.(check bool) "no trial ran" false (Sys.file_exists (Filename.concat dir "trial-0")))
 
 (* --- transcript golden ----------------------------------------------------- *)
 
@@ -99,12 +153,6 @@ let transcript_invocations =
     "no-such-subcommand";
   ]
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* stdout of each invocation, then its exit code; stderr is dropped *)
 let transcript () =
   let abs_exe = Filename.concat (Sys.getcwd ()) exe in
@@ -136,6 +184,8 @@ let cases =
     ("cli: usage errors exit 2", test_usage_errors_exit_2);
     ("cli: missing archive exits 3", test_missing_archive_exits_3);
     ("cli: record/inspect ok, corrupt exits 3", test_record_inspect_roundtrip_and_corruption);
+    ("cli: damaged profile cache exits 3", test_damaged_profile_cache_exits_3);
+    ("cli: fuzz --update-known without --known spawns nothing", test_fuzz_update_known_needs_known);
     ("cli: transcript matches the golden", test_transcript_golden);
   ]
 

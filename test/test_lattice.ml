@@ -85,7 +85,7 @@ let test_enum_beats_or_ties_lll () =
     Lattice.Lll.reduce lll;
     let sv = Lattice.Enum.shortest_vector b in
     Alcotest.(check bool) "enum <= lll" true (Lattice.Zmat.norm_sq sv <= Lattice.Zmat.norm_sq lll.(0));
-    Alcotest.(check bool) "nonzero" true (not (Lattice.Zmat.is_zero_vec sv))
+    Alcotest.(check bool) "nonzero" true (Lattice.Zmat.norm_sq sv > 0)
   done
 
 let test_enum_known_minimum () =
@@ -128,19 +128,17 @@ let test_unimodular_rejects_imprimitive () =
       ignore (Lattice.Bkz.unimodular_completion [| 2; 4 |]))
 
 let test_bkz_improves_hermite_factor () =
+  (* both bases span the same lattice, so their Hermite factors
+     ||b_1|| / vol^(1/n) compare as ||b_1|| *)
   let g = rng () in
-  let improvements = ref 0 in
   for _ = 1 to 5 do
     let b = random_basis g 10 ~scale:80 in
     let lll = Lattice.Zmat.copy b in
     Lattice.Lll.reduce lll;
     let bkz = Lattice.Zmat.copy b in
     Lattice.Bkz.reduce ~block_size:6 bkz;
-    let hf_lll = Lattice.Bkz.hermite_factor lll and hf_bkz = Lattice.Bkz.hermite_factor bkz in
-    Alcotest.(check bool) "bkz no worse" true (hf_bkz <= hf_lll +. 1e-9);
-    if hf_bkz < hf_lll -. 1e-9 then incr improvements
-  done;
-  ignore !improvements
+    Alcotest.(check bool) "bkz no worse" true (Lattice.Zmat.norm_sq bkz.(0) <= Lattice.Zmat.norm_sq lll.(0))
+  done
 
 let test_bkz_full_block_is_svp () =
   let g = rng () in

@@ -296,7 +296,7 @@ let test_profile_load_rejects_garbage () =
      ignore (Reveal.Campaign.load_profile path);
      Sys.remove path;
      Alcotest.fail "expected rejection"
-   with Invalid_argument _ -> Sys.remove path)
+   with Traceio.Error.Corrupt _ -> Sys.remove path)
 
 let persistence_cases =
   [

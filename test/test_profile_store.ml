@@ -1,7 +1,7 @@
 (* Profile cache v3: the payload codec round-trips exactly, and no
-   single-bit corruption or truncation of a cache file is ever loaded
-   silently — the CRC-framed traceio container must turn every damage
-   pattern into a loud [Invalid_argument]. *)
+   single-bit corruption, truncation or extension of a cache file is
+   ever loaded silently — the CRC-framed traceio container must turn
+   every damage pattern into a loud [Traceio.Error.Corrupt]. *)
 
 let profile =
   lazy
@@ -23,7 +23,6 @@ let with_temp_file f =
 let rejected f =
   match f () with
   | _ -> false
-  | exception Invalid_argument _ -> true
   | exception Traceio.Error.Corrupt _ -> true
 
 (* --- round trips ------------------------------------------------------------ *)
@@ -114,8 +113,8 @@ let test_stale_and_mismatched_versions () =
         close_out oc;
         rejected (fun () -> Reveal.Profile_store.load path))
   in
-  Alcotest.(check bool) "legacy v1 magic rejected" true
-    (with_prefix Reveal.Constants.legacy_profile_magic_prefix);
+  (* the first 8 bytes of the Marshal-era "REVEAL-PROFILE-v1\n" *)
+  Alcotest.(check bool) "legacy v1 magic rejected" true (with_prefix "REVEAL-P");
   Alcotest.(check bool) "foreign magic rejected" true (with_prefix "NOTAPROF");
   let bumped = Bytes.of_string image in
   Bytes.set bumped magic_len (Char.chr (Reveal.Constants.profile_version + 1));
@@ -123,6 +122,13 @@ let test_stale_and_mismatched_versions () =
     (with_temp_file (fun path ->
          let oc = open_out_bin path in
          output_bytes oc bumped;
+         close_out oc;
+         rejected (fun () -> Reveal.Profile_store.load path)));
+  Alcotest.(check bool) "trailing bytes rejected" true
+    (with_temp_file (fun path ->
+         let oc = open_out_bin path in
+         output_string oc image;
+         output_string oc "\000";
          close_out oc;
          rejected (fun () -> Reveal.Profile_store.load path)))
 

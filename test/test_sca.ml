@@ -201,14 +201,6 @@ let test_confusion_render () =
   let s = Sca.Confusion.render c in
   Alcotest.(check bool) "mentions actual" true (String.length s > 0 && String.contains s '<')
 
-let test_confusion_per_class () =
-  let c = Sca.Confusion.create ~labels:[| 0; 1 |] in
-  Sca.Confusion.add c ~actual:0 ~predicted:0;
-  Sca.Confusion.add c ~actual:0 ~predicted:1;
-  let acc = Sca.Confusion.per_class_accuracy c in
-  Alcotest.(check int) "only classes that occurred" 1 (Array.length acc);
-  Alcotest.(check (float 1e-9)) "50%" 50.0 (snd acc.(0))
-
 let suite =
   List.map
     (fun (name, f) -> Alcotest.test_case name `Quick f)
@@ -235,7 +227,6 @@ let suite =
       ("confusion counts", test_confusion_counts);
       ("confusion unknown label", test_confusion_unknown_label);
       ("confusion render", test_confusion_render);
-      ("confusion per-class", test_confusion_per_class);
     ]
 
 (* --- Tvla --------------------------------------------------------------------- *)
@@ -292,26 +283,10 @@ let test_cpa_finds_correlated_sample () =
           Mathkit.Gaussian.normal p g ~mu:0.0 ~sigma:1.0;
         |])
   in
-  let rho = Sca.Cpa.correlation_trace traces (Sca.Cpa.hw_hypothesis secrets) in
+  let hw = Array.map (fun v -> float_of_int (Power.Leakage.hamming_weight v)) secrets in
+  let rho = Sca.Cpa.correlation_trace traces hw in
   Alcotest.(check bool) "peak at the leaking sample" true (Float.abs rho.(1) > 0.8);
   Alcotest.(check bool) "noise uncorrelated" true (Float.abs rho.(0) < 0.2)
-
-let test_cpa_best_candidate () =
-  let g = rng () in
-  let n = 500 in
-  let inputs = Array.init n (fun _ -> Mathkit.Prng.int g 256) in
-  let key = 0xA7 in
-  let p = Mathkit.Gaussian.polar () in
-  let traces =
-    Array.init n (fun i ->
-        [| float_of_int (Power.Leakage.hamming_weight (inputs.(i) lxor key)) +. Mathkit.Gaussian.normal p g ~mu:0.0 ~sigma:0.8 |])
-  in
-  let candidates =
-    List.init 256 (fun k -> (k, Sca.Cpa.hw_hypothesis (Array.map (fun x -> x lxor k) inputs)))
-  in
-  let found, rho = Sca.Cpa.best_candidate traces candidates in
-  Alcotest.(check int) "key recovered" key found;
-  Alcotest.(check bool) "strong correlation" true (rho > 0.7)
 
 let test_cpa_fails_on_fresh_noise () =
   (* the paper's point: with a fresh secret per trace there is nothing
@@ -326,9 +301,9 @@ let test_cpa_fails_on_fresh_noise () =
         [| float_of_int (Power.Leakage.hamming_weight fresh.(i)) +. Mathkit.Gaussian.normal p g ~mu:0.0 ~sigma:0.5 |])
   in
   (* hypotheses built from an unrelated, constant guess of the secret *)
-  let unrelated k = Sca.Cpa.hw_hypothesis (Array.init n (fun i -> (i * 31) lxor k)) in
-  let candidates = List.init 16 (fun k -> (k, unrelated k)) in
-  let _, rho = Sca.Cpa.best_candidate traces candidates in
+  let unrelated k = Array.init n (fun i -> float_of_int (Power.Leakage.hamming_weight ((i * 31) lxor k))) in
+  let peak k = Array.fold_left (fun acc r -> Float.max acc (Float.abs r)) 0.0 (Sca.Cpa.correlation_trace traces (unrelated k)) in
+  let rho = List.fold_left (fun acc k -> Float.max acc (peak k)) 0.0 (List.init 16 Fun.id) in
   Alcotest.(check bool) "no candidate correlates" true (rho < 0.3)
 
 let test_cpa_poi_selection () =
@@ -352,7 +327,6 @@ let extension_cases =
     ("tvla second order", test_tvla_second_order);
     ("tvla needs two traces", test_tvla_needs_two_traces);
     ("cpa finds correlated sample", test_cpa_finds_correlated_sample);
-    ("cpa recovers xor key", test_cpa_best_candidate);
     ("cpa fails on fresh noise", test_cpa_fails_on_fresh_noise);
     ("cpa poi selection", test_cpa_poi_selection);
   ]
@@ -394,13 +368,6 @@ let test_pca_template_classifies () =
   done;
   Alcotest.(check bool) "PCA-space templates work" true (!correct > 280)
 
-let test_pca_explained_fraction () =
-  let g = rng () in
-  let mk offset = gaussian_rows g ~mu:[| offset; 0.0 |] ~sigma:0.1 ~count:50 ~dim:2 in
-  let classes = [ (0, mk 0.0); (1, mk 5.0) ] in
-  (* all between-class variance lies along one direction *)
-  Alcotest.(check bool) "one component explains it" true (Sca.Pca.explained classes ~k:1 > 0.99)
-
 let test_pca_needs_two_classes () =
   Alcotest.check_raises "one class" (Invalid_argument "Pca.fit: need at least two classes") (fun () ->
       ignore (Sca.Pca.fit [ (0, [| [| 1.0 |] |]) ]))
@@ -409,7 +376,6 @@ let pca_cases =
   [
     ("pca separates class means", test_pca_separates_class_means);
     ("pca-space templates classify", test_pca_template_classifies);
-    ("pca explained fraction", test_pca_explained_fraction);
     ("pca needs two classes", test_pca_needs_two_classes);
   ]
 

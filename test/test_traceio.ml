@@ -215,9 +215,9 @@ let test_profile_cache_roundtrip () =
       let loaded = Reveal.Campaign.load_profile path in
       Alcotest.(check bool) "profile loads bit-identically" true (profile_equal prof loaded))
 
-let expect_invalid_arg name ~mentions f =
+let expect_corrupt_cache name ~mentions f =
   match f () with
-  | exception Invalid_argument msg ->
+  | exception Traceio.Error.Corrupt msg ->
       List.iter
         (fun affix ->
           Alcotest.(check bool)
@@ -233,7 +233,7 @@ let test_profile_cache_stale_rejected () =
       output_string oc "REVEAL-PROFILE-v1\n";
       Marshal.to_channel oc (1, 2, 3) [];
       close_out oc;
-      expect_invalid_arg "stale v1 cache" ~mentions:[ "stale"; "re-run profiling" ] (fun () ->
+      expect_corrupt_cache "stale v1 cache" ~mentions:[ "stale"; "re-run profiling" ] (fun () ->
           Reveal.Campaign.load_profile path))
 
 let test_profile_cache_truncated_rejected () =
@@ -244,7 +244,7 @@ let test_profile_cache_truncated_rejected () =
       List.iter
         (fun keep ->
           write_file path (String.sub full 0 keep);
-          expect_invalid_arg (Printf.sprintf "truncated to %d" keep) ~mentions:[] (fun () ->
+          expect_corrupt_cache (Printf.sprintf "truncated to %d" keep) ~mentions:[] (fun () ->
               Reveal.Campaign.load_profile path))
         [ 3; 9; String.length full / 2; String.length full - 1 ])
 
@@ -257,7 +257,7 @@ let test_profile_cache_corrupt_rejected () =
       let off = String.length full / 2 in
       Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x01));
       write_file path (Bytes.to_string b);
-      expect_invalid_arg "flipped byte" ~mentions:[ "corrupt" ] (fun () -> Reveal.Campaign.load_profile path))
+      expect_corrupt_cache "flipped byte" ~mentions:[ "corrupt" ] (fun () -> Reveal.Campaign.load_profile path))
 
 (* --- record / replay pipeline -------------------------------------------- *)
 
