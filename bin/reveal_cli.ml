@@ -377,7 +377,7 @@ let inspect path show_records json obs =
   let h = Traceio.Archive.header reader in
   let open Traceio.Archive in
   if not json then begin
-    Printf.printf "%s: reveal trace archive (format v1), %d bytes\n" path size;
+    Printf.printf "%s: reveal trace archive (format v%d), %d bytes\n" path version size;
     Printf.printf "  variant            %s\n" (variant_name h.variant);
     Printf.printf "  coefficients/run   %d\n" h.n;
     Printf.printf "  campaign seed      %Ld\n" h.seed;

@@ -3,7 +3,7 @@
    byte-level layout. *)
 
 let magic = "REVEALTR"
-let version = 1
+let version = 2
 
 (* trace_count placeholder while the writer is still streaming; a
    reader that sees it knows the writer never finalised the file *)
@@ -127,10 +127,13 @@ let open_writer ?(obs = Obs.Ctx.disabled) ?(meta = []) ~variant ~n ~seed ~sample
   { w_path = path; oc; w_header = h; count = 0; w_closed = false; w_stats = writer_stats_of obs }
 
 let record_payload ~index ~noises trace =
-  let b = Buffer.create (4 * Array.length trace.Power.Ptrace.samples) in
+  (* the plane's exact size, plus room for the varint streams, so a
+     multi-megabyte buffer is not regrown and copied *)
+  let events = Array.length trace.Power.Ptrace.event_start in
+  let b = Buffer.create ((8 * (Array.length trace.Power.Ptrace.samples + events)) + Array.length noises + 32) in
   Binio.put_varint b (Int64.of_int index);
   Codec.put_ints b noises;
-  Codec.put_floats b trace.Power.Ptrace.samples;
+  Codec.put_plane b trace.Power.Ptrace.samples;
   Codec.put_ints_delta b trace.Power.Ptrace.event_start;
   Codec.put_ints_delta b trace.Power.Ptrace.event_pc;
   Buffer.contents b
@@ -241,7 +244,7 @@ let record_of_payload ~path ~header ~expect_index payload =
   if Array.length noises <> header.n then
     Error.corruptf "%s: record %d carries %d noise labels for an n=%d archive" path index (Array.length noises)
       header.n;
-  let samples = Codec.get_floats c in
+  let samples = Codec.get_plane c in
   let event_start = Codec.get_ints_delta c in
   let event_pc = Codec.get_ints_delta c in
   if Array.length event_start <> Array.length event_pc then
@@ -264,7 +267,7 @@ let record_fv_of_payload ~path ~header ~expect_index payload =
   if Array.length noises <> header.n then
     Error.corruptf "%s: record %d carries %d noise labels for an n=%d archive" path index (Array.length noises)
       header.n;
-  let samples = Codec.get_floats_fv c in
+  let samples = Codec.get_plane_fv c in
   let n_start = Codec.check_ints_delta c in
   let n_pc = Codec.check_ints_delta c in
   if n_start <> n_pc then

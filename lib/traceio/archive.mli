@@ -11,14 +11,15 @@
 
     {v
     "REVEALTR"  8-byte magic
-    u16         format version (currently 1)
+    u16         format version (= 2)
     FRAME       header: variant u8, n u32, seed u64,
                 samples_per_cycle u16, noise_sigma f64,
                 trace_count u32 (0xFFFFFFFF until finalised),
                 meta count + (key, value) string pairs
     FRAME*      one per trace record: index varint,
                 noise labels (zigzag varints),
-                samples (IEEE-bit delta varints),
+                samples (varint count, then one raw
+                little-endian IEEE-754 word each),
                 event starts (delta varints),
                 event pcs (delta varints)
     v}
@@ -26,7 +27,11 @@
     where FRAME is [u32 length | payload | u32 crc32] (see {!Frame}).
     Readers verify every checksum and every declared count before
     interpreting bytes; any mismatch raises {!Error.Corrupt} rather
-    than misreading data. *)
+    than misreading data.  An archive of another format version is
+    refused the same way: no older layout is read. *)
+
+val version : int
+(** The format version this build writes and reads: 2. *)
 
 type header = {
   variant : Riscv.Sampler_prog.variant;  (** firmware the traces came from *)

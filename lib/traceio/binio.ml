@@ -109,6 +109,19 @@ let get_varint_int c =
     Error.corruptf "%s: varint %Lu does not fit an OCaml int" c.name v;
   Int64.to_int v
 
+(* Bulk decoders (the archive's sample plane) read whole runs of
+   words straight out of the payload rather than one field call at a
+   time.  The count is checked against [remaining c / 8], never as
+   [8 * count], so a damaged count cannot overflow past the check. *)
+let claim_words c count =
+  if count < 0 || count > remaining c / 8 then
+    Error.corruptf "%s: %d words claimed at offset %d but only %d bytes remain" c.name count c.pos (remaining c);
+  let p = c.pos in
+  c.pos <- p + (8 * count);
+  p
+
+let contents c = c.data
+
 let get_string c =
   let len = get_varint_int c in
   need c len;

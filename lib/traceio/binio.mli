@@ -49,6 +49,17 @@ val get_varint_int : cursor -> int
 
 val get_string : cursor -> string
 
+val claim_words : cursor -> int -> int
+(** [claim_words c count] moves the cursor past the next [count]
+    8-byte words and returns the offset of the first in
+    [contents c], for decoders that read a whole run of words at once.
+    @raise Error.Corrupt when [count] is negative or fewer than
+    [8 * count] bytes remain (checked without computing [8 * count],
+    so no count overflows past the check). *)
+
+val contents : cursor -> string
+(** The string the cursor reads. *)
+
 val expect_end : cursor -> unit
 (** @raise Error.Corrupt when decoded fields did not consume the whole
     payload — trailing garbage means a codec/version mismatch. *)

@@ -1,11 +1,43 @@
 (* Array codecs for the sample/event/label streams.
 
-   Floats are serialised losslessly as deltas of consecutive IEEE-754
-   bit patterns: neighbouring oscilloscope samples share sign,
-   exponent and high mantissa bits, so the bit-pattern difference is a
-   small signed integer that zigzag+LEB128 stores in a few bytes —
-   while decode reproduces the exact bits, NaN payloads included. *)
+   The archive stores a record's samples as a raw plane: a varint
+   count, then each sample's IEEE-754 bits as one little-endian u64
+   word.  Decode is a word load per sample and reproduces the exact
+   bits, NaN payloads included.  Scope noise fills the low mantissa
+   bits, so a delta code saves almost nothing on real traces. *)
 
+let put_plane b xs =
+  Binio.put_varint b (Int64.of_int (Array.length xs));
+  for i = 0 to Array.length xs - 1 do
+    Buffer.add_int64_le b (Int64.bits_of_float xs.(i))
+  done
+
+let get_plane c =
+  let n = Binio.get_varint_int c in
+  let pos = Binio.claim_words c n in
+  let s = Binio.contents c in
+  let xs = Array.create_float n in
+  for i = 0 to n - 1 do
+    xs.(i) <- Int64.float_of_bits (String.get_int64_le s (pos + (8 * i)))
+  done;
+  xs
+
+(* Same decode, straight into a fresh unboxed vector: the archive
+   replay path never materialises a [float array] per record. *)
+let get_plane_fv c =
+  let n = Binio.get_varint_int c in
+  let pos = Binio.claim_words c n in
+  let s = Binio.contents c in
+  let v = Mathkit.Fvec.create n in
+  let buf = Mathkit.Fvec.buffer v in
+  for i = 0 to n - 1 do
+    Bigarray.Array1.set buf i (Int64.float_of_bits (String.get_int64_le s (pos + (8 * i))))
+  done;
+  v
+
+(* The profile cache's float arrays (template means, covariance rows,
+   priors): deltas of consecutive IEEE-754 bit patterns, zigzag +
+   LEB128, lossless. *)
 let put_floats b xs =
   Binio.put_varint b (Int64.of_int (Array.length xs));
   let prev = ref 0L in
@@ -24,20 +56,6 @@ let get_floats c =
       let bits = Int64.add !prev (Binio.get_svarint c) in
       prev := bits;
       Int64.float_of_bits bits)
-
-(* Same decode, straight into a fresh unboxed vector: the archive
-   replay path never materialises a [float array] per record. *)
-let get_floats_fv c =
-  let n = Binio.get_varint_int c in
-  if n > Binio.remaining c then Error.corruptf "float array claims %d elements but only %d bytes remain" n (Binio.remaining c);
-  let v = Mathkit.Fvec.create n in
-  let prev = ref 0L in
-  for i = 0 to n - 1 do
-    let bits = Int64.add !prev (Binio.get_svarint c) in
-    prev := bits;
-    Mathkit.Fvec.set v i (Int64.float_of_bits bits)
-  done;
-  v
 
 (* Monotone-ish integer streams (event start indices): delta + zigzag. *)
 let put_ints_delta b xs =

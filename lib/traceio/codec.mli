@@ -1,19 +1,26 @@
-(** Varint + delta codecs for the archive's array streams.
+(** Self-delimiting (length-prefixed), lossless codecs for the
+    archive's array streams and the profile cache's float arrays.
 
-    All three codecs are self-delimiting (length-prefixed) and
-    lossless; {!get_floats} reproduces the exact IEEE-754 bit pattern
-    written by {!put_floats}.  Sample streams delta-encode consecutive
-    bit patterns (neighbouring samples are numerically close, so the
-    deltas are short varints); event-start streams delta-encode the
-    monotone indices; label streams zigzag each small signed value
-    directly. *)
+    The archive stores a record's samples as a raw plane
+    ({!put_plane}): each sample's IEEE-754 bits as one little-endian
+    u64 word.  Event-start streams delta-encode the monotone indices;
+    label streams zigzag each small signed value directly.  The float
+    delta codec ({!put_floats}) now serves only the profile cache.
+    Every decoder reproduces the exact bits its encoder was given. *)
+
+val put_plane : Buffer.t -> float array -> unit
+(** Varint count, then one little-endian IEEE-754 word per float. *)
+
+val get_plane : Binio.cursor -> float array
+
+val get_plane_fv : Binio.cursor -> Mathkit.Fvec.t
+(** [get_plane] decoding straight into a fresh unboxed vector — same
+    bytes, same errors, no intermediate [float array]. *)
 
 val put_floats : Buffer.t -> float array -> unit
-val get_floats : Binio.cursor -> float array
+(** Deltas of consecutive IEEE-754 bit patterns, zigzag + varint. *)
 
-val get_floats_fv : Binio.cursor -> Mathkit.Fvec.t
-(** [get_floats] decoding straight into a fresh unboxed vector — same
-    bytes, same errors, no intermediate [float array]. *)
+val get_floats : Binio.cursor -> float array
 
 val put_ints_delta : Buffer.t -> int array -> unit
 val get_ints_delta : Binio.cursor -> int array

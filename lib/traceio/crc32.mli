@@ -2,7 +2,9 @@
 
     Every frame of a [traceio] archive carries the CRC of its payload;
     readers recompute and compare before interpreting a single byte.
-    Checksums are 32-bit values held in non-negative OCaml [int]s. *)
+    Checksums are 32-bit values held in non-negative OCaml [int]s.
+    The loop runs slice-by-8 (eight table lookups per 8-byte word, a
+    byte-wise tail) and gives the byte-wise digests bit for bit. *)
 
 val digest : string -> int
 (** CRC-32 of a whole string.  [digest "123456789" = 0xCBF43926]. *)

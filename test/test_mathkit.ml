@@ -838,6 +838,37 @@ let suite =
   @ [ Alcotest.test_case "fvec edge cases" `Quick test_fvec_edges ]
   @ List.map QCheck_alcotest.to_alcotest fvec_qcheck_cases
 
+(* --- Fmat.quadratic_form against the Matrix contract ---------------------- *)
+
+(* The contiguous path runs four rows at a time and the strided path
+   one, and both must make every add the [Matrix] reference makes.
+   Sizes 0..20 cover no full block (n < 4), every tail length and
+   several blocks; stride 1 is the contiguous path, here with an
+   offset like a scratch view's. *)
+let quadratic_form_prop =
+  let entry = QCheck.Gen.(float_bound_exclusive 2e3 >>= fun x -> return (x -. 1e3)) in
+  let gen =
+    QCheck.Gen.(
+      int_range 0 20 >>= fun n ->
+      quad (array_size (return (n * n)) entry) (array_size (return n) entry) (int_bound 3) (int_range 2 4))
+  in
+  QCheck.Test.make ~name:"fmat: quadratic_form matches Matrix.dot/mul_vec bitwise, n = 0..20" ~count:500
+    (QCheck.make
+       ~print:(fun (m, d, pad, stride) ->
+         Printf.sprintf "n=%d pad=%d stride=%d m=[%s] d=[%s]" (Array.length d) pad stride
+           (String.concat "; " (Array.to_list (Array.map Printf.(sprintf "%h") m)))
+           (String.concat "; " (Array.to_list (Array.map Printf.(sprintf "%h") d))))
+       gen)
+    (fun (m, d, pad, stride) ->
+      let n = Array.length d in
+      let m = Matrix.init n n (fun i j -> m.((i * n) + j)) in
+      let want = bits (Matrix.dot d (Matrix.mul_vec m d)) in
+      let f = Fmat.of_matrix m in
+      bits (Fmat.quadratic_form f (strided_of_array ~pad ~stride:1 d)) = want
+      && bits (Fmat.quadratic_form f (strided_of_array ~pad ~stride d)) = want)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest quadratic_form_prop ]
+
 (* --- Prng known answers -------------------------------------------------------- *)
 
 (* The first eight outputs of fixed generators, recorded before the

@@ -28,6 +28,32 @@ let test_crc32_vectors () =
   let piecewise = Traceio.Crc32.update (Traceio.Crc32.digest_sub s ~pos:0 ~len:20) s 20 (String.length s - 20) in
   Alcotest.(check int) "incremental = one-shot" (Traceio.Crc32.digest s) piecewise
 
+(* Every length 0..64 at every start offset 0..7 of one fixed random
+   string: no full word, every tail length and several words, each
+   from every alignment. *)
+let test_crc32_matches_bytewise () =
+  let g = Mathkit.Prng.create ~seed:0x5EED32L () in
+  let s = String.init 72 (fun _ -> Char.chr (Mathkit.Prng.int g 256)) in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      Alcotest.(check int)
+        (Printf.sprintf "digest_sub ~pos:%d ~len:%d" pos len)
+        (Crc32_oracle.update 0 s pos len)
+        (Traceio.Crc32.digest_sub s ~pos ~len)
+    done
+  done
+
+let prop_crc32_pieces =
+  QCheck.Test.make ~count:300 ~name:"crc32: update fed in random pieces = byte-wise digest"
+    QCheck.(pair (string_of_size Gen.(int_bound 300)) (small_list small_nat))
+    (fun (s, cuts) ->
+      let len = String.length s in
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod (len + 1)) cuts) in
+      let crc, last =
+        List.fold_left (fun (crc, pos) cut -> (Traceio.Crc32.update crc s pos (cut - pos), cut)) (0, 0) cuts
+      in
+      Traceio.Crc32.update crc s last (len - last) = Crc32_oracle.update 0 s 0 len)
+
 let test_varint_roundtrip () =
   let cases =
     [ 0L; 1L; 127L; 128L; 300L; 0xFFFFL; 0x7FFFFFFFL; Int64.max_int; -1L; Int64.min_int; -300L ]
@@ -55,9 +81,13 @@ let prop_floats_roundtrip =
     (fun xs ->
       let b = Buffer.create 256 in
       Traceio.Codec.put_floats b xs;
+      Traceio.Codec.put_plane b xs;
+      Traceio.Codec.put_plane b xs;
       let c = Traceio.Binio.cursor (Buffer.contents b) in
       let ys = Traceio.Codec.get_floats c in
-      Traceio.Binio.at_end c && float_bits_equal xs ys)
+      let plane = Traceio.Codec.get_plane c in
+      let plane_fv = Mathkit.Fvec.to_array (Traceio.Codec.get_plane_fv c) in
+      Traceio.Binio.at_end c && float_bits_equal xs ys && float_bits_equal xs plane && float_bits_equal xs plane_fv)
 
 let prop_ints_roundtrip =
   QCheck.Test.make ~count:200 ~name:"codec int streams roundtrip"
@@ -162,11 +192,125 @@ let test_archive_version_and_magic_rejected () =
       write_archive path device runs;
       let original = read_file path in
       let b = Bytes.of_string original in
-      Bytes.set b 8 '\xFF' (* version field: now 0xFF01 *);
+      Bytes.set b 8 '\xFF' (* version field (u16 LE): now 255 *);
       write_file path (Bytes.to_string b);
       expect_corrupt "future version" (fun () -> drain path);
+      (* a format-v1 archive (sample deltas) is refused, not misread *)
+      let b = Bytes.of_string original in
+      Bytes.set b 8 '\x01';
+      Bytes.set b 9 '\x00';
+      write_file path (Bytes.to_string b);
+      (match drain path with
+      | exception Traceio.Error.Corrupt msg ->
+          Alcotest.(check bool) ("names both versions: " ^ msg) true
+            (contains ~affix:"version 1 " msg && contains ~affix:"this build reads version 2" msg)
+      | () -> Alcotest.fail "a version-1 archive was accepted");
       write_file path ("NOTATALL" ^ String.sub original 8 (String.length original - 8));
       expect_corrupt "bad magic" (fun () -> drain path))
+
+(* The payload of every frame, in file order: a 10-byte preamble, then
+   frames of [u32 length | payload | u32 CRC-32]. *)
+let frame_payloads s =
+  let rec go off acc =
+    if off >= String.length s then List.rev acc
+    else begin
+      let len = Int32.to_int (String.get_int32_le s off) in
+      go (off + 4 + len + 4) (String.sub s (off + 4) len :: acc)
+    end
+  in
+  go 10 []
+
+(* The v2 bytes themselves: a writer and reader that agreed on the
+   wrong byte order for the sample plane would pass every round trip
+   above and fail only here.  The CRC-32 is taken per payload: one over
+   the whole file cannot see the payloads, because each frame ends
+   with its own CRC and the CRC of [m] followed by CRC(m) depends only
+   on the length of [m]. *)
+let test_archive_bytes_pinned () =
+  let device = Reveal.Device.create ~n:8 () in
+  let runs = sample_runs device 2 in
+  with_tmp "pinned.rvt" (fun path ->
+      write_archive path device runs;
+      let bytes = read_file path in
+      Alcotest.(check int) "archive length" 62563 (String.length bytes);
+      Alcotest.(check (list int)) "CRC-32 of each frame payload" [ 0xe9a769cf; 0x2f548a61; 0x547b3298 ]
+        (List.map Traceio.Crc32.digest (frame_payloads bytes)))
+
+let frame payload =
+  let b = Buffer.create (String.length payload + 8) in
+  Buffer.add_int32_le b (Int32.of_int (String.length payload));
+  Buffer.add_string b payload;
+  Buffer.add_int32_le b (Int32.of_int (Traceio.Crc32.digest payload));
+  Buffer.contents b
+
+(* A record frame with a valid CRC whose sample plane claims [count]
+   words over a 16-byte remainder: the decoder, not the checksum, must
+   refuse it, before allocating anything. *)
+let test_archive_plane_count_rejected () =
+  let device = Reveal.Device.create ~n:8 () in
+  let runs = sample_runs device 1 in
+  with_tmp "plane.rvt" (fun path ->
+      write_archive path device runs;
+      let original = read_file path in
+      (* the preamble (10 bytes) and the header frame *)
+      let header_end = 10 + 8 + String.length (List.hd (frame_payloads original)) in
+      List.iter
+        (fun count ->
+          let b = Buffer.create 64 in
+          Traceio.Binio.put_varint b 0L;
+          Traceio.Codec.put_ints b runs.(0).Reveal.Device.noises;
+          Traceio.Binio.put_varint b (Int64.of_int count);
+          Buffer.add_string b (String.make 16 '\000');
+          write_file path (String.sub original 0 header_end ^ frame (Buffer.contents b));
+          let what = Printf.sprintf "plane count %d" count in
+          let plane_check msg = contains ~affix:"words claimed" msg in
+          Traceio.Archive.with_reader path (fun r ->
+              match Traceio.Archive.next_fv r with
+              | exception Traceio.Error.Corrupt msg when plane_check msg -> ()
+              | _ -> Alcotest.failf "%s: next_fv did not refuse it at the plane" what);
+          Traceio.Archive.with_reader path (fun r ->
+              match Traceio.Archive.next r with
+              | exception Traceio.Error.Corrupt msg when plane_check msg -> ()
+              | _ -> Alcotest.failf "%s: next did not refuse it at the plane" what);
+          Traceio.Archive.with_reader path (fun r ->
+              match Traceio.Archive.try_next_fv r with
+              | `Skipped msg when plane_check msg -> ()
+              | _ -> Alcotest.failf "%s: try_next_fv did not skip it at the plane" what))
+        [ 3; 1 lsl 40; max_int / 4; max_int ])
+
+(* Values no scope produces, which a lossy or normalising codec would
+   change: NaN payloads of both signs and both kinds, infinities,
+   negative zero and subnormals. *)
+let test_archive_special_floats_roundtrip () =
+  let samples =
+    Array.append
+      (Array.map Int64.float_of_bits
+         [| 0x7FF8000000001234L; 0xFFF8000000000001L; 0x7FF0000000000001L; 0x7FF4DEADBEEF0000L;
+            0x0000000000000001L; 0x000FFFFFFFFFFFFFL; 0x8000000000000001L |])
+      [| infinity; neg_infinity; -0.0; 0.0; max_float; min_float; -.min_float; 1.0 |]
+  in
+  let trace = { Power.Ptrace.samples; samples_per_cycle = 2; event_start = [| 0; 3 |]; event_pc = [| 4; 8 |] } in
+  with_tmp "special.rvt" (fun path ->
+      let w =
+        Traceio.Archive.open_writer ~variant:Riscv.Sampler_prog.Vulnerable ~n:2 ~seed:1L ~samples_per_cycle:2
+          ~noise_sigma:0.0 path
+      in
+      Traceio.Archive.append w ~noises:[| -1; 1 |] trace;
+      Traceio.Archive.close_writer w;
+      Traceio.Archive.with_reader path (fun r ->
+          match Traceio.Archive.next r with
+          | Some rec_ ->
+              Alcotest.(check (array int64)) "next: sample bits"
+                (Array.map Int64.bits_of_float samples)
+                (Array.map Int64.bits_of_float rec_.Traceio.Archive.trace.Power.Ptrace.samples)
+          | None -> Alcotest.fail "record missing");
+      Traceio.Archive.with_reader path (fun r ->
+          match Traceio.Archive.next_fv r with
+          | Some rf ->
+              Alcotest.(check (array int64)) "next_fv: sample bits"
+                (Array.map Int64.bits_of_float samples)
+                (Array.map Int64.bits_of_float (Mathkit.Fvec.to_array rf.Traceio.Archive.fv_samples))
+          | None -> Alcotest.fail "record missing"))
 
 (* --- profile cache -------------------------------------------------------- *)
 
@@ -354,6 +498,8 @@ let test_record_profiling_memory_is_streamed () =
 let suite =
   [
     Alcotest.test_case "crc32 known vectors" `Quick test_crc32_vectors;
+    Alcotest.test_case "crc32 slice-by-8 = byte-wise, every length and offset" `Quick test_crc32_matches_bytewise;
+    QCheck_alcotest.to_alcotest prop_crc32_pieces;
     Alcotest.test_case "varint/svarint roundtrip" `Quick test_varint_roundtrip;
     Alcotest.test_case "binio truncation detected" `Quick test_binio_truncation_detected;
     QCheck_alcotest.to_alcotest prop_floats_roundtrip;
@@ -362,6 +508,10 @@ let suite =
     Alcotest.test_case "flipped byte => checksum error" `Quick test_archive_flipped_byte_rejected;
     Alcotest.test_case "truncated file => clean failure" `Quick test_archive_truncation_rejected;
     Alcotest.test_case "bad magic / future version rejected" `Quick test_archive_version_and_magic_rejected;
+    Alcotest.test_case "archive bytes pinned (v2)" `Quick test_archive_bytes_pinned;
+    Alcotest.test_case "sample plane count beyond the payload rejected" `Quick test_archive_plane_count_rejected;
+    Alcotest.test_case "NaN payloads, infinities, -0.0, subnormals roundtrip" `Quick
+      test_archive_special_floats_roundtrip;
     Alcotest.test_case "profile cache roundtrip" `Quick test_profile_cache_roundtrip;
     Alcotest.test_case "profile cache: stale v1 rejected" `Quick test_profile_cache_stale_rejected;
     Alcotest.test_case "profile cache: truncated rejected" `Quick test_profile_cache_truncated_rejected;
