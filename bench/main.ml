@@ -509,5 +509,6 @@ let () =
   | [ name ] when List.mem_assoc name Reveal.Experiment.artefacts ->
       artefact (name, List.assoc name Reveal.Experiment.artefacts)
   | _ ->
-      Printf.printf "usage: bench/main.exe [--full] [all | ARTEFACT | traceio | ctcheck | obs | perf]\nartefacts: %s\n"
-        (String.concat " " Reveal.Experiment.artefact_names)
+      Printf.eprintf "usage: bench/main.exe [--full] [all | ARTEFACT | traceio | ctcheck | obs | perf]\nartefacts: %s\n"
+        (String.concat " " Reveal.Experiment.artefact_names);
+      exit 2

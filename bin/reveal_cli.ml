@@ -168,9 +168,11 @@ let rng_of_seed seed = Mathkit.Prng.create ~seed:(Int64.of_int seed) ()
 (* report and fault-sweep: the campaign an experiment runs. *)
 let experiment_config ~n ~per_value ~traces ~traces_doc =
   Term.(
-    const (fun seed device_n per_value attack_traces ->
-        { Reveal.Experiment.seed = Int64.of_int seed; device_n; per_value; attack_traces })
-    $ seed_arg $ n_arg n $ per_value_arg per_value $ traces_arg traces traces_doc)
+    ret
+      (const (fun seed device_n per_value attack_traces ->
+           if attack_traces < 1 then `Error (false, "traces must be positive")
+           else `Ok { Reveal.Experiment.seed = Int64.of_int seed; device_n; per_value; attack_traces })
+      $ seed_arg $ n_arg n $ per_value_arg per_value $ traces_arg traces traces_doc))
 
 (* attack and replay-attack: the templates to attack with — the cached
    --profile, else fresh ones built on [device ()]. *)
@@ -522,6 +524,7 @@ let srclint paths check json _obs =
       lint_verdict ~json ~check ~ok_line:"expect table check: OK" ~what:"srclint drift" drift ok
 
 let estimate perfect sign_only json _obs =
+  if perfect < 0 then fail 2 "estimate: --perfect must be non-negative";
   let lwe = Hints.Lwe.seal_128_1024 in
   let d = Hints.Dbdd.create lwe in
   let bikz0 = Hints.Dbdd.estimate_bikz d in
@@ -1196,7 +1199,8 @@ let () =
         cmd "fault-sweep" "Sweep measurement-fault intensity and report graceful degradation."
           Term.(
             const fault_sweep
-            $ experiment_config ~n:128 ~per_value:300 ~traces:8 ~traces_doc:"Attack traces per intensity."
+            $ experiment_config ~n:128 ~per_value:300 ~traces:8
+                ~traces_doc:"Campaign size $(docv): each intensity attacks max(2, $(docv)/4) traces."
             $ Arg.(
                 value
                 & opt (some (list float)) None

@@ -67,11 +67,11 @@ let synthesize_into ?rng config events ~out =
     invalid_arg
       (Printf.sprintf "Synth.synthesize_into: %d samples to write but the output holds only %d" n
          (Mathkit.Fvec.length out));
-  (* The write loops run over the contiguous [0, n) prefix: validate it
-     once, then write through the raw primitives (a per-sample checked
-     Fvec.set is a cross-module call without flambda). *)
-  let buf = Mathkit.Fvec.buffer out and off = Mathkit.Fvec.offset out and str = Mathkit.Fvec.stride out in
-  Mathkit.Fvec.check_range buf ~off ~stride:str ~len:n "Synth.synthesize_into";
+  (* The write loops run over the [0, n) prefix: validate it once, then
+     write through the raw primitives (a per-sample checked accessor
+     would be a cross-module call without flambda). *)
+  let buf = Mathkit.Fvec.buffer out and off = Mathkit.Fvec.offset out in
+  Mathkit.Fvec.check_range buf ~off ~len:n "Synth.synthesize_into";
   let pos = ref 0 in
   Array.iter
     (fun e ->
@@ -81,7 +81,7 @@ let synthesize_into ?rng config events ~out =
         let level = if c = 0 then first else rest in
         for i = 0 to spc - 1 do
           (* srclint: allow unsafe-index pos stays under n, the range check_range'd above *)
-          Bigarray.Array1.unsafe_set buf (off + (!pos * str)) (level *. shape ~samples_per_cycle:spc i);
+          Bigarray.Array1.unsafe_set buf (off + !pos) (level *. shape ~samples_per_cycle:spc i);
           incr pos
         done
       done)
@@ -90,7 +90,7 @@ let synthesize_into ?rng config events ~out =
   | Some g when config.noise_sigma > 0.0 ->
       let polar = Mathkit.Gaussian.polar () in
       for i = 0 to n - 1 do
-        let j = off + (i * str) in
+        let j = off + i in
         (* srclint: allow unsafe-index i stays in [0,n), the range check_range'd above *)
         let cur = Bigarray.Array1.unsafe_get buf j in
         let noisy = cur +. Mathkit.Gaussian.normal polar g ~mu:0.0 ~sigma:config.noise_sigma in

@@ -35,9 +35,6 @@ let get_template ~path c =
 
 let put_threshold b = function
   | Sca.Segment.Auto -> Traceio.Binio.put_u8 b 0
-  | Sca.Segment.Percentile p ->
-      Traceio.Binio.put_u8 b 1;
-      Traceio.Binio.put_f64 b p
   | Sca.Segment.Absolute a ->
       Traceio.Binio.put_u8 b 2;
       Traceio.Binio.put_f64 b a
@@ -45,7 +42,6 @@ let put_threshold b = function
 let get_threshold ~path c =
   match Traceio.Binio.get_u8 c with
   | 0 -> Sca.Segment.Auto
-  | 1 -> Sca.Segment.Percentile (Traceio.Binio.get_f64 c)
   | 2 -> Sca.Segment.Absolute (Traceio.Binio.get_f64 c)
   | t -> Traceio.Error.corruptf "%s: unknown segmentation-threshold tag %d" path t
 

@@ -1,4 +1,4 @@
-type threshold = Auto | Percentile of float | Absolute of float
+type threshold = Auto | Absolute of float
 
 type config = {
   threshold : threshold;
@@ -20,8 +20,8 @@ let smooth_fv radius samples =
   if radius <= 0 then Fvec.copy samples
   else begin
     let n = Fvec.length samples in
-    let buf = Fvec.buffer samples and off = Fvec.offset samples and str = Fvec.stride samples in
-    Fvec.check_range buf ~off ~stride:str ~len:n "Segment.smooth_fv";
+    let buf = Fvec.buffer samples and off = Fvec.offset samples in
+    Fvec.check_range buf ~off ~len:n "Segment.smooth_fv";
     let out = Fvec.create n in
     let obuf = Fvec.buffer out in
     let edge i =
@@ -29,7 +29,7 @@ let smooth_fv radius samples =
       let acc = ref 0.0 in
       for j = lo to hi do
         (* srclint: allow unsafe-index j stays in [0,n) and the view range is check_range'd above *)
-        acc := !acc +. Bigarray.Array1.unsafe_get buf (off + (j * str))
+        acc := !acc +. Bigarray.Array1.unsafe_get buf (off + j)
       done;
       (* srclint: allow unsafe-index out is freshly created with length n *)
       Bigarray.Array1.unsafe_set obuf i (!acc /. float_of_int (hi - lo + 1))
@@ -44,11 +44,11 @@ let smooth_fv radius samples =
       edge i
     done;
     for i = radius to interior_stop do
-      let base = off + ((i - radius) * str) in
+      let base = off + (i - radius) in
       let acc = ref 0.0 in
       for j = 0 to 2 * radius do
         (* srclint: allow unsafe-index the window stays inside the view range check_range'd above *)
-        acc := !acc +. Bigarray.Array1.unsafe_get buf (base + (j * str))
+        acc := !acc +. Bigarray.Array1.unsafe_get buf (base + j)
       done;
       (* srclint: allow unsafe-index out is freshly created with length n *)
       Bigarray.Array1.unsafe_set obuf i (!acc /. w)
@@ -112,18 +112,16 @@ let burst_regions_fv cfg samples =
     let threshold =
       match cfg.threshold with
       | Absolute t -> t
-      | Percentile p -> Mathkit.Stats.percentile (Fvec.to_array s) p
       | Auto -> otsu_fv s
     in
-    (* Raw above-threshold runs.  [s] is contiguous (fresh from
-       smooth_fv), so the scan reads the buffer directly. *)
-    let sbuf = Fvec.buffer s and soff = Fvec.offset s and sstr = Fvec.stride s in
-    Fvec.check_range sbuf ~off:soff ~stride:sstr ~len:n "Segment.burst_regions_fv";
+    (* Raw above-threshold runs, read straight from [s]'s buffer. *)
+    let sbuf = Fvec.buffer s and soff = Fvec.offset s in
+    Fvec.check_range sbuf ~off:soff ~len:n "Segment.burst_regions_fv";
     let runs = ref [] in
     let run_start = ref (-1) in
     for i = 0 to n - 1 do
       (* srclint: allow unsafe-index i stays in [0,n) and the view range is check_range'd above *)
-      if Bigarray.Array1.unsafe_get sbuf (soff + (i * sstr)) > threshold then begin
+      if Bigarray.Array1.unsafe_get sbuf (soff + i) > threshold then begin
         if !run_start < 0 then run_start := i
       end
       else if !run_start >= 0 then begin

@@ -19,7 +19,6 @@
 
 type threshold =
   | Auto  (** Otsu's bimodal split of the smoothed power histogram *)
-  | Percentile of float
   | Absolute of float
       (** profiling calibrates once with {!auto_threshold_fv} and pins the
           level so that all traces segment identically *)

@@ -86,13 +86,13 @@ let pick_fv window pois ~out =
   let open Mathkit in
   if Fvec.length out <> Array.length pois then invalid_arg "Sosd.pick_fv: output length mismatch";
   let n = Fvec.length window in
-  let wbuf = Fvec.buffer window and woff = Fvec.offset window and wstr = Fvec.stride window in
-  let obuf = Fvec.buffer out and ooff = Fvec.offset out and ostr = Fvec.stride out in
-  Fvec.check_range wbuf ~off:woff ~stride:wstr ~len:n "Sosd.pick_fv";
-  Fvec.check_range obuf ~off:ooff ~stride:ostr ~len:(Fvec.length out) "Sosd.pick_fv";
+  let wbuf = Fvec.buffer window and woff = Fvec.offset window in
+  let obuf = Fvec.buffer out and ooff = Fvec.offset out in
+  Fvec.check_range wbuf ~off:woff ~len:n "Sosd.pick_fv";
+  Fvec.check_range obuf ~off:ooff ~len:(Fvec.length out) "Sosd.pick_fv";
   for k = 0 to Array.length pois - 1 do
     let i = pois.(k) in
     if i < 0 || i >= n then invalid_arg "Sosd.pick_fv: POI out of window bounds";
     (* srclint: allow unsafe-index POI checked against the window above, both view ranges check_range'd *)
-    Bigarray.Array1.unsafe_set obuf (ooff + (k * ostr)) (Bigarray.Array1.unsafe_get wbuf (woff + (i * wstr)))
+    Bigarray.Array1.unsafe_set obuf (ooff + k) (Bigarray.Array1.unsafe_get wbuf (woff + i))
   done

@@ -52,16 +52,16 @@ let log_likelihoods_fv t s x =
   if Fvec.length s.diff <> dim then invalid_arg "Template.log_likelihoods_fv: scratch dimension mismatch";
   let d = float_of_int dim in
   let const = -0.5 *. ((d *. log (2.0 *. Float.pi)) +. t.log_det) in
-  let xbuf = Fvec.buffer x and xoff = Fvec.offset x and xstr = Fvec.stride x in
-  let dbuf = Fvec.buffer s.diff and doff = Fvec.offset s.diff and dstr = Fvec.stride s.diff in
-  Fvec.check_range xbuf ~off:xoff ~stride:xstr ~len:dim "Template.log_likelihoods_fv";
-  Fvec.check_range dbuf ~off:doff ~stride:dstr ~len:dim "Template.log_likelihoods_fv";
+  let xbuf = Fvec.buffer x and xoff = Fvec.offset x in
+  let dbuf = Fvec.buffer s.diff and doff = Fvec.offset s.diff in
+  Fvec.check_range xbuf ~off:xoff ~len:dim "Template.log_likelihoods_fv";
+  Fvec.check_range dbuf ~off:doff ~len:dim "Template.log_likelihoods_fv";
   Array.iteri
     (fun k mu ->
       if Array.length mu <> dim then invalid_arg "Template.log_likelihoods_fv: length mismatch";
       for j = 0 to dim - 1 do
         (* srclint: allow unsafe-index both view ranges check_range'd above, mu length checked per class *)
-        Bigarray.Array1.unsafe_set dbuf (doff + (j * dstr)) (Bigarray.Array1.unsafe_get xbuf (xoff + (j * xstr)) -. Array.unsafe_get mu j)
+        Bigarray.Array1.unsafe_set dbuf (doff + j) (Bigarray.Array1.unsafe_get xbuf (xoff + j) -. Array.unsafe_get mu j)
       done;
       s.ll.(k) <- const -. (0.5 *. Fmat.quadratic_form t.inv_cov s.diff))
     t.means;

@@ -120,6 +120,10 @@ if dune exec bin/reveal_cli.exe -- report no-such-artefact > /dev/null 2>&1; the
   echo "report: expected a usage-error exit for an unknown artefact" >&2
   exit 1
 fi
+if dune exec bench/main.exe -- no-such-artefact > /dev/null 2>&1; then
+  echo "bench: expected a usage-error exit for an unknown artefact" >&2
+  exit 1
+fi
 
 echo "== smoke: obs tracing covers every pipeline stage =="
 # replay with an observability trace attached: every line must parse as

@@ -35,7 +35,12 @@ let test_usage_errors_exit_2 () =
   Alcotest.(check int) "device too small to profile" 2 (run "attack --seed 7 -n 16");
   Alcotest.(check int) "profile: device too small" 2 (run "profile -n 16");
   Alcotest.(check int) "report: device too small" 2 (run "report table1 -n 16");
-  Alcotest.(check int) "disasm: empty firmware" 2 (run "disasm -n 0")
+  Alcotest.(check int) "disasm: empty firmware" 2 (run "disasm -n 0");
+  Alcotest.(check int) "report table3: no traces" 2 (run "report table3 --traces 0");
+  Alcotest.(check int) "report table4: no traces" 2 (run "report table4 --traces 0");
+  Alcotest.(check int) "report signs: no traces" 2 (run "report signs --traces 0");
+  Alcotest.(check int) "fault-sweep: no traces" 2 (run "fault-sweep --traces 0");
+  Alcotest.(check int) "estimate: negative hint count" 2 (run "estimate --perfect=-5 --json")
 
 let test_missing_archive_exits_3 () =
   Alcotest.(check int) "inspect missing file" 3 (run "inspect /nonexistent/path.rvt");

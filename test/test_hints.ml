@@ -47,11 +47,18 @@ let test_lwe_seal_parameters () =
   Alcotest.(check int) "dim" 2049 (Hints.Lwe.embedding_dim lwe)
 
 let test_lwe_no_hint_bikz_near_paper () =
-  (* Paper (via [31]'s estimator): 382.25.  Our lite estimator uses the
-     same GSA-intersect formulas but not the authors' exact code; we
-     accept a 15% band and record the number in EXPERIMENTS.md. *)
+  (* Paper (via [31]'s estimator): 382.25; ours is 347.0 (EXPERIMENTS.md,
+     Table III).  The secret distribution, not the intersect rule,
+     moves the anchor: a Gaussian sigma = 3.2 secret adds 39 bikz,
+     while SEAL's default error sigma 3.19 moves it by 0.1.  No variant
+     lands on 382.25 — the Gaussian secret overshoots it by 1.0 %. *)
   let b = Hints.Lwe.no_hint_bikz lwe in
-  Alcotest.(check bool) "within band" true (b > 320.0 && b < 440.0)
+  Alcotest.(check bool) "within band" true (b > 320.0 && b < 440.0);
+  Alcotest.(check (float 0.05)) "ternary secret (as shipped)" 347.0 b;
+  Alcotest.(check (float 0.05)) "Gaussian secret, sigma 3.2" 386.1
+    (Hints.Lwe.no_hint_bikz { lwe with Hints.Lwe.sigma_secret = 3.2 });
+  Alcotest.(check (float 0.05)) "SEAL default error sigma 3.19" 346.9
+    (Hints.Lwe.no_hint_bikz { lwe with Hints.Lwe.sigma_error = 3.19 })
 
 let test_lwe_variances_layout () =
   let v = Hints.Lwe.variances lwe in

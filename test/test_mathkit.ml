@@ -703,94 +703,35 @@ let eigen_cases =
 
 let suite = suite @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) eigen_cases
 
-(* --- Fvec kernels vs the historical float-array implementations --------- *)
+(* --- Fvec views and kernels --------------------------------------------- *)
 
-(* The refactor's correctness contract is bit-identity: every Fvec
-   kernel must reproduce the float-array implementation it replaced
-   exactly, including fold direction and tie-breaking, and must not
-   care whether the view is contiguous or strided.  Comparisons are on
-   the IEEE bit pattern, not within an epsilon. *)
+(* Comparisons are on the IEEE bit pattern, not within an epsilon. *)
 
 let bits = Int64.bits_of_float
 
 let check_bits msg a b = Alcotest.(check int64) msg (bits a) (bits b)
 
-(* Embed [xs] as a strided view of a larger poisoned buffer, so any
-   kernel that walks the wrong indices reads the poison and fails. *)
-let strided_of_array ~pad ~stride xs =
-  let n = Array.length xs in
-  let v = Fvec.create (pad + (max 1 n * stride) + 3) in
-  Fvec.fill v 7.25e11;
-  Array.iteri (fun i x -> Fvec.set v (pad + (i * stride)) x) xs;
-  Fvec.strided v ~pos:pad ~len:n ~stride
-
-(* reference sqdist: the pre-refactor accumulation order *)
-let sqdist_ref a b =
-  let acc = ref 0.0 in
-  for i = 0 to Array.length a - 1 do
-    let d = a.(i) -. b.(i) in
-    acc := !acc +. (d *. d)
-  done;
-  !acc
+(* Embed [xs] as a view at offset [pad] inside a larger poisoned
+   buffer, so any kernel that walks the wrong indices reads the poison
+   and fails. *)
+let view_of_array ~pad xs =
+  let poison k = Array.make k 7.25e11 in
+  Fvec.sub (Fvec.of_array (Array.concat [ poison pad; xs; poison 3 ])) pad (Array.length xs)
 
 let fvec_view_gen =
   (* arrays through the interesting sizes (empty, singleton, longer),
-     every view embedded with a generated pad and stride *)
+     every view embedded at a generated offset *)
   QCheck.make
-    ~print:(fun (xs, pad, stride) ->
-      Printf.sprintf "pad=%d stride=%d [%s]" pad stride
-        (String.concat "; " (Array.to_list (Array.map string_of_float xs))))
+    ~print:(fun (xs, pad) ->
+      Printf.sprintf "pad=%d [%s]" pad (String.concat "; " (Array.to_list (Array.map string_of_float xs))))
     QCheck.Gen.(
-      triple
-        (array_size (int_bound 24) (float_bound_exclusive 1e6 >>= fun m -> return (m -. 5e5)))
-        (int_bound 3)
-        (int_range 1 4))
+      pair (array_size (int_bound 24) (float_bound_exclusive 1e6 >>= fun m -> return (m -. 5e5))) (int_bound 3))
 
 let fvec_qcheck_cases =
   let open QCheck in
   [
-    Test.make ~name:"fvec: sum/mean match Stats.mean_a bitwise" ~count:300 fvec_view_gen
-      (fun (xs, pad, stride) ->
-        let v = strided_of_array ~pad ~stride xs in
-        if Array.length xs = 0 then (
-          (try
-             ignore (Fvec.mean v);
-             false
-           with Invalid_argument _ -> true)
-          && bits (Fvec.sum v) = bits 0.0)
-        else bits (Fvec.mean v) = bits (Stats.mean_a xs));
-    Test.make ~name:"fvec: variance matches Stats.variance_a bitwise" ~count:300 fvec_view_gen
-      (fun (xs, pad, stride) ->
-        let v = strided_of_array ~pad ~stride xs in
-        bits (Fvec.variance v) = bits (Stats.variance_a xs));
-    Test.make ~name:"fvec: dot matches Matrix.dot bitwise" ~count:300
-      (pair fvec_view_gen fvec_view_gen)
-      (fun ((xs, pad1, stride1), (ys, pad2, stride2)) ->
-        let n = min (Array.length xs) (Array.length ys) in
-        let xs = Array.sub xs 0 n and ys = Array.sub ys 0 n in
-        let a = strided_of_array ~pad:pad1 ~stride:stride1 xs in
-        let b = strided_of_array ~pad:pad2 ~stride:stride2 ys in
-        bits (Fvec.dot a b) = bits (Matrix.dot xs ys));
-    Test.make ~name:"fvec: sqdist matches the array accumulation bitwise" ~count:300
-      (pair fvec_view_gen fvec_view_gen)
-      (fun ((xs, pad1, stride1), (ys, pad2, stride2)) ->
-        let n = min (Array.length xs) (Array.length ys) in
-        let xs = Array.sub xs 0 n and ys = Array.sub ys 0 n in
-        let a = strided_of_array ~pad:pad1 ~stride:stride1 xs in
-        let b = strided_of_array ~pad:pad2 ~stride:stride2 ys in
-        bits (Fvec.sqdist a b) = bits (sqdist_ref xs ys));
-    Test.make ~name:"fvec: argmax/argmin match Stats bitwise ties included" ~count:300 fvec_view_gen
-      (fun (xs, pad, stride) ->
-        let v = strided_of_array ~pad ~stride xs in
-        if Array.length xs = 0 then
-          try
-            ignore (Fvec.argmax v);
-            false
-          with Invalid_argument _ -> true
-        else Fvec.argmax v = Stats.argmax xs && Fvec.argmin v = Stats.argmin xs);
-    Test.make ~name:"fvec: minmax equals (minimum, maximum)" ~count:300 fvec_view_gen
-      (fun (xs, pad, stride) ->
-        let v = strided_of_array ~pad ~stride xs in
+    Test.make ~name:"fvec: minmax equals (minimum, maximum)" ~count:300 fvec_view_gen (fun (xs, pad) ->
+        let v = view_of_array ~pad xs in
         if Array.length xs = 0 then
           try
             ignore (Fvec.minmax v);
@@ -798,15 +739,11 @@ let fvec_qcheck_cases =
           with Invalid_argument _ -> true
         else begin
           let mn, mx = Fvec.minmax v in
-          bits mn = bits (Fvec.minimum v)
-          && bits mx = bits (Fvec.maximum v)
-          && bits mn = bits (Array.fold_left Float.min xs.(0) xs)
-          && bits mx = bits (Array.fold_left Float.max xs.(0) xs)
+          bits mn = bits (Array.fold_left Float.min xs.(0) xs) && bits mx = bits (Array.fold_left Float.max xs.(0) xs)
         end);
-    Test.make ~name:"fvec: of_array/to_array round-trip through strided views" ~count:300
-      fvec_view_gen
-      (fun (xs, pad, stride) ->
-        let v = strided_of_array ~pad ~stride xs in
+    Test.make ~name:"fvec: of_array/to_array round-trip through offset views" ~count:300 fvec_view_gen
+      (fun (xs, pad) ->
+        let v = view_of_array ~pad xs in
         Fvec.to_array v = xs && Fvec.to_array (Fvec.of_array xs) = xs);
   ]
 
@@ -814,24 +751,18 @@ let fvec_qcheck_cases =
 let test_fvec_edges () =
   let empty = Fvec.create 0 in
   Alcotest.(check (array (float 0.0))) "to_array empty" [||] (Fvec.to_array empty);
-  check_bits "sum empty" 0.0 (Fvec.sum empty);
-  check_bits "variance empty" 0.0 (Fvec.variance empty);
-  (try
-     ignore (Fvec.mean empty);
-     Alcotest.fail "mean of empty must raise"
-   with Invalid_argument _ -> ());
   let one = Fvec.of_array [| 3.5 |] in
-  check_bits "mean singleton" 3.5 (Fvec.mean one);
-  check_bits "variance singleton" 0.0 (Fvec.variance one);
-  Alcotest.(check int) "argmax singleton" 0 (Fvec.argmax one);
   let mn, mx = Fvec.minmax one in
   check_bits "minmax singleton lo" 3.5 mn;
   check_bits "minmax singleton hi" 3.5 mx;
-  (* a strided view writes through to the shared buffer *)
+  (* a sub view writes through to the shared buffer; a copy does not *)
   let base = Fvec.of_array [| 0.; 1.; 2.; 3.; 4.; 5. |] in
-  let odd = Fvec.strided base ~pos:1 ~len:3 ~stride:2 in
-  Fvec.set odd 1 99.0;
-  check_bits "write through view" 99.0 (Fvec.get base 3)
+  let mid = Fvec.sub base 2 3 in
+  let snapshot = Fvec.copy mid in
+  Fvec.blit_from_array [| 20.; 99.; 40. |] mid;
+  check_bits "write through view" 99.0 (Fvec.get base 3);
+  Alcotest.(check (array (float 0.0))) "copy is detached" [| 2.; 3.; 4. |] (Fvec.to_array snapshot);
+  Alcotest.(check int) "copy of the empty tail" 0 (Fvec.length (Fvec.copy (Fvec.sub base 6 0)))
 
 let suite =
   suite
@@ -840,32 +771,32 @@ let suite =
 
 (* --- Fmat.quadratic_form against the Matrix contract ---------------------- *)
 
-(* The contiguous path runs four rows at a time and the strided path
-   one, and both must make every add the [Matrix] reference makes.
-   Sizes 0..20 cover no full block (n < 4), every tail length and
-   several blocks; stride 1 is the contiguous path, here with an
-   offset like a scratch view's. *)
+(* The form runs four rows at a time plus a one-row tail, and must
+   make every add the [Matrix] reference makes.  Sizes 0..20 cover no
+   full block (n < 4), every tail length and several blocks; the
+   vector sits at offset 0 and at a generated offset, like a scratch
+   view's. *)
 let quadratic_form_prop =
   let entry = QCheck.Gen.(float_bound_exclusive 2e3 >>= fun x -> return (x -. 1e3)) in
   let gen =
     QCheck.Gen.(
       int_range 0 20 >>= fun n ->
-      quad (array_size (return (n * n)) entry) (array_size (return n) entry) (int_bound 3) (int_range 2 4))
+      triple (array_size (return (n * n)) entry) (array_size (return n) entry) (int_range 1 3))
   in
   QCheck.Test.make ~name:"fmat: quadratic_form matches Matrix.dot/mul_vec bitwise, n = 0..20" ~count:500
     (QCheck.make
-       ~print:(fun (m, d, pad, stride) ->
-         Printf.sprintf "n=%d pad=%d stride=%d m=[%s] d=[%s]" (Array.length d) pad stride
+       ~print:(fun (m, d, pad) ->
+         Printf.sprintf "n=%d pad=%d m=[%s] d=[%s]" (Array.length d) pad
            (String.concat "; " (Array.to_list (Array.map Printf.(sprintf "%h") m)))
            (String.concat "; " (Array.to_list (Array.map Printf.(sprintf "%h") d))))
        gen)
-    (fun (m, d, pad, stride) ->
+    (fun (m, d, pad) ->
       let n = Array.length d in
       let m = Matrix.init n n (fun i j -> m.((i * n) + j)) in
       let want = bits (Matrix.dot d (Matrix.mul_vec m d)) in
       let f = Fmat.of_matrix m in
-      bits (Fmat.quadratic_form f (strided_of_array ~pad ~stride:1 d)) = want
-      && bits (Fmat.quadratic_form f (strided_of_array ~pad ~stride d)) = want)
+      bits (Fmat.quadratic_form f (view_of_array ~pad:0 d)) = want
+      && bits (Fmat.quadratic_form f (view_of_array ~pad d)) = want)
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest quadratic_form_prop ]
 

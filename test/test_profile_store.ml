@@ -130,7 +130,17 @@ let test_stale_and_mismatched_versions () =
          output_string oc image;
          output_string oc "\000";
          close_out oc;
-         rejected (fun () -> Reveal.Profile_store.load path)))
+         rejected (fun () -> Reveal.Profile_store.load path)));
+  (* payload byte 0 is the segmentation-threshold tag: 2 (Absolute) on
+     every profile the code builds; 1 was a percentile rule that no
+     code ever constructed, and is now an unknown tag *)
+  let payload = Bytes.of_string (Reveal.Profile_store.profile_payload (Lazy.force profile)) in
+  Alcotest.(check int) "threshold tag" 2 (Bytes.get_uint8 payload 0);
+  Bytes.set_uint8 payload 0 1;
+  match Reveal.Profile_store.profile_of_payload ~path:"<mem>" (Bytes.to_string payload) with
+  | _ -> Alcotest.fail "threshold tag 1 loaded"
+  | exception Traceio.Error.Corrupt msg ->
+      Alcotest.(check string) "threshold tag 1 rejected" "<mem>: unknown segmentation-threshold tag 1" msg
 
 let suite =
   [
