@@ -285,11 +285,7 @@ let attack seed n load_or_profile verbose json obs =
   let prof = load_or_profile ~json ~obs ~what:"profiling" (fun () -> device) rng in
   let scope_rng = Mathkit.Prng.split rng and sampler_rng = Mathkit.Prng.split rng in
   let run = Reveal.Device.run_gaussian device ~scope_rng ~sampler_rng in
-  let results =
-    match Reveal.Campaign.attack_trace prof run with
-    | Ok results -> results
-    | Error e -> fail 3 "%s" (Reveal.Pipeline.error_to_string e)
-  in
+  let results = Reveal.Campaign.attack_trace prof run in
   let count p = Array.fold_left (fun k r -> if p r then k + 1 else k) 0 results in
   let sign_ok = count (fun r -> compare r.Reveal.Campaign.actual 0 = r.Reveal.Campaign.verdict.Sca.Attack.sign) in
   let value_ok = count (fun r -> r.Reveal.Campaign.actual = r.Reveal.Campaign.verdict.Sca.Attack.value) in
@@ -453,7 +449,7 @@ let fault_sweep config intensities check json _obs =
     | Zero_checked zc
       when zc.Reveal.Experiment.verdict_mismatches > 0
            || zc.Reveal.Experiment.grade_downgrades > 0
-           || zc.Reveal.Experiment.bikz_classic <> zc.Reveal.Experiment.bikz_graded ->
+           || zc.Reveal.Experiment.bikz_ungated <> zc.Reveal.Experiment.bikz_graded ->
         Some "zero-intensity pipeline diverges from the clean attack"
     | _ -> None
   in
@@ -596,7 +592,7 @@ let report name list_only config json _obs =
 let shard_source device ~seed ~traces ~lo ~hi =
   let rng = rng_of_seed seed in
   let scope_rng = Mathkit.Prng.split rng and sampler_rng = Mathkit.Prng.split rng in
-  Reveal.Source.device_live_range ~retry:true device ~traces ~lo ~hi ~scope_rng ~sampler_rng
+  Reveal.Source.device_live_range device ~traces ~lo ~hi ~scope_rng ~sampler_rng
 
 let worker seed n traces lo hi shard_id profile_path out sabotage _json obs =
   if traces <= 0 then invalid_arg "worker: traces must be positive";
@@ -882,15 +878,6 @@ let scenario_arg traces_doc =
       & opt float 0.0
       & info [ "intensity" ] ~docv:"I" ~doc:"Measurement-fault intensity (0 = clean, 1 = full reference load).")
   in
-  let segmenter =
-    let doc =
-      "Segmenter mode: $(b,strict) (classic pipeline, failures raise) or $(b,resilient) (fault-tolerance stack)."
-    in
-    Arg.(
-      value
-      & opt (enum Triage.Plan.segmenter_names) Triage.Plan.Resilient
-      & info [ "segmenter" ] ~docv:"MODE" ~doc)
-  in
   let gate =
     let doc =
       "Gate profile: $(b,default) (the shipped thresholds), $(b,aggressive) (thresholds floored, fit floors disabled \
@@ -898,17 +885,14 @@ let scenario_arg traces_doc =
     in
     Arg.(value & opt (enum Triage.Plan.gate_names) Triage.Plan.Default & info [ "gate" ] ~docv:"PROFILE" ~doc)
   in
-  let scenario seed variant intensity segmenter gate traces per_value =
+  let scenario seed variant intensity gate traces per_value =
     if intensity < 0.0 then `Error (false, "intensity must be non-negative")
     else if traces <= 0 then `Error (false, "traces must be positive")
     else if per_value <= 0 then `Error (false, "per-value must be positive")
-    else
-      `Ok { Triage.Plan.id = 0; variant; intensity; seed; segmenter; gate; traces; n = Triage.Plan.trial_n; per_value }
+    else `Ok { Triage.Plan.id = 0; variant; intensity; seed; gate; traces; n = Triage.Plan.trial_n; per_value }
   in
   Term.(
-    ret
-      (const scenario $ seed_arg $ variant_arg $ intensity $ segmenter $ gate $ traces_arg 2 traces_doc
-     $ per_value_arg 24))
+    ret (const scenario $ seed_arg $ variant_arg $ intensity $ gate $ traces_arg 2 traces_doc $ per_value_arg 24))
 
 let trial t archive archive_out out flight json obs =
   if archive <> None && archive_out <> None then
@@ -1420,7 +1404,7 @@ let () =
             (description
                [
                  "A trial records a faulted campaign archive (variant, intensity, seed, traces), replays the \
-                  attack over it in the requested segmenter/gate configuration, checks the pipeline's internal \
+                  attack over it under the requested gate profile, checks the pipeline's internal \
                   invariants, and classifies the outcome: $(b,bit-exact), $(b,degraded-hints), $(b,misgrade), \
                   or $(b,invariant-violation). This is both the worker the fuzzer spawns ($(b,--out)) and the \
                   repro contract: every failure $(b,reveal fuzz) reports prints one $(b,trial) line that \
@@ -1445,7 +1429,7 @@ let () =
             (description
                [
                  "Expands one master seed into a deterministic table of trial scenarios (fault intensity x \
-                  sampler variant x campaign seed x segmenter x gate profile), runs each as a $(b,reveal trial) \
+                  sampler variant x campaign seed x gate profile), runs each as a $(b,reveal trial) \
                   worker process under a bounded pool, and classifies every outcome into a typed verdict. \
                   Failing verdicts are fingerprinted into stable signatures, deduplicated against $(b,--known) \
                   and within the batch, and each novel failure is reported with a one-line repro command and — \

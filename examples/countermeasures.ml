@@ -22,12 +22,10 @@ let attack_variant rng variant name =
       (* the victim's sampling order is a secret permutation *)
       let perm = Array.init n (fun i -> i) in
       Mathkit.Prng.shuffle sampler_rng perm;
-      match Reveal.Campaign.attack_trace prof (Reveal.Device.run_shuffled device ~scope_rng ~sampler_rng ~perm) with
-      | Ok results -> results
-      | Error e -> failwith (Reveal.Pipeline.error_to_string e)
+      Reveal.Campaign.attack_trace prof (Reveal.Device.run_shuffled device ~scope_rng ~sampler_rng ~perm)
     end
     else begin
-      let _, results = Reveal.Campaign.run_attacks prof device ~traces:4 ~scope_rng ~sampler_rng in
+      let _, results = Reveal.Campaign.run_attacks_resilient prof device ~traces:4 ~scope_rng ~sampler_rng in
       results
     end
   in

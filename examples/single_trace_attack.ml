@@ -54,11 +54,7 @@ let () =
   in
 
   (* --- steps 1-3: segment, classify signs and values ------------------ *)
-  let results =
-    match Reveal.Campaign.attack_trace prof run with
-    | Ok results -> results
-    | Error e -> failwith (Reveal.Pipeline.error_to_string e)
-  in
+  let results = Reveal.Campaign.attack_trace prof run in
   let sign_ok = ref 0 and value_ok = ref 0 in
   Array.iter
     (fun r ->

@@ -53,7 +53,7 @@ let load_profile = Profile_store.load
 
 (* A run carries [float array] samples: one [of_array] at this edge. *)
 let attack_trace prof (run : Device.run) =
-  Grading.attack_strict prof ~samples:(Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples)
+  Grading.attack_resilient prof ~samples:(Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples)
     ~noises:run.Device.noises
 
 (* --- aggregate statistics ------------------------------------------------- *)
@@ -133,18 +133,6 @@ let stats_of_results ?(corrupt_skipped = 0) prof results =
 
 (* --- the driver ----------------------------------------------------------- *)
 
-type mode = Classic | Resilient of gate
-
-let attack_acquired ~obs ~ctx mode prof (a : Pipeline.acquired) =
-  match mode with
-  | Classic -> (
-      match Grading.attack_strict ~ctx ~obs prof ~samples:a.Pipeline.samples ~noises:a.Pipeline.noises with
-      | Ok results -> results
-      | Error e -> failwith (Pipeline.error_to_string e))
-  | Resilient gate ->
-      Grading.attack_resilient ~gate ~ctx ?retry:a.Pipeline.remeasure ~obs prof
-        ~samples:a.Pipeline.samples ~noises:a.Pipeline.noises
-
 (* Final campaign aggregates exported as gauges, so an obs trace is a
    complete run record on its own: the summarize path reads these
    without re-running the tally. *)
@@ -176,7 +164,7 @@ let export_stats obs stats results =
    without touching the hot path: the batch has already been tallied
    when the heartbeat fires. *)
 let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.default_batch)
-    ?(mode = Resilient Grading.default_gate) prof source =
+    ?(gate = Grading.default_gate) prof source =
   if batch <= 0 then invalid_arg "Campaign.run_source: batch must be positive";
   let tally = tally_create prof in
   let corrupt = ref 0 in
@@ -217,7 +205,9 @@ let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.
                     Mathkit.Parallel.map_array_with ?domains
                       ~scratch:(fun () -> Grading.make_ctx prof)
                       (fun ctx (it : Pipeline.item) ->
-                        attack_acquired ~obs ~ctx mode prof (it.Pipeline.acquire ()))
+                        let a = it.Pipeline.acquire () in
+                        Grading.attack_resilient ~gate ~ctx ?retry:a.Pipeline.remeasure ~obs prof
+                          ~samples:a.Pipeline.samples ~noises:a.Pipeline.noises)
                       items)
               in
               Obs.Ctx.span obs "stage.tally" (fun () -> Array.iter (tally_add tally) per_item);
@@ -230,22 +220,15 @@ let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.
 
 (* --- campaign entry points ------------------------------------------------ *)
 
-let run_attacks ?obs ?domains prof device ~traces ~scope_rng ~sampler_rng =
+(* Live campaign: resilient segmentation, confidence gating, and a
+   bounded re-measurement budget.  A coefficient graded Unknown is
+   re-acquired — the same noise values forced through the sampler with
+   honest timing and a fresh scope/fault realisation, as re-triggering
+   the capture would.  The retry stream is carved from a separate
+   generator, so retries never perturb the other traces' randomness. *)
+let run_attacks_resilient ?obs ?domains ?gate prof device ~traces ~scope_rng ~sampler_rng =
   let source = Source.device_live device ~traces ~scope_rng ~sampler_rng in
-  run_source ?obs ?domains ~batch:(max 1 traces) ~mode:Classic prof source
-
-(* Live campaign with the full fault-tolerance stack: resilient
-   segmentation, confidence gating, and a bounded re-measurement
-   budget.  A coefficient graded Unknown is re-acquired — the same
-   noise values forced through the sampler with honest timing and a
-   fresh scope/fault realisation, as re-triggering the capture would.
-   The retry stream is carved from a separate generator, so a campaign
-   that needs no retries consumes its randomness exactly like
-   [run_attacks] and yields bit-identical verdicts. *)
-let run_attacks_resilient ?obs ?domains ?(gate = Grading.default_gate) prof device ~traces ~scope_rng
-    ~sampler_rng =
-  let source = Source.device_live ~retry:true device ~traces ~scope_rng ~sampler_rng in
-  run_source ?obs ?domains ~batch:(max 1 traces) ~mode:(Resilient gate) prof source
+  run_source ?obs ?domains ~batch:(max 1 traces) ?gate prof source
 
 (* Re-attack a recorded campaign: records stream through in batches
    ([batch] traces resident at a time), classification parallelised
@@ -254,8 +237,6 @@ let run_attacks_resilient ?obs ?domains ?(gate = Grading.default_gate) prof devi
    and the replay continues at the next frame boundary; [~strict:true]
    restores fail-fast.  Replay has no device to re-measure on, so
    Unknown-graded coefficients come back [Unrecoverable]. *)
-let attack_archive ?obs ?domains ?(batch = Constants.default_batch) ?(gate = Grading.default_gate)
-    ?(strict = false) prof path =
+let attack_archive ?obs ?domains ?(batch = Constants.default_batch) ?gate ?(strict = false) prof path =
   if batch <= 0 then invalid_arg "Campaign.attack_archive: batch must be positive";
-  run_source ?obs ?domains ~batch ~mode:(Resilient gate) prof
-    (Source.archive_replay ~strict ?obs path)
+  run_source ?obs ?domains ~batch ?gate prof (Source.archive_replay ~strict ?obs path)

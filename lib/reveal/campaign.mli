@@ -1,10 +1,10 @@
 (** Profiling and attack campaigns (Section IV-B) — the stage drivers.
 
     This module is the composition root of the staged pipeline: the
-    historical entry points ({!run_attacks}, {!attack_archive}, …) are
-    thin wrappers that pick a {!Pipeline.source}, a segmenter and a
-    grading mode and hand them to the one generic driver,
-    {!run_source}.  The stages themselves live in {!Profiling}
+    historical entry points ({!run_attacks_resilient},
+    {!attack_archive}, …) are thin wrappers that pick a
+    {!Pipeline.source} and a gate and hand them to the one generic
+    driver, {!run_source}.  The stages themselves live in {!Profiling}
     (template building), {!Profile_store} (cache v3), {!Grading}
     (gate + retry ladder) and {!Source} (live / archive replay);
     their types are re-exported here under their historical names.
@@ -150,10 +150,11 @@ val confident_mismatches : coefficient_result array -> int
 val hint_of_result : sigma:float -> coordinate:int -> coefficient_result -> Hints.Hint.t
 (** {!Grading.hint_of_result}: the hint-degradation ladder. *)
 
-val attack_trace : profile -> Device.run -> (coefficient_result array, Pipeline.error) result
-(** Segment one honest trace (strict segmenter) and classify every
-    coefficient.  [Error (Window_count _)] when segmentation finds a
-    window count different from the device's coefficient count. *)
+val attack_trace : profile -> Device.run -> coefficient_result array
+(** {!Grading.attack_resilient} on one captured trace under the
+    default gate, with no re-measurement: resilient segmentation, then
+    classify and grade every coefficient.  A trace whose segmentation
+    fails outright grades every coefficient [Unknown]. *)
 
 (** {1 Campaign drivers} *)
 
@@ -177,26 +178,24 @@ val stats_of_results : ?corrupt_skipped:int -> profile -> coefficient_result arr
     concatenating per-shard result slices in trace order and
     re-tallying here is bit-identical to the single-process run. *)
 
-type mode =
-  | Classic  (** strict segmentation, no gating or retries; failures raise *)
-  | Resilient of gate  (** the fault-tolerance stack *)
-
 val run_source :
   ?obs:Obs.Ctx.t ->
   ?expected:int ->
   ?domains:int ->
   ?batch:int ->
-  ?mode:mode ->
+  ?gate:gate ->
   profile ->
   Pipeline.source ->
   stats * coefficient_result array
 (** The one generic driver every campaign below is a wrapper around:
     pull up to [batch] items (default {!Constants.default_batch}) from
-    the source, attack them in parallel over [domains] worker domains,
-    tally in item order, repeat to exhaustion.  A [`Skip]ped source
-    record counts toward the batch budget and [stats.corrupt_skipped].
-    The source is closed on exit, also on exceptions.  [mode] defaults
-    to [Resilient default_gate].
+    the source, attack each with {!Grading.attack_resilient} under
+    [gate] (default {!default_gate}) — re-measuring through the item's
+    [remeasure] when the source is live — in parallel over [domains]
+    worker domains, tally in item order, repeat to exhaustion.  A
+    [`Skip]ped source record counts toward the batch budget and
+    [stats.corrupt_skipped].  The source is closed on exit, also on
+    exceptions.
 
     With an enabled [obs] context the whole run is one [campaign.run]
     span containing a [campaign.batch] span per batch (fan-out) and a
@@ -214,19 +213,6 @@ val run_source :
     progress frames a live monitor consumes over a streaming sink.
     @raise Invalid_argument when [batch <= 0]. *)
 
-val run_attacks :
-  ?obs:Obs.Ctx.t ->
-  ?domains:int ->
-  profile ->
-  Device.t ->
-  traces:int ->
-  scope_rng:Mathkit.Prng.t ->
-  sampler_rng:Mathkit.Prng.t ->
-  stats * coefficient_result array
-(** Repeated single-trace attacks ({!Source.device_live} through
-    [Classic] mode); returns aggregate statistics and the flattened
-    per-coefficient results (for hint building). *)
-
 val run_attacks_resilient :
   ?obs:Obs.Ctx.t ->
   ?domains:int ->
@@ -237,13 +223,13 @@ val run_attacks_resilient :
   scope_rng:Mathkit.Prng.t ->
   sampler_rng:Mathkit.Prng.t ->
   stats * coefficient_result array
-(** {!run_attacks} through the fault-tolerance stack
-    ({!Source.device_live} with [~retry:true] through [Resilient]
-    mode): Unknown-graded coefficients are re-measured on the live
-    device within the gate's retry budget.  Retries draw from a
-    separate generator stream, so a campaign that needs none consumes
-    randomness exactly like {!run_attacks} and yields bit-identical
-    verdicts. *)
+(** Repeated single-trace attacks on a live device
+    ({!Source.device_live} through {!run_source}); returns aggregate
+    statistics and the flattened per-coefficient results (for hint
+    building).  Unknown-graded coefficients are re-measured on the
+    live device within the gate's retry budget.  Retries draw from a
+    separate per-trace generator stream, so they never perturb the
+    other traces' randomness. *)
 
 val attack_archive :
   ?obs:Obs.Ctx.t ->
@@ -255,10 +241,11 @@ val attack_archive :
   string ->
   stats * coefficient_result array
 (** Re-attack a recorded campaign (see {!Device.record}) offline:
-    {!Source.archive_replay} through [Resilient] mode — the same
-    aggregates as {!run_attacks}, and bit-identical results for the
-    runs the archive holds, with memory bounded by one batch instead
-    of the whole trace set.  A mid-stream record that fails its CRC is
+    {!Source.archive_replay} through {!run_source} — for the runs the
+    archive holds, the same aggregates and bit-identical results as
+    {!run_attacks_resilient} whenever the live campaign re-measured
+    nothing, with memory bounded by one batch instead of the whole
+    trace set.  A mid-stream record that fails its CRC is
     skipped, counted in [stats.corrupt_skipped], and replay continues
     at the next frame boundary; pass [~strict:true] to fail fast
     instead.  Replaying cannot re-measure, so Unknown coefficients are

@@ -22,7 +22,9 @@ let prepare config =
   let device = Device.create ~n:config.device_n () in
   let prof = Campaign.profile ~per_value:config.per_value device rng in
   let scope_rng = Mathkit.Prng.split rng and sampler_rng = Mathkit.Prng.split rng in
-  let stats, results = Campaign.run_attacks prof device ~traces:config.attack_traces ~scope_rng ~sampler_rng in
+  let stats, results =
+    Campaign.run_attacks_resilient prof device ~traces:config.attack_traces ~scope_rng ~sampler_rng
+  in
   { config; device; prof; stats; results }
 
 let env_stats env = env.stats
@@ -46,14 +48,12 @@ let small_campaign ?(variant = Riscv.Sampler_prog.Vulnerable) ?synth ?cycle_mode
     (* shuffled sampling order: attack the windows in sampled order *)
     let perm = Array.init n (fun i -> i) in
     Mathkit.Prng.shuffle sampler_rng perm;
-    let run = Device.run_shuffled device ~scope_rng ~sampler_rng ~perm in
-    match Campaign.attack_trace prof run with
-    | Ok results -> (prof, results)
-    | Error e -> failwith ("Experiment.small_campaign: " ^ Pipeline.error_to_string e)
+    (prof, Campaign.attack_trace prof (Device.run_shuffled device ~scope_rng ~sampler_rng ~perm))
   end
   else begin
     let _, results =
-      Campaign.run_attacks prof device ~traces:(max 2 (config.attack_traces / 4)) ~scope_rng ~sampler_rng
+      Campaign.run_attacks_resilient prof device ~traces:(max 2 (config.attack_traces / 4)) ~scope_rng
+        ~sampler_rng
     in
     (prof, results)
   end

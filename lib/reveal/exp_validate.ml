@@ -69,11 +69,7 @@ let recovery config =
   | Some m' when Bfv.Keys.plaintext_equal m m' -> ()
   | _ -> failwith "Experiment.recovery: eq. (3) sanity check failed");
   (* the attack *)
-  let results =
-    match Campaign.attack_trace prof run with
-    | Ok results -> results
-    | Error e -> failwith ("Experiment.recovery: " ^ Pipeline.error_to_string e)
-  in
+  let results = Campaign.attack_trace prof run in
   let recovered = Array.map (fun r -> r.Campaign.verdict.Sca.Attack.value) results in
   let exact = ref 0 in
   Array.iteri (fun i v -> if v = run.Device.noises.(i) then incr exact) recovered;

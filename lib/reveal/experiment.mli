@@ -231,16 +231,17 @@ val fault_sweep_check : fault_sweep_row list -> (unit, string) result
 type zero_consistency = {
   coefficients : int;
   verdict_mismatches : int;  (** must be 0 *)
-  grade_downgrades : int;  (** resilient grades below Tentative; must be 0 *)
-  bikz_classic : float;
-  bikz_graded : float;  (** must equal [bikz_classic] *)
+  grade_downgrades : int;  (** no-op-fault grades below Tentative; must be 0 *)
+  bikz_ungated : float;  (** {!Hints.Hint.of_posterior} on every fault-free coefficient *)
+  bikz_graded : float;  (** must equal [bikz_ungated] *)
 }
 
 val fault_zero_consistency : config -> zero_consistency
-(** Regression gate: the resilient pipeline (with an explicit no-op
-    fault config installed) run against the classic pipeline on the
-    same seeds — verdicts must match coefficient for coefficient and
-    the graded hint ladder must reproduce the calibrated bikz. *)
+(** Regression gate: the live campaign on a device with an explicit
+    no-op fault config installed, run against the same campaign on
+    the fault-free device with the same seeds — verdicts must match
+    coefficient for coefficient, nothing may grade below Tentative,
+    and the graded hint ladder must reproduce the ungated bikz. *)
 
 (* --- rendered artefacts -------------------------------------------------------------- *)
 

@@ -213,29 +213,6 @@ let hint_of_result ~sigma ~coordinate r =
 
 let null_verdict = { Sca.Attack.sign = 0; value = 0; posterior = [| (0, 1.0) |] }
 
-(* --- strict (classic) attack ---------------------------------------------- *)
-
-let attack_strict ?ctx ?(obs = Obs.Ctx.disabled) prof ~samples ~noises =
-  let insts = instruments obs in
-  let ctx = match ctx with Some c -> c | None -> make_ctx prof in
-  let count = Array.length noises in
-  match
-    Obs.Ctx.span obs "stage.segment" (fun () ->
-        Pipeline.run_segmenter Pipeline.strict_segmenter prof ~count samples)
-  with
-  | Error _ as e -> e
-  | Ok seg ->
-      Ok
-        (Obs.Ctx.span obs "stage.classify" (fun () ->
-             Array.mapi
-               (fun i window ->
-                 let verdict, posterior_all, grade =
-                   classify_graded_i ~ctx ~insts prof default_gate
-                     ~quality:seg.Pipeline.quality.(i) window
-                 in
-                 { actual = noises.(i); verdict; posterior_all; grade; recovery = Clean })
-               seg.Pipeline.vectors))
-
 (* --- fault-tolerant attack ------------------------------------------------- *)
 
 (* Resilient segmentation of one trace: exactly count+1 windows (the

@@ -4,8 +4,8 @@
     classifier returns one.  Every attacked coefficient therefore
     carries a grade — the rung of the hint-degradation ladder it is
     still good for — and a recovery tag saying how it was obtained.
-    Both attack entry points here are pure per-trace functions over
-    {!Pipeline} stage instances; the campaign drivers fan them out. *)
+    The attack entry point here is a pure per-trace function over
+    {!Pipeline} stage instances; the campaign drivers fan it out. *)
 
 type grade =
   | Confident  (** clean window, unambiguous match: full-strength hint *)
@@ -69,8 +69,7 @@ val classify_graded :
     first (they catch corruption a normalised posterior hides), then
     the joint-confidence thresholds.  [classifier] defaults to the
     profile's template classifier.  Builds a fresh {!ctx} per call —
-    batch callers go through {!attack_strict}/{!attack_resilient},
-    which reuse one. *)
+    batch callers go through {!attack_resilient}, which reuses one. *)
 
 val grade_counts : coefficient_result array -> int * int * int * int
 (** (confident, tentative, sign-only, unknown). *)
@@ -95,22 +94,6 @@ val hint_of_result : sigma:float -> coordinate:int -> coefficient_result -> Hint
 val null_verdict : Sca.Attack.verdict
 (** Placeholder verdict of an [Unrecoverable] coefficient. *)
 
-val attack_strict :
-  ?ctx:ctx ->
-  ?obs:Obs.Ctx.t ->
-  Pipeline.profile ->
-  samples:Mathkit.Fvec.t ->
-  noises:int array ->
-  (coefficient_result array, Pipeline.error) result
-(** The classic pipeline on one trace: strict segmentation, default
-    gate, no retries; every result is [Clean].  [ctx] reuses a
-    prebuilt classifier context; without one, a fresh context for the
-    profile's template classifier is resolved per call.  With an enabled [obs]
-    context the segmentation and classification run inside
-    [stage.segment] / [stage.classify] spans, and per-window quality,
-    grade, and fit-score/confidence distributions land in the metrics
-    registry ([segment.windows_*], [grade.*], [classifier.*]). *)
-
 val attack_resilient :
   ?gate:gate ->
   ?ctx:ctx ->
@@ -121,17 +104,20 @@ val attack_resilient :
   samples:Mathkit.Fvec.t ->
   noises:int array ->
   coefficient_result array
-(** Fault-tolerant single-trace attack: resilient segmentation (the
-    default [segmenter]), per-window confidence grading, and — when
-    [retry] is provided — a bounded re-measurement loop.  [ctx] as in
-    {!attack_strict}.
+(** The single-trace attack: resilient segmentation (the default
+    [segmenter]), per-window confidence grading, and — when [retry]
+    is provided — a bounded re-measurement loop.  [ctx] reuses a
+    prebuilt classifier context; without one, a fresh context for the
+    profile's template classifier is resolved per call.
     [retry attempt] must return a fresh capture of the same
     coefficients; coefficients still Unknown after [gate.retry_budget]
     attempts (or with no [retry]) are marked [Unrecoverable].  A trace
     whose segmentation fails outright grades every coefficient Unknown
-    and is retried whole.  On a clean trace the verdicts are
-    bit-identical to {!attack_strict}.  With an enabled [obs] context,
-    every segmentation/classification pass (retries included) is
-    spanned and counted as in {!attack_strict}, each retry pass emits
-    a [retry.attempt] event, and the ladder updates [retry.attempts],
-    [retry.rescued] and the [retry.depth] histogram. *)
+    and is retried whole.  With an enabled [obs] context every
+    segmentation and classification pass (retries included) runs
+    inside [stage.segment] / [stage.classify] spans, per-window
+    quality, grade, and fit-score/confidence distributions land in
+    the metrics registry ([segment.windows_*], [grade.*],
+    [classifier.*]), each retry pass emits a [retry.attempt] event,
+    and the ladder updates [retry.attempts], [retry.rescued] and the
+    [retry.depth] histogram. *)

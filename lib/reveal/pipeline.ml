@@ -8,16 +8,6 @@ type profile = {
   value_fit_floor : float;
 }
 
-type error =
-  | Window_count of { expected : int; found : int }
-  | Segmentation of Sca.Segment.segment_error
-
-let error_to_string = function
-  | Window_count { expected; found } ->
-      (* the strict attack path's historical wording *)
-      Printf.sprintf "Campaign: segmentation found %d windows for %d coefficients" found expected
-  | Segmentation e -> Sca.Segment.error_to_string e
-
 (* --- classifier stage ----------------------------------------------------- *)
 
 type classifier = Classifier : (module Sca.Classifier.S with type t = 'c) * 'c -> classifier
@@ -26,49 +16,29 @@ let classifier_of_profile prof = Classifier ((module Sca.Classifier.Template), p
 
 (* --- segmenter stage ------------------------------------------------------ *)
 
-(* The firmware samples a trailing dummy coefficient, so a run over n
-   coefficients produces n+1 bursts and we keep the first n windows. *)
-let raw_windows segment ~count samples =
-  let wins = Sca.Segment.windows_fv segment samples in
-  if Array.length wins <> count + 1 then Error (Window_count { expected = count; found = Array.length wins })
-  else Ok (Array.sub wins 0 count)
-
 type segmented = { vectors : Mathkit.Fvec.t array; quality : Sca.Segment.quality array }
 
 module type SEGMENTER = sig
   val name : string
-  val segment : profile -> count:int -> Mathkit.Fvec.t -> (segmented, error) result
+  val segment : profile -> count:int -> Mathkit.Fvec.t -> (segmented, Sca.Segment.segment_error) result
 end
 
 type segmenter = (module SEGMENTER)
 
-module Strict_segmenter = struct
-  let name = "strict"
-
-  let segment prof ~count samples =
-    match raw_windows prof.segment ~count samples with
-    | Error _ as e -> e
-    | Ok wins ->
-        Ok
-          {
-            vectors = Sca.Segment.views samples wins ~length:prof.window_length;
-            quality = Array.make count Sca.Segment.Clean;
-          }
-end
-
+(* The firmware samples a trailing dummy coefficient, so a run over n
+   coefficients produces n+1 bursts and we keep the first n windows. *)
 module Resilient_segmenter = struct
   let name = "resilient"
 
   let segment prof ~count samples =
-    match Sca.Segment.segment_fv prof.segment ~expected:(count + 1) samples with
-    | Error e -> Error (Segmentation e)
-    | Ok seg ->
+    Result.map
+      (fun seg ->
         let wins = Array.sub seg.Sca.Segment.wins 0 count in
         let quality = Array.sub seg.Sca.Segment.quality 0 count in
-        Ok { vectors = Sca.Segment.views samples wins ~length:prof.window_length; quality }
+        { vectors = Sca.Segment.views samples wins ~length:prof.window_length; quality })
+      (Sca.Segment.segment_fv prof.segment ~expected:(count + 1) samples)
 end
 
-let strict_segmenter : segmenter = (module Strict_segmenter)
 let resilient_segmenter : segmenter = (module Resilient_segmenter)
 let run_segmenter (module S : SEGMENTER) prof ~count samples = S.segment prof ~count samples
 

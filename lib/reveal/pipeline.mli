@@ -1,4 +1,4 @@
-(** The staged attack pipeline: typed stage interfaces and errors.
+(** The staged attack pipeline: typed stage interfaces.
 
     Every campaign — live or archive replay — is the same
     composition
@@ -10,9 +10,9 @@
     to per-coefficient window vectors), {!classifier} (window vector
     to verdict/posterior/fit).  The grader lives in {!Grading}, the
     drivers composing the stages in {!Campaign}, and the hint/lattice
-    sink in {!Sink}.  A single {!error} type carries every way a stage
-    can fail, so failure policy (skip, retry, abort) is decided by the
-    driver, not deep inside a stage. *)
+    sink in {!Sink}.  A segmenter reports failure as a typed
+    {!Sca.Segment.segment_error}, so failure policy (skip, retry,
+    abort) is decided by the driver, not deep inside a stage. *)
 
 type profile = {
   attack : Sca.Attack.t;
@@ -30,19 +30,6 @@ type profile = {
     segmentation and fit floors.  Built by {!Profiling}, persisted by
     {!Profile_store}. *)
 
-(** {1 Errors} *)
-
-type error =
-  | Window_count of { expected : int; found : int }
-      (** the strict segmenter found a window count other than
-          coefficients + 1 (trailing dummy) *)
-  | Segmentation of Sca.Segment.segment_error
-      (** the resilient segmenter could not repair the trace *)
-
-val error_to_string : error -> string
-(** A one-line message for the user.  [Window_count] renders as
-    ["Campaign: segmentation found %d windows for %d coefficients"]. *)
-
 (** {1 Classifier stage}
 
     The per-window classification step, packed existentially so a
@@ -57,13 +44,6 @@ val classifier_of_profile : profile -> classifier
 
 (** {1 Segmenter stage} *)
 
-val raw_windows :
-  Sca.Segment.config -> count:int -> Mathkit.Fvec.t -> (Sca.Segment.window array, error) result
-(** The shared strict window extraction: exactly [count] + 1 windows
-    (the firmware's trailing dummy) or [Window_count], keeping the
-    first [count].  Used by the strict segmenter and by profiling's
-    window labelling. *)
-
 type segmented = {
   vectors : Mathkit.Fvec.t array;
       (** fixed-dimension window vectors, one per coefficient — borrowed
@@ -74,20 +54,19 @@ type segmented = {
 
 module type SEGMENTER = sig
   val name : string
-  val segment : profile -> count:int -> Mathkit.Fvec.t -> (segmented, error) result
+  val segment : profile -> count:int -> Mathkit.Fvec.t -> (segmented, Sca.Segment.segment_error) result
 end
 
 type segmenter = (module SEGMENTER)
 
-val strict_segmenter : segmenter
-(** Window count must match exactly; every window is [Clean].  The
-    classic pipeline. *)
-
 val resilient_segmenter : segmenter
-(** {!Sca.Segment.segment_fv}: repairs miscounted bursts and reports
-    per-window quality.  The fault-tolerant pipeline. *)
+(** The one attack segmenter, {!Sca.Segment.segment_fv}: it expects
+    [count] + 1 bursts (the firmware's trailing dummy), repairs a
+    miscounted trace and reports per-window quality, keeping the first
+    [count] windows. *)
 
-val run_segmenter : segmenter -> profile -> count:int -> Mathkit.Fvec.t -> (segmented, error) result
+val run_segmenter :
+  segmenter -> profile -> count:int -> Mathkit.Fvec.t -> (segmented, Sca.Segment.segment_error) result
 
 (** {1 Source stage}
 

@@ -1,14 +1,17 @@
 (* (label, full window) pairs of one run — the per-chunk unit both the
-   in-memory and the archive-streamed profiling paths produce. *)
+   in-memory and the archive-streamed profiling paths produce.  The
+   firmware samples a trailing dummy coefficient, so a run over n
+   coefficients must segment into exactly n+1 windows; the dummy's is
+   dropped. *)
 let labelled_windows segment ~samples ~noises =
-  let wins =
-    match Pipeline.raw_windows segment ~count:(Array.length noises) (Mathkit.Fvec.of_array samples) with
-    | Ok wins -> wins
-    | Error e -> failwith (Pipeline.error_to_string e)
-  in
-  Array.mapi
-    (fun i w -> (noises.(i), Array.sub samples w.Sca.Segment.start (w.Sca.Segment.stop - w.Sca.Segment.start)))
-    wins
+  let count = Array.length noises in
+  let wins = Sca.Segment.windows_fv segment (Mathkit.Fvec.of_array samples) in
+  if Array.length wins <> count + 1 then
+    failwith
+      (Printf.sprintf "Campaign: segmentation found %d windows for %d coefficients" (Array.length wins) count);
+  Array.init count (fun i ->
+      let w = wins.(i) in
+      (noises.(i), Array.sub samples w.Sca.Segment.start (w.Sca.Segment.stop - w.Sca.Segment.start)))
 
 (* Calibrate an absolute burst threshold once so that profiling and
    attack traces segment identically. *)

@@ -4,7 +4,7 @@
    consumes is independent of batching, domain count, or how far the
    driver actually pulls. *)
 
-let live_item ~retry device index (scope_seed, sampler_seed) =
+let live_item device index (scope_seed, sampler_seed) =
   {
     Pipeline.index;
     acquire =
@@ -12,24 +12,19 @@ let live_item ~retry device index (scope_seed, sampler_seed) =
         let scope_rng = Mathkit.Prng.create ~seed:scope_seed () in
         let sampler_rng = Mathkit.Prng.create ~seed:sampler_seed () in
         let run = Device.run_gaussian device ~scope_rng ~sampler_rng in
-        let remeasure =
-          if not retry then None
-          else begin
-            (* The retry stream is carved from a separate generator, so
-               a campaign that needs no retries consumes its randomness
-               exactly like one with retries disabled. *)
-            let retry_master = Mathkit.Prng.create ~seed:(Int64.logxor scope_seed Constants.retry_seed_salt) () in
-            Some
-              (fun _attempt ->
-                let rng = Mathkit.Prng.split retry_master in
-                let draws = Array.map (fun v -> Device.profiling_draw device rng ~value:v) run.Device.noises in
-                Mathkit.Fvec.of_array (Device.run device ~scope_rng:rng ~draws).Device.trace.Power.Ptrace.samples)
-          end
+        (* The retry stream is carved from a separate generator, so a
+           trace that needs no retries consumes its randomness exactly
+           like one that does. *)
+        let retry_master = Mathkit.Prng.create ~seed:(Int64.logxor scope_seed Constants.retry_seed_salt) () in
+        let remeasure _attempt =
+          let rng = Mathkit.Prng.split retry_master in
+          let draws = Array.map (fun v -> Device.profiling_draw device rng ~value:v) run.Device.noises in
+          Mathkit.Fvec.of_array (Device.run device ~scope_rng:rng ~draws).Device.trace.Power.Ptrace.samples
         in
         {
           Pipeline.samples = Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples;
           noises = run.Device.noises;
-          remeasure;
+          remeasure = Some remeasure;
         });
   }
 
@@ -37,7 +32,7 @@ let live_item ~retry device index (scope_seed, sampler_seed) =
    served: shard [lo,hi) of an N-trace campaign sees exactly the seeds
    trace lo..hi-1 would see in the single-process run, which is what
    makes the sharded merge bit-identical. *)
-let device_live_range ?(retry = false) device ~traces ~lo ~hi ~scope_rng ~sampler_rng =
+let device_live_range device ~traces ~lo ~hi ~scope_rng ~sampler_rng =
   if traces < 0 then invalid_arg "Source.device_live_range: negative trace count";
   if lo < 0 || hi < lo || hi > traces then
     invalid_arg (Printf.sprintf "Source.device_live_range: bad range [%d,%d) of %d traces" lo hi traces);
@@ -53,15 +48,15 @@ let device_live_range ?(retry = false) device ~traces ~lo ~hi ~scope_rng ~sample
       else begin
         let i = !pos in
         incr pos;
-        `Item (live_item ~retry device i seeds.(i))
+        `Item (live_item device i seeds.(i))
       end
 
     let close () = ()
   end in
   Pipeline.Source ((module M), ())
 
-let device_live ?retry device ~traces ~scope_rng ~sampler_rng =
-  device_live_range ?retry device ~traces ~lo:0 ~hi:traces ~scope_rng ~sampler_rng
+let device_live device ~traces ~scope_rng ~sampler_rng =
+  device_live_range device ~traces ~lo:0 ~hi:traces ~scope_rng ~sampler_rng
 
 (* Replay items carry the record's samples in the decoder's own Fvec —
    no per-record boxed [float array] is ever materialised. *)

@@ -10,7 +10,6 @@
     one of these, nothing else. *)
 
 val device_live :
-  ?retry:bool ->
   Device.t ->
   traces:int ->
   scope_rng:Mathkit.Prng.t ->
@@ -20,15 +19,13 @@ val device_live :
     the two generators at construction, one pair per trace in trace
     order, and each item re-derives its own generators — acquisition
     can therefore run on any worker domain without perturbing the
-    campaign's randomness.  With [~retry:true] every item carries a
-    [remeasure] closure that re-acquires the same coefficients (same
-    noise values, honest timing, fresh scope/fault realisation) from a
-    per-trace retry stream ({!Constants.retry_seed_salt}), so a
-    campaign that needs no retries consumes randomness identically to
-    one with [~retry:false]. *)
+    campaign's randomness.  Every item carries a [remeasure] closure
+    that re-acquires the same coefficients (same noise values, honest
+    timing, fresh scope/fault realisation) from a per-trace retry
+    stream ({!Constants.retry_seed_salt}), so retries never touch the
+    campaign generators. *)
 
 val device_live_range :
-  ?retry:bool ->
   Device.t ->
   traces:int ->
   lo:int ->

@@ -1,6 +1,6 @@
 (** Correlation power analysis utilities.
 
-    Classical CPA correlates a per-trace leakage hypothesis (usually
+    Standard CPA correlates a per-trace leakage hypothesis (usually
     the Hamming weight of a predicted intermediate) with every trace
     sample.  Two uses here:
 

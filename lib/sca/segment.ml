@@ -243,14 +243,11 @@ let resync bursts ~expected ~trace_len =
       in
       for i = 0 to count - 1 do
         out := bursts.(i) :: !out;
+        (* the tail gap runs to the end of the trace: the final burst
+           may itself have been missed *)
         let gap_end = if i + 1 < count then bursts.(i + 1).start else trace_len in
         let d = float_of_int (gap_end - bursts.(i).start) in
-        let k =
-          if i + 1 < count then int_of_float (Float.round (d /. p)) - 1
-          else (* tail: the final burst may itself have been missed *)
-            int_of_float (Float.round (d /. p)) - 1
-        in
-        let k = min (max 0 k) !missing in
+        let k = min (max 0 (int_of_float (Float.round (d /. p)) - 1)) !missing in
         for j = 1 to k do
           plant (bursts.(i).start + int_of_float (float_of_int j *. d /. float_of_int (k + 1)))
         done
@@ -295,13 +292,16 @@ let segment_fv cfg ~expected samples =
             wins
         in
         (* Length-plausibility: a window far from the median length was
-           mis-delimited even if the burst count worked out. *)
+           mis-delimited even if the burst count worked out.  Only a
+           Clean window is demoted: a window next to a planted or
+           excised burst is the likeliest to have an odd length, and
+           Resynced is the flag the gate relies on. *)
         let lens = Array.map (fun w -> float_of_int (w.stop - w.start)) wins in
         let med = median lens in
         let mad = median (Array.map (fun l -> Float.abs (l -. med)) lens) in
         let scale = Float.max mad (0.05 *. med) in
         Array.iteri
-          (fun i l -> if Float.abs (l -. med) > 3.5 *. scale then quality.(i) <- Suspect)
+          (fun i l -> if quality.(i) = Clean && Float.abs (l -. med) > 3.5 *. scale then quality.(i) <- Suspect)
           lens;
         Ok { wins; quality }
       end

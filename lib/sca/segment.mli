@@ -78,7 +78,9 @@ type quality =
   | Resynced
       (** a delimiting burst was synthesised at the expected cadence
           (missed burst), or a spurious glitch burst was excised *)
-  | Suspect  (** length is a >3.5-MAD outlier: mis-delimited *)
+  | Suspect
+      (** length is a >3.5-MAD outlier: mis-delimited.  Never
+          overrides [Resynced] *)
 
 type segment_error =
   | Empty_trace
@@ -96,8 +98,8 @@ val segment_fv : config -> expected:int -> Mathkit.Fvec.t -> (segmented, segment
     count is off it first drops glitch-length spurious bursts
     (< 0.6 x median length), then plants synthetic bursts at the median
     cadence inside oversized gaps (including a missed final burst);
-    affected windows are flagged [Resynced].  Windows whose length is a
-    gross outlier (median absolute deviation test) are flagged
-    [Suspect].  On a clean trace with the right burst count the result
+    affected windows are flagged [Resynced].  Other windows whose
+    length is a gross outlier (median absolute deviation test) are
+    flagged [Suspect].  On a clean trace with the right burst count the result
     equals {!windows_fv} with every flag [Clean].
     @raise Invalid_argument when [expected <= 0]. *)

@@ -4,14 +4,12 @@
    pure function of one trial record, so the table IS the experiment. *)
 
 type gate_profile = Default | Aggressive | Paranoid
-type segmenter = Strict | Resilient
 
 type trial = {
   id : int;
   variant : Riscv.Sampler_prog.variant;
   intensity : float;
   seed : int;
-  segmenter : segmenter;
   gate : gate_profile;
   traces : int;
   n : int;
@@ -30,11 +28,9 @@ let variant_names =
   ]
 
 let gate_names = [ ("default", Default); ("aggressive", Aggressive); ("paranoid", Paranoid) ]
-let segmenter_names = [ ("strict", Strict); ("resilient", Resilient) ]
 let name_in table v = fst (List.find (fun (_, x) -> x = v) table)
 let variant_to_string = name_in variant_names
 let gate_to_string = name_in gate_names
-let segmenter_to_string = name_in segmenter_names
 
 (* The sampling space.  n is pinned: profiling needs every candidate
    value to appear twice per run (n >= 58 for the 29-value table), and
@@ -52,11 +48,6 @@ let variants =
     Riscv.Sampler_prog.Cdt_table;
   |]
 
-(* Strict segmentation under fault load mostly dies outright (that is
-   its contract), so it gets a minority share — enough to keep the
-   crash-triage path honest without drowning the grading scenarios. *)
-let segmenters = [| Resilient; Resilient; Resilient; Strict |]
-
 let pick rng arr = arr.(Mathkit.Prng.int rng (Array.length arr))
 
 (* Fields draw in a fixed order from one sequential stream, so the
@@ -70,16 +61,14 @@ let plan ~master_seed ~trials =
       let variant = pick rng variants in
       let intensity = pick rng intensities in
       let seed = Mathkit.Prng.int rng 1_000_000 in
-      let segmenter = pick rng segmenters in
       let gate = pick rng gates in
       let traces = 1 + Mathkit.Prng.int rng 2 in
       let per_value = pick rng per_values in
-      { id; variant; intensity; seed; segmenter; gate; traces; n = trial_n; per_value })
+      { id; variant; intensity; seed; gate; traces; n = trial_n; per_value })
 
 let describe t =
-  Printf.sprintf "variant=%s intensity=%g seed=%d segmenter=%s gate=%s traces=%d per-value=%d n=%d"
-    (variant_to_string t.variant) t.intensity t.seed (segmenter_to_string t.segmenter) (gate_to_string t.gate)
-    t.traces t.per_value t.n
+  Printf.sprintf "variant=%s intensity=%g seed=%d gate=%s traces=%d per-value=%d n=%d"
+    (variant_to_string t.variant) t.intensity t.seed (gate_to_string t.gate) t.traces t.per_value t.n
 
 (* The scenario as [reveal trial] flags: what the fuzzer's workers run
    and what the repro line prints. *)
@@ -91,8 +80,6 @@ let flags t =
     Printf.sprintf "%g" t.intensity;
     "--seed";
     string_of_int t.seed;
-    "--segmenter";
-    segmenter_to_string t.segmenter;
     "--gate";
     gate_to_string t.gate;
     "--traces";
@@ -115,7 +102,6 @@ let to_json t =
       ("variant", Obs.Json.String (variant_to_string t.variant));
       ("intensity", Obs.Json.Float t.intensity);
       ("seed", Obs.Json.Int t.seed);
-      ("segmenter", Obs.Json.String (segmenter_to_string t.segmenter));
       ("gate", Obs.Json.String (gate_to_string t.gate));
       ("traces", Obs.Json.Int t.traces);
       ("n", Obs.Json.Int t.n);

@@ -2,8 +2,8 @@
     scenarios.
 
     A trial is a complete, self-describing campaign scenario — fault
-    intensity x sampler variant x campaign seed x segmenter mode x
-    gate profile x sizes.  Every downstream artefact (worker argv,
+    intensity x sampler variant x campaign seed x gate profile x
+    sizes.  Every downstream artefact (worker argv,
     verdict signature, repro line, minimizer replay) is a pure
     function of the trial record, so reproducing a finding never
     needs the fuzzer's state, only this table's row (DESIGN.md
@@ -17,14 +17,11 @@ type gate_profile =
           scenario *)
   | Paranoid  (** thresholds raised (0.99/0.5/0.9), deeper retry budget *)
 
-type segmenter = Strict | Resilient
-
 type trial = {
   id : int;  (** row in the plan — not part of the scenario identity *)
   variant : Riscv.Sampler_prog.variant;
   intensity : float;  (** {!Power.Fault.of_intensity} scale *)
   seed : int;  (** campaign + profiling seed *)
-  segmenter : segmenter;
   gate : gate_profile;
   traces : int;
   n : int;  (** coefficients per run (pinned to {!trial_n}) *)
@@ -61,7 +58,5 @@ val to_json : trial -> Obs.Json.t
 
 val variant_names : (string * Riscv.Sampler_prog.variant) list
 val gate_names : (string * gate_profile) list
-val segmenter_names : (string * segmenter) list
 val variant_to_string : Riscv.Sampler_prog.variant -> string
 val gate_to_string : gate_profile -> string
-val segmenter_to_string : segmenter -> string

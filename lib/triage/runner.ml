@@ -36,16 +36,10 @@ let record_archive t ~path =
   let scope_rng = Mathkit.Prng.split rng and sampler_rng = Mathkit.Prng.split rng in
   Reveal.Device.record device ~path ~seed:(Int64.of_int t.Plan.seed) ~traces:t.Plan.traces ~scope_rng ~sampler_rng
 
-let mode_of t =
-  match t.Plan.segmenter with
-  | Plan.Strict -> Reveal.Campaign.Classic
-  | Plan.Resilient -> Reveal.Campaign.Resilient (gate_of t.Plan.gate)
-
 let attack ?(obs = Obs.Ctx.disabled) t prof ~archive =
   (* one domain: trials are tiny and run many-per-machine under the
      orchestrator; nested domain pools would only fight each other *)
-  Reveal.Campaign.run_source ~obs ~expected:(t.Plan.traces * t.Plan.n) ~domains:1 ~mode:(mode_of t)
-    prof
+  Reveal.Campaign.run_source ~obs ~expected:(t.Plan.traces * t.Plan.n) ~domains:1 ~gate:(gate_of t.Plan.gate) prof
     (Reveal.Source.archive_replay archive)
 
 let measure ?obs t prof ~archive =
@@ -60,17 +54,6 @@ let measure ?obs t prof ~archive =
     && stats.Reveal.Campaign.sign_correct <= stats.Reveal.Campaign.sign_total);
   check "results-length"
     (nresults = (t.Plan.traces - stats.Reveal.Campaign.corrupt_skipped) * t.Plan.n);
-  (* The repo's oldest promise: at zero fault intensity the resilient
-     stack under the default gate is bit-identical to the classic
-     pipeline.  Cheap to re-check per trial, and the one invariant
-     that catches a quietly diverging retry ladder. *)
-  if t.Plan.intensity = 0.0 && t.Plan.segmenter = Plan.Resilient && t.Plan.gate = Plan.Default then begin
-    let classic =
-      Reveal.Campaign.run_source ~domains:1 ~mode:Reveal.Campaign.Classic prof
-        (Reveal.Source.archive_replay archive)
-    in
-    check "zero-intensity-divergence" (Stdlib.compare classic (stats, results) = 0)
-  end;
   {
     Verdict.m_confident = confident;
     m_tentative = tentative;

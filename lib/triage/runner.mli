@@ -19,11 +19,9 @@ val run : ?obs:Obs.Ctx.t -> ?archive:string -> Plan.trial -> Verdict.measurement
 (** The whole trial: profile, record (into [archive] if given, else a
     temp file removed afterwards — a [trial.record] span with an
     enabled [obs]), then measure: replay the attack over the archive
-    in the trial's mode (strict segmenter = Classic, resilient =
-    gated) on one domain, and check its invariants (grade-count
-    accounting, correct-vs-total bounds, result-array length, and —
-    for zero-intensity resilient/default trials — bit-identity with
-    the classic pipeline).  Violated invariants land in
+    under the trial's gate profile on one domain, and check its
+    invariants (grade-count accounting, correct-vs-total bounds,
+    result-array length).  Violated invariants land in
     [m_violations] as stable identifiers.  Raises whatever the
     pipeline raises — the caller decides whether that is a crash
     verdict (fuzzer) or a reported error (CLI). *)

@@ -8,9 +8,8 @@
 module S = Set.Make (String)
 
 let of_verdict t v =
-  Printf.sprintf "%s variant=%s segmenter=%s gate=%s intensity=%g detail=%s" (Verdict.kind v)
+  Printf.sprintf "%s variant=%s gate=%s intensity=%g detail=%s" (Verdict.kind v)
     (Plan.variant_to_string t.Plan.variant)
-    (Plan.segmenter_to_string t.Plan.segmenter)
     (Plan.gate_to_string t.Plan.gate)
     t.Plan.intensity (Verdict.detail v)
 

@@ -1,8 +1,7 @@
 (** Verdict fingerprints and the known-signatures store.
 
     A signature is one stable text line built from typed scenario and
-    verdict fields only — kind, variant, segmenter, gate, intensity,
-    detail.  Trial ids, seeds, counts, file paths and log text are
+    verdict fields only — kind, variant, gate, intensity, detail.  Trial ids, seeds, counts, file paths and log text are
     deliberately excluded: the same bug found under a different seed
     or with noisier logs must fingerprint identically, and a line
     committed to a known-signatures file must keep matching across
@@ -10,8 +9,8 @@
     discipline). *)
 
 val of_verdict : Plan.trial -> Verdict.t -> string
-(** e.g. [misgrade variant=v32 segmenter=resilient gate=aggressive
-    intensity=0.75 detail=confident-wrong-sign]. *)
+(** e.g. [misgrade variant=v32 gate=aggressive intensity=0.75
+    detail=confident-wrong-sign]. *)
 
 type store
 

@@ -259,7 +259,7 @@ echo "== smoke: reduce — minimized archive reproduces the planted misgrade =="
 # plant a misgrade (aggressive gate, faulted campaign), keep its
 # archive, shrink it, and replay the printed repro line: same verdict,
 # strictly smaller corpus
-plant="--variant v32 --intensity 0.75 --seed 123 --segmenter resilient --gate aggressive --traces 1 --per-value 24"
+plant="--variant v32 --intensity 0.75 --seed 123 --gate aggressive --traces 1 --per-value 24"
 dune exec bin/reveal_cli.exe -- trial $plant --archive-out "$tmp/planted.rvt" --out "$tmp/planted.json"
 grep -q '"kind": *"misgrade"' "$tmp/planted.json"
 dune exec bin/reveal_cli.exe -- reduce "$tmp/planted.rvt" $plant --expect misgrade > "$tmp/reduce.out"
@@ -274,6 +274,14 @@ if sh -c "$repro" > "$tmp/repro.out"; then
   exit 1
 fi
 grep -q "verdict: misgrade" "$tmp/repro.out"
+
+echo "== smoke: every example runs to completion =="
+# the narrated end-to-end runs call the public campaign entry points;
+# set -e fails the check on a nonzero exit
+for src in examples/*.ml; do
+  ex=$(basename "$src" .ml)
+  dune exec "examples/$ex.exe" > "$tmp/example-$ex.out"
+done
 
 echo "== bench: perf snapshot written, regressions diffed against the previous run =="
 # the bench harness writes bench_out/BENCH_perf.json and warns when a

@@ -144,7 +144,7 @@ let transcript_invocations =
     "report signs -n 64 --per-value 24 --traces 1";
     "report nope";
     "report";
-    "trial --variant v32 --seed 123 --segmenter strict --traces 1 --per-value 24";
+    "trial --variant v32 --seed 123 --traces 1 --per-value 24";
     "trial --variant shuffled --intensity 0.75 --seed 9 --gate aggressive --traces 1 --per-value 24 --json";
     "trial --variant v36 --seed 7 --traces 1 --per-value 24 --obs-out run.jsonl --obs-clock logical";
     "obs summarize run.jsonl";

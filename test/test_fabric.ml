@@ -291,7 +291,7 @@ let baseline =
          let rng = Mathkit.Prng.create ~seed:(Int64.of_int golden_seed) () in
          let scope_rng = Mathkit.Prng.split rng and sampler_rng = Mathkit.Prng.split rng in
          let source =
-           Reveal.Source.device_live_range ~retry:true device ~traces:golden_traces ~lo:0 ~hi:golden_traces ~scope_rng
+           Reveal.Source.device_live_range device ~traces:golden_traces ~lo:0 ~hi:golden_traces ~scope_rng
              ~sampler_rng
          in
          (prof, Reveal.Campaign.run_source prof source)))

@@ -12,11 +12,6 @@ let env = lazy (Reveal.Experiment.prepare small_config)
 
 let rng () = Mathkit.Prng.create ~seed:4242L ()
 
-let attack_trace prof run =
-  match Reveal.Campaign.attack_trace prof run with
-  | Ok results -> results
-  | Error e -> Alcotest.fail (Reveal.Pipeline.error_to_string e)
-
 (* --- Device ------------------------------------------------------------- *)
 
 let test_device_run_deterministic () =
@@ -126,7 +121,7 @@ let test_campaign_posteriors_are_distributions () =
   let g = rng () in
   let device = Reveal.Device.create ~n:64 () in
   let run = Reveal.Device.run_gaussian device ~scope_rng:g ~sampler_rng:g in
-  let results = attack_trace prof run in
+  let results = Reveal.Campaign.attack_trace prof run in
   Array.iter
     (fun r ->
       let total = Array.fold_left (fun acc (_, p) -> acc +. p) 0.0 r.Reveal.Campaign.posterior_all in
@@ -144,12 +139,15 @@ let test_campaign_signs_only_matches_verdicts () =
     (fun r ->
       Alcotest.(check int) "sign correct" (compare r.Reveal.Campaign.actual 0)
         r.Reveal.Campaign.verdict.Sca.Attack.sign)
-    (attack_trace prof run)
+    (Reveal.Campaign.attack_trace prof run)
 
 (* A trace cut between its last two bursts lost the trailing dummy's
-   delimiting burst: the strict attack reports the window count as a
-   typed error instead of raising. *)
-let test_campaign_truncated_trace_is_typed_error () =
+   delimiting burst.  Resilient segmentation restores the count by
+   planting a burst (for this trace between windows 28 and 29, not at
+   the tail), and the gate must not vouch for either window next to
+   it: both stay Resynced — a length outlier is not allowed to
+   overwrite that flag with Suspect — and neither grades Confident. *)
+let test_campaign_truncated_trace_resynced () =
   let prof = Reveal.Experiment.env_profile (Lazy.force env) in
   let g = rng () in
   let device = Reveal.Device.create ~n:64 () in
@@ -161,12 +159,58 @@ let test_campaign_truncated_trace_is_typed_error () =
   let truncated =
     { run with Reveal.Device.trace = { run.Reveal.Device.trace with Power.Ptrace.samples = Array.sub samples 0 cut } }
   in
-  match Reveal.Campaign.attack_trace prof truncated with
-  | Error (Reveal.Pipeline.Window_count { expected; found }) ->
-      Alcotest.(check int) "expected the device's coefficients" 64 expected;
-      Alcotest.(check int) "found one window short" 64 found
-  | Error e -> Alcotest.failf "wrong error: %s" (Reveal.Pipeline.error_to_string e)
-  | Ok _ -> Alcotest.fail "a truncated trace was attacked"
+  let results = Reveal.Campaign.attack_trace prof truncated in
+  Alcotest.(check int) "every coefficient attacked" 64 (Array.length results);
+  match
+    Reveal.Pipeline.run_segmenter Reveal.Pipeline.resilient_segmenter prof ~count:64
+      (Mathkit.Fvec.of_array (Array.sub samples 0 cut))
+  with
+  | Error e -> Alcotest.failf "resilient segmentation failed: %s" (Sca.Segment.error_to_string e)
+  | Ok seg ->
+      List.iter
+        (fun i ->
+          Alcotest.(check bool) (Printf.sprintf "window %d resynced" i) true
+            (seg.Reveal.Pipeline.quality.(i) = Sca.Segment.Resynced);
+          Alcotest.(check bool) (Printf.sprintf "window %d not confident" i) true
+            (results.(i).Reveal.Campaign.grade <> Reveal.Campaign.Confident))
+        [ 28; 29 ]
+
+(* Honest captures never need repair, whatever the firmware: on clean
+   device traces of every sampler variant, [windows_fv] finds exactly
+   n + 1 windows (the dummy included), the resilient segmenter returns
+   the first n of them, and it flags no window [Resynced]. *)
+let test_clean_traces_need_no_repair () =
+  let n = 64 in
+  List.iter
+    (fun (name, variant) ->
+      let device = Reveal.Device.create ~variant ~n () in
+      let prof = Reveal.Campaign.profile ~per_value:24 device (Mathkit.Prng.create ~seed:2024L ()) in
+      for t = 1 to 20 do
+        let g = Mathkit.Prng.create ~seed:(Int64.of_int t) () in
+        let run = Reveal.Device.run_gaussian device ~scope_rng:g ~sampler_rng:g in
+        let samples = Mathkit.Fvec.of_array run.Reveal.Device.trace.Power.Ptrace.samples in
+        let label what = Printf.sprintf "%s trace %d: %s" name t what in
+        let wins = Sca.Segment.windows_fv prof.Reveal.Campaign.segment samples in
+        Alcotest.(check int) (label "n + 1 windows") (n + 1) (Array.length wins);
+        match Reveal.Pipeline.run_segmenter Reveal.Pipeline.resilient_segmenter prof ~count:n samples with
+        | Error e -> Alcotest.fail (label (Sca.Segment.error_to_string e))
+        | Ok seg ->
+            let expected =
+              Sca.Segment.views samples (Array.sub wins 0 n) ~length:prof.Reveal.Campaign.window_length
+            in
+            Alcotest.(check bool) (label "first n windows") true
+              (Array.for_all2
+                 (fun a b -> Mathkit.Fvec.to_array a = Mathkit.Fvec.to_array b)
+                 expected seg.Reveal.Pipeline.vectors);
+            Alcotest.(check bool) (label "nothing resynced") true
+              (Array.for_all (fun q -> q <> Sca.Segment.Resynced) seg.Reveal.Pipeline.quality)
+      done)
+    [
+      ("v32", Riscv.Sampler_prog.Vulnerable);
+      ("v36", Riscv.Sampler_prog.Branchless);
+      ("shuffled", Riscv.Sampler_prog.Shuffled);
+      ("cdt", Riscv.Sampler_prog.Cdt_table);
+    ]
 
 (* --- Experiments -------------------------------------------------------------- *)
 
@@ -255,7 +299,8 @@ let suite =
       ("campaign value accuracy in range", test_campaign_value_accuracy_reasonable);
       ("campaign posteriors are distributions", test_campaign_posteriors_are_distributions);
       ("campaign signs-only classifier", test_campaign_signs_only_matches_verdicts);
-      ("campaign truncated trace: typed window-count error", test_campaign_truncated_trace_is_typed_error);
+      ("campaign truncated trace: resynced, never confident", test_campaign_truncated_trace_resynced);
+      ("segment clean traces: every variant, no repair", test_clean_traces_need_no_repair);
       ("fig3 structure", test_fig3_structure);
       ("table2 zero secret certain", test_table2_zero_secret_is_certain);
       ("table3 hints reduce hardness", test_table3_hints_reduce_hardness);
@@ -280,7 +325,7 @@ let test_profile_save_load_roundtrip () =
   let g = rng () in
   let device = Reveal.Device.create ~n:64 () in
   let run = Reveal.Device.run_gaussian device ~scope_rng:g ~sampler_rng:g in
-  let a = attack_trace prof run and b = attack_trace prof' run in
+  let a = Reveal.Campaign.attack_trace prof run and b = Reveal.Campaign.attack_trace prof' run in
   Array.iteri
     (fun i ra ->
       Alcotest.(check int) "same verdicts" ra.Reveal.Campaign.verdict.Sca.Attack.value
@@ -351,14 +396,16 @@ let suite = suite @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
 
 (* --- fault tolerance ----------------------------------------------------- *)
 
-(* Satellite regression: at fault intensity 0 the resilient pipeline is
-   bit-identical to the classic one — same verdicts, same bikz. *)
+(* Satellite regression: a no-op fault model is bit-identical to the
+   fault-free device — same verdicts — and the graded hints give the
+   ungated bikz. *)
 let test_fault_zero_consistency () =
   let zc = Reveal.Experiment.fault_zero_consistency small_config in
   Alcotest.(check bool) "attacked something" true (zc.Reveal.Experiment.coefficients > 0);
   Alcotest.(check int) "identical verdicts" 0 zc.Reveal.Experiment.verdict_mismatches;
   Alcotest.(check int) "nothing graded below Tentative" 0 zc.Reveal.Experiment.grade_downgrades;
-  Alcotest.(check (float 1e-9)) "identical bikz" zc.Reveal.Experiment.bikz_classic zc.Reveal.Experiment.bikz_graded
+  Alcotest.(check (float 1e-9))
+    "identical bikz" zc.Reveal.Experiment.bikz_ungated zc.Reveal.Experiment.bikz_graded
 
 let test_fault_sweep_invariants () =
   let rows = Reveal.Experiment.fault_sweep ~intensities:[| 0.0; 0.6; 1.2 |] small_config in

@@ -414,11 +414,6 @@ let archived_runs path =
     []
   |> List.rev |> Array.of_list
 
-let attack_trace prof run =
-  match Reveal.Campaign.attack_trace prof run with
-  | Ok results -> results
-  | Error e -> Alcotest.fail (Reveal.Pipeline.error_to_string e)
-
 let test_replay_attack_bit_identical () =
   let device = Reveal.Device.create ~n:16 () in
   let prof = Lazy.force tiny_profile in
@@ -437,8 +432,8 @@ let test_replay_attack_bit_identical () =
       Array.iteri
         (fun i live ->
           let offline = replayed.(i) in
-          let live_r = attack_trace prof live in
-          let offline_r = attack_trace prof offline in
+          let live_r = Reveal.Campaign.attack_trace prof live in
+          let offline_r = Reveal.Campaign.attack_trace prof offline in
           Alcotest.(check int) "same coefficient count" (Array.length live_r) (Array.length offline_r);
           Array.iteri
             (fun j lr ->
@@ -462,7 +457,9 @@ let test_attack_archive_matches_per_trace_attacks () =
       let g = rng () in
       Reveal.Device.record device ~path ~seed:0L ~traces:4 ~scope_rng:g ~sampler_rng:g;
       (* ground truth: replay each run and attack it individually *)
-      let expected = Array.concat (Array.to_list (Array.map (attack_trace prof) (archived_runs path))) in
+      let expected =
+        Array.concat (Array.to_list (Array.map (Reveal.Campaign.attack_trace prof) (archived_runs path)))
+      in
       let stats, results = Reveal.Campaign.attack_archive ~batch:2 prof path in
       Alcotest.(check int) "flattened results" (Array.length expected) (Array.length results);
       Array.iteri

@@ -45,7 +45,7 @@ let test_repro_command_shape () =
   let line = Triage.Plan.repro_command ~exe:"reveal" t in
   List.iter
     (fun needle -> Alcotest.(check bool) ("repro line mentions " ^ needle) true (contains line needle))
-    [ "reveal trial"; "--variant"; "--seed"; "--segmenter"; "--gate"; "--per-value" ];
+    [ "reveal trial"; "--variant"; "--seed"; "--gate"; "--per-value" ];
   let with_archive = Triage.Plan.repro_command ~archive:"/tmp/a.rvt" ~exe:"reveal" t in
   Alcotest.(check bool) "archive form appends --archive" true (contains with_archive "--archive '/tmp/a.rvt'")
 
@@ -256,7 +256,6 @@ let planted_trials =
       variant = Riscv.Sampler_prog.Vulnerable;
       intensity;
       seed = 123;
-      segmenter = Triage.Plan.Resilient;
       gate;
       traces = 1;
       n = Triage.Plan.trial_n;
