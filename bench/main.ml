@@ -180,13 +180,12 @@ let sampler_events ~n rng =
   Riscv.Trace.events recorder
 
 let perf_tests () =
-  let open Bechamel in
   let rng = Mathkit.Prng.create ~seed:1L () in
   (* fig3 kernel: simulate + synthesise one 3-coefficient trace *)
   let device3 = Reveal.Device.create ~n:3 () in
   let fig3_kernel =
-    Test.make ~name:"fig3: simulate+synthesise 3-coeff trace"
-      (Staged.stage (fun () -> ignore (Reveal.Device.run device3 ~scope_rng:rng ~draws:[| (0, 1); (4, 0); (-5, 2) |])))
+    ( "fig3: simulate+synthesise 3-coeff trace",
+      fun () -> ignore (Reveal.Device.run device3 ~scope_rng:rng ~draws:[| (0, 1); (4, 0); (-5, 2) |]) )
   in
   (* table1 kernel: classify one trace *)
   let small = { Reveal.Experiment.default with Reveal.Experiment.device_n = 64; per_value = 60; attack_traces = 1 } in
@@ -195,8 +194,7 @@ let perf_tests () =
   let device = Reveal.Device.create ~n:64 () in
   let run = Reveal.Device.run_gaussian device ~scope_rng:rng ~sampler_rng:rng in
   let table1_kernel =
-    Test.make ~name:"table1: segment+classify one 64-coeff trace"
-      (Staged.stage (fun () -> ignore (Reveal.Campaign.attack_trace prof run)))
+    ("table1: segment+classify one 64-coeff trace", fun () -> ignore (Reveal.Campaign.attack_trace prof run))
   in
   (* the per-window scoring work exactly as the grader performs it,
      and the same work over a whole replayed trace: Fvec views of the
@@ -209,88 +207,87 @@ let perf_tests () =
     (Sca.Segment.views samples_fv wins ~length:prof.Reveal.Campaign.window_length).(0)
   in
   let scoring_fvec_kernel =
-    Test.make ~name:"numeric: template scoring, fvec+scratch"
-      (Staged.stage (fun () -> ignore (Sca.Attack.grade_fv attack attack_scratch window_fv)))
+    ( "numeric: template scoring, fvec+scratch",
+      fun () -> ignore (Sca.Attack.grade_fv attack attack_scratch window_fv) )
   in
   let replay_fvec_kernel =
-    Test.make ~name:"numeric: replay attack, fvec views+scratch"
-      (Staged.stage (fun () ->
-           let wins = Sca.Segment.windows_fv prof.Reveal.Campaign.segment samples_fv in
-           Array.iter
-             (fun w -> ignore (Sca.Attack.grade_fv attack attack_scratch w))
-             (Sca.Segment.views samples_fv wins ~length:prof.Reveal.Campaign.window_length)))
+    ( "numeric: replay attack, fvec views+scratch",
+      fun () ->
+        let wins = Sca.Segment.windows_fv prof.Reveal.Campaign.segment samples_fv in
+        Array.iter
+          (fun w -> ignore (Sca.Attack.grade_fv attack attack_scratch w))
+          (Sca.Segment.views samples_fv wins ~length:prof.Reveal.Campaign.window_length) )
   in
   (* the scope model at the default ring size: synthesis of one
      256-coefficient trace, and the fault pass over it at the mid
      intensity the faulted campaign runs *)
   let events256 = sampler_events ~n:256 rng in
   let synth_kernel =
-    Test.make ~name:"power: synthesize 256-coeff trace"
-      (Staged.stage (fun () -> ignore (Power.Synth.synthesize ~rng Power.Synth.default events256)))
+    ( "power: synthesize 256-coeff trace",
+      fun () -> ignore (Power.Synth.synthesize ~rng Power.Synth.default events256) )
   in
   let trace256 = Power.Synth.synthesize ~rng Power.Synth.default events256 in
   let fault_kernel =
-    Test.make ~name:"power: fault pass, 256-coeff trace at intensity 0.5"
-      (Staged.stage (fun () -> ignore (Power.Fault.apply ~rng (Power.Fault.of_intensity 0.5) trace256)))
+    ( "power: fault pass, 256-coeff trace at intensity 0.5",
+      fun () -> ignore (Power.Fault.apply ~rng (Power.Fault.of_intensity 0.5) trace256) )
   in
   (* table3 kernel: integrate 1024 hints and re-estimate beta *)
   let table3_kernel =
-    Test.make ~name:"table3: 1024 DBDD hints + beta search"
-      (Staged.stage (fun () ->
-           let d = Hints.Dbdd.create Hints.Lwe.seal_128_1024 in
-           for i = 0 to 1023 do
-             if i mod 3 = 0 then Hints.Dbdd.perfect_hint d i
-             else Hints.Dbdd.posterior_hint d i ~posterior_variance:0.5
-           done;
-           ignore (Hints.Dbdd.estimate_bikz d)))
+    ( "table3: 1024 DBDD hints + beta search",
+      fun () ->
+        let d = Hints.Dbdd.create Hints.Lwe.seal_128_1024 in
+        for i = 0 to 1023 do
+          if i mod 3 = 0 then Hints.Dbdd.perfect_hint d i
+          else Hints.Dbdd.posterior_hint d i ~posterior_variance:0.5
+        done;
+        ignore (Hints.Dbdd.estimate_bikz d) )
   in
   (* table4 kernel: sign hints + beta search *)
   let table4_kernel =
-    Test.make ~name:"table4: sign hints + beta search"
-      (Staged.stage (fun () ->
-           let d = Hints.Dbdd.create Hints.Lwe.seal_128_1024 in
-           let hv = 3.2 *. 3.2 *. (1.0 -. (2.0 /. Float.pi)) in
-           for i = 0 to 1023 do
-             if i mod 8 = 0 then Hints.Dbdd.perfect_hint d i else Hints.Dbdd.posterior_hint d i ~posterior_variance:hv
-           done;
-           ignore (Hints.Dbdd.estimate_bikz d)))
+    ( "table4: sign hints + beta search",
+      fun () ->
+        let d = Hints.Dbdd.create Hints.Lwe.seal_128_1024 in
+        let hv = 3.2 *. 3.2 *. (1.0 -. (2.0 /. Float.pi)) in
+        for i = 0 to 1023 do
+          if i mod 8 = 0 then Hints.Dbdd.perfect_hint d i else Hints.Dbdd.posterior_hint d i ~posterior_variance:hv
+        done;
+        ignore (Hints.Dbdd.estimate_bikz d) )
   in
   (* substrate kernels *)
   let md = Mathkit.Modular.modulus 132120577 in
   let plan = Mathkit.Ntt.plan md 1024 in
   let a = Mathkit.Poly.uniform rng md 1024 and b = Mathkit.Poly.uniform rng md 1024 in
   let ntt_kernel =
-    Test.make ~name:"substrate: NTT multiply (n=1024)" (Staged.stage (fun () -> ignore (Mathkit.Ntt.multiply plan a b)))
+    ("substrate: NTT multiply (n=1024)", fun () -> ignore (Mathkit.Ntt.multiply plan a b))
   in
   let ctx = Bfv.Rq.context Bfv.Params.seal_128_1024 in
   let sk = Bfv.Keygen.secret_key rng ctx in
   let pk = Bfv.Keygen.public_key rng ctx sk in
   let msg = Bfv.Keys.plaintext_of_coeffs Bfv.Params.seal_128_1024 (Array.make 1024 7) in
   let bfv_kernel =
-    Test.make ~name:"substrate: BFV encrypt (n=1024, v3.2 sampler)"
-      (Staged.stage (fun () -> ignore (Bfv.Encryptor.encrypt rng ctx pk msg)))
+    ("substrate: BFV encrypt (n=1024, v3.2 sampler)", fun () -> ignore (Bfv.Encryptor.encrypt rng ctx pk msg))
   in
   let v32 = Riscv.Sampler_prog.build ~variant:Riscv.Sampler_prog.Vulnerable ~n:64 ~k:1 () in
   let lint_config = Ctcheck.Lint.sampler_config () in
   let ctcheck_kernel =
-    Test.make ~name:"ctcheck: static lint of v3.2 firmware (n=64)"
-      (Staged.stage (fun () -> ignore (Ctcheck.Lint.analyze_program ~config:lint_config v32)))
+    ( "ctcheck: static lint of v3.2 firmware (n=64)",
+      fun () -> ignore (Ctcheck.Lint.analyze_program ~config:lint_config v32) )
   in
   let lll_kernel =
-    Test.make ~name:"substrate: LLL on dim-33 Kannan embedding"
-      (Staged.stage (fun () ->
-           let g = Mathkit.Prng.create ~seed:9L () in
-           let qm = Mathkit.Modular.modulus 521 in
-           let p1 = Mathkit.Poly.uniform g qm 16 in
-           let inst =
-             {
-               Lattice.Embed.q = 521;
-               a = Lattice.Embed.negacyclic_matrix ~q:521 p1;
-               b = Array.init 16 (fun _ -> Mathkit.Prng.int g 521);
-             }
-           in
-           let basis = Lattice.Embed.kannan_basis inst in
-           Lattice.Lll.reduce basis))
+    ( "substrate: LLL on dim-33 Kannan embedding",
+      fun () ->
+        let g = Mathkit.Prng.create ~seed:9L () in
+        let qm = Mathkit.Modular.modulus 521 in
+        let p1 = Mathkit.Poly.uniform g qm 16 in
+        let inst =
+          {
+            Lattice.Embed.q = 521;
+            a = Lattice.Embed.negacyclic_matrix ~q:521 p1;
+            b = Array.init 16 (fun _ -> Mathkit.Prng.int g 521);
+          }
+        in
+        let basis = Lattice.Embed.kannan_basis inst in
+        Lattice.Lll.reduce basis )
   in
   (* fabric kernel: the shard-result codec every sharded campaign pays
      per shard *)
@@ -312,9 +309,9 @@ let perf_tests () =
     { Fabric.Shard.shard = 0; range = { Fabric.Shard.lo = 0; hi = 1 }; corrupt_skipped = 0; results = Array.init 64 mk }
   in
   let shard_kernel =
-    Test.make ~name:"fabric: shard-result codec round-trip (64 coeffs)"
-      (Staged.stage (fun () ->
-           ignore (Fabric.Shard.result_of_payload ~path:"bench" (Fabric.Shard.result_payload shard_result))))
+    ( "fabric: shard-result codec round-trip (64 coeffs)",
+      fun () ->
+        ignore (Fabric.Shard.result_of_payload ~path:"bench" (Fabric.Shard.result_payload shard_result)) )
   in
   (* telemetry pair: the same archive replay with live streaming armed
      (bounded queue -> background sender -> framed telemetry into
@@ -328,8 +325,7 @@ let perf_tests () =
     ignore (Reveal.Campaign.run_source ?obs ~domains:1 prof (Reveal.Source.archive_replay telemetry_archive))
   in
   let telemetry_disabled_kernel =
-    Test.make ~name:"telemetry: replay 2-trace campaign, obs disabled"
-      (Staged.stage (telemetry_replay None))
+    ("telemetry: replay 2-trace campaign, obs disabled", telemetry_replay None)
   in
   let tel_oc = open_out "/dev/null" in
   let tel_sender = Traceio.Wire.create_telemetry_sender ~peer:"bench" tel_oc in
@@ -338,8 +334,7 @@ let perf_tests () =
   in
   let tel_obs = Obs.Ctx.create ~clock:(Obs.Clock.logical ()) ~source:"bench" ~sink:tel_sink () in
   let telemetry_streaming_kernel =
-    Test.make ~name:"telemetry: replay 2-trace campaign, streaming sink"
-      (Staged.stage (telemetry_replay (Some tel_obs)))
+    ("telemetry: replay 2-trace campaign, streaming sink", telemetry_replay (Some tel_obs))
   in
   [
     fig3_kernel;
@@ -359,13 +354,133 @@ let perf_tests () =
     telemetry_streaming_kernel;
   ]
 
-(* --- perf snapshots ------------------------------------------------------ *)
+(* --- perf snapshots and the strict gate ------------------------------------ *)
+
+(* The gate does not compare bare kernel times: on a shared VM the
+   processor runs up to ~1.5 times slower for stretches of seconds to
+   minutes, and two back-to-back snapshots then differ by that much on
+   kernels nobody touched.  Each kernel is instead timed in rounds
+   against a fixed reference computation that calls no library code,
+   timed right before and right after every round: a round's sample is
+   the kernel's time per run over the mean of those two reference
+   times.  A slow stretch moves both and largely cancels; a slower
+   kernel moves only its own time.  (campaign_bench/calib.ml scales
+   whole campaigns the same way.)  Both are timed in process CPU time,
+   so the time the process waits for a processor other processes hold
+   counts in neither.
+
+   The reference mixes what the kernels do: Gaussian draws from an
+   integer generator, float64 encode and decode through a byte buffer,
+   dot products over a matrix and a branchy table-driven integer
+   loop. *)
+let xorshift x =
+  let x = x lxor ((x lsl 13) land max_int) in
+  let x = x lxor (x lsr 7) in
+  x lxor ((x lsl 17) land max_int)
+
+(* One run of the reference: about a third of a millisecond on a
+   2-vCPU VM.  Its buffers are made once and reused by every run. *)
+let reference_run =
+  let n = 1 lsl 12 and rows = 8 in
+  let v = Array.make n 0.0 in
+  let m = Array.init (rows * n) (fun i -> float_of_int (i * 104729 mod 1021) /. 1021.0) in
+  let b = Bytes.create (8 * n) in
+  let prog = Array.init 4096 (fun i -> i * 2654435761 land 0xFFFF) in
+  fun () ->
+    let x = ref 0x9E3779B1 in
+    for i = 0 to n - 1 do
+      x := xorshift !x;
+      let u1 = (float_of_int (!x land 0xFFFFFF) +. 1.0) /. 16777217.0 in
+      x := xorshift !x;
+      let u2 = float_of_int (!x land 0xFFFFFF) /. 16777216.0 in
+      v.(i) <- sqrt (-2.0 *. log u1) *. cos (6.283185307179586 *. u2)
+    done;
+    for i = 0 to n - 1 do
+      Bytes.set_int64_le b (8 * i) (Int64.bits_of_float v.(i))
+    done;
+    for i = 0 to n - 1 do
+      v.(i) <- Int64.float_of_bits (Bytes.get_int64_le b (8 * i))
+    done;
+    let dots = ref 0.0 in
+    for r = 0 to rows - 1 do
+      for i = 0 to n - 1 do
+        dots := !dots +. (m.((r * n) + i) *. v.(i))
+      done
+    done;
+    let acc = ref !x and pc = ref 0 in
+    for _ = 1 to 4 * n do
+      let op = prog.(!pc) in
+      (match op land 7 with
+      | 0 -> acc := !acc + op
+      | 1 -> acc := !acc lxor op
+      | 2 -> acc := !acc - (op lsr 3)
+      | 3 -> acc := (!acc lsl 1) land max_int
+      | 4 -> acc := !acc lsr 1
+      | 5 -> acc := !acc + (!acc land op)
+      | 6 -> acc := !acc lor (op lsl 2)
+      | _ -> acc := !acc * 3);
+      pc := (!pc + 1 + (!acc land 3)) land 4095
+    done;
+    ignore (Sys.opaque_identity (!dots, !acc))
+
+let gate_rounds = 50
+
+(* A kernel fails the strict gate when the 95 % bootstrap interval of
+   its scaled new/old ratio lies wholly above this. *)
+let gate_threshold = 1.12
+
+let time_reps f reps =
+  (* srclint: allow nondet-source the gate's samples are real CPU-time measurements by design *)
+  let t0 = Sys.time () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  (* srclint: allow nondet-source the gate's samples are real CPU-time measurements by design *)
+  Sys.time () -. t0
+
+(* [rounds] scaled samples of each kernel.  A round samples every
+   kernel once, in turn, so each kernel's samples spread over the whole
+   snapshot rather than over one stretch of it.  A sample runs the
+   smallest power-of-two batch of the kernel that takes at least 2 ms,
+   from a fully collected heap (no sample pays for garbage another
+   kernel left behind), between two runs of the reference. *)
+let scaled_samples ~rounds kernels =
+  let rec batch f reps = if reps >= 1 lsl 20 || time_reps f reps >= 0.002 then reps else batch f (2 * reps) in
+  let kernels = Array.of_list (List.map (fun (_, f) -> (f, batch f 1)) kernels) in
+  let samples = Array.map (fun _ -> Array.make rounds 0.0) kernels in
+  for r = 0 to rounds - 1 do
+    Array.iteri
+      (fun k (f, reps) ->
+        Gc.full_major ();
+        let before = time_reps reference_run 1 in
+        let per_run = time_reps f reps /. float_of_int reps in
+        let after = time_reps reference_run 1 in
+        samples.(k).(r) <- per_run /. ((before +. after) /. 2.0))
+      kernels
+  done;
+  samples
+
+let median xs =
+  let s = Array.copy xs in
+  Array.sort Float.compare s;
+  let n = Array.length s in
+  if n mod 2 = 1 then s.(n / 2) else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.0
+
+(* The 2.5 and 97.5 percentiles of median(new) / median(old) over 2000
+   resamplings of both sample sets, from a fixed seed. *)
+let ratio_ci ~old_s ~new_s =
+  let g = Mathkit.Prng.create ~seed:0x5EEDL () in
+  let resample xs = Array.init (Array.length xs) (fun _ -> xs.(Mathkit.Prng.int g (Array.length xs))) in
+  let ratios = Array.init 2000 (fun _ -> median (resample new_s) /. median (resample old_s)) in
+  Array.sort Float.compare ratios;
+  (ratios.(50), ratios.(1949))
 
 let snapshot_path = Filename.concat out_dir "BENCH_perf.json"
 let snapshot_prev_path = Filename.concat out_dir "BENCH_perf.prev.json"
 
-(* (kernel name, ns/run) rows of an existing snapshot; [] when absent
-   or unreadable — a missing baseline is not an error. *)
+(* (kernel name, ns/run, scaled samples) rows of an existing snapshot;
+   [] when absent or unreadable — a missing baseline is not an error.
+   A row without samples (an older snapshot) has no gate baseline. *)
 let load_snapshot path =
   match open_in path with
   | exception Sys_error _ -> []
@@ -379,10 +494,15 @@ let load_snapshot path =
           | Some (List items) ->
               List.filter_map
                 (fun item ->
+                  let scaled =
+                    match member "scaled" item with
+                    | Some (List xs) -> Array.of_list (List.filter_map to_float_opt xs)
+                    | _ -> [||]
+                  in
                   match
                     (Option.bind (member "name" item) to_string_opt, Option.bind (member "ns_per_run" item) to_float_opt)
                   with
-                  | Some name, Some ns -> Some (name, ns)
+                  | Some name, Some ns -> Some (name, ns, scaled)
                   | _ -> None)
                 items
           | _ -> [])
@@ -402,7 +522,16 @@ let write_snapshot quota rows =
       [
         ("quota_s", Float quota);
         ( "results",
-          List (List.map (fun (name, ns) -> Obj [ ("name", String name); ("ns_per_run", Float ns) ]) rows) );
+          List
+            (List.map
+               (fun (name, ns, scaled) ->
+                 Obj
+                   [
+                     ("name", String name);
+                     ("ns_per_run", Float ns);
+                     ("scaled", List (Array.to_list (Array.map (fun x -> Float x) scaled)));
+                   ])
+               rows) );
       ]
   in
   let oc = open_out snapshot_path in
@@ -411,42 +540,42 @@ let write_snapshot quota rows =
   close_out oc;
   Printf.printf "(snapshot written to %s)\n" snapshot_path;
   if prev <> [] then begin
-    Printf.printf "vs previous snapshot (%s):\n" snapshot_prev_path;
-    let moved = ref 0 and regressed = ref [] and fresh = ref [] in
+    Printf.printf "vs previous snapshot (%s): scaled new/old ratio, 95%% bootstrap interval\n" snapshot_prev_path;
+    let regressed = ref [] and fresh = ref [] in
     List.iter
-      (fun (name, ns) ->
-        match List.assoc_opt name prev with
-        | Some old when old > 0.0 ->
-            let ratio = ns /. old in
-            if ratio >= 1.5 then begin
-              incr moved;
-              regressed := (name, ratio) :: !regressed;
-              Printf.printf "  WARNING: %s regressed %.2fx (%.1f -> %.1f ns/run)\n" name ratio old ns
-            end
-            else if ratio <= 1.0 /. 1.5 then begin
-              incr moved;
-              Printf.printf "  %s improved %.2fx (%.1f -> %.1f ns/run)\n" name (1.0 /. ratio) old ns
-            end
+      (fun (name, ns, scaled) ->
+        match List.find_opt (fun (n, _, _) -> n = name) prev with
+        | Some (_, old_ns, old_s) when Array.length old_s > 0 && Array.length scaled > 0 ->
+            let lo, hi = ratio_ci ~old_s ~new_s:scaled in
+            let verdict =
+              if lo > gate_threshold then begin
+                regressed := (name, lo, hi) :: !regressed;
+                "  REGRESSED"
+              end
+              else if hi < 1.0 /. gate_threshold then "  improved"
+              else ""
+            in
+            Printf.printf "  %-52s %.2fx [%.2f, %.2f] (%.1f -> %.1f ns/run)%s\n" name
+              (median scaled /. median old_s)
+              lo hi old_ns ns verdict
         | _ ->
-            (* a kernel with no baseline row cannot regress: report it
-               as informational only — it must neither warn, nor trip
-               the strict gate, nor mask the all-within-bounds line
-               for the kernels that do have a baseline *)
+            (* a kernel with no baseline samples cannot regress: report
+               it as informational only — it must neither warn nor trip
+               the strict gate *)
             fresh := name :: !fresh)
       rows;
-    List.iter (fun name -> Printf.printf "  (new kernel, no baseline: %s)\n" name) (List.rev !fresh);
-    if !moved = 0 then Printf.printf "  (all kernels present in both snapshots are within 1.5x)\n";
-    (* Advisory by default — micro-benchmarks are noisy on shared
-       hardware — but REVEAL_PERF_STRICT=1 turns a regression into a
-       hard failure, for pinned CI runners where the baseline is
-       trustworthy. *)
+    List.iter (fun name -> Printf.printf "  (no baseline samples: %s)\n" name) (List.rev !fresh);
+    (* Advisory by default, but REVEAL_PERF_STRICT=1 turns a regression
+       into a hard failure. *)
     match Sys.getenv_opt "REVEAL_PERF_STRICT" with
     | Some ("1" | "true" | "yes") when !regressed <> [] ->
-        Printf.printf "REVEAL_PERF_STRICT: %d kernel(s) regressed beyond 1.5x:\n" (List.length !regressed);
-        List.iter (fun (name, ratio) -> Printf.printf "  %s (%.2fx)\n" name ratio) (List.rev !regressed);
+        Printf.printf "REVEAL_PERF_STRICT: %d kernel(s) regressed: the whole interval lies above %.2fx:\n"
+          (List.length !regressed) gate_threshold;
+        List.iter (fun (name, lo, hi) -> Printf.printf "  %s [%.2f, %.2f]\n" name lo hi) (List.rev !regressed);
         exit 1
-    | Some ("1" | "true" | "yes") -> Printf.printf "(REVEAL_PERF_STRICT: no kernel regressed beyond 1.5x)\n"
-    | _ -> Printf.printf "(regression warnings are advisory: micro-benchmarks are noisy on shared hardware)\n"
+    | Some ("1" | "true" | "yes") ->
+        Printf.printf "(REVEAL_PERF_STRICT: no kernel's interval lies wholly above %.2fx)\n" gate_threshold
+    | _ -> Printf.printf "(regression flags are advisory unless REVEAL_PERF_STRICT=1)\n"
   end
 
 let run_perf () =
@@ -459,23 +588,31 @@ let run_perf () =
     | _ -> 0.5
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:(Some 1000) () in
-  let rows = ref [] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let ols =
-        Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]) instance results
-      in
-      Hashtbl.fold (fun name result acc -> (name, result) :: acc) ols []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      |> List.iter (fun (name, result) ->
-             match Analyze.OLS.estimates result with
-             | Some [ est ] ->
-                 rows := (name, est) :: !rows;
-                 Printf.printf "  %-48s %12.1f ns/run\n%!" name est
-             | _ -> Printf.printf "  %-48s (no estimate)\n%!" name))
-    (perf_tests ());
-  write_snapshot quota (List.sort compare (List.rev !rows))
+  let kernels = perf_tests () in
+  let estimates =
+    List.map
+      (fun (name, f) ->
+        let results = Benchmark.all cfg [ instance ] (Test.make ~name (Staged.stage f)) in
+        let ols =
+          Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]) instance results
+        in
+        match Option.bind (Hashtbl.find_opt ols name) Analyze.OLS.estimates with
+        | Some [ est ] ->
+            Printf.printf "  %-48s %12.1f ns/run\n%!" name est;
+            Some est
+        | _ ->
+            Printf.printf "  %-48s (no estimate)\n%!" name;
+            None)
+      kernels
+  in
+  let samples = scaled_samples ~rounds:gate_rounds kernels in
+  let rows =
+    List.concat
+      (List.mapi
+         (fun k ((name, _), est) -> match est with Some est -> [ (name, est, samples.(k)) ] | None -> [])
+         (List.combine kernels estimates))
+  in
+  write_snapshot quota (List.sort compare rows)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl |> List.filter (fun a -> a <> "--full") in

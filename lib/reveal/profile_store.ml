@@ -15,6 +15,11 @@ let put_template b (t : Sca.Template.t) =
   Traceio.Binio.put_f64 b t.Sca.Template.log_det;
   Traceio.Codec.put_ints b t.Sca.Template.pois
 
+(* The scoring fields a cache does not store are derived on load by the
+   same constructors that build them; parts that cannot go together are
+   a damaged cache. *)
+let derived ~path make = try make () with Invalid_argument msg -> Traceio.Error.corruptf "%s: %s" path msg
+
 let get_template ~path c =
   let labels = Traceio.Codec.get_ints c in
   let rows = Traceio.Binio.get_varint_int c in
@@ -31,7 +36,7 @@ let get_template ~path c =
   let log_det = Traceio.Binio.get_f64 c in
   let pois = Traceio.Codec.get_ints c in
   let inv_cov = Mathkit.Fmat.of_matrix (Mathkit.Matrix.of_arrays cov) in
-  { Sca.Template.labels; means; inv_cov; log_det; pois }
+  derived ~path (fun () -> Sca.Template.make ~labels ~means ~inv_cov ~log_det ~pois)
 
 let put_threshold b = function
   | Sca.Segment.Auto -> Traceio.Binio.put_u8 b 0
@@ -91,17 +96,9 @@ let profile_of_payload ~path payload =
   let pois_pos = Traceio.Codec.get_ints c in
   Traceio.Binio.expect_end c;
   let attack =
-    {
-      Sca.Attack.sign_template;
-      neg_template;
-      pos_template;
-      neg_priors;
-      pos_priors;
-      prior_of_sign;
-      pois_sign;
-      pois_neg;
-      pois_pos;
-    }
+    derived ~path (fun () ->
+        Sca.Attack.make ~sign_template ~neg_template ~pos_template ~neg_priors ~pos_priors ~prior_of_sign ~pois_sign
+          ~pois_neg ~pois_pos)
   in
   { Pipeline.attack; window_length; segment; values; sigma; sign_fit_floor; value_fit_floor }
 

@@ -8,7 +8,38 @@ type t = {
   pois_sign : int array;
   pois_neg : int array;
   pois_pos : int array;
+  log_prior_of_sign : float array;
+  neg_log_priors : float array;
+  pos_log_priors : float array;
+  neg_order : int array;
+  pos_order : int array;
 }
+
+(* A group's class indices in ascending label order: with the zero
+   class between the two groups, they lay out [g_posterior_all]. *)
+let ascending (template : Template.t) =
+  let order = Array.init (Array.length template.Template.labels) Fun.id in
+  Array.stable_sort (fun i j -> Int.compare template.Template.labels.(i) template.Template.labels.(j)) order;
+  order
+
+let make ~sign_template ~neg_template ~pos_template ~neg_priors ~pos_priors ~prior_of_sign ~pois_sign ~pois_neg
+    ~pois_pos =
+  {
+    sign_template;
+    neg_template;
+    pos_template;
+    neg_priors;
+    pos_priors;
+    prior_of_sign;
+    pois_sign;
+    pois_neg;
+    pois_pos;
+    log_prior_of_sign = Template.log_prior sign_template prior_of_sign;
+    neg_log_priors = Template.log_prior neg_template neg_priors;
+    pos_log_priors = Template.log_prior pos_template pos_priors;
+    neg_order = ascending neg_template;
+    pos_order = ascending pos_template;
+  }
 
 type verdict = {
   sign : int;
@@ -59,7 +90,7 @@ let build ~poi_count ~sign_poi_count ~sigma classes =
     in
     Mathkit.Stats.normalize_probs [| mass (-1); mass 0; mass 1 |]
   in
-  { sign_template; neg_template; pos_template; neg_priors; pos_priors; prior_of_sign; pois_sign; pois_neg; pois_pos }
+  make ~sign_template ~neg_template ~pos_template ~neg_priors ~pos_priors ~prior_of_sign ~pois_sign ~pois_neg ~pois_pos
 
 type graded = {
   g_verdict : verdict;
@@ -137,7 +168,7 @@ let value_fit_fv t s ~sign window =
    P(v | trace) uses the Gaussian prior both across sign groups and
    within them. *)
 let grade_fv t s window =
-  let sign_sc = Template.scores_fv ~priors:t.prior_of_sign t.sign_template s.Scratch.sign (pick_into s t.pois_sign window) in
+  let sign_sc = Template.scores_fv ~log_prior:t.log_prior_of_sign t.sign_template s.Scratch.sign (pick_into s t.pois_sign window) in
   let sign_labels = t.sign_template.Template.labels in
   let sign = sign_labels.(Mathkit.Stats.argmax sign_sc.Template.s_post) in
   let g_sign_confidence = Array.fold_left Float.max 0.0 sign_sc.Template.s_post in
@@ -156,16 +187,16 @@ let grade_fv t s window =
   let g_verdict, g_value_fit, neg_pp, pos_pp =
     match sign with
     | -1 ->
-        let neg_sc = Template.scores_fv ~priors:t.neg_priors t.neg_template s.Scratch.neg (pick_into s t.pois_neg window) in
-        let pos_pp = Template.priored_posterior_fv ~priors:t.pos_priors t.pos_template s.Scratch.pos (pick_into s t.pois_pos window) in
+        let neg_sc = Template.scores_fv ~log_prior:t.neg_log_priors t.neg_template s.Scratch.neg (pick_into s t.pois_neg window) in
+        let pos_pp = Template.priored_posterior_fv ~log_prior:t.pos_log_priors t.pos_template s.Scratch.pos (pick_into s t.pois_pos window) in
         (verdict_of t.neg_template neg_sc, neg_sc.Template.s_best_ll, neg_sc.Template.s_post_p, pos_pp)
     | 1 ->
-        let neg_pp = Template.priored_posterior_fv ~priors:t.neg_priors t.neg_template s.Scratch.neg (pick_into s t.pois_neg window) in
-        let pos_sc = Template.scores_fv ~priors:t.pos_priors t.pos_template s.Scratch.pos (pick_into s t.pois_pos window) in
+        let neg_pp = Template.priored_posterior_fv ~log_prior:t.neg_log_priors t.neg_template s.Scratch.neg (pick_into s t.pois_neg window) in
+        let pos_sc = Template.scores_fv ~log_prior:t.pos_log_priors t.pos_template s.Scratch.pos (pick_into s t.pois_pos window) in
         (verdict_of t.pos_template pos_sc, pos_sc.Template.s_best_ll, neg_pp, pos_sc.Template.s_post_p)
     | _ ->
-        let neg_pp = Template.priored_posterior_fv ~priors:t.neg_priors t.neg_template s.Scratch.neg (pick_into s t.pois_neg window) in
-        let pos_pp = Template.priored_posterior_fv ~priors:t.pos_priors t.pos_template s.Scratch.pos (pick_into s t.pois_pos window) in
+        let neg_pp = Template.priored_posterior_fv ~log_prior:t.neg_log_priors t.neg_template s.Scratch.neg (pick_into s t.pois_neg window) in
+        let pos_pp = Template.priored_posterior_fv ~log_prior:t.pos_log_priors t.pos_template s.Scratch.pos (pick_into s t.pois_pos window) in
         ({ sign; value = 0; posterior = [| (0, 1.0) |] }, g_sign_fit, neg_pp, pos_pp)
   in
   let p_of_sign sg =
@@ -173,14 +204,21 @@ let grade_fv t s window =
     Array.iteri (fun i l -> if l = sg then acc := sign_sc.Template.s_post_p.(i)) sign_labels;
     !acc
   in
-  let entries = ref [] in
-  entries := (0, p_of_sign 0) :: !entries;
-  List.iter
-    (fun sg ->
-      let template, pp = match sg with -1 -> (t.neg_template, neg_pp) | _ -> (t.pos_template, pos_pp) in
-      let ps = p_of_sign sg in
-      Array.iteri (fun i l -> entries := (l, ps *. pp.(i)) :: !entries) template.Template.labels)
-    [ -1; 1 ];
-  let g_posterior_all = Array.of_list !entries in
-  Array.sort (fun (a, _) (b, _) -> compare a b) g_posterior_all;
+  (* Ascending labels: the negative group, zero, then the positive
+     group, each entry written where the sorted layout puts it. *)
+  let ps_neg = p_of_sign (-1) and ps_pos = p_of_sign 1 in
+  let neg_labels = t.neg_template.Template.labels and pos_labels = t.pos_template.Template.labels in
+  let nn = Array.length t.neg_order in
+  let g_posterior_all =
+    Array.init
+      (nn + 1 + Array.length t.pos_order)
+      (fun j ->
+        if j < nn then
+          let i = t.neg_order.(j) in
+          (neg_labels.(i), ps_neg *. neg_pp.(i))
+        else if j = nn then (0, p_of_sign 0)
+        else
+          let i = t.pos_order.(j - nn - 1) in
+          (pos_labels.(i), ps_pos *. pos_pp.(i)))
+  in
   { g_verdict; g_posterior_all; g_sign_confidence; g_sign_fit; g_value_fit }

@@ -20,7 +20,7 @@
     values — Table I consumes the former, the LWE-hint integration
     (Tables II-III) the latter. *)
 
-type t = {
+type t = private {
   sign_template : Template.t;
   neg_template : Template.t;
   pos_template : Template.t;
@@ -30,6 +30,11 @@ type t = {
   pois_sign : int array;
   pois_neg : int array;
   pois_pos : int array;
+  log_prior_of_sign : float array;  (** derived: [Template.log_prior sign_template prior_of_sign] *)
+  neg_log_priors : float array;  (** derived: [Template.log_prior neg_template neg_priors] *)
+  pos_log_priors : float array;  (** derived: [Template.log_prior pos_template pos_priors] *)
+  neg_order : int array;  (** derived: [neg_template]'s class indices by ascending label *)
+  pos_order : int array;  (** derived: [pos_template]'s class indices by ascending label *)
 }
 
 type verdict = {
@@ -39,6 +44,24 @@ type verdict = {
 }
 
 val sign_of_label : int -> int
+
+val make :
+  sign_template:Template.t ->
+  neg_template:Template.t ->
+  pos_template:Template.t ->
+  neg_priors:float array ->
+  pos_priors:float array ->
+  prior_of_sign:float array ->
+  pois_sign:int array ->
+  pois_neg:int array ->
+  pois_pos:int array ->
+  t
+(** The attack from its trained parts, with every derived field
+    computed from them.  {!build} and the profile cache loader both
+    construct through it, so a reloaded attack scores bit for bit like
+    the built one.
+    @raise Invalid_argument when a prior's length does not match its
+    template's class count. *)
 
 val build : poi_count:int -> sign_poi_count:int -> sigma:float -> (int * float array array) list -> t
 (** [build ~poi_count ~sign_poi_count ~sigma classes] profiles from
@@ -53,7 +76,11 @@ val build : poi_count:int -> sign_poi_count:int -> sigma:float -> (int * float a
     the POI gather buffer and the three template scratches in one
     arena; build one per domain ([make_scratch] once, score many
     windows) — scoring allocates nothing per window beyond its
-    results. *)
+    results.  Every constant of the attack (the templates'
+    discriminant terms, see {!Template}, the log-prior rows and the
+    posterior layout) is computed once, by {!make}; a window costs one
+    quadratic form per template whose fit is read plus one dot product
+    per class. *)
 
 module Scratch : sig
   type t
@@ -88,8 +115,10 @@ val grade_fv : t -> Scratch.t -> Mathkit.Fvec.t -> graded
     [g_verdict] classifies the sign by maximum likelihood, then the
     value within the recovered sign's group (zero needs no second
     stage); [g_posterior_all] is the joint Bayesian posterior
-    P(v) = P(sign of v) * P(v | its group) over every candidate, the
-    raw Table II rows; [g_sign_confidence] is the peak of the
+    P(v) = P(sign of v) * P(v | its group) over every candidate, by
+    ascending label, the raw Table II rows (the value group whose
+    verdict goes unread only contributes its priored posterior, which
+    needs no quadratic form); [g_sign_confidence] is the peak of the
     flat-prior sign posterior — near 1/3 the window looks like no sign
     class; the two fits are {!sign_fit_fv} and {!value_fit_fv} (under
     the recovered sign), bit for bit. *)

@@ -284,15 +284,26 @@ for src in examples/*.ml; do
 done
 
 echo "== bench: perf snapshot written, regressions diffed against the previous run =="
-# the bench harness writes bench_out/BENCH_perf.json and warns when a
-# kernel regressed vs the rotated previous snapshot; under
-# REVEAL_PERF_STRICT=1 a regression beyond 1.5x is a hard failure
-REVEAL_PERF_QUOTA=0.05 dune exec bench/main.exe -- perf > "$tmp/perf.out"
+# the bench harness writes bench_out/BENCH_perf.json and flags a kernel
+# whose reference-scaled time regressed vs the rotated previous
+# snapshot; under REVEAL_PERF_STRICT=1 a kernel whose 95% bootstrap
+# interval of the scaled new/old ratio lies wholly above 1.12x is a
+# hard failure.  A failing step prints its output before the temp dir
+# goes.
+perf_snapshot() {
+  # $1 = output file, rest = environment assignments
+  out=$1; shift
+  if ! env REVEAL_PERF_QUOTA=0.05 "$@" dune exec bench/main.exe -- perf > "$out"; then
+    cat "$out"
+    exit 1
+  fi
+}
+perf_snapshot "$tmp/perf.out"
 grep -q "snapshot written" "$tmp/perf.out"
 test -s bench_out/BENCH_perf.json
-json_ok bench_out/BENCH_perf.json quota_s results
+json_ok bench_out/BENCH_perf.json quota_s results scaled
 # back-to-back runs on the same machine stay within the strict gate
-REVEAL_PERF_QUOTA=0.05 REVEAL_PERF_STRICT=1 dune exec bench/main.exe -- perf > "$tmp/perf-strict.out"
+perf_snapshot "$tmp/perf-strict.out" REVEAL_PERF_STRICT=1
 grep -q "REVEAL_PERF_STRICT" "$tmp/perf-strict.out"
 # the scoring rows must be in the snapshot: one window and one replayed
 # trace through the Bigarray kernels the pipeline actually runs

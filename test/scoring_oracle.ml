@@ -1,11 +1,19 @@
-(* Boxed [float array] reference implementation of template scoring and
-   of the five grading quantities — the oracle the seed-54398 property
-   in test_sca holds [Sca.Attack.grade_fv], [sign_fit_fv] and
-   [value_fit_fv] to, bit for bit.  Plain arrays and the boxed Matrix
-   kernels, each quantity computed by its own scoring pass: nothing
-   shared with the Fvec path beyond the trained templates. *)
+(* Boxed [float array] reference implementations of template scoring and
+   of the five grading quantities, in two forms.
 
-(* --- one template ------------------------------------------------------------ *)
+   - The discriminant form is the oracle the seed-54398 property in
+     test_sca holds [Sca.Attack.grade_fv], [sign_fit_fv] and
+     [value_fit_fv] to, bit for bit.  Plain arrays and the boxed Matrix
+     kernels, each quantity computed by its own scoring pass, and the
+     derived center/lin/offs recomputed here from the template's
+     parameters: nothing shared with the Fvec path beyond the trained
+     parameters.
+   - The Mahalanobis form, (x - mu)^T P (x - mu) per class, is the
+     textbook density the discriminant form rewrites.  The bound tests
+     hold the library to it within rounding: log likelihoods within
+     1e-9 relative, and the same verdicts and fit-floor sides. *)
+
+(* --- shared ----------------------------------------------------------------- *)
 
 (* Squared Mahalanobis distance (x-mu)^T S^-1 (x-mu): the row sums of
    [Matrix.mul_vec], then [Matrix.dot] — the order [Fmat.quadratic_form]
@@ -15,23 +23,62 @@ let mahalanobis_sq ~inv_cov x mu =
   let d = Array.init (Array.length x) (fun i -> x.(i) -. mu.(i)) in
   Mathkit.Matrix.dot d (Mathkit.Matrix.mul_vec inv_cov d)
 
-let log_likelihoods (t : Sca.Template.t) x =
-  let d = float_of_int (Array.length x) in
-  let const = -0.5 *. ((d *. log (2.0 *. Float.pi)) +. t.Sca.Template.log_det) in
-  let inv_cov = Mathkit.Matrix.of_arrays (Mathkit.Fmat.to_arrays t.Sca.Template.inv_cov) in
-  Array.map (fun mu -> const -. (0.5 *. mahalanobis_sq ~inv_cov x mu)) t.Sca.Template.means
+let inv_cov (t : Sca.Template.t) = Mathkit.Matrix.of_arrays (Mathkit.Fmat.to_arrays t.Sca.Template.inv_cov)
+
+let const (t : Sca.Template.t) x =
+  -0.5 *. ((float_of_int (Array.length x) *. log (2.0 *. Float.pi)) +. t.Sca.Template.log_det)
+
+let softmax xs =
+  let z = Mathkit.Stats.log_sum_exp xs in
+  Array.map (fun l -> exp (l -. z)) xs
+
+let log_prior priors = Array.map (fun p -> log (Float.max p 1e-300)) priors
+let best xs = Array.fold_left Float.max neg_infinity xs
+
+(* --- the Mahalanobis form ----------------------------------------------------- *)
+
+let mahalanobis_log_likelihoods (t : Sca.Template.t) x =
+  let inv_cov = inv_cov t in
+  Array.map (fun mu -> const t x -. (0.5 *. mahalanobis_sq ~inv_cov x mu)) t.Sca.Template.means
+
+(* --- the discriminant form ---------------------------------------------------- *)
+
+(* center = mean of the class means, summed in class order *)
+let center (t : Sca.Template.t) =
+  let means = t.Sca.Template.means in
+  let k = Array.length means in
+  Array.init (Array.length means.(0)) (fun j ->
+      let acc = ref 0.0 in
+      for c = 0 to k - 1 do
+        acc := !acc +. means.(c).(j)
+      done;
+      !acc /. float_of_int k)
+
+let centred t v =
+  let c = center t in
+  Array.mapi (fun j x -> x -. c.(j)) v
+
+(* lin.(k) = P (mu_k - center), offs.(k) = (mu_k - center) . lin.(k) *)
+let lin t = Array.map (fun mu -> Mathkit.Matrix.mul_vec (inv_cov t) (centred t mu)) t.Sca.Template.means
+let offs t = Array.map2 (fun mu l -> Mathkit.Matrix.dot (centred t mu) l) t.Sca.Template.means (lin t)
+
+let discriminants t x =
+  let y = centred t x in
+  Array.map2 (fun l o -> Mathkit.Matrix.dot l y -. (0.5 *. o)) (lin t) (offs t)
+
+let log_likelihoods t x =
+  let y = centred t x in
+  let base = const t x -. (0.5 *. Mathkit.Matrix.dot y (Mathkit.Matrix.mul_vec (inv_cov t) y)) in
+  Array.map (fun delta -> base +. delta) (discriminants t x)
 
 let posterior ?priors t x =
-  let ll = log_likelihoods t x in
+  let scores = discriminants t x in
   (match priors with
-  | Some p -> Array.iteri (fun i pi -> ll.(i) <- ll.(i) +. log (Float.max pi 1e-300)) p
+  | Some p -> Array.iteri (fun i lp -> scores.(i) <- scores.(i) +. lp) (log_prior p)
   | None -> ());
-  let z = Mathkit.Stats.log_sum_exp ll in
-  Array.map (fun l -> exp (l -. z)) ll
+  softmax scores
 
-let classify ?priors (t : Sca.Template.t) x = t.Sca.Template.labels.(Mathkit.Stats.argmax (posterior ?priors t x))
-
-let best_log_likelihood t x = Array.fold_left Float.max neg_infinity (log_likelihoods t x)
+let classify (t : Sca.Template.t) x = t.Sca.Template.labels.(Mathkit.Stats.argmax (posterior t x))
 
 (* --- the combined attack: the five grading quantities ---------------------------- *)
 
@@ -42,14 +89,21 @@ let group (a : Sca.Attack.t) = function
   | _ -> (a.Sca.Attack.pos_template, a.Sca.Attack.pos_priors, a.Sca.Attack.pois_pos)
 
 let sign_confidence a w = Array.fold_left Float.max 0.0 (posterior a.Sca.Attack.sign_template (sign_vec a w))
-let sign_fit a w = best_log_likelihood a.Sca.Attack.sign_template (sign_vec a w)
 
-let value_fit a ~sign w =
+(* the fits, in either form *)
+let sign_fit_with ll a w = best (ll a.Sca.Attack.sign_template (sign_vec a w))
+
+let value_fit_with ll a ~sign w =
   match sign with
   | -1 | 1 ->
       let template, _, pois = group a sign in
-      best_log_likelihood template (Sca.Sosd.pick w pois)
-  | _ -> sign_fit a w
+      best (ll template (Sca.Sosd.pick w pois))
+  | _ -> sign_fit_with ll a w
+
+let sign_fit = sign_fit_with log_likelihoods
+let value_fit = value_fit_with log_likelihoods
+let mahalanobis_sign_fit = sign_fit_with mahalanobis_log_likelihoods
+let mahalanobis_value_fit = value_fit_with mahalanobis_log_likelihoods
 
 (* maximum likelihood: the sign first, then the value within its group *)
 let classify_window a w : Sca.Attack.verdict =
@@ -61,6 +115,18 @@ let classify_window a w : Sca.Attack.verdict =
     let labels = template.Sca.Template.labels in
     { sign; value = labels.(Mathkit.Stats.argmax post); posterior = Array.mapi (fun i l -> (l, post.(i))) labels }
   end
+
+(* The same two-stage verdict read off the Mahalanobis densities:
+   (sign, value). *)
+let mahalanobis_verdict a w =
+  let argmax_label (t : Sca.Template.t) x =
+    t.Sca.Template.labels.(Mathkit.Stats.argmax (mahalanobis_log_likelihoods t x))
+  in
+  match argmax_label a.Sca.Attack.sign_template (sign_vec a w) with
+  | 0 -> (0, 0)
+  | sign ->
+      let template, _, pois = group a sign in
+      (sign, argmax_label template (Sca.Sosd.pick w pois))
 
 (* the Bayesian joint posterior: P(v) = P(sign of v) * P(v | its group) *)
 let posterior_all a w =

@@ -42,11 +42,13 @@ let test_payload_roundtrip () =
 (* The v3 bytes themselves, captured before the inverse covariance
    became a flat matrix: a round trip alone would still pass if the
    rows were written transposed, which would misread every existing
-   cache. *)
+   cache.  The fit floors (payload bytes 52-67) are calibrated through
+   the template scoring, so a change to its arithmetic moves their
+   last bits, and this CRC, while every other byte stays. *)
 let test_payload_bytes_pinned () =
   let payload = Reveal.Profile_store.profile_payload (Lazy.force profile) in
   Alcotest.(check int) "payload length" 9276 (String.length payload);
-  Alcotest.(check int) "payload CRC-32" 0x9a20d07b (Traceio.Crc32.digest payload)
+  Alcotest.(check int) "payload CRC-32" 0xba77edd2 (Traceio.Crc32.digest payload)
 
 let test_file_roundtrip () =
   let prof = Lazy.force profile in
@@ -142,11 +144,43 @@ let test_stale_and_mismatched_versions () =
   | exception Traceio.Error.Corrupt msg ->
       Alcotest.(check string) "threshold tag 1 rejected" "<mem>: unknown segmentation-threshold tag 1" msg
 
+(* A payload whose CRC would hold but whose parts cannot go together:
+   the constructors that derive the scoring fields on load reject it,
+   and the loader reports a corrupt cache naming the failed check. *)
+let test_inconsistent_parts_rejected () =
+  let prof = Lazy.force profile in
+  let payload = Reveal.Profile_store.profile_payload prof in
+  let floats xs =
+    let b = Buffer.create 256 in
+    Traceio.Codec.put_floats b xs;
+    Buffer.contents b
+  in
+  (* the payload with the one encoding of [row] replaced by that of
+     [row] less its last entry *)
+  let shortened row =
+    let old = floats row and by = floats (Array.sub row 0 (Array.length row - 1)) in
+    let n = String.length old in
+    match List.filter (fun i -> String.sub payload i n = old) (List.init (String.length payload - n + 1) Fun.id) with
+    | [ i ] -> String.sub payload 0 i ^ by ^ String.sub payload (i + n) (String.length payload - i - n)
+    | hits -> Alcotest.failf "row encoded %d times in the payload" (List.length hits)
+  in
+  let expect what msg damaged =
+    match Reveal.Profile_store.profile_of_payload ~path:"<mem>" damaged with
+    | _ -> Alcotest.failf "%s loaded" what
+    | exception Traceio.Error.Corrupt m -> Alcotest.(check string) what msg m
+  in
+  let a = prof.Reveal.Campaign.attack in
+  expect "prior row one entry short" "<mem>: Template.log_prior: prior length mismatch"
+    (shortened a.Sca.Attack.neg_priors);
+  expect "class mean one entry short" "<mem>: Template.make: a class mean does not match the covariance dimension"
+    (shortened a.Sca.Attack.sign_template.Sca.Template.means.(0))
+
 let suite =
   [
     ("payload round-trip", `Quick, test_payload_roundtrip);
     ("payload bytes pinned (v3)", `Quick, test_payload_bytes_pinned);
     ("file round-trip", `Quick, test_file_roundtrip);
     ("stale and mismatched versions rejected", `Quick, test_stale_and_mismatched_versions);
+    ("inconsistent cache parts rejected as corrupt", `Quick, test_inconsistent_parts_rejected);
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases

@@ -127,7 +127,10 @@ let gaussian_class g ~mu ~sigma ~count ~dim =
 (* single-window scoring through a fresh scratch *)
 let template_classify t x = Sca.Template.classify_fv t (Sca.Template.make_scratch t) (Mathkit.Fvec.of_array x)
 
-let template_posterior t x = Sca.Template.posterior_fv t (Sca.Template.make_scratch t) (Mathkit.Fvec.of_array x)
+(* the flat-prior posterior row [classify_fv] takes its argmax of *)
+let template_posterior t x =
+  let log_prior = Sca.Template.log_prior t (Array.map (fun _ -> 1.0) t.Sca.Template.labels) in
+  (Sca.Template.scores_fv ~log_prior t (Sca.Template.make_scratch t) (Mathkit.Fvec.of_array x)).Sca.Template.s_post
 
 let test_template_classifies_separated_classes () =
   let g = rng () in
@@ -158,20 +161,19 @@ let test_template_posterior_with_priors () =
   (* identical classes: posterior = prior *)
   let t = Sca.Template.build ~pois:[| 0 |] [ (0, c0); (1, c1) ] in
   let p =
-    Sca.Template.priored_posterior_fv ~priors:[| 0.9; 0.1 |] t (Sca.Template.make_scratch t)
+    Sca.Template.priored_posterior_fv
+      ~log_prior:(Sca.Template.log_prior t [| 0.9; 0.1 |])
+      t (Sca.Template.make_scratch t)
       (Mathkit.Fvec.of_array [| 0.0 |])
   in
   Alcotest.(check bool) "prior dominates" true (p.(0) > 0.8)
 
-(* Both prior entry points name themselves when the prior length does
-   not match the template's class count. *)
+(* A prior's length is checked once, where its log row is built, and
+   the error names that function. *)
 let test_template_prior_length_message () =
   let t = Sca.Template.build ~pois:[| 0 |] [ (0, [| [| 0.0 |]; [| 1.0 |] |]); (1, [| [| 2.0 |]; [| 3.0 |] |]) ] in
-  let x = Mathkit.Fvec.of_array [| 1.5 |] and priors = [| 1.0 |] in
-  Alcotest.check_raises "scores_fv" (Invalid_argument "Template.scores_fv: prior length mismatch") (fun () ->
-      ignore (Sca.Template.scores_fv ~priors t (Sca.Template.make_scratch t) x));
-  Alcotest.check_raises "priored_posterior_fv" (Invalid_argument "Template.priored_posterior_fv: prior length mismatch")
-    (fun () -> ignore (Sca.Template.priored_posterior_fv ~priors t (Sca.Template.make_scratch t) x))
+  Alcotest.check_raises "log_prior" (Invalid_argument "Template.log_prior: prior length mismatch") (fun () ->
+      ignore (Sca.Template.log_prior t [| 1.0 |]))
 
 let test_template_needs_two_rows () =
   Alcotest.check_raises "one row" (Invalid_argument "Template.build: class 0 needs >= 2 profiling vectors")
@@ -521,14 +523,17 @@ let resilient_cases =
 
 let suite = suite @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) resilient_cases
 
-(* --- scoring bit-identity against the boxed oracle ---------------------- *)
+(* --- scoring against the boxed oracles ------------------------------------ *)
 
 (* The library scores windows only through Fvec kernels and the fused
-   [grade_fv]; [Scoring_oracle] is a straightforward boxed [float
-   array] implementation of the same arithmetic.  Every grading
-   quantity and both fit entry points must match it bit for bit —
-   checked on IEEE bit patterns over randomly drawn windows at the
-   pinned seed 54398. *)
+   [grade_fv], in the linear-discriminant form.  [Scoring_oracle]
+   implements the same form over boxed [float array]s, deriving center,
+   lin and offs itself: every grading quantity and both fit entry
+   points must match it bit for bit — checked on IEEE bit patterns over
+   randomly drawn windows at the pinned seed 54398, on thirteen labels
+   (six classes in each value group).  The oracle's Mahalanobis
+   form is the reference the two bound tests after it hold the
+   discriminant form to. *)
 
 let scoring_fixture =
   lazy
@@ -538,7 +543,7 @@ let scoring_fixture =
      let classes =
        List.map
          (fun label -> (label, gaussian_rows g ~mu:(mu_of label) ~sigma:0.8 ~count:14 ~dim))
-         [ -2; -1; 0; 1; 2 ]
+         (List.init 13 (fun i -> i - 6))
      in
      let attack = Sca.Attack.build ~poi_count:6 ~sign_poi_count:4 ~sigma:2.0 classes in
      (attack, Sca.Attack.make_scratch attack, dim))
@@ -546,7 +551,7 @@ let scoring_fixture =
 let scoring_window ~dim seed =
   let g = Mathkit.Prng.create ~seed:(Int64.of_int (54398 + seed)) () in
   let p = Mathkit.Gaussian.polar () in
-  let label = Mathkit.Prng.int_in g (-2) 2 in
+  let label = Mathkit.Prng.int_in g (-6) 6 in
   Array.init dim (fun j ->
       (float_of_int (label * ((j mod 5) - 2)) *. 0.6) +. Mathkit.Gaussian.normal p g ~mu:0.0 ~sigma:0.8)
 
@@ -560,6 +565,41 @@ let verdict_eq (a : Sca.Attack.verdict) (b : Sca.Attack.verdict) =
   a.Sca.Attack.sign = b.Sca.Attack.sign
   && a.Sca.Attack.value = b.Sca.Attack.value
   && posterior_eq a.Sca.Attack.posterior b.Sca.Attack.posterior
+
+(* A random template with an SPD covariance at the scale of the power
+   traces: d POIs, k classes whose means sit a few noise deviations
+   apart around a trace-level baseline, optionally all shifted by
+   [offset]; and a window drawn near one class mean, at up to four
+   times the noise, optionally far off every class (a faulted
+   window). *)
+let random_template_and_window seed ~d ~k ~offset =
+  let g = Mathkit.Prng.create ~seed:(Int64.of_int seed) () in
+  let p = Mathkit.Gaussian.polar () in
+  let normal sigma = Mathkit.Gaussian.normal p g ~mu:0.0 ~sigma in
+  let noise = 0.17 in
+  let a = Array.init d (fun _ -> Array.init d (fun _ -> normal 1.0)) in
+  let cov =
+    Array.init d (fun i ->
+        Array.init d (fun j ->
+            let acc = ref 0.0 in
+            for l = 0 to d - 1 do
+              acc := !acc +. (a.(i).(l) *. a.(j).(l))
+            done;
+            let diag = if i = j then 0.05 +. Mathkit.Prng.float g else 0.0 in
+            noise *. noise *. ((!acc /. float_of_int d) +. diag)))
+    |> Mathkit.Matrix.of_arrays
+  in
+  let baseline = Array.init d (fun _ -> offset +. (2.0 *. Mathkit.Prng.float g)) in
+  let means = Array.init k (fun _ -> Array.map (fun b -> b +. normal (3.0 *. noise)) baseline) in
+  let t =
+    Sca.Template.make ~labels:(Array.init k Fun.id) ~means
+      ~inv_cov:(Mathkit.Fmat.of_matrix (Mathkit.Linalg.inverse cov))
+      ~log_det:(Mathkit.Linalg.logdet cov) ~pois:[||]
+  in
+  let scale = noise *. (0.25 +. (4.0 *. Mathkit.Prng.float g)) in
+  let fault = if Mathkit.Prng.int_in g 0 3 = 0 then 20.0 *. noise else 0.0 in
+  let mu = means.(Mathkit.Prng.int_in g 0 (k - 1)) in
+  (t, Array.map (fun m -> m +. normal scale +. (fault *. Mathkit.Prng.float g)) mu)
 
 let fv_scoring_qcheck =
   let open QCheck in
@@ -585,6 +625,69 @@ let fv_scoring_qcheck =
                sbits (Sca.Attack.value_fit_fv attack scratch ~sign wfv)
                = sbits (Scoring_oracle.value_fit attack ~sign window))
              [ -1; 0; 1 ]);
+    Test.make ~name:"template: discriminant log likelihoods within 1e-9 of the Mahalanobis form" ~count:300
+      (quad (int_bound 1_000_000) (int_range 1 20) (int_range 2 16) bool)
+      (fun (seed, d, k, shifted) ->
+        let t, x = random_template_and_window seed ~d ~k ~offset:(if shifted then 1e3 else 0.0) in
+        let scratch = Sca.Template.make_scratch t in
+        let xfv = Mathkit.Fvec.of_array x in
+        let ll = Array.copy (Sca.Template.log_likelihoods_fv t scratch xfv) in
+        let reference = Scoring_oracle.mahalanobis_log_likelihoods t x in
+        let best = Mathkit.Stats.argmax reference in
+        Array.for_all2 (fun l r -> Float.abs (l -. r) <= 1e-9 *. (1.0 +. Float.abs r)) ll reference
+        && Mathkit.Stats.argmax ll = best
+        && Sca.Template.classify_fv t scratch xfv = t.Sca.Template.labels.(best));
   ]
 
-let suite = suite @ List.map QCheck_alcotest.to_alcotest fv_scoring_qcheck
+(* Real campaigns, against the Mahalanobis form: on every window of
+   two clean and two intensity-0.5 n = 64 traces, the verdict is the
+   Mahalanobis two-stage argmax, and each fit falls on the same side of
+   the profile's floor as the Mahalanobis fit. *)
+let test_campaign_matches_mahalanobis () =
+  let device = Reveal.Device.create ~n:64 () in
+  let prof = Reveal.Campaign.profile ~per_value:40 device (Mathkit.Prng.create ~seed:54398L ()) in
+  let attack = prof.Reveal.Campaign.attack in
+  let scratch = Sca.Attack.make_scratch attack in
+  let below_floor = ref 0 in
+  List.iter
+    (fun (name, fault) ->
+      let device = Reveal.Device.with_fault device fault in
+      for t = 1 to 2 do
+        let g = Mathkit.Prng.create ~seed:(Int64.of_int (54398 + t)) () in
+        let run = Reveal.Device.run_gaussian device ~scope_rng:g ~sampler_rng:g in
+        let samples = Mathkit.Fvec.of_array run.Reveal.Device.trace.Power.Ptrace.samples in
+        match Reveal.Pipeline.run_segmenter Reveal.Pipeline.resilient_segmenter prof ~count:64 samples with
+        | Error e -> Alcotest.failf "%s trace %d: %s" name t (Sca.Segment.error_to_string e)
+        | Ok seg ->
+            Array.iteri
+              (fun i w ->
+                let label what = Printf.sprintf "%s trace %d window %d: %s" name t i what in
+                let gr = Sca.Attack.grade_fv attack scratch w in
+                let v = gr.Sca.Attack.g_verdict in
+                let wa = Mathkit.Fvec.to_array w in
+                Alcotest.(check (pair int int))
+                  (label "verdict") (Scoring_oracle.mahalanobis_verdict attack wa)
+                  (v.Sca.Attack.sign, v.Sca.Attack.value);
+                let sign_fit = Scoring_oracle.mahalanobis_sign_fit attack wa in
+                let value_fit = Scoring_oracle.mahalanobis_value_fit attack ~sign:v.Sca.Attack.sign wa in
+                if sign_fit < prof.Reveal.Campaign.sign_fit_floor then incr below_floor;
+                Alcotest.(check bool) (label "sign fit side")
+                  (sign_fit < prof.Reveal.Campaign.sign_fit_floor)
+                  (gr.Sca.Attack.g_sign_fit < prof.Reveal.Campaign.sign_fit_floor);
+                Alcotest.(check bool) (label "value fit side")
+                  (value_fit < prof.Reveal.Campaign.value_fit_floor)
+                  (gr.Sca.Attack.g_value_fit < prof.Reveal.Campaign.value_fit_floor))
+              seg.Reveal.Pipeline.vectors
+      done)
+    [ ("clean", None); ("intensity 0.5", Some (Power.Fault.of_intensity 0.5)) ];
+  (* the faulted traces must put windows below a floor, or the sides
+     compared above were never in doubt *)
+  Alcotest.(check bool) "some window fails the sign floor" true (!below_floor > 0)
+
+let suite =
+  suite
+  @ List.map QCheck_alcotest.to_alcotest fv_scoring_qcheck
+  @ [
+      Alcotest.test_case "attack: campaign verdicts and fit-floor sides equal the Mahalanobis form's (n = 64)" `Quick
+        test_campaign_matches_mahalanobis;
+    ]

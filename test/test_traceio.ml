@@ -332,6 +332,10 @@ let profile_equal (a : Reveal.Campaign.profile) (b : Reveal.Campaign.profile) =
          (Mathkit.Fmat.to_arrays y.Sca.Template.inv_cov)
     && Int64.equal (Int64.bits_of_float x.Sca.Template.log_det) (Int64.bits_of_float y.Sca.Template.log_det)
     && x.Sca.Template.pois = y.Sca.Template.pois
+    (* the derived scoring fields: recomputed on load, same bits *)
+    && float_bits_equal x.Sca.Template.center y.Sca.Template.center
+    && Array.for_all2 float_bits_equal x.Sca.Template.lin y.Sca.Template.lin
+    && float_bits_equal x.Sca.Template.offs y.Sca.Template.offs
   in
   a.Reveal.Campaign.window_length = b.Reveal.Campaign.window_length
   && a.Reveal.Campaign.values = b.Reveal.Campaign.values
@@ -348,6 +352,12 @@ let profile_equal (a : Reveal.Campaign.profile) (b : Reveal.Campaign.profile) =
   && float_bits_equal a.Reveal.Campaign.attack.Sca.Attack.pos_priors b.Reveal.Campaign.attack.Sca.Attack.pos_priors
   && float_bits_equal a.Reveal.Campaign.attack.Sca.Attack.prior_of_sign
        b.Reveal.Campaign.attack.Sca.Attack.prior_of_sign
+  && float_bits_equal a.Reveal.Campaign.attack.Sca.Attack.log_prior_of_sign
+       b.Reveal.Campaign.attack.Sca.Attack.log_prior_of_sign
+  && float_bits_equal a.Reveal.Campaign.attack.Sca.Attack.neg_log_priors
+       b.Reveal.Campaign.attack.Sca.Attack.neg_log_priors
+  && float_bits_equal a.Reveal.Campaign.attack.Sca.Attack.pos_log_priors
+       b.Reveal.Campaign.attack.Sca.Attack.pos_log_priors
   && a.Reveal.Campaign.attack.Sca.Attack.pois_sign = b.Reveal.Campaign.attack.Sca.Attack.pois_sign
   && a.Reveal.Campaign.attack.Sca.Attack.pois_neg = b.Reveal.Campaign.attack.Sca.Attack.pois_neg
   && a.Reveal.Campaign.attack.Sca.Attack.pois_pos = b.Reveal.Campaign.attack.Sca.Attack.pois_pos
