@@ -4,10 +4,10 @@
    paper's evaluation registered in [Reveal.Experiment.artefacts] at
    the default (scaled-down) campaign sizes, plus the ctcheck lint
    table.  Any registry name selects one artefact; `traceio`, `ctcheck`
-   and `obs` are bench-only measurements, and `perf` runs one Bechamel
-   micro-benchmark per table/figure kernel.  REVEAL_FULL=1 or --full
-   switches to the paper's campaign sizes (220k profiling windows, 25k
-   attacked coefficients) — minutes instead of seconds. *)
+   and `obs` are bench-only measurements, and `perf` times one
+   micro-benchmark per table/figure kernel.  --full switches to the
+   paper's campaign sizes (220k profiling windows, 25k attacked
+   coefficients) — minutes instead of seconds. *)
 
 let out_dir = "bench_out"
 
@@ -27,18 +27,14 @@ let save_csv name samples =
   close_out oc;
   Printf.printf "(csv written to %s)\n" path
 
-let full_requested () =
-  (match Sys.getenv_opt "REVEAL_FULL" with Some ("1" | "true" | "yes") -> true | _ -> false)
-  || Array.exists (fun a -> a = "--full") Sys.argv
-
 let config () =
-  if full_requested () then begin
+  if Array.exists (fun a -> a = "--full") Sys.argv then begin
     print_endline "campaign: FULL (paper sizes: ~220k profiling windows, 25 x 1024 attacked coefficients)";
     Reveal.Experiment.paper_scale
   end
   else begin
     print_endline
-      "campaign: scaled-down default (n=256, 400 windows/value, 20 traces); REVEAL_FULL=1 for paper sizes";
+      "campaign: scaled-down default (n=256, 400 windows/value, 20 traces); --full for paper sizes";
     Reveal.Experiment.default
   end
 
@@ -163,7 +159,7 @@ let run_obs () =
   Printf.printf "replay wall-clock: disabled %.3f s, instrumented %.3f s (%+.1f%% when enabled)\n" t_plain t_obs
     (100.0 *. (t_obs -. t_plain) /. t_plain)
 
-(* --- Bechamel micro-benchmarks: one per table/figure kernel ------------- *)
+(* --- micro-benchmarks: one per table/figure kernel ------------------------ *)
 
 (* The instruction events of one honest n-coefficient run of the
    default sampler firmware: what Device.run hands the scope model. *)
@@ -438,16 +434,18 @@ let time_reps f reps =
   (* srclint: allow nondet-source the gate's samples are real CPU-time measurements by design *)
   Sys.time () -. t0
 
-(* [rounds] scaled samples of each kernel.  A round samples every
+(* [rounds] samples of each kernel, as [(raw, scaled)]: the seconds
+   per run and that time over the reference's.  A round samples every
    kernel once, in turn, so each kernel's samples spread over the whole
    snapshot rather than over one stretch of it.  A sample runs the
    smallest power-of-two batch of the kernel that takes at least 2 ms,
    from a fully collected heap (no sample pays for garbage another
    kernel left behind), between two runs of the reference. *)
-let scaled_samples ~rounds kernels =
+let timed_samples ~rounds kernels =
   let rec batch f reps = if reps >= 1 lsl 20 || time_reps f reps >= 0.002 then reps else batch f (2 * reps) in
   let kernels = Array.of_list (List.map (fun (_, f) -> (f, batch f 1)) kernels) in
-  let samples = Array.map (fun _ -> Array.make rounds 0.0) kernels in
+  let raw = Array.map (fun _ -> Array.make rounds 0.0) kernels in
+  let scaled = Array.map (fun _ -> Array.make rounds 0.0) kernels in
   for r = 0 to rounds - 1 do
     Array.iteri
       (fun k (f, reps) ->
@@ -455,10 +453,11 @@ let scaled_samples ~rounds kernels =
         let before = time_reps reference_run 1 in
         let per_run = time_reps f reps /. float_of_int reps in
         let after = time_reps reference_run 1 in
-        samples.(k).(r) <- per_run /. ((before +. after) /. 2.0))
+        raw.(k).(r) <- per_run;
+        scaled.(k).(r) <- per_run /. ((before +. after) /. 2.0))
       kernels
   done;
-  samples
+  (raw, scaled)
 
 let median xs =
   let s = Array.copy xs in
@@ -508,7 +507,7 @@ let load_snapshot path =
           | _ -> [])
       | Error _ -> [])
 
-let write_snapshot quota rows =
+let write_snapshot rows =
   ensure_out_dir ();
   let prev = load_snapshot snapshot_path in
   if prev <> [] then begin
@@ -520,7 +519,6 @@ let write_snapshot quota rows =
   let json =
     Obj
       [
-        ("quota_s", Float quota);
         ( "results",
           List
             (List.map
@@ -578,41 +576,21 @@ let write_snapshot quota rows =
     | _ -> Printf.printf "(regression flags are advisory unless REVEAL_PERF_STRICT=1)\n"
   end
 
+(* Every kernel gets a row: its ns/run is the median of its raw
+   samples, the same rounds the gate reads scaled. *)
 let run_perf () =
-  section "Bechamel micro-benchmarks (one per table/figure kernel)";
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let quota =
-    match Option.bind (Sys.getenv_opt "REVEAL_PERF_QUOTA") float_of_string_opt with
-    | Some q when q > 0.0 -> q
-    | _ -> 0.5
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:(Some 1000) () in
+  section (Printf.sprintf "micro-benchmarks (one per table/figure kernel, %d rounds, process CPU time)" gate_rounds);
   let kernels = perf_tests () in
-  let estimates =
-    List.map
-      (fun (name, f) ->
-        let results = Benchmark.all cfg [ instance ] (Test.make ~name (Staged.stage f)) in
-        let ols =
-          Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]) instance results
-        in
-        match Option.bind (Hashtbl.find_opt ols name) Analyze.OLS.estimates with
-        | Some [ est ] ->
-            Printf.printf "  %-48s %12.1f ns/run\n%!" name est;
-            Some est
-        | _ ->
-            Printf.printf "  %-48s (no estimate)\n%!" name;
-            None)
+  let raw, scaled = timed_samples ~rounds:gate_rounds kernels in
+  let rows =
+    List.mapi
+      (fun k (name, _) ->
+        let ns = 1e9 *. median raw.(k) in
+        Printf.printf "  %-52s %12.1f ns/run\n" name ns;
+        (name, ns, scaled.(k)))
       kernels
   in
-  let samples = scaled_samples ~rounds:gate_rounds kernels in
-  let rows =
-    List.concat
-      (List.mapi
-         (fun k ((name, _), est) -> match est with Some est -> [ (name, est, samples.(k)) ] | None -> [])
-         (List.combine kernels estimates))
-  in
-  write_snapshot quota (List.sort compare rows)
+  write_snapshot (List.sort compare rows)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl |> List.filter (fun a -> a <> "--full") in

@@ -199,21 +199,21 @@ let print_coefficients results =
 let coefficients_json results =
   let coefficient i r =
     let v = r.Reveal.Campaign.verdict in
-    Reveal.Report.(
+    Obs.Json.(
       Obj
         [
           ("index", Int i); ("actual", Int r.Reveal.Campaign.actual); ("recovered", Int v.Sca.Attack.value);
           ("sign", Int v.Sca.Attack.sign);
         ])
   in
-  ("coefficients", Reveal.Report.List (Array.to_list (Array.mapi coefficient results)))
+  ("coefficients", Obs.Json.List (Array.to_list (Array.mapi coefficient results)))
 
 (* --- disasm / trace ------------------------------------------------------ *)
 
 let disasm variant n json _obs =
   let prog = Riscv.Sampler_prog.build ~variant ~n ~k:1 () in
   if json then
-    Reveal.Report.(
+    Obs.Json.(
       print
         (Obj
            [
@@ -241,7 +241,7 @@ let trace seed variant n csv json _obs =
   let bursts = Sca.Segment.burst_regions_fv Sca.Segment.default (Mathkit.Fvec.of_array trace.Power.Ptrace.samples) in
   if json then begin
     Option.iter (fun path -> Power.Ptrace.save_csv path trace) csv;
-    Reveal.Report.(
+    Obs.Json.(
       print
         (Obj
            ([
@@ -270,7 +270,7 @@ let profile seed n per_value out json obs =
   let prof = Reveal.Campaign.profile ~per_value ~obs device (rng_of_seed seed) in
   Reveal.Campaign.save_profile out prof;
   if json then
-    Reveal.Report.(
+    Obs.Json.(
       print
         (Obj
            [
@@ -290,7 +290,7 @@ let attack seed n load_or_profile verbose json obs =
   let sign_ok = count (fun r -> compare r.Reveal.Campaign.actual 0 = r.Reveal.Campaign.verdict.Sca.Attack.sign) in
   let value_ok = count (fun r -> r.Reveal.Campaign.actual = r.Reveal.Campaign.verdict.Sca.Attack.value) in
   if json then
-    Reveal.Report.(
+    Obs.Json.(
       print
         (Obj
            ([ ("n", Int n); ("sign_correct", Int sign_ok); ("value_correct", Int value_ok) ]
@@ -310,7 +310,7 @@ let record seed variant n traces out json obs =
   Reveal.Device.record ~obs device ~path:out ~seed:(Int64.of_int seed) ~traces ~scope_rng ~sampler_rng;
   let variant = Traceio.Archive.variant_name variant and bytes = Traceio.Archive.file_size out in
   if json then
-    Reveal.Report.(
+    Obs.Json.(
       print
         (Obj
            [
@@ -349,7 +349,7 @@ let replay_attack archive load_or_profile profile_seed strict min_values verbose
     if stats.value_total = 0 then 0.0 else float_of_int stats.value_correct /. float_of_int stats.value_total
   in
   if json then
-    Reveal.Report.(
+    Obs.Json.(
       print
         (Obj
            ([
@@ -398,7 +398,7 @@ let inspect path show_records json obs =
         if show_records then
           if json then
             rows :=
-              Reveal.Report.(
+              Obs.Json.(
                 Obj
                   [
                     ("index", Int r.index); ("samples", Int len); ("events", Int events); ("mean_power", Float mean);
@@ -409,7 +409,7 @@ let inspect path show_records json obs =
   in
   loop ();
   if json then
-    Reveal.Report.(
+    Obs.Json.(
       print
         (Obj
            ([
@@ -455,7 +455,7 @@ let fault_sweep config intensities check json _obs =
   in
   if json then begin
     Option.iter (fail 1 "%s") failure;
-    Reveal.Report.(
+    Obs.Json.(
       print
         (Obj
            (("rows", (Reveal.Experiment.fault_sweep_doc rows).json)
@@ -494,7 +494,7 @@ let lint variant n k no_confirm check verbose json _obs =
   let ok = if check then drift = [] else violations = [] in
   let findings = report.Ctcheck.Lint.findings in
   if json then
-    Reveal.Report.(
+    Obs.Json.(
       print
         (Obj
            [
@@ -515,7 +515,7 @@ let srclint paths check json _obs =
   | Ok report ->
       let drift = if check then Srclint.Driver.drift report else [] in
       let ok = if check then drift = [] else Srclint.Driver.clean report in
-      if json then Reveal.Report.print (Srclint.Driver.to_json report ~drift ~ok)
+      if json then Obs.Json.print (Srclint.Driver.to_json report ~drift ~ok)
       else print_string (Srclint.Driver.render report);
       lint_verdict ~json ~check ~ok_line:"expect table check: OK" ~what:"srclint drift" drift ok
 
@@ -554,7 +554,7 @@ let estimate perfect sign_only json _obs =
   let bikz1 = Hints.Dbdd.estimate_bikz d in
   let costs = Hints.Bkz_model.cost_summary bikz1 in
   if json then
-    Reveal.Report.(
+    Obs.Json.(
       print
         (Obj
            [
@@ -576,7 +576,7 @@ let report name list_only config json _obs =
     | None -> fail 2 "report: missing ARTEFACT argument (use --list for the available names)"
     | Some name -> (
         match Reveal.Experiment.artefact name config with
-        | Some doc -> if json then Reveal.Report.print doc.Reveal.Report.json else print_string doc.Reveal.Report.text
+        | Some doc -> if json then Obs.Json.print doc.Reveal.Report.json else print_string doc.Reveal.Report.text
         | None -> fail 2 "report: unknown artefact %s (use --list for the available names)" name)
 
 (* --- worker / shard: the distributed campaign fabric -------------------- *)
@@ -717,7 +717,7 @@ let shard seed n per_value traces workers retries timeout work_dir sabotage obs_
       | Ok s ->
           let out = Filename.concat dir "summary.json" in
           let oc = open_out out in
-          output_string oc (Reveal.Report.to_string (Obs.Summary.to_json s));
+          output_string oc (Obs.Json.to_string (Obs.Summary.to_json s));
           output_char oc '\n';
           close_out oc;
           chatter "merged %d worker obs traces into %s" (List.length files) out)
@@ -730,7 +730,7 @@ let shard seed n per_value traces workers retries timeout work_dir sabotage obs_
   let perfect, approximate, none = Hints.Hint.kind_counts hints in
   let open Reveal.Campaign in
   if json then
-    Reveal.Report.(
+    Obs.Json.(
       print
         (Obj
            [
@@ -769,11 +769,11 @@ let shard seed n per_value traces workers retries timeout work_dir sabotage obs_
 let obs_fold render paths sample_events json _obs =
   match Obs.Summary.merge_files ~sample_events paths with
   | Error msg -> fail 3 "%s" msg
-  | Ok s -> if json then Reveal.Report.print (Obs.Summary.to_json s) else print_string (render s)
+  | Ok s -> if json then Obs.Json.print (Obs.Summary.to_json s) else print_string (render s)
 
 let report_json (r : Fabric.Telemetry.report) =
   let open Fabric.Telemetry in
-  Reveal.Report.(
+  Obs.Json.(
     Obj
       ([ ("name", String r.r_name); ("heartbeats", Int r.r_heartbeats); ("done", Int r.r_done) ]
       @ (match r.r_total with Some t -> [ ("total", Int t) ] | None -> [])
@@ -857,7 +857,7 @@ let monitor listen workers files json _obs =
   | None -> fail 3 "monitor: no telemetry streams to summarize"
   | Some s ->
       if json then
-        Reveal.Report.(
+        Obs.Json.(
           print
             (Obj
                [
@@ -926,7 +926,7 @@ let trial t archive archive_out out flight json obs =
     | None, None -> Triage.Runner.run ~obs:run_obs t
   in
   let result_json verdict m =
-    Reveal.Report.(
+    Obs.Json.(
       Obj
         ([
            ("trial", Triage.Plan.to_json t);
@@ -953,12 +953,12 @@ let trial t archive archive_out out flight json obs =
       let oc = open_out path in
       Fun.protect
         ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Reveal.Report.to_string (result_json verdict m) ^ "\n"))
+        (fun () -> output_string oc (Obs.Json.to_string (result_json verdict m) ^ "\n"))
   | None ->
       let m = measure () in
       let verdict = Triage.Verdict.classify m in
       if Triage.Verdict.is_failure verdict then dump ();
-      if json then Reveal.Report.print (result_json verdict (Some m))
+      if json then Obs.Json.print (result_json verdict (Some m))
       else begin
         let open Triage.Verdict in
         Printf.printf "trial: %s\n" (Triage.Plan.describe t);
@@ -1001,7 +1001,7 @@ let fuzz master_seed trials workers timeout work_dir known_path update_known no_
   let reduce_repro o path = Triage.Plan.repro_command ~archive:path ~exe:Sys.executable_name o.o_trial in
   if json then begin
     let outcome_json o =
-      Reveal.Report.(
+      Obs.Json.(
         Obj
           ([
              ("trial", Triage.Plan.to_json o.o_trial);
@@ -1021,7 +1021,7 @@ let fuzz master_seed trials workers timeout work_dir known_path update_known no_
               ]
           | None -> []))
     in
-    Reveal.Report.(
+    Obs.Json.(
       print
         (Obj
            [
@@ -1090,7 +1090,7 @@ let reduce t archive expect out json _obs =
   | Ok report ->
       let repro = Triage.Plan.repro_command ~archive:dst ~exe:Sys.executable_name t in
       if json then
-        Reveal.Report.(
+        Obs.Json.(
           print
             (Obj
                [

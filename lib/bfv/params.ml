@@ -24,13 +24,8 @@ let create ~n ~coeff_modulus ~plain_modulus =
 
 let seal_128_1024 = create ~n:1024 ~coeff_modulus:[ 132120577 ] ~plain_modulus:256
 
-let seal_128_2048 =
-  (* two ~27-bit NTT-friendly primes for n = 2048 *)
-  let p1 = Mathkit.Ntt.find_prime ~n:2048 ~bits:27 in
-  let p2 = Mathkit.Ntt.find_prime ~n:2048 ~bits:28 in
-  create ~n:2048 ~coeff_modulus:[ p1; p2 ] ~plain_modulus:256
-
-let toy ?(n = 16) () =
+let toy () =
+  let n = 16 in
   let q = Mathkit.Ntt.find_prime ~n ~bits:20 in
   create ~n ~coeff_modulus:[ q ] ~plain_modulus:64
 

@@ -22,11 +22,7 @@ val seal_128_1024 : t
 (** n = 1024, q = 132120577, t = 1 lsl 8 by SEAL's default small
     plain modulus for this set (256). *)
 
-val seal_128_2048 : t
-(** n = 2048 with a 2-prime, ~54-bit modulus chain — exercises the
-    multi-plane (coeff_mod_count > 1) code paths of Fig. 2. *)
-
-val toy : ?n:int -> unit -> t
+val toy : unit -> t
 (** n = 16 with a small NTT prime; for fast tests. *)
 
 val total_modulus : t -> Mathkit.Bignum.t

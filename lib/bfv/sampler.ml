@@ -3,18 +3,6 @@ type draw_log = {
   rejections : int array;
 }
 
-(* One clipped-normal draw, counting every rejection the software
-   sampler performs (polar-loop retries and whole-draw clip retries) —
-   the count the device model replays as its time-variant burn. *)
-let clipped_draw polar rng (c : Mathkit.Gaussian.clipped) =
-  let rec go rejections =
-    let x, polar_rej = Mathkit.Gaussian.normal_rejections polar rng ~mu:0.0 ~sigma:c.Mathkit.Gaussian.sigma in
-    let rejections = rejections + polar_rej in
-    if Float.abs x > c.Mathkit.Gaussian.max_deviation then go (rejections + 1)
-    else (int_of_float (Float.round x), rejections)
-  in
-  go 0
-
 (* The assignment ladder of Fig. 2, lines 13-29. *)
 let assign_v32 ctx poly_planes i noise =
   let moduli = Rq.moduli ctx in
@@ -43,7 +31,7 @@ let sample assign rng ctx =
   let planes = Array.init k (fun _ -> Array.make n 0) in
   let noises = Array.make n 0 and rejections = Array.make n 0 in
   for i = 0 to n - 1 do
-    let noise, rej = clipped_draw polar rng params.Params.noise in
+    let noise, rej = Mathkit.Gaussian.clipped_draw polar rng params.Params.noise in
     noises.(i) <- noise;
     rejections.(i) <- rej;
     assign ctx planes i noise

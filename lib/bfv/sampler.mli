@@ -6,8 +6,11 @@
     ladder — positive values are stored directly, negatives are
     negated and subtracted from each plane's modulus, zero is stored
     as zero.  The RISC-V program in [Riscv.Sampler_prog] implements
-    the same routine at ISA level; a shared test pins the two to each
-    other.
+    the same routine at ISA level.  Both draw through
+    {!Mathkit.Gaussian.clipped_draw}, and 'sampler v3.2 = the device's
+    draw queue and firmware' ([test/test_bfv.ml]) pins the two to each
+    other: same noises and rejection counts from one seed, same
+    polynomial out of the firmware.
 
     [set_poly_coeffs_normal_v36] is the patched branch-free variant
     (mask arithmetic, as introduced in SEAL v3.6), and

@@ -59,8 +59,6 @@ let confirm_with cache ~run (f : Finding.t) =
   in
   try_pairs pairs
 
-let confirm ~run f = confirm_with (Hashtbl.create 8) ~run f
-
 let confirm_all ~run findings =
   let cache = Hashtbl.create 8 in
   List.map (confirm_with cache ~run) findings

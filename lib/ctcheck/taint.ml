@@ -100,26 +100,6 @@ let mem_write cfg st b v =
   | Region r -> into r
   | Any -> { st with escaped = join_opt cfg st.escaped (Some v) }
 
-(* Source operand registers, mirroring the CPU's operand sampling.  x0
-   stands in for "no operand": it is always public Const 0. *)
-let sources (inst : Riscv.Inst.t) =
-  let open Riscv.Inst in
-  match inst with
-  | Lui _ | Auipc _ | Jal _ | Ecall | Ebreak -> (0, 0)
-  | Jalr (_, rs1, _)
-  | Lb (_, rs1, _) | Lh (_, rs1, _) | Lw (_, rs1, _) | Lbu (_, rs1, _) | Lhu (_, rs1, _)
-  | Addi (_, rs1, _) | Slti (_, rs1, _) | Sltiu (_, rs1, _) | Xori (_, rs1, _) | Ori (_, rs1, _)
-  | Andi (_, rs1, _) | Slli (_, rs1, _) | Srli (_, rs1, _) | Srai (_, rs1, _) ->
-      (rs1, 0)
-  | Beq (rs1, rs2, _) | Bne (rs1, rs2, _) | Blt (rs1, rs2, _) | Bge (rs1, rs2, _) | Bltu (rs1, rs2, _)
-  | Bgeu (rs1, rs2, _)
-  | Sb (rs2, rs1, _) | Sh (rs2, rs1, _) | Sw (rs2, rs1, _)
-  | Add (_, rs1, rs2) | Sub (_, rs1, rs2) | Sll (_, rs1, rs2) | Slt (_, rs1, rs2) | Sltu (_, rs1, rs2)
-  | Xor (_, rs1, rs2) | Srl (_, rs1, rs2) | Sra (_, rs1, rs2) | Or (_, rs1, rs2) | And (_, rs1, rs2)
-  | Mul (_, rs1, rs2) | Mulh (_, rs1, rs2) | Mulhsu (_, rs1, rs2) | Mulhu (_, rs1, rs2) | Div (_, rs1, rs2)
-  | Divu (_, rs1, rs2) | Rem (_, rs1, rs2) | Remu (_, rs1, rs2) ->
-      (rs1, rs2)
-
 let destination (inst : Riscv.Inst.t) =
   let open Riscv.Inst in
   match inst with
@@ -137,8 +117,8 @@ let destination (inst : Riscv.Inst.t) =
 (* One instruction: returns the post-state and the leakage fact. *)
 let transfer cfg (addr, inst) st =
   let open Riscv.Inst in
-  let rs1i, rs2i = sources inst in
-  let v1 = st.regs.(rs1i) and v2 = st.regs.(rs2i) in
+  (* x0 stands in for "no operand": it is always public Const 0. *)
+  let v1 = st.regs.(rs1 inst) and v2 = st.regs.(rs2 inst) in
   let op_secret = v1.secret || v2.secret in
   let fact =
     {
@@ -167,7 +147,7 @@ let transfer cfg (addr, inst) st =
       in
       (write datum, { fact with secret_addr = v1.secret; secret_bus = datum.secret })
   | Sb (_, _, imm) | Sh (_, _, imm) | Sw (_, _, imm) ->
-      (* v2 is the stored datum: [sources] yields (rs1, rs2) for stores *)
+      (* v2 is the stored datum: [Inst.rs2] of a store *)
       let addr_base = add_base cfg v1.base (Const imm) in
       (mem_write cfg st addr_base v2, { fact with secret_addr = v1.secret; secret_bus = v2.secret })
   | Addi (_, _, imm) -> alu (add_base cfg v1.base (Const imm))

@@ -104,13 +104,13 @@ let merge_reports reports =
 
 (* --- fleet health ----------------------------------------------------------- *)
 
-let default_straggler_factor = 0.5
+let straggler_factor = 0.5
 
-(* Rate = done/elapsed per worker; a worker under [factor] x the fleet
-   median rate is a straggler.  Median is the upper median of the
-   sorted rates (deterministic, no averaging), and a fleet of one has
-   no peers to lag behind. *)
-let stragglers ?(factor = default_straggler_factor) workers =
+(* Rate = done/elapsed per worker; a worker under [straggler_factor] x
+   the fleet median rate is a straggler.  Median is the upper median of
+   the sorted rates (deterministic, no averaging), and a fleet of one
+   has no peers to lag behind. *)
+let stragglers workers =
   match workers with
   | [] | [ _ ] -> []
   | _ ->
@@ -122,7 +122,7 @@ let stragglers ?(factor = default_straggler_factor) workers =
       let rates = List.sort compare (List.map rate workers) in
       let median = List.nth rates (List.length rates / 2) in
       List.filter_map
-        (fun ((name, _, _) as w) -> if rate w < factor *. median then Some name else None)
+        (fun ((name, _, _) as w) -> if rate w < straggler_factor *. median then Some name else None)
         workers
       |> List.sort compare
 

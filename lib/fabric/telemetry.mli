@@ -46,11 +46,11 @@ val merge_reports : report list -> Obs.Summary.t option
 (** Merge summaries in sorted [r_name] order — the [obs merge] fold.
     [None] on an empty list. *)
 
-val stragglers : ?factor:float -> (string * int * float) list -> string list
+val stragglers : (string * int * float) list -> string list
 (** [(name, done, elapsed)] per worker; returns (sorted) names whose
-    [done/elapsed] rate is below [factor] (default 0.5) x the fleet
-    median rate (upper median of the sorted rates).  Fleets of fewer
-    than two workers have no stragglers.  Pure and deterministic. *)
+    [done/elapsed] rate is below half the fleet median rate (upper
+    median of the sorted rates).  Fleets of fewer than two workers
+    have no stragglers.  Pure and deterministic. *)
 
 val missed_heartbeats : report -> bool
 (** True when a non-empty stream carried no heartbeat at all, or when

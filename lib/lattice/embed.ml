@@ -34,14 +34,6 @@ let kannan_basis inst =
   basis.(dim - 1).(dim - 1) <- 1;
   basis
 
-let recenter inst ~means =
-  if Array.length means <> Array.length inst.b then invalid_arg "Embed.recenter: length mismatch";
-  let md = Mathkit.Modular.modulus inst.q in
-  {
-    inst with
-    b = Array.mapi (fun j bj -> Mathkit.Modular.sub md bj (Mathkit.Modular.reduce md (int_of_float (Float.round means.(j))))) inst.b;
-  }
-
 let eliminate_perfect inst ~known =
   let m = Array.length inst.b in
   let n = if m = 0 then 0 else Array.length inst.a.(0) in

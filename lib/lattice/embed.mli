@@ -8,13 +8,12 @@
         [  b        0      M ]
     v}
 
-    whose unique short vector is (-e, s, -M).  Hints shrink the
-    problem before embedding: a perfect hint on e_j turns sample j
+    whose unique short vector is (-e, s, -M).  Perfect hints shrink
+    the problem before embedding: a perfect hint on e_j turns sample j
     into an exact linear equation (used to eliminate a secret
-    variable mod q); an approximate hint recentres b_j by the hint
-    mean, leaving a smaller residual error.  This mirrors what the
-    estimator predicts and lets the toy benches *solve* instances the
-    estimator calls easy. *)
+    variable mod q).  This mirrors what the estimator predicts and
+    lets the toy benches *solve* instances the estimator calls
+    easy. *)
 
 type instance = {
   q : int;
@@ -28,9 +27,6 @@ val negacyclic_matrix : q:int -> int array -> int array array
 
 val kannan_basis : instance -> Zmat.t
 (** The basis above with M = 1. *)
-
-val recenter : instance -> means:float array -> instance
-(** Subtract rounded hint means from b (approximate hints). *)
 
 val eliminate_perfect : instance -> known:(int * int) list -> instance
 (** [eliminate_perfect inst ~known] folds perfect error hints

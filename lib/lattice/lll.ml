@@ -35,7 +35,9 @@ let gso basis =
    basis itself stays exact (integers); only the shadow is floating
    point, which is ample for the entry sizes the toy experiments
    use. *)
-let reduce ?(delta = 0.99) basis =
+let delta = 0.99
+
+let reduce basis =
   let n = Array.length basis in
   if n <= 1 then ()
   else begin
@@ -88,7 +90,7 @@ let reduce ?(delta = 0.99) basis =
     done
   end
 
-let is_reduced ?(delta = 0.99) basis =
+let is_reduced basis =
   let n = Array.length basis in
   if n <= 1 then true
   else begin

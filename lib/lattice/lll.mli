@@ -13,8 +13,8 @@ type gso = {
 val gso : Zmat.t -> gso
 (** Recompute the GS shadow of a basis. *)
 
-val reduce : ?delta:float -> Zmat.t -> unit
-(** In-place LLL with Lovász parameter [delta] (default 0.99).
+val reduce : Zmat.t -> unit
+(** In-place LLL with Lovász parameter delta = 0.99.
     @raise Invalid_argument if rows are linearly dependent. *)
 
-val is_reduced : ?delta:float -> Zmat.t -> bool
+val is_reduced : Zmat.t -> bool

@@ -25,7 +25,6 @@ let dot u v =
   !acc
 
 let add u v = Array.mapi (fun i x -> checked_add x v.(i)) u
-let sub u v = Array.mapi (fun i x -> checked_add x (-v.(i))) u
 let scale c v = Array.map (fun x -> checked_mul c x) v
 
 let axpy c x y =

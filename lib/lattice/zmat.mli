@@ -15,7 +15,6 @@ val checked_mul : int -> int -> int
 
 val dot : vec -> vec -> int
 val add : vec -> vec -> vec
-val sub : vec -> vec -> vec
 val scale : int -> vec -> vec
 val axpy : int -> vec -> vec -> unit
 (** [axpy c x y] sets y <- y + c x, exactly. *)

@@ -102,10 +102,10 @@ let minmax t =
   done;
   (!mn, !mx)
 
-(* Mirrors Stats.histogram: same binning arithmetic, same clamping.
-   [float_of_int bins] and [hi -. lo] are loop-invariant, and the
-   clamp is explicit int branches rather than the polymorphic
-   [min]/[max] (a caml_compare call per sample) — same bins. *)
+(* [bins] equal-width bins over [lo, hi); samples outside are not
+   counted.  [float_of_int bins] and [hi -. lo] are loop-invariant, and
+   the clamp is explicit int branches rather than the polymorphic
+   [min]/[max] (a caml_compare call per sample). *)
 let histogram ~bins ~lo ~hi t =
   if bins <= 0 || hi <= lo then invalid_arg "Fvec.histogram";
   check_range t.buf ~off:t.off ~len:t.len "Fvec.histogram";

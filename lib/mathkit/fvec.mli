@@ -52,6 +52,9 @@ val minmax : t -> float * float
     @raise Invalid_argument when [t] is empty. *)
 
 val histogram : bins:int -> lo:float -> hi:float -> t -> int array
+(** Counts of the elements in [bins] equal-width bins over
+    [\[lo, hi)]; elements outside are not counted.
+    @raise Invalid_argument unless [bins > 0] and [hi > lo]. *)
 
 (** Explicit-capacity bump arenas for per-domain scratch.  A stage
     sizes its arena once from profile constants, carves persistent

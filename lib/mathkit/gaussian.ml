@@ -32,16 +32,13 @@ type clipped = { sigma : float; max_deviation : float }
 let seal_sigma = 8.0 /. sqrt (2.0 *. Float.pi)
 let seal_default = { sigma = seal_sigma; max_deviation = 6.0 *. seal_sigma }
 
-let clipped_normal p rng c =
-  let rec loop () =
-    let x = normal p rng ~mu:0.0 ~sigma:c.sigma in
-    if Float.abs x > c.max_deviation then loop () else x
+let clipped_draw p rng c =
+  let rec go rejections =
+    let x, polar_rej = normal_rejections p rng ~mu:0.0 ~sigma:c.sigma in
+    let rejections = rejections + polar_rej in
+    if Float.abs x > c.max_deviation then go (rejections + 1) else (int_of_float (Float.round x), rejections)
   in
-  loop ()
-
-let sample_noise p rng c =
-  let x = clipped_normal p rng c in
-  int_of_float (Float.round x)
+  go 0
 
 let cdf ~mu ~sigma x =
   let z = (x -. mu) /. (sigma *. sqrt 2.0) in
@@ -77,10 +74,3 @@ let sample_cdt rng cdt =
   if magnitude = 0 then 0
   else if Prng.bool rng then magnitude
   else -magnitude
-
-let sample_binomial rng ~k =
-  let acc = ref 0 in
-  for _ = 1 to k do
-    acc := !acc + (if Prng.bool rng then 1 else 0) - if Prng.bool rng then 1 else 0
-  done;
-  !acc

@@ -9,8 +9,8 @@
     attack to segment traces by peaks instead of a fixed stride.
 
     A constant-time CDT sampler (the design of prior work the paper
-    contrasts with) and a centered-binomial sampler are provided as
-    baselines and for the countermeasure study. *)
+    contrasts with) is provided as a baseline and for the
+    countermeasure study. *)
 
 type polar
 (** State of a Marsaglia-polar normal generator (caches the second
@@ -24,21 +24,22 @@ val polar_pending : polar -> bool
 val normal : polar -> Prng.t -> mu:float -> sigma:float -> float
 (** One normal deviate. *)
 
-val normal_rejections : polar -> Prng.t -> mu:float -> sigma:float -> float * int
-(** Deviate plus the number of polar-loop rejections it cost (0 when
-    the cached value is used); exposed so the RISC-V model can replay
-    the exact same control flow. *)
-
 type clipped = { sigma : float; max_deviation : float }
 
 val seal_default : clipped
 (** sigma = 3.19 (8 / sqrt(2 pi)), max_deviation = 6 sigma — SEAL's
     defaults for the BFV error distribution. *)
 
-val sample_noise : polar -> Prng.t -> clipped -> int
-(** [round(clipped_normal ...)] — the [int64_t noise] of Fig. 2
-    line 12.  Always within [-round(max_deviation),
-    round(max_deviation)]. *)
+val clipped_draw : polar -> Prng.t -> clipped -> int * int
+(** [(noise, rejections)]: [noise] is the [int64_t noise = dist(engine)]
+    of Fig. 2 line 12 — a normal deviate redrawn while its magnitude
+    exceeds [max_deviation], then rounded to the nearest integer, so
+    always within [-round(max_deviation), round(max_deviation)].
+    [rejections] counts every retry the software sampler performs on
+    the way (polar-loop rejections plus whole-draw clip retries; 0 when
+    the cached deviate is accepted): the time-variant burn the RISC-V
+    device replays.  BFV's encryptor and the device's draw queue both
+    call this one function. *)
 
 val cdt_table : sigma:float -> tail_cut:float -> float array
 (** Cumulative distribution table of the half-normal, for the CDT
@@ -46,9 +47,6 @@ val cdt_table : sigma:float -> tail_cut:float -> float array
 
 val sample_cdt : Prng.t -> float array -> int
 (** Constant-table sampler over the CDT (sign drawn separately). *)
-
-val sample_binomial : Prng.t -> k:int -> int
-(** Centered binomial with parameter k: sum of k coin differences. *)
 
 val cdf : mu:float -> sigma:float -> float -> float
 

@@ -1,9 +1,11 @@
 (** Dense float matrices.
 
-    The workhorse of the template attack (pooled covariance matrices,
-    Mahalanobis scoring) and of the DBDD estimator's ellipsoid
-    algebra.  Row-major [float array array]; all dimensions are
-    checked. *)
+    The workhorse of template building (pooled covariance matrices,
+    their inverses and log-determinants, PCA subspaces); scoring runs
+    on the flat {!Fmat} copies.  The DBDD estimator is diagonal and
+    uses none of it — only its full-matrix test oracle
+    ([test/dbdd_full.ml]) does.  Row-major [float array array]; all
+    dimensions are checked. *)
 
 type t
 

@@ -9,17 +9,6 @@
 type t = int array
 
 val zero : int -> t
-val is_zero : t -> bool
-
-val of_centered : Modular.modulus -> int array -> t
-(** Lift signed coefficients into canonical form. *)
-
-val to_centered : Modular.modulus -> t -> int array
-(** Centered representatives in [(-q/2, q/2\]]. *)
-
-val add : Modular.modulus -> t -> t -> t
-val neg : Modular.modulus -> t -> t
-val scale : Modular.modulus -> int -> t -> t
 
 val mul_schoolbook : Modular.modulus -> t -> t -> t
 (** O(n^2) negacyclic product; reference implementation. *)

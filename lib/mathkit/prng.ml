@@ -101,20 +101,3 @@ let shuffle g a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-(* Jump polynomial of xoshiro256**: advances 2^128 steps. *)
-let jump_tbl = [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
-
-let jump g =
-  let acc = Bytes.make 32 '\000' in
-  Array.iter
-    (fun jv ->
-      for b = 0 to 63 do
-        if Int64.logand jv (Int64.shift_left 1L b) <> 0L then
-          for i = 0 to 3 do
-            set acc i (Int64.logxor (get acc i) (get g i))
-          done;
-        ignore (bits64 g)
-      done)
-    jump_tbl;
-  Bytes.blit acc 0 g 0 32

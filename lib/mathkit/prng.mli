@@ -47,6 +47,3 @@ val ternary : t -> int
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val jump : t -> unit
-(** Advance the state by 2^128 steps (xoshiro jump polynomial); used to
-    carve non-overlapping substreams. *)

@@ -31,8 +31,6 @@ let decompose b x =
   if Bignum.compare x b.product >= 0 then invalid_arg "Rns.decompose: value out of range";
   Array.map (fun p -> Bignum.mod_int x p) b.primes
 
-let decompose_int b x = Array.map (fun md -> Modular.reduce md x) b.moduli
-
 let compose b residues =
   if Array.length residues <> count b then invalid_arg "Rns.compose: residue count mismatch";
   let acc = ref Bignum.zero in

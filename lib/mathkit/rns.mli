@@ -17,9 +17,6 @@ val primes : t -> int array
 val decompose : t -> Bignum.t -> int array
 (** Residues of a value in [\[0, q)]. *)
 
-val decompose_int : t -> int -> int array
-(** Residues of a (possibly negative, centered) small integer. *)
-
 val compose : t -> int array -> Bignum.t
 (** CRT reconstruction into [\[0, q)].
     @raise Invalid_argument on residue-count mismatch. *)

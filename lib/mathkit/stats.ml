@@ -55,12 +55,6 @@ let scatter rows mu =
     rows;
   s
 
-let covariance_matrix rows =
-  let n = Array.length rows in
-  if n < 2 then invalid_arg "Stats.covariance_matrix: need >= 2 rows";
-  let mu = mean_vector rows in
-  Matrix.scale (1.0 /. float_of_int (n - 1)) (scatter rows mu)
-
 let pooled_covariance classes =
   let classes = Array.to_list classes |> List.filter (fun c -> Array.length c >= 2) in
   (match classes with [] -> invalid_arg "Stats.pooled_covariance: no class with >= 2 rows" | _ -> ());
@@ -82,14 +76,6 @@ let argmax xs =
   done;
   !best
 
-let argmin xs =
-  if Array.length xs = 0 then invalid_arg "Stats.argmin: empty";
-  let best = ref 0 in
-  for i = 1 to Array.length xs - 1 do
-    if xs.(i) < xs.(!best) then best := i
-  done;
-  !best
-
 let log_sum_exp xs =
   if Array.length xs = 0 then invalid_arg "Stats.log_sum_exp: empty";
   let m = Array.fold_left Float.max neg_infinity xs in
@@ -100,19 +86,6 @@ let normalize_probs xs =
   let total = Array.fold_left ( +. ) 0.0 xs in
   if total <= 0.0 then invalid_arg "Stats.normalize_probs: non-positive total";
   Array.map (fun x -> x /. total) xs
-
-let histogram ~bins ~lo ~hi xs =
-  if bins <= 0 || hi <= lo then invalid_arg "Stats.histogram";
-  let h = Array.make bins 0 in
-  Array.iter
-    (fun x ->
-      if x >= lo && x < hi then begin
-        let b = int_of_float (float_of_int bins *. (x -. lo) /. (hi -. lo)) in
-        let b = min (bins - 1) (max 0 b) in
-        h.(b) <- h.(b) + 1
-      end)
-    xs;
-  h
 
 (* [Float.compare x y < 0] without the three-way result: nan sorts
    below every other float. *)

@@ -18,7 +18,6 @@ type t = {
 let wall () = { kind = Wall; origin = Unix.gettimeofday (); last = 0.0; ticks = 0; lock = Mutex.create () }
 let logical () = { kind = Logical; origin = 0.0; last = 0.0; ticks = 0; lock = Mutex.create () }
 
-let kind c = c.kind
 let kind_name c = match c.kind with Wall -> "wall" | Logical -> "logical"
 
 let now c =

@@ -21,7 +21,5 @@ val now : t -> float
 (** Current reading in seconds (wall) or ticks (logical).  Thread-safe;
     successive readings never decrease. *)
 
-val kind : t -> kind
-
 val kind_name : t -> string
 (** ["wall"] or ["logical"] — recorded in the trace's start event. *)

@@ -1,8 +1,7 @@
 (* Hand-rolled JSON — the repo deliberately has no JSON dependency.
-   The emitter moved here verbatim from Reveal.Report (which now
-   re-exports it) so the observability layer can live below the report
-   layer; the parser is new, added for [obs summarize] and the codec
-   round-trip tests.  Emission is compact, with the float rendering
+   It lives in the observability layer, the lowest one that needs it;
+   the parser serves [obs summarize] and the codec round-trip
+   tests.  Emission is compact, with the float rendering
    pinned to "%.12g" so output is stable across runs and platforms. *)
 
 type t =

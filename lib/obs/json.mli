@@ -1,9 +1,8 @@
 (** Hand-rolled JSON codec — the single JSON implementation in the
     tree (the repo has no JSON dependency, deliberately).
 
-    The emitter moved here from [Reveal.Report], which re-exports the
-    type so existing [Reveal.Report.Obj]-style constructors keep
-    compiling; emission is compact, floats pinned to ["%.12g"],
+    Traces, reports and the CLI's [--json] output all build this type
+    directly.  Emission is compact, floats pinned to ["%.12g"],
     NaN/infinity rendered as [null], and integral floats keep an
     explicit [".0"].  The parser is what [obs summarize] and the codec
     round-trip tests consume: it accepts everything the emitter

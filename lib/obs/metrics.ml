@@ -187,11 +187,6 @@ let estimate_quantile ~count ~min:mn ~max:mx ~buckets ~overflow q =
     walk 0 lo0 buckets
   end
 
-let quantile s q =
-  estimate_quantile ~count:s.count ~min:s.min ~max:s.max
-    ~buckets:(Array.to_list (Array.mapi (fun i le -> (le, s.counts.(i))) s.bounds))
-    ~overflow:s.overflow q
-
 (* --- snapshot --------------------------------------------------------------- *)
 
 (* Hash order must never reach a snapshot: collect, then sort by the

@@ -74,9 +74,6 @@ val estimate_quantile :
     [count <= 0].  Pure and deterministic — merged summaries report the
     same estimate regardless of which process computes it. *)
 
-val quantile : histogram_snapshot -> float -> float option
-(** {!estimate_quantile} applied to a snapshot's buckets. *)
-
 val snapshot : t -> Json.t
 (** [{"counters":{...},"gauges":{...},"histograms":{...}}], each
     sub-object sorted by instrument name. *)

@@ -8,7 +8,6 @@ type t =
   | Emit of { emit : Json.t -> unit; close : unit -> unit }
 
 let null = Null
-let is_null = function Null -> true | Emit _ -> false
 
 let emit t j = match t with Null -> () | Emit s -> s.emit j
 let close t = match t with Null -> () | Emit s -> s.close ()

@@ -11,8 +11,6 @@ type t
 val null : t
 (** Drops everything; allocation-free. *)
 
-val is_null : t -> bool
-
 val file : string -> t
 (** Opens [path] for writing; {!close} closes it.  Raises [Failure
     "Obs.Sink.file: cannot write <path>: ..."] when the path cannot be

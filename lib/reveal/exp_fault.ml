@@ -76,7 +76,7 @@ let fault_sweep_columns =
     Report.fcol ~heading:"  intensity" ~key:"intensity" ~fmt:"  %9.2f" (fun r -> r.intensity);
     Report.column ~heading:"  recovery%" ~key:"recovery_rate"
       ~cell:(fun r -> Printf.sprintf "  %8.1f" (100.0 *. r.recovery_rate))
-      ~value:(fun r -> Report.Float r.recovery_rate);
+      ~value:(fun r -> Obs.Json.Float r.recovery_rate);
     Report.fcol ~heading:"  sign%" ~key:"sign_accuracy" ~fmt:"  %5.1f" (fun r -> r.sign_accuracy);
     Report.fcol ~heading:"   value%" ~key:"value_accuracy" ~fmt:"   %5.1f" (fun r -> r.value_accuracy);
     Report.icol ~heading:"   conf" ~key:"confident" ~fmt:"   %4d" (fun r -> r.confident);
@@ -88,11 +88,11 @@ let fault_sweep_columns =
     Report.column ~heading:"   hints(P/A/-)" ~key:"hints"
       ~cell:(fun r -> Printf.sprintf "   %4d/%4d/%4d" r.perfect_hints r.approximate_hints r.none_hints)
       ~value:(fun r ->
-        Report.Obj
+        Obs.Json.Obj
           [
-            ("perfect", Report.Int r.perfect_hints);
-            ("approximate", Report.Int r.approximate_hints);
-            ("none", Report.Int r.none_hints);
+            ("perfect", Obs.Json.Int r.perfect_hints);
+            ("approximate", Obs.Json.Int r.approximate_hints);
+            ("none", Obs.Json.Int r.none_hints);
           ]);
     Report.fcol ~heading:"      bikz" ~key:"bikz" ~fmt:"  %8.2f" (fun r -> r.graded_bikz);
   ]
@@ -207,13 +207,13 @@ let zero_consistency_doc z =
       z.coefficients z.verdict_mismatches z.grade_downgrades z.bikz_ungated z.bikz_graded
   in
   let json =
-    Report.Obj
+    Obs.Json.Obj
       [
-        ("coefficients", Report.Int z.coefficients);
-        ("verdict_mismatches", Report.Int z.verdict_mismatches);
-        ("grade_downgrades", Report.Int z.grade_downgrades);
-        ("bikz_ungated", Report.Float z.bikz_ungated);
-        ("bikz_graded", Report.Float z.bikz_graded);
+        ("coefficients", Obs.Json.Int z.coefficients);
+        ("verdict_mismatches", Obs.Json.Int z.verdict_mismatches);
+        ("grade_downgrades", Obs.Json.Int z.grade_downgrades);
+        ("bikz_ungated", Obs.Json.Float z.bikz_ungated);
+        ("bikz_graded", Obs.Json.Float z.bikz_graded);
       ]
   in
   { Report.text; json }

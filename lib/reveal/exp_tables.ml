@@ -51,15 +51,15 @@ let fig3_doc f =
     Buffer.contents buf
   in
   let json =
-    Report.Obj
+    Obs.Json.Obj
       [
-        ("samples", Report.Int (Array.length f.full_portion));
+        ("samples", Obs.Json.Int (Array.length f.full_portion));
         ( "bursts",
-          Report.List
-            (Array.to_list (Array.map (fun (a, b) -> Report.List [ Report.Int a; Report.Int b ]) f.bursts)) );
-        ("sub_zero_samples", Report.Int (Array.length f.sub_zero));
-        ("sub_pos_samples", Report.Int (Array.length f.sub_pos));
-        ("sub_neg_samples", Report.Int (Array.length f.sub_neg));
+          Obs.Json.List
+            (Array.to_list (Array.map (fun (a, b) -> Obs.Json.List [ Obs.Json.Int a; Obs.Json.Int b ]) f.bursts)) );
+        ("sub_zero_samples", Obs.Json.Int (Array.length f.sub_zero));
+        ("sub_pos_samples", Obs.Json.Int (Array.length f.sub_pos));
+        ("sub_neg_samples", Obs.Json.Int (Array.length f.sub_neg));
       ]
   in
   { Report.text; json }
@@ -91,27 +91,27 @@ let table1_doc env =
     let columns =
       List.map
         (fun actual ->
-          Report.Obj
+          Obs.Json.Obj
             [
-              ("actual", Report.Int actual);
+              ("actual", Obs.Json.Int actual);
               ( "percent_predicted",
-                Report.Obj
+                Obs.Json.Obj
                   (List.map
                      (fun predicted ->
-                       (string_of_int predicted, Report.Float (Sca.Confusion.column_percent c ~actual ~predicted)))
+                       (string_of_int predicted, Obs.Json.Float (Sca.Confusion.column_percent c ~actual ~predicted)))
                      range) );
             ])
         range
     in
-    Report.Obj
+    Obs.Json.Obj
       [
-        ("confusion_columns", Report.List columns);
-        ("sign_correct", Report.Int s.Campaign.sign_correct);
-        ("sign_total", Report.Int s.Campaign.sign_total);
-        ("sign_accuracy_percent", Report.Float (sign_accuracy_percent s));
-        ("value_correct", Report.Int s.Campaign.value_correct);
-        ("value_total", Report.Int s.Campaign.value_total);
-        ("value_accuracy_percent", Report.Float (value_accuracy_percent s));
+        ("confusion_columns", Obs.Json.List columns);
+        ("sign_correct", Obs.Json.Int s.Campaign.sign_correct);
+        ("sign_total", Obs.Json.Int s.Campaign.sign_total);
+        ("sign_accuracy_percent", Obs.Json.Float (sign_accuracy_percent s));
+        ("value_correct", Obs.Json.Int s.Campaign.value_correct);
+        ("value_total", Obs.Json.Int s.Campaign.value_total);
+        ("value_accuracy_percent", Obs.Json.Float (value_accuracy_percent s));
       ]
   in
   { Report.text; json }
@@ -156,11 +156,11 @@ let table2_columns =
       ~key:"probabilities"
       ~cell:(fun r -> String.concat "" (List.map (table2_probability_cell r) [ -2; -1; 0; 1; 2 ]))
       ~value:(fun r ->
-        Report.Obj
+        Obs.Json.Obj
           (List.map
              (fun v ->
                ( string_of_int v,
-                 Report.Float (Array.to_list r.probabilities |> List.assoc_opt v |> Option.value ~default:0.0) ))
+                 Obs.Json.Float (Array.to_list r.probabilities |> List.assoc_opt v |> Option.value ~default:0.0) ))
              [ -2; -1; 0; 1; 2 ]));
     Report.fcol ~heading:" |  centered" ~key:"centered" ~fmt:" | %9.3f" (fun r -> r.centered);
     Report.fcol ~heading:"  variance" ~key:"variance" ~fmt:" %9.2e" (fun r -> r.variance);
@@ -172,36 +172,23 @@ let table2_doc rows =
 
 (* --- Tables III / IV --------------------------------------------------------- *)
 
-type security_report = Sink.security_report = {
-  bikz_no_hints : float;
-  bikz_with_hints : float;
-  bits_no_hints : float;
-  bits_with_hints : float;
-  perfect_hints : int;
-  approximate_hints : int;
-}
-
-let lwe_instance = Sink.lwe_instance
-let hints_of_results = Sink.hints_of_results
-let security_of_hints = Sink.security_of_hints
-
 type table3_report = {
-  paper_mode : security_report;
-  calibrated : security_report;
+  paper_mode : Sink.security_report;
+  calibrated : Sink.security_report;
 }
 
 let table3 env =
   let calibrated =
-    security_of_hints
-      (hints_of_results env.results lwe_instance.Hints.Lwe.m (fun i r ->
+    Sink.security_of_hints
+      (Sink.hints_of_results env.results Sink.lwe_instance.Hints.Lwe.m (fun i r ->
            Hints.Hint.of_posterior ~coordinate:i r.Campaign.posterior_all))
   in
   (* Paper mode: the authors note their per-measurement probabilities
      round to 1 (or 0) in floating point, so the framework integrates
      essentially every measurement as a perfect hint. *)
   let paper_mode =
-    security_of_hints
-      (hints_of_results env.results lwe_instance.Hints.Lwe.m (fun i r ->
+    Sink.security_of_hints
+      (Sink.hints_of_results env.results Sink.lwe_instance.Hints.Lwe.m (fun i r ->
            { Hints.Hint.coordinate = i; kind = Hints.Hint.Perfect r.Campaign.verdict.Sca.Attack.value }))
   in
   { paper_mode; calibrated }
@@ -219,13 +206,13 @@ let table3_doc r =
       r.calibrated.perfect_hints r.calibrated.approximate_hints
   in
   let json =
-    Report.Obj
+    Obs.Json.Obj
       [ ("paper_mode", Sink.json_of_security r.paper_mode); ("calibrated", Sink.json_of_security r.calibrated) ]
   in
   { Report.text; json }
 
 type table4_report = {
-  base : security_report;
+  base : Sink.security_report;
   bikz_with_guess : float;
   guesses : int;
   guess_success_probability : float;
@@ -235,24 +222,24 @@ type table4_report = {
 let table4 env =
   let sigma = env.prof.Campaign.sigma in
   let hint_list =
-    hints_of_results env.results lwe_instance.Hints.Lwe.m (fun i r ->
+    Sink.hints_of_results env.results Sink.lwe_instance.Hints.Lwe.m (fun i r ->
         Hints.Hint.sign_hint ~sigma ~coordinate:i r.Campaign.verdict.Sca.Attack.sign)
   in
-  let base = security_of_hints hint_list in
+  let base = Sink.security_of_hints hint_list in
   (* one extra guess: the most likely value given only the sign is
      +-1; its success probability is the conditional prior mass *)
-  let dbdd = Hints.Dbdd.create lwe_instance in
+  let dbdd = Hints.Dbdd.create Sink.lwe_instance in
   Hints.Hint.apply_all dbdd hint_list;
   let first_nonzero =
     Array.to_list env.results
     |> List.mapi (fun i r -> (i, r))
-    |> List.find_opt (fun (i, r) -> i < lwe_instance.Hints.Lwe.m && r.Campaign.verdict.Sca.Attack.sign <> 0)
+    |> List.find_opt (fun (i, r) -> i < Sink.lwe_instance.Hints.Lwe.m && r.Campaign.verdict.Sca.Attack.sign <> 0)
   in
   (* extension: a full guess ladder driven by the value posteriors *)
   let ladder =
-    let dbdd_ladder = Hints.Dbdd.create lwe_instance in
+    let dbdd_ladder = Hints.Dbdd.create Sink.lwe_instance in
     let value_hints =
-      hints_of_results env.results lwe_instance.Hints.Lwe.m (fun i r ->
+      Sink.hints_of_results env.results Sink.lwe_instance.Hints.Lwe.m (fun i r ->
           Hints.Hint.of_posterior ~coordinate:i r.Campaign.posterior_all)
     in
     Hints.Hint.apply_all dbdd_ladder value_hints;
@@ -306,21 +293,21 @@ let table4_doc r =
     Buffer.contents buf
   in
   let json =
-    Report.Obj
+    Obs.Json.Obj
       [
         ("base", Sink.json_of_security r.base);
-        ("bikz_with_guess", Report.Float r.bikz_with_guess);
-        ("guesses", Report.Int r.guesses);
-        ("guess_success_probability", Report.Float r.guess_success_probability);
+        ("bikz_with_guess", Obs.Json.Float r.bikz_with_guess);
+        ("guesses", Obs.Json.Int r.guesses);
+        ("guess_success_probability", Obs.Json.Float r.guess_success_probability);
         ( "ladder",
-          Report.List
+          Obs.Json.List
             (List.map
                (fun (step : Hints.Hint.ladder_step) ->
-                 Report.Obj
+                 Obs.Json.Obj
                    [
-                     ("guesses", Report.Int step.Hints.Hint.guesses);
-                     ("success_probability", Report.Float step.Hints.Hint.success_probability);
-                     ("bikz", Report.Float step.Hints.Hint.bikz);
+                     ("guesses", Obs.Json.Int step.Hints.Hint.guesses);
+                     ("success_probability", Obs.Json.Float step.Hints.Hint.success_probability);
+                     ("bikz", Obs.Json.Float step.Hints.Hint.bikz);
                    ])
                r.ladder) );
       ]

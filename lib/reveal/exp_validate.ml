@@ -17,11 +17,11 @@ let signs_doc r =
     Printf.sprintf "Sign recovery: %d/%d = %.2f%%   [paper: 100%%]\n" r.correct r.total r.accuracy_percent
   in
   let json =
-    Report.Obj
+    Obs.Json.Obj
       [
-        ("correct", Report.Int r.correct);
-        ("total", Report.Int r.total);
-        ("accuracy_percent", Report.Float r.accuracy_percent);
+        ("correct", Obs.Json.Int r.correct);
+        ("total", Obs.Json.Int r.total);
+        ("accuracy_percent", Obs.Json.Float r.accuracy_percent);
       ]
   in
   { Report.text; json }
@@ -124,15 +124,15 @@ let recovery_doc r =
       (Hints.Bkz_model.security_bits r.residual_bikz)
   in
   let json =
-    Report.Obj
+    Obs.Json.Obj
       [
-        ("n", Report.Int r.n);
-        ("coefficients_total", Report.Int r.coefficients_total);
-        ("coefficients_exact", Report.Int r.coefficients_exact);
-        ("message_recovered_exactly", Report.Bool r.message_recovered_exactly);
-        ("residual_bikz", Report.Float r.residual_bikz);
-        ("expected_wrong", Report.Float r.expected_wrong);
-        ("log2_full_recovery_probability", Report.Float r.log2_full_recovery_probability);
+        ("n", Obs.Json.Int r.n);
+        ("coefficients_total", Obs.Json.Int r.coefficients_total);
+        ("coefficients_exact", Obs.Json.Int r.coefficients_exact);
+        ("message_recovered_exactly", Obs.Json.Bool r.message_recovered_exactly);
+        ("residual_bikz", Obs.Json.Float r.residual_bikz);
+        ("expected_wrong", Obs.Json.Float r.expected_wrong);
+        ("log2_full_recovery_probability", Obs.Json.Float r.log2_full_recovery_probability);
       ]
   in
   { Report.text; json }
@@ -196,7 +196,7 @@ let toylattice_columns =
     Report.fcol ~heading:"  predicted bikz" ~key:"predicted_bikz" ~fmt:"  %14.1f" (fun r -> r.predicted_bikz);
     Report.column ~heading:"  BKZ-12 solved?" ~key:"solved"
       ~cell:(fun r -> Printf.sprintf "  %s" (if r.solved then "yes" else "no"))
-      ~value:(fun r -> Report.Bool r.solved);
+      ~value:(fun r -> Obs.Json.Bool r.solved);
   ]
 
 let toylattice_doc rows =
@@ -261,7 +261,7 @@ let tvla_columns =
     Report.fcol ~heading:"max |t| (2nd)" ~key:"max_t_second_order" ~fmt:"   %13.1f" (fun r -> r.max_t_second_order);
     Report.column ~heading:"" ~key:"pass"
       ~cell:(fun r -> if r.max_t_first_order > Sca.Tvla.threshold then "   FAIL" else "   pass")
-      ~value:(fun r -> Report.Bool (r.max_t_first_order <= Sca.Tvla.threshold));
+      ~value:(fun r -> Obs.Json.Bool (r.max_t_first_order <= Sca.Tvla.threshold));
   ]
 
 let tvla_doc rows =

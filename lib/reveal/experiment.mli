@@ -70,23 +70,14 @@ val table2 : env -> table2_row list
 
 (* --- Tables III / IV ----------------------------------------------------- *)
 
-type security_report = {
-  bikz_no_hints : float;
-  bikz_with_hints : float;
-  bits_no_hints : float;
-  bits_with_hints : float;
-  perfect_hints : int;
-  approximate_hints : int;
-}
-
 type table3_report = {
-  paper_mode : security_report;
+  paper_mode : Sink.security_report;
       (** every measurement integrated at the confidence the paper's
           pipeline assigns it — the "probabilities rounded to 1 by
           floating-point precision" regime of Section IV-C, in which
           nearly all hints are perfect.  This is what Table III's 12.2
           bikz corresponds to. *)
-  calibrated : security_report;
+  calibrated : Sink.security_report;
       (** same attack, but each hint carries its honest Bayesian
           posterior variance; the conservative residual hardness *)
 }
@@ -96,7 +87,7 @@ val table3 : env -> table3_report
     the e2 coordinates of the SEAL-128 instance. *)
 
 type table4_report = {
-  base : security_report;  (** sign/zero hints only *)
+  base : Sink.security_report;  (** sign/zero hints only *)
   bikz_with_guess : float;
   guesses : int;
   guess_success_probability : float;

@@ -1,24 +1,10 @@
-(* Hand-rolled JSON — the repo deliberately has no JSON dependency.
-   The codec itself lives in Obs.Json (the observability layer sits
-   below the report layer and needs it first); the type is re-exported
-   here by equation so every existing [Report.Obj ...] constructor
-   keeps working and emission stays byte-identical. *)
-
-type json = Obs.Json.t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
-
-let to_string = Obs.Json.to_string
-let print = Obs.Json.print
+(* The JSON half of every document is an [Obs.Json.t]: the codec lives
+   in the observability layer, which sits below this one and needs it
+   first. *)
 
 (* --- documents ------------------------------------------------------------ *)
 
-type doc = { text : string; json : json }
+type doc = { text : string; json : Obs.Json.t }
 
 (* --- column combinators --------------------------------------------------- *)
 
@@ -30,16 +16,16 @@ type 'a column = {
   heading : string;
   cell : 'a -> string;
   key : string;
-  value : 'a -> json;
+  value : 'a -> Obs.Json.t;
 }
 
 let column ~heading ~key ~cell ~value = { heading; cell; key; value }
 
-let fcol ~heading ~key ~fmt get = { heading; cell = (fun r -> Printf.sprintf fmt (get r)); key; value = (fun r -> Float (get r)) }
-let icol ~heading ~key ~fmt get = { heading; cell = (fun r -> Printf.sprintf fmt (get r)); key; value = (fun r -> Int (get r)) }
-let scol ~heading ~key ~fmt get = { heading; cell = (fun r -> Printf.sprintf fmt (get r)); key; value = (fun r -> String (get r)) }
+let fcol ~heading ~key ~fmt get = { heading; cell = (fun r -> Printf.sprintf fmt (get r)); key; value = (fun r -> Obs.Json.Float (get r)) }
+let icol ~heading ~key ~fmt get = { heading; cell = (fun r -> Printf.sprintf fmt (get r)); key; value = (fun r -> Obs.Json.Int (get r)) }
+let scol ~heading ~key ~fmt get = { heading; cell = (fun r -> Printf.sprintf fmt (get r)); key; value = (fun r -> Obs.Json.String (get r)) }
 
-let row_json columns r = Obj (List.map (fun c -> (c.key, c.value r)) columns)
+let row_json columns r = Obs.Json.Obj (List.map (fun c -> (c.key, c.value r)) columns)
 
 let table ~title ?header ?(footer = "") columns rows =
   let buf = Buffer.create 2048 in
@@ -55,4 +41,4 @@ let table ~title ?header ?(footer = "") columns rows =
       Buffer.add_char buf '\n')
     rows;
   Buffer.add_string buf footer;
-  { text = Buffer.contents buf; json = List (List.map (row_json columns) rows) }
+  { text = Buffer.contents buf; json = Obs.Json.List (List.map (row_json columns) rows) }

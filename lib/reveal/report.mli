@@ -4,28 +4,10 @@
     as [Printf] text, and (for machine consumption) not at all.  Here
     a table is a list of {!column} declarations; {!table} renders the
     same rows as the historical byte-exact text AND as a JSON array,
-    so the two can never drift.  The {!json} type is hand-rolled
-    emission (the repo has no JSON dependency, deliberately): compact
-    form, floats pinned to ["%.12g"], NaN/infinity as [null].  It is
-    [Obs.Json.t] re-exported by equation — the codec lives in the obs
-    layer so traces and reports share one implementation. *)
+    so the two can never drift.  The JSON side is an {!Obs.Json.t}
+    (the codec traces and reports share). *)
 
-type json = Obs.Json.t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
-
-val to_string : json -> string
-(** Compact (single-line) rendering with full string escaping. *)
-
-val print : json -> unit
-(** [to_string] to stdout plus a newline — the [--json] output path. *)
-
-type doc = { text : string; json : json }
+type doc = { text : string; json : Obs.Json.t }
 (** One artefact, both renderings. *)
 
 (** {1 Column combinators} *)
@@ -34,10 +16,10 @@ type 'a column = {
   heading : string;  (** carries its own leading spaces — headings concatenate byte-exactly *)
   cell : 'a -> string;  (** fixed-width cell, leading spaces included *)
   key : string;  (** JSON field name *)
-  value : 'a -> json;
+  value : 'a -> Obs.Json.t;
 }
 
-val column : heading:string -> key:string -> cell:('a -> string) -> value:('a -> json) -> 'a column
+val column : heading:string -> key:string -> cell:('a -> string) -> value:('a -> Obs.Json.t) -> 'a column
 
 val fcol : heading:string -> key:string -> fmt:(float -> string, unit, string) format -> ('a -> float) -> 'a column
 (** Float column: [fmt] formats the text cell, JSON gets the raw value. *)
@@ -45,7 +27,7 @@ val fcol : heading:string -> key:string -> fmt:(float -> string, unit, string) f
 val icol : heading:string -> key:string -> fmt:(int -> string, unit, string) format -> ('a -> int) -> 'a column
 val scol : heading:string -> key:string -> fmt:(string -> string, unit, string) format -> ('a -> string) -> 'a column
 
-val row_json : 'a column list -> 'a -> json
+val row_json : 'a column list -> 'a -> Obs.Json.t
 (** The [Obj] a single row renders to. *)
 
 val table : title:string -> ?header:string -> ?footer:string -> 'a column list -> 'a list -> doc

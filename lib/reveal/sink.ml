@@ -48,12 +48,12 @@ let security_of_hints ?(obs = Obs.Ctx.disabled) hint_list =
   report
 
 let json_of_security s =
-  Report.Obj
+  Obs.Json.Obj
     [
-      ("bikz_no_hints", Report.Float s.bikz_no_hints);
-      ("bikz_with_hints", Report.Float s.bikz_with_hints);
-      ("bits_no_hints", Report.Float s.bits_no_hints);
-      ("bits_with_hints", Report.Float s.bits_with_hints);
-      ("perfect_hints", Report.Int s.perfect_hints);
-      ("approximate_hints", Report.Int s.approximate_hints);
+      ("bikz_no_hints", Obs.Json.Float s.bikz_no_hints);
+      ("bikz_with_hints", Obs.Json.Float s.bikz_with_hints);
+      ("bits_no_hints", Obs.Json.Float s.bits_no_hints);
+      ("bits_with_hints", Obs.Json.Float s.bits_with_hints);
+      ("perfect_hints", Obs.Json.Int s.perfect_hints);
+      ("approximate_hints", Obs.Json.Int s.approximate_hints);
     ]

@@ -33,4 +33,4 @@ val security_of_hints : ?obs:Obs.Ctx.t -> Hints.Hint.t list -> security_report
     [sink.bikz_no_hints] / [sink.bikz_with_hints] gauges — the final
     rungs of a campaign's run record. *)
 
-val json_of_security : security_report -> Report.json
+val json_of_security : security_report -> Obs.Json.t

@@ -15,8 +15,6 @@ let beq = branch_item (fun a b off -> Inst.Beq (a, b, off))
 let bne = branch_item (fun a b off -> Inst.Bne (a, b, off))
 let blt = branch_item (fun a b off -> Inst.Blt (a, b, off))
 let bge = branch_item (fun a b off -> Inst.Bge (a, b, off))
-let bltu = branch_item (fun a b off -> Inst.Bltu (a, b, off))
-let bgeu = branch_item (fun a b off -> Inst.Bgeu (a, b, off))
 
 let jal rd target = Ref { size = 1; emit = (fun ~own ~target -> [ Inst.Jal (rd, target - own) ]); target }
 let j target = jal Inst.x0 target
@@ -56,7 +54,6 @@ let la rd target =
 let mv rd rs = ins (Inst.Addi (rd, rs, 0))
 let nop = ins (Inst.Addi (Inst.x0, Inst.x0, 0))
 let ret = ins (Inst.Jalr (Inst.x0, Inst.ra, 0))
-let neg rd rs = ins (Inst.Sub (rd, Inst.x0, rs))
 let halt = ins Inst.Ebreak
 
 type program = { words : int32 array; labels : (string * int) list; listing : string list; origin : int }

@@ -22,8 +22,6 @@ val beq : Inst.reg -> Inst.reg -> string -> item
 val bne : Inst.reg -> Inst.reg -> string -> item
 val blt : Inst.reg -> Inst.reg -> string -> item
 val bge : Inst.reg -> Inst.reg -> string -> item
-val bltu : Inst.reg -> Inst.reg -> string -> item
-val bgeu : Inst.reg -> Inst.reg -> string -> item
 val j : string -> item
 val jal : Inst.reg -> string -> item
 val call : string -> item  (** jal ra, label *)
@@ -39,7 +37,6 @@ val la : Inst.reg -> string -> item
 val mv : Inst.reg -> Inst.reg -> item
 val nop : item
 val ret : item
-val neg : Inst.reg -> Inst.reg -> item
 val halt : item  (** ebreak *)
 
 type program = {

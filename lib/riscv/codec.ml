@@ -132,6 +132,9 @@ let sign_extend bits v =
   (v lsl shift) asr shift
 
 let decode word =
+  (* opened first, so the field values [rs1]/[rs2] below shadow the
+     decoders [Inst.rs1]/[Inst.rs2] *)
+  let open Inst in
   let w = Int32.to_int word land 0xFFFFFFFF in
   let opcode = w land 0x7F in
   let rd = (w lsr 7) land 0x1F in
@@ -157,7 +160,6 @@ let decode word =
       lor (((w lsr 21) land 0x3FF) lsl 1))
   in
   let illegal () = raise (Illegal word) in
-  let open Inst in
   match opcode with
   | 0x37 -> Lui (rd, u_imm)
   | 0x17 -> Auipc (rd, u_imm)

@@ -51,13 +51,6 @@ let reg cpu r = cpu.regs.(r)
 
 let set_reg cpu r v = if r <> 0 then cpu.regs.(r) <- u32 v
 
-let reset cpu =
-  Array.fill cpu.regs 0 32 0;
-  cpu.pc <- 0;
-  cpu.cycle <- 0;
-  cpu.retired <- 0;
-  cpu.halted <- false
-
 (* Low 32 bits of the 64-bit product of two unsigned 32-bit values. *)
 let mul_lo a b =
   let a0 = a land 0xFFFF and a1 = a lsr 16 in
@@ -187,28 +180,9 @@ let step cpu =
     | Remu (rd, rs1, rs2) -> wr rd (rem_unsigned (r rs1) (r rs2))
     | Ecall | Ebreak -> { no_effect with halt = true }
   in
-  let rs1_idx, rs2_idx =
-    let open Inst in
-    match inst with
-    | Lui _ | Auipc _ | Jal _ | Ecall | Ebreak -> (0, 0)
-    | Jalr (_, rs1, _)
-    | Lb (_, rs1, _) | Lh (_, rs1, _) | Lw (_, rs1, _) | Lbu (_, rs1, _) | Lhu (_, rs1, _)
-    | Addi (_, rs1, _) | Slti (_, rs1, _) | Sltiu (_, rs1, _) | Xori (_, rs1, _) | Ori (_, rs1, _)
-    | Andi (_, rs1, _) | Slli (_, rs1, _) | Srli (_, rs1, _) | Srai (_, rs1, _) ->
-        (rs1, 0)
-    | Beq (rs1, rs2, _) | Bne (rs1, rs2, _) | Blt (rs1, rs2, _) | Bge (rs1, rs2, _)
-    | Bltu (rs1, rs2, _) | Bgeu (rs1, rs2, _)
-    | Sb (rs2, rs1, _) | Sh (rs2, rs1, _) | Sw (rs2, rs1, _)
-    | Add (_, rs1, rs2) | Sub (_, rs1, rs2) | Sll (_, rs1, rs2) | Slt (_, rs1, rs2)
-    | Sltu (_, rs1, rs2) | Xor (_, rs1, rs2) | Srl (_, rs1, rs2) | Sra (_, rs1, rs2)
-    | Or (_, rs1, rs2) | And (_, rs1, rs2) | Mul (_, rs1, rs2) | Mulh (_, rs1, rs2)
-    | Mulhsu (_, rs1, rs2) | Mulhu (_, rs1, rs2) | Div (_, rs1, rs2) | Divu (_, rs1, rs2)
-    | Rem (_, rs1, rs2) | Remu (_, rs1, rs2) ->
-        (rs1, rs2)
-  in
   (* Operand values must be sampled before the register write lands:
      rd may alias rs1/rs2. *)
-  let rs1_value = r rs1_idx and rs2_value = r rs2_idx in
+  let rs1_value = r (Inst.rs1 inst) and rs2_value = r (Inst.rs2 inst) in
   let rd_old = match eff.rd with Some rd when rd <> 0 -> cpu.regs.(rd) | _ -> 0 in
   (match eff.rd with Some rd -> set_reg cpu rd eff.value | None -> ());
   let rd_new = match eff.rd with Some rd when rd <> 0 -> cpu.regs.(rd) | _ -> rd_old in

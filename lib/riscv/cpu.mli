@@ -31,8 +31,5 @@ val run : ?max_steps:int -> t -> int
     @raise Failure when [max_steps] (default 10^8) is exceeded —
     guards against runaway programs in tests. *)
 
-val reset : t -> unit
-(** Clear registers, pc, cycle and halt flag (memory is untouched). *)
-
 val cycles_of_class : Inst.klass -> int
 (** The latency table, exposed for the power model and tests. *)

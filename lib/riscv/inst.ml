@@ -85,6 +85,37 @@ type klass =
   | K_jump
   | K_system
 
+(* Source operands: rs1 is bits 19-15 of every R/I/S/B-type encoding,
+   rs2 bits 24-20 of every R/S/B-type one; x0 stands for "no
+   operand".  Two functions rather than one returning a pair, so the
+   simulator's per-instruction call allocates nothing. *)
+let rs1 = function
+  | Lui _ | Auipc _ | Jal _ | Ecall | Ebreak -> 0
+  | Jalr (_, rs1, _)
+  | Lb (_, rs1, _) | Lh (_, rs1, _) | Lw (_, rs1, _) | Lbu (_, rs1, _) | Lhu (_, rs1, _)
+  | Addi (_, rs1, _) | Slti (_, rs1, _) | Sltiu (_, rs1, _) | Xori (_, rs1, _) | Ori (_, rs1, _)
+  | Andi (_, rs1, _) | Slli (_, rs1, _) | Srli (_, rs1, _) | Srai (_, rs1, _)
+  | Beq (rs1, _, _) | Bne (rs1, _, _) | Blt (rs1, _, _) | Bge (rs1, _, _) | Bltu (rs1, _, _) | Bgeu (rs1, _, _)
+  | Sb (_, rs1, _) | Sh (_, rs1, _) | Sw (_, rs1, _)
+  | Add (_, rs1, _) | Sub (_, rs1, _) | Sll (_, rs1, _) | Slt (_, rs1, _) | Sltu (_, rs1, _)
+  | Xor (_, rs1, _) | Srl (_, rs1, _) | Sra (_, rs1, _) | Or (_, rs1, _) | And (_, rs1, _)
+  | Mul (_, rs1, _) | Mulh (_, rs1, _) | Mulhsu (_, rs1, _) | Mulhu (_, rs1, _)
+  | Div (_, rs1, _) | Divu (_, rs1, _) | Rem (_, rs1, _) | Remu (_, rs1, _) ->
+      rs1
+
+let rs2 = function
+  | Lui _ | Auipc _ | Jal _ | Ecall | Ebreak
+  | Jalr _ | Lb _ | Lh _ | Lw _ | Lbu _ | Lhu _
+  | Addi _ | Slti _ | Sltiu _ | Xori _ | Ori _ | Andi _ | Slli _ | Srli _ | Srai _ ->
+      0
+  | Beq (_, rs2, _) | Bne (_, rs2, _) | Blt (_, rs2, _) | Bge (_, rs2, _) | Bltu (_, rs2, _) | Bgeu (_, rs2, _)
+  | Sb (rs2, _, _) | Sh (rs2, _, _) | Sw (rs2, _, _)
+  | Add (_, _, rs2) | Sub (_, _, rs2) | Sll (_, _, rs2) | Slt (_, _, rs2) | Sltu (_, _, rs2)
+  | Xor (_, _, rs2) | Srl (_, _, rs2) | Sra (_, _, rs2) | Or (_, _, rs2) | And (_, _, rs2)
+  | Mul (_, _, rs2) | Mulh (_, _, rs2) | Mulhsu (_, _, rs2) | Mulhu (_, _, rs2)
+  | Div (_, _, rs2) | Divu (_, _, rs2) | Rem (_, _, rs2) | Remu (_, _, rs2) ->
+      rs2
+
 let is_branch = function
   | Beq _ | Bne _ | Blt _ | Bge _ | Bltu _ | Bgeu _ -> true
   | _ -> false

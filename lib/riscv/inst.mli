@@ -87,5 +87,14 @@ type klass =
 val classify : ?taken:bool -> t -> klass
 (** [taken] matters only for branches (default: taken). *)
 
+val rs1 : t -> reg
+val rs2 : t -> reg
+(** The source registers an instruction reads: [rs1] for every R-, I-,
+    S- and B-type instruction, [rs2] for every R-, S- and B-type one,
+    and x0 wherever the encoding has no such field (U- and J-type,
+    [ecall]/[ebreak]; [rs2] of I-type).  For stores [rs2] is the stored
+    datum.  The one decode both the CPU's operand sampling (and so the
+    power model) and the constant-time linter's taint read. *)
+
 val is_branch : t -> bool
 val to_string : t -> string

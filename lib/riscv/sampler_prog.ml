@@ -292,17 +292,9 @@ let draws_of_gaussian rng clipped ~count =
   let noises = Array.make count 0 in
   let draws =
     Array.init count (fun i ->
-        (* Replay both rejection sources: polar-loop retries inside each
-           normal draw and whole-draw retries from the deviation clip. *)
-        let rec clipped_draw rejections =
-          let x, polar_rej = Mathkit.Gaussian.normal_rejections polar rng ~mu:0.0 ~sigma:clipped.Mathkit.Gaussian.sigma in
-          let rejections = rejections + polar_rej in
-          if Float.abs x > clipped.Mathkit.Gaussian.max_deviation then clipped_draw (rejections + 1)
-          else (int_of_float (Float.round x), rejections)
-        in
-        let noise, rejections = clipped_draw 0 in
+        let ((noise, _) as draw) = Mathkit.Gaussian.clipped_draw polar rng clipped in
         noises.(i) <- noise;
-        (noise, rejections))
+        draw)
   in
   (draws, noises)
 

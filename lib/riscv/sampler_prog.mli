@@ -107,6 +107,6 @@ val read_poly : Memory.t -> layout -> n:int -> k:int -> int array array
 
 val draws_of_gaussian :
   Mathkit.Prng.t -> Mathkit.Gaussian.clipped -> count:int -> (int * int) array * int array
-(** Pre-sample [count] draws with the software sampler; returns the
-    MMIO queue and the plain noise values (ground truth for
-    profiling). *)
+(** Pre-sample [count] draws with {!Mathkit.Gaussian.clipped_draw},
+    the draw BFV's encryptor makes; returns the MMIO queue and the
+    plain noise values (ground truth for profiling). *)

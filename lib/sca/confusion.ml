@@ -2,7 +2,6 @@ type t = {
   labels : int array;
   index : (int, int) Hashtbl.t;
   counts : int array array;  (** counts.(predicted).(actual) *)
-  mutable total : int;
 }
 
 let create ~labels =
@@ -10,7 +9,7 @@ let create ~labels =
   Array.iteri (fun i l -> Hashtbl.replace index l i) labels;
   if Hashtbl.length index <> Array.length labels then invalid_arg "Confusion.create: duplicate labels";
   let n = Array.length labels in
-  { labels = Array.copy labels; index; counts = Array.make_matrix n n 0; total = 0 }
+  { labels = Array.copy labels; index; counts = Array.make_matrix n n 0 }
 
 let idx t label =
   match Hashtbl.find_opt t.index label with
@@ -19,11 +18,9 @@ let idx t label =
 
 let add t ~actual ~predicted =
   let a = idx t actual and p = idx t predicted in
-  t.counts.(p).(a) <- t.counts.(p).(a) + 1;
-  t.total <- t.total + 1
+  t.counts.(p).(a) <- t.counts.(p).(a) + 1
 
 let count t ~actual ~predicted = t.counts.(idx t predicted).(idx t actual)
-let total t = t.total
 
 let column_total t a =
   let acc = ref 0 in
@@ -34,14 +31,6 @@ let column_percent t ~actual ~predicted =
   let a = idx t actual in
   let col = column_total t a in
   if col = 0 then 0.0 else 100.0 *. float_of_int (count t ~actual ~predicted) /. float_of_int col
-
-let accuracy t =
-  if t.total = 0 then 0.0
-  else begin
-    let diag = ref 0 in
-    Array.iteri (fun i _ -> diag := !diag + t.counts.(i).(i)) t.labels;
-    float_of_int !diag /. float_of_int t.total
-  end
 
 let render ?lo ?hi t =
   let lo = match lo with Some v -> v | None -> Array.fold_left min max_int t.labels in

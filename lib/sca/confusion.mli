@@ -9,14 +9,10 @@ val add : t -> actual:int -> predicted:int -> unit
 (** Labels outside the declared set raise [Invalid_argument]. *)
 
 val count : t -> actual:int -> predicted:int -> int
-val total : t -> int
 
 val column_percent : t -> actual:int -> predicted:int -> float
 (** Percentage of [actual]'s occurrences predicted as [predicted] —
     the paper's Table I normalisation (columns sum to 100). *)
-
-val accuracy : t -> float
-(** Overall fraction on the diagonal. *)
 
 val render : ?lo:int -> ?hi:int -> t -> string
 (** Table I: rows = predicted, columns = actual, column percentages,

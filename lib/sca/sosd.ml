@@ -61,7 +61,9 @@ let scores_t classes =
   pairs stats;
   score
 
-let select ?(min_spacing = 3) ~count score =
+let min_spacing = 3
+
+let select ~count score =
   if count <= 0 then invalid_arg "Sosd.select: count must be positive";
   let order = Array.init (Array.length score) (fun i -> i) in
   Array.sort (fun a b -> Float.compare score.(b) score.(a)) order;

@@ -29,9 +29,9 @@ val scores_t : float array array array -> float array
 (** SOST: pairwise squared t-statistics,
     (mu_i - mu_j)^2 / (v_i/n_i + v_j/n_j + kappa). *)
 
-val select : ?min_spacing:int -> count:int -> float array -> int array
-(** Indices of the top-[count] score positions, greedy with spacing
-    (default 3), sorted ascending. *)
+val select : count:int -> float array -> int array
+(** Indices of the top-[count] score positions, greedy, each at least 3
+    samples from every position taken before it; sorted ascending. *)
 
 val pick : float array -> int array -> float array
 (** Project a window onto the chosen POIs. *)

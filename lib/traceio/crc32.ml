@@ -60,5 +60,4 @@ let update crc s pos len =
   done;
   !c lxor 0xFFFFFFFF
 
-let digest_sub s ~pos ~len = update 0 s pos len
 let digest s = update 0 s 0 (String.length s)

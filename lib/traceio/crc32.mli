@@ -9,11 +9,8 @@
 val digest : string -> int
 (** CRC-32 of a whole string.  [digest "123456789" = 0xCBF43926]. *)
 
-val digest_sub : string -> pos:int -> len:int -> int
-(** CRC-32 of a substring.
-    @raise Invalid_argument when the range is out of bounds. *)
-
 val update : int -> string -> int -> int -> int
 (** [update crc s pos len] extends a running digest — feeding a string
     piecewise gives the same result as one [digest] over the
-    concatenation. *)
+    concatenation; [update 0] digests a substring.
+    @raise Invalid_argument when the range is out of bounds. *)

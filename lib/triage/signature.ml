@@ -47,15 +47,6 @@ let load path =
 
 let load_opt path = if Sys.file_exists path then load path else empty
 
-let save path store =
-  Traceio.Error.wrap_io path (fun () ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc "# reveal triage: known verdict signatures (one per line)\n";
-          List.iter (fun s -> output_string oc (s ^ "\n")) (to_list store)))
-
 let append path sigs =
   Traceio.Error.wrap_io path (fun () ->
       let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in

@@ -31,9 +31,6 @@ val load : string -> store
 val load_opt : string -> store
 (** {!load}, or {!empty} when the file does not exist. *)
 
-val save : string -> store -> unit
-(** Write the store (sorted, with a header comment). *)
-
 val append : string -> string list -> unit
 (** Append signatures to a known-signatures file, creating it if
     missing — how a triaged novel failure graduates to known. *)

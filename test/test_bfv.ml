@@ -46,13 +46,6 @@ let test_params_rejects_bad () =
        false
      with Invalid_argument _ -> true)
 
-let test_params_multi_prime () =
-  let p = Params.seal_128_2048 in
-  Alcotest.(check int) "two primes" 2 (Array.length p.Params.coeff_modulus);
-  Array.iter
-    (fun q -> Alcotest.(check bool) "friendly" true (Mathkit.Ntt.is_friendly ~q ~n:2048))
-    p.Params.coeff_modulus
-
 (* --- Rq ------------------------------------------------------------------ *)
 
 let test_rq_centered_roundtrip () =
@@ -135,6 +128,39 @@ let test_sampler_cdt_bounds () =
     let _, log = Sampler.set_poly_coeffs_cdt g ctx in
     Array.iter (fun z -> Alcotest.(check bool) "bounded" true (abs z <= 20)) log.Sampler.noises
   done
+
+(* BFV's v3.2 sampler and the device model make the same clipped-normal
+   draw: from one seed, the encryptor's log and the firmware's MMIO
+   queue carry the same noises and rejection counts, and the firmware,
+   run on that queue with the toy modulus staged the way Reveal.Device
+   stages SEAL's (one trailing dummy coefficient), writes the BFV
+   polynomial. *)
+let test_sampler_matches_device_queue () =
+  let params = Params.toy () in
+  let ctx = Rq.context params in
+  let n = params.Params.n and moduli = params.Params.coeff_modulus in
+  let k = Array.length moduli in
+  let layout = Riscv.Sampler_prog.default_layout in
+  let program = Riscv.Sampler_prog.build ~n:(n + 1) ~k () in
+  let rejected = ref 0 in
+  for seed = 1 to 12 do
+    let seed = Int64.of_int seed in
+    let poly, log = Sampler.set_poly_coeffs_normal_v32 (Mathkit.Prng.create ~seed ()) ctx in
+    let draws, noises =
+      Riscv.Sampler_prog.draws_of_gaussian (Mathkit.Prng.create ~seed ()) Mathkit.Gaussian.seal_default ~count:n
+    in
+    Alcotest.(check (array int)) "same noises" log.Sampler.noises noises;
+    Alcotest.(check (array int)) "same rejections" log.Sampler.rejections (Array.map snd draws);
+    rejected := !rejected + Array.fold_left ( + ) 0 log.Sampler.rejections;
+    let mem = Riscv.Memory.create layout.Riscv.Sampler_prog.ram_size in
+    Riscv.Memory.load_program mem 0 program.Riscv.Asm.words;
+    Riscv.Sampler_prog.stage_moduli mem layout moduli;
+    Riscv.Sampler_prog.install_noise_port mem ~draws:(Array.append draws [| (0, 0) |]);
+    ignore (Riscv.Cpu.run (Riscv.Cpu.create mem));
+    let planes = Array.map (fun plane -> Array.sub plane 0 n) (Riscv.Sampler_prog.read_poly mem layout ~n:(n + 1) ~k) in
+    Alcotest.(check bool) "firmware planes = BFV polynomial" true (Rq.equal poly (Rq.of_planes ctx planes))
+  done;
+  Alcotest.(check bool) "the queue replays some rejections" true (!rejected > 0)
 
 (* --- Encrypt / decrypt -------------------------------------------------------- *)
 
@@ -384,7 +410,6 @@ let suite =
       ("params seal-128", test_params_seal);
       ("params delta", test_params_delta);
       ("params validation", test_params_rejects_bad);
-      ("params multi-prime", test_params_multi_prime);
       ("rq centered roundtrip", test_rq_centered_roundtrip);
       ("rq add/neg", test_rq_add_neg);
       ("rq mul vs schoolbook", test_rq_mul_matches_schoolbook);
@@ -394,6 +419,7 @@ let suite =
       ("sampler v3.2 = v3.6 output", test_sampler_v32_v36_agree);
       ("sampler log matches poly", test_sampler_log_matches_poly);
       ("sampler cdt bounds", test_sampler_cdt_bounds);
+      ("sampler v3.2 = the device's draw queue and firmware", test_sampler_matches_device_queue);
       ("encrypt/decrypt roundtrip", test_encrypt_decrypt_roundtrip);
       ("encrypt/decrypt n=1024 (paper params)", test_encrypt_decrypt_seal_1024);
       ("encrypt/decrypt multi-prime", test_encrypt_decrypt_multi_prime);

@@ -248,7 +248,7 @@ let oracle_refutes_masked_branch () =
   in
   let fs = static_findings p in
   let branch = List.find (fun f -> f.Finding.kind = Finding.Secret_branch) fs in
-  let confirmed = Oracle.confirm ~run:(run_crafted p) branch in
+  let confirmed = List.hd (Oracle.confirm_all ~run:(run_crafted p) [ branch ]) in
   Alcotest.(check bool) "static only" false (Finding.is_confirmed confirmed)
 
 (* --- The paper's verdict table ------------------------------------------ *)

@@ -233,20 +233,20 @@ let test_table3_hints_reduce_hardness () =
   let r = Reveal.Experiment.table3 (Lazy.force env) in
   let p = r.Reveal.Experiment.paper_mode and c = r.Reveal.Experiment.calibrated in
   Alcotest.(check bool) "paper mode is a complete break" true
-    (p.Reveal.Experiment.bikz_with_hints < 40.0);
+    (p.Reveal.Sink.bikz_with_hints < 40.0);
   Alcotest.(check bool) "calibrated still a large reduction" true
-    (c.Reveal.Experiment.bikz_with_hints < c.Reveal.Experiment.bikz_no_hints -. 50.0);
+    (c.Reveal.Sink.bikz_with_hints < c.Reveal.Sink.bikz_no_hints -. 50.0);
   Alcotest.(check bool) "calibrated keeps some hardness" true
-    (c.Reveal.Experiment.bikz_with_hints > p.Reveal.Experiment.bikz_with_hints)
+    (c.Reveal.Sink.bikz_with_hints > p.Reveal.Sink.bikz_with_hints)
 
 let test_table4_signs_insufficient () =
   let e = Lazy.force env in
   let t3 = Reveal.Experiment.table3 e and t4 = Reveal.Experiment.table4 e in
-  let sign_bikz = t4.Reveal.Experiment.base.Reveal.Experiment.bikz_with_hints in
+  let sign_bikz = t4.Reveal.Experiment.base.Reveal.Sink.bikz_with_hints in
   (* the paper's conclusion: signs alone leave a hard instance *)
   Alcotest.(check bool) "well above complete break" true (sign_bikz > 150.0);
   Alcotest.(check bool) "weaker than the full attack" true
-    (sign_bikz > t3.Reveal.Experiment.paper_mode.Reveal.Experiment.bikz_with_hints);
+    (sign_bikz > t3.Reveal.Experiment.paper_mode.Reveal.Sink.bikz_with_hints);
   Alcotest.(check bool) "guess helps a little" true
     (t4.Reveal.Experiment.bikz_with_guess <= sign_bikz);
   Alcotest.(check bool) "guess success probability sane" true

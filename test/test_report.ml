@@ -9,46 +9,46 @@ let read_file path =
   close_in ic;
   data
 
-let json = Alcotest.testable (fun ppf j -> Fmt.string ppf (Reveal.Report.to_string j)) ( = )
+let json = Alcotest.testable (fun ppf j -> Fmt.string ppf (Obs.Json.to_string j)) ( = )
 
 (* --- JSON emitter ------------------------------------------------------------ *)
 
 let test_json_scalars () =
-  let check msg expected j = Alcotest.(check string) msg expected (Reveal.Report.to_string j) in
-  check "null" "null" Reveal.Report.Null;
-  check "true" "true" (Reveal.Report.Bool true);
-  check "false" "false" (Reveal.Report.Bool false);
-  check "int" "-42" (Reveal.Report.Int (-42));
-  check "negative zero int" "0" (Reveal.Report.Int 0);
-  check "integral float keeps a decimal point" "1.0" (Reveal.Report.Float 1.0);
-  check "fractional float" "0.25" (Reveal.Report.Float 0.25);
-  check "large float stays compact" "1e+30" (Reveal.Report.Float 1e30);
-  check "nan is null" "null" (Reveal.Report.Float Float.nan);
-  check "infinity is null" "null" (Reveal.Report.Float Float.infinity);
-  check "negative infinity is null" "null" (Reveal.Report.Float Float.neg_infinity)
+  let check msg expected j = Alcotest.(check string) msg expected (Obs.Json.to_string j) in
+  check "null" "null" Obs.Json.Null;
+  check "true" "true" (Obs.Json.Bool true);
+  check "false" "false" (Obs.Json.Bool false);
+  check "int" "-42" (Obs.Json.Int (-42));
+  check "negative zero int" "0" (Obs.Json.Int 0);
+  check "integral float keeps a decimal point" "1.0" (Obs.Json.Float 1.0);
+  check "fractional float" "0.25" (Obs.Json.Float 0.25);
+  check "large float stays compact" "1e+30" (Obs.Json.Float 1e30);
+  check "nan is null" "null" (Obs.Json.Float Float.nan);
+  check "infinity is null" "null" (Obs.Json.Float Float.infinity);
+  check "negative infinity is null" "null" (Obs.Json.Float Float.neg_infinity)
 
 let test_json_strings () =
-  let check msg expected j = Alcotest.(check string) msg expected (Reveal.Report.to_string j) in
-  check "plain" "\"abc\"" (Reveal.Report.String "abc");
-  check "quote and backslash" "\"a\\\"b\\\\c\"" (Reveal.Report.String "a\"b\\c");
-  check "newline tab cr" "\"a\\nb\\tc\\rd\"" (Reveal.Report.String "a\nb\tc\rd");
-  check "control characters are u-escaped" "\"\\u0001\\u001f\"" (Reveal.Report.String "\x01\x1f")
+  let check msg expected j = Alcotest.(check string) msg expected (Obs.Json.to_string j) in
+  check "plain" "\"abc\"" (Obs.Json.String "abc");
+  check "quote and backslash" "\"a\\\"b\\\\c\"" (Obs.Json.String "a\"b\\c");
+  check "newline tab cr" "\"a\\nb\\tc\\rd\"" (Obs.Json.String "a\nb\tc\rd");
+  check "control characters are u-escaped" "\"\\u0001\\u001f\"" (Obs.Json.String "\x01\x1f")
 
 let test_json_containers () =
-  let check msg expected j = Alcotest.(check string) msg expected (Reveal.Report.to_string j) in
-  check "empty list" "[]" (Reveal.Report.List []);
-  check "empty obj" "{}" (Reveal.Report.Obj []);
+  let check msg expected j = Alcotest.(check string) msg expected (Obs.Json.to_string j) in
+  check "empty list" "[]" (Obs.Json.List []);
+  check "empty obj" "{}" (Obs.Json.Obj []);
   check "nested"
     "{\"rows\":[{\"a\":1,\"b\":2.5},{\"a\":2,\"b\":null}],\"ok\":true}"
-    (Reveal.Report.Obj
+    (Obs.Json.Obj
        [
          ( "rows",
-           Reveal.Report.List
+           Obs.Json.List
              [
-               Reveal.Report.Obj [ ("a", Reveal.Report.Int 1); ("b", Reveal.Report.Float 2.5) ];
-               Reveal.Report.Obj [ ("a", Reveal.Report.Int 2); ("b", Reveal.Report.Float Float.nan) ];
+               Obs.Json.Obj [ ("a", Obs.Json.Int 1); ("b", Obs.Json.Float 2.5) ];
+               Obs.Json.Obj [ ("a", Obs.Json.Int 2); ("b", Obs.Json.Float Float.nan) ];
              ] );
-         ("ok", Reveal.Report.Bool true);
+         ("ok", Obs.Json.Bool true);
        ])
 
 (* --- column combinators -------------------------------------------------------- *)
@@ -64,19 +64,19 @@ let test_table_combinator () =
   Alcotest.(check string) "text assembles title/headings/rows/footer"
     "T\n  name  score\n  a       1.0\n  bc      2.2\nF\n" doc.Reveal.Report.text;
   Alcotest.(check json) "json is the row array"
-    (Reveal.Report.List
+    (Obs.Json.List
        [
-         Reveal.Report.Obj [ ("name", Reveal.Report.String "a"); ("score", Reveal.Report.Float 1.0) ];
-         Reveal.Report.Obj [ ("name", Reveal.Report.String "bc"); ("score", Reveal.Report.Float 2.25) ];
+         Obs.Json.Obj [ ("name", Obs.Json.String "a"); ("score", Obs.Json.Float 1.0) ];
+         Obs.Json.Obj [ ("name", Obs.Json.String "bc"); ("score", Obs.Json.Float 2.25) ];
        ])
     doc.Reveal.Report.json;
   let doc = Reveal.Report.table ~title:"T\n" ~header:"custom\n" columns [] in
   Alcotest.(check string) "header override replaces concatenated headings" "T\ncustom\n" doc.Reveal.Report.text;
-  Alcotest.(check json) "empty table is an empty array" (Reveal.Report.List []) doc.Reveal.Report.json
+  Alcotest.(check json) "empty table is an empty array" (Obs.Json.List []) doc.Reveal.Report.json
 
 let test_row_json () =
   Alcotest.(check json) "row_json builds the object in column order"
-    (Reveal.Report.Obj [ ("name", Reveal.Report.String "x"); ("score", Reveal.Report.Float 0.5) ])
+    (Obs.Json.Obj [ ("name", Obs.Json.String "x"); ("score", Obs.Json.Float 0.5) ])
     (Reveal.Report.row_json columns ("x", 0.5))
 
 (* --- golden regression ----------------------------------------------------------- *)

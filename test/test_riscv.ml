@@ -328,18 +328,6 @@ let test_cpu_cycle_accounting () =
   Alcotest.(check int) "cycles" (3 + 3 + 3) (Cpu.cycle cpu);
   Alcotest.(check int) "retired" 3 (Cpu.retired cpu)
 
-let test_cpu_reset () =
-  let open Asm in
-  let prog = Asm.assemble [ li (Inst.t 0) 7; halt ] in
-  let mem = Memory.create 4096 in
-  Memory.load_program mem 0 prog.Asm.words;
-  let cpu = Cpu.create mem in
-  ignore (Cpu.run cpu);
-  Cpu.reset cpu;
-  Alcotest.(check int) "pc" 0 (Cpu.pc cpu);
-  Alcotest.(check bool) "not halted" false (Cpu.halted cpu);
-  Alcotest.(check int) "regs cleared" 0 (Cpu.reg cpu (Inst.t 0))
-
 (* --- Sampler program -------------------------------------------------------------- *)
 
 let moduli_seal = [| 132120577 |]
@@ -498,7 +486,6 @@ let suite =
       ("cpu load/store", test_cpu_load_store_program);
       ("cpu branch direction in events", test_cpu_branch_events);
       ("cpu cycle accounting", test_cpu_cycle_accounting);
-      ("cpu reset", test_cpu_reset);
       ("sampler vulnerable semantics", test_sampler_vulnerable_correct);
       ("sampler branchless same output", test_sampler_branchless_matches);
       ("sampler shuffled permutation", test_sampler_shuffled_matches);
@@ -596,6 +583,26 @@ let codec_qcheck_cases =
         let g = Mathkit.Prng.create ~seed:(Int64.of_int seed) () in
         let inst = arbitrary_inst g in
         Codec.decode (Codec.encode inst) = inst);
+    (* the operand decode the CPU samples (the power model's operands)
+       and leaklint taints, against the register fields of the
+       instruction's own encoding, by opcode format *)
+    Test.make ~name:"operand decode = the encoding's register fields" ~count:2000 int (fun seed ->
+        let g = Mathkit.Prng.create ~seed:(Int64.of_int seed) () in
+        let inst = arbitrary_inst g in
+        let w = Int32.to_int (Codec.encode inst) land 0xFFFFFFFF in
+        let rs1 = (w lsr 15) land 0x1F and rs2 = (w lsr 20) land 0x1F in
+        let expected =
+          match w land 0x7F with
+          | 0x33 (* R: OP *) | 0x23 (* S: STORE *) | 0x63 (* B: BRANCH *) -> (rs1, rs2)
+          | 0x13 (* I: OP-IMM *) | 0x03 (* I: LOAD *) | 0x67 (* I: JALR *) -> (rs1, 0)
+          | 0x37 (* U: LUI *) | 0x17 (* U: AUIPC *) | 0x6F (* J: JAL *) | 0x73 (* SYSTEM *) -> (0, 0)
+          | op -> Test.fail_reportf "unexpected opcode 0x%02x in %s" op (Inst.to_string inst)
+        in
+        let got = (Inst.rs1 inst, Inst.rs2 inst) in
+        if got <> expected then
+          Test.fail_reportf "%s: decode (x%d, x%d), encoding (x%d, x%d)" (Inst.to_string inst) (fst got) (snd got)
+            (fst expected) (snd expected)
+        else true);
     (* decode is total up to Codec.Illegal: no random word may escape
        through any other exception *)
     Test.make ~name:"codec decode total (Illegal or a value)" ~count:5000

@@ -105,12 +105,14 @@ let test_sost_suppresses_noisy_positions () =
 
 let test_sosd_select_spacing () =
   let scores = [| 10.0; 9.0; 8.0; 7.0; 1.0; 0.5; 6.0 |] in
-  let pois = Sca.Sosd.select ~min_spacing:3 ~count:2 scores in
+  let pois = Sca.Sosd.select ~count:2 scores in
   Alcotest.(check (array int)) "spaced" [| 0; 3 |] pois
 
 let test_sosd_select_sorted () =
-  let scores = [| 1.0; 9.0; 2.0; 8.0; 3.0 |] in
-  let pois = Sca.Sosd.select ~min_spacing:1 ~count:3 scores in
+  (* greedy order 4, 7, 0: each at least 3 samples from the others *)
+  let scores = [| 7.0; 1.0; 2.0; 3.0; 9.0; 0.5; 0.2; 8.0 |] in
+  let pois = Sca.Sosd.select ~count:3 scores in
+  Alcotest.(check int) "three picks" 3 (Array.length pois);
   let sorted = Array.copy pois in
   Array.sort compare sorted;
   Alcotest.(check (array int)) "ascending" sorted pois
@@ -187,9 +189,7 @@ let test_confusion_counts () =
   Sca.Confusion.add c ~actual:1 ~predicted:0;
   Sca.Confusion.add c ~actual:0 ~predicted:0;
   Alcotest.(check int) "count" 1 (Sca.Confusion.count c ~actual:1 ~predicted:0);
-  Alcotest.(check int) "total" 3 (Sca.Confusion.total c);
-  Alcotest.(check (float 1e-9)) "column percent" 50.0 (Sca.Confusion.column_percent c ~actual:1 ~predicted:1);
-  Alcotest.(check (float 1e-9)) "accuracy" (2.0 /. 3.0) (Sca.Confusion.accuracy c)
+  Alcotest.(check (float 1e-9)) "column percent" 50.0 (Sca.Confusion.column_percent c ~actual:1 ~predicted:1)
 
 let test_confusion_unknown_label () =
   let c = Sca.Confusion.create ~labels:[| 0; 1 |] in

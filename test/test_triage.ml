@@ -141,8 +141,8 @@ let test_store_roundtrip () =
   let store = Triage.Signature.of_list [ "b sig"; "a sig"; "b sig" ] in
   Alcotest.(check int) "duplicates collapse" 2 (Triage.Signature.size store);
   Alcotest.(check (list string)) "to_list is sorted" [ "a sig"; "b sig" ] (Triage.Signature.to_list store);
-  Triage.Signature.save path store;
-  Alcotest.(check (list string)) "save/load round-trips" [ "a sig"; "b sig" ]
+  Triage.Signature.append path (Triage.Signature.to_list store);
+  Alcotest.(check (list string)) "append/load round-trips" [ "a sig"; "b sig" ]
     (Triage.Signature.to_list (Triage.Signature.load path));
   Triage.Signature.append path [ "c sig" ];
   Alcotest.(check (list string)) "append extends the file" [ "a sig"; "b sig"; "c sig" ]
