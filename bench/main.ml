@@ -264,10 +264,8 @@ let perf_tests () =
     ("substrate: BFV encrypt (n=1024, v3.2 sampler)", fun () -> ignore (Bfv.Encryptor.encrypt rng ctx pk msg))
   in
   let v32 = Riscv.Sampler_prog.build ~variant:Riscv.Sampler_prog.Vulnerable ~n:64 ~k:1 () in
-  let lint_config = Ctcheck.Lint.sampler_config () in
   let ctcheck_kernel =
-    ( "ctcheck: static lint of v3.2 firmware (n=64)",
-      fun () -> ignore (Ctcheck.Lint.analyze_program ~config:lint_config v32) )
+    ("ctcheck: static lint of v3.2 firmware (n=64)", fun () -> ignore (Ctcheck.Lint.analyze_program v32))
   in
   let lll_kernel =
     ( "substrate: LLL on dim-33 Kannan embedding",

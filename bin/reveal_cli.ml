@@ -258,7 +258,7 @@ let trace seed variant n csv json _obs =
     | Some path ->
         Power.Ptrace.save_csv path trace;
         Printf.printf "trace written to %s (%d samples)\n" path (Power.Ptrace.length trace)
-    | None -> print_string (Power.Ptrace.ascii_plot ~width:110 ~height:16 trace.Power.Ptrace.samples));
+    | None -> print_string (Power.Ptrace.ascii_plot ~height:16 trace.Power.Ptrace.samples));
     Printf.printf "%d distribution-call peaks detected\n" (Array.length bursts)
   end
 
@@ -509,7 +509,7 @@ let lint variant n k no_confirm check verbose json _obs =
   lint_verdict ~json ~check ~ok_line:"verdict table check: OK" ~what:"verdict drift" drift ok
 
 let srclint paths check json _obs =
-  let paths = if paths = [] then [ "lib"; "bin"; "bench"; "tools"; "campaign_bench" ] else paths in
+  let paths = if paths = [] then [ "lib"; "bin"; "bench"; "tools"; "campaign_bench"; "examples" ] else paths in
   match Srclint.Driver.lint_paths paths with
   | Error msg -> fail 2 "srclint: %s" msg
   | Ok report ->
@@ -1230,8 +1230,8 @@ let () =
                   by $(b,--check).";
                  "Exit codes: 0 when clean (or, with $(b,--check), when the findings match the expect table \
                   exactly); 1 on findings or drift; 2 on usage errors and unparseable sources. The pipeline's \
-                  own tree must stay clean — scripts/check.sh runs this over lib/, bin/, bench/, tools/ and \
-                  campaign_bench/ on every gate.";
+                  own tree must stay clean — scripts/check.sh runs this over lib/, bin/, bench/, tools/, \
+                  campaign_bench/ and examples/ on every gate.";
                ])
           "Determinism and domain-safety lint of the pipeline's own OCaml source."
           Term.(
@@ -1239,7 +1239,7 @@ let () =
             $ Arg.(
                 value & pos_all string []
                 & info [] ~docv:"PATH"
-                    ~doc:"Files or directories to lint (default: lib bin bench tools campaign_bench).")
+                    ~doc:"Files or directories to lint (default: lib bin bench tools campaign_bench examples).")
             $ check_arg "Compare the findings against the in-source expect directives; exit 1 on drift.");
         cmd "estimate" "DBDD security estimate for SEAL-128 under side-channel hints."
           Term.(

@@ -6,8 +6,6 @@ type randomness = {
   e2_log : Sampler.draw_log;
 }
 
-type variant = V32 | V36 | Cdt
-
 let delta_m ctx m =
   let scaled = Rq.of_centered ctx (Array.map (fun c -> c) m.Keys.coeffs) in
   Rq.mul_scalar_planes ctx (Params.delta_mod (Rq.params ctx)) scaled
@@ -17,15 +15,9 @@ let encrypt_with ctx pk m r =
   let c1 = Rq.add ctx (Rq.mul ctx pk.Keys.p1 r.u) r.e2 in
   { Keys.parts = [| c0; c1 |] }
 
-let encrypt ?(variant = V32) rng ctx pk m =
-  let sampler =
-    match variant with
-    | V32 -> Sampler.set_poly_coeffs_normal_v32
-    | V36 -> Sampler.set_poly_coeffs_normal_v36
-    | Cdt -> Sampler.set_poly_coeffs_cdt
-  in
+let encrypt rng ctx pk m =
   let u = Rq.ternary rng ctx in
-  let e1, e1_log = sampler rng ctx in
-  let e2, e2_log = sampler rng ctx in
+  let e1, e1_log = Sampler.set_poly_coeffs_normal_v32 rng ctx in
+  let e2, e2_log = Sampler.set_poly_coeffs_normal_v32 rng ctx in
   let r = { u; e1; e2; e1_log; e2_log } in
   (encrypt_with ctx pk m r, r)

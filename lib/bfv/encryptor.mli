@@ -14,16 +14,11 @@ type randomness = {
 (** Everything fresh the encryptor sampled; ground truth for the
     attack experiments (a real adversary never sees it). *)
 
-type variant = V32 | V36 | Cdt
-
-val encrypt :
-  ?variant:variant ->
-  Mathkit.Prng.t ->
-  Rq.context ->
-  Keys.public_key ->
-  Keys.plaintext ->
-  Keys.ciphertext * randomness
-(** Default variant: the vulnerable [V32]. *)
+val encrypt : Mathkit.Prng.t -> Rq.context -> Keys.public_key -> Keys.plaintext -> Keys.ciphertext * randomness
+(** Samples [e1] and [e2] with the vulnerable v3.2 sampler
+    ({!Sampler.set_poly_coeffs_normal_v32}).  The countermeasures the
+    paper compares it with run as firmware variants
+    ([Riscv.Sampler_prog.Branchless] and [Cdt_table]). *)
 
 val encrypt_with : Rq.context -> Keys.public_key -> Keys.plaintext -> randomness -> Keys.ciphertext
 (** Deterministic encryption from explicit randomness — used to tie

@@ -1,4 +1,4 @@
-(** Ports of SEAL's noise-polynomial samplers (Fig. 2 of the paper).
+(** Port of SEAL's noise-polynomial sampler (Fig. 2 of the paper).
 
     [set_poly_coeffs_normal_v32] is a line-for-line OCaml rendering of
     the vulnerable SEAL v3.2 routine: draw a clipped normal, then
@@ -12,10 +12,9 @@
     other: same noises and rejection counts from one seed, same
     polynomial out of the firmware.
 
-    [set_poly_coeffs_normal_v36] is the patched branch-free variant
-    (mask arithmetic, as introduced in SEAL v3.6), and
-    [set_poly_coeffs_cdt] the constant-time table sampler used by the
-    prior work the paper contrasts with. *)
+    The countermeasures the paper compares it with — SEAL v3.6's
+    branch-free assignment and a constant-time CDT sampler — run as
+    firmware variants of [Riscv.Sampler_prog]. *)
 
 type draw_log = {
   noises : int array;  (** the sampled (signed) coefficients, in order *)
@@ -24,13 +23,7 @@ type draw_log = {
 (** Ground truth exposed for profiling and for driving the device
     simulation with identical randomness. *)
 
-val set_poly_coeffs_normal_v32 :
-  Mathkit.Prng.t -> Rq.context -> Rq.t * draw_log
-
-val set_poly_coeffs_normal_v36 :
-  Mathkit.Prng.t -> Rq.context -> Rq.t * draw_log
-
-val set_poly_coeffs_cdt : Mathkit.Prng.t -> Rq.context -> Rq.t * draw_log
+val set_poly_coeffs_normal_v32 : Mathkit.Prng.t -> Rq.context -> Rq.t * draw_log
 
 val of_noises : Rq.context -> int array -> Rq.t
 (** Assignment ladder only, on given noise values (the deterministic

@@ -29,11 +29,10 @@ let has_indirect t = t.has_indirect
 let is_ret = function Riscv.Inst.Jalr (0, rs1, 0) -> rs1 = Riscv.Inst.ra | _ -> false
 
 let build (p : Riscv.Asm.program) =
-  let origin = p.Riscv.Asm.origin in
-  let limit = origin + (4 * Array.length p.Riscv.Asm.words) in
-  let in_range a = a >= origin && a < limit && a land 3 = 0 in
+  let limit = 4 * Array.length p.Riscv.Asm.words in
+  let in_range a = a >= 0 && a < limit && a land 3 = 0 in
   let decode a =
-    match Riscv.Codec.decode p.Riscv.Asm.words.((a - origin) / 4) with
+    match Riscv.Codec.decode p.Riscv.Asm.words.(a / 4) with
     | i -> Some i
     | exception Riscv.Codec.Illegal _ -> None
   in
@@ -62,8 +61,8 @@ let build (p : Riscv.Asm.program) =
         p.Riscv.Asm.labels
     end
   in
-  mark_leader origin;
-  push origin;
+  mark_leader 0;
+  push 0;
   while not (Queue.is_empty q) do
     let pc = Queue.pop q in
     if not (Hashtbl.mem visited pc) then begin
@@ -142,9 +141,9 @@ let build (p : Riscv.Asm.program) =
               b.succs);
         Hashtbl.replace color a 2
   in
-  dfs origin;
+  dfs 0;
   {
-    entry = origin;
+    entry = 0;
     blocks = block_list;
     table;
     back_edges = List.rev !backs;

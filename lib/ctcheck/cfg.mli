@@ -2,10 +2,11 @@
 
     The graph is rebuilt from the encoded words alone (no label or
     listing information), so the analyzer sees exactly what the device
-    fetches.  Exploration starts at the program origin and follows
-    direct branches, [jal] calls (the fall-through address becomes a
-    call-return site) and [jalr x0, ra, 0] returns (resolved
-    context-insensitively to every discovered call-return site).  Any
+    fetches.  Exploration starts at address 0, where the device loads
+    the program, and follows direct branches, [jal] calls (the
+    fall-through address becomes a call-return site) and
+    [jalr x0, ra, 0] returns (resolved context-insensitively to every
+    discovered call-return site).  Any
     other [jalr] is an indirect jump: it is conservatively assumed to
     target any label of the program plus any already-discovered block
     leader.  Words never reached this way — data, padding after a halt

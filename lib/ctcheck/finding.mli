@@ -15,8 +15,7 @@ type kind =
   | Secret_mem_addr  (** load/store address depends on a secret *)
   | Secret_count
       (** retired-instruction count or cycle count depends on a secret:
-          unbalanced successor paths of a secret branch, or an
-          operand-gated-latency instruction fed secret operands *)
+          unbalanced successor paths of a secret branch *)
   | Secret_bus  (** a secret datum crosses the memory bus *)
 
 type severity = Violation | Leak_surface

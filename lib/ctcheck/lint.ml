@@ -1,6 +1,6 @@
 module S = Riscv.Sampler_prog
 
-let sampler_config ?(gated_classes = []) () =
+let sampler_config =
   Taint.config
     ~secret_mmio:(fun a -> a = S.noise_port || a = S.uniform_port || a = S.sign_port)
     ~region_bases:
@@ -10,7 +10,6 @@ let sampler_config ?(gated_classes = []) () =
         S.cdt_base;
         S.default_layout.S.poly_base;
       ]
-    ~gated_classes ()
 
 (* --- class 3: path imbalance under a secret branch ---------------------- *)
 
@@ -140,14 +139,12 @@ let findings_of_result (r : Taint.result) =
         in
         (if f.Taint.secret_branch then [ mk Finding.Secret_branch "branch condition is secret-tainted" ] else [])
         @ (if f.Taint.secret_addr then [ mk Finding.Secret_mem_addr "memory address is secret-tainted" ] else [])
-        @ (if f.Taint.secret_bus then [ mk Finding.Secret_bus "secret datum crosses the memory bus" ] else [])
-        @
-        if f.Taint.secret_gated then [ mk Finding.Secret_count "operand-gated latency with secret operand" ] else [])
+        @ if f.Taint.secret_bus then [ mk Finding.Secret_bus "secret datum crosses the memory bus" ] else [])
       r.Taint.facts
   in
   List.sort Finding.compare (direct @ imbalance_findings r.Taint.cfg r.Taint.facts)
 
-let analyze_program ?(config = Taint.default_config) p = findings_of_result (Taint.analyze ~config p)
+let analyze_program p = findings_of_result (Taint.analyze sampler_config p)
 
 (* --- differential-oracle execution --------------------------------------- *)
 
@@ -156,17 +153,17 @@ let analyze_program ?(config = Taint.default_config) p = findings_of_result (Tai
    default test modulus has an all-zero high word). *)
 let oracle_q = (1 lsl 45) + 9
 
-let run_variant ?(n = 1) ?(k = 1) ?(origin = 0) variant ~secret =
-  let p = S.build ~variant ~origin ~n ~k () in
+let run_variant ~n ~k variant ~secret =
+  let p = S.build ~variant ~n ~k () in
   let layout = S.default_layout in
   let mem = Riscv.Memory.create layout.S.ram_size in
-  Riscv.Memory.load_program mem origin p.Riscv.Asm.words;
+  Riscv.Memory.load_program mem 0 p.Riscv.Asm.words;
   S.stage_moduli mem layout (Array.make k oracle_q);
   (match variant with
   | S.Shuffled -> S.stage_permutation mem layout (Array.init n (fun i -> i))
   | S.Cdt_table ->
       let sigma = Mathkit.Gaussian.seal_default.Mathkit.Gaussian.sigma in
-      S.stage_cdt_table mem layout (S.cdt_thresholds ~sigma);
+      S.stage_cdt_table mem (S.cdt_thresholds ~sigma);
       let rng = Mathkit.Prng.create ~seed:7L () in
       S.install_cdt_port mem ~draws:(Array.init n (fun _ -> S.cdt_force_draw rng ~sigma ~value:secret))
   | S.Vulnerable | S.Branchless -> ());
@@ -175,7 +172,6 @@ let run_variant ?(n = 1) ?(k = 1) ?(origin = 0) variant ~secret =
   | _ -> S.install_noise_port mem ~draws:(Array.make n (secret, 2)));
   let recorder = Riscv.Trace.recorder () in
   let cpu = Riscv.Cpu.create ~tracer:(Riscv.Trace.record recorder) mem in
-  Riscv.Cpu.set_pc cpu origin;
   ignore (Riscv.Cpu.run ~max_steps:(100_000 + (4096 * n * k)) cpu);
   Riscv.Trace.events recorder
 
@@ -187,15 +183,13 @@ type report = {
   confirmed : bool;
 }
 
-let analyze_variant ?(n = 1) ?(k = 1) ?(origin = 0) ?(confirm = true) variant =
-  let p = S.build ~variant ~origin ~n ~k () in
-  let config = sampler_config () in
-  let result = Taint.analyze ~config p in
+let analyze_variant ?(n = 1) ?(k = 1) ?(confirm = true) variant =
+  let p = S.build ~variant ~n ~k () in
+  let result = Taint.analyze sampler_config p in
   let findings = findings_of_result result in
   let cfg = result.Taint.cfg in
   let findings =
-    if confirm then Oracle.confirm_all ~run:(fun ~secret -> run_variant ~n ~k ~origin variant ~secret) findings
-    else findings
+    if confirm then Oracle.confirm_all ~run:(fun ~secret -> run_variant ~n ~k variant ~secret) findings else findings
   in
   { variant; program = p; cfg; findings; confirmed = confirm }
 
@@ -215,7 +209,7 @@ let expected_findings (p : Riscv.Asm.program) variant =
   let open Riscv.Inst in
   let t0 = t 0 and s4 = s 4 and a0 = a 0 and a1 = a 1 in
   let insts =
-    Array.to_list (Array.mapi (fun i w -> (p.Riscv.Asm.origin + (4 * i), Riscv.Codec.decode w)) p.Riscv.Asm.words)
+    Array.to_list (Array.mapi (fun i w -> (4 * i, Riscv.Codec.decode w)) p.Riscv.Asm.words)
   in
   let where pred kind = List.filter_map (fun (addr, i) -> if pred i then Some (kind, addr) else None) insts in
   let stores = where (function Sw (rs2, _, _) -> rs2 <> x0 | _ -> false) Finding.Secret_bus in

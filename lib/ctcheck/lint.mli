@@ -13,17 +13,15 @@
     move noise — so [check] detects any drift between the analyzer,
     the firmware and the paper's claims. *)
 
-val sampler_config : ?gated_classes:Riscv.Inst.klass list -> unit -> Taint.config
-(** Secret sources: the noise, uniform and sign MMIO ports.  The
+val analyze_program : Riscv.Asm.program -> Finding.t list
+(** Static findings only (all {!Finding.Static_only}), sorted by
+    address.  The taint configuration is the sampler firmware's:
+    secret sources are the noise, uniform and sign MMIO ports.  The
     rejection-count port is deliberately public — the polar burn loop
     replays a data-independent rejection count, and marking it secret
     would (correctly but uninterestingly) flag the whole burn loop.
     Region bases: scratch (0), moduli, permutation, CDT table,
     polynomial output, MMIO. *)
-
-val analyze_program : ?config:Taint.config -> Riscv.Asm.program -> Finding.t list
-(** Static findings only (all {!Finding.Static_only}), sorted by
-    address. *)
 
 type report = {
   variant : Riscv.Sampler_prog.variant;
@@ -33,8 +31,7 @@ type report = {
   confirmed : bool;  (** whether the differential oracle ran *)
 }
 
-val analyze_variant :
-  ?n:int -> ?k:int -> ?origin:int -> ?confirm:bool -> Riscv.Sampler_prog.variant -> report
+val analyze_variant : ?n:int -> ?k:int -> ?confirm:bool -> Riscv.Sampler_prog.variant -> report
 (** Build the firmware ([n] coefficients, [k] RNS planes, default
     1/1), lint it, and (with [confirm], the default) run the
     differential oracle with a staged wide modulus so that both words

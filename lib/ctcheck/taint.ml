@@ -3,21 +3,12 @@ module IntMap = Map.Make (Int)
 type base = Const of int | Region of int | Any
 type value = { base : base; secret : bool }
 
-type config = { secret_mmio : int -> bool; region_bases : int list; gated_classes : Riscv.Inst.klass list }
+type config = { secret_mmio : int -> bool; region_bases : int list }
 
-let config ?(secret_mmio = fun _ -> false) ?(region_bases = []) ?(gated_classes = []) () =
-  { secret_mmio; region_bases = List.sort_uniq Int.compare (0 :: Riscv.Memory.mmio_base :: region_bases); gated_classes }
+let config ~secret_mmio ~region_bases =
+  { secret_mmio; region_bases = List.sort_uniq Int.compare (0 :: Riscv.Memory.mmio_base :: region_bases) }
 
-let default_config = config ()
-
-type fact = {
-  addr : int;
-  inst : Riscv.Inst.t;
-  secret_branch : bool;
-  secret_addr : bool;
-  secret_bus : bool;
-  secret_gated : bool;
-}
+type fact = { addr : int; inst : Riscv.Inst.t; secret_branch : bool; secret_addr : bool; secret_bus : bool }
 
 type result = { cfg : Cfg.t; facts : fact list }
 
@@ -120,16 +111,7 @@ let transfer cfg (addr, inst) st =
   (* x0 stands in for "no operand": it is always public Const 0. *)
   let v1 = st.regs.(rs1 inst) and v2 = st.regs.(rs2 inst) in
   let op_secret = v1.secret || v2.secret in
-  let fact =
-    {
-      addr;
-      inst;
-      secret_branch = false;
-      secret_addr = false;
-      secret_bus = false;
-      secret_gated = List.mem (classify ~taken:true inst) cfg.gated_classes && op_secret;
-    }
-  in
+  let fact = { addr; inst; secret_branch = false; secret_addr = false; secret_bus = false } in
   let write v = set_reg st (destination inst) v in
   let alu base = (write { base; secret = op_secret }, fact) in
   match inst with
@@ -162,7 +144,7 @@ let transfer cfg (addr, inst) st =
 let block_transfer cfg (b : Cfg.block) st =
   Array.fold_left (fun st ia -> fst (transfer cfg ia st)) st b.Cfg.insts
 
-let analyze ?(config = default_config) p =
+let analyze config p =
   let graph = Cfg.build p in
   let in_states : (int, state) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.replace in_states (Cfg.entry graph) (initial_state ());

@@ -33,19 +33,11 @@ type value = { base : base; secret : bool }
 type config = {
   secret_mmio : int -> bool;  (** is this MMIO address a secret source? *)
   region_bases : int list;  (** declared data-region base addresses *)
-  gated_classes : Riscv.Inst.klass list;
-      (** instruction classes whose latency is operand-gated on this
-          core (empty for the PicoRV32 model: its divider is bit-serial
-          fixed-latency) *)
 }
 
-val config :
-  ?secret_mmio:(int -> bool) -> ?region_bases:int list -> ?gated_classes:Riscv.Inst.klass list -> unit -> config
+val config : secret_mmio:(int -> bool) -> region_bases:int list -> config
 (** Sorts and deduplicates the region bases and always includes 0 and
     {!Riscv.Memory.mmio_base}. *)
-
-val default_config : config
-(** No secret sources, no extra regions, no gated classes. *)
 
 type fact = {
   addr : int;
@@ -53,11 +45,10 @@ type fact = {
   secret_branch : bool;  (** branch condition tainted *)
   secret_addr : bool;  (** memory address tainted *)
   secret_bus : bool;  (** datum on the bus tainted *)
-  secret_gated : bool;  (** operand-gated latency fed a tainted operand *)
 }
 
 type result = { cfg : Cfg.t; facts : fact list }
 
-val analyze : ?config:config -> Riscv.Asm.program -> result
+val analyze : config -> Riscv.Asm.program -> result
 (** Fixed point over the recovered CFG; [facts] cover every reachable
     instruction in ascending address order. *)

@@ -27,8 +27,8 @@ let get_float j key = Option.bind (Obs.Json.member key j) Obs.Json.to_float_opt
 let get_string j key = Option.bind (Obs.Json.member key j) Obs.Json.to_string_opt
 let get_int j key = Option.bind (Obs.Json.member key j) Obs.Json.to_int_opt
 
-let drain ?(strict = false) ?on_heartbeat ~peer ic =
-  let recv = Traceio.Wire.open_telemetry_receiver ~strict ~peer ic in
+let drain ?on_heartbeat ~peer ic =
+  let recv = Traceio.Wire.open_telemetry_receiver ~peer ic in
   let st = Obs.Summary.state_create () in
   let source = ref None in
   let parse_skipped = ref 0 in
@@ -42,13 +42,10 @@ let drain ?(strict = false) ?on_heartbeat ~peer ic =
   let name () = match !source with Some s -> s | None -> peer in
   let fold_line line =
     match Obs.Json.parse line with
-    | Error msg ->
-        if strict then Traceio.Error.corruptf "%s: telemetry line: %s" peer msg
-        else incr parse_skipped
+    | Error _ -> incr parse_skipped
     | Ok j -> (
         match Obs.Summary.state_add st j with
-        | exception Obs.Summary.Malformed msg ->
-            if strict then Traceio.Error.corruptf "%s: %s" peer msg else incr parse_skipped
+        | exception Obs.Summary.Malformed _ -> incr parse_skipped
         | () ->
             (match get_float j "t" with Some t -> last_t := Some t | None -> ());
             (match get_string j "ev" with
@@ -74,7 +71,7 @@ let drain ?(strict = false) ?on_heartbeat ~peer ic =
     | `Line line ->
         fold_line line;
         loop ()
-    | exception Traceio.Error.Corrupt msg when not strict ->
+    | exception Traceio.Error.Corrupt msg ->
         (* a worker that died mid-stream is exactly what a monitor is
            for: keep its partial summary and record how it ended *)
         truncated := Some msg

@@ -28,19 +28,17 @@ val heartbeat_event : string
 (** The event name campaigns emit per batch: ["campaign.heartbeat"]. *)
 
 val drain :
-  ?strict:bool ->
   ?on_heartbeat:(source:string -> done_:int -> total:int option -> t:float -> unit) ->
   peer:string ->
   in_channel ->
   report
 (** Read one telemetry stream to its end frame, folding every line
     into a summary.  [on_heartbeat] fires per heartbeat with the
-    worker's best-known name — the live progress feed.  Tolerant by
-    default: CRC-skipped slots and unparseable lines are counted in
+    worker's best-known name — the live progress feed.  Tolerant:
+    CRC-skipped slots and unparseable lines are counted in
     [r_skipped], and a connection cut mid-stream yields a partial
     report with [r_truncated] set (a dead worker is a finding, not an
-    error).  [~strict:true] raises {!Traceio.Error.Corrupt} for all of
-    these instead.  Does not close the channel. *)
+    error).  Does not close the channel. *)
 
 val merge_reports : report list -> Obs.Summary.t option
 (** Merge summaries in sorted [r_name] order — the [obs merge] fold.

@@ -98,9 +98,8 @@ let transient_refusal = function
   | Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.ENOENT), _, _) -> true
   | _ -> false
 
-let connect ?(retries = 0) ?(backoff_s = 0.05) ep =
+let connect ?(retries = 0) ep =
   if retries < 0 then invalid_arg "Transport.connect: retries must be non-negative";
-  if backoff_s <= 0.0 then invalid_arg "Transport.connect: backoff must be positive";
   let raw () =
     let fd = Unix.socket (domain_of ep) Unix.SOCK_STREAM 0 in
     (try Unix.connect fd (sockaddr_of ep)
@@ -119,7 +118,7 @@ let connect ?(retries = 0) ?(backoff_s = 0.05) ep =
         attempt (left - 1) (Float.min (pause *. 2.0) 0.5)
     | exception e -> wrap ep (fun () -> raise e)
   in
-  attempt retries backoff_s
+  attempt retries 0.05
 
 (* ic and oc are two views of one fd: close_out closes the fd, the
    close_in after it then fails harmlessly. *)

@@ -42,15 +42,15 @@ val accept : listener -> connection
 val close_listener : listener -> unit
 (** Idempotent; also unlinks a Unix socket's path. *)
 
-val connect : ?retries:int -> ?backoff_s:float -> endpoint -> connection
+val connect : ?retries:int -> endpoint -> connection
 (** Connect, optionally riding out a serve/connect race: a transient
     refusal (connection refused/reset, socket file not there yet) is
     retried up to [retries] extra times with a doubling backoff that
-    starts at [backoff_s] (default 0.05 s) and caps at 0.5 s per wait.
-    The default [retries = 0] preserves the old fail-immediately
-    behaviour.  Non-transient failures never retry.
+    starts at 0.05 s and caps at 0.5 s per wait.  The default
+    [retries = 0] preserves the old fail-immediately behaviour.
+    Non-transient failures never retry.
     @raise Traceio.Error.Io when the peer is (still) not there.
-    @raise Invalid_argument when [retries < 0] or [backoff_s <= 0]. *)
+    @raise Invalid_argument when [retries < 0]. *)
 
 val close_connection : connection -> unit
 (** Flush and close both channel views.  Idempotent in effect (double

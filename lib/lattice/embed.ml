@@ -94,13 +94,13 @@ let verify inst s e =
   done;
   !ok
 
-let solve ?(block_size = 2) inst =
+let solve inst =
   let m = Array.length inst.b in
   let n = if m = 0 then 0 else Array.length inst.a.(0) in
   if m = 0 || n = 0 then None
   else begin
     let basis = kannan_basis inst in
-    if block_size > 2 then Bkz.reduce ~block_size basis else Lll.reduce basis;
+    Bkz.reduce ~block_size:12 basis;
     let dim = m + n + 1 in
     let candidate row =
       let last = row.(dim - 1) in

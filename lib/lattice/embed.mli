@@ -37,7 +37,7 @@ val eliminate_perfect : instance -> known:(int * int) list -> instance
 
 type solution = { secret : int array; error : int array }
 
-val solve : ?block_size:int -> instance -> solution option
-(** LLL (+ BKZ when [block_size] > 2) on the embedding; extracts and
-    verifies a candidate (s, e) with a ternary secret.  [None] if
-    reduction did not surface the planted vector. *)
+val solve : instance -> solution option
+(** BKZ with block size 12 on the embedding; extracts and verifies a
+    candidate (s, e) with a ternary secret.  [None] if reduction did
+    not surface the planted vector. *)

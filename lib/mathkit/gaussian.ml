@@ -61,16 +61,3 @@ let cdt_table ~sigma ~tail_cut =
   done;
   cdt.(bound) <- 1.0;
   cdt
-
-let sample_cdt rng cdt =
-  let u = Prng.float rng in
-  (* Scan the whole table unconditionally: the constant-time design of
-     the CDT samplers the paper cites as prior-work targets. *)
-  let z = ref 0 in
-  for i = Array.length cdt - 1 downto 0 do
-    if u < cdt.(i) then z := i
-  done;
-  let magnitude = !z in
-  if magnitude = 0 then 0
-  else if Prng.bool rng then magnitude
-  else -magnitude

@@ -8,9 +8,9 @@
     sampler's execution time-variant — the property that forces the
     attack to segment traces by peaks instead of a fixed stride.
 
-    A constant-time CDT sampler (the design of prior work the paper
-    contrasts with) is provided as a baseline and for the
-    countermeasure study. *)
+    {!cdt_table} is the half-normal table behind the constant-time CDT
+    sampler (the design of prior work the paper contrasts with), which
+    runs as a firmware variant for the countermeasure study. *)
 
 type polar
 (** State of a Marsaglia-polar normal generator (caches the second
@@ -42,11 +42,9 @@ val clipped_draw : polar -> Prng.t -> clipped -> int * int
     call this one function. *)
 
 val cdt_table : sigma:float -> tail_cut:float -> float array
-(** Cumulative distribution table of the half-normal, for the CDT
-    baseline sampler. *)
-
-val sample_cdt : Prng.t -> float array -> int
-(** Constant-table sampler over the CDT (sign drawn separately). *)
+(** Cumulative distribution table of the half-normal over magnitudes
+    [0 .. round(sigma * tail_cut)]; [Riscv.Sampler_prog.cdt_thresholds]
+    scales it into the CDT firmware's threshold table. *)
 
 val cdf : mu:float -> sigma:float -> float -> float
 

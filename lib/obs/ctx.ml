@@ -63,18 +63,14 @@ let event ?(level = Info) ?(attrs = []) t name =
          :: ("t", Json.Float (Clock.now t.clock))
          :: (match attrs with [] -> [] | l -> [ ("attrs", Json.Obj l) ])))
 
-let span ?(attrs = []) t name f =
+let span t name f =
   if not t.enabled then f ()
   else begin
     let id = Atomic.fetch_and_add t.ids 1 + 1 in
     let t0 = Clock.now t.clock in
     Sink.emit t.sink
       (Json.Obj
-         (("ev", Json.String "span_begin")
-         :: ("name", Json.String name)
-         :: ("id", Json.Int id)
-         :: ("t", Json.Float t0)
-         :: (match attrs with [] -> [] | l -> [ ("attrs", Json.Obj l) ])));
+         [ ("ev", Json.String "span_begin"); ("name", Json.String name); ("id", Json.Int id); ("t", Json.Float t0) ]);
     let finish ~error =
       let t1 = Clock.now t.clock in
       Sink.emit t.sink

@@ -37,7 +37,7 @@ val counter : t -> string -> Metrics.counter
 val gauge : t -> string -> Metrics.gauge
 val histogram : ?buckets:float array -> t -> string -> Metrics.histogram
 
-val span : ?attrs:(string * Json.t) list -> t -> string -> (unit -> 'a) -> 'a
+val span : t -> string -> (unit -> 'a) -> 'a
 (** [span t name f] runs [f] inside a timed span.  Disabled: exactly
     [f ()].  Enabled: emits ["span_begin"], runs [f], emits
     ["span_end"] with the duration — also on exception, with

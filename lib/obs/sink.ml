@@ -94,8 +94,8 @@ let tee a b =
    sender drops the line and counts the drop — the campaign always
    wins over the monitor.  [close] drains whatever is queued, then
    calls the caller's [close] (end frame + connection teardown). *)
-let stream ?(capacity = 1024) ~send ~close:close_stream () =
-  if capacity <= 0 then invalid_arg "Obs.Sink.stream: capacity must be positive";
+let stream ~send ~close:close_stream () =
+  let capacity = 1024 in
   let lock = Mutex.create () in
   let nonempty = Condition.create () in
   let queue : string Queue.t = Queue.create () in
@@ -180,9 +180,8 @@ type ring = {
   mutable rg_total : int;
 }
 
-let ring ?(capacity = 256) () =
-  if capacity <= 0 then invalid_arg "Obs.Sink.ring: capacity must be positive";
-  let r = { rg_lock = Mutex.create (); rg_slots = Array.make capacity None; rg_next = 0; rg_total = 0 } in
+let ring () =
+  let r = { rg_lock = Mutex.create (); rg_slots = Array.make 256 None; rg_next = 0; rg_total = 0 } in
   let emit j =
     Mutex.lock r.rg_lock;
     r.rg_slots.(r.rg_next) <- Some j;

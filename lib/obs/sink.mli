@@ -27,29 +27,26 @@ val tee : t -> t -> t
     {!close} closes both (the second even if the first raises).
     Teeing with {!null} returns the other sink unchanged. *)
 
-val stream : ?capacity:int -> send:(string -> unit) -> close:(unit -> unit) -> unit -> t * (unit -> int)
+val stream : send:(string -> unit) -> close:(unit -> unit) -> unit -> t * (unit -> int)
 (** Bounded, non-blocking streaming sink: events are serialized to
-    single JSON lines and queued (up to [capacity], default 1024) for a
-    background domain that hands each line to [send] in emission order.
+    single JSON lines and queued (up to 1024) for a background domain
+    that hands each line to [send] in emission order.
     The emitter never blocks and never raises: a full queue, or any
     exception from [send] (the receiver went away), drops the line and
     counts it.  Closing the sink drains the queue, joins the sender
     domain, then calls [close] — the place to write an end-of-stream
     frame and tear the connection down.  Returns the sink and a
-    function reading the drop count.  Raises [Invalid_argument] when
-    [capacity <= 0]. *)
+    function reading the drop count. *)
 
 (** {1 Flight recorder} — fixed-size ring of the most recent events. *)
 
 type ring
 
-val ring : ?capacity:int -> unit -> t * ring
-(** Ring-buffer sink retaining the last [capacity] (default 256)
-    events.  Recording stores the already-built event under a lock —
-    no serialization, no I/O — so the recorder stays armed for a whole
-    run at negligible cost.  {!close} on the sink is a no-op: the ring
-    outlives it for the crash dump.  Raises [Invalid_argument] when
-    [capacity <= 0]. *)
+val ring : unit -> t * ring
+(** Ring-buffer sink retaining the last 256 events.  Recording stores
+    the already-built event under a lock — no serialization, no I/O —
+    so the recorder stays armed for a whole run at negligible cost.  {!close} on the sink is a no-op: the ring
+    outlives it for the crash dump. *)
 
 val ring_total : ring -> int
 (** Events ever recorded (not just retained). *)

@@ -32,14 +32,14 @@ let save_csv path t =
        raise e)
   with Sys_error msg -> failwith (Printf.sprintf "Ptrace.save_csv: cannot write %s: %s" path msg)
 
-let ascii_plot ?(width = 100) ?(height = 16) samples =
+let ascii_plot ?(height = 16) samples =
   let n = Array.length samples in
   if n = 0 then "(empty trace)\n"
   else begin
     let lo = Array.fold_left Float.min samples.(0) samples in
     let hi = Array.fold_left Float.max samples.(0) samples in
     let range = if hi -. lo <= 0.0 then 1.0 else hi -. lo in
-    let width = min width n in
+    let width = min 110 n in
     (* min/max envelope per column so narrow spikes stay visible *)
     let col_hi = Array.make width lo and col_lo = Array.make width hi in
     Array.iteri

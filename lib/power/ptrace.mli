@@ -21,5 +21,6 @@ val save_csv : string -> t -> unit
     @raise Failure when the file cannot be written; the message names
     the target path (never a bare [Sys_error]). *)
 
-val ascii_plot : ?width:int -> ?height:int -> float array -> string
-(** Down-sampled ASCII rendering used by the figure benches. *)
+val ascii_plot : ?height:int -> float array -> string
+(** Down-sampled ASCII rendering used by the figure benches: at most
+    110 columns, [height] rows (default 16). *)

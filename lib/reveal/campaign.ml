@@ -226,17 +226,15 @@ let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.
    honest timing and a fresh scope/fault realisation, as re-triggering
    the capture would.  The retry stream is carved from a separate
    generator, so retries never perturb the other traces' randomness. *)
-let run_attacks_resilient ?obs ?domains ?gate prof device ~traces ~scope_rng ~sampler_rng =
+let run_attacks_resilient ?obs ?domains prof device ~traces ~scope_rng ~sampler_rng =
   let source = Source.device_live device ~traces ~scope_rng ~sampler_rng in
-  run_source ?obs ?domains ~batch:(max 1 traces) ?gate prof source
+  run_source ?obs ?domains ~batch:(max 1 traces) prof source
 
 (* Re-attack a recorded campaign: records stream through in batches
-   ([batch] traces resident at a time), classification parallelised
-   over each batch with Mathkit.Parallel.  By default a record whose
-   frame fails its CRC is skipped and counted ([stats.corrupt_skipped])
-   and the replay continues at the next frame boundary; [~strict:true]
-   restores fail-fast.  Replay has no device to re-measure on, so
+   (one batch of traces resident at a time), classification
+   parallelised over each batch with Mathkit.Parallel.  By default a
+   record whose frame fails its CRC is skipped and counted
+   ([stats.corrupt_skipped]) and the replay continues at the next
+   frame boundary; [~strict:true] restores fail-fast.  Replay has no device to re-measure on, so
    Unknown-graded coefficients come back [Unrecoverable]. *)
-let attack_archive ?obs ?domains ?(batch = Constants.default_batch) ?gate ?(strict = false) prof path =
-  if batch <= 0 then invalid_arg "Campaign.attack_archive: batch must be positive";
-  run_source ?obs ?domains ~batch ?gate prof (Source.archive_replay ~strict ?obs path)
+let attack_archive ?obs ?strict prof path = run_source ?obs prof (Source.archive_replay ?strict ?obs path)

@@ -3,8 +3,8 @@
     This module is the composition root of the staged pipeline: the
     historical entry points ({!run_attacks_resilient},
     {!attack_archive}, …) are thin wrappers that pick a
-    {!Pipeline.source} and a gate and hand them to the one generic
-    driver, {!run_source}.  The stages themselves live in {!Profiling}
+    {!Pipeline.source} and hand it to the one generic driver,
+    {!run_source}, under the default gate.  The stages themselves live in {!Profiling}
     (template building), {!Profile_store} (cache v3), {!Grading}
     (gate + retry ladder) and {!Source} (live / archive replay);
     their types are re-exported here under their historical names.
@@ -26,16 +26,7 @@ type profile = Pipeline.profile = {
   value_fit_floor : float;  (** same, for the value templates: below it a window is at best SignOnly *)
 }
 
-val profile :
-  ?values:int array ->
-  ?per_value:int ->
-  ?domains:int ->
-  ?obs:Obs.Ctx.t ->
-  ?poi_count:int ->
-  ?sign_poi_count:int ->
-  Device.t ->
-  Mathkit.Prng.t ->
-  profile
+val profile : ?per_value:int -> ?domains:int -> ?obs:Obs.Ctx.t -> ?poi_count:int -> Device.t -> Mathkit.Prng.t -> profile
 (** {!Profiling.profile}: build templates on the attack device itself.
     @raise Invalid_argument when the device is too small to host every
     candidate value twice per run. *)
@@ -60,30 +51,20 @@ val load_profile : string -> profile
     their generator identically, so for equal seeds the offline
     profile is bit-identical to the live one. *)
 
-val record_profiling :
-  ?values:int array ->
-  ?per_value:int ->
-  ?seed:int64 ->
-  ?obs:Obs.Ctx.t ->
-  Device.t ->
-  Mathkit.Prng.t ->
-  path:string ->
-  unit
+val record_profiling : ?per_value:int -> ?seed:int64 -> Device.t -> Mathkit.Prng.t -> path:string -> unit
 (** {!Profiling.record_profiling}.
     @raise Invalid_argument under the same conditions as {!profile}. *)
 
-val profiling_windows_of_archive :
-  ?domains:int -> ?batch:int -> ?obs:Obs.Ctx.t -> string -> Sca.Segment.config * int * (int * float array array) list
+val profiling_windows_of_archive : string -> Sca.Segment.config * int * (int * float array array) list
 (** {!Profiling.profiling_windows_of_archive}.
     @raise Traceio.Error.Corrupt when the archive is damaged or is not
     a profiling archive. *)
 
-val profile_of_archive :
-  ?domains:int -> ?batch:int -> ?obs:Obs.Ctx.t -> ?poi_count:int -> ?sign_poi_count:int -> string -> profile
-(** {!profile}, but from a recorded profiling archive. *)
+val profile_of_archive : string -> profile
+(** {!Profiling.profile_of_archive}: {!profile}, but from a recorded
+    profiling archive. *)
 
 val profiling_windows :
-  ?values:int array ->
   ?per_value:int ->
   ?domains:int ->
   ?obs:Obs.Ctx.t ->
@@ -216,7 +197,6 @@ val run_source :
 val run_attacks_resilient :
   ?obs:Obs.Ctx.t ->
   ?domains:int ->
-  ?gate:gate ->
   profile ->
   Device.t ->
   traces:int ->
@@ -226,23 +206,16 @@ val run_attacks_resilient :
 (** Repeated single-trace attacks on a live device
     ({!Source.device_live} through {!run_source}); returns aggregate
     statistics and the flattened per-coefficient results (for hint
-    building).  Unknown-graded coefficients are re-measured on the
-    live device within the gate's retry budget.  Retries draw from a
-    separate per-trace generator stream, so they never perturb the
-    other traces' randomness. *)
+    building), graded under {!default_gate}.  Unknown-graded
+    coefficients are re-measured on the live device within the gate's
+    retry budget.  Retries draw from a separate per-trace generator
+    stream, so they never perturb the other traces' randomness. *)
 
-val attack_archive :
-  ?obs:Obs.Ctx.t ->
-  ?domains:int ->
-  ?batch:int ->
-  ?gate:gate ->
-  ?strict:bool ->
-  profile ->
-  string ->
-  stats * coefficient_result array
+val attack_archive : ?obs:Obs.Ctx.t -> ?strict:bool -> profile -> string -> stats * coefficient_result array
 (** Re-attack a recorded campaign (see {!Device.record}) offline:
-    {!Source.archive_replay} through {!run_source} — for the runs the
-    archive holds, the same aggregates and bit-identical results as
+    {!Source.archive_replay} through {!run_source} at its default
+    batch, domains and gate — for the runs the archive holds, the
+    same aggregates and bit-identical results as
     {!run_attacks_resilient} whenever the live campaign re-measured
     nothing, with memory bounded by one batch instead of the whole
     trace set.  A mid-stream record that fails its CRC is

@@ -62,7 +62,7 @@ let execute t ~scope_rng ~draws ~perm =
          still carries the intended values, which profiling forces into
          the matching CDF band *)
       let sigma = Mathkit.Gaussian.seal_default.Mathkit.Gaussian.sigma in
-      Riscv.Sampler_prog.stage_cdt_table mem t.layout (Riscv.Sampler_prog.cdt_thresholds ~sigma);
+      Riscv.Sampler_prog.stage_cdt_table mem (Riscv.Sampler_prog.cdt_thresholds ~sigma);
       let force_rng = Mathkit.Prng.split scope_rng in
       let entropy =
         Array.map (fun (v, _) -> Riscv.Sampler_prog.cdt_force_draw force_rng ~sigma ~value:v) draws
@@ -112,12 +112,10 @@ let run_shuffled t ~scope_rng ~sampler_rng ~perm =
   let draws, _ = Riscv.Sampler_prog.draws_of_gaussian sampler_rng Mathkit.Gaussian.seal_default ~count:t.n in
   execute t ~scope_rng ~draws ~perm:(Some perm)
 
-let profiling_draw t rng ~value =
-  ignore t;
-  (* honest timing: take the rejection count of a real clipped draw *)
-  let draws, _ = Riscv.Sampler_prog.draws_of_gaussian rng Mathkit.Gaussian.seal_default ~count:1 in
-  let _, rejections = draws.(0) in
-  (value, rejections)
+(* Honest timing: the rejection count of one real clipped draw.  The
+   device does not enter the draw. *)
+let profiling_draw _ rng ~value =
+  (value, snd (Mathkit.Gaussian.clipped_draw (Mathkit.Gaussian.polar ()) rng Mathkit.Gaussian.seal_default))
 
 (* --- recording ------------------------------------------------------------ *)
 

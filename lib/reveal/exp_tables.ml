@@ -40,14 +40,14 @@ let fig3_doc f =
     Buffer.add_string buf
       (Printf.sprintf "peaks (distribution calls) at sample ranges: %s\n"
          (String.concat ", " (Array.to_list (Array.map (fun (a, b) -> Printf.sprintf "[%d,%d)" a b) f.bursts))));
-    Buffer.add_string buf (Power.Ptrace.ascii_plot ~width:110 ~height:14 f.full_portion);
+    Buffer.add_string buf (Power.Ptrace.ascii_plot ~height:14 f.full_portion);
     Buffer.add_string buf "\nFig. 3 (b): branch sub-traces (control flow differs per case)\n";
     Buffer.add_string buf "--- noise = 0 ---\n";
-    Buffer.add_string buf (Power.Ptrace.ascii_plot ~width:110 ~height:8 f.sub_zero);
+    Buffer.add_string buf (Power.Ptrace.ascii_plot ~height:8 f.sub_zero);
     Buffer.add_string buf "--- noise > 0 ---\n";
-    Buffer.add_string buf (Power.Ptrace.ascii_plot ~width:110 ~height:8 f.sub_pos);
+    Buffer.add_string buf (Power.Ptrace.ascii_plot ~height:8 f.sub_pos);
     Buffer.add_string buf "--- noise < 0 ---\n";
-    Buffer.add_string buf (Power.Ptrace.ascii_plot ~width:110 ~height:8 f.sub_neg);
+    Buffer.add_string buf (Power.Ptrace.ascii_plot ~height:8 f.sub_neg);
     Buffer.contents buf
   in
   let json =
@@ -77,7 +77,7 @@ let table1_doc env =
   let text =
     let buf = Buffer.create 8192 in
     Buffer.add_string buf "Table I: attack success percentages per actual coefficient (columns sum to 100)\n";
-    Buffer.add_string buf (Sca.Confusion.render ~lo:(-7) ~hi:7 s.Campaign.confusion);
+    Buffer.add_string buf (Sca.Confusion.render s.Campaign.confusion);
     Buffer.add_string buf
       (Printf.sprintf "\nsign accuracy: %.2f%% (%d/%d)   value accuracy: %.2f%% (%d/%d)\n"
          (sign_accuracy_percent s) s.Campaign.sign_correct s.Campaign.sign_total (value_accuracy_percent s)

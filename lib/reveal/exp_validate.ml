@@ -174,7 +174,7 @@ let toylattice config =
             else Lattice.Embed.eliminate_perfect inst ~known:(List.init hints_given (fun j -> (j, e2.(j))))
           in
           let solved =
-            match Lattice.Embed.solve ~block_size:12 reduced with
+            match Lattice.Embed.solve reduced with
             | Some sol -> sol.Lattice.Embed.error = Array.sub e2 hints_given (toy_n - hints_given)
             | None -> false
           in
@@ -237,8 +237,7 @@ let tvla config =
       let fixed = tvla_windows device rng ~count ~draw:(fun rng -> Device.profiling_draw device rng ~value:5) in
       let random =
         tvla_windows device rng ~count ~draw:(fun rng ->
-            let draws, _ = Riscv.Sampler_prog.draws_of_gaussian rng Mathkit.Gaussian.seal_default ~count:1 in
-            draws.(0))
+            Mathkit.Gaussian.clipped_draw (Mathkit.Gaussian.polar ()) rng Mathkit.Gaussian.seal_default)
       in
       let len = min (Array.length fixed.(0)) (Array.length random.(0)) in
       let clip set = Array.map (fun w -> Array.sub w 0 len) set in

@@ -83,8 +83,8 @@ let finalize_bags values bags =
   in
   (window_length, classes)
 
-let profiling_windows ?(values = Constants.default_values) ?(per_value = Constants.default_per_value) ?domains
-    ?(obs = Obs.Ctx.disabled) device rng =
+let profiling_windows ?(per_value = Constants.default_per_value) ?domains ?(obs = Obs.Ctx.disabled) device rng =
+  let values = Constants.default_values in
   let copies, runs = profiling_shape ~values ~per_value device in
   let threshold = Obs.Ctx.span obs "profiling.calibrate" (fun () -> calibrate_threshold device rng) in
   let segment = segment_of_threshold threshold in
@@ -142,11 +142,13 @@ let profile_of_windows ~poi_count ~sign_poi_count (segment, window_length, class
   let value_fit_floor = fit_floor (Array.of_list !value_fits) in
   { Pipeline.attack; window_length; segment; values; sigma; sign_fit_floor; value_fit_floor }
 
-(* Shared by the live and archive paths: fit templates inside a
-   [profiling.build] span and export the calibrated floors as gauges. *)
-let build_profile ~obs ~poi_count ~sign_poi_count windows =
+(* Fit templates inside a [profiling.build] span and export the
+   calibrated floors as gauges. *)
+let profile ?per_value ?domains ?(obs = Obs.Ctx.disabled) ?(poi_count = Constants.default_poi_count) device rng =
+  let windows = profiling_windows ?per_value ?domains ~obs device rng in
   let prof =
-    Obs.Ctx.span obs "profiling.build" (fun () -> profile_of_windows ~poi_count ~sign_poi_count windows)
+    Obs.Ctx.span obs "profiling.build" (fun () ->
+        profile_of_windows ~poi_count ~sign_poi_count:Constants.default_sign_poi_count windows)
   in
   if Obs.Ctx.enabled obs then begin
     Obs.Metrics.set (Obs.Ctx.gauge obs "profiling.sign_fit_floor") prof.Pipeline.sign_fit_floor;
@@ -154,16 +156,12 @@ let build_profile ~obs ~poi_count ~sign_poi_count windows =
   end;
   prof
 
-let profile ?values ?per_value ?domains ?(obs = Obs.Ctx.disabled) ?(poi_count = Constants.default_poi_count)
-    ?(sign_poi_count = Constants.default_sign_poi_count) device rng =
-  build_profile ~obs ~poi_count ~sign_poi_count (profiling_windows ?values ?per_value ?domains ~obs device rng)
-
 (* --- profiling campaigns on disk ----------------------------------------- *)
 
-let record_profiling ?(values = Constants.default_values) ?(per_value = Constants.default_per_value) ?(seed = 0L)
-    ?(obs = Obs.Ctx.disabled) device rng ~path =
+let record_profiling ?(per_value = Constants.default_per_value) ?(seed = 0L) device rng ~path =
+  let values = Constants.default_values in
   let copies, runs = profiling_shape ~values ~per_value device in
-  let threshold = Obs.Ctx.span obs "profiling.calibrate" (fun () -> calibrate_threshold device rng) in
+  let threshold = calibrate_threshold device rng in
   let seeds = Array.init runs (fun _ -> Mathkit.Prng.bits64 rng) in
   let meta =
     [
@@ -173,12 +171,10 @@ let record_profiling ?(values = Constants.default_values) ?(per_value = Constant
       (Constants.meta_per_value_key, string_of_int per_value);
     ]
   in
-  let writer = Device.open_recorder ~obs ~meta device ~path ~seed in
+  let writer = Device.open_recorder ~meta device ~path ~seed in
   Fun.protect
     ~finally:(fun () -> Traceio.Archive.close_writer writer)
-    (fun () ->
-      Obs.Ctx.span obs "profiling.record" (fun () ->
-          Array.iter (fun seed -> Device.record_run writer (profiling_run device ~values ~copies seed)) seeds))
+    (fun () -> Array.iter (fun seed -> Device.record_run writer (profiling_run device ~values ~copies seed)) seeds)
 
 let profiling_meta_of_header ~path (h : Traceio.Archive.header) =
   let require key =
@@ -209,21 +205,19 @@ let profiling_meta_of_header ~path (h : Traceio.Archive.header) =
 
 (* Stream the labelled profiling windows out of an archive: one batch
    of records resident at a time, segmentation parallelised over the
-   batch.  Memory is bounded by [batch] traces plus the (much smaller)
-   accumulated windows, never the whole trace set. *)
-let profiling_windows_of_archive ?domains ?(batch = Constants.default_batch) ?(obs = Obs.Ctx.disabled) path =
-  if batch <= 0 then invalid_arg "Campaign.profiling_windows_of_archive: batch must be positive";
-  Obs.Ctx.span obs "profiling.stream" @@ fun () ->
-  Traceio.Archive.with_reader ~obs path (fun reader ->
+   batch.  Memory is bounded by a batch of traces plus the (much
+   smaller) accumulated windows, never the whole trace set. *)
+let profiling_windows_of_archive path =
+  Traceio.Archive.with_reader path (fun reader ->
       let h = Traceio.Archive.header reader in
       let threshold, values = profiling_meta_of_header ~path h in
       let segment = segment_of_threshold threshold in
       let bags = make_bags values in
       let rec loop () =
-        let records = Traceio.Archive.next_batch reader ~max:batch in
+        let records = Traceio.Archive.next_batch reader ~max:Constants.default_batch in
         if Array.length records > 0 then begin
           let labelled =
-            Mathkit.Parallel.map_array ?domains
+            Mathkit.Parallel.map_array
               (fun (r : Traceio.Archive.record) ->
                 labelled_windows segment ~samples:r.Traceio.Archive.trace.Power.Ptrace.samples
                   ~noises:r.Traceio.Archive.noises)
@@ -237,6 +231,6 @@ let profiling_windows_of_archive ?domains ?(batch = Constants.default_batch) ?(o
       let window_length, classes = finalize_bags values bags in
       (segment, window_length, classes))
 
-let profile_of_archive ?domains ?batch ?(obs = Obs.Ctx.disabled) ?(poi_count = Constants.default_poi_count)
-    ?(sign_poi_count = Constants.default_sign_poi_count) path =
-  build_profile ~obs ~poi_count ~sign_poi_count (profiling_windows_of_archive ?domains ?batch ~obs path)
+let profile_of_archive path =
+  profile_of_windows ~poi_count:Constants.default_poi_count ~sign_poi_count:Constants.default_sign_poi_count
+    (profiling_windows_of_archive path)

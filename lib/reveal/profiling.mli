@@ -11,18 +11,13 @@
     one. *)
 
 val profile :
-  ?values:int array ->
-  ?per_value:int ->
-  ?domains:int ->
-  ?obs:Obs.Ctx.t ->
-  ?poi_count:int ->
-  ?sign_poi_count:int ->
-  Device.t ->
-  Mathkit.Prng.t ->
-  Pipeline.profile
+  ?per_value:int -> ?domains:int -> ?obs:Obs.Ctx.t -> ?poi_count:int -> Device.t -> Mathkit.Prng.t -> Pipeline.profile
 (** Build templates on the attack device itself: each profiling run
-    forces every candidate value into several uniformly shuffled
-    positions of an honest-length sampling.  [per_value] defaults to
+    forces every candidate value ({!Constants.default_values}) into
+    several uniformly shuffled positions of an honest-length sampling.
+    The value templates read [poi_count] POIs (default
+    {!Constants.default_poi_count}), the sign template
+    {!Constants.default_sign_poi_count}.  [per_value] defaults to
     {!Constants.default_per_value} windows per candidate value; runs
     are distributed over [domains] worker domains (results are
     independent of the domain count — every run carries its own seed).
@@ -34,7 +29,6 @@ val profile :
     candidate value twice per run. *)
 
 val profiling_windows :
-  ?values:int array ->
   ?per_value:int ->
   ?domains:int ->
   ?obs:Obs.Ctx.t ->
@@ -50,37 +44,24 @@ val profile_of_windows :
   poi_count:int -> sign_poi_count:int -> Sca.Segment.config * int * (int * float array array) list -> Pipeline.profile
 (** Fit templates and fit floors on already-collected windows. *)
 
-val record_profiling :
-  ?values:int array ->
-  ?per_value:int ->
-  ?seed:int64 ->
-  ?obs:Obs.Ctx.t ->
-  Device.t ->
-  Mathkit.Prng.t ->
-  path:string ->
-  unit
+val record_profiling : ?per_value:int -> ?seed:int64 -> Device.t -> Mathkit.Prng.t -> path:string -> unit
 (** Capture the profiling campaign of {!profile} into an archive, one
     run resident at a time; the segmentation calibration travels in
     the archive metadata.  [seed] is stamped into the header for
-    provenance.  With an enabled [obs] context the capture runs inside
-    [profiling.calibrate] / [profiling.record] spans and the writer
-    counts records and bytes.
+    provenance.
     @raise Invalid_argument under the same conditions as {!profile}. *)
 
-val profiling_windows_of_archive :
-  ?domains:int -> ?batch:int -> ?obs:Obs.Ctx.t -> string -> Sca.Segment.config * int * (int * float array array) list
+val profiling_windows_of_archive : string -> Sca.Segment.config * int * (int * float array array) list
 (** Stream the labelled windows back out of a profiling archive:
-    records are ingested in batches of [batch] (default
-    {!Constants.default_batch}) traces — the peak resident set — and
-    segmented in parallel over [domains] worker domains.  With an
-    enabled [obs] context the stream runs inside a [profiling.stream]
-    span and the reader counts records, bytes and CRC skips.
+    records are ingested in batches of {!Constants.default_batch}
+    traces — the peak resident set — and segmented in parallel over
+    the default worker domains.
     @raise Traceio.Error.Corrupt when the archive is damaged or is not
     a profiling archive. *)
 
-val profile_of_archive :
-  ?domains:int -> ?batch:int -> ?obs:Obs.Ctx.t -> ?poi_count:int -> ?sign_poi_count:int -> string -> Pipeline.profile
-(** {!profile}, but from a recorded profiling archive. *)
+val profile_of_archive : string -> Pipeline.profile
+(** {!profile} at the default POI counts, but from a recorded
+    profiling archive. *)
 
 (**/**)
 

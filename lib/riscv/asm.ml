@@ -35,7 +35,7 @@ let li_insts rd v =
 let li rd v = Fixed (li_insts rd v)
 
 let la rd target =
-  (* Absolute addressing: program origins are concrete in this SoC, so
+  (* Absolute addressing: programs load at address 0 in this SoC, so
      lui+addi with the label's absolute address (matching `la` with a
      non-PIC linker).  Size must not depend on the address, so always
      two instructions. *)
@@ -56,7 +56,7 @@ let nop = ins (Inst.Addi (Inst.x0, Inst.x0, 0))
 let ret = ins (Inst.Jalr (Inst.x0, Inst.ra, 0))
 let halt = ins Inst.Ebreak
 
-type program = { words : int32 array; labels : (string * int) list; listing : string list; origin : int }
+type program = { words : int32 array; labels : (string * int) list; listing : string list }
 
 type error =
   | Duplicate_label of string
@@ -81,10 +81,10 @@ let item_size = function
   | Fixed is -> List.length is
   | Ref { size; _ } -> size
 
-let assemble ?(origin = 0) items =
+let assemble items =
   (* Pass 1: label addresses. *)
   let labels = Hashtbl.create 16 in
-  let addr = ref origin in
+  let addr = ref 0 in
   List.iter
     (fun item ->
       (match item with
@@ -100,7 +100,7 @@ let assemble ?(origin = 0) items =
     | None -> raise (Error (Undefined_label name))
   in
   (* Pass 2: emit. *)
-  let words = ref [] and listing = ref [] and addr = ref origin in
+  let words = ref [] and listing = ref [] and addr = ref 0 in
   let emit_inst i =
     listing := Printf.sprintf "%08x:  %s" !addr (Inst.to_string i) :: !listing;
     words := Codec.encode i :: !words;
@@ -128,7 +128,6 @@ let assemble ?(origin = 0) items =
     words = Array.of_list (List.rev !words);
     labels = Hashtbl.fold (fun k v acc -> (k, v) :: acc) labels [] |> List.sort compare;
     listing = List.rev !listing;
-    origin;
   }
 
 let label_address p name = List.assoc name p.labels

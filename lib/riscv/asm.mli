@@ -40,10 +40,9 @@ val ret : item
 val halt : item  (** ebreak *)
 
 type program = {
-  words : int32 array;  (** encoded instructions *)
+  words : int32 array;  (** encoded instructions; [words.(0)] sits at byte address 0 *)
   labels : (string * int) list;  (** label -> byte address *)
   listing : string list;  (** disassembly with addresses *)
-  origin : int;  (** byte address of [words.(0)] *)
 }
 
 type error =
@@ -55,7 +54,7 @@ type error =
 
 exception Error of error
 
-val assemble : ?origin:int -> item list -> program
+val assemble : item list -> program
 (** @raise Error on duplicate or undefined labels and on
     label-relative offsets that do not fit their encoding.
     @raise Invalid_argument on out-of-range numeric immediates in

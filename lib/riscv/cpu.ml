@@ -43,7 +43,6 @@ let create ?(tracer = fun _ -> ()) ?(cycle_model = cycles_of_class) mem =
   }
 
 let pc cpu = cpu.pc
-let set_pc cpu v = cpu.pc <- u32 v
 let cycle cpu = cpu.cycle
 let retired cpu = cpu.retired
 let halted cpu = cpu.halted

@@ -15,7 +15,6 @@ val create : ?tracer:(Trace.event -> unit) -> ?cycle_model:(Inst.klass -> int) -
     robustness ablation. *)
 
 val pc : t -> int
-val set_pc : t -> int -> unit
 val cycle : t -> int
 val retired : t -> int
 val halted : t -> bool

@@ -231,7 +231,7 @@ let cdt_dist_subroutine =
     ret;
   ]
 
-let build ?(variant = Vulnerable) ?origin ~n ~k () =
+let build ?(variant = Vulnerable) ~n ~k () =
   let layout = default_layout in
   if n <= 0 || k <= 0 then invalid_arg "Sampler_prog.build: n and k must be positive";
   let body, dist =
@@ -248,7 +248,7 @@ let build ?(variant = Vulnerable) ?origin ~n ~k () =
   in
   (* The dist subroutine sits after the main code; execution falls into
      it only via call. *)
-  Asm.assemble ?origin (body @ dist)
+  Asm.assemble (body @ dist)
 
 let install_noise_port mem ~draws =
   let noise_cursor = ref 0 and rejection_cursor = ref 0 in
@@ -315,8 +315,7 @@ let install_cdt_port mem ~draws =
       end
       else invalid_arg (Printf.sprintf "Sampler_prog: unmapped MMIO read at 0x%x" addr))
 
-let stage_cdt_table mem layout thresholds =
-  ignore layout;
+let stage_cdt_table mem thresholds =
   if Array.length thresholds <> cdt_entries then
     invalid_arg (Printf.sprintf "Sampler_prog.stage_cdt_table: need exactly %d thresholds" cdt_entries);
   Array.iteri

@@ -46,9 +46,9 @@ type layout = {
 
 val default_layout : layout
 
-val build : ?variant:variant -> ?origin:int -> n:int -> k:int -> unit -> Asm.program
+val build : ?variant:variant -> n:int -> k:int -> unit -> Asm.program
 (** Assemble the sampler for [n] coefficients and [k] RNS primes, at
-    byte address [origin] (default 0).  Labels of interest:
+    byte address 0.  Labels of interest:
     ["outer_loop"], ["dist"], ["pos_branch"], ["neg_branch"],
     ["zero_branch"], ["next_i"], ["finish"]. *)
 
@@ -72,8 +72,9 @@ val cdt_entries : int
 val cdt_base : int
 (** RAM address of the staged threshold table. *)
 
-val stage_cdt_table : Memory.t -> layout -> int array -> unit
-(** Write the scaled (31-bit) cumulative thresholds.
+val stage_cdt_table : Memory.t -> int array -> unit
+(** Write the scaled (31-bit) cumulative thresholds at {!cdt_base},
+    where the CDT firmware reads them whatever the layout.
     @raise Invalid_argument unless exactly {!cdt_entries} values. *)
 
 val cdt_thresholds : sigma:float -> int array

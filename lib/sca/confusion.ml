@@ -32,10 +32,8 @@ let column_percent t ~actual ~predicted =
   let col = column_total t a in
   if col = 0 then 0.0 else 100.0 *. float_of_int (count t ~actual ~predicted) /. float_of_int col
 
-let render ?lo ?hi t =
-  let lo = match lo with Some v -> v | None -> Array.fold_left min max_int t.labels in
-  let hi = match hi with Some v -> v | None -> Array.fold_left max min_int t.labels in
-  let shown = Array.to_list t.labels |> List.filter (fun l -> l >= lo && l <= hi) |> Array.of_list in
+let render t =
+  let shown = Array.to_list t.labels |> List.filter (fun l -> l >= -7 && l <= 7) |> Array.of_list in
   Array.sort compare shown;
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "      ";

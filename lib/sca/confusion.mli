@@ -14,6 +14,6 @@ val column_percent : t -> actual:int -> predicted:int -> float
 (** Percentage of [actual]'s occurrences predicted as [predicted] —
     the paper's Table I normalisation (columns sum to 100). *)
 
-val render : ?lo:int -> ?hi:int -> t -> string
+val render : t -> string
 (** Table I: rows = predicted, columns = actual, column percentages,
-    clipped to labels in [lo..hi] (defaults: full label range). *)
+    clipped to the labels in [-7..7], the paper's range. *)

@@ -54,30 +54,14 @@ let telemetry_finish s =
 type telemetry_receiver = {
   tr_peer : string;
   tr_ic : in_channel;
-  tr_strict : bool;
   mutable tr_next_index : int;
   mutable tr_skipped : int;
   mutable tr_finished : bool;
 }
 
-let open_telemetry_receiver ?(strict = false) ~peer ic =
+let open_telemetry_receiver ~peer ic =
   Frame.read_preamble ~path:peer ic ~what:"reveal wire stream" ~magic ~version;
-  {
-    tr_peer = peer;
-    tr_ic = ic;
-    tr_strict = strict;
-    tr_next_index = 0;
-    tr_skipped = 0;
-    tr_finished = false;
-  }
-
-let telemetry_skip_or_raise r msg =
-  if r.tr_strict then Error.corruptf "%s: %s" r.tr_peer msg
-  else begin
-    r.tr_next_index <- r.tr_next_index + 1;
-    r.tr_skipped <- r.tr_skipped + 1;
-    `Skipped msg
-  end
+  { tr_peer = peer; tr_ic = ic; tr_next_index = 0; tr_skipped = 0; tr_finished = false }
 
 let telemetry_recv r =
   if r.tr_finished then `End_of_stream
@@ -86,7 +70,10 @@ let telemetry_recv r =
     | `End ->
         Error.corruptf "%s: connection closed mid-stream after %d telemetry slots (no end frame)"
           r.tr_peer r.tr_next_index
-    | `Bad_crc msg -> telemetry_skip_or_raise r msg
+    | `Bad_crc msg ->
+        r.tr_next_index <- r.tr_next_index + 1;
+        r.tr_skipped <- r.tr_skipped + 1;
+        `Skipped msg
     | `Payload payload -> (
         match untag ~peer:r.tr_peer payload with
         | t, body when t = tag_telemetry ->

@@ -44,18 +44,18 @@ val telemetry_finish : telemetry_sender -> unit
 
 type telemetry_receiver
 
-val open_telemetry_receiver : ?strict:bool -> peer:string -> in_channel -> telemetry_receiver
-(** Reads and validates the preamble.  Tolerant by default;
-    [~strict:true] turns every skippable frame into {!Error.Corrupt}.
-    The channel stays the caller's to close.
+val open_telemetry_receiver : peer:string -> in_channel -> telemetry_receiver
+(** Reads and validates the preamble.  Tolerant: a frame that fails
+    its CRC is skipped and counted.  The channel stays the caller's to
+    close.
     @raise Error.Corrupt on a bad preamble or version. *)
 
 val telemetry_recv : telemetry_receiver -> [ `Line of string | `Skipped of string | `End_of_stream ]
 (** Pull the next telemetry slot.  [`End_of_stream] at (and after) the
     end frame, whose count must equal the slots streamed.
     @raise Error.Corrupt when the connection ends without an end
-    frame, on structural damage, on a frame tagged other than 'T' or
-    'E', or (strict mode) on any skippable frame. *)
+    frame, on structural damage, or on a frame tagged other than 'T'
+    or 'E'. *)
 
 val telemetry_skipped : telemetry_receiver -> int
-(** Slots lost to CRC damage so far (tolerant mode). *)
+(** Slots lost to CRC damage so far. *)

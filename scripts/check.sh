@@ -39,7 +39,7 @@ echo "== smoke: srclint — the pipeline's own source stays deterministic =="
 # clean (every surviving suppression carries a written reason), and the
 # planted fixtures must reproduce their goldens byte-for-byte, text and
 # JSON
-dune exec bin/reveal_cli.exe -- srclint lib bin bench tools campaign_bench > "$tmp/srclint.out"
+dune exec bin/reveal_cli.exe -- srclint lib bin bench tools campaign_bench examples > "$tmp/srclint.out"
 grep -q "verdict: CLEAN" "$tmp/srclint.out"
 (cd test && ../_build/default/bin/reveal_cli.exe srclint fixtures/srclint --check | cmp - golden/srclint.txt)
 (cd test && ../_build/default/bin/reveal_cli.exe srclint fixtures/srclint --check --json | cmp - golden/srclint.json)

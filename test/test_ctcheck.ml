@@ -15,7 +15,7 @@ let a1 = I.a 1
 let s4 = I.s 4
 
 let ins = A.ins
-let asm ?(origin = 0) items = A.assemble ~origin items
+let asm = A.assemble
 
 let inst_addrs g =
   List.concat_map (fun (b : Cfg.block) -> Array.to_list (Array.map fst b.Cfg.insts)) (Cfg.blocks g)
@@ -25,7 +25,7 @@ let kind_pp = Fmt.of_to_string Finding.kind_name
 let kind_testable = Alcotest.testable kind_pp ( = )
 let finding_key = Alcotest.(list (pair kind_testable int))
 
-let static_findings p = Lint.analyze_program ~config:(Lint.sampler_config ()) p
+let static_findings p = Lint.analyze_program p
 
 (* --- CFG recovery ------------------------------------------------------ *)
 
@@ -191,30 +191,14 @@ let taint_staged_tables_public () =
   in
   Alcotest.(check finding_key) "clean" [] (List.map kind_addr (static_findings p))
 
-let taint_gated_div () =
-  let items = noise_base @ [ ins (I.Lw (a0, s4, 0)); ins (I.Div (t1, a0, a0)); A.halt ] in
-  let p = asm items in
-  let gated fs = List.exists (fun f -> f.Finding.kind = Finding.Secret_count && f.Finding.inst = I.Div (t1, a0, a0)) fs in
-  Alcotest.(check bool) "div not flagged by default" false (gated (static_findings p));
-  let config = Lint.sampler_config ~gated_classes:[ I.K_div ] () in
-  Alcotest.(check bool) "div flagged when the class is operand-gated" true
-    (gated (Lint.analyze_program ~config p));
-  List.iter
-    (fun v ->
-      let fs = Lint.analyze_program ~config (SP.build ~variant:v ~n:1 ~k:1 ()) in
-      Alcotest.(check bool) "sampler div operands stay public" false
-        (List.exists (fun f -> f.Finding.detail = "operand-gated latency with secret operand") fs))
-    [ SP.Vulnerable; SP.Branchless; SP.Shuffled; SP.Cdt_table ]
-
 (* --- Differential oracle ------------------------------------------------ *)
 
 let run_crafted p ~secret =
   let mem = Riscv.Memory.create SP.default_layout.SP.ram_size in
-  Riscv.Memory.load_program mem p.A.origin p.A.words;
+  Riscv.Memory.load_program mem 0 p.A.words;
   SP.install_noise_port mem ~draws:[| (secret, 2) |];
   let r = Riscv.Trace.recorder () in
   let cpu = Riscv.Cpu.create ~tracer:(Riscv.Trace.record r) mem in
-  Riscv.Cpu.set_pc cpu p.A.origin;
   ignore (Riscv.Cpu.run ~max_steps:10_000 cpu);
   Riscv.Trace.events r
 
@@ -277,40 +261,19 @@ let verdict_cases =
       ("cdt", SP.Cdt_table, [ u; u; u; u; b; c ], 2);
     ]
 
-let verdict_confirmed_when_relocated () =
-  let r = Lint.analyze_variant ~n:1 ~k:1 ~origin:0x1000 SP.Vulnerable in
-  Alcotest.(check (list string)) "no drift at origin 0x1000" [] (Lint.check r);
-  List.iter
-    (fun f -> Alcotest.(check bool) "confirmed" true (Finding.is_confirmed f))
-    r.Lint.findings
-
 (* --- Invariance properties ---------------------------------------------- *)
 
 let variants = [| SP.Vulnerable; SP.Branchless; SP.Shuffled; SP.Cdt_table |]
 
-let normalized p variant =
-  let base = Lint.analyze_program ~config:(Lint.sampler_config ()) p in
-  ignore variant;
-  List.map (fun f -> (f.Finding.kind, f.Finding.addr - p.A.origin)) base
-
 let qcheck_cases =
   let open QCheck in
   [
-    Test.make ~name:"lint verdict invariant under relocation" ~count:16
-      (pair (int_bound 0xBFF) (int_bound 3))
-      (fun (k, vi) ->
-        let variant = variants.(vi) in
-        let origin = 4 * k in
-        let p0 = SP.build ~variant ~n:1 ~k:1 () in
-        let p1 = SP.build ~variant ~origin ~n:1 ~k:1 () in
-        normalized p0 variant = normalized p1 variant);
     Test.make ~name:"lint verdict invariant under codec round trip" ~count:8 (int_bound 3)
       (fun vi ->
-        let variant = variants.(vi) in
-        let p = SP.build ~variant ~n:1 ~k:1 () in
+        let p = SP.build ~variant:variants.(vi) ~n:1 ~k:1 () in
         let insts = Array.to_list (Array.map Riscv.Codec.decode p.A.words) in
-        let p' = A.assemble ~origin:p.A.origin (List.map A.ins insts) in
-        normalized p variant = normalized p' variant);
+        let p' = A.assemble (List.map A.ins insts) in
+        List.map kind_addr (static_findings p) = List.map kind_addr (static_findings p'));
   ]
 
 let suite =
@@ -326,10 +289,8 @@ let suite =
     Alcotest.test_case "taint: secret-indexed address" `Quick taint_secret_mem_addr;
     Alcotest.test_case "taint: laundering through memory" `Quick taint_laundering_through_memory;
     Alcotest.test_case "taint: staged tables are public" `Quick taint_staged_tables_public;
-    Alcotest.test_case "taint: operand-gated latency classes" `Quick taint_gated_div;
     Alcotest.test_case "oracle: confirms a real secret branch" `Quick oracle_confirms_real_branch;
     Alcotest.test_case "oracle: refutes a masked branch" `Quick oracle_refutes_masked_branch;
-    Alcotest.test_case "verdict table survives relocation" `Slow verdict_confirmed_when_relocated;
   ]
   @ verdict_cases
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases

@@ -409,9 +409,6 @@ let test_transport_connect_retry () =
   (match Fabric.Transport.connect ~retries:(-1) ep with
   | _ -> Alcotest.fail "negative retries must be rejected"
   | exception Invalid_argument _ -> ());
-  (match Fabric.Transport.connect ~retries:1 ~backoff_s:0.0 ep with
-  | _ -> Alcotest.fail "non-positive backoff must be rejected"
-  | exception Invalid_argument _ -> ());
   (* a listener that shows up late: the bounded backoff rides out the
      serve/connect race that used to need sleeps in scripts *)
   let listener =
@@ -422,7 +419,7 @@ let test_transport_connect_retry () =
         Fabric.Transport.close_connection c;
         Fabric.Transport.close_listener l)
   in
-  let conn = Fabric.Transport.connect ~retries:10 ~backoff_s:0.05 ep in
+  let conn = Fabric.Transport.connect ~retries:10 ep in
   Alcotest.(check bool) "peer label carries the endpoint" true (contains conn.Fabric.Transport.peer path);
   Fabric.Transport.close_connection conn;
   Domain.join listener
@@ -457,14 +454,14 @@ let telemetry_image lines =
       close_out oc;
       read_file path)
 
-let receive_telemetry ?strict image =
+let receive_telemetry image =
   with_temp_file (fun path ->
       write_file path image;
       let ic = open_in_bin path in
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
-          let r = Traceio.Wire.open_telemetry_receiver ?strict ~peer:"test" ic in
+          let r = Traceio.Wire.open_telemetry_receiver ~peer:"test" ic in
           let rec loop acc skips =
             match Traceio.Wire.telemetry_recv r with
             | `Line l -> loop (l :: acc) skips
@@ -473,13 +470,13 @@ let receive_telemetry ?strict image =
           in
           loop [] 0))
 
-let drain_telemetry ?strict ?on_heartbeat image =
+let drain_telemetry ?on_heartbeat image =
   with_temp_file (fun path ->
       write_file path image;
       let ic = open_in_bin path in
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Fabric.Telemetry.drain ?strict ?on_heartbeat ~peer:"peer" ic))
+        (fun () -> Fabric.Telemetry.drain ?on_heartbeat ~peer:"peer" ic))
 
 let test_telemetry_roundtrip () =
   let lines = telemetry_lines [ (32, 128); (64, 128) ] in
@@ -526,7 +523,6 @@ let test_telemetry_corruption_discipline () =
   let received, skips = receive_telemetry mutated in
   Alcotest.(check int) "damaged slot skipped" 1 skips;
   Alcotest.(check (list string)) "survivors arrive verbatim" (List.tl lines) received;
-  Alcotest.(check bool) "strict mode raises instead" true (rejected (fun () -> receive_telemetry ~strict:true mutated));
   (* cutting the end frame off must be loud, not a clean end *)
   let cut = String.sub image 0 (String.length image - 13) in
   (match receive_telemetry cut with
@@ -580,8 +576,7 @@ let test_telemetry_drain () =
   let r = drain_telemetry cut in
   Alcotest.(check bool) "truncation recorded, not raised" true
     (match r.Fabric.Telemetry.r_truncated with Some m -> contains m "closed mid-stream" | None -> false);
-  Alcotest.(check int) "partial progress retained" 64 r.Fabric.Telemetry.r_done;
-  Alcotest.(check bool) "strict drain raises instead" true (rejected (fun () -> drain_telemetry ~strict:true cut))
+  Alcotest.(check int) "partial progress retained" 64 r.Fabric.Telemetry.r_done
 
 let test_telemetry_merge_reports () =
   Alcotest.(check bool) "empty fleet merges to nothing" true (Fabric.Telemetry.merge_reports [] = None);

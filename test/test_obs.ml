@@ -227,21 +227,20 @@ let test_sink_stream () =
   let sink, drops = Obs.Sink.stream ~send:(fun _ -> raise Exit) ~close:(fun () -> ()) () in
   List.iter (fun i -> Obs.Sink.emit sink (Obs.Json.Int i)) [ 1; 2; 3; 4; 5 ];
   Obs.Sink.close sink;
-  Alcotest.(check int) "every rejected line is counted" 5 (drops ());
-  Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Obs.Sink.stream: capacity must be positive") (fun () ->
-      ignore (Obs.Sink.stream ~capacity:0 ~send:ignore ~close:(fun () -> ()) ()))
+  Alcotest.(check int) "every rejected line is counted" 5 (drops ())
 
 let test_sink_ring () =
-  let sink, ring = Obs.Sink.ring ~capacity:3 () in
-  for i = 1 to 5 do
+  (* the ring holds 256 events: 258 wrap it by two *)
+  let sink, ring = Obs.Sink.ring () in
+  for i = 1 to 258 do
     Obs.Sink.emit sink (Obs.Json.Int i)
   done;
   Obs.Sink.close sink;
   (* close is a no-op: the ring outlives the sink for the crash dump *)
-  Alcotest.(check int) "total counts every event ever recorded" 5 (Obs.Sink.ring_total ring);
+  Alcotest.(check int) "total counts every event ever recorded" 258 (Obs.Sink.ring_total ring);
+  let retained = List.init 256 (fun i -> i + 3) in
   Alcotest.(check bool) "contents are the last capacity events, oldest first" true
-    (Obs.Sink.ring_contents ring = [ Obs.Json.Int 3; Obs.Json.Int 4; Obs.Json.Int 5 ]);
+    (Obs.Sink.ring_contents ring = List.map (fun i -> Obs.Json.Int i) retained);
   let path = Filename.temp_file "obs_ring" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -250,11 +249,9 @@ let test_sink_ring () =
       match String.split_on_char '\n' (String.trim (read_file path)) with
       | header :: rest ->
           Alcotest.(check string) "dump header declares capacity and wraparound"
-            "{\"v\":1,\"ev\":\"flight\",\"capacity\":3,\"total\":5}" header;
-          Alcotest.(check (list string)) "dump body is the retained events" [ "3"; "4"; "5" ] rest
-      | [] -> Alcotest.fail "empty dump");
-  Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Obs.Sink.ring: capacity must be positive") (fun () -> ignore (Obs.Sink.ring ~capacity:0 ()))
+            "{\"v\":1,\"ev\":\"flight\",\"capacity\":256,\"total\":258}" header;
+          Alcotest.(check (list string)) "dump body is the retained events" (List.map string_of_int retained) rest
+      | [] -> Alcotest.fail "empty dump")
 
 (* --- disabled path is a no-op ---------------------------------------------- *)
 

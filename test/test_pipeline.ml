@@ -75,6 +75,24 @@ let test_device_variant_traces_differ () =
   Alcotest.(check bool) "different traces" true
     (r32.Reveal.Device.trace.Power.Ptrace.samples <> r36.Reveal.Device.trace.Power.Ptrace.samples)
 
+(* Profiling, record/replay identity and retry re-measurement all
+   replay profiling_draw's stream: it must be exactly one clipped draw
+   from a fresh polar generator, keeping only its rejection count. *)
+let test_profiling_draw_is_one_clipped_draw () =
+  let device = Reveal.Device.create ~n:4 () in
+  for seed = 1 to 8 do
+    let g = Mathkit.Prng.create ~seed:(Int64.of_int seed) () in
+    for v = -14 to 14 do
+      let reference = Mathkit.Prng.copy g in
+      let _, rejections =
+        Mathkit.Gaussian.clipped_draw (Mathkit.Gaussian.polar ()) reference Mathkit.Gaussian.seal_default
+      in
+      Alcotest.(check (pair int int)) "forced value, honest rejection count" (v, rejections)
+        (Reveal.Device.profiling_draw device g ~value:v);
+      Alcotest.(check int64) "same stream consumed" (Mathkit.Prng.bits64 reference) (Mathkit.Prng.bits64 g)
+    done
+  done
+
 (* --- Campaign ------------------------------------------------------------- *)
 
 let test_campaign_sign_recovery_perfect () =
@@ -293,6 +311,7 @@ let suite =
       ("device draw queue checked", test_device_draw_queue_length_checked);
       ("device shuffled placement", test_device_shuffled_places_values);
       ("device variants: same output, different trace", test_device_variant_traces_differ);
+      ("device profiling draw = one clipped draw", test_profiling_draw_is_one_clipped_draw);
       ("campaign 100% sign recovery", test_campaign_sign_recovery_perfect);
       ("campaign zero class exact", test_campaign_zero_class_exact);
       ("campaign negatives beat positives", test_campaign_negatives_beat_positives);

@@ -161,7 +161,7 @@ let test_ptrace_save_csv_reports_path () =
 
 let test_ascii_plot_shape () =
   let samples = Array.init 500 (fun i -> sin (float_of_int i /. 20.0)) in
-  let plot = Power.Ptrace.ascii_plot ~width:60 ~height:10 samples in
+  let plot = Power.Ptrace.ascii_plot ~height:10 samples in
   let lines = String.split_on_char '\n' plot |> List.filter (fun l -> l <> "") in
   Alcotest.(check int) "height + axis + caption" 12 (List.length lines);
   Alcotest.(check bool) "has marks" true (String.contains plot '*')

@@ -660,7 +660,7 @@ let test_cdt_firmware_semantics () =
   Memory.load_program mem 0 prog.Asm.words;
   Sampler_prog.stage_moduli mem layout [| 132120577 |];
   let thresholds = Sampler_prog.cdt_thresholds ~sigma:3.19 in
-  Sampler_prog.stage_cdt_table mem layout thresholds;
+  Sampler_prog.stage_cdt_table mem thresholds;
   (* entropy: u below every threshold -> magnitude 0; u above the 2nd
      threshold but not the 3rd -> magnitude 2 *)
   let u_for m = if m = 0 then 0 else thresholds.(m - 1) + 1 in
@@ -680,7 +680,7 @@ let test_cdt_constant_scan_length () =
     let mem = Memory.create layout.Sampler_prog.ram_size in
     Memory.load_program mem 0 prog.Asm.words;
     Sampler_prog.stage_moduli mem layout [| 132120577 |];
-    Sampler_prog.stage_cdt_table mem layout (Sampler_prog.cdt_thresholds ~sigma:3.19);
+    Sampler_prog.stage_cdt_table mem (Sampler_prog.cdt_thresholds ~sigma:3.19);
     let g = Mathkit.Prng.create ~seed:5L () in
     Sampler_prog.install_cdt_port mem ~draws:[| Sampler_prog.cdt_force_draw g ~sigma:3.19 ~value:v |];
     let recorder = Trace.recorder () in

@@ -314,14 +314,13 @@ let test_archive_special_floats_roundtrip () =
 
 (* --- profile cache -------------------------------------------------------- *)
 
-(* A tiny but real profile: restricted candidate values keep the
-   device small enough for unit-test time. *)
-let tiny_values = [| -2; -1; 0; 1; 2 |]
-
+(* A tiny but real profile: n = 64 is the smallest power of two that
+   hosts every candidate value twice per run, and 16 windows per value
+   keep it within unit-test time. *)
 let tiny_profile =
   lazy
-    (let device = Reveal.Device.create ~n:16 () in
-     Reveal.Campaign.profile ~values:tiny_values ~per_value:16 device (rng ()))
+    (let device = Reveal.Device.create ~n:64 () in
+     Reveal.Campaign.profile ~per_value:16 device (rng ()))
 
 let profile_equal (a : Reveal.Campaign.profile) (b : Reveal.Campaign.profile) =
   let template_equal (x : Sca.Template.t) (y : Sca.Template.t) =
@@ -470,7 +469,7 @@ let test_attack_archive_matches_per_trace_attacks () =
       let expected =
         Array.concat (Array.to_list (Array.map (Reveal.Campaign.attack_trace prof) (archived_runs path)))
       in
-      let stats, results = Reveal.Campaign.attack_archive ~batch:2 prof path in
+      let stats, results = Reveal.Campaign.run_source ~batch:2 prof (Reveal.Source.archive_replay path) in
       Alcotest.(check int) "flattened results" (Array.length expected) (Array.length results);
       Array.iteri
         (fun i e ->
@@ -481,20 +480,21 @@ let test_attack_archive_matches_per_trace_attacks () =
       Alcotest.(check int) "sign totals" (Array.length expected) stats.Reveal.Campaign.sign_total)
 
 let test_profile_of_archive_matches_live_profile () =
-  let device = Reveal.Device.create ~n:16 () in
-  let live = Reveal.Campaign.profile ~values:tiny_values ~per_value:16 device (rng ()) in
+  let device = Reveal.Device.create ~n:64 () in
+  (* 40 windows per value take 20 runs: more than one 16-record batch *)
+  let live = Reveal.Campaign.profile ~per_value:40 device (rng ()) in
   with_tmp "profiling.rvt" (fun path ->
       (* the same generator state drives the recorded campaign *)
-      Reveal.Campaign.record_profiling ~values:tiny_values ~per_value:16 ~seed:77L device (rng ()) ~path;
-      let offline = Reveal.Campaign.profile_of_archive ~batch:3 path in
+      Reveal.Campaign.record_profiling ~per_value:40 ~seed:77L device (rng ()) ~path;
+      let offline = Reveal.Campaign.profile_of_archive path in
       Alcotest.(check bool) "offline profile is bit-identical to the live one" true (profile_equal live offline))
 
 let test_record_profiling_memory_is_streamed () =
   (* structural guarantee: the reader hands out one record at a time
      and batches are bounded by [max] *)
-  let device = Reveal.Device.create ~n:16 () in
+  let device = Reveal.Device.create ~n:64 () in
   with_tmp "stream.rvt" (fun path ->
-      Reveal.Campaign.record_profiling ~values:tiny_values ~per_value:8 ~seed:1L device (rng ()) ~path;
+      Reveal.Campaign.record_profiling ~per_value:8 ~seed:1L device (rng ()) ~path;
       Traceio.Archive.with_reader path (fun r ->
           let batch = Traceio.Archive.next_batch r ~max:2 in
           Alcotest.(check int) "batch bounded" 2 (Array.length batch);
@@ -579,12 +579,12 @@ let test_attack_archive_skips_corrupt_record () =
       let g = rng () in
       Reveal.Device.record device ~path ~seed:0L ~traces:4 ~scope_rng:g ~sampler_rng:g;
       flip_payload_byte path 2;
-      let stats, results = Reveal.Campaign.attack_archive ~batch:2 prof path in
+      let replay ~strict = Reveal.Campaign.run_source ~batch:2 prof (Reveal.Source.archive_replay ~strict path) in
+      let stats, results = replay ~strict:false in
       Alcotest.(check int) "corrupt record counted" 1 stats.Reveal.Campaign.corrupt_skipped;
       Alcotest.(check int) "remaining traces attacked" (3 * 16) (Array.length results);
       (* --strict semantics: fail fast instead of skipping *)
-      expect_corrupt "strict replay" (fun () ->
-          ignore (Reveal.Campaign.attack_archive ~strict:true ~batch:2 prof path)))
+      expect_corrupt "strict replay" (fun () -> ignore (replay ~strict:true)))
 
 let suite =
   suite
