@@ -3,6 +3,9 @@ type polar = { mutable cached : float option }
 let polar () = { cached = None }
 let polar_pending p = p.cached <> None
 
+(* [Prng.float]'s bits, without its boxed result *)
+let[@inline] uniform rng = float_of_int (Prng.bits53 rng) *. 0x1p-53
+
 (* Marsaglia polar method, matching libstdc++'s std::normal_distribution:
    draws points uniformly in the unit disc, rejects |p| >= 1 and p = 0,
    produces two deviates per accepted point and caches the second. *)
@@ -13,8 +16,8 @@ let normal_rejections p rng ~mu ~sigma =
       ((v *. sigma) +. mu, 0)
   | None ->
       let rec loop rejections =
-        let u = (2.0 *. Prng.float rng) -. 1.0 in
-        let v = (2.0 *. Prng.float rng) -. 1.0 in
+        let u = (2.0 *. uniform rng) -. 1.0 in
+        let v = (2.0 *. uniform rng) -. 1.0 in
         let s = (u *. u) +. (v *. v) in
         if s >= 1.0 || s = 0.0 then loop (rejections + 1)
         else begin
@@ -26,6 +29,23 @@ let normal_rejections p rng ~mu ~sigma =
       loop 0
 
 let normal p rng ~mu ~sigma = fst (normal_rejections p rng ~mu ~sigma)
+
+(* [normal_rejections]'s loop without the cache: an accepted point adds
+   [u *. m] to one element and the deviate a polar would cache, [v *. m],
+   to the next.  [+. 0.0] is [normal]'s [+. mu].  No float is boxed. *)
+let add_normal rng ~sigma a =
+  let n = Array.length a and i = ref 0 in
+  while !i < n do
+    let u = (2.0 *. uniform rng) -. 1.0 in
+    let v = (2.0 *. uniform rng) -. 1.0 in
+    let s = (u *. u) +. (v *. v) in
+    if not (s >= 1.0 || s = 0.0) then begin
+      let m = sqrt (-2.0 *. log s /. s) in
+      a.(!i) <- a.(!i) +. ((u *. m *. sigma) +. 0.0);
+      if !i + 1 < n then a.(!i + 1) <- a.(!i + 1) +. ((v *. m *. sigma) +. 0.0);
+      i := !i + 2
+    end
+  done
 
 type clipped = { sigma : float; max_deviation : float }
 

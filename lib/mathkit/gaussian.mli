@@ -24,6 +24,10 @@ val polar_pending : polar -> bool
 val normal : polar -> Prng.t -> mu:float -> sigma:float -> float
 (** One normal deviate. *)
 
+val add_normal : Prng.t -> sigma:float -> float array -> unit
+(** Adds [normal p rng ~mu:0.0 ~sigma] to each element in turn, [p] a
+    fresh {!polar}: the same bits and draws, without allocating. *)
+
 type clipped = { sigma : float; max_deviation : float }
 
 val seal_default : clipped

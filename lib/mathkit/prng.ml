@@ -4,8 +4,8 @@
    allocate, and synthesis noise and fault injection draw once per
    sample.  [Bytes.get_int64_le]/[set_int64_le] read and write the
    words in place, so a step allocates at most the int64 it returns;
-   [float], [bool] and [int64_below] inline [bits64] and consume that
-   result unboxed.  DESIGN.md §16.1. *)
+   [bits53], [float], [bool] and [int64_below] inline [bits64] and
+   consume that result unboxed.  DESIGN.md §16.1. *)
 type t = Bytes.t
 
 let default_seed = 0x5EA1_DA7E_1234_5678L
@@ -85,10 +85,10 @@ let int_in g lo hi =
   if hi < lo then invalid_arg "Prng.int_in: hi < lo";
   lo + int g (hi - lo + 1)
 
-let float g =
-  (* 53 most-significant bits, scaled to [0,1). *)
-  let r = Int64.shift_right_logical (bits64 g) 11 in
-  Int64.to_float r *. 0x1.0p-53
+let[@inline] bits53 g = Int64.to_int (Int64.shift_right_logical (bits64 g) 11)
+
+(* A 53-bit int converts exactly: the bits [Int64.to_float] gives. *)
+let float g = float_of_int (bits53 g) *. 0x1p-53
 
 let bool g = Int64.logand (bits64 g) 1L = 1L
 

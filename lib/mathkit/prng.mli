@@ -24,6 +24,10 @@ val split : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val bits53 : t -> int
+(** The top 53 bits of the next {!bits64}.  [float g] is
+    [float_of_int (bits53 g) *. 0x1p-53], but an int is never boxed. *)
+
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)].  [bound] must be
     positive.  Uses rejection sampling: no modulo bias. *)

@@ -64,12 +64,12 @@ let of_intensity x =
 (* --- the fault pass ------------------------------------------------------------ *)
 
 (* The stages run in their semantic order — drift, glitches, clipping,
-   drop/dup, jitter — over one owned copy of the trace: drift and
-   glitches update it in place, clipping is folded into the drop/dup
-   emit loop, and jitter shifts the result in place.  Each stage draws
-   exactly what it would draw on its own, in the same order, so the
-   output is what running the stages one fresh array at a time gives,
-   bit for bit. *)
+   drop/dup, jitter — over one owned copy of the trace: drift is added
+   as the copy is made, glitches update it in place, clipping is folded
+   into the drop/dup emit loop, and jitter shifts the result in place.
+   Each stage draws exactly what it would draw on its own, in the same
+   order, so the output is what running the stages one fresh array at a
+   time gives, bit for bit. *)
 
 (* [Float.min]/[Float.max] with the strict comparisons inline: without
    flambda a call into [Float] boxes both arguments, once per sample.
@@ -78,11 +78,39 @@ let of_intensity x =
 let[@inline] fmin (x : float) y = if x < y then x else if y < x then y else Float.min x y
 let[@inline] fmax (x : float) y = if x > y then x else if y > x then y else Float.max x y
 
-let drift c s =
-  let period = float_of_int c.drift_period in
-  for i = 0 to Array.length s - 1 do
-    s.(i) <- s.(i) +. (c.drift_amplitude *. sin (2.0 *. Float.pi *. float_of_int i /. period))
-  done
+(* The drift of sample [i] depends only on the config and [i], and is
+   not bitwise periodic in [i].  So each domain keeps the row of the last
+   config it applied, keyed by the amplitude's bits and the period, and
+   extends it on demand: one float per sample of the longest trace since
+   the key changed.  Domains never share it. *)
+type drift_slot = { amplitude : int64; period : int; row : float array }
+
+let drift_key = Domain.DLS.new_key (fun () -> { amplitude = 0L; period = 0; row = [||] })
+
+(* A row at least [n] long. *)
+let drift_row c n =
+  let amplitude = Int64.bits_of_float c.drift_amplitude and last = Domain.DLS.get drift_key in
+  let same = Int64.equal last.amplitude amplitude && last.period = c.drift_period in
+  let have = if same then Array.length last.row else 0 in
+  if have >= n then last.row
+  else begin
+    let period = float_of_int c.drift_period and row = Array.create_float n in
+    Array.blit last.row 0 row 0 have;
+    for i = have to n - 1 do
+      row.(i) <- c.drift_amplitude *. sin (2.0 *. Float.pi *. float_of_int i /. period)
+    done;
+    Domain.DLS.set drift_key { amplitude; period = c.drift_period; row };
+    row
+  end
+
+(* The owned copy of [src], with the drift added as it is copied. *)
+let drift c src =
+  let n = Array.length src in
+  let row = drift_row c n and s = Array.create_float n in
+  for i = 0 to n - 1 do
+    s.(i) <- src.(i) +. row.(i)
+  done;
+  s
 
 let glitches ~rng c s =
   let n = Array.length s in
@@ -116,7 +144,7 @@ let drop_dup ~rng c ~ceiling s =
   let fate = Bytes.create n in
   let count = ref 0 in
   for i = 0 to n - 1 do
-    let u = Mathkit.Prng.float rng in
+    let u = float_of_int (Mathkit.Prng.bits53 rng) *. 0x1p-53 in
     let k = if u < c.drop_rate then 0 else if u < c.drop_rate +. c.dup_rate then 2 else 1 in
     Bytes.set_uint8 fate i k;
     count := !count + k
@@ -157,8 +185,8 @@ let jitter ~rng c s =
 let apply ~rng c (t : Ptrace.t) =
   if is_noop c then t
   else begin
-    let s = Array.copy t.Ptrace.samples in
-    if c.drift_amplitude <> 0.0 && c.drift_period <> 0 then drift c s;
+    let src = t.Ptrace.samples in
+    let s = if c.drift_amplitude <> 0.0 && c.drift_period <> 0 then drift c src else Array.copy src in
     if c.glitch_rate <> 0.0 && c.glitch_amplitude <> 0.0 && c.glitch_width <> 0 then
       glitches ~rng c s;
     let ceiling = if c.clip_fraction <> 0.0 && Array.length s > 0 then Some (clip_ceiling c s) else None in

@@ -5,10 +5,13 @@ type t = {
   bus_weight : float;
 }
 
+(* SWAR popcount: 2-, 4- and 8-bit field counts, bytes summed by a multiply *)
 let hamming_weight v =
   let v = v land 0xFFFFFFFF in
-  let rec go acc v = if v = 0 then acc else go (acc + (v land 1)) (v lsr 1) in
-  go 0 v
+  let v = v - ((v lsr 1) land 0x55555555) in
+  let v = (v land 0x33333333) + ((v lsr 2) land 0x33333333) in
+  let v = (v + (v lsr 4)) land 0x0F0F0F0F in
+  ((v * 0x01010101) lsr 24) land 0xFF
 
 let hamming_distance a b = hamming_weight (a lxor b)
 

@@ -23,11 +23,3 @@ val quiet : config
 val synthesize : ?rng:Mathkit.Prng.t -> config -> Riscv.Trace.event array -> Ptrace.t
 (** Noise is drawn from [rng]; omitting it with a nonzero
     [noise_sigma] is an error — determinism must be explicit. *)
-
-val synthesize_into :
-  ?rng:Mathkit.Prng.t -> config -> Riscv.Trace.event array -> out:Mathkit.Fvec.t -> int
-(** [synthesize] into a caller-owned vector, for batch synthesis that
-    reuses one buffer across traces.  Writes a prefix of [out] and
-    returns its length; samples and noise draws are bit-identical to
-    [synthesize], but the event tables are not built.
-    @raise Invalid_argument when [out] is too short. *)

@@ -347,15 +347,89 @@ let test_gaussian_discrete_probability_sums_to_one () =
   done;
   Alcotest.(check (float 1e-9)) "sums to 1" 1.0 !total
 
-(* [cdt_table] as the CDT firmware uses it: scaled into thresholds
-   and scanned by the host replica of the firmware's draw. *)
+(* [cdt_table] at the tail cut the CDT firmware's thresholds use, read
+   as a distribution without sampling it (test_riscv samples the
+   firmware's draw): magnitude z has mass cdt(z) - cdt(z - 1), and the
+   signed draw is symmetric, so its variance is the mean of z^2. *)
 let test_gaussian_cdt_distribution () =
+  let sigma = 3.19 in
+  let cdt =
+    Gaussian.cdt_table ~sigma ~tail_cut:(float_of_int Riscv.Sampler_prog.cdt_entries /. sigma)
+  in
+  let bound = Array.length cdt - 1 in
+  Alcotest.(check int) "one entry per magnitude" Riscv.Sampler_prog.cdt_entries bound;
+  for z = 1 to bound do
+    Alcotest.(check bool) (Printf.sprintf "nondecreasing at %d" z) true (cdt.(z) >= cdt.(z - 1))
+  done;
+  Alcotest.(check (float 0.0)) "last entry" 1.0 cdt.(bound);
+  let variance = ref 0.0 in
+  for z = 1 to bound do
+    variance := !variance +. ((cdt.(z) -. cdt.(z - 1)) *. float_of_int (z * z))
+  done;
+  Alcotest.(check bool) "stddev near sigma" true (Float.abs (sqrt !variance -. sigma) < 0.15)
+
+(* --- the polar noise kernel ------------------------------------------------ *)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+
+(* What [add_normal] replaces: a fresh [polar] and one [normal ~mu:0.0]
+   per element. *)
+let normal_loop rng ~sigma a =
+  let p = Gaussian.polar () in
+  Array.iteri (fun i x -> a.(i) <- x +. Gaussian.normal p rng ~mu:0.0 ~sigma) a
+
+(* Same bits, and the same draws consumed. *)
+let add_normal_matches ~seed ~sigma base =
+  let g = Prng.create ~seed () in
+  let g' = Prng.copy g in
+  let got = Array.copy base and want = Array.copy base in
+  Gaussian.add_normal g ~sigma got;
+  normal_loop g' ~sigma want;
+  same_bits got want && Prng.bits64 g = Prng.bits64 g'
+
+(* Levels with signed zeros among them, so a kernel that dropped
+   [normal]'s [+. mu] would show at sigma = 0. *)
+let noise_base ~seed n =
+  let g = Prng.create ~seed () in
+  Array.init n (fun _ -> match Prng.int g 4 with 0 -> -0.0 | 1 -> 0.0 | _ -> 10.0 +. Prng.float g)
+
+let test_add_normal_lengths () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun sigma ->
+          Alcotest.(check bool)
+            (Printf.sprintf "n = %d, sigma = %g" n sigma)
+            true
+            (add_normal_matches ~seed:(Int64.of_int (n + 1)) ~sigma (noise_base ~seed:5L n)))
+        [ 0.17; 1.0; 0.0; -0.0 ])
+    [ 0; 1; 2; 3; 4097 ]
+
+let add_normal_prop =
+  QCheck.Test.make ~name:"Gaussian.add_normal equals a fresh polar's normal loop bit for bit" ~count:200
+    QCheck.(
+      triple (int_range 0 600)
+        (make ~print:string_of_float Gen.(oneof [ float_range (-3.0) 3.0; oneofl [ 0.0; -0.0; 0.17; 1e-300 ] ]))
+        int)
+    (fun (n, sigma, seed) ->
+      add_normal_matches ~seed:(Int64.of_int seed) ~sigma (noise_base ~seed:(Int64.of_int (seed lxor n)) n))
+
+let test_prng_bits53 () =
   let g = rng () in
-  let _, noises = Riscv.Sampler_prog.cdt_draws_of_gaussian g ~sigma:3.19 ~count:100_000 in
-  let acc = Stats.running () in
-  Array.iter (fun z -> Stats.push acc (float_of_int z)) noises;
-  Alcotest.(check bool) "mean near 0" true (Float.abs (Stats.mean acc) < 0.06);
-  Alcotest.(check bool) "stddev near sigma" true (Float.abs (Stats.stddev acc -. 3.19) < 0.15)
+  let g' = Prng.copy g and g'' = Prng.copy g in
+  for i = 1 to 10_000 do
+    let b = Prng.bits53 g in
+    if b < 0 || b >= 1 lsl 53 then Alcotest.failf "draw %d: bits53 = %d, outside [0, 2^53)" i b;
+    (* [float] is [bits53] scaled, and both are what [float] computed
+       from [bits64] before [bits53] existed *)
+    let old = Int64.to_float (Int64.shift_right_logical (Prng.bits64 g'') 11) *. 0x1.0p-53 in
+    let f = Prng.float g' in
+    if Int64.bits_of_float f <> Int64.bits_of_float (float_of_int b *. 0x1p-53) then
+      Alcotest.failf "draw %d: float differs from bits53 scaled" i;
+    if Int64.bits_of_float f <> Int64.bits_of_float old then Alcotest.failf "draw %d: float moved" i
+  done
 
 let test_gaussian_cdf_monotone () =
   let prev = ref neg_infinity in
@@ -547,6 +621,7 @@ let unit_cases =
     ("prng ternary", test_prng_ternary);
     ("prng split", test_prng_split_independent);
     ("prng shuffle permutation", test_prng_shuffle_permutation);
+    ("prng bits53 and float", test_prng_bits53);
     ("modular reduce negative", test_modular_reduce_negative);
     ("modular add/sub roundtrip", test_modular_add_sub_roundtrip);
     ("modular mul vs naive", test_modular_mul_matches_naive);
@@ -584,6 +659,7 @@ let unit_cases =
     ("gaussian polar pairs", test_gaussian_polar_pairs);
     ("gaussian discrete prob sums to 1", test_gaussian_discrete_probability_sums_to_one);
     ("gaussian cdt distribution", test_gaussian_cdt_distribution);
+    ("gaussian add_normal at fixed lengths", test_add_normal_lengths);
     ("gaussian cdf monotone", test_gaussian_cdf_monotone);
     ("matrix mul identity", test_matrix_mul_identity);
     ("matrix mul known", test_matrix_mul_known);
@@ -604,7 +680,7 @@ let unit_cases =
 
 let suite =
   List.map (fun (name, f) -> Alcotest.test_case name `Quick f) unit_cases
-  @ List.map QCheck_alcotest.to_alcotest qcheck_cases
+  @ List.map QCheck_alcotest.to_alcotest (qcheck_cases @ [ add_normal_prop ])
 
 (* --- eigendecomposition (added with the PCA extension) ------------------ *)
 

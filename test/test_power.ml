@@ -2,12 +2,29 @@
 
 let rng () = Mathkit.Prng.create ~seed:7777L ()
 
+(* The bit-by-bit count [hamming_weight] made before the SWAR popcount. *)
+let popcount_oracle v =
+  let v = v land 0xFFFFFFFF in
+  let n = ref 0 in
+  for b = 0 to 31 do
+    if (v lsr b) land 1 = 1 then incr n
+  done;
+  !n
+
 let test_hamming_weight () =
   Alcotest.(check int) "0" 0 (Power.Leakage.hamming_weight 0);
   Alcotest.(check int) "1" 1 (Power.Leakage.hamming_weight 1);
   Alcotest.(check int) "0xFF" 8 (Power.Leakage.hamming_weight 0xFF);
   Alcotest.(check int) "all 32" 32 (Power.Leakage.hamming_weight 0xFFFFFFFF);
-  Alcotest.(check int) "truncated to 32 bits" 32 (Power.Leakage.hamming_weight (-1))
+  Alcotest.(check int) "truncated to 32 bits" 32 (Power.Leakage.hamming_weight (-1));
+  let check v =
+    Alcotest.(check int) (Printf.sprintf "%#x" v) (popcount_oracle v) (Power.Leakage.hamming_weight v)
+  in
+  List.iter check [ min_int; max_int; 1 lsl 32; 0x80000000; 0x55555555; 0xAAAAAAAA ];
+  let g = rng () in
+  for _ = 1 to 10_000 do
+    check (Int64.to_int (Mathkit.Prng.bits64 g))
+  done
 
 let test_hamming_distance () =
   Alcotest.(check int) "same" 0 (Power.Leakage.hamming_distance 0xAB 0xAB);
@@ -331,36 +348,74 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [ fault_noop_prop; fault_reproducible_prop; fault_oracle_prop; fault_no_mutation_prop ]
 
-(* --- Fvec synthesis (numeric core refactor) ------------------------------- *)
+(* --- kernels pinned bit for bit ----------------------------------------- *)
 
-let test_synthesize_into_bit_identity () =
+(* The tabled drift row against the staged oracle's [sin] per sample:
+   in one domain the row grows (3000 -> 5000), is read as a prefix
+   (10), and is replaced when the amplitude or the period changes. *)
+let test_fault_drift_row () =
+  let drift amplitude period = { Power.Fault.none with Power.Fault.drift_amplitude = amplitude; drift_period = period } in
+  let a = drift 1.25 4096 and b = drift 2.5 4096 and c = drift 1.25 1000 in
+  List.iter
+    (fun (name, cfg, n) ->
+      let t = fault_trace n ~ties:false n in
+      let g = Mathkit.Prng.create ~seed:3L () in
+      let g' = Mathkit.Prng.copy g in
+      let got = (Power.Fault.apply ~rng:g cfg t).Power.Ptrace.samples in
+      let want = (Fault_oracle.apply ~rng:g' cfg t).Power.Ptrace.samples in
+      Alcotest.(check bool) (Printf.sprintf "%s, %d samples" name n) true (same_bits got want))
+    [
+      ("a", a, 3000); ("a", a, 10); ("a", a, 5000); ("b", b, 10); ("b", b, 5000); ("a", a, 3000);
+      ("c", c, 5000); ("a", a, 5000);
+    ]
+
+(* The first and last 16 noisy samples of one synthesized trace (a
+   mul/div loop at 3 samples per cycle) and the next draw after it,
+   recorded before the noise kernel and the shape table replaced the
+   per-sample [Gaussian.normal] and [shape] calls. *)
+let test_synthesize_known_answer () =
+  let open Riscv in
+  let a = Inst.a in
   let events =
     events_of_program
-      [ Riscv.Asm.li (Riscv.Inst.a 0) 0x5A; Riscv.Asm.li (Riscv.Inst.a 1) 3; Riscv.Asm.halt ]
+      [
+        Asm.li (a 0) 0x5A; Asm.li (a 1) 3; Asm.li (a 2) 12; Asm.label "loop";
+        Asm.ins (Inst.Mul (a 3, a 0, a 1)); Asm.ins (Inst.Div (a 4, a 3, a 2));
+        Asm.ins (Inst.Add (a 0, a 0, a 4)); Asm.ins (Inst.Addi (a 2, a 2, -1));
+        Asm.bne (a 2) Inst.x0 "loop"; Asm.halt;
+      ]
   in
-  let check_config name config rng_seed =
-    let rng = Mathkit.Prng.create ~seed:rng_seed () in
-    let reference = Power.Synth.synthesize ~rng config events in
-    let n_ref = Power.Ptrace.length reference in
-    let out = Mathkit.Fvec.create (n_ref + 7) in
-    let rng2 = Mathkit.Prng.create ~seed:rng_seed () in
-    let n = Power.Synth.synthesize_into ~rng:rng2 config events ~out in
-    Alcotest.(check int) (name ^ ": sample count") n_ref n;
-    Array.iteri
-      (fun i s ->
-        Alcotest.(check int64)
-          (Printf.sprintf "%s: sample %d bits" name i)
-          (Int64.bits_of_float s)
-          (Int64.bits_of_float (Mathkit.Fvec.get out i)))
-      reference.Power.Ptrace.samples
+  let g = Mathkit.Prng.create ~seed:2025L () in
+  let s =
+    (Power.Synth.synthesize ~rng:g { Power.Synth.default with Power.Synth.samples_per_cycle = 3 } events)
+      .Power.Ptrace.samples
   in
-  check_config "quiet" Power.Synth.quiet 9L;
-  check_config "noisy" Power.Synth.default 9L;
-  (* an undersized output must raise, not truncate *)
-  let tiny = Mathkit.Fvec.create 1 in
-  match Power.Synth.synthesize_into Power.Synth.quiet events ~out:tiny with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "synthesize_into into a short buffer succeeded"
+  let n = Array.length s in
+  Alcotest.(check int) "samples" 1974 n;
+  let bits off = Array.init 16 (fun i -> Int64.bits_of_float s.(off + i)) in
+  Alcotest.(check (array int64)) "first 16"
+    [|
+      0x402B8D3957CBB8ACL; 0x402556BFA16C1311L; 0x4021B1BA9158250AL; 0x4024A7931B9B3B10L;
+      0x402014327881BBB1L; 0x401980B3870ED98CL; 0x402483B8FD875F8DL; 0x401FEE184B18F2AAL;
+      0x401AC198F23A4373L; 0x4029526AD06698F7L; 0x40242DF9B6051499L; 0x4021632CDB4667DBL;
+      0x40247C26E67F245BL; 0x401F65EED4C54A6EL; 0x401B96FEBC4A9E31L; 0x40242FFC47B782A9L;
+    |]
+    (bits 0);
+  Alcotest.(check (array int64)) "last 16"
+    [|
+      0x401C23AF4E002DE6L; 0x40223AD0D1B47AC5L; 0x401CB33ACE8BDAAFL; 0x4018E06D4DE7298CL;
+      0x4021F2CF6E0A173DL; 0x401C8F015DB24107L; 0x401794B968F424B5L; 0x401F397D6F9A751AL;
+      0x4018F5B0C4156D84L; 0x401453806B963488L; 0x401A95D27F03B712L; 0x40140711FC02199BL;
+      0x401148EA0852F946L; 0x401A93BCBF8A24F9L; 0x4014A63EFFDD8020L; 0x401055F93DBEA9E1L;
+    |]
+    (bits (n - 16));
+  Alcotest.(check int64) "next draw" 0xF85C947BC168796EL (Mathkit.Prng.bits64 g)
 
 let suite =
-  suite @ [ Alcotest.test_case "synthesize_into bit-identical to synthesize" `Quick test_synthesize_into_bit_identity ]
+  suite
+  @ List.map
+      (fun (name, f) -> Alcotest.test_case name `Quick f)
+      [
+        ("fault drift row = staged oracle", test_fault_drift_row);
+        ("synthesize known answer", test_synthesize_known_answer);
+      ]
