@@ -161,19 +161,21 @@ let run_obs () =
 
 (* --- micro-benchmarks: one per table/figure kernel ------------------------ *)
 
-(* The instruction events of one honest n-coefficient run of the
-   default sampler firmware: what Device.run hands the scope model. *)
-let sampler_events ~n rng =
-  let layout = Riscv.Sampler_prog.default_layout in
-  let program = Riscv.Sampler_prog.build ~n:(n + 1) ~k:1 () in
+(* The firmware and draw queue of one honest n-coefficient run of the
+   default sampler (the queue ends in the trailing dummy's draw). *)
+let sampler_inputs ~n rng =
   let draws, _ = Riscv.Sampler_prog.draws_of_gaussian rng Mathkit.Gaussian.seal_default ~count:n in
-  let mem = Riscv.Memory.create layout.Riscv.Sampler_prog.ram_size in
+  (Riscv.Sampler_prog.build ~n:(n + 1) ~k:1 (), Array.append draws [| (0, 0) |])
+
+(* That run in [mem], staged as Device.run stages it, each retired
+   instruction handed to [tracer]. *)
+let run_sampler mem (program, draws) ~tracer =
+  let layout = Riscv.Sampler_prog.default_layout in
+  Riscv.Memory.clear mem;
   Riscv.Memory.load_program mem 0 program.Riscv.Asm.words;
   Riscv.Sampler_prog.stage_moduli mem layout [| 132120577 |];
-  Riscv.Sampler_prog.install_noise_port mem ~draws:(Array.append draws [| (0, 0) |]);
-  let recorder = Riscv.Trace.recorder () in
-  ignore (Riscv.Cpu.run ~max_steps:(200 * n * 64) (Riscv.Cpu.create ~tracer:(Riscv.Trace.record recorder) mem));
-  Riscv.Trace.events recorder
+  Riscv.Sampler_prog.install_noise_port mem ~draws;
+  ignore (Riscv.Cpu.run ~max_steps:(200 * 64 * Array.length draws) (Riscv.Cpu.create ~tracer mem))
 
 let perf_tests () =
   let rng = Mathkit.Prng.create ~seed:1L () in
@@ -217,7 +219,22 @@ let perf_tests () =
   (* the scope model at the default ring size: synthesis of one
      256-coefficient trace, and the fault pass over it at the mid
      intensity the faulted campaign runs *)
-  let events256 = sampler_events ~n:256 rng in
+  let sampler256 = sampler_inputs ~n:256 rng in
+  let ram = Riscv.Memory.create Riscv.Sampler_prog.default_layout.Riscv.Sampler_prog.ram_size in
+  let events256 =
+    let recorder = Riscv.Trace.recorder () in
+    run_sampler ram sampler256 ~tracer:(Riscv.Trace.record recorder);
+    Riscv.Trace.events recorder
+  in
+  (* the simulator as Device.run drives it: one run, every instruction
+     fed to the synthesis accumulator as it retires (noise-free finish) *)
+  let sim_kernel =
+    ( "riscv: simulate 256-coeff sampler run",
+      fun () ->
+        let acc = Power.Synth.accumulator Power.Synth.quiet in
+        run_sampler ram sampler256 ~tracer:(Power.Synth.feed acc);
+        ignore (Power.Synth.finish acc) )
+  in
   let synth_kernel =
     ( "power: synthesize 256-coeff trace",
       fun () -> ignore (Power.Synth.synthesize ~rng Power.Synth.default events256) )
@@ -226,6 +243,19 @@ let perf_tests () =
   let fault_kernel =
     ( "power: fault pass, 256-coeff trace at intensity 0.5",
       fun () -> ignore (Power.Fault.apply ~rng (Power.Fault.of_intensity 0.5) trace256) )
+  in
+  (* resilient segmentation of that trace faulted once, at the absolute
+     threshold profiling pins (calibrated on the clean trace) *)
+  let segment_kernel =
+    let clean = Mathkit.Fvec.of_array trace256.Power.Ptrace.samples in
+    let segment =
+      { Sca.Segment.default with Sca.Segment.threshold = Sca.Segment.Absolute (Sca.Segment.auto_threshold_fv Sca.Segment.default clean) }
+    in
+    let faulted =
+      let g = Mathkit.Prng.create ~seed:5L () in
+      Mathkit.Fvec.of_array (Power.Fault.apply ~rng:g (Power.Fault.of_intensity 0.5) trace256).Power.Ptrace.samples
+    in
+    ("sca: segment 256-coeff faulted trace", fun () -> ignore (Sca.Segment.segment_fv segment ~expected:257 faulted))
   in
   (* table3 kernel: integrate 1024 hints and re-estimate beta *)
   let table3_kernel =
@@ -332,8 +362,10 @@ let perf_tests () =
   in
   [
     fig3_kernel;
+    sim_kernel;
     synth_kernel;
     fault_kernel;
+    segment_kernel;
     table1_kernel;
     scoring_fvec_kernel;
     replay_fvec_kernel;

@@ -87,6 +87,33 @@ let int_in g lo hi =
 
 let[@inline] bits53 g = Int64.to_int (Int64.shift_right_logical (bits64 g) 11)
 
+(* [bits53] [len] times, with the state in local variables for the
+   whole loop and written back once: no call and no state load or store
+   per draw.  The step is [bits64]'s, written out again because a
+   shared one would box the words it passes. *)
+let fill_bits53 g a ~len =
+  if len < 0 || len > Array.length a then invalid_arg "Prng.fill_bits53: len out of range";
+  let open Int64 in
+  let s0 = ref (get g 0) and s1 = ref (get g 1) and s2 = ref (get g 2) and s3 = ref (get g 3) in
+  for i = 0 to len - 1 do
+    let x0 = !s0 and x1 = !s1 and x2 = !s2 and x3 = !s3 in
+    let result = mul (rotl (mul x1 5L) 7) 9L in
+    let t = shift_left x1 17 in
+    let x2 = logxor x2 x0 in
+    let x3 = logxor x3 x1 in
+    let x1 = logxor x1 x2 in
+    let x0 = logxor x0 x3 in
+    s0 := x0;
+    s1 := x1;
+    s2 := logxor x2 t;
+    s3 := rotl x3 45;
+    a.(i) <- to_int (shift_right_logical result 11)
+  done;
+  set g 0 !s0;
+  set g 1 !s1;
+  set g 2 !s2;
+  set g 3 !s3
+
 (* A 53-bit int converts exactly: the bits [Int64.to_float] gives. *)
 let float g = float_of_int (bits53 g) *. 0x1p-53
 

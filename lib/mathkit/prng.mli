@@ -28,6 +28,12 @@ val bits53 : t -> int
 (** The top 53 bits of the next {!bits64}.  [float g] is
     [float_of_int (bits53 g) *. 0x1p-53], but an int is never boxed. *)
 
+val fill_bits53 : t -> int array -> len:int -> unit
+(** [fill_bits53 g a ~len] stores [len] successive {!bits53} draws in
+    [a.(0)] .. [a.(len - 1)]: the same values, leaving [g] where [len]
+    calls would, without a call per draw.
+    @raise Invalid_argument unless [0 <= len <= Array.length a]. *)
+
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)].  [bound] must be
     positive.  Uses rejection sampling: no modulo bias. *)

@@ -91,13 +91,14 @@ let normalize_probs xs =
    below every other float. *)
 let[@inline] lt (x : float) y = x < y || (x <> x && y = y)
 
-(* Wirth's selection: permutes [a] until [a.(k)] holds the k-th
-   smallest element under [Float.compare], with no larger element
-   before it and no smaller one after it.  The pivot is the median of
-   the range's ends and middle, so sorted and reversed inputs take
-   linear time; equal keys stop both scans, so ties do too. *)
-let select a k =
-  let l = ref 0 and r = ref (Array.length a - 1) in
+(* Wirth's selection: permutes [a.(0)] .. [a.(len - 1)] until [a.(k)]
+   holds the k-th smallest of them under [Float.compare], with no
+   larger element before it and no smaller one after it.  The pivot is
+   the median of the range's ends and middle, so sorted and reversed
+   inputs take linear time; equal keys stop both scans, so ties do
+   too. *)
+let select a len k =
+  let l = ref 0 and r = ref (len - 1) in
   while !l < !r do
     let x =
       let u = a.(!l) and v = a.((!l + !r) / 2) and w = a.(!r) in
@@ -126,28 +127,29 @@ let select a k =
     if k < !i then r := !j
   done
 
-let percentile xs p =
-  if Array.length xs = 0 then invalid_arg "Stats.percentile: empty";
+let percentile_in_place a ~len p =
+  if len < 0 || len > Array.length a then invalid_arg "Stats.percentile_in_place: len out of range";
+  if len = 0 then invalid_arg "Stats.percentile: empty";
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
-  let a = Array.copy xs in
-  let n = Array.length a in
-  let rank = p /. 100.0 *. float_of_int (n - 1) in
+  let rank = p /. 100.0 *. float_of_int (len - 1) in
   let lo = int_of_float (Float.floor rank) and hi = int_of_float (Float.ceil rank) in
   let frac = rank -. Float.floor rank in
   (* The order statistics a sort would put at [lo] and [hi]: select
      [lo], then [hi] (= lo or lo + 1) is the least of what lies above. *)
-  select a lo;
+  select a len lo;
   let upper =
     if hi = lo then a.(lo)
     else begin
       let m = ref a.(hi) in
-      for i = hi + 1 to n - 1 do
+      for i = hi + 1 to len - 1 do
         if lt a.(i) !m then m := a.(i)
       done;
       !m
     end
   in
   (a.(lo) *. (1.0 -. frac)) +. (upper *. frac)
+
+let percentile xs p = percentile_in_place (Array.copy xs) ~len:(Array.length xs) p
 
 let correlation xs ys =
   if Array.length xs <> Array.length ys then invalid_arg "Stats.correlation: length mismatch";

@@ -27,7 +27,15 @@ val normalize_probs : float array -> float array
 (** Scale non-negative weights to sum to 1. *)
 
 val percentile : float array -> float -> float
-(** [percentile xs p] for p in [\[0,100\]], linear interpolation. *)
+(** [percentile xs p] for p in [\[0,100\]], linear interpolation.
+    [xs] is left as it was: this is {!percentile_in_place} on a copy. *)
+
+val percentile_in_place : float array -> len:int -> float -> float
+(** The percentile of [a.(0)] .. [a.(len - 1)], found by permuting
+    them in place; the rest of [a] is not read.  What {!percentile}
+    gives for [Array.sub a 0 len], bit for bit.
+    @raise Invalid_argument as {!percentile} does, or unless
+    [0 <= len <= Array.length a]. *)
 
 val correlation : float array -> float array -> float
 (** Pearson correlation; 0 when either side is constant. *)

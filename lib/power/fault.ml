@@ -64,12 +64,13 @@ let of_intensity x =
 (* --- the fault pass ------------------------------------------------------------ *)
 
 (* The stages run in their semantic order — drift, glitches, clipping,
-   drop/dup, jitter — over one owned copy of the trace: drift is added
-   as the copy is made, glitches update it in place, clipping is folded
-   into the drop/dup emit loop, and jitter shifts the result in place.
-   Each stage draws exactly what it would draw on its own, in the same
-   order, so the output is what running the stages one fresh array at a
-   time gives, bit for bit. *)
+   drop/dup, jitter.  Drift is added as the trace is copied into the
+   domain's working buffer, glitches update that copy in place,
+   clipping is folded into the loop that emits the output, and jitter
+   shifts the output in place.  Each stage draws exactly what it would
+   draw on its own, in the same order, so the output is what running
+   the stages one fresh array at a time gives, bit for bit, and it is
+   the pass's only trace-length allocation. *)
 
 (* [Float.min]/[Float.max] with the strict comparisons inline: without
    flambda a call into [Float] boxes both arguments, once per sample.
@@ -78,42 +79,57 @@ let of_intensity x =
 let[@inline] fmin (x : float) y = if x < y then x else if y < x then y else Float.min x y
 let[@inline] fmax (x : float) y = if x > y then x else if y > x then y else Float.max x y
 
-(* The drift of sample [i] depends only on the config and [i], and is
-   not bitwise periodic in [i].  So each domain keeps the row of the last
-   config it applied, keyed by the amplitude's bits and the period, and
-   extends it on demand: one float per sample of the longest trace since
-   the key changed.  Domains never share it. *)
-type drift_slot = { amplitude : int64; period : int; row : float array }
+(* Each domain's scratch, never shared and never returned:
+   - the drift row of the last config applied, keyed by the amplitude's
+     bits and the period: the drift of sample [i] depends only on the
+     config and [i], and is not bitwise periodic in [i], so the row
+     holds one float per sample of the longest trace since the key
+     changed and is extended on demand;
+   - the working copy (drift, glitches, the clip ceiling), which once
+     the output is emitted becomes the buffer jitter's percentile
+     selection permutes;
+   - one drop/dup draw, then fate, per sample. *)
+type scratch = {
+  mutable amplitude : int64;
+  mutable period : int;
+  mutable row : float array;
+  mutable work : float array;
+  mutable fates : int array;
+}
 
-let drift_key = Domain.DLS.new_key (fun () -> { amplitude = 0L; period = 0; row = [||] })
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { amplitude = 0L; period = 0; row = [||]; work = [||]; fates = [||] })
+
+(* Buffers grow with an eighth to spare, so traces a little longer than
+   the last do not each reallocate. *)
+let spare n = n + (n / 8)
+
+let work sc n =
+  if Array.length sc.work < n then sc.work <- Array.create_float (spare n);
+  sc.work
+
+let fates sc n =
+  if Array.length sc.fates < n then sc.fates <- Array.make (spare n) 0;
+  sc.fates
 
 (* A row at least [n] long. *)
-let drift_row c n =
-  let amplitude = Int64.bits_of_float c.drift_amplitude and last = Domain.DLS.get drift_key in
-  let same = Int64.equal last.amplitude amplitude && last.period = c.drift_period in
-  let have = if same then Array.length last.row else 0 in
-  if have >= n then last.row
-  else begin
+let drift_row sc c n =
+  let amplitude = Int64.bits_of_float c.drift_amplitude in
+  let same = Int64.equal sc.amplitude amplitude && sc.period = c.drift_period in
+  let have = if same then Array.length sc.row else 0 in
+  if have < n then begin
     let period = float_of_int c.drift_period and row = Array.create_float n in
-    Array.blit last.row 0 row 0 have;
+    Array.blit sc.row 0 row 0 have;
     for i = have to n - 1 do
       row.(i) <- c.drift_amplitude *. sin (2.0 *. Float.pi *. float_of_int i /. period)
     done;
-    Domain.DLS.set drift_key { amplitude; period = c.drift_period; row };
-    row
-  end
+    sc.amplitude <- amplitude;
+    sc.period <- c.drift_period;
+    sc.row <- row
+  end;
+  sc.row
 
-(* The owned copy of [src], with the drift added as it is copied. *)
-let drift c src =
-  let n = Array.length src in
-  let row = drift_row c n and s = Array.create_float n in
-  for i = 0 to n - 1 do
-    s.(i) <- src.(i) +. row.(i)
-  done;
-  s
-
-let glitches ~rng c s =
-  let n = Array.length s in
+let glitches ~rng c s n =
   let expected = c.glitch_rate *. float_of_int n /. 1000.0 in
   (* deterministic burst count: floor plus a Bernoulli for the remainder *)
   let count =
@@ -128,31 +144,32 @@ let glitches ~rng c s =
   done
 
 (* Saturation level: everything above it is clipped to it. *)
-let clip_ceiling c s =
+let clip_ceiling c s n =
   let lo = ref s.(0) and hi = ref s.(0) in
-  for i = 0 to Array.length s - 1 do
+  for i = 0 to n - 1 do
     lo := fmin !lo s.(i);
     hi := fmax !hi s.(i)
   done;
   !hi -. (c.clip_fraction *. (!hi -. !lo))
 
-(* Each input sample is emitted 0x (drop), 1x, or 2x (dup), clipped to
-   [ceiling] if there is one.  Every fate is drawn first, one byte per
-   sample, so the output is allocated once at its exact length. *)
-let drop_dup ~rng c ~ceiling s =
-  let n = Array.length s in
-  let fate = Bytes.create n in
+(* Each of the [n] samples of [s] is emitted 0x (drop), 1x, or 2x (dup),
+   clipped to [ceiling] if there is one.  Every fate is drawn first, one
+   uniform per sample, so the output is allocated once at its exact
+   length. *)
+let drop_dup ~rng c ~ceiling sc s n =
+  let fate = fates sc n in
+  Mathkit.Prng.fill_bits53 rng fate ~len:n;
   let count = ref 0 in
   for i = 0 to n - 1 do
-    let u = float_of_int (Mathkit.Prng.bits53 rng) *. 0x1p-53 in
+    let u = float_of_int fate.(i) *. 0x1p-53 in
     let k = if u < c.drop_rate then 0 else if u < c.drop_rate +. c.dup_rate then 2 else 1 in
-    Bytes.set_uint8 fate i k;
+    fate.(i) <- k;
     count := !count + k
   done;
   let out = Array.create_float !count in
   let j = ref 0 in
   for i = 0 to n - 1 do
-    let k = Bytes.get_uint8 fate i in
+    let k = fate.(i) in
     if k > 0 then begin
       let v = match ceiling with Some m -> fmin s.(i) m | None -> s.(i) in
       out.(!j) <- v;
@@ -162,15 +179,18 @@ let drop_dup ~rng c ~ceiling s =
   done;
   out
 
-let jitter ~rng c s =
+let jitter ~rng c sc s =
   let n = Array.length s in
   let offset = Mathkit.Prng.int_in rng (-c.trigger_jitter) c.trigger_jitter in
   (* clamp after drawing, so RNG consumption is trace-length independent *)
   let offset = Int.max (-n) (Int.min n offset) in
   if offset <> 0 then begin
     (* pad with the quiet level: a low percentile is robust to bursts
-       dominating the trace (offset <> 0, so the trace is not empty) *)
-    let pad = Mathkit.Stats.percentile s 10.0 in
+       dominating the trace (offset <> 0, so the trace is not empty);
+       the selection permutes a copy in the spent working buffer *)
+    let sel = work sc n in
+    Array.blit s 0 sel 0 n;
+    let pad = Mathkit.Stats.percentile_in_place sel ~len:n 10.0 in
     if offset > 0 then begin
       (* trigger fired late: the first [offset] samples were missed *)
       Array.blit s offset s 0 (n - offset);
@@ -185,23 +205,32 @@ let jitter ~rng c s =
 let apply ~rng c (t : Ptrace.t) =
   if is_noop c then t
   else begin
-    let src = t.Ptrace.samples in
-    let s = if c.drift_amplitude <> 0.0 && c.drift_period <> 0 then drift c src else Array.copy src in
+    let src = t.Ptrace.samples and sc = Domain.DLS.get scratch_key in
+    let n = Array.length src in
+    let s = work sc n in
+    if c.drift_amplitude <> 0.0 && c.drift_period <> 0 then begin
+      let row = drift_row sc c n in
+      for i = 0 to n - 1 do
+        s.(i) <- src.(i) +. row.(i)
+      done
+    end
+    else Array.blit src 0 s 0 n;
     if c.glitch_rate <> 0.0 && c.glitch_amplitude <> 0.0 && c.glitch_width <> 0 then
-      glitches ~rng c s;
-    let ceiling = if c.clip_fraction <> 0.0 && Array.length s > 0 then Some (clip_ceiling c s) else None in
-    let s =
-      if c.drop_rate <> 0.0 || c.dup_rate <> 0.0 then drop_dup ~rng c ~ceiling s
+      glitches ~rng c s n;
+    let ceiling = if c.clip_fraction <> 0.0 && n > 0 then Some (clip_ceiling c s n) else None in
+    let out =
+      if c.drop_rate <> 0.0 || c.dup_rate <> 0.0 then drop_dup ~rng c ~ceiling sc s n
       else begin
+        let out = Array.sub s 0 n in
         (match ceiling with
         | Some m ->
-            for i = 0 to Array.length s - 1 do
-              s.(i) <- fmin s.(i) m
+            for i = 0 to n - 1 do
+              out.(i) <- fmin out.(i) m
             done
         | None -> ());
-        s
+        out
       end
     in
-    if c.trigger_jitter <> 0 then jitter ~rng c s;
-    { t with Ptrace.samples = s }
+    if c.trigger_jitter <> 0 then jitter ~rng c sc out;
+    { t with Ptrace.samples = out }
   end

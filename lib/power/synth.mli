@@ -15,11 +15,35 @@ type config = {
 }
 
 val default : config
-(** [Leakage.default], 2 samples/cycle, noise sigma 0.35. *)
+(** [Leakage.default], 2 samples/cycle, noise sigma 0.17. *)
 
 val quiet : config
 (** Noise-free variant, used by unit tests and the figure benches. *)
 
+(** {1 Streaming synthesis}
+
+    Synthesis as instructions retire: {!feed} is a {!Riscv.Cpu}
+    tracer that keeps what the trace needs of each event (its two
+    power levels, latency and pc) in unboxed columns, and {!finish}
+    writes the samples.  No event record is kept. *)
+
+type acc
+(** The columns of the events fed so far. *)
+
+val accumulator : ?rng:Mathkit.Prng.t -> config -> acc
+(** An empty accumulator.  Noise is drawn from [rng] at {!finish};
+    omitting it with a nonzero [noise_sigma] is an error — determinism
+    must be explicit.
+    @raise Invalid_argument on a missing rng or a non-positive
+    [samples_per_cycle]. *)
+
+val feed : acc -> Riscv.Trace.event -> unit
+(** Append one retired instruction. *)
+
+val finish : acc -> Ptrace.t
+(** The trace of every event fed, in order: pulse-shaped levels, then
+    the noise.  Call it once. *)
+
 val synthesize : ?rng:Mathkit.Prng.t -> config -> Riscv.Trace.event array -> Ptrace.t
-(** Noise is drawn from [rng]; omitting it with a nonzero
-    [noise_sigma] is an error — determinism must be explicit. *)
+(** [feed] every event to a fresh [accumulator ?rng config], then
+    [finish]. *)

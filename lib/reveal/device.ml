@@ -4,11 +4,11 @@ type t = {
   cycle_model : (Riscv.Inst.klass -> int) option;
   n : int;
   program : Riscv.Asm.program;
-  layout : Riscv.Sampler_prog.layout;
   fault : Power.Fault.config option;
 }
 
 let seal_moduli = [| 132120577 |]
+let layout = Riscv.Sampler_prog.default_layout
 
 let create ?(variant = Riscv.Sampler_prog.Vulnerable) ?(synth = Power.Synth.default) ?cycle_model ?fault ~n () =
   if n <= 0 then invalid_arg "Device.create: n must be positive";
@@ -22,7 +22,6 @@ let create ?(variant = Riscv.Sampler_prog.Vulnerable) ?(synth = Power.Synth.defa
        is then delimited by a following distribution-call burst, so the
        last real window segments like all the others *)
     program = Riscv.Sampler_prog.build ~variant ~n:(n + 1) ~k:(Array.length seal_moduli) ();
-    layout = Riscv.Sampler_prog.default_layout;
   }
 
 let n t = t.n
@@ -39,23 +38,30 @@ type run = {
   poly : int array array;
 }
 
+(* One RAM per domain, cleared before every run to what
+   [Memory.create] returns, so a run allocates no RAM and sees nothing
+   of the last one.  It never leaves [execute]: [read_poly] copies the
+   result out.  Domains never share it. *)
+let ram_key = Domain.DLS.new_key (fun () -> Riscv.Memory.create layout.Riscv.Sampler_prog.ram_size)
+
 let execute t ~scope_rng ~draws ~perm =
   if Array.length draws <> t.n then invalid_arg "Device: draw queue length must equal n";
   let draws = Array.append draws [| (0, 0) |] in
-  let mem = Riscv.Memory.create t.layout.Riscv.Sampler_prog.ram_size in
+  let mem = Domain.DLS.get ram_key in
+  Riscv.Memory.clear mem;
   Riscv.Memory.load_program mem 0 t.program.Riscv.Asm.words;
-  Riscv.Sampler_prog.stage_moduli mem t.layout seal_moduli;
+  Riscv.Sampler_prog.stage_moduli mem layout seal_moduli;
   (match perm with
   | Some p ->
       if t.variant <> Riscv.Sampler_prog.Shuffled then invalid_arg "Device: permutation needs the Shuffled variant";
       if Array.length p <> t.n then invalid_arg "Device: permutation length must equal n";
-      Riscv.Sampler_prog.stage_permutation mem t.layout (Array.append p [| t.n |])
+      Riscv.Sampler_prog.stage_permutation mem layout (Array.append p [| t.n |])
   | None ->
       (* Profiling runs on the adversary's clone use the identity
          order (they control the device); honest victim runs must go
          through run_shuffled with a secret permutation. *)
       if t.variant = Riscv.Sampler_prog.Shuffled then
-        Riscv.Sampler_prog.stage_permutation mem t.layout (Array.init (t.n + 1) (fun i -> i)));
+        Riscv.Sampler_prog.stage_permutation mem layout (Array.init (t.n + 1) (fun i -> i)));
   (match t.variant with
   | Riscv.Sampler_prog.Cdt_table ->
       (* a CDT device consumes (uniform, sign) entropy; the draw queue
@@ -69,15 +75,15 @@ let execute t ~scope_rng ~draws ~perm =
       in
       Riscv.Sampler_prog.install_cdt_port mem ~draws:entropy
   | _ -> Riscv.Sampler_prog.install_noise_port mem ~draws);
-  let recorder = Riscv.Trace.recorder () in
+  let acc = Power.Synth.accumulator ~rng:scope_rng t.synth in
+  let tracer = Power.Synth.feed acc in
   let cpu =
     match t.cycle_model with
-    | Some cm -> Riscv.Cpu.create ~tracer:(Riscv.Trace.record recorder) ~cycle_model:cm mem
-    | None -> Riscv.Cpu.create ~tracer:(Riscv.Trace.record recorder) mem
+    | Some cm -> Riscv.Cpu.create ~tracer ~cycle_model:cm mem
+    | None -> Riscv.Cpu.create ~tracer mem
   in
   ignore (Riscv.Cpu.run ~max_steps:(200 * t.n * 64) cpu);
-  let events = Riscv.Trace.events recorder in
-  let trace = Power.Synth.synthesize ~rng:scope_rng t.synth events in
+  let trace = Power.Synth.finish acc in
   let trace =
     (* a no-op fault must leave the clean path bit-identical: no RNG
        split, no trace rebuild *)
@@ -91,7 +97,7 @@ let execute t ~scope_rng ~draws ~perm =
     poly =
       Array.map
         (fun plane -> Array.sub plane 0 t.n)
-        (Riscv.Sampler_prog.read_poly mem t.layout ~n:(t.n + 1) ~k:(Array.length seal_moduli));
+        (Riscv.Sampler_prog.read_poly mem layout ~n:(t.n + 1) ~k:(Array.length seal_moduli));
   }
 
 let run t ~scope_rng ~draws = execute t ~scope_rng ~draws ~perm:None

@@ -9,6 +9,10 @@ let create sz =
   if sz <= 0 || sz land 3 <> 0 then invalid_arg "Memory.create: size must be positive and word aligned";
   { ram = Bytes.make sz '\000'; mmio_read = None }
 
+let clear m =
+  Bytes.fill m.ram 0 (Bytes.length m.ram) '\000';
+  m.mmio_read <- None
+
 let set_mmio_read m f = m.mmio_read <- Some f
 
 let check m addr bytes =
@@ -17,22 +21,24 @@ let check m addr bytes =
 
 let is_mmio addr = addr >= mmio_base
 
+(* Words travel as ints holding the unsigned 32-bit value: an [int32]
+   result would be boxed on every fetch. *)
 let load_word m addr =
   if is_mmio addr then
     match m.mmio_read with
-    | Some f -> f addr
+    | Some f -> Int32.to_int (f addr) land 0xFFFFFFFF
     | None -> invalid_arg "Memory.load_word: MMIO read with no handler"
   else begin
     if addr land 3 <> 0 then invalid_arg "Memory.load_word: unaligned";
     check m addr 4;
-    Bytes.get_int32_le m.ram addr
+    Int32.to_int (Bytes.get_int32_le m.ram addr) land 0xFFFFFFFF
   end
 
 let store_word m addr v =
   if is_mmio addr then invalid_arg "Memory.store_word: MMIO write with no handler";
   if addr land 3 <> 0 then invalid_arg "Memory.store_word: unaligned";
   check m addr 4;
-  Bytes.set_int32_le m.ram addr v
+  Bytes.set_int32_le m.ram addr (Int32.of_int v)
 
 let load_byte_u m addr =
   check m addr 1;
@@ -60,4 +66,4 @@ let store_half m addr v =
   check m addr 2;
   Bytes.set_uint16_le m.ram addr (v land 0xFFFF)
 
-let load_program m addr words = Array.iteri (fun i w -> store_word m (addr + (4 * i)) w) words
+let load_program m addr words = Array.iteri (fun i w -> store_word m (addr + (4 * i)) (Int32.to_int w)) words

@@ -13,15 +13,22 @@ val mmio_base : int
 val create : int -> t
 (** [create size] allocates [size] bytes of zeroed RAM (word aligned). *)
 
+val clear : t -> unit
+(** Back to the state {!create} returns: every byte zero, no MMIO
+    handler.  Lets one RAM serve run after run. *)
+
 val set_mmio_read : t -> (int -> int32) -> unit
 (** Handler for word loads at [addr >= mmio_base]; receives the
     absolute address. *)
 
-val load_word : t -> int -> int32
-(** @raise Invalid_argument on unaligned or out-of-range access. *)
+val load_word : t -> int -> int
+(** The unsigned 32-bit word at the address, as an int (an MMIO read
+    returns the handler's [int32] reinterpreted unsigned).
+    @raise Invalid_argument on unaligned or out-of-range access. *)
 
-val store_word : t -> int -> int32 -> unit
-(** Stores are RAM-only: the sampler's MMIO ports are read-only.
+val store_word : t -> int -> int -> unit
+(** Store the low 32 bits of the value.  Stores are RAM-only: the
+    sampler's MMIO ports are read-only.
     @raise Invalid_argument on unaligned, out-of-range or MMIO
     access. *)
 

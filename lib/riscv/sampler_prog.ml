@@ -272,20 +272,18 @@ let stage_moduli mem layout moduli =
     (fun j q ->
       if q <= 0 then invalid_arg "Sampler_prog.stage_moduli: modulus must be positive";
       let addr = layout.moduli_base + (8 * j) in
-      Memory.store_word mem addr (Int32.of_int (q land 0xFFFFFFFF));
-      Memory.store_word mem (addr + 4) (Int32.of_int (q lsr 32)))
+      Memory.store_word mem addr q;
+      Memory.store_word mem (addr + 4) (q lsr 32))
     moduli
 
 let stage_permutation mem layout perm =
-  Array.iteri (fun i p -> Memory.store_word mem (layout.perm_base + (4 * i)) (Int32.of_int p)) perm
+  Array.iteri (fun i p -> Memory.store_word mem (layout.perm_base + (4 * i)) p) perm
 
 let read_poly mem layout ~n ~k =
   Array.init k (fun j ->
       Array.init n (fun i ->
           let addr = layout.poly_base + (8 * (i + (j * n))) in
-          let lo = Int32.to_int (Memory.load_word mem addr) land 0xFFFFFFFF in
-          let hi = Int32.to_int (Memory.load_word mem (addr + 4)) land 0xFFFFFFFF in
-          lo lor (hi lsl 32)))
+          Memory.load_word mem addr lor (Memory.load_word mem (addr + 4) lsl 32)))
 
 let draws_of_gaussian rng clipped ~count =
   let polar = Mathkit.Gaussian.polar () in
@@ -319,7 +317,7 @@ let stage_cdt_table mem thresholds =
   if Array.length thresholds <> cdt_entries then
     invalid_arg (Printf.sprintf "Sampler_prog.stage_cdt_table: need exactly %d thresholds" cdt_entries);
   Array.iteri
-    (fun i t -> Memory.store_word mem (cdt_base + (4 * i)) (Int32.of_int (t land 0x7FFFFFFF)))
+    (fun i t -> Memory.store_word mem (cdt_base + (4 * i)) (t land 0x7FFFFFFF))
     thresholds
 
 let cdt_thresholds ~sigma =

@@ -16,6 +16,20 @@ type window = { start : int; stop : int }
 
 module Fvec = Mathkit.Fvec
 
+(* The centred moving average at [i] of the [n] samples from [off] in
+   [buf]: the window [i - radius, i + radius] clipped to the trace,
+   summed in ascending order from 0.0, divided once by its width.  The
+   one statement of the smoothing formula; inlined, so the average is
+   never boxed.  The caller validates [off, off + n). *)
+let[@inline] smoothed (buf : Fvec.buffer) off n radius i =
+  let lo = Int.max 0 (i - radius) and hi = Int.min (n - 1) (i + radius) in
+  let acc = ref 0.0 in
+  for j = lo to hi do
+    (* srclint: allow unsafe-index j stays in [0,n) and the caller check_range's the view *)
+    acc := !acc +. Bigarray.Array1.unsafe_get buf (off + j)
+  done;
+  !acc /. float_of_int (hi - lo + 1)
+
 let smooth_fv radius samples =
   if radius <= 0 then Fvec.copy samples
   else begin
@@ -24,37 +38,9 @@ let smooth_fv radius samples =
     Fvec.check_range buf ~off ~len:n "Segment.smooth_fv";
     let out = Fvec.create n in
     let obuf = Fvec.buffer out in
-    let edge i =
-      let lo = max 0 (i - radius) and hi = min (n - 1) (i + radius) in
-      let acc = ref 0.0 in
-      for j = lo to hi do
-        (* srclint: allow unsafe-index j stays in [0,n) and the view range is check_range'd above *)
-        acc := !acc +. Bigarray.Array1.unsafe_get buf (off + j)
-      done;
+    for i = 0 to n - 1 do
       (* srclint: allow unsafe-index out is freshly created with length n *)
-      Bigarray.Array1.unsafe_set obuf i (!acc /. float_of_int (hi - lo + 1))
-    in
-    (* Steady interior: the [i - radius, i + radius] window never
-       clips, so the edge clamping and the per-sample width conversion
-       hoist out of the loop.  Summation order (ascending j) and the
-       divide match [edge] exactly — bit-identical, just leaner. *)
-    let interior_stop = n - 1 - radius in
-    let w = float_of_int ((2 * radius) + 1) in
-    for i = 0 to min (radius - 1) (n - 1) do
-      edge i
-    done;
-    for i = radius to interior_stop do
-      let base = off + (i - radius) in
-      let acc = ref 0.0 in
-      for j = 0 to 2 * radius do
-        (* srclint: allow unsafe-index the window stays inside the view range check_range'd above *)
-        acc := !acc +. Bigarray.Array1.unsafe_get buf (base + j)
-      done;
-      (* srclint: allow unsafe-index out is freshly created with length n *)
-      Bigarray.Array1.unsafe_set obuf i (!acc /. w)
-    done;
-    for i = max radius (interior_stop + 1) to n - 1 do
-      edge i
+      Bigarray.Array1.unsafe_set obuf i (smoothed buf off n radius i)
     done;
     out
   end
@@ -104,33 +90,41 @@ let auto_threshold_fv cfg samples =
   let s = smooth_fv cfg.smooth_radius samples in
   otsu_fv s
 
+(* The maximal runs of samples whose [radius]-smoothed value exceeds
+   [threshold], each tested as it is formed: no smoothed copy.  The
+   average of a radius-0 window is the sample itself up to the sign of
+   a zero, which [>] does not see. *)
+let runs_above samples ~radius threshold =
+  let n = Fvec.length samples in
+  let buf = Fvec.buffer samples and off = Fvec.offset samples in
+  Fvec.check_range buf ~off ~len:n "Segment.burst_regions_fv";
+  let radius = Int.max 0 radius in
+  let runs = ref [] in
+  let run_start = ref (-1) in
+  for i = 0 to n - 1 do
+    if smoothed buf off n radius i > threshold then begin
+      if !run_start < 0 then run_start := i
+    end
+    else if !run_start >= 0 then begin
+      runs := { start = !run_start; stop = i } :: !runs;
+      run_start := -1
+    end
+  done;
+  if !run_start >= 0 then runs := { start = !run_start; stop = n } :: !runs;
+  List.rev !runs
+
 let burst_regions_fv cfg samples =
   let n = Fvec.length samples in
   if n = 0 then [||]
   else begin
-    let s = smooth_fv cfg.smooth_radius samples in
-    let threshold =
+    let runs =
       match cfg.threshold with
-      | Absolute t -> t
-      | Auto -> otsu_fv s
+      | Absolute t -> runs_above samples ~radius:cfg.smooth_radius t
+      | Auto ->
+          (* Otsu needs the whole smoothed histogram first *)
+          let s = smooth_fv cfg.smooth_radius samples in
+          runs_above s ~radius:0 (otsu_fv s)
     in
-    (* Raw above-threshold runs, read straight from [s]'s buffer. *)
-    let sbuf = Fvec.buffer s and soff = Fvec.offset s in
-    Fvec.check_range sbuf ~off:soff ~len:n "Segment.burst_regions_fv";
-    let runs = ref [] in
-    let run_start = ref (-1) in
-    for i = 0 to n - 1 do
-      (* srclint: allow unsafe-index i stays in [0,n) and the view range is check_range'd above *)
-      if Bigarray.Array1.unsafe_get sbuf (soff + i) > threshold then begin
-        if !run_start < 0 then run_start := i
-      end
-      else if !run_start >= 0 then begin
-        runs := { start = !run_start; stop = i } :: !runs;
-        run_start := -1
-      end
-    done;
-    if !run_start >= 0 then runs := { start = !run_start; stop = n } :: !runs;
-    let runs = List.rev !runs in
     (* Group runs separated by less than merge_gap into one burst. *)
     let groups =
       List.fold_left

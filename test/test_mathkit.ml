@@ -431,6 +431,27 @@ let test_prng_bits53 () =
     if Int64.bits_of_float f <> Int64.bits_of_float old then Alcotest.failf "draw %d: float moved" i
   done
 
+(* The bulk kernel against [len] single draws: the same values, the
+   same state after, and nothing written past [len]. *)
+let test_prng_fill_bits53 () =
+  let draw4 g = Array.init 4 (fun _ -> Prng.bits64 g) in
+  List.iter
+    (fun len ->
+      let g = Prng.create ~seed:(Int64.of_int (len + 11)) () in
+      let reference = Prng.copy g in
+      let a = Array.make (len + 3) (-1) in
+      Prng.fill_bits53 g a ~len;
+      for i = 0 to len - 1 do
+        let b = Prng.bits53 reference in
+        if a.(i) <> b then Alcotest.failf "len %d, draw %d: %d, bits53 %d" len i a.(i) b
+      done;
+      Alcotest.(check (array int)) (Printf.sprintf "len %d: tail untouched" len) [| -1; -1; -1 |] (Array.sub a len 3);
+      (* one draw reads only s1: four see every state word *)
+      Alcotest.(check (array int64)) (Printf.sprintf "len %d: same next draws" len) (draw4 reference) (draw4 g))
+    [ 0; 1; 2; 4097 ];
+  Alcotest.check_raises "len past the array" (Invalid_argument "Prng.fill_bits53: len out of range") (fun () ->
+      Prng.fill_bits53 (rng ()) (Array.make 2 0) ~len:3)
+
 let test_gaussian_cdf_monotone () =
   let prev = ref neg_infinity in
   for i = -40 to 40 do
@@ -622,6 +643,7 @@ let unit_cases =
     ("prng split", test_prng_split_independent);
     ("prng shuffle permutation", test_prng_shuffle_permutation);
     ("prng bits53 and float", test_prng_bits53);
+    ("prng fill_bits53 = bits53 calls", test_prng_fill_bits53);
     ("modular reduce negative", test_modular_reduce_negative);
     ("modular add/sub roundtrip", test_modular_add_sub_roundtrip);
     ("modular mul vs naive", test_modular_mul_matches_naive);
@@ -930,6 +952,17 @@ let percentile_prop =
       Float.equal (Stats.percentile xs p) (sorted_percentile xs p)
       && Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b) before xs)
 
+(* The fault pass selects in a buffer longer than the trace: only the
+   prefix is read, and only the prefix is permuted. *)
+let percentile_in_place_prop =
+  QCheck.Test.make ~name:"Stats.percentile_in_place: the prefix's percentile, the tail untouched" ~count:300
+    QCheck.(triple (array_of_size Gen.(int_range 1 100) (float_range (-9.0) 9.0)) (float_bound_inclusive 100.0) small_nat)
+    (fun (xs, p, extra) ->
+      let len = Array.length xs in
+      let buf = Array.append xs (Array.init extra (fun i -> float_of_int (1000 + i))) in
+      Float.equal (Stats.percentile_in_place buf ~len p) (Stats.percentile xs p)
+      && Array.for_all (fun i -> buf.(len + i) = float_of_int (1000 + i)) (Array.init extra Fun.id))
+
 let suite =
   suite
   @ List.map
@@ -939,4 +972,4 @@ let suite =
         ("prng copy is independent", test_prng_copy_independent);
         ("percentile rejects bad input", test_percentile_rejects);
       ]
-  @ [ QCheck_alcotest.to_alcotest percentile_prop ]
+  @ List.map QCheck_alcotest.to_alcotest [ percentile_prop; percentile_in_place_prop ]

@@ -93,6 +93,103 @@ let test_profiling_draw_is_one_clipped_draw () =
     done
   done
 
+(* [Device.run] is the staged composition — a fresh RAM, a CPU whose
+   tracer records every event, [Synth.synthesize] over the event array,
+   then [Fault.apply] — bit for bit, for every firmware variant, a
+   custom cycle model and a faulted device.  n = 64 and n = 256 devices
+   alternate twice in one domain, so the domain's RAM, synthesis
+   columns and fault scratch pass between lengths and variants.  (The
+   firmware reads no RAM it did not stage or write, so an uncleared RAM
+   would not show here; [Memory.clear] is pinned in test_riscv.) *)
+let staged ?cycle_model ?fault ~variant ~n ~perm ~scope_rng draws =
+  let module SP = Riscv.Sampler_prog in
+  let layout = SP.default_layout in
+  let draws = Array.append draws [| (0, 0) |] in
+  let mem = Riscv.Memory.create layout.SP.ram_size in
+  Riscv.Memory.load_program mem 0 (SP.build ~variant ~n:(n + 1) ~k:1 ()).Riscv.Asm.words;
+  SP.stage_moduli mem layout [| 132120577 |];
+  (match perm with
+  | Some p -> SP.stage_permutation mem layout (Array.append p [| n |])
+  | None -> if variant = SP.Shuffled then SP.stage_permutation mem layout (Array.init (n + 1) Fun.id));
+  (match variant with
+  | SP.Cdt_table ->
+      let sigma = Mathkit.Gaussian.seal_default.Mathkit.Gaussian.sigma in
+      SP.stage_cdt_table mem (SP.cdt_thresholds ~sigma);
+      let force = Mathkit.Prng.split scope_rng in
+      SP.install_cdt_port mem ~draws:(Array.map (fun (v, _) -> SP.cdt_force_draw force ~sigma ~value:v) draws)
+  | _ -> SP.install_noise_port mem ~draws);
+  let r = Riscv.Trace.recorder () in
+  let cpu = Riscv.Cpu.create ~tracer:(Riscv.Trace.record r) ?cycle_model mem in
+  ignore (Riscv.Cpu.run ~max_steps:(200 * n * 64) cpu);
+  let trace = Power.Synth.synthesize ~rng:scope_rng Power.Synth.default (Riscv.Trace.events r) in
+  let trace =
+    match fault with
+    | Some f -> Power.Fault.apply ~rng:(Mathkit.Prng.split scope_rng) f trace
+    | None -> trace
+  in
+  (trace, Array.map (fun plane -> Array.sub plane 0 n) (SP.read_poly mem layout ~n:(n + 1) ~k:1))
+
+let test_device_run_is_the_staged_composition () =
+  let bits a = Array.map Int64.bits_of_float a in
+  let slow_div = function Riscv.Inst.K_div -> 21 | k -> Riscv.Cpu.cycles_of_class k in
+  let fault = Power.Fault.of_intensity 0.5 in
+  let cases =
+    [
+      ("v32", Riscv.Sampler_prog.Vulnerable, None, None, false);
+      ("v36", Riscv.Sampler_prog.Branchless, None, None, false);
+      ("shuffled", Riscv.Sampler_prog.Shuffled, None, None, true);
+      ("cdt", Riscv.Sampler_prog.Cdt_table, None, None, false);
+      ("cycle model", Riscv.Sampler_prog.Vulnerable, Some slow_div, None, false);
+      ("faulted", Riscv.Sampler_prog.Vulnerable, None, Some fault, false);
+    ]
+  in
+  let devices =
+    List.map
+      (fun n ->
+        ( n,
+          List.map
+            (fun (name, variant, cycle_model, fault, shuffled) ->
+              (name, variant, cycle_model, fault, shuffled, Reveal.Device.create ~variant ?cycle_model ?fault ~n ()))
+            cases ))
+      [ 64; 256 ]
+  in
+  let seed = ref 0 in
+  for pass = 1 to 2 do
+    List.iter
+      (fun (n, devs) ->
+        List.iter
+          (fun (name, variant, cycle_model, fault, shuffled, device) ->
+            incr seed;
+            let label what = Printf.sprintf "pass %d, n = %d, %s: %s" pass n name what in
+            let scope = Mathkit.Prng.create ~seed:(Int64.of_int !seed) () in
+            let sampler = Mathkit.Prng.create ~seed:(Int64.of_int (1000 + !seed)) () in
+            let draws, _ =
+              Riscv.Sampler_prog.draws_of_gaussian (Mathkit.Prng.copy sampler) Mathkit.Gaussian.seal_default ~count:n
+            in
+            let perm =
+              if shuffled then begin
+                let p = Array.init n Fun.id in
+                Mathkit.Prng.shuffle (Mathkit.Prng.create ~seed:(Int64.of_int (2000 + !seed)) ()) p;
+                Some p
+              end
+              else None
+            in
+            let trace, poly = staged ?cycle_model ?fault ~variant ~n ~perm ~scope_rng:(Mathkit.Prng.copy scope) draws in
+            let run =
+              match perm with
+              | Some perm -> Reveal.Device.run_shuffled device ~scope_rng:scope ~sampler_rng:sampler ~perm
+              | None -> Reveal.Device.run device ~scope_rng:scope ~draws
+            in
+            let t = run.Reveal.Device.trace in
+            Alcotest.(check (array int64)) (label "samples") (bits trace.Power.Ptrace.samples) (bits t.Power.Ptrace.samples);
+            Alcotest.(check (array int)) (label "event starts") trace.Power.Ptrace.event_start t.Power.Ptrace.event_start;
+            Alcotest.(check (array int)) (label "event pcs") trace.Power.Ptrace.event_pc t.Power.Ptrace.event_pc;
+            Alcotest.(check (array int)) (label "noises") (Array.map fst draws) run.Reveal.Device.noises;
+            Alcotest.(check (array (array int))) (label "poly") poly run.Reveal.Device.poly)
+          devs)
+      devices
+  done
+
 (* --- Campaign ------------------------------------------------------------- *)
 
 let test_campaign_sign_recovery_perfect () =
@@ -312,6 +409,7 @@ let suite =
       ("device shuffled placement", test_device_shuffled_places_values);
       ("device variants: same output, different trace", test_device_variant_traces_differ);
       ("device profiling draw = one clipped draw", test_profiling_draw_is_one_clipped_draw);
+      ("device run = the staged composition, bit for bit", test_device_run_is_the_staged_composition);
       ("campaign 100% sign recovery", test_campaign_sign_recovery_perfect);
       ("campaign zero class exact", test_campaign_zero_class_exact);
       ("campaign negatives beat positives", test_campaign_negatives_beat_positives);

@@ -90,6 +90,57 @@ let test_synth_sample_count () =
   Alcotest.(check int) "samples = cycles * spc" (total_cycles * 2) (Power.Ptrace.length t);
   Alcotest.(check int) "event starts recorded" (Array.length events) (Array.length t.Power.Ptrace.event_start)
 
+(* At one sample per cycle the pulse shape is 1.0, so a trace is the
+   leakage model's levels themselves: an event's first cycle at
+   [of_event], the rest at [residual]. *)
+let one_per_cycle = { Power.Synth.quiet with Power.Synth.samples_per_cycle = 1 }
+
+let expected_trace events =
+  let model = one_per_cycle.Power.Synth.model in
+  let starts = Array.make (Array.length events) 0 and pos = ref 0 in
+  let samples =
+    Array.concat
+      (Array.to_list
+         (Array.mapi
+            (fun i e ->
+              starts.(i) <- !pos;
+              pos := !pos + e.Riscv.Trace.cycles;
+              Array.init e.Riscv.Trace.cycles (fun c ->
+                  if c = 0 then Power.Leakage.of_event model e else Power.Leakage.residual model e))
+            events))
+  in
+  (samples, starts, Array.map (fun e -> e.Riscv.Trace.pc) events)
+
+let check_trace label events (t : Power.Ptrace.t) =
+  let samples, starts, pcs = expected_trace events in
+  Alcotest.(check (array int64)) (label ^ ": samples") (Array.map Int64.bits_of_float samples)
+    (Array.map Int64.bits_of_float t.Power.Ptrace.samples);
+  Alcotest.(check (array int)) (label ^ ": event starts") starts t.Power.Ptrace.event_start;
+  Alcotest.(check (array int)) (label ^ ": event pcs") pcs t.Power.Ptrace.event_pc
+
+(* The accumulator's columns pass from one finished accumulator to the
+   next in a domain: long, short and long runs, and two accumulators
+   fed at once, each give exactly their own events' trace. *)
+let test_synth_accumulator_reuse () =
+  let loop count =
+    events_of_program
+      Riscv.Asm.
+        [
+          li (Riscv.Inst.a 0) count; label "l"; ins (Riscv.Inst.Mul (Riscv.Inst.a 1, Riscv.Inst.a 0, Riscv.Inst.a 0));
+          ins (Riscv.Inst.Addi (Riscv.Inst.a 0, Riscv.Inst.a 0, -1)); bne (Riscv.Inst.a 0) Riscv.Inst.x0 "l"; halt;
+        ]
+  in
+  let long = loop 1500 and short = loop 1 and longer = loop 2500 in
+  List.iter
+    (fun (label, events) -> check_trace label events (Power.Synth.synthesize one_per_cycle events))
+    [ ("long", long); ("short", short); ("longer", longer); ("empty", [||]); ("long again", long) ];
+  let a = Power.Synth.accumulator one_per_cycle and b = Power.Synth.accumulator one_per_cycle in
+  Array.iteri (fun i e -> if i < 1000 then Power.Synth.feed a e) longer;
+  Array.iter (Power.Synth.feed b) short;
+  check_trace "inner" short (Power.Synth.finish b);
+  Array.iteri (fun i e -> if i >= 1000 then Power.Synth.feed a e) longer;
+  check_trace "outer" longer (Power.Synth.finish a)
+
 let test_synth_deterministic () =
   let events = events_of_program [ Riscv.Asm.li (Riscv.Inst.a 0) 42; Riscv.Asm.halt ] in
   let t1 = Power.Synth.synthesize Power.Synth.quiet events in
@@ -369,6 +420,27 @@ let test_fault_drift_row () =
       ("c", c, 5000); ("a", a, 5000);
     ]
 
+(* The domain's fault scratch (working copy, drop/dup fates, the
+   selection buffer) is reused from trace to trace: long, short and long
+   traces under two alternating configs, every channel on, must each
+   equal the staged oracle, with the same draws consumed. *)
+let test_fault_scratch_reuse () =
+  let half = Power.Fault.of_intensity 0.5 and heavy = Power.Fault.of_intensity 1.7 in
+  List.iteri
+    (fun k (name, cfg, n) ->
+      let t = fault_trace n ~ties:(k mod 2 = 1) (n + k) in
+      let g = Mathkit.Prng.create ~seed:(Int64.of_int (k + 1)) () in
+      let g' = Mathkit.Prng.copy g in
+      let got = (Power.Fault.apply ~rng:g cfg t).Power.Ptrace.samples in
+      let want = (Fault_oracle.apply ~rng:g' cfg t).Power.Ptrace.samples in
+      let label what = Printf.sprintf "%s, %d samples: %s" name n what in
+      Alcotest.(check bool) (label "samples") true (same_bits got want);
+      Alcotest.(check int64) (label "next draw") (Mathkit.Prng.bits64 g') (Mathkit.Prng.bits64 g))
+    [
+      ("half", half, 40_000); ("heavy", heavy, 300); ("half", half, 45_000); ("heavy", heavy, 45_000);
+      ("half", half, 7); ("heavy", heavy, 40_000);
+    ]
+
 (* The first and last 16 noisy samples of one synthesized trace (a
    mul/div loop at 3 samples per cycle) and the next draw after it,
    recorded before the noise kernel and the shape table replaced the
@@ -417,5 +489,7 @@ let suite =
       (fun (name, f) -> Alcotest.test_case name `Quick f)
       [
         ("fault drift row = staged oracle", test_fault_drift_row);
+        ("fault scratch reuse = staged oracle", test_fault_scratch_reuse);
+        ("synth accumulator columns reused exactly", test_synth_accumulator_reuse);
         ("synthesize known answer", test_synthesize_known_answer);
       ]

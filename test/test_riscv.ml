@@ -126,8 +126,8 @@ let test_codec_illegal_corpus () =
 
 let test_memory_word_roundtrip () =
   let m = Memory.create 1024 in
-  Memory.store_word m 0 0xDEADBEEFl;
-  Alcotest.(check int32) "word" 0xDEADBEEFl (Memory.load_word m 0)
+  Memory.store_word m 0 0xDEADBEEF;
+  Alcotest.(check int) "word" 0xDEADBEEF (Memory.load_word m 0)
 
 let test_memory_byte_sign () =
   let m = Memory.create 1024 in
@@ -143,7 +143,7 @@ let test_memory_half_sign () =
 
 let test_memory_little_endian () =
   let m = Memory.create 1024 in
-  Memory.store_word m 0 0x04030201l;
+  Memory.store_word m 0 0x04030201;
   Alcotest.(check int) "byte0" 1 (Memory.load_byte_u m 0);
   Alcotest.(check int) "byte3" 4 (Memory.load_byte_u m 3)
 
@@ -155,7 +155,22 @@ let test_memory_unaligned_raises () =
 let test_memory_mmio () =
   let m = Memory.create 1024 in
   Memory.set_mmio_read m (fun addr -> Int32.of_int (addr land 0xFF));
-  Alcotest.(check int32) "mmio routed" 4l (Memory.load_word m (Memory.mmio_base + 4))
+  Alcotest.(check int) "mmio routed" 4 (Memory.load_word m (Memory.mmio_base + 4))
+
+(* One RAM serves run after run: [clear] must give back exactly what
+   [create] returned — zero bytes everywhere, no MMIO handler. *)
+let test_memory_clear () =
+  let m = Memory.create 1024 in
+  for a = 0 to 255 do
+    Memory.store_word m (4 * a) (0x01010101 * (a + 1))
+  done;
+  Memory.set_mmio_read m (fun _ -> 7l);
+  Memory.clear m;
+  for a = 0 to 1023 do
+    if Memory.load_byte_u m a <> 0 then Alcotest.failf "byte %d not cleared" a
+  done;
+  Alcotest.check_raises "no handler" (Invalid_argument "Memory.load_word: MMIO read with no handler") (fun () ->
+      ignore (Memory.load_word m Memory.mmio_base))
 
 (* --- Asm ------------------------------------------------------------------- *)
 
@@ -328,6 +343,54 @@ let test_cpu_cycle_accounting () =
   Alcotest.(check int) "cycles" (3 + 3 + 3) (Cpu.cycle cpu);
   Alcotest.(check int) "retired" 3 (Cpu.retired cpu)
 
+(* The decode cache holds each pc's last word and decoding: code that
+   rewrites itself — an instruction replaced before it first runs, and
+   one flipped between two words on every pass of a loop after it has
+   run — must execute what memory holds at each fetch. *)
+let test_cpu_self_modifying_code () =
+  let open Asm in
+  let word i = Int32.to_int (Codec.encode i) land 0xFFFFFFFF in
+  let a0 = Inst.a 0 and a1 = Inst.a 1 in
+  let plus1 = word (Inst.Addi (a0, a0, 1)) and plus100 = word (Inst.Addi (a0, a0, 100)) in
+  let prog =
+    Asm.assemble
+      [
+        li (Inst.s 0) plus100;
+        li (Inst.s 1) (plus1 lxor plus100);
+        la (Inst.s 2) "target";
+        la (Inst.s 3) "later";
+        li (Inst.s 4) (word (Inst.Addi (a1, a1, 7)));
+        li (Inst.t 2) 4;
+        ins (Inst.Sw (Inst.s 4, Inst.s 3, 0));
+        label "loop";
+        label "target";
+        ins (Inst.Addi (a0, a0, 1));
+        ins (Inst.Sw (Inst.s 0, Inst.s 2, 0));
+        ins (Inst.Xor (Inst.s 0, Inst.s 0, Inst.s 1));
+        ins (Inst.Addi (Inst.t 2, Inst.t 2, -1));
+        bne (Inst.t 2) Inst.x0 "loop";
+        label "later";
+        ins (Inst.Addi (a1, a1, 1));
+        halt;
+      ]
+  in
+  let mem = Memory.create 4096 in
+  Memory.load_program mem 0 prog.Asm.words;
+  let mismatches = ref 0 and events = ref 0 in
+  (* no instruction stores into its own pc, so after each step the word
+     at the event's pc is the word it executed *)
+  let tracer e =
+    incr events;
+    if e.Trace.inst <> Codec.decode (Int32.of_int (Memory.load_word mem e.Trace.pc)) then incr mismatches
+  in
+  let cpu = Cpu.create ~tracer mem in
+  ignore (Cpu.run ~max_steps:1000 cpu);
+  (* passes run +1, +100, +1, +100 *)
+  Alcotest.(check int) "flipped in a loop after running" 202 (Cpu.reg cpu a0);
+  Alcotest.(check int) "replaced before running" 7 (Cpu.reg cpu a1);
+  Alcotest.(check bool) "events seen" true (!events > 20);
+  Alcotest.(check int) "every event decodes its pc's word" 0 !mismatches
+
 (* --- Sampler program -------------------------------------------------------------- *)
 
 let moduli_seal = [| 132120577 |]
@@ -469,6 +532,7 @@ let suite =
       ("memory little endian", test_memory_little_endian);
       ("memory unaligned raises", test_memory_unaligned_raises);
       ("memory mmio routing", test_memory_mmio);
+      ("memory clear = a fresh create", test_memory_clear);
       ("asm labels forward/backward", test_asm_forward_backward_labels);
       ("asm duplicate label raises", test_asm_duplicate_label_raises);
       ("asm undefined label raises", test_asm_undefined_label_raises);
@@ -486,6 +550,7 @@ let suite =
       ("cpu load/store", test_cpu_load_store_program);
       ("cpu branch direction in events", test_cpu_branch_events);
       ("cpu cycle accounting", test_cpu_cycle_accounting);
+      ("cpu self-modifying code re-decodes", test_cpu_self_modifying_code);
       ("sampler vulnerable semantics", test_sampler_vulnerable_correct);
       ("sampler branchless same output", test_sampler_branchless_matches);
       ("sampler shuffled permutation", test_sampler_shuffled_matches);

@@ -432,6 +432,54 @@ let segment_qcheck =
         && Array.for_all2 (fun b w -> b.Sca.Segment.stop = w.Sca.Segment.start) bursts wins);
   ]
 
+(* An absolute threshold is tested on each smoothed sample as it is
+   formed; it must find what a threshold scan of the materialised
+   [smooth_fv] finds.  Lengths around the window size (0, 1, 2r, 2r+1)
+   are drawn often, samples are a few levels (signed zeros included) so
+   smoothed values tie, the threshold is one of the smoothed values, so
+   [>] meets equality, and the trace is a view at a nonzero offset. *)
+let streaming_case =
+  QCheck.Gen.(
+    int_range 0 3 >>= fun radius ->
+    oneofl [ 0; 1; 2 * radius; (2 * radius) + 1; 7 ] >>= fun small ->
+    oneof [ return small; int_range 0 400 ] >>= fun n ->
+    quad (return radius) (return n) (int_range 0 12) (pair (int_range 0 6) int))
+
+let streaming_print (radius, n, gap, (min_burst, seed)) =
+  Printf.sprintf "radius=%d n=%d merge_gap=%d min_burst=%d seed=%d" radius n gap min_burst seed
+
+let raw_runs s t =
+  let runs = ref [] and start = ref (-1) in
+  for i = 0 to Mathkit.Fvec.length s - 1 do
+    if Mathkit.Fvec.get s i > t then (if !start < 0 then start := i)
+    else if !start >= 0 then begin
+      runs := { Sca.Segment.start = !start; stop = i } :: !runs;
+      start := -1
+    end
+  done;
+  if !start >= 0 then runs := { Sca.Segment.start = !start; stop = Mathkit.Fvec.length s } :: !runs;
+  Array.of_list (List.rev !runs)
+
+let streaming_threshold_prop =
+  QCheck.Test.make ~name:"segment: streaming threshold = threshold of the materialised smooth_fv" ~count:500
+    (QCheck.make ~print:streaming_print streaming_case)
+    (fun (radius, n, merge_gap, (min_burst, seed)) ->
+      let g = Mathkit.Prng.create ~seed:(Int64.of_int seed) () in
+      let level () =
+        match Mathkit.Prng.int g 8 with 7 -> -0.0 | 6 -> 20.0 +. Mathkit.Prng.float g | k -> float_of_int k
+      in
+      let pad = 3 in
+      let x = Mathkit.Fvec.sub (fv (Array.init (n + pad) (fun _ -> level ()))) pad n in
+      let s = Sca.Segment.smooth_fv radius x in
+      let t = if n = 0 then 1.0 else Mathkit.Fvec.get s (Mathkit.Prng.int g n) in
+      let cfg = { Sca.Segment.threshold = Sca.Segment.Absolute t; smooth_radius = radius; merge_gap; min_burst } in
+      let raw = { cfg with Sca.Segment.merge_gap = 0; min_burst = 1 } in
+      Sca.Segment.burst_regions_fv raw x = raw_runs s t
+      && Sca.Segment.burst_regions_fv cfg x
+         = Sca.Segment.burst_regions_fv { cfg with Sca.Segment.smooth_radius = 0 } s)
+
+let segment_qcheck = segment_qcheck @ [ streaming_threshold_prop ]
+
 let suite = suite @ List.map QCheck_alcotest.to_alcotest segment_qcheck
 
 (* --- resilient segmentation -------------------------------------------- *)
