@@ -384,27 +384,18 @@ let inspect path show_records json obs =
     Printf.printf "  traces             %d\n" h.trace_count;
     List.iter (fun (k, v) -> Printf.printf "  meta %-18s %s\n" k v) h.meta
   end;
-  let total_samples = ref 0 and raw = ref 0 and rows = ref [] in
+  let total_samples = ref 0 and rows = ref [] in
   let rec loop () =
     match next reader with
     | None -> ()
     | Some r ->
         let len = Power.Ptrace.length r.trace in
-        let events = Array.length r.trace.Power.Ptrace.event_start in
         let mean = Power.Ptrace.mean r.trace in
         total_samples := !total_samples + len;
-        (* what a naive 64-bit dump of the same record costs *)
-        raw := !raw + (8 * (len + (2 * events) + Array.length r.noises));
         if show_records then
           if json then
-            rows :=
-              Obs.Json.(
-                Obj
-                  [
-                    ("index", Int r.index); ("samples", Int len); ("events", Int events); ("mean_power", Float mean);
-                  ])
-              :: !rows
-          else Printf.printf "  record %4d: %6d samples, %5d events, mean power %8.2f\n" r.index len events mean;
+            rows := Obs.Json.(Obj [ ("index", Int r.index); ("samples", Int len); ("mean_power", Float mean) ]) :: !rows
+          else Printf.printf "  record %4d: %6d samples, mean power %8.2f\n" r.index len mean;
         loop ()
   in
   loop ();
@@ -417,15 +408,12 @@ let inspect path show_records json obs =
               ("seed", String (Int64.to_string h.seed)); ("samples_per_cycle", Int h.samples_per_cycle);
               ("noise_sigma", Float h.noise_sigma); ("traces", Int h.trace_count);
               ("meta", Obj (List.map (fun (k, v) -> (k, String v)) h.meta));
-              ("total_samples", Int !total_samples); ("raw_bytes", Int !raw); ("checksums_verified", Bool true);
+              ("total_samples", Int !total_samples); ("checksums_verified", Bool true);
             ]
            @ if show_records then [ ("records", List (List.rev !rows)) ] else [])))
   else begin
     Printf.printf "all %d record checksums verified\n" h.trace_count;
-    if !raw > 0 then
-      Printf.printf "%d samples total; %d bytes on disk vs %d raw 64-bit dump (%.2fx compression)\n" !total_samples
-        size !raw
-        (float_of_int !raw /. float_of_int size)
+    Printf.printf "%d samples total\n" !total_samples
   end
 
 (* --- fault-sweep / lint / srclint / estimate / report ------------------- *)
@@ -881,7 +869,7 @@ let scenario_arg traces_doc =
   let gate =
     let doc =
       "Gate profile: $(b,default) (the shipped thresholds), $(b,aggressive) (thresholds floored, fit floors disabled \
-       — accepts garbage confidently) or $(b,paranoid) (thresholds raised, deeper retries)."
+       — accepts garbage confidently) or $(b,paranoid) (thresholds raised)."
     in
     Arg.(value & opt (enum Triage.Plan.gate_names) Triage.Plan.Default & info [ "gate" ] ~docv:"PROFILE" ~doc)
   in

@@ -21,8 +21,6 @@ type report = {
   r_truncated : string option;
 }
 
-let heartbeat_event = "campaign.heartbeat"
-
 let get_float j key = Option.bind (Obs.Json.member key j) Obs.Json.to_float_opt
 let get_string j key = Option.bind (Obs.Json.member key j) Obs.Json.to_string_opt
 let get_int j key = Option.bind (Obs.Json.member key j) Obs.Json.to_int_opt
@@ -50,7 +48,7 @@ let drain ?on_heartbeat ~peer ic =
             (match get_float j "t" with Some t -> last_t := Some t | None -> ());
             (match get_string j "ev" with
             | Some "start" -> ( match get_string j "source" with Some s -> source := Some s | None -> ())
-            | Some "event" when get_string j "name" = Some heartbeat_event -> (
+            | Some "event" when get_string j "name" = Some Reveal.Constants.heartbeat_event -> (
                 incr heartbeats;
                 let attrs = Option.value ~default:Obs.Json.Null (Obs.Json.member "attrs" j) in
                 (match get_int attrs "done" with Some d -> done_ := d | None -> ());

@@ -24,16 +24,14 @@ type report = {
   r_truncated : string option;  (** the Corrupt message when the stream was cut *)
 }
 
-val heartbeat_event : string
-(** The event name campaigns emit per batch: ["campaign.heartbeat"]. *)
-
 val drain :
   ?on_heartbeat:(source:string -> done_:int -> total:int option -> t:float -> unit) ->
   peer:string ->
   in_channel ->
   report
 (** Read one telemetry stream to its end frame, folding every line
-    into a summary.  [on_heartbeat] fires per heartbeat with the
+    into a summary.  [on_heartbeat] fires per heartbeat (a
+    {!Reveal.Constants.heartbeat_event} event) with the
     worker's best-known name — the live progress feed.  Tolerant:
     CRC-skipped slots and unparseable lines are counted in
     [r_skipped], and a connection cut mid-stream yields a partial

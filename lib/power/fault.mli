@@ -47,7 +47,4 @@ val of_intensity : float -> config
 val apply : rng:Mathkit.Prng.t -> config -> Ptrace.t -> Ptrace.t
 (** Corrupt a trace.  Stage order: baseline drift, glitch bursts,
     clipping, drop/duplication, trigger jitter.  Disabled stages are
-    skipped entirely and draw no randomness.  Event metadata
-    ([event_start] / [event_pc]) is carried over unchanged and becomes
-    approximate once samples move; the attack path never reads it, and
-    profiling should run fault-free. *)
+    skipped entirely and draw no randomness. *)

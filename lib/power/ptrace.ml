@@ -1,9 +1,4 @@
-type t = {
-  samples : float array;
-  samples_per_cycle : int;
-  event_start : int array;
-  event_pc : int array;
-}
+type t = { samples : float array; samples_per_cycle : int }
 
 let length t = Array.length t.samples
 

@@ -1,23 +1,17 @@
 (** Power traces: sample containers plus text/CSV rendering.
 
     A trace is one oscilloscope capture: samples at a fixed rate,
-    arbitrary power units.  Also carries the sample index at which
-    each retired instruction started, which profiling uses as ground
-    truth (the attacker's analysis never reads it). *)
+    arbitrary power units, and nothing else.  Like the paper's attack,
+    every stage finds a coefficient's sub-trace from the samples
+    alone, so no trace records where individual instructions start. *)
 
-type t = {
-  samples : float array;
-  samples_per_cycle : int;
-  event_start : int array;  (** event index -> first sample index *)
-  event_pc : int array;  (** event index -> pc, for ground-truth region labelling *)
-}
+type t = { samples : float array; samples_per_cycle : int }
 
 val length : t -> int
 val mean : t -> float
 
 val save_csv : string -> t -> unit
-(** Stream the trace as ["index,power"] CSV rows ([%.6f] samples;
-    events are not written).
+(** Stream the trace as ["index,power"] CSV rows ([%.6f] samples).
     @raise Failure when the file cannot be written; the message names
     the target path (never a bare [Sys_error]). *)
 

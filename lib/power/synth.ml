@@ -17,14 +17,9 @@ let shape ~samples_per_cycle i =
   end
 
 (* Per event, in unboxed columns: the power of its first cycle and of
-   the rest, its latency and its pc.  An event record is read as it
-   arrives and never kept, so none outlives a minor collection. *)
-type columns = {
-  mutable first : float array;
-  mutable rest : float array;
-  mutable cycles : int array;
-  mutable pcs : int array;
-}
+   the rest, and its latency.  An event record is read as it arrives
+   and never kept, so none outlives a minor collection. *)
+type columns = { mutable first : float array; mutable rest : float array; mutable cycles : int array }
 
 type acc = {
   config : config;
@@ -51,7 +46,7 @@ let accumulator ?rng config =
     | Some c ->
         spare := None;
         c
-    | None -> { first = [||]; rest = [||]; cycles = [||]; pcs = [||] }
+    | None -> { first = [||]; rest = [||]; cycles = [||] }
   in
   { config; rng; count = 0; total_cycles = 0; cols }
 
@@ -68,8 +63,7 @@ let grow a =
   in
   c.first <- floats c.first;
   c.rest <- floats c.rest;
-  c.cycles <- ints c.cycles;
-  c.pcs <- ints c.pcs
+  c.cycles <- ints c.cycles
 
 let feed a (e : Riscv.Trace.event) =
   if a.count = Array.length a.cols.cycles then grow a;
@@ -77,7 +71,6 @@ let feed a (e : Riscv.Trace.event) =
   c.first.(k) <- Leakage.of_event a.config.model e;
   c.rest.(k) <- Leakage.residual a.config.model e;
   c.cycles.(k) <- e.cycles;
-  c.pcs.(k) <- e.pc;
   a.total_cycles <- a.total_cycles + e.cycles;
   a.count <- k + 1
 
@@ -85,11 +78,9 @@ let finish a =
   let spc = a.config.samples_per_cycle and count = a.count and c = a.cols in
   (* uninitialised: the loops below write every sample *)
   let samples = Array.create_float (a.total_cycles * spc) in
-  let event_start = Array.make count 0 in
   let shape = Array.init spc (shape ~samples_per_cycle:spc) in
   let pos = ref 0 in
   for idx = 0 to count - 1 do
-    event_start.(idx) <- !pos;
     let first = c.first.(idx) and rest = c.rest.(idx) in
     for k = 0 to c.cycles.(idx) - 1 do
       let level = if k = 0 then first else rest in
@@ -99,16 +90,15 @@ let finish a =
       done
     done
   done;
-  let event_pc = Array.sub c.pcs 0 count in
   (* the columns go back to the domain; [a] starts over empty *)
   a.count <- 0;
   a.total_cycles <- 0;
-  a.cols <- { first = [||]; rest = [||]; cycles = [||]; pcs = [||] };
+  a.cols <- { first = [||]; rest = [||]; cycles = [||] };
   Domain.DLS.get spare_key := Some c;
   (match a.rng with
   | Some g when a.config.noise_sigma > 0.0 -> Mathkit.Gaussian.add_normal g ~sigma:a.config.noise_sigma samples
   | _ -> ());
-  { Ptrace.samples; samples_per_cycle = spc; event_start; event_pc }
+  { Ptrace.samples; samples_per_cycle = spc }
 
 let synthesize ?rng config events =
   let a = accumulator ?rng config in

@@ -24,8 +24,9 @@ val quiet : config
 
     Synthesis as instructions retire: {!feed} is a {!Riscv.Cpu}
     tracer that keeps what the trace needs of each event (its two
-    power levels, latency and pc) in unboxed columns, and {!finish}
-    writes the samples.  No event record is kept. *)
+    power levels and its latency) in unboxed columns, and {!finish}
+    writes the samples.  No event record is kept, and the trace does
+    not record where each instruction starts. *)
 
 type acc
 (** The columns of the events fed so far. *)

@@ -157,7 +157,7 @@ let export_stats obs stats results =
    record it replaced would have.
 
    With an enabled obs context every batch ends with a
-   "campaign.heartbeat" event carrying the coefficients graded so far
+   [Constants.heartbeat_event] event carrying the coefficients graded so far
    (and, when [expected] names the campaign size, the total) — the
    progress frames a live monitor consumes.  Emission goes through the
    ctx sink like every other record, so a streaming tee carries it
@@ -172,7 +172,7 @@ let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.
   let c_batches = if Obs.Ctx.enabled obs then Some (Obs.Ctx.counter obs "campaign.batches") else None in
   let heartbeat () =
     if Obs.Ctx.enabled obs then
-      Obs.Ctx.event obs "campaign.heartbeat"
+      Obs.Ctx.event obs Constants.heartbeat_event
         ~attrs:
           (("done", Obs.Json.Int tally.t_sign_total)
           :: (match expected with Some total -> [ ("total", Obs.Json.Int total) ] | None -> []))

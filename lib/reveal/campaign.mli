@@ -188,9 +188,9 @@ val run_source :
     meaningful per-domain; counters and histograms aggregate correctly
     across domains.
 
-    Each batch additionally ends with a [campaign.heartbeat] event
-    whose attrs carry the coefficients graded so far (["done"]) and,
-    when [expected] names the campaign size, the ["total"] — the
+    Each batch additionally ends with a {!Constants.heartbeat_event}
+    event whose attrs carry the coefficients graded so far (["done"])
+    and, when [expected] names the campaign size, the ["total"] — the
     progress frames a live monitor consumes over a streaming sink.
     @raise Invalid_argument when [batch <= 0]. *)
 

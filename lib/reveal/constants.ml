@@ -22,4 +22,6 @@ let gate_retry_budget = 2
    scope seed; the xor keeps it disjoint from the scope stream itself. *)
 let retry_seed_salt = 0x5DEECE66DL
 
+let heartbeat_event = "campaign.heartbeat"
+
 let lwe_instance = Hints.Lwe.seal_128_1024

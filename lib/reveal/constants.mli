@@ -49,6 +49,10 @@ val retry_seed_salt : int64
 (** Xored into a trace's scope seed to derive its re-measurement
     stream, keeping retries out of the primary randomness. *)
 
+val heartbeat_event : string
+(** ["campaign.heartbeat"]: the event {!Campaign.run_source} emits per
+    batch and the fleet monitor counts. *)
+
 val lwe_instance : Hints.Lwe.t
 (** SEAL-128 (q = 132120577, n = 1024, sigma = 3.2) — the instance all
     security estimates target. *)

@@ -62,7 +62,7 @@ val profiling_draw : t -> Mathkit.Prng.t -> value:int -> int * int
     offline any number of times ({!Source.archive_replay}).  Recording
     streams run by run — memory stays bounded by one trace — and the
     archive is lossless: a replayed record is bit-identical to the
-    live run (samples, events, ground-truth labels), so offline
+    live run (samples and ground-truth labels), so offline
     analyses reproduce online results exactly.  {!of_header} builds
     the clone device offline profiling runs on. *)
 

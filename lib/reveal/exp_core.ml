@@ -32,17 +32,9 @@ let env_profile env = env.prof
 
 let small_campaign ?(variant = Riscv.Sampler_prog.Vulnerable) ?synth ?cycle_model ?poi_count config rng =
   let n = min config.device_n 128 in
-  let device =
-    match synth with
-    | Some s -> Device.create ~variant ~synth:s ?cycle_model ~n ()
-    | None -> Device.create ~variant ?cycle_model ~n ()
-  in
+  let device = Device.create ~variant ?synth ?cycle_model ~n () in
   let per_value = min config.per_value 200 in
-  let prof =
-    match poi_count with
-    | Some p -> Campaign.profile ~per_value ~poi_count:p device rng
-    | None -> Campaign.profile ~per_value device rng
-  in
+  let prof = Campaign.profile ~per_value ?poi_count device rng in
   let scope_rng = Mathkit.Prng.split rng and sampler_rng = Mathkit.Prng.split rng in
   if variant = Riscv.Sampler_prog.Shuffled then begin
     (* shuffled sampling order: attack the windows in sampled order *)

@@ -1,17 +1,18 @@
 (* (label, full window) pairs of one run — the per-chunk unit both the
-   in-memory and the archive-streamed profiling paths produce.  The
-   firmware samples a trailing dummy coefficient, so a run over n
-   coefficients must segment into exactly n+1 windows; the dummy's is
-   dropped. *)
+   in-memory and the archive-streamed profiling paths produce, each
+   window copied out of the vector segmentation read.  The firmware
+   samples a trailing dummy coefficient, so a run over n coefficients
+   must segment into exactly n+1 windows; the dummy's is dropped. *)
 let labelled_windows segment ~samples ~noises =
   let count = Array.length noises in
-  let wins = Sca.Segment.windows_fv segment (Mathkit.Fvec.of_array samples) in
+  let wins = Sca.Segment.windows_fv segment samples in
   if Array.length wins <> count + 1 then
     failwith
       (Printf.sprintf "Campaign: segmentation found %d windows for %d coefficients" (Array.length wins) count);
   Array.init count (fun i ->
       let w = wins.(i) in
-      (noises.(i), Array.sub samples w.Sca.Segment.start (w.Sca.Segment.stop - w.Sca.Segment.start)))
+      let len = w.Sca.Segment.stop - w.Sca.Segment.start in
+      (noises.(i), Mathkit.Fvec.to_array (Mathkit.Fvec.sub samples w.Sca.Segment.start len)))
 
 (* Calibrate an absolute burst threshold once so that profiling and
    attack traces segment identically. *)
@@ -91,7 +92,9 @@ let profiling_windows ?(per_value = Constants.default_per_value) ?domains ?(obs 
   let seeds = Array.init runs (fun _ -> Mathkit.Prng.bits64 rng) in
   let one_run seed =
     let run = profiling_run device ~values ~copies seed in
-    labelled_windows segment ~samples:run.Device.trace.Power.Ptrace.samples ~noises:run.Device.noises
+    labelled_windows segment
+      ~samples:(Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples)
+      ~noises:run.Device.noises
   in
   let per_run =
     Obs.Ctx.span obs "profiling.acquire" (fun () -> Mathkit.Parallel.map_array ?domains one_run seeds)
@@ -204,7 +207,8 @@ let profiling_meta_of_header ~path (h : Traceio.Archive.header) =
   (threshold, values)
 
 (* Stream the labelled profiling windows out of an archive: one batch
-   of records resident at a time, segmentation parallelised over the
+   of records resident at a time, each decoded straight into the
+   vector segmentation reads, segmentation parallelised over the
    batch.  Memory is bounded by a batch of traces plus the (much
    smaller) accumulated windows, never the whole trace set. *)
 let profiling_windows_of_archive path =
@@ -218,9 +222,8 @@ let profiling_windows_of_archive path =
         if Array.length records > 0 then begin
           let labelled =
             Mathkit.Parallel.map_array
-              (fun (r : Traceio.Archive.record) ->
-                labelled_windows segment ~samples:r.Traceio.Archive.trace.Power.Ptrace.samples
-                  ~noises:r.Traceio.Archive.noises)
+              (fun (r : Traceio.Archive.record_fv) ->
+                labelled_windows segment ~samples:r.Traceio.Archive.fv_samples ~noises:r.Traceio.Archive.fv_noises)
               records
           in
           Array.iter (add_labelled bags) labelled;

@@ -54,8 +54,9 @@ val record_profiling : ?per_value:int -> ?seed:int64 -> Device.t -> Mathkit.Prng
 val profiling_windows_of_archive : string -> Sca.Segment.config * int * (int * float array array) list
 (** Stream the labelled windows back out of a profiling archive:
     records are ingested in batches of {!Constants.default_batch}
-    traces — the peak resident set — and segmented in parallel over
-    the default worker domains.
+    traces — the peak resident set — each decoded straight into the
+    vector segmentation reads ({!Traceio.Archive.next_batch}), and
+    segmented in parallel over the default worker domains.
     @raise Traceio.Error.Corrupt when the archive is damaged or is not
     a profiling archive. *)
 

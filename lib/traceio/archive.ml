@@ -3,7 +3,7 @@
    byte-level layout. *)
 
 let magic = "REVEALTR"
-let version = 2
+let version = 3
 
 (* trace_count placeholder while the writer is still streaming; a
    reader that sees it knows the writer never finalised the file *)
@@ -26,8 +26,7 @@ type record = {
 }
 
 (* The replay-path record shape: samples stay in the unboxed vector
-   they were decoded into, and the event streams — which replay never
-   reads — are validated but not materialised. *)
+   they were decoded into. *)
 type record_fv = {
   fv_index : int;
   fv_noises : int array;
@@ -127,15 +126,12 @@ let open_writer ?(obs = Obs.Ctx.disabled) ?(meta = []) ~variant ~n ~seed ~sample
   { w_path = path; oc; w_header = h; count = 0; w_closed = false; w_stats = writer_stats_of obs }
 
 let record_payload ~index ~noises trace =
-  (* the plane's exact size, plus room for the varint streams, so a
-     multi-megabyte buffer is not regrown and copied *)
-  let events = Array.length trace.Power.Ptrace.event_start in
-  let b = Buffer.create ((8 * (Array.length trace.Power.Ptrace.samples + events)) + Array.length noises + 32) in
+  (* the plane's exact size, plus room for the index and label varints,
+     so a multi-megabyte buffer is not regrown and copied *)
+  let b = Buffer.create ((8 * Array.length trace.Power.Ptrace.samples) + Array.length noises + 32) in
   Binio.put_varint b (Int64.of_int index);
   Codec.put_ints b noises;
   Codec.put_plane b trace.Power.Ptrace.samples;
-  Codec.put_ints_delta b trace.Power.Ptrace.event_start;
-  Codec.put_ints_delta b trace.Power.Ptrace.event_pc;
   Buffer.contents b
 
 let append w ~noises trace =
@@ -234,7 +230,9 @@ let close_reader r =
     try close_in r.ic with Sys_error _ -> ()
   end
 
-let record_of_payload ~path ~header ~expect_index payload =
+(* A record payload is [index | noise labels | sample plane]; the two
+   record shapes differ only in what the plane decodes into. *)
+let decode_record ~get_plane ~path ~header ~expect_index payload =
   let c = Binio.cursor ~name:path payload in
   let index = Binio.get_varint_int c in
   if index <> expect_index then
@@ -244,35 +242,16 @@ let record_of_payload ~path ~header ~expect_index payload =
   if Array.length noises <> header.n then
     Error.corruptf "%s: record %d carries %d noise labels for an n=%d archive" path index (Array.length noises)
       header.n;
-  let samples = Codec.get_plane c in
-  let event_start = Codec.get_ints_delta c in
-  let event_pc = Codec.get_ints_delta c in
-  if Array.length event_start <> Array.length event_pc then
-    Error.corruptf "%s: record %d has %d event starts but %d event pcs" path index (Array.length event_start)
-      (Array.length event_pc);
+  let samples = get_plane c in
   Binio.expect_end c;
-  {
-    index;
-    noises;
-    trace = { Power.Ptrace.samples; samples_per_cycle = header.samples_per_cycle; event_start; event_pc };
-  }
+  (index, noises, samples)
+
+let record_of_payload ~path ~header ~expect_index payload =
+  let index, noises, samples = decode_record ~get_plane:Codec.get_plane ~path ~header ~expect_index payload in
+  { index; noises; trace = { Power.Ptrace.samples; samples_per_cycle = header.samples_per_cycle } }
 
 let record_fv_of_payload ~path ~header ~expect_index payload =
-  let c = Binio.cursor ~name:path payload in
-  let index = Binio.get_varint_int c in
-  if index <> expect_index then
-    Error.corruptf "%s: record %d found where record %d was expected — records reordered or lost" path index
-      expect_index;
-  let noises = Codec.get_ints c in
-  if Array.length noises <> header.n then
-    Error.corruptf "%s: record %d carries %d noise labels for an n=%d archive" path index (Array.length noises)
-      header.n;
-  let samples = Codec.get_plane_fv c in
-  let n_start = Codec.check_ints_delta c in
-  let n_pc = Codec.check_ints_delta c in
-  if n_start <> n_pc then
-    Error.corruptf "%s: record %d has %d event starts but %d event pcs" path index n_start n_pc;
-  Binio.expect_end c;
+  let index, noises, samples = decode_record ~get_plane:Codec.get_plane_fv ~path ~header ~expect_index payload in
   { fv_index = index; fv_noises = noises; fv_samples = samples }
 
 (* [next]/[next_fv] differ only in the payload decoder; the cursor
@@ -335,7 +314,7 @@ let try_next_fv r = try_next_gen ~fname:"try_next_fv" ~decode:record_fv_of_paylo
 
 let next_batch r ~max =
   if max <= 0 then invalid_arg "Archive.next_batch: max must be positive";
-  let rec take acc k = if k = 0 then acc else match next r with None -> acc | Some x -> take (x :: acc) (k - 1) in
+  let rec take acc k = if k = 0 then acc else match next_fv r with None -> acc | Some x -> take (x :: acc) (k - 1) in
   Array.of_list (List.rev (take [] max))
 
 let with_reader ?obs path f =
@@ -357,18 +336,7 @@ let crop_trace ~lo ~hi (t : Power.Ptrace.t) =
      differ, and a span chosen on one record must stay legal on all *)
   let lo_r = min lo len in
   let hi_r = min hi len in
-  let samples = Array.sub t.Power.Ptrace.samples lo_r (hi_r - lo_r) in
-  let ev = ref [] in
-  Array.iteri
-    (fun i s -> if s >= lo_r && s < hi_r then ev := (s - lo_r, t.Power.Ptrace.event_pc.(i)) :: !ev)
-    t.Power.Ptrace.event_start;
-  let pairs = Array.of_list (List.rev !ev) in
-  {
-    t with
-    Power.Ptrace.samples;
-    event_start = Array.map fst pairs;
-    event_pc = Array.map snd pairs;
-  }
+  { t with Power.Ptrace.samples = Array.sub t.Power.Ptrace.samples lo_r (hi_r - lo_r) }
 
 let rewrite ?keep ?span ~src ~dst () =
   (match span with

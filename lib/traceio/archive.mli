@@ -11,7 +11,7 @@
 
     {v
     "REVEALTR"  8-byte magic
-    u16         format version (= 2)
+    u16         format version (= 3)
     FRAME       header: variant u8, n u32, seed u64,
                 samples_per_cycle u16, noise_sigma f64,
                 trace_count u32 (0xFFFFFFFF until finalised),
@@ -19,19 +19,19 @@
     FRAME*      one per trace record: index varint,
                 noise labels (zigzag varints),
                 samples (varint count, then one raw
-                little-endian IEEE-754 word each),
-                event starts (delta varints),
-                event pcs (delta varints)
+                little-endian IEEE-754 word each)
     v}
 
     where FRAME is [u32 length | payload | u32 crc32] (see {!Frame}).
     Readers verify every checksum and every declared count before
     interpreting bytes; any mismatch raises {!Error.Corrupt} rather
     than misreading data.  An archive of another format version is
-    refused the same way: no older layout is read. *)
+    refused the same way: no older layout is read, so a v1 or v2
+    archive (whose records also carried instruction-event streams) must
+    be re-recorded. *)
 
 val version : int
-(** The format version this build writes and reads: 2. *)
+(** The format version this build writes and reads: 3. *)
 
 type header = {
   variant : Riscv.Sampler_prog.variant;  (** firmware the traces came from *)
@@ -55,9 +55,9 @@ type record_fv = {
   fv_samples : Mathkit.Fvec.t;
       (** samples in the unboxed vector they were decoded into *)
 }
-(** The replay-path record shape: no intermediate [float array], and
-    the event streams — which replay never reads — are validated but
-    not materialised. *)
+(** The shape replay and archive profiling read: the samples land in
+    the vector segmentation reads, with no intermediate [float
+    array]. *)
 
 val variant_name : Riscv.Sampler_prog.variant -> string
 val meta_find : header -> string -> string option
@@ -120,8 +120,9 @@ val next : reader -> record option
     records than the header declares), trailing data, or a record
     inconsistent with the header. *)
 
-val next_batch : reader -> max:int -> record array
-(** Up to [max] records — the unit parallel ingestion works on. *)
+val next_batch : reader -> max:int -> record_fv array
+(** Up to [max] records in the replay shape, read by {!next_fv} — the
+    unit parallel profiling ingests.  It shares {!next_fv}'s cursor. *)
 
 val next_fv : reader -> record_fv option
 (** {!next} decoding into the replay shape.  The two share the
@@ -147,9 +148,8 @@ val rewrite : ?keep:int list -> ?span:int * int -> src:string -> dst:string -> u
 (** Copy [src] to [dst], keeping only the records whose original index
     is in [keep] (default: all) and cropping every kept record's trace
     to the sample span [\[lo, hi)] (default: whole trace).  Kept
-    records are re-indexed densely, the header's other fields and meta
-    are copied verbatim, and events are filtered to the span and
-    shifted to its origin.  The span is clamped per record — fault
+    records are re-indexed densely, and the header's other fields and
+    meta are copied verbatim.  The span is clamped per record — fault
     drop/dup makes record lengths differ — so one span is legal across
     a whole archive.  Returns the number of records written.  This is
     the primitive the triage minimizer bisects with (DESIGN.md §14).

@@ -1,4 +1,4 @@
-(* Array codecs for the sample/event/label streams.
+(* Array codecs for the sample and label streams.
 
    The archive stores a record's samples as a raw plane: a varint
    count, then each sample's IEEE-754 bits as one little-endian u64
@@ -57,44 +57,7 @@ let get_floats c =
       prev := bits;
       Int64.float_of_bits bits)
 
-(* Monotone-ish integer streams (event start indices): delta + zigzag. *)
-let put_ints_delta b xs =
-  Binio.put_varint b (Int64.of_int (Array.length xs));
-  let prev = ref 0L in
-  Array.iter
-    (fun x ->
-      let v = Int64.of_int x in
-      Binio.put_svarint b (Int64.sub v !prev);
-      prev := v)
-    xs
-
-let get_ints_delta c =
-  let n = Binio.get_varint_int c in
-  if n > Binio.remaining c then Error.corruptf "int array claims %d elements but only %d bytes remain" n (Binio.remaining c);
-  let prev = ref 0L in
-  Array.init n (fun _ ->
-      let v = Int64.add !prev (Binio.get_svarint c) in
-      prev := v;
-      if Int64.compare v (Int64.of_int max_int) > 0 || Int64.compare v (Int64.of_int min_int) < 0 then
-        Error.corruptf "int array element %Ld does not fit an OCaml int" v;
-      Int64.to_int v)
-
-(* Validate-and-discard [get_ints_delta]: runs the exact same checks
-   (so corrupt streams raise the same errors) but allocates nothing.
-   Returns the element count for cross-field consistency checks. *)
-let check_ints_delta c =
-  let n = Binio.get_varint_int c in
-  if n > Binio.remaining c then Error.corruptf "int array claims %d elements but only %d bytes remain" n (Binio.remaining c);
-  let prev = ref 0L in
-  for _ = 1 to n do
-    let v = Int64.add !prev (Binio.get_svarint c) in
-    prev := v;
-    if Int64.compare v (Int64.of_int max_int) > 0 || Int64.compare v (Int64.of_int min_int) < 0 then
-      Error.corruptf "int array element %Ld does not fit an OCaml int" v
-  done;
-  n
-
-(* Small signed values around zero (noise labels, pcs): plain zigzag. *)
+(* Small signed values around zero (noise labels): plain zigzag. *)
 let put_ints b xs =
   Binio.put_varint b (Int64.of_int (Array.length xs));
   Array.iter (fun x -> Binio.put_svarint b (Int64.of_int x)) xs

@@ -1,12 +1,12 @@
 (** Self-delimiting (length-prefixed), lossless codecs for the
-    archive's array streams and the profile cache's float arrays.
+    archive's two array streams and the profile cache's float arrays.
 
     The archive stores a record's samples as a raw plane
     ({!put_plane}): each sample's IEEE-754 bits as one little-endian
-    u64 word.  Event-start streams delta-encode the monotone indices;
-    label streams zigzag each small signed value directly.  The float
-    delta codec ({!put_floats}) now serves only the profile cache.
-    Every decoder reproduces the exact bits its encoder was given. *)
+    u64 word.  Label streams zigzag each small signed value directly
+    ({!put_ints}).  The float delta codec ({!put_floats}) serves only
+    the profile cache.  Every decoder reproduces the exact bits its
+    encoder was given. *)
 
 val put_plane : Buffer.t -> float array -> unit
 (** Varint count, then one little-endian IEEE-754 word per float. *)
@@ -21,13 +21,6 @@ val put_floats : Buffer.t -> float array -> unit
 (** Deltas of consecutive IEEE-754 bit patterns, zigzag + varint. *)
 
 val get_floats : Binio.cursor -> float array
-
-val put_ints_delta : Buffer.t -> int array -> unit
-val get_ints_delta : Binio.cursor -> int array
-
-val check_ints_delta : Binio.cursor -> int
-(** Decode-and-discard [get_ints_delta]: identical validation and
-    cursor advance, nothing allocated; returns the element count. *)
 
 val put_ints : Buffer.t -> int array -> unit
 val get_ints : Binio.cursor -> int array

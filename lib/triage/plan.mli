@@ -15,7 +15,7 @@ type gate_profile =
       (** thresholds floored and the profile's goodness-of-fit floors
           disabled: accepts garbage confidently — the planted-misgrade
           scenario *)
-  | Paranoid  (** thresholds raised (0.99/0.5/0.9), deeper retry budget *)
+  | Paranoid  (** thresholds raised (0.99/0.5/0.9) *)
 
 type trial = {
   id : int;  (** row in the plan — not part of the scenario identity *)

@@ -5,12 +5,14 @@
    over.  (A live campaign's retry ladder would draw fresh randomness
    the replay cannot, and the two paths would disagree.) *)
 
+(* Only the thresholds differ: replayed items cannot re-measure, so a
+   trial never spends a gate's retry budget. *)
 let gate_of = function
   | Plan.Default -> Reveal.Grading.default_gate
   | Plan.Aggressive ->
-      { Reveal.Grading.confident_threshold = 0.3; tentative_threshold = 0.0; sign_only_threshold = 0.2; retry_budget = 0 }
+      { Reveal.Grading.default_gate with confident_threshold = 0.3; tentative_threshold = 0.0; sign_only_threshold = 0.2 }
   | Plan.Paranoid ->
-      { Reveal.Grading.confident_threshold = 0.99; tentative_threshold = 0.5; sign_only_threshold = 0.9; retry_budget = 3 }
+      { Reveal.Grading.default_gate with confident_threshold = 0.99; tentative_threshold = 0.5; sign_only_threshold = 0.9 }
 
 (* The Aggressive profile also drops the goodness-of-fit floors: they
    are the out-of-distribution tripwire, and the misgrade scenario is

@@ -180,9 +180,21 @@ let transcript () =
         transcript_invocations;
       Buffer.contents b)
 
+(* On a mismatch the transcript just produced is written next to the
+   golden in the build tree, so a deliberate output change is promoted
+   by copying that file over test/golden/cli_transcript.txt and
+   reviewing the diff, not by hand-editing the golden. *)
 let test_transcript_golden () =
-  Alcotest.(check string) "stdout and exit codes are bit-identical to the golden"
-    (read_file "golden/cli_transcript.txt") (transcript ())
+  let golden = "golden/cli_transcript.txt" and actual = transcript () in
+  if actual <> read_file golden then begin
+    let path = Filename.concat (Sys.getcwd ()) "golden/cli_transcript.actual" in
+    let oc = open_out_bin path in
+    output_string oc actual;
+    close_out oc;
+    Alcotest.(check string)
+      (Printf.sprintf "stdout and exit codes are bit-identical to the golden (this run's transcript: %s)" path)
+      (read_file golden) actual
+  end
 
 let cases =
   [

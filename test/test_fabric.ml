@@ -437,7 +437,7 @@ let telemetry_lines ?(source = "shard-0") ?(trailing = 0) beats =
     (fun (d, total) ->
       Obs.Ctx.event
         ~attrs:[ ("done", Obs.Json.Int d); ("total", Obs.Json.Int total) ]
-        obs Fabric.Telemetry.heartbeat_event)
+        obs Reveal.Constants.heartbeat_event)
     beats;
   for _ = 1 to trailing do
     Obs.Ctx.event obs "chatter"
@@ -578,6 +578,26 @@ let test_telemetry_drain () =
     (match r.Fabric.Telemetry.r_truncated with Some m -> contains m "closed mid-stream" | None -> false);
   Alcotest.(check int) "partial progress retained" 64 r.Fabric.Telemetry.r_done
 
+(* The two ends of a heartbeat, joined: the events a replayed campaign
+   emits, framed as a worker streams them, are what the monitor
+   counts. *)
+let test_campaign_heartbeats_drain () =
+  let prof = Lazy.force campaign_profile in
+  let device = Reveal.Device.create ~n:16 () in
+  with_temp_file (fun path ->
+      let g = Mathkit.Prng.create ~seed:3L () in
+      Reveal.Device.record device ~path ~seed:3L ~traces:2 ~scope_rng:g ~sampler_rng:g;
+      let coefficients = 2 * Reveal.Device.n device in
+      let sink, emitted = Obs.Sink.memory () in
+      let obs = Obs.Ctx.create ~clock:(Obs.Clock.logical ()) ~source:"replay" ~sink () in
+      ignore
+        (Reveal.Campaign.run_source ~obs ~batch:1 ~expected:coefficients prof (Reveal.Source.archive_replay path));
+      Obs.Ctx.close obs;
+      let r = drain_telemetry (telemetry_image (List.map Obs.Json.to_string (emitted ()))) in
+      Alcotest.(check int) "one heartbeat per batch" 2 r.Fabric.Telemetry.r_heartbeats;
+      Alcotest.(check int) "progress covers every coefficient" coefficients r.Fabric.Telemetry.r_done;
+      Alcotest.(check (option int)) "expected total carried" (Some coefficients) r.Fabric.Telemetry.r_total)
+
 let test_telemetry_merge_reports () =
   Alcotest.(check bool) "empty fleet merges to nothing" true (Fabric.Telemetry.merge_reports [] = None);
   let report source = drain_telemetry (telemetry_image (telemetry_lines ~source [ (8, 16) ])) in
@@ -667,6 +687,7 @@ let suite =
       ("telemetry: corruption discipline", `Quick, test_telemetry_corruption_discipline);
       QCheck_alcotest.to_alcotest qcheck_telemetry;
       ("telemetry drain: summary, progress, truncation", `Quick, test_telemetry_drain);
+      ("telemetry drain counts a replayed campaign's heartbeats", `Quick, test_campaign_heartbeats_drain);
       ("telemetry merge: name order, as obs merge", `Quick, test_telemetry_merge_reports);
       ("telemetry: stragglers and missed heartbeats", `Quick, test_stragglers_and_missed_heartbeats);
       ("monitor replay bit-identical to obs merge", `Quick, test_monitor_replay_matches_merge);

@@ -182,8 +182,6 @@ let test_device_run_is_the_staged_composition () =
             in
             let t = run.Reveal.Device.trace in
             Alcotest.(check (array int64)) (label "samples") (bits trace.Power.Ptrace.samples) (bits t.Power.Ptrace.samples);
-            Alcotest.(check (array int)) (label "event starts") trace.Power.Ptrace.event_start t.Power.Ptrace.event_start;
-            Alcotest.(check (array int)) (label "event pcs") trace.Power.Ptrace.event_pc t.Power.Ptrace.event_pc;
             Alcotest.(check (array int)) (label "noises") (Array.map fst draws) run.Reveal.Device.noises;
             Alcotest.(check (array (array int))) (label "poly") poly run.Reveal.Device.poly)
           devs)

@@ -87,36 +87,27 @@ let test_synth_sample_count () =
   let events = events_of_program [ Riscv.Asm.nop; Riscv.Asm.nop; Riscv.Asm.halt ] in
   let total_cycles = Array.fold_left (fun acc e -> acc + e.Riscv.Trace.cycles) 0 events in
   let t = Power.Synth.synthesize Power.Synth.quiet events in
-  Alcotest.(check int) "samples = cycles * spc" (total_cycles * 2) (Power.Ptrace.length t);
-  Alcotest.(check int) "event starts recorded" (Array.length events) (Array.length t.Power.Ptrace.event_start)
+  Alcotest.(check int) "samples = cycles * spc" (total_cycles * 2) (Power.Ptrace.length t)
 
 (* At one sample per cycle the pulse shape is 1.0, so a trace is the
    leakage model's levels themselves: an event's first cycle at
    [of_event], the rest at [residual]. *)
 let one_per_cycle = { Power.Synth.quiet with Power.Synth.samples_per_cycle = 1 }
 
-let expected_trace events =
+let expected_samples events =
   let model = one_per_cycle.Power.Synth.model in
-  let starts = Array.make (Array.length events) 0 and pos = ref 0 in
-  let samples =
-    Array.concat
-      (Array.to_list
-         (Array.mapi
-            (fun i e ->
-              starts.(i) <- !pos;
-              pos := !pos + e.Riscv.Trace.cycles;
-              Array.init e.Riscv.Trace.cycles (fun c ->
-                  if c = 0 then Power.Leakage.of_event model e else Power.Leakage.residual model e))
-            events))
-  in
-  (samples, starts, Array.map (fun e -> e.Riscv.Trace.pc) events)
+  Array.concat
+    (Array.to_list
+       (Array.map
+          (fun e ->
+            Array.init e.Riscv.Trace.cycles (fun c ->
+                if c = 0 then Power.Leakage.of_event model e else Power.Leakage.residual model e))
+          events))
 
 let check_trace label events (t : Power.Ptrace.t) =
-  let samples, starts, pcs = expected_trace events in
-  Alcotest.(check (array int64)) (label ^ ": samples") (Array.map Int64.bits_of_float samples)
-    (Array.map Int64.bits_of_float t.Power.Ptrace.samples);
-  Alcotest.(check (array int)) (label ^ ": event starts") starts t.Power.Ptrace.event_start;
-  Alcotest.(check (array int)) (label ^ ": event pcs") pcs t.Power.Ptrace.event_pc
+  Alcotest.(check (array int64)) (label ^ ": samples")
+    (Array.map Int64.bits_of_float (expected_samples events))
+    (Array.map Int64.bits_of_float t.Power.Ptrace.samples)
 
 (* The accumulator's columns pass from one finished accumulator to the
    next in a domain: long, short and long runs, and two accumulators
@@ -258,7 +249,7 @@ let suite =
 (* --- Fault ------------------------------------------------------------- *)
 
 let ptrace_of samples =
-  { Power.Ptrace.samples; samples_per_cycle = 2; event_start = [||]; event_pc = [||] }
+  { Power.Ptrace.samples; samples_per_cycle = 2 }
 
 let test_fault_of_intensity_endpoints () =
   Alcotest.(check bool) "0 is none" true (Power.Fault.of_intensity 0.0 = Power.Fault.none);

@@ -1,6 +1,6 @@
 (* traceio: binary archive round trips, corruption detection, and the
    record/replay pipeline.  The hard claims: reads reproduce exactly
-   the bits written (samples, events, labels), any damaged byte is
+   the bits written (samples, labels), any damaged byte is
    rejected by a checksum instead of misread, and a replayed campaign
    recovers exactly the coefficients the live attack recovers. *)
 
@@ -95,11 +95,9 @@ let prop_ints_roundtrip =
     (fun xs ->
       let b = Buffer.create 256 in
       Traceio.Codec.put_ints b xs;
-      Traceio.Codec.put_ints_delta b xs;
       let c = Traceio.Binio.cursor (Buffer.contents b) in
       let plain = Traceio.Codec.get_ints c in
-      let delta = Traceio.Codec.get_ints_delta c in
-      Traceio.Binio.at_end c && plain = xs && delta = xs)
+      Traceio.Binio.at_end c && plain = xs)
 
 (* --- archives ------------------------------------------------------------ *)
 
@@ -130,11 +128,7 @@ let test_archive_roundtrip () =
           Alcotest.(check bool) "noises" true (live.Reveal.Device.noises = r.Traceio.Archive.noises);
           Alcotest.(check bool) "samples bit-identical" true
             (float_bits_equal live.Reveal.Device.trace.Power.Ptrace.samples
-               r.Traceio.Archive.trace.Power.Ptrace.samples);
-          Alcotest.(check bool) "event starts" true
-            (live.Reveal.Device.trace.Power.Ptrace.event_start = r.Traceio.Archive.trace.Power.Ptrace.event_start);
-          Alcotest.(check bool) "event pcs" true
-            (live.Reveal.Device.trace.Power.Ptrace.event_pc = r.Traceio.Archive.trace.Power.Ptrace.event_pc))
+               r.Traceio.Archive.trace.Power.Ptrace.samples))
         records)
 
 let read_file path =
@@ -195,16 +189,21 @@ let test_archive_version_and_magic_rejected () =
       Bytes.set b 8 '\xFF' (* version field (u16 LE): now 255 *);
       write_file path (Bytes.to_string b);
       expect_corrupt "future version" (fun () -> drain path);
-      (* a format-v1 archive (sample deltas) is refused, not misread *)
-      let b = Bytes.of_string original in
-      Bytes.set b 8 '\x01';
-      Bytes.set b 9 '\x00';
-      write_file path (Bytes.to_string b);
-      (match drain path with
-      | exception Traceio.Error.Corrupt msg ->
-          Alcotest.(check bool) ("names both versions: " ^ msg) true
-            (contains ~affix:"version 1 " msg && contains ~affix:"this build reads version 2" msg)
-      | () -> Alcotest.fail "a version-1 archive was accepted");
+      (* format v1 (sample deltas) and v2 (event streams) archives are
+         refused, not misread *)
+      List.iter
+        (fun old ->
+          let b = Bytes.of_string original in
+          Bytes.set b 8 (Char.chr old);
+          Bytes.set b 9 '\x00';
+          write_file path (Bytes.to_string b);
+          match drain path with
+          | exception Traceio.Error.Corrupt msg ->
+              Alcotest.(check bool) ("names both versions: " ^ msg) true
+                (contains ~affix:(Printf.sprintf "version %d " old) msg
+                && contains ~affix:"this build reads version 3" msg)
+          | () -> Alcotest.failf "a version-%d archive was accepted" old)
+        [ 1; 2 ];
       write_file path ("NOTATALL" ^ String.sub original 8 (String.length original - 8));
       expect_corrupt "bad magic" (fun () -> drain path))
 
@@ -220,7 +219,7 @@ let frame_payloads s =
   in
   go 10 []
 
-(* The v2 bytes themselves: a writer and reader that agreed on the
+(* The v3 bytes themselves: a writer and reader that agreed on the
    wrong byte order for the sample plane would pass every round trip
    above and fail only here.  The CRC-32 is taken per payload: one over
    the whole file cannot see the payloads, because each frame ends
@@ -232,8 +231,8 @@ let test_archive_bytes_pinned () =
   with_tmp "pinned.rvt" (fun path ->
       write_archive path device runs;
       let bytes = read_file path in
-      Alcotest.(check int) "archive length" 62563 (String.length bytes);
-      Alcotest.(check (list int)) "CRC-32 of each frame payload" [ 0xe9a769cf; 0x2f548a61; 0x547b3298 ]
+      Alcotest.(check int) "archive length" 61110 (String.length bytes);
+      Alcotest.(check (list int)) "CRC-32 of each frame payload" [ 0xe9a769cf; 0xe00722ff; 0x9ab9d6a6 ]
         (List.map Traceio.Crc32.digest (frame_payloads bytes)))
 
 let frame payload =
@@ -289,7 +288,7 @@ let test_archive_special_floats_roundtrip () =
             0x0000000000000001L; 0x000FFFFFFFFFFFFFL; 0x8000000000000001L |])
       [| infinity; neg_infinity; -0.0; 0.0; max_float; min_float; -.min_float; 1.0 |]
   in
-  let trace = { Power.Ptrace.samples; samples_per_cycle = 2; event_start = [| 0; 3 |]; event_pc = [| 4; 8 |] } in
+  let trace = { Power.Ptrace.samples; samples_per_cycle = 2 } in
   with_tmp "special.rvt" (fun path ->
       let w =
         Traceio.Archive.open_writer ~variant:Riscv.Sampler_prog.Vulnerable ~n:2 ~seed:1L ~samples_per_cycle:2
@@ -490,14 +489,30 @@ let test_profile_of_archive_matches_live_profile () =
       Alcotest.(check bool) "offline profile is bit-identical to the live one" true (profile_equal live offline))
 
 let test_record_profiling_memory_is_streamed () =
-  (* structural guarantee: the reader hands out one record at a time
-     and batches are bounded by [max] *)
+  (* structural guarantee: the reader hands out one record at a time,
+     batches are bounded by [max], and a batch holds exactly the
+     records [next_fv] hands out *)
   let device = Reveal.Device.create ~n:64 () in
   with_tmp "stream.rvt" (fun path ->
       Reveal.Campaign.record_profiling ~per_value:8 ~seed:1L device (rng ()) ~path;
+      let singles =
+        Traceio.Archive.with_reader path (fun r ->
+            List.init 2 (fun _ ->
+                match Traceio.Archive.next_fv r with Some rf -> rf | None -> Alcotest.fail "record missing"))
+      in
       Traceio.Archive.with_reader path (fun r ->
           let batch = Traceio.Archive.next_batch r ~max:2 in
           Alcotest.(check int) "batch bounded" 2 (Array.length batch);
+          List.iteri
+            (fun i (single : Traceio.Archive.record_fv) ->
+              let b = batch.(i) in
+              Alcotest.(check int) "batch index" single.Traceio.Archive.fv_index b.Traceio.Archive.fv_index;
+              Alcotest.(check (array int)) "batch labels" single.Traceio.Archive.fv_noises b.Traceio.Archive.fv_noises;
+              Alcotest.(check bool) "batch sample bits" true
+                (float_bits_equal
+                   (Mathkit.Fvec.to_array single.Traceio.Archive.fv_samples)
+                   (Mathkit.Fvec.to_array b.Traceio.Archive.fv_samples)))
+            singles;
           let h = Traceio.Archive.header r in
           Alcotest.(check bool) "profiling metadata present" true
             (Traceio.Archive.meta_find h "profiling:threshold-bits" <> None)))
@@ -515,7 +530,7 @@ let suite =
     Alcotest.test_case "flipped byte => checksum error" `Quick test_archive_flipped_byte_rejected;
     Alcotest.test_case "truncated file => clean failure" `Quick test_archive_truncation_rejected;
     Alcotest.test_case "bad magic / future version rejected" `Quick test_archive_version_and_magic_rejected;
-    Alcotest.test_case "archive bytes pinned (v2)" `Quick test_archive_bytes_pinned;
+    Alcotest.test_case "archive bytes pinned (v3)" `Quick test_archive_bytes_pinned;
     Alcotest.test_case "sample plane count beyond the payload rejected" `Quick test_archive_plane_count_rejected;
     Alcotest.test_case "NaN payloads, infinities, -0.0, subnormals roundtrip" `Quick
       test_archive_special_floats_roundtrip;

@@ -170,7 +170,7 @@ let write_synthetic path records =
   List.iter
     (fun (noises, samples) ->
       Traceio.Archive.append w ~noises
-        { Power.Ptrace.samples; samples_per_cycle = 1; event_start = [||]; event_pc = [||] })
+        { Power.Ptrace.samples; samples_per_cycle = 1 })
     records;
   Traceio.Archive.close_writer w
 
