@@ -52,7 +52,7 @@ let save_fig3_csvs cfg =
    decode.  Both are timed over a few n = 1024 records, so a change to
    either shows here without a traced campaign run. *)
 let run_traceio () =
-  section "traceio: archive write, CRC-32 and next_fv decode throughput";
+  section "traceio: archive write, CRC-32 and next decode throughput";
   ensure_out_dir ();
   let path = Filename.concat out_dir "bench_campaign.rvt" in
   let traces = 4 and n = 1024 in
@@ -79,10 +79,10 @@ let run_traceio () =
         samples := 0;
         Traceio.Archive.with_reader path (fun r ->
             let rec loop () =
-              match Traceio.Archive.next_fv r with
+              match Traceio.Archive.next r with
               | None -> ()
-              | Some rf ->
-                  samples := !samples + Mathkit.Fvec.length rf.Traceio.Archive.fv_samples;
+              | Some rec_ ->
+                  samples := !samples + Mathkit.Fvec.length rec_.Traceio.Archive.samples;
                   loop ()
             in
             loop ()))
@@ -92,7 +92,7 @@ let run_traceio () =
     Traceio.Archive.version;
   Printf.printf "  capture+encode  %.3f s (%.1f MB/s)\n" t_write (mb size /. t_write);
   Printf.printf "  crc-32          %.1f MB/s (whole file, best of 5)\n" (mb size /. t_crc);
-  Printf.printf "  next_fv         %.1f MB/s (read + crc-32 + decode, best of 5; crc-32 is %.0f %%)\n"
+  Printf.printf "  next            %.1f MB/s (read + crc-32 + decode, best of 5; crc-32 is %.0f %%)\n"
     (mb size /. t_decode) (100.0 *. t_crc /. t_decode)
 
 let run_ctcheck () =
@@ -196,7 +196,7 @@ let perf_tests () =
   in
   (* the per-window scoring work exactly as the grader performs it,
      and the same work over a whole replayed trace: Fvec views of the
-     trace buffer, one reused scratch arena *)
+     trace buffer, one reused scoring scratch *)
   let attack = prof.Reveal.Campaign.attack in
   let attack_scratch = Sca.Attack.make_scratch attack in
   let samples_fv = Mathkit.Fvec.of_array run.Reveal.Device.trace.Power.Ptrace.samples in

@@ -389,8 +389,8 @@ let inspect path show_records json obs =
     match next reader with
     | None -> ()
     | Some r ->
-        let len = Power.Ptrace.length r.trace in
-        let mean = Power.Ptrace.mean r.trace in
+        let len = Mathkit.Fvec.length r.samples in
+        let mean = Mathkit.Stats.mean_a (Mathkit.Fvec.to_array r.samples) in
         total_samples := !total_samples + len;
         if show_records then
           if json then

@@ -121,34 +121,3 @@ let histogram ~bins ~lo ~hi t =
     end
   done;
   h
-
-(* --- explicit-capacity scratch arenas ------------------------------------- *)
-
-(* A bump allocator over one buffer: a stage sizes its scratch once
-   (the sizes are all profile-derived constants), carves persistent
-   views out of it, and reuses them for every window of every trace.
-   Overflow is a programming error and raises — the arena never grows,
-   so a domain's scratch footprint is exact and allocation-free after
-   setup.  Arenas are single-owner: share one per domain, never across
-   domains. *)
-module Scratch = struct
-  type vec = t
-
-  type t = { sbuf : buffer; capacity : int; mutable used : int }
-
-  let create capacity =
-    if capacity < 0 then invalid_arg "Fvec.Scratch.create: negative capacity";
-    let sbuf = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout capacity in
-    Bigarray.Array1.fill sbuf 0.0;
-    { sbuf; capacity; used = 0 }
-
-  let alloc s n : vec =
-    if n < 0 then invalid_arg "Fvec.Scratch.alloc: negative length";
-    if s.used + n > s.capacity then
-      invalid_arg
-        (Printf.sprintf "Fvec.Scratch.alloc: %d floats requested but only %d of %d remain" n
-           (s.capacity - s.used) s.capacity);
-    let off = s.used in
-    s.used <- s.used + n;
-    { buf = s.sbuf; off; len = n }
-end

@@ -55,19 +55,3 @@ val histogram : bins:int -> lo:float -> hi:float -> t -> int array
 (** Counts of the elements in [bins] equal-width bins over
     [\[lo, hi)]; elements outside are not counted.
     @raise Invalid_argument unless [bins > 0] and [hi > lo]. *)
-
-(** Explicit-capacity bump arenas for per-domain scratch.  A stage
-    sizes its arena once from profile constants, carves persistent
-    views with {!Scratch.alloc}, and reuses them for every window —
-    allocation-free after setup.  Overflow raises; arenas never grow.
-    One arena per domain: the views alias one buffer, so sharing an
-    arena across domains is a data race. *)
-module Scratch : sig
-  type vec = t
-  type t
-
-  val create : int -> t
-
-  (** Carve an uninitialised (last-use contents) view. *)
-  val alloc : t -> int -> vec
-end

@@ -15,7 +15,7 @@ val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 val map_array_with : ?domains:int -> scratch:(unit -> 's) -> ('s -> 'a -> 'b) -> 'a array -> 'b array
 (** [map_array] with per-domain scratch: every worker domain calls
     [scratch ()] exactly once and passes the value to [f] for each
-    item it processes.  Use for reusable buffers (Fvec arenas,
+    item it processes.  Use for reusable buffers (Fvec workspaces,
     classifier scratch) that must not be shared across domains. *)
 
 val recommended_domains : unit -> int

@@ -2,8 +2,6 @@ type t = { samples : float array; samples_per_cycle : int }
 
 let length t = Array.length t.samples
 
-let mean t = Mathkit.Stats.mean_a t.samples
-
 (* Streaming render: one small row buffer flushed per sample, so the
    trace is never materialised a second time as one big string. *)
 let write_csv oc t =

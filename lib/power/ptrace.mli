@@ -8,7 +8,6 @@
 type t = { samples : float array; samples_per_cycle : int }
 
 val length : t -> int
-val mean : t -> float
 
 val save_csv : string -> t -> unit
 (** Stream the trace as ["index,power"] CSV rows ([%.6f] samples).

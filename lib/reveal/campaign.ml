@@ -156,10 +156,14 @@ let export_stats obs stats results =
    toward the batch budget and the corrupt counter, exactly as the
    record it replaced would have.
 
-   With an enabled obs context every batch ends with a
-   [Constants.heartbeat_event] event carrying the coefficients graded so far
-   (and, when [expected] names the campaign size, the total) — the
-   progress frames a live monitor consumes.  Emission goes through the
+   With an enabled obs context each pull counts [source.items] or
+   [source.skips] (a skip also emits a warn-level [source.skip] event),
+   each item's [acquire] runs inside a [stage.acquire] span on the
+   worker domain that forces it, where the acquisition cost is paid,
+   and every batch ends with a [Constants.heartbeat_event] event
+   carrying the coefficients graded so far (and, when [expected] names
+   the campaign size, the total) — the progress frames a live monitor
+   consumes.  Emission goes through the
    ctx sink like every other record, so a streaming tee carries it
    without touching the hot path: the batch has already been tallied
    when the heartbeat fires. *)
@@ -168,8 +172,10 @@ let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.
   if batch <= 0 then invalid_arg "Campaign.run_source: batch must be positive";
   let tally = tally_create prof in
   let corrupt = ref 0 in
-  let source = Pipeline.instrument_source obs source in
-  let c_batches = if Obs.Ctx.enabled obs then Some (Obs.Ctx.counter obs "campaign.batches") else None in
+  let counter name = if Obs.Ctx.enabled obs then Some (Obs.Ctx.counter obs name) else None in
+  let c_items = counter "source.items" and c_skips = counter "source.skips" in
+  let c_batches = counter "campaign.batches" in
+  let bump = function Some c -> Obs.Metrics.incr c | None -> () in
   let heartbeat () =
     if Obs.Ctx.enabled obs then
       Obs.Ctx.event obs Constants.heartbeat_event
@@ -190,14 +196,22 @@ let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.
                 | `End ->
                     finished := true;
                     acc
-                | `Skip _ ->
+                | `Skip reason ->
                     incr corrupt;
+                    (match c_skips with
+                    | None -> ()
+                    | Some c ->
+                        Obs.Metrics.incr c;
+                        Obs.Ctx.event ~level:Obs.Ctx.Warn ~attrs:[ ("reason", Obs.Json.String reason) ] obs
+                          "source.skip");
                     take acc (k - 1)
-                | `Item it -> take (it :: acc) (k - 1)
+                | `Item it ->
+                    bump c_items;
+                    take (it :: acc) (k - 1)
             in
             let items = Array.of_list (List.rev (take [] batch)) in
             if Array.length items > 0 then begin
-              (match c_batches with Some c -> Obs.Metrics.incr c | None -> ());
+              bump c_batches;
               let per_item =
                 Obs.Ctx.span obs "campaign.batch" (fun () ->
                     (* one classifier context per worker domain: templates
@@ -205,7 +219,7 @@ let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.
                     Mathkit.Parallel.map_array_with ?domains
                       ~scratch:(fun () -> Grading.make_ctx prof)
                       (fun ctx (it : Pipeline.item) ->
-                        let a = it.Pipeline.acquire () in
+                        let a = Obs.Ctx.span obs "stage.acquire" it.Pipeline.acquire in
                         Grading.attack_resilient ~gate ~ctx ?retry:a.Pipeline.remeasure ~obs prof
                           ~samples:a.Pipeline.samples ~noises:a.Pipeline.noises)
                       items)

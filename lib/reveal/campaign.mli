@@ -180,8 +180,10 @@ val run_source :
 
     With an enabled [obs] context the whole run is one [campaign.run]
     span containing a [campaign.batch] span per batch (fan-out) and a
-    [stage.tally] span per fold; the source is wrapped with
-    {!Pipeline.instrument_source}, each per-trace attack carries its
+    [stage.tally] span per fold; each pull counts [source.items] or
+    [source.skips] (a skip also emits a warn-level [source.skip]
+    event), each item's [acquire] runs inside a [stage.acquire] span
+    on the domain that forces it, each per-trace attack carries its
     stage spans and window metrics (see {!Grading.attack_resilient}),
     and the final aggregates are exported as [result.*] gauges so the
     trace is a self-contained run record.  Span timings are only

@@ -19,23 +19,33 @@ type fault_sweep_row = {
   graded_bikz : float;
 }
 
+(* The sweep's campaign: one fault-free device and profile, and an
+   [attack dev] that runs the same traces from the same attack seeds on
+   any fault variant of that device.  The sweep and the zero-intensity
+   check both attack through it, so the check tests the sweep's own
+   campaign. *)
+let sweep_campaign config =
+  let rng = Mathkit.Prng.create ~seed:(Int64.add config.seed 89L) () in
+  let device = Device.create ~n:(min config.device_n 128) () in
+  let prof = Campaign.profile ~per_value:(min config.per_value 200) device rng in
+  let attack dev =
+    Campaign.run_attacks_resilient prof dev
+      ~traces:(max 2 (config.attack_traces / 4))
+      ~scope_rng:(Mathkit.Prng.create ~seed:(Int64.add config.seed 97L) ())
+      ~sampler_rng:(Mathkit.Prng.create ~seed:(Int64.add config.seed 101L) ())
+  in
+  (device, prof, attack)
+
 (* All intensities share one fault-free profile and the same attack
    seeds: the only thing that varies along the sweep is the fault load
    on the attacked device, so the curves measure fault tolerance and
    nothing else. *)
 let fault_sweep ?(intensities = [| 0.0; 0.25; 0.5; 0.75; 1.0 |]) config =
-  let rng = Mathkit.Prng.create ~seed:(Int64.add config.seed 89L) () in
-  let n = min config.device_n 128 in
-  let device = Device.create ~n () in
-  let prof = Campaign.profile ~per_value:(min config.per_value 200) device rng in
-  let traces = max 2 (config.attack_traces / 4) in
+  let device, prof, attack = sweep_campaign config in
   Array.to_list intensities
   |> List.map (fun intensity ->
          let fault = if intensity = 0.0 then None else Some (Power.Fault.of_intensity intensity) in
-         let dev = Device.with_fault device fault in
-         let scope_rng = Mathkit.Prng.create ~seed:(Int64.add config.seed 97L) () in
-         let sampler_rng = Mathkit.Prng.create ~seed:(Int64.add config.seed 101L) () in
-         let stats, results = Campaign.run_attacks_resilient prof dev ~traces ~scope_rng ~sampler_rng in
+         let stats, results = attack (Device.with_fault device fault) in
          let confident, tentative, sign_only, unknown = Campaign.grade_counts results in
          let retried = ref 0 and unrecoverable = ref 0 in
          Array.iter
@@ -152,25 +162,11 @@ type zero_consistency = {
    ladder must give the bikz of the ungated one (every posterior
    integrated as measured). *)
 let fault_zero_consistency config =
-  let rng = Mathkit.Prng.create ~seed:(Int64.add config.seed 89L) () in
-  let n = min config.device_n 128 in
-  let device = Device.create ~n () in
-  let prof = Campaign.profile ~per_value:(min config.per_value 200) device rng in
-  let traces = max 2 (config.attack_traces / 4) in
-  let seeds () =
-    ( Mathkit.Prng.create ~seed:(Int64.add config.seed 97L) (),
-      Mathkit.Prng.create ~seed:(Int64.add config.seed 101L) () )
-  in
-  let scope_rng, sampler_rng = seeds () in
-  let _, clean = Campaign.run_attacks_resilient prof device ~traces ~scope_rng ~sampler_rng in
+  let device, prof, attack = sweep_campaign config in
+  let _, clean = attack device in
   (* thread an explicit no-op fault config through the device to also
      exercise the is_noop short-circuit *)
-  let scope_rng, sampler_rng = seeds () in
-  let _, noop =
-    Campaign.run_attacks_resilient prof
-      (Device.with_fault device (Some Power.Fault.none))
-      ~traces ~scope_rng ~sampler_rng
-  in
+  let _, noop = attack (Device.with_fault device (Some Power.Fault.none)) in
   if Array.length clean <> Array.length noop then
     failwith "Experiment.fault_zero_consistency: result counts differ";
   let mism = ref 0 and downgrades = ref 0 in

@@ -64,49 +64,3 @@ type source = Source : (module SOURCE with type t = 's) * 's -> source
 
 let next_item (Source ((module S), s)) = S.next s
 let close_source (Source ((module S), s)) = S.close s
-
-(* --- source instrumentation ------------------------------------------------ *)
-
-(* Wrap a source so pulls update the obs registry and each item's
-   [acquire] thunk runs inside a [stage.acquire] span.  The span fires
-   on the worker domain that forces the thunk, which is exactly where
-   the acquisition cost is paid.  A disabled context returns the
-   source unchanged (physical equality — the no-op invariant the obs
-   tests pin). *)
-module Instrumented_source = struct
-  type t = {
-    inner : source;
-    obs : Obs.Ctx.t;
-    items : Obs.Metrics.counter;
-    skips : Obs.Metrics.counter;
-  }
-
-  let name = "instrumented"
-
-  let next s =
-    match next_item s.inner with
-    | `Item it ->
-        Obs.Metrics.incr s.items;
-        `Item { it with acquire = (fun () -> Obs.Ctx.span s.obs "stage.acquire" it.acquire) }
-    | `Skip reason as ev ->
-        Obs.Metrics.incr s.skips;
-        Obs.Ctx.event ~level:Obs.Ctx.Warn
-          ~attrs:[ ("reason", Obs.Json.String reason) ]
-          s.obs "source.skip";
-        ev
-    | `End -> `End
-
-  let close s = close_source s.inner
-end
-
-let instrument_source obs src =
-  if not (Obs.Ctx.enabled obs) then src
-  else
-    Source
-      ( (module Instrumented_source),
-        {
-          Instrumented_source.inner = src;
-          obs;
-          items = Obs.Ctx.counter obs "source.items";
-          skips = Obs.Ctx.counter obs "source.skips";
-        } )

@@ -103,12 +103,3 @@ type source = Source : (module SOURCE with type t = 's) * 's -> source
 
 val next_item : source -> [ `Item of item | `Skip of string | `End ]
 val close_source : source -> unit
-
-val instrument_source : Obs.Ctx.t -> source -> source
-(** Observability wrapper: pulls count [source.items] / [source.skips]
-    in the context's registry (each skip also emits a warn-level
-    [source.skip] event), and every item's [acquire] thunk runs inside
-    a [stage.acquire] span — timed on whichever domain forces it.
-    With a disabled context this returns the source itself (physical
-    equality), so uninstrumented campaigns pay nothing.  Closing the
-    wrapper closes the wrapped source. *)

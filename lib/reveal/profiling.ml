@@ -222,8 +222,7 @@ let profiling_windows_of_archive path =
         if Array.length records > 0 then begin
           let labelled =
             Mathkit.Parallel.map_array
-              (fun (r : Traceio.Archive.record_fv) ->
-                labelled_windows segment ~samples:r.Traceio.Archive.fv_samples ~noises:r.Traceio.Archive.fv_noises)
+              (fun (r : Traceio.Archive.record) -> labelled_windows segment ~samples:r.samples ~noises:r.noises)
               records
           in
           Array.iter (add_labelled bags) labelled;

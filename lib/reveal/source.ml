@@ -60,16 +60,10 @@ let device_live device ~traces ~scope_rng ~sampler_rng =
 
 (* Replay items carry the record's samples in the decoder's own Fvec —
    no per-record boxed [float array] is ever materialised. *)
-let item_of_record_fv index (r : Traceio.Archive.record_fv) =
+let item_of_record index (r : Traceio.Archive.record) =
   {
     Pipeline.index;
-    acquire =
-      (fun () ->
-        {
-          Pipeline.samples = r.Traceio.Archive.fv_samples;
-          noises = r.Traceio.Archive.fv_noises;
-          remeasure = None;
-        });
+    acquire = (fun () -> { Pipeline.samples = r.Traceio.Archive.samples; noises = r.noises; remeasure = None });
   }
 
 let of_trace_source stream =
@@ -80,13 +74,13 @@ let of_trace_source stream =
     let name = Traceio.Source.name stream
 
     let next () =
-      match Traceio.Source.next_fv stream with
+      match Traceio.Source.next stream with
       | `End_of_archive -> `End
       | `Skipped reason -> `Skip reason
       | `Record r ->
           let i = !pos in
           incr pos;
-          `Item (item_of_record_fv i r)
+          `Item (item_of_record i r)
 
     let close () = Traceio.Source.close stream
   end in

@@ -115,16 +115,11 @@ end
 
 let make_scratch t =
   let np = max (Array.length t.pois_sign) (max (Array.length t.pois_neg) (Array.length t.pois_pos)) in
-  let cap =
-    np + Template.dimension t.sign_template + Template.dimension t.neg_template
-    + Template.dimension t.pos_template
-  in
-  let arena = Mathkit.Fvec.Scratch.create cap in
   {
-    Scratch.gather = Mathkit.Fvec.Scratch.alloc arena np;
-    sign = Template.make_scratch ~arena t.sign_template;
-    neg = Template.make_scratch ~arena t.neg_template;
-    pos = Template.make_scratch ~arena t.pos_template;
+    Scratch.gather = Mathkit.Fvec.create np;
+    sign = Template.make_scratch t.sign_template;
+    neg = Template.make_scratch t.neg_template;
+    pos = Template.make_scratch t.pos_template;
   }
 
 (* Gather the POI samples into a prefix view of the scratch buffer.

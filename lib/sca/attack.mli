@@ -73,14 +73,13 @@ val build : poi_count:int -> sign_poi_count:int -> sigma:float -> (int * float a
 (** {1 Scoring}
 
     Windows arrive as {!Mathkit.Fvec} views.  A {!Scratch.t} bundles
-    the POI gather buffer and the three template scratches in one
-    arena; build one per domain ([make_scratch] once, score many
-    windows) — scoring allocates nothing per window beyond its
-    results.  Every constant of the attack (the templates'
-    discriminant terms, see {!Template}, the log-prior rows and the
-    posterior layout) is computed once, by {!make}; a window costs one
-    quadratic form per template whose fit is read plus one dot product
-    per class. *)
+    the POI gather buffer and the three template scratches; build one
+    per domain ([make_scratch] once, score many windows) — scoring
+    allocates nothing per window beyond its results.  Every constant
+    of the attack (the templates' discriminant terms, see {!Template},
+    the log-prior rows and the posterior layout) is computed once, by
+    {!make}; a window costs one quadratic form per template whose fit
+    is read plus one dot product per class. *)
 
 module Scratch : sig
   type t

@@ -70,15 +70,15 @@ type scratch = {
   post_p : float array;
 }
 
-let make_scratch ?arena t =
-  let d = dimension t in
-  let diff =
-    match arena with
-    | Some a -> Mathkit.Fvec.Scratch.alloc a d
-    | None -> Mathkit.Fvec.create d
-  in
+let make_scratch t =
   let k = Array.length t.labels in
-  { diff; disc = Array.make k 0.0; ll = Array.make k 0.0; post = Array.make k 0.0; post_p = Array.make k 0.0 }
+  {
+    diff = Mathkit.Fvec.create (dimension t);
+    disc = Array.make k 0.0;
+    ll = Array.make k 0.0;
+    post = Array.make k 0.0;
+    post_p = Array.make k 0.0;
+  }
 
 (* [s.diff] <- x - center, then [s.disc.(k)] <- lin.(k) . (x - center)
    - offs.(k) / 2: the class-dependent part of the log density, all a

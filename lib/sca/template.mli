@@ -66,9 +66,8 @@ type scratch
 (** Per-template workspace: the centred vector and the per-class
     rows the scoring functions return. *)
 
-val make_scratch : ?arena:Mathkit.Fvec.Scratch.t -> t -> scratch
-(** Scratch sized for [t]; its vector workspace is carved from [arena]
-    when given, freshly allocated otherwise. *)
+val make_scratch : t -> scratch
+(** Fresh scratch sized for [t]. *)
 
 val log_likelihoods_fv : t -> scratch -> Mathkit.Fvec.t -> float array
 (** Per-class Gaussian log density of one POI vector (same order as

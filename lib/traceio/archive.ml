@@ -22,15 +22,7 @@ type header = {
 type record = {
   index : int;
   noises : int array;
-  trace : Power.Ptrace.t;
-}
-
-(* The replay-path record shape: samples stay in the unboxed vector
-   they were decoded into. *)
-type record_fv = {
-  fv_index : int;
-  fv_noises : int array;
-  fv_samples : Mathkit.Fvec.t;
+  samples : Mathkit.Fvec.t;
 }
 
 let variant_code = function
@@ -230,51 +222,45 @@ let close_reader r =
     try close_in r.ic with Sys_error _ -> ()
   end
 
-(* A record payload is [index | noise labels | sample plane]; the two
-   record shapes differ only in what the plane decodes into. *)
-let decode_record ~get_plane ~path ~header ~expect_index payload =
-  let c = Binio.cursor ~name:path payload in
+(* A record payload is [index | noise labels | sample plane]; the
+   index must be the one the cursor expects next. *)
+let decode r payload =
+  let c = Binio.cursor ~name:r.r_path payload in
   let index = Binio.get_varint_int c in
-  if index <> expect_index then
-    Error.corruptf "%s: record %d found where record %d was expected — records reordered or lost" path index
-      expect_index;
+  if index <> r.next_index then
+    Error.corruptf "%s: record %d found where record %d was expected — records reordered or lost" r.r_path index
+      r.next_index;
   let noises = Codec.get_ints c in
-  if Array.length noises <> header.n then
-    Error.corruptf "%s: record %d carries %d noise labels for an n=%d archive" path index (Array.length noises)
-      header.n;
-  let samples = get_plane c in
+  if Array.length noises <> r.header.n then
+    Error.corruptf "%s: record %d carries %d noise labels for an n=%d archive" r.r_path index
+      (Array.length noises) r.header.n;
+  let samples = Codec.get_plane c in
   Binio.expect_end c;
-  (index, noises, samples)
+  { index; noises; samples }
 
-let record_of_payload ~path ~header ~expect_index payload =
-  let index, noises, samples = decode_record ~get_plane:Codec.get_plane ~path ~header ~expect_index payload in
-  { index; noises; trace = { Power.Ptrace.samples; samples_per_cycle = header.samples_per_cycle } }
+(* The cursor's two count checks against the header: at the end, every
+   declared record was read; before a frame, one is still due. *)
+let check_complete r =
+  if r.next_index < r.header.trace_count then
+    Error.corruptf "%s: archive truncated — header declares %d records but only %d are present" r.r_path
+      r.header.trace_count r.next_index
 
-let record_fv_of_payload ~path ~header ~expect_index payload =
-  let index, noises, samples = decode_record ~get_plane:Codec.get_plane_fv ~path ~header ~expect_index payload in
-  { fv_index = index; fv_noises = noises; fv_samples = samples }
+let check_due r =
+  if r.next_index >= r.header.trace_count then
+    Error.corruptf "%s: trailing data after the %d records the header declares" r.r_path r.header.trace_count
 
-(* [next]/[next_fv] differ only in the payload decoder; the cursor
-   protocol (truncation/trailing-data checks, index advance, metrics)
-   is shared here so the two stay in lockstep. *)
-let next_gen ~fname ~decode r =
-  if r.r_closed then invalid_arg (Printf.sprintf "Archive.%s: reader already closed" fname);
+let next r =
+  if r.r_closed then invalid_arg "Archive.next: reader already closed";
   match Frame.read ~path:r.r_path r.ic with
   | None ->
-      if r.next_index < r.header.trace_count then
-        Error.corruptf "%s: archive truncated — header declares %d records but only %d are present" r.r_path
-          r.header.trace_count r.next_index;
+      check_complete r;
       None
   | Some payload ->
-      if r.next_index >= r.header.trace_count then
-        Error.corruptf "%s: trailing data after the %d records the header declares" r.r_path r.header.trace_count;
-      let rec_ = decode ~path:r.r_path ~header:r.header ~expect_index:r.next_index payload in
+      check_due r;
+      let rec_ = decode r payload in
       r.next_index <- r.next_index + 1;
       count_read r payload;
       Some rec_
-
-let next r = next_gen ~fname:"next" ~decode:record_of_payload r
-let next_fv r = next_gen ~fname:"next_fv" ~decode:record_fv_of_payload r
 
 (* Tolerant cursor: a record whose frame fails its CRC — or whose
    verified payload will not decode — is reported as [`Skipped] and the
@@ -282,39 +268,32 @@ let next_fv r = next_gen ~fname:"next_fv" ~decode:record_fv_of_payload r
    over the skipped slot so the following records' index checks still
    line up.  Structural damage (truncation, bad length field) has no
    boundary to resume from and raises as in {!next}. *)
-let try_next_gen ~fname ~decode r =
-  if r.r_closed then invalid_arg (Printf.sprintf "Archive.%s: reader already closed" fname);
+let try_next r =
+  if r.r_closed then invalid_arg "Archive.try_next: reader already closed";
+  let skip msg =
+    r.next_index <- r.next_index + 1;
+    count_skip r msg;
+    `Skipped msg
+  in
   match Frame.try_read ~path:r.r_path r.ic with
   | `End ->
-      if r.next_index < r.header.trace_count then
-        Error.corruptf "%s: archive truncated — header declares %d records but only %d are present" r.r_path
-          r.header.trace_count r.next_index;
+      check_complete r;
       `End_of_archive
   | `Bad_crc msg ->
-      if r.next_index >= r.header.trace_count then
-        Error.corruptf "%s: trailing data after the %d records the header declares" r.r_path r.header.trace_count;
-      r.next_index <- r.next_index + 1;
-      count_skip r msg;
-      `Skipped msg
+      check_due r;
+      skip msg
   | `Payload payload -> (
-      if r.next_index >= r.header.trace_count then
-        Error.corruptf "%s: trailing data after the %d records the header declares" r.r_path r.header.trace_count;
-      match decode ~path:r.r_path ~header:r.header ~expect_index:r.next_index payload with
+      check_due r;
+      match decode r payload with
       | rec_ ->
           r.next_index <- r.next_index + 1;
           count_read r payload;
           `Record rec_
-      | exception Error.Corrupt msg ->
-          r.next_index <- r.next_index + 1;
-          count_skip r msg;
-          `Skipped msg)
-
-let try_next r = try_next_gen ~fname:"try_next" ~decode:record_of_payload r
-let try_next_fv r = try_next_gen ~fname:"try_next_fv" ~decode:record_fv_of_payload r
+      | exception Error.Corrupt msg -> skip msg)
 
 let next_batch r ~max =
   if max <= 0 then invalid_arg "Archive.next_batch: max must be positive";
-  let rec take acc k = if k = 0 then acc else match next_fv r with None -> acc | Some x -> take (x :: acc) (k - 1) in
+  let rec take acc k = if k = 0 then acc else match next r with None -> acc | Some x -> take (x :: acc) (k - 1) in
   Array.of_list (List.rev (take [] max))
 
 let with_reader ?obs path f =
@@ -330,13 +309,13 @@ let fold path f init =
    and/or crop every kept record to one sample span.  The writer
    re-indexes kept records densely (its own counter), so the output is
    a self-consistent archive a strict reader accepts. *)
-let crop_trace ~lo ~hi (t : Power.Ptrace.t) =
-  let len = Array.length t.Power.Ptrace.samples in
+let crop ~lo ~hi samples =
+  let len = Mathkit.Fvec.length samples in
   (* spans are clamped per record: fault drop/dup makes record lengths
      differ, and a span chosen on one record must stay legal on all *)
   let lo_r = min lo len in
   let hi_r = min hi len in
-  { t with Power.Ptrace.samples = Array.sub t.Power.Ptrace.samples lo_r (hi_r - lo_r) }
+  Mathkit.Fvec.sub samples lo_r (hi_r - lo_r)
 
 let rewrite ?keep ?span ~src ~dst () =
   (match span with
@@ -358,10 +337,9 @@ let rewrite ?keep ?span ~src ~dst () =
         | None -> ()
         | Some rec_ ->
             if kept rec_.index then begin
-              let trace =
-                match span with None -> rec_.trace | Some (lo, hi) -> crop_trace ~lo ~hi rec_.trace
-              in
-              append w ~noises:rec_.noises trace
+              let samples = match span with None -> rec_.samples | Some (lo, hi) -> crop ~lo ~hi rec_.samples in
+              append w ~noises:rec_.noises
+                { Power.Ptrace.samples = Mathkit.Fvec.to_array samples; samples_per_cycle = h.samples_per_cycle }
             end;
             loop ()
       in

@@ -46,18 +46,10 @@ type header = {
 type record = {
   index : int;  (** position in the campaign, 0-based and sequential *)
   noises : int array;  (** ground-truth labels: the coefficients sampled *)
-  trace : Power.Ptrace.t;
+  samples : Mathkit.Fvec.t;
+      (** decoded straight into the unboxed vector segmentation reads,
+          with no intermediate [float array] *)
 }
-
-type record_fv = {
-  fv_index : int;
-  fv_noises : int array;
-  fv_samples : Mathkit.Fvec.t;
-      (** samples in the unboxed vector they were decoded into *)
-}
-(** The shape replay and archive profiling read: the samples land in
-    the vector segmentation reads, with no intermediate [float
-    array]. *)
 
 val variant_name : Riscv.Sampler_prog.variant -> string
 val meta_find : header -> string -> string option
@@ -120,13 +112,9 @@ val next : reader -> record option
     records than the header declares), trailing data, or a record
     inconsistent with the header. *)
 
-val next_batch : reader -> max:int -> record_fv array
-(** Up to [max] records in the replay shape, read by {!next_fv} — the
-    unit parallel profiling ingests.  It shares {!next_fv}'s cursor. *)
-
-val next_fv : reader -> record_fv option
-(** {!next} decoding into the replay shape.  The two share the
-    reader's cursor — use one or the other, not both. *)
+val next_batch : reader -> max:int -> record array
+(** Up to [max] records read by {!next} — the unit parallel profiling
+    ingests. *)
 
 val try_next : reader -> [ `Record of record | `Skipped of string | `End_of_archive ]
 (** Tolerant {!next}: a record whose frame fails its CRC, or whose
@@ -135,9 +123,6 @@ val try_next : reader -> [ `Record of record | `Skipped of string | `End_of_arch
     campaign replay can drop the one bad trace and keep going.
     Structural damage that destroys the framing (truncation, damaged
     length field, trailing data) still raises {!Error.Corrupt}. *)
-
-val try_next_fv : reader -> [ `Record of record_fv | `Skipped of string | `End_of_archive ]
-(** {!try_next} decoding into the replay shape (same skip policy). *)
 
 val close_reader : reader -> unit
 
@@ -157,4 +142,5 @@ val rewrite : ?keep:int list -> ?span:int * int -> src:string -> dst:string -> u
     @raise Error.Corrupt when [src] does not verify (strict read). *)
 
 val file_size : string -> int
-(** On-disk byte size (for compression-ratio reporting). *)
+(** On-disk byte size of the file at the path.
+    @raise Error.Io when it cannot be opened. *)

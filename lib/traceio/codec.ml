@@ -12,19 +12,9 @@ let put_plane b xs =
     Buffer.add_int64_le b (Int64.bits_of_float xs.(i))
   done
 
+(* Decoded straight into a fresh unboxed vector, the one every
+   consumer reads: no intermediate [float array] per record. *)
 let get_plane c =
-  let n = Binio.get_varint_int c in
-  let pos = Binio.claim_words c n in
-  let s = Binio.contents c in
-  let xs = Array.create_float n in
-  for i = 0 to n - 1 do
-    xs.(i) <- Int64.float_of_bits (String.get_int64_le s (pos + (8 * i)))
-  done;
-  xs
-
-(* Same decode, straight into a fresh unboxed vector: the archive
-   replay path never materialises a [float array] per record. *)
-let get_plane_fv c =
   let n = Binio.get_varint_int c in
   let pos = Binio.claim_words c n in
   let s = Binio.contents c in

@@ -11,11 +11,9 @@
 val put_plane : Buffer.t -> float array -> unit
 (** Varint count, then one little-endian IEEE-754 word per float. *)
 
-val get_plane : Binio.cursor -> float array
-
-val get_plane_fv : Binio.cursor -> Mathkit.Fvec.t
-(** [get_plane] decoding straight into a fresh unboxed vector — same
-    bytes, same errors, no intermediate [float array]. *)
+val get_plane : Binio.cursor -> Mathkit.Fvec.t
+(** The plane decoded straight into a fresh unboxed vector, with no
+    intermediate [float array]. *)
 
 val put_floats : Buffer.t -> float array -> unit
 (** Deltas of consecutive IEEE-754 bit patterns, zigzag + varint. *)

@@ -11,8 +11,8 @@ type event = [ `Record of Archive.record | `Skipped of string | `End_of_archive 
 (** One pull: a decoded record, a mid-stream corrupt record that was
     skipped (tolerant mode only; carries the reason), or the end. *)
 
-type event_fv = [ `Record of Archive.record_fv | `Skipped of string | `End_of_archive ]
-(** The same pull in the replay shape ({!Archive.record_fv}). *)
+type event_fv = event
+(** Kept for callers that still name it. *)
 
 type t
 
@@ -22,9 +22,7 @@ val name : t -> string
 val next : t -> event
 
 val next_fv : t -> event_fv
-(** Pull in the replay shape.  Archive-backed sources decode natively
-    (no intermediate [float array]).  [next] and [next_fv] advance the
-    same cursor — pick one per consumer. *)
+(** {!next} under its older name. *)
 
 val close : t -> unit
 (** Idempotent; releases the underlying reader, if any. *)
@@ -40,7 +38,8 @@ val of_archive : ?strict:bool -> ?obs:Obs.Ctx.t -> string -> t
 
 val make_fv :
   name:string -> next:(unit -> event) -> next_fv:(unit -> event_fv) -> close:(unit -> unit) -> t
-(** Wrap an arbitrary acquisition backend: [next] and [next_fv] pull
-    the same stream in the two record shapes and must advance one
-    shared cursor.  Both must keep returning [`End_of_archive] once
-    they have; [close] must be idempotent. *)
+(** Wrap an arbitrary acquisition backend.  [next_fv] is the stream
+    {!next} pulls; [next] is never called, and is accepted only because
+    callers written for the older two-shape interface still pass it.
+    The pull must keep returning [`End_of_archive] once it has;
+    [close] must be idempotent. *)

@@ -55,9 +55,7 @@ let reduce ~check ~work_dir ~src ~dst =
     (* --- pass 2: smallest sample span, clamped per record --- *)
     ignore (Traceio.Archive.rewrite ~keep:kept ~src ~dst:cand ());
     let max_len =
-      Traceio.Archive.fold cand
-        (fun acc r -> max acc (Array.length r.Traceio.Archive.trace.Power.Ptrace.samples))
-        0
+      Traceio.Archive.fold cand (fun acc r -> max acc (Mathkit.Fvec.length r.Traceio.Archive.samples)) 0
     in
     let rec cut_hi (lo, hi) step =
       if step = 0 then (lo, hi)

@@ -283,6 +283,12 @@ for src in examples/*.ml; do
   dune exec "examples/$ex.exe" > "$tmp/example-$ex.out"
 done
 
+echo "== bench: traceio section (archive write, CRC-32, next decode) =="
+# the archive read path's own timing: a broken reader or a renamed
+# throughput line fails here, not on the next person who runs it
+dune exec bench/main.exe -- traceio > "$tmp/traceio.out"
+grep -q "^  next  *[0-9][0-9.]* MB/s" "$tmp/traceio.out"
+
 echo "== bench: perf snapshot written, regressions diffed against the previous run =="
 # the bench harness writes bench_out/BENCH_perf.json and flags a kernel
 # whose reference-scaled time regressed vs the rotated previous

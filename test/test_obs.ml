@@ -269,18 +269,26 @@ let test_disabled_noop () =
   Obs.Ctx.close Obs.Ctx.disabled;
   Alcotest.(check bool) "disabled is disabled" false (Obs.Ctx.enabled Obs.Ctx.disabled);
   Obs.Sink.emit Obs.Sink.null (Obs.Json.Int 1);
-  Obs.Sink.close Obs.Sink.null;
-  (* instrumenting a source with the disabled context is the identity *)
-  let src =
-    Reveal.Source.of_trace_source
-      (Traceio.Source.make_fv ~name:"empty"
-         ~next:(fun () -> `End_of_archive)
-         ~next_fv:(fun () -> `End_of_archive)
-         ~close:ignore)
-  in
-  Alcotest.(check bool) "instrument_source disabled is physically the identity" true
-    (Reveal.Pipeline.instrument_source Obs.Ctx.disabled src == src);
-  Reveal.Pipeline.close_source src
+  Obs.Sink.close Obs.Sink.null
+
+(* A campaign run without a context resolves no instrument: the shared
+   disabled context's registry stays empty through a replay and a live
+   campaign, source pulls included. *)
+let test_disabled_campaign_registers_nothing () =
+  let device = Reveal.Device.create ~n:64 () in
+  let prof = Reveal.Campaign.profile ~per_value:16 device (Mathkit.Prng.create ~seed:3L ()) in
+  let path = Filename.temp_file "obs_disabled" ".rvt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let g = Mathkit.Prng.create ~seed:4L () in
+      Reveal.Device.record device ~path ~seed:4L ~traces:2 ~scope_rng:g ~sampler_rng:g;
+      ignore (Reveal.Campaign.attack_archive prof path);
+      ignore
+        (Reveal.Campaign.run_attacks_resilient prof device ~traces:2 ~scope_rng:(Mathkit.Prng.create ~seed:5L ())
+           ~sampler_rng:(Mathkit.Prng.create ~seed:6L ())));
+  Alcotest.(check string) "disabled registry empty" "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
+    (Obs.Json.to_string (Obs.Metrics.snapshot (Obs.Ctx.metrics Obs.Ctx.disabled)))
 
 (* --- event codec through a context ----------------------------------------- *)
 
@@ -490,6 +498,7 @@ let suite =
     ("sink stream: ordered, non-blocking, drops counted", `Quick, test_sink_stream);
     ("sink ring: wraparound and flight dump shape", `Quick, test_sink_ring);
     ("disabled context is a no-op", `Quick, test_disabled_noop);
+    ("disabled campaign registers no instrument", `Quick, test_disabled_campaign_registers_nothing);
     ("event stream shape", `Quick, test_event_stream);
     ("event codec round-trip", `Quick, test_event_codec_roundtrip);
     ("summary aggregation", `Quick, test_summary_of_records);

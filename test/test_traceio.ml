@@ -82,12 +82,10 @@ let prop_floats_roundtrip =
       let b = Buffer.create 256 in
       Traceio.Codec.put_floats b xs;
       Traceio.Codec.put_plane b xs;
-      Traceio.Codec.put_plane b xs;
       let c = Traceio.Binio.cursor (Buffer.contents b) in
       let ys = Traceio.Codec.get_floats c in
-      let plane = Traceio.Codec.get_plane c in
-      let plane_fv = Mathkit.Fvec.to_array (Traceio.Codec.get_plane_fv c) in
-      Traceio.Binio.at_end c && float_bits_equal xs ys && float_bits_equal xs plane && float_bits_equal xs plane_fv)
+      let plane = Mathkit.Fvec.to_array (Traceio.Codec.get_plane c) in
+      Traceio.Binio.at_end c && float_bits_equal xs ys && float_bits_equal xs plane)
 
 let prop_ints_roundtrip =
   QCheck.Test.make ~count:200 ~name:"codec int streams roundtrip"
@@ -128,7 +126,7 @@ let test_archive_roundtrip () =
           Alcotest.(check bool) "noises" true (live.Reveal.Device.noises = r.Traceio.Archive.noises);
           Alcotest.(check bool) "samples bit-identical" true
             (float_bits_equal live.Reveal.Device.trace.Power.Ptrace.samples
-               r.Traceio.Archive.trace.Power.Ptrace.samples))
+               (Mathkit.Fvec.to_array r.Traceio.Archive.samples)))
         records)
 
 let read_file path =
@@ -264,17 +262,13 @@ let test_archive_plane_count_rejected () =
           let what = Printf.sprintf "plane count %d" count in
           let plane_check msg = contains ~affix:"words claimed" msg in
           Traceio.Archive.with_reader path (fun r ->
-              match Traceio.Archive.next_fv r with
-              | exception Traceio.Error.Corrupt msg when plane_check msg -> ()
-              | _ -> Alcotest.failf "%s: next_fv did not refuse it at the plane" what);
-          Traceio.Archive.with_reader path (fun r ->
               match Traceio.Archive.next r with
               | exception Traceio.Error.Corrupt msg when plane_check msg -> ()
               | _ -> Alcotest.failf "%s: next did not refuse it at the plane" what);
           Traceio.Archive.with_reader path (fun r ->
-              match Traceio.Archive.try_next_fv r with
+              match Traceio.Archive.try_next r with
               | `Skipped msg when plane_check msg -> ()
-              | _ -> Alcotest.failf "%s: try_next_fv did not skip it at the plane" what))
+              | _ -> Alcotest.failf "%s: try_next did not skip it at the plane" what))
         [ 3; 1 lsl 40; max_int / 4; max_int ])
 
 (* Values no scope produces, which a lossy or normalising codec would
@@ -301,14 +295,7 @@ let test_archive_special_floats_roundtrip () =
           | Some rec_ ->
               Alcotest.(check (array int64)) "next: sample bits"
                 (Array.map Int64.bits_of_float samples)
-                (Array.map Int64.bits_of_float rec_.Traceio.Archive.trace.Power.Ptrace.samples)
-          | None -> Alcotest.fail "record missing");
-      Traceio.Archive.with_reader path (fun r ->
-          match Traceio.Archive.next_fv r with
-          | Some rf ->
-              Alcotest.(check (array int64)) "next_fv: sample bits"
-                (Array.map Int64.bits_of_float samples)
-                (Array.map Int64.bits_of_float (Mathkit.Fvec.to_array rf.Traceio.Archive.fv_samples))
+                (Array.map Int64.bits_of_float (Mathkit.Fvec.to_array rec_.Traceio.Archive.samples))
           | None -> Alcotest.fail "record missing"))
 
 (* --- profile cache -------------------------------------------------------- *)
@@ -416,9 +403,11 @@ let test_profile_cache_corrupt_rejected () =
 (* Every record of an archive as the run it captured; the firmware's
    memory image is not archived, so [poly] is empty. *)
 let archived_runs path =
+  let samples_per_cycle = (Traceio.Archive.with_reader path Traceio.Archive.header).Traceio.Archive.samples_per_cycle in
   Traceio.Archive.fold path
     (fun acc (r : Traceio.Archive.record) ->
-      { Reveal.Device.trace = r.Traceio.Archive.trace; noises = r.Traceio.Archive.noises; poly = [||] } :: acc)
+      let trace = { Power.Ptrace.samples = Mathkit.Fvec.to_array r.Traceio.Archive.samples; samples_per_cycle } in
+      { Reveal.Device.trace; noises = r.Traceio.Archive.noises; poly = [||] } :: acc)
     []
   |> List.rev |> Array.of_list
 
@@ -491,27 +480,27 @@ let test_profile_of_archive_matches_live_profile () =
 let test_record_profiling_memory_is_streamed () =
   (* structural guarantee: the reader hands out one record at a time,
      batches are bounded by [max], and a batch holds exactly the
-     records [next_fv] hands out *)
+     records [next] hands out *)
   let device = Reveal.Device.create ~n:64 () in
   with_tmp "stream.rvt" (fun path ->
       Reveal.Campaign.record_profiling ~per_value:8 ~seed:1L device (rng ()) ~path;
       let singles =
         Traceio.Archive.with_reader path (fun r ->
             List.init 2 (fun _ ->
-                match Traceio.Archive.next_fv r with Some rf -> rf | None -> Alcotest.fail "record missing"))
+                match Traceio.Archive.next r with Some rec_ -> rec_ | None -> Alcotest.fail "record missing"))
       in
       Traceio.Archive.with_reader path (fun r ->
           let batch = Traceio.Archive.next_batch r ~max:2 in
           Alcotest.(check int) "batch bounded" 2 (Array.length batch);
           List.iteri
-            (fun i (single : Traceio.Archive.record_fv) ->
+            (fun i (single : Traceio.Archive.record) ->
               let b = batch.(i) in
-              Alcotest.(check int) "batch index" single.Traceio.Archive.fv_index b.Traceio.Archive.fv_index;
-              Alcotest.(check (array int)) "batch labels" single.Traceio.Archive.fv_noises b.Traceio.Archive.fv_noises;
+              Alcotest.(check int) "batch index" single.Traceio.Archive.index b.Traceio.Archive.index;
+              Alcotest.(check (array int)) "batch labels" single.Traceio.Archive.noises b.Traceio.Archive.noises;
               Alcotest.(check bool) "batch sample bits" true
                 (float_bits_equal
-                   (Mathkit.Fvec.to_array single.Traceio.Archive.fv_samples)
-                   (Mathkit.Fvec.to_array b.Traceio.Archive.fv_samples)))
+                   (Mathkit.Fvec.to_array single.Traceio.Archive.samples)
+                   (Mathkit.Fvec.to_array b.Traceio.Archive.samples)))
             singles;
           let h = Traceio.Archive.header r in
           Alcotest.(check bool) "profiling metadata present" true
@@ -608,37 +597,74 @@ let suite =
       Alcotest.test_case "attack_archive tolerant vs strict" `Quick test_attack_archive_skips_corrupt_record;
     ]
 
-(* --- Fvec decode path (numeric core refactor) ---------------------------- *)
+(* --- the record-stream adapter ---------------------------------------- *)
 
-let test_next_fv_matches_next_bitwise () =
-  (* the replay decode path ([next_fv], no float-array intermediate)
-     must hand back exactly the samples the boxed decode produces *)
+let test_source_aliases_share_one_cursor () =
+  (* [next_fv] is [next] under its older name: interleaved pulls walk
+     one cursor *)
   let device = Reveal.Device.create ~n:8 () in
   let runs = sample_runs device 3 in
-  with_tmp "fvdecode.rvt" (fun path ->
+  with_tmp "aliases.rvt" (fun path ->
       write_archive path device runs;
-      Traceio.Archive.with_reader path (fun boxed ->
-          Traceio.Archive.with_reader path (fun fv ->
-              let rec go seen =
-                match (Traceio.Archive.next boxed, Traceio.Archive.next_fv fv) with
-                | None, None -> seen
-                | Some r, Some rf ->
-                    Alcotest.(check int) "index" r.Traceio.Archive.index rf.Traceio.Archive.fv_index;
-                    Alcotest.(check (array int)) "noises" r.Traceio.Archive.noises rf.Traceio.Archive.fv_noises;
-                    let xs = r.Traceio.Archive.trace.Power.Ptrace.samples in
-                    Alcotest.(check int) "length" (Array.length xs) (Mathkit.Fvec.length rf.Traceio.Archive.fv_samples);
-                    Array.iteri
-                      (fun i s ->
-                        Alcotest.(check int64)
-                          (Printf.sprintf "sample %d bits" i)
-                          (Int64.bits_of_float s)
-                          (Int64.bits_of_float (Mathkit.Fvec.get rf.Traceio.Archive.fv_samples i)))
-                      xs;
-                    go (seen + 1)
-                | Some _, None | None, Some _ -> Alcotest.fail "decode paths disagree on record count"
-              in
-              let n = go 0 in
-              Alcotest.(check int) "all records compared" 3 n)))
+      let src = Traceio.Source.of_archive path in
+      Fun.protect
+        ~finally:(fun () -> Traceio.Source.close src)
+        (fun () ->
+          let index = function
+            | `Record (r : Traceio.Archive.record) -> r.Traceio.Archive.index
+            | `Skipped reason -> Alcotest.failf "unexpected skip: %s" reason
+            | `End_of_archive -> -1
+          in
+          let a = index (Traceio.Source.next src) in
+          let b = index (Traceio.Source.next_fv src) in
+          let c = index (Traceio.Source.next src) in
+          let d = index (Traceio.Source.next_fv src) in
+          Alcotest.(check (list int)) "records 0, 1, 2 in order, then the end" [ 0; 1; 2; -1 ] [ a; b; c; d ]))
+
+let test_trace_source_pulls_next_fv () =
+  (* a wrapped backend is pulled through the closure passed as
+     [~next_fv], the one a caller instruments (a traced run times
+     decode there); [~next] must never run *)
+  let device = Reveal.Device.create ~n:16 () in
+  let prof = Lazy.force tiny_profile in
+  with_tmp "wrapped.rvt" (fun path ->
+      let g = rng () in
+      Reveal.Device.record device ~path ~seed:0L ~traces:3 ~scope_rng:g ~sampler_rng:g;
+      let stream = Traceio.Source.of_archive path in
+      let pulls = ref 0 in
+      let wrapped =
+        Traceio.Source.make_fv ~name:(Traceio.Source.name stream)
+          ~next:(fun () -> Alcotest.fail "the ~next closure was pulled")
+          ~next_fv:(fun () ->
+            incr pulls;
+            Traceio.Source.next_fv stream)
+          ~close:(fun () -> Traceio.Source.close stream)
+      in
+      let stats, results = Reveal.Campaign.run_source ~batch:2 prof (Reveal.Source.of_trace_source wrapped) in
+      Alcotest.(check int) "one pull per record, plus the end" 4 !pulls;
+      let expected_stats, expected = Reveal.Campaign.attack_archive prof path in
+      Alcotest.(check int) "result count" (Array.length expected) (Array.length results);
+      Array.iteri
+        (fun i (e : Reveal.Campaign.coefficient_result) ->
+          let r = results.(i) in
+          Alcotest.(check int) "actual" e.Reveal.Campaign.actual r.Reveal.Campaign.actual;
+          Alcotest.(check int) "value" e.Reveal.Campaign.verdict.Sca.Attack.value
+            r.Reveal.Campaign.verdict.Sca.Attack.value;
+          Alcotest.(check int) "sign" e.Reveal.Campaign.verdict.Sca.Attack.sign r.Reveal.Campaign.verdict.Sca.Attack.sign;
+          Alcotest.(check bool) "grade" true (e.Reveal.Campaign.grade = r.Reveal.Campaign.grade);
+          Alcotest.(check bool) "posterior bits" true
+            (Array.for_all2
+               (fun (va, pa) (vb, pb) -> va = vb && Int64.equal (Int64.bits_of_float pa) (Int64.bits_of_float pb))
+               e.Reveal.Campaign.posterior_all r.Reveal.Campaign.posterior_all))
+        expected;
+      Alcotest.(check int) "sign correct" expected_stats.Reveal.Campaign.sign_correct stats.Reveal.Campaign.sign_correct;
+      Alcotest.(check int) "value correct" expected_stats.Reveal.Campaign.value_correct
+        stats.Reveal.Campaign.value_correct)
 
 let suite =
-  suite @ [ Alcotest.test_case "next_fv decode = next decode (bit-identical)" `Quick test_next_fv_matches_next_bitwise ]
+  suite
+  @ [
+      Alcotest.test_case "archive source: next and next_fv share one cursor" `Quick
+        test_source_aliases_share_one_cursor;
+      Alcotest.test_case "of_trace_source pulls make_fv's next_fv" `Quick test_trace_source_pulls_next_fv;
+    ]

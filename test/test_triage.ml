@@ -178,7 +178,8 @@ let marker_present path =
   Traceio.Archive.fold path
     (fun acc r ->
       acc
-      || (r.Traceio.Archive.noises.(0) = 7 && Array.exists (fun s -> s = 42.0) r.Traceio.Archive.trace.Power.Ptrace.samples))
+      || (r.Traceio.Archive.noises.(0) = 7
+         && Array.exists (fun s -> s = 42.0) (Mathkit.Fvec.to_array r.Traceio.Archive.samples)))
     false
 
 let synthetic_records () =
@@ -200,11 +201,11 @@ let test_archive_rewrite () =
   Alcotest.(check int) "records resequence from zero" 0 (List.nth records 0).Traceio.Archive.index;
   List.iter
     (fun (r : Traceio.Archive.record) ->
-      Alcotest.(check int) "samples cropped to the span" 3 (Array.length r.Traceio.Archive.trace.Power.Ptrace.samples))
+      Alcotest.(check int) "samples cropped to the span" 3 (Mathkit.Fvec.length r.Traceio.Archive.samples))
     records;
   Alcotest.(check int) "labels of kept record survive" 7 (List.nth records 1).Traceio.Archive.noises.(0);
   Alcotest.(check bool) "the marker sample is inside the crop" true
-    ((List.nth records 1).Traceio.Archive.trace.Power.Ptrace.samples.(0) = 42.0)
+    (Mathkit.Fvec.get (List.nth records 1).Traceio.Archive.samples 0 = 42.0)
 
 let test_minimize_synthetic () =
   with_work_dir @@ fun wd ->
