@@ -257,6 +257,15 @@ let perf_tests () =
     in
     ("sca: segment 256-coeff faulted trace", fun () -> ignore (Sca.Segment.segment_fv segment ~expected:257 faulted))
   in
+  (* the chain a live campaign runs per capture: simulation, synthesis
+     and the fault pass at intensity 0.5, written into the domain's
+     acquisition buffers *)
+  let faulted256 = Reveal.Device.create ~fault:(Power.Fault.of_intensity 0.5) ~n:256 () in
+  let draws256 = Reveal.Device.gaussian_draws faulted256 rng in
+  let acquire_kernel =
+    ( "device: acquire 256-coeff faulted trace",
+      fun () -> ignore (Reveal.Device.acquire faulted256 ~scope_rng:rng ~draws:draws256) )
+  in
   (* table3 kernel: integrate 1024 hints and re-estimate beta *)
   let table3_kernel =
     ( "table3: 1024 DBDD hints + beta search",
@@ -366,6 +375,7 @@ let perf_tests () =
     synth_kernel;
     fault_kernel;
     segment_kernel;
+    acquire_kernel;
     table1_kernel;
     scoring_fvec_kernel;
     replay_fvec_kernel;

@@ -589,7 +589,10 @@ let worker seed n traces lo hi shard_id profile_path out sabotage _json obs =
   let prof = Reveal.Campaign.load_profile profile_path in
   let device = Reveal.Device.create ~n () in
   let source = shard_source device ~seed ~traces ~lo ~hi in
-  let stats, results = Reveal.Campaign.run_source ~obs ~expected:((hi - lo) * n) prof source in
+  (* one domain per worker: the fabric parallelises across processes,
+     and a worker spawning domains of its own would contend with its
+     siblings for the same cores *)
+  let stats, results = Reveal.Campaign.run_source ~obs ~expected:((hi - lo) * n) ~domains:1 prof source in
   Fabric.Shard.save out
     {
       Fabric.Shard.shard = shard_id;

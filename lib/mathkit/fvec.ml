@@ -60,10 +60,10 @@ let to_array t =
   out
 
 let blit_from_array xs t =
-  if Array.length xs <> t.len then invalid_arg "Fvec.blit_from_array: length mismatch";
+  if Array.length xs < t.len then invalid_arg "Fvec.blit_from_array: array shorter than the view";
   check_range t.buf ~off:t.off ~len:t.len "Fvec.blit_from_array";
   for i = 0 to t.len - 1 do
-    (* srclint: allow unsafe-index i is bounded by the length equality just checked *)
+    (* srclint: allow unsafe-index i is bounded by the view length, which the array's length bounds as checked *)
     Bigarray.Array1.unsafe_set t.buf (t.off + i) (Array.unsafe_get xs i)
   done
 

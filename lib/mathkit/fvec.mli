@@ -36,7 +36,9 @@ val init : int -> (int -> float) -> t
 val of_array : float array -> t
 val to_array : t -> float array
 
-(** [blit_from_array xs t] overwrites [t] (same length) with [xs]. *)
+(** [blit_from_array xs t] overwrites [t] with the first [length t]
+    elements of [xs].
+    @raise Invalid_argument when [xs] is shorter than [t]. *)
 val blit_from_array : float array -> t -> unit
 
 (** A fresh vector with [t]'s contents. *)

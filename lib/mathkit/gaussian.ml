@@ -33,8 +33,9 @@ let normal p rng ~mu ~sigma = fst (normal_rejections p rng ~mu ~sigma)
 (* [normal_rejections]'s loop without the cache: an accepted point adds
    [u *. m] to one element and the deviate a polar would cache, [v *. m],
    to the next.  [+. 0.0] is [normal]'s [+. mu].  No float is boxed. *)
-let add_normal rng ~sigma a =
-  let n = Array.length a and i = ref 0 in
+let add_normal rng ~sigma a ~len:n =
+  if n < 0 || n > Array.length a then invalid_arg "Gaussian.add_normal: length out of bounds";
+  let i = ref 0 in
   while !i < n do
     let u = (2.0 *. uniform rng) -. 1.0 in
     let v = (2.0 *. uniform rng) -. 1.0 in

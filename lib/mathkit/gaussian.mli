@@ -24,9 +24,11 @@ val polar_pending : polar -> bool
 val normal : polar -> Prng.t -> mu:float -> sigma:float -> float
 (** One normal deviate. *)
 
-val add_normal : Prng.t -> sigma:float -> float array -> unit
-(** Adds [normal p rng ~mu:0.0 ~sigma] to each element in turn, [p] a
-    fresh {!polar}: the same bits and draws, without allocating. *)
+val add_normal : Prng.t -> sigma:float -> float array -> len:int -> unit
+(** Adds [normal p rng ~mu:0.0 ~sigma] to each of the first [len]
+    elements in turn, [p] a fresh {!polar}: the same bits and draws,
+    without allocating.  Elements from [len] on are untouched.
+    @raise Invalid_argument unless [0 <= len <= Array.length a]. *)
 
 type clipped = { sigma : float; max_deviation : float }
 

@@ -1,10 +1,15 @@
-let recommended_domains () = min 8 (max 1 (Domain.recommended_domain_count () - 1))
+(* The calling domain runs a worker too ([map_array_with] below), so it
+   counts toward the default. *)
+let recommended_domains () = min 8 (Domain.recommended_domain_count ())
 
-(* One work-stealing pass shared by both entry points: every worker
-   owns one [scratch ()] value for its whole lifetime, so per-item
-   buffers (Fvec arenas, classifier scratch) are allocated once per
-   domain instead of once per item — and are never shared across
-   domains, which would race. *)
+(* One pass shared by both entry points: every worker owns one
+   [scratch ()] value for its whole lifetime, so per-item buffers (Fvec
+   arenas, classifier scratch) are allocated once per domain instead of
+   once per item — and are never shared across domains, which would
+   race.  The schedule is fixed: worker [w] (the calling domain is
+   worker 0) takes items [w], [w + workers], [w + 2 workers] ..., so
+   which domain runs an item, and what each domain allocates, repeats
+   from run to run. *)
 let map_array_with ?domains ~scratch f xs =
   let n = Array.length xs in
   let workers = max 1 (min (Option.value domains ~default:(recommended_domains ())) n) in
@@ -15,23 +20,19 @@ let map_array_with ?domains ~scratch f xs =
   end
   else begin
     let results = Array.make n None in
-    let next = Atomic.make 0 in
     let failure = Atomic.make None in
-    let worker () =
+    let worker w () =
       let s = scratch () in
-      let continue = ref true in
-      while !continue do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n || Atomic.get failure <> None then continue := false
-        else begin
-          match f s xs.(i) with
-          | v -> results.(i) <- Some v
-          | exception e -> Atomic.set failure (Some e)
-        end
+      let i = ref w in
+      while !i < n && Atomic.get failure = None do
+        (match f s xs.(!i) with
+        | v -> results.(!i) <- Some v
+        | exception e -> Atomic.set failure (Some e));
+        i := !i + workers
       done
     in
-    let handles = Array.init (workers - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
+    let handles = Array.init (workers - 1) (fun w -> Domain.spawn (worker (w + 1))) in
+    worker 0 ();
     Array.iter Domain.join handles;
     (match Atomic.get failure with Some e -> raise e | None -> ());
     Array.map (function Some v -> v | None -> assert false) results

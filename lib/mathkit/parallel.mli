@@ -7,8 +7,9 @@
 
 val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array ~domains f xs] is [Array.map f xs], with the items
-    processed by up to [domains] worker domains (default: the
-    recommended domain count, capped at 8).  [f] must not share
+    processed by up to [domains] worker domains (default:
+    {!recommended_domains}).  The calling domain is one of the
+    workers, so [~domains:1] spawns none.  [f] must not share
     mutable state across items.  Exceptions raised by [f] are
     re-raised in the caller. *)
 
@@ -16,6 +17,12 @@ val map_array_with : ?domains:int -> scratch:(unit -> 's) -> ('s -> 'a -> 'b) ->
 (** [map_array] with per-domain scratch: every worker domain calls
     [scratch ()] exactly once and passes the value to [f] for each
     item it processes.  Use for reusable buffers (Fvec workspaces,
-    classifier scratch) that must not be shared across domains. *)
+    classifier scratch) that must not be shared across domains.  The
+    schedule is fixed: of [w] workers, worker [k] (the calling domain
+    is worker 0) processes items [k], [k + w], [k + 2w] ... in that
+    order, so what each domain does repeats from run to run. *)
 
 val recommended_domains : unit -> int
+(** [Domain.recommended_domain_count ()] capped at 8: the calling
+    domain counts, so a 2-vCPU host runs two workers, the caller and
+    one spawned domain. *)

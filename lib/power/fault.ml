@@ -69,8 +69,9 @@ let of_intensity x =
    clipping is folded into the loop that emits the output, and jitter
    shifts the output in place.  Each stage draws exactly what it would
    draw on its own, in the same order, so the output is what running
-   the stages one fresh array at a time gives, bit for bit, and it is
-   the pass's only trace-length allocation. *)
+   the stages one fresh array at a time gives, bit for bit.  The output
+   goes wherever the caller says: a fresh array ([apply]) or a buffer
+   of the caller's ([apply_into]). *)
 
 (* [Float.min]/[Float.max] with the strict comparisons inline: without
    flambda a call into [Float] boxes both arguments, once per sample.
@@ -154,9 +155,9 @@ let clip_ceiling c s n =
 
 (* Each of the [n] samples of [s] is emitted 0x (drop), 1x, or 2x (dup),
    clipped to [ceiling] if there is one.  Every fate is drawn first, one
-   uniform per sample, so the output is allocated once at its exact
-   length. *)
-let drop_dup ~rng c ~ceiling sc s n =
+   uniform per sample, so the output is asked of [into] once, at its
+   exact length. *)
+let drop_dup ~rng c ~ceiling ~into sc s n =
   let fate = fates sc n in
   Mathkit.Prng.fill_bits53 rng fate ~len:n;
   let count = ref 0 in
@@ -166,7 +167,7 @@ let drop_dup ~rng c ~ceiling sc s n =
     fate.(i) <- k;
     count := !count + k
   done;
-  let out = Array.create_float !count in
+  let out = into !count in
   let j = ref 0 in
   for i = 0 to n - 1 do
     let k = fate.(i) in
@@ -177,10 +178,10 @@ let drop_dup ~rng c ~ceiling sc s n =
       j := !j + k
     end
   done;
-  out
+  (out, !count)
 
-let jitter ~rng c sc s =
-  let n = Array.length s in
+(* Shifts the first [n] samples of [s] in place. *)
+let jitter ~rng c sc s n =
   let offset = Mathkit.Prng.int_in rng (-c.trigger_jitter) c.trigger_jitter in
   (* clamp after drawing, so RNG consumption is trace-length independent *)
   let offset = Int.max (-n) (Int.min n offset) in
@@ -202,35 +203,40 @@ let jitter ~rng c sc s =
     end
   end
 
+let apply_into ~rng c src ~len:n ~into =
+  if n < 0 || n > Array.length src then invalid_arg "Fault.apply_into: length out of bounds";
+  let sc = Domain.DLS.get scratch_key in
+  let s = work sc n in
+  if c.drift_amplitude <> 0.0 && c.drift_period <> 0 then begin
+    let row = drift_row sc c n in
+    for i = 0 to n - 1 do
+      s.(i) <- src.(i) +. row.(i)
+    done
+  end
+  else Array.blit src 0 s 0 n;
+  if c.glitch_rate <> 0.0 && c.glitch_amplitude <> 0.0 && c.glitch_width <> 0 then glitches ~rng c s n;
+  let ceiling = if c.clip_fraction <> 0.0 && n > 0 then Some (clip_ceiling c s n) else None in
+  let out, m =
+    if c.drop_rate <> 0.0 || c.dup_rate <> 0.0 then drop_dup ~rng c ~ceiling ~into sc s n
+    else begin
+      let out = into n in
+      (match ceiling with
+      | Some m ->
+          for i = 0 to n - 1 do
+            out.(i) <- fmin s.(i) m
+          done
+      | None -> Array.blit s 0 out 0 n);
+      (out, n)
+    end
+  in
+  if c.trigger_jitter <> 0 then jitter ~rng c sc out m;
+  (out, m)
+
 let apply ~rng c (t : Ptrace.t) =
   if is_noop c then t
   else begin
-    let src = t.Ptrace.samples and sc = Domain.DLS.get scratch_key in
-    let n = Array.length src in
-    let s = work sc n in
-    if c.drift_amplitude <> 0.0 && c.drift_period <> 0 then begin
-      let row = drift_row sc c n in
-      for i = 0 to n - 1 do
-        s.(i) <- src.(i) +. row.(i)
-      done
-    end
-    else Array.blit src 0 s 0 n;
-    if c.glitch_rate <> 0.0 && c.glitch_amplitude <> 0.0 && c.glitch_width <> 0 then
-      glitches ~rng c s n;
-    let ceiling = if c.clip_fraction <> 0.0 && n > 0 then Some (clip_ceiling c s n) else None in
-    let out =
-      if c.drop_rate <> 0.0 || c.dup_rate <> 0.0 then drop_dup ~rng c ~ceiling sc s n
-      else begin
-        let out = Array.sub s 0 n in
-        (match ceiling with
-        | Some m ->
-            for i = 0 to n - 1 do
-              out.(i) <- fmin out.(i) m
-            done
-        | None -> ());
-        out
-      end
+    let samples, _ =
+      apply_into ~rng c t.Ptrace.samples ~len:(Array.length t.Ptrace.samples) ~into:Array.create_float
     in
-    if c.trigger_jitter <> 0 then jitter ~rng c sc out;
-    { t with Ptrace.samples = out }
+    { t with Ptrace.samples }
   end

@@ -47,4 +47,16 @@ val of_intensity : float -> config
 val apply : rng:Mathkit.Prng.t -> config -> Ptrace.t -> Ptrace.t
 (** Corrupt a trace.  Stage order: baseline drift, glitch bursts,
     clipping, drop/duplication, trigger jitter.  Disabled stages are
-    skipped entirely and draw no randomness. *)
+    skipped entirely and draw no randomness.  The result is a fresh
+    array ({!apply_into} with [into = Array.create_float]), except at
+    a no-op config, which returns [t] itself. *)
+
+val apply_into :
+  rng:Mathkit.Prng.t -> config -> float array -> len:int -> into:(int -> float array) -> float array * int
+(** [apply_into ~rng c src ~len ~into] is the fault pass over the
+    first [len] samples of [src], which it only reads.  It calls
+    [into m] once, with the corrupted trace's exact length [m], writes
+    the trace into the first [m] elements of the array [into] returns
+    (at least [m] long), and returns that array and [m].  The draws
+    and bits are {!apply}'s, whatever [into] returns.
+    @raise Invalid_argument unless [0 <= len <= Array.length src]. *)

@@ -35,12 +35,14 @@ let default = { base = default_base; hw_weight = 0.15; hd_weight = 0.18; bus_wei
 let hw_only = { default with hd_weight = 0.0 }
 let hd_only = { default with hw_weight = 0.0; bus_weight = 0.0 }
 
-let of_event m (e : Riscv.Trace.event) =
+(* Both levels are stored where the caller keeps them: a float returned
+   across the module boundary would be boxed, once per instruction. *)
+let write m (e : Riscv.Trace.event) ~first ~rest k =
   let data =
     (m.hw_weight *. float_of_int (hamming_weight e.rs1_value + hamming_weight e.rs2_value + hamming_weight e.rd_new))
     +. (m.hd_weight *. float_of_int (hamming_distance e.rd_old e.rd_new))
     +. (m.bus_weight *. match e.mem_value with Some v -> float_of_int (hamming_weight v) | None -> 0.0)
   in
-  m.base e.klass +. data
-
-let residual m (e : Riscv.Trace.event) = 0.85 *. m.base e.klass
+  let base = m.base e.klass in
+  first.(k) <- base +. data;
+  rest.(k) <- 0.85 *. base

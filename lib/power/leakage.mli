@@ -33,10 +33,9 @@ val hamming_weight : int -> int
 (** Population count of the low 32 bits. *)
 
 val hamming_distance : int -> int -> int
-val of_event : t -> Riscv.Trace.event -> float
-(** Noise-free power of one instruction (its first, data-carrying
-    cycle). *)
-
-val residual : t -> Riscv.Trace.event -> float
-(** Power drawn during the remaining cycles of a multi-cycle
-    instruction (base component only). *)
+val write : t -> Riscv.Trace.event -> first:float array -> rest:float array -> int -> unit
+(** [write m e ~first ~rest k] sets [first.(k)] to the noise-free
+    power of the instruction's first, data-carrying cycle and
+    [rest.(k)] to the power drawn during its remaining cycles (base
+    component only).  The levels go straight into the caller's float
+    arrays, so none is boxed. *)

@@ -68,16 +68,17 @@ let grow a =
 let feed a (e : Riscv.Trace.event) =
   if a.count = Array.length a.cols.cycles then grow a;
   let k = a.count and c = a.cols in
-  c.first.(k) <- Leakage.of_event a.config.model e;
-  c.rest.(k) <- Leakage.residual a.config.model e;
+  Leakage.write a.config.model e ~first:c.first ~rest:c.rest k;
   c.cycles.(k) <- e.cycles;
   a.total_cycles <- a.total_cycles + e.cycles;
   a.count <- k + 1
 
-let finish a =
+let length a = a.total_cycles * a.config.samples_per_cycle
+
+let finish_into a samples =
   let spc = a.config.samples_per_cycle and count = a.count and c = a.cols in
-  (* uninitialised: the loops below write every sample *)
-  let samples = Array.create_float (a.total_cycles * spc) in
+  let len = length a in
+  if Array.length samples < len then invalid_arg "Synth.finish_into: array shorter than the trace";
   let shape = Array.init spc (shape ~samples_per_cycle:spc) in
   let pos = ref 0 in
   for idx = 0 to count - 1 do
@@ -95,10 +96,15 @@ let finish a =
   a.total_cycles <- 0;
   a.cols <- { first = [||]; rest = [||]; cycles = [||] };
   Domain.DLS.get spare_key := Some c;
-  (match a.rng with
-  | Some g when a.config.noise_sigma > 0.0 -> Mathkit.Gaussian.add_normal g ~sigma:a.config.noise_sigma samples
-  | _ -> ());
-  { Ptrace.samples; samples_per_cycle = spc }
+  match a.rng with
+  | Some g when a.config.noise_sigma > 0.0 -> Mathkit.Gaussian.add_normal g ~sigma:a.config.noise_sigma samples ~len
+  | _ -> ()
+
+let finish a =
+  (* uninitialised: [finish_into] writes every sample *)
+  let samples = Array.create_float (length a) in
+  finish_into a samples;
+  { Ptrace.samples; samples_per_cycle = a.config.samples_per_cycle }
 
 let synthesize ?rng config events =
   let a = accumulator ?rng config in

@@ -41,9 +41,18 @@ val accumulator : ?rng:Mathkit.Prng.t -> config -> acc
 val feed : acc -> Riscv.Trace.event -> unit
 (** Append one retired instruction. *)
 
+val length : acc -> int
+(** Samples in the trace of the events fed so far. *)
+
+val finish_into : acc -> float array -> unit
+(** Writes the trace of every event fed, in order, into the first
+    [length acc] elements of the array: pulse-shaped levels, then the
+    noise.  Elements past the trace are untouched.  Call it once; the
+    accumulator is empty afterwards.
+    @raise Invalid_argument when the array is shorter than the trace. *)
+
 val finish : acc -> Ptrace.t
-(** The trace of every event fed, in order: pulse-shaped levels, then
-    the noise.  Call it once. *)
+(** {!finish_into} a fresh array of exactly [length acc] samples. *)
 
 val synthesize : ?rng:Mathkit.Prng.t -> config -> Riscv.Trace.event array -> Ptrace.t
 (** [feed] every event to a fresh [accumulator ?rng config], then

@@ -154,7 +154,9 @@ let export_stats obs stats results =
 (* Pull up to [batch] items, attack them in parallel, tally in item
    order; a `Skip (corrupt record a tolerant source dropped) counts
    toward the batch budget and the corrupt counter, exactly as the
-   record it replaced would have.
+   record it replaced would have.  Each item is acquired and graded by
+   one call on one worker domain, so a live item's borrowed samples
+   ([Pipeline.acquired]) are read before that domain acquires again.
 
    With an enabled obs context each pull counts [source.items] or
    [source.skips] (a skip also emits a warn-level [source.skip] event),

@@ -40,11 +40,14 @@ type run = {
 
 (* One RAM per domain, cleared before every run to what
    [Memory.create] returns, so a run allocates no RAM and sees nothing
-   of the last one.  It never leaves [execute]: [read_poly] copies the
+   of the last one.  It never leaves the run: [read_poly] copies the
    result out.  Domains never share it. *)
 let ram_key = Domain.DLS.new_key (fun () -> Riscv.Memory.create layout.Riscv.Sampler_prog.ram_size)
 
-let execute t ~scope_rng ~draws ~perm =
+(* Runs the firmware on the domain's RAM with synthesis as its tracer:
+   the accumulator holds the trace to finish, the RAM what the firmware
+   wrote. *)
+let simulate t ~scope_rng ~draws ~perm =
   if Array.length draws <> t.n then invalid_arg "Device: draw queue length must equal n";
   let draws = Array.append draws [| (0, 0) |] in
   let mem = Domain.DLS.get ram_key in
@@ -83,17 +86,27 @@ let execute t ~scope_rng ~draws ~perm =
     | None -> Riscv.Cpu.create ~tracer mem
   in
   ignore (Riscv.Cpu.run ~max_steps:(200 * t.n * 64) cpu);
+  (acc, mem)
+
+(* The fault pass's generator, split from the scope's after the noise
+   is drawn.  A no-op fault must leave the clean path bit-identical: no
+   RNG split, no pass. *)
+let fault_pass t scope_rng =
+  match t.fault with
+  | Some f when not (Power.Fault.is_noop f) -> Some (f, Mathkit.Prng.split scope_rng)
+  | _ -> None
+
+let execute t ~scope_rng ~draws ~perm =
+  let acc, mem = simulate t ~scope_rng ~draws ~perm in
   let trace = Power.Synth.finish acc in
   let trace =
-    (* a no-op fault must leave the clean path bit-identical: no RNG
-       split, no trace rebuild *)
-    match t.fault with
-    | Some f when not (Power.Fault.is_noop f) -> Power.Fault.apply ~rng:(Mathkit.Prng.split scope_rng) f trace
-    | _ -> trace
+    match fault_pass t scope_rng with
+    | Some (f, rng) -> Power.Fault.apply ~rng f trace
+    | None -> trace
   in
   {
     trace;
-    noises = Array.map fst (Array.sub draws 0 t.n);
+    noises = Array.map fst draws;
     poly =
       Array.map
         (fun plane -> Array.sub plane 0 t.n)
@@ -102,21 +115,57 @@ let execute t ~scope_rng ~draws ~perm =
 
 let run t ~scope_rng ~draws = execute t ~scope_rng ~draws ~perm:None
 
-let run_gaussian t ~scope_rng ~sampler_rng =
-  let draws =
-    match t.variant with
-    | Riscv.Sampler_prog.Cdt_table ->
-        (* honest CDT draws: values follow the table's distribution *)
-        let sigma = Mathkit.Gaussian.seal_default.Mathkit.Gaussian.sigma in
-        let _, noises = Riscv.Sampler_prog.cdt_draws_of_gaussian sampler_rng ~sigma ~count:t.n in
-        Array.map (fun v -> (v, 0)) noises
-    | _ -> fst (Riscv.Sampler_prog.draws_of_gaussian sampler_rng Mathkit.Gaussian.seal_default ~count:t.n)
-  in
-  execute t ~scope_rng ~draws ~perm:None
+let gaussian_draws t sampler_rng =
+  match t.variant with
+  | Riscv.Sampler_prog.Cdt_table ->
+      (* honest CDT draws: values follow the table's distribution *)
+      let sigma = Mathkit.Gaussian.seal_default.Mathkit.Gaussian.sigma in
+      let _, noises = Riscv.Sampler_prog.cdt_draws_of_gaussian sampler_rng ~sigma ~count:t.n in
+      Array.map (fun v -> (v, 0)) noises
+  | _ -> fst (Riscv.Sampler_prog.draws_of_gaussian sampler_rng Mathkit.Gaussian.seal_default ~count:t.n)
+
+let run_gaussian t ~scope_rng ~sampler_rng = execute t ~scope_rng ~draws:(gaussian_draws t sampler_rng) ~perm:None
 
 let run_shuffled t ~scope_rng ~sampler_rng ~perm =
   let draws, _ = Riscv.Sampler_prog.draws_of_gaussian sampler_rng Mathkit.Gaussian.seal_default ~count:t.n in
   execute t ~scope_rng ~draws ~perm:(Some perm)
+
+(* --- acquisition into the domain's buffers --------------------------------- *)
+
+(* Each domain's acquisition buffers, never shared: the synthesised
+   trace, the fault pass's output and the vector segmentation reads.
+   They only grow, with an eighth to spare, so traces a little longer
+   than the last do not each reallocate, and a capture allocates no
+   trace-length array.  The vector is lent to the caller until the
+   domain's next acquisition. *)
+type buffers = { mutable synth : float array; mutable faulted : float array; mutable samples : Mathkit.Fvec.t }
+
+let buffers_key =
+  Domain.DLS.new_key (fun () -> { synth = [||]; faulted = [||]; samples = Mathkit.Fvec.create 0 })
+
+let spare n = n + (n / 8)
+let at_least a n = if Array.length a >= n then a else Array.create_float (spare n)
+
+let acquire t ~scope_rng ~draws =
+  let acc, _ = simulate t ~scope_rng ~draws ~perm:None in
+  let b = Domain.DLS.get buffers_key in
+  let len = Power.Synth.length acc in
+  b.synth <- at_least b.synth len;
+  Power.Synth.finish_into acc b.synth;
+  let src, len =
+    match fault_pass t scope_rng with
+    | Some (f, rng) ->
+        let into m =
+          b.faulted <- at_least b.faulted m;
+          b.faulted
+        in
+        Power.Fault.apply_into ~rng f b.synth ~len ~into
+    | None -> (b.synth, len)
+  in
+  if Mathkit.Fvec.length b.samples < len then b.samples <- Mathkit.Fvec.create (spare len);
+  let samples = Mathkit.Fvec.sub b.samples 0 len in
+  Mathkit.Fvec.blit_from_array src samples;
+  (samples, Array.map fst draws)
 
 (* Honest timing: the rejection count of one real clipped draw.  The
    device does not enter the draw. *)

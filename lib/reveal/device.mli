@@ -41,14 +41,29 @@ type run = {
 
 val run : t -> scope_rng:Mathkit.Prng.t -> draws:(int * int) array -> run
 (** Execute one sampling of [n t] coefficients from an explicit draw
-    queue [(noise, rejections)]. *)
+    queue [(noise, rejections)].  Every array of the result is fresh
+    and the caller's to keep. *)
 
 val run_gaussian : t -> scope_rng:Mathkit.Prng.t -> sampler_rng:Mathkit.Prng.t -> run
-(** Honest run: the device draws its own clipped-normal noise. *)
+(** Honest run: the device draws its own clipped-normal noise
+    ({!gaussian_draws}), then runs them. *)
+
+val gaussian_draws : t -> Mathkit.Prng.t -> (int * int) array
+(** The draw queue of an honest run: [n t] clipped-normal draws with
+    their rejection counts (values from the CDT table, and no
+    rejections, on the CDT variant). *)
 
 val run_shuffled :
   t -> scope_rng:Mathkit.Prng.t -> sampler_rng:Mathkit.Prng.t -> perm:int array -> run
 (** Shuffled-variant run with the given sampling order. *)
+
+val acquire : t -> scope_rng:Mathkit.Prng.t -> draws:(int * int) array -> Mathkit.Fvec.t * int array
+(** [run]'s trace and noises, bit for bit and from the same draws,
+    written into buffers the calling domain owns instead of fresh
+    arrays; the firmware's output is not read back.  The samples are a
+    view of the domain's buffer, lent until the domain's next
+    [acquire]: read or copy them before acquiring again on that
+    domain.  Other domains' acquisitions do not touch them. *)
 
 val profiling_draw : t -> Mathkit.Prng.t -> value:int -> int * int
 (** A draw queue entry with the chosen [value] but a realistic,

@@ -78,11 +78,17 @@ val run_segmenter :
 
 type acquired = {
   samples : Mathkit.Fvec.t;
+      (** A live source lends a view of the acquiring domain's buffer
+          ({!Device.acquire}): it stays valid until that domain's next
+          acquisition, a [remeasure] included.  Grade it, or copy it,
+          on the domain that acquired it and before acquiring again
+          there; {!Campaign.run_source} does. *)
   noises : int array;  (** ground truth, for scoring *)
   remeasure : (int -> Mathkit.Fvec.t) option;
       (** live sources only: capture the same coefficients again
           (fresh scope/fault realisation); argument is the attempt
-          number *)
+          number.  Its samples are lent like [samples], and they
+          replace them *)
 }
 
 type item = { index : int; acquire : unit -> acquired }

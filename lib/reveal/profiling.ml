@@ -17,8 +17,8 @@ let labelled_windows segment ~samples ~noises =
 (* Calibrate an absolute burst threshold once so that profiling and
    attack traces segment identically. *)
 let calibrate_threshold device rng =
-  let run = Device.run_gaussian device ~scope_rng:rng ~sampler_rng:rng in
-  Sca.Segment.auto_threshold_fv Sca.Segment.default (Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples)
+  let samples, _ = Device.acquire device ~scope_rng:rng ~draws:(Device.gaussian_draws device rng) in
+  Sca.Segment.auto_threshold_fv Sca.Segment.default samples
 
 let segment_of_threshold threshold =
   { Sca.Segment.default with Sca.Segment.threshold = Sca.Segment.Absolute threshold }
@@ -38,8 +38,7 @@ let profiling_shape ~values ~per_value device =
    the conditions of the attacked trace.  Runs carry their own seeds,
    so neither the domain count nor record/replay can change the
    results. *)
-let profiling_run device ~values ~copies seed =
-  let rng = Mathkit.Prng.create ~seed () in
+let profiling_draws device ~values ~copies rng =
   let n = Device.n device in
   let forced = Array.concat (List.init copies (fun _ -> Array.copy values)) in
   let honest, _ =
@@ -47,7 +46,11 @@ let profiling_run device ~values ~copies seed =
   in
   let draws = Array.append (Array.map (fun v -> Device.profiling_draw device rng ~value:v) forced) honest in
   Mathkit.Prng.shuffle rng draws;
-  Device.run device ~scope_rng:rng ~draws
+  draws
+
+let profiling_run device ~values ~copies seed =
+  let rng = Mathkit.Prng.create ~seed () in
+  Device.run device ~scope_rng:rng ~draws:(profiling_draws device ~values ~copies rng)
 
 (* Per-value window bags, filled incrementally so the archive path can
    stream chunk by chunk. *)
@@ -90,11 +93,12 @@ let profiling_windows ?(per_value = Constants.default_per_value) ?domains ?(obs 
   let threshold = Obs.Ctx.span obs "profiling.calibrate" (fun () -> calibrate_threshold device rng) in
   let segment = segment_of_threshold threshold in
   let seeds = Array.init runs (fun _ -> Mathkit.Prng.bits64 rng) in
+  (* [profiling_run] into the domain's buffers; the windows are copied
+     out before the domain acquires again *)
   let one_run seed =
-    let run = profiling_run device ~values ~copies seed in
-    labelled_windows segment
-      ~samples:(Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples)
-      ~noises:run.Device.noises
+    let rng = Mathkit.Prng.create ~seed () in
+    let samples, noises = Device.acquire device ~scope_rng:rng ~draws:(profiling_draws device ~values ~copies rng) in
+    labelled_windows segment ~samples ~noises
   in
   let per_run =
     Obs.Ctx.span obs "profiling.acquire" (fun () -> Mathkit.Parallel.map_array ?domains one_run seeds)

@@ -4,6 +4,9 @@
    consumes is independent of batching, domain count, or how far the
    driver actually pulls. *)
 
+(* Both captures go into the acquiring domain's buffers: a capture is
+   graded before the next one on its domain is taken ([remeasure]
+   included), so the borrowed samples are never read stale. *)
 let live_item device index (scope_seed, sampler_seed) =
   {
     Pipeline.index;
@@ -11,21 +14,17 @@ let live_item device index (scope_seed, sampler_seed) =
       (fun () ->
         let scope_rng = Mathkit.Prng.create ~seed:scope_seed () in
         let sampler_rng = Mathkit.Prng.create ~seed:sampler_seed () in
-        let run = Device.run_gaussian device ~scope_rng ~sampler_rng in
+        let samples, noises = Device.acquire device ~scope_rng ~draws:(Device.gaussian_draws device sampler_rng) in
         (* The retry stream is carved from a separate generator, so a
            trace that needs no retries consumes its randomness exactly
            like one that does. *)
         let retry_master = Mathkit.Prng.create ~seed:(Int64.logxor scope_seed Constants.retry_seed_salt) () in
         let remeasure _attempt =
           let rng = Mathkit.Prng.split retry_master in
-          let draws = Array.map (fun v -> Device.profiling_draw device rng ~value:v) run.Device.noises in
-          Mathkit.Fvec.of_array (Device.run device ~scope_rng:rng ~draws).Device.trace.Power.Ptrace.samples
+          let draws = Array.map (fun v -> Device.profiling_draw device rng ~value:v) noises in
+          fst (Device.acquire device ~scope_rng:rng ~draws)
         in
-        {
-          Pipeline.samples = Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples;
-          noises = run.Device.noises;
-          remeasure = Some remeasure;
-        });
+        { Pipeline.samples; noises; remeasure = Some remeasure });
   }
 
 (* The full campaign's seed table is always drawn, whatever slice is

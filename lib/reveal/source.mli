@@ -19,7 +19,9 @@ val device_live :
     the two generators at construction, one pair per trace in trace
     order, and each item re-derives its own generators — acquisition
     can therefore run on any worker domain without perturbing the
-    campaign's randomness.  Every item carries a [remeasure] closure
+    campaign's randomness.  It runs {!Device.acquire}, so an item's
+    samples, and a re-measurement's, are lent from the acquiring
+    domain's buffers ({!Pipeline.acquired}).  Every item carries a [remeasure] closure
     that re-acquires the same coefficients (same noise values, honest
     timing, fresh scope/fault realisation) from a per-trace retry
     stream ({!Constants.retry_seed_salt}), so retries never touch the

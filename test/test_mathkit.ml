@@ -380,14 +380,16 @@ let normal_loop rng ~sigma a =
   let p = Gaussian.polar () in
   Array.iteri (fun i x -> a.(i) <- x +. Gaussian.normal p rng ~mu:0.0 ~sigma) a
 
-(* Same bits, and the same draws consumed. *)
+(* Same bits, and the same draws consumed; the kernel noises a prefix
+   of its array, so a tail past [len] must come back untouched. *)
 let add_normal_matches ~seed ~sigma base =
   let g = Prng.create ~seed () in
   let g' = Prng.copy g in
-  let got = Array.copy base and want = Array.copy base in
-  Gaussian.add_normal g ~sigma got;
+  let tail = [| 7.0; -0.0 |] in
+  let got = Array.append base tail and want = Array.copy base in
+  Gaussian.add_normal g ~sigma got ~len:(Array.length base);
   normal_loop g' ~sigma want;
-  same_bits got want && Prng.bits64 g = Prng.bits64 g'
+  same_bits got (Array.append want tail) && Prng.bits64 g = Prng.bits64 g'
 
 (* Levels with signed zeros among them, so a kernel that dropped
    [normal]'s [+. mu] would show at sigma = 0. *)
@@ -817,8 +819,11 @@ let test_fvec_edges () =
   let base = Fvec.of_array [| 0.; 1.; 2.; 3.; 4.; 5. |] in
   let mid = Fvec.sub base 2 3 in
   let snapshot = Fvec.copy mid in
-  Fvec.blit_from_array [| 20.; 99.; 40. |] mid;
+  Fvec.blit_from_array [| 20.; 99.; 40.; 77. |] mid;
   check_bits "write through view" 99.0 (Fvec.get base 3);
+  check_bits "an array's prefix, nothing past the view" 5.0 (Fvec.get base 5);
+  Alcotest.check_raises "short array" (Invalid_argument "Fvec.blit_from_array: array shorter than the view")
+    (fun () -> Fvec.blit_from_array [| 1.; 2. |] mid);
   Alcotest.(check (array (float 0.0))) "copy is detached" [| 2.; 3.; 4. |] (Fvec.to_array snapshot);
   Alcotest.(check int) "copy of the empty tail" 0 (Fvec.length (Fvec.copy (Fvec.sub base 6 0)))
 

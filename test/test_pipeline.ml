@@ -188,6 +188,63 @@ let test_device_run_is_the_staged_composition () =
       devices
   done
 
+(* [Device.acquire] runs [Device.run]'s chain into the domain's
+   buffers: the same bits and noises from the same seeds, for three
+   firmware variants, clean and faulted, with n = 64 and n = 256
+   alternating on one domain, so the buffers grow and are reused across
+   lengths and fault loads.  Between captures, the borrow contract: a view
+   stays put across a [Device.run] and across another domain's
+   capture, and a run's result, being fresh, stays put across a
+   capture. *)
+let test_device_acquire_is_run () =
+  let same_bits a b =
+    Array.length a = Array.length b && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+  in
+  let check label want got = Alcotest.(check bool) label true (same_bits want got) in
+  let run device ~scope ~draws = Reveal.Device.run device ~scope_rng:(Mathkit.Prng.create ~seed:scope ()) ~draws in
+  let acquire device ~scope ~draws = Reveal.Device.acquire device ~scope_rng:(Mathkit.Prng.create ~seed:scope ()) ~draws in
+  let samples (r : Reveal.Device.run) = r.Reveal.Device.trace.Power.Ptrace.samples in
+  let cases =
+    List.concat_map
+      (fun (name, variant) ->
+        List.map
+          (fun (fname, fault) -> (name ^ ", " ^ fname, variant, fault))
+          [ ("clean", None); ("0.5", Some (Power.Fault.of_intensity 0.5)); ("1.0", Some (Power.Fault.of_intensity 1.0)) ])
+      [
+        ("v32", Riscv.Sampler_prog.Vulnerable);
+        ("v36", Riscv.Sampler_prog.Branchless);
+        ("cdt", Riscv.Sampler_prog.Cdt_table);
+      ]
+  in
+  let seed = ref 0L in
+  List.iter
+    (fun (name, variant, fault) ->
+      List.iter
+        (fun n ->
+          let label what = Printf.sprintf "n = %d, %s: %s" n name what in
+          let device = Reveal.Device.create ~variant ?fault ~n () in
+          let draws = Reveal.Device.gaussian_draws device (Mathkit.Prng.create ~seed:(Int64.add !seed 1000L) ()) in
+          let s1 = Int64.succ !seed and s2 = Int64.add !seed 2L in
+          seed := s2;
+          let a = run device ~scope:s1 ~draws in
+          let held = Array.copy (samples a) in
+          let view, noises = acquire device ~scope:s1 ~draws in
+          check (label "samples") held (Mathkit.Fvec.to_array view);
+          Alcotest.(check (array int)) (label "noises") a.Reveal.Device.noises noises;
+          let b = run device ~scope:s2 ~draws in
+          check (label "view held across a run") held (Mathkit.Fvec.to_array view);
+          let view', _ = acquire device ~scope:s2 ~draws in
+          check (label "second seed") (samples b) (Mathkit.Fvec.to_array view');
+          check (label "run held across a capture") held (samples a))
+        [ 64; 256 ])
+    cases;
+  let device = Reveal.Device.create ~fault:(Power.Fault.of_intensity 0.5) ~n:256 () in
+  let draws = Reveal.Device.gaussian_draws device (Mathkit.Prng.create ~seed:7L ()) in
+  let view, _ = acquire device ~scope:8L ~draws in
+  let held = Mathkit.Fvec.to_array view in
+  ignore (Domain.join (Domain.spawn (fun () -> Mathkit.Fvec.length (fst (acquire device ~scope:9L ~draws)))));
+  check "view held across another domain's capture" held (Mathkit.Fvec.to_array view)
+
 (* --- Campaign ------------------------------------------------------------- *)
 
 let test_campaign_sign_recovery_perfect () =
@@ -408,6 +465,7 @@ let suite =
       ("device variants: same output, different trace", test_device_variant_traces_differ);
       ("device profiling draw = one clipped draw", test_profiling_draw_is_one_clipped_draw);
       ("device run = the staged composition, bit for bit", test_device_run_is_the_staged_composition);
+      ("device acquire = device run, bit for bit", test_device_acquire_is_run);
       ("campaign 100% sign recovery", test_campaign_sign_recovery_perfect);
       ("campaign zero class exact", test_campaign_zero_class_exact);
       ("campaign negatives beat positives", test_campaign_negatives_beat_positives);
@@ -468,6 +526,9 @@ let suite = suite @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
 
 (* --- parallel campaign determinism ----------------------------------------- *)
 
+(* Profiling runs are spread over the domains, and acquired into each
+   domain's buffers: every window, its label, length and bits, must
+   come back in the same order whatever the domain count. *)
 let test_parallel_profiling_deterministic () =
   let windows domains =
     let g = Mathkit.Prng.create ~seed:808L () in
@@ -475,22 +536,31 @@ let test_parallel_profiling_deterministic () =
     let _, len, classes = Reveal.Campaign.profiling_windows ~per_value:16 ~domains device g in
     (len, classes)
   in
-  let l1, c1 = windows 1 and l3, c3 = windows 3 in
-  Alcotest.(check int) "same window length" l1 l3;
-  List.iter2
-    (fun (v1, w1) (v3, w3) ->
-      Alcotest.(check int) "same label" v1 v3;
-      Alcotest.(check int) "same window count" (Array.length w1) (Array.length w3))
-    c1 c3;
-  (* window multisets identical: compare sums *)
-  let checksum classes =
-    List.fold_left
-      (fun acc (_, ws) -> Array.fold_left (fun acc w -> acc +. Array.fold_left ( +. ) 0.0 w) acc ws)
-      0.0 classes
-  in
-  Alcotest.(check (float 1e-6)) "same content" (checksum c1) (checksum c3)
+  let l1, c1 = windows 1 in
+  List.iter
+    (fun domains ->
+      let label what = Printf.sprintf "%d domains: %s" domains what in
+      let l, c = windows domains in
+      Alcotest.(check int) (label "window length") l1 l;
+      Alcotest.(check int) (label "classes") (List.length c1) (List.length c);
+      List.iter2
+        (fun (v1, w1) (v, w) ->
+          Alcotest.(check int) (label "label") v1 v;
+          Alcotest.(check int) (label (Printf.sprintf "value %d: windows" v)) (Array.length w1) (Array.length w);
+          Array.iteri
+            (fun i a ->
+              Alcotest.(check (array int64))
+                (label (Printf.sprintf "value %d, window %d" v i))
+                (Array.map Int64.bits_of_float a)
+                (Array.map Int64.bits_of_float w.(i)))
+            w1)
+        c1 c)
+    [ 2; 3 ]
 
 let test_parallel_map_basic () =
+  Alcotest.(check int) "the default counts the calling domain"
+    (min 8 (Domain.recommended_domain_count ()))
+    (Mathkit.Parallel.recommended_domains ());
   let xs = Array.init 100 (fun i -> i) in
   let doubled = Mathkit.Parallel.map_array ~domains:4 (fun x -> 2 * x) xs in
   Alcotest.(check (array int)) "order preserved" (Array.map (fun x -> 2 * x) xs) doubled;
@@ -500,9 +570,53 @@ let test_parallel_map_propagates_exception () =
   Alcotest.check_raises "worker failure surfaces" (Failure "boom") (fun () ->
       ignore (Mathkit.Parallel.map_array ~domains:3 (fun x -> if x = 7 then failwith "boom" else x) (Array.init 20 (fun i -> i))))
 
+(* Every field of every coefficient result, posteriors as bits. *)
+let result_key (r : Reveal.Campaign.coefficient_result) =
+  let dist d = Array.to_list (Array.map (fun (v, p) -> (v, Int64.bits_of_float p)) d) in
+  ( (r.actual, r.verdict.Sca.Attack.sign, r.verdict.Sca.Attack.value),
+    (dist r.verdict.Sca.Attack.posterior, dist r.posterior_all),
+    (r.grade, r.recovery) )
+
+let same_results label a b =
+  Alcotest.(check int) (label ^ ": result count") (Array.length a) (Array.length b);
+  Array.iteri
+    (fun i r ->
+      if result_key r <> result_key b.(i) then Alcotest.failf "%s: coefficient %d differs" label i)
+    a
+
+(* A campaign grades each trace on the domain that acquired it, in that
+   domain's buffers, retries included: the results, posteriors as bits,
+   must not depend on how many domains share the traces, live or
+   replayed. *)
+let test_campaign_domain_count_invariant () =
+  let prof = Reveal.Experiment.env_profile (Lazy.force env) in
+  let device = Reveal.Device.create ~fault:(Power.Fault.of_intensity 0.5) ~n:64 () in
+  let live domains =
+    snd
+      (Reveal.Campaign.run_attacks_resilient ~domains prof device ~traces:6
+         ~scope_rng:(Mathkit.Prng.create ~seed:31L ())
+         ~sampler_rng:(Mathkit.Prng.create ~seed:32L ()))
+  in
+  let one = live 1 in
+  Alcotest.(check bool) "some coefficient retried" true
+    (Array.exists (fun r -> match r.Reveal.Campaign.recovery with Reveal.Campaign.Retried _ -> true | _ -> false) one);
+  List.iter (fun d -> same_results (Printf.sprintf "live, %d domains" d) one (live d)) [ 2; 3 ];
+  let path = Filename.temp_file "reveal_domains" ".rvt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Reveal.Device.record device ~path ~seed:33L ~traces:5
+        ~scope_rng:(Mathkit.Prng.create ~seed:34L ())
+        ~sampler_rng:(Mathkit.Prng.create ~seed:35L ());
+      let replay domains =
+        snd (Reveal.Campaign.run_source ~domains prof (Reveal.Source.archive_replay ~strict:true path))
+      in
+      same_results "replay, 2 domains" (replay 1) (replay 2))
+
 let parallel_cases =
   [
     ("parallel profiling deterministic", test_parallel_profiling_deterministic);
+    ("campaign results do not depend on the domain count", test_campaign_domain_count_invariant);
     ("parallel map basics", test_parallel_map_basic);
     ("parallel map propagates exceptions", test_parallel_map_propagates_exception);
   ]

@@ -47,30 +47,39 @@ let make_event ?(klass = Riscv.Inst.K_arith) ?(rs1 = 0) ?(rs2 = 0) ?(rd_old = 0)
     mem_value = mem;
   }
 
+(* The model's two levels of one event, through the writer synthesis
+   uses: the first, data-carrying cycle and the rest. *)
+let levels m e =
+  let first = [| nan |] and rest = [| nan |] in
+  Power.Leakage.write m e ~first ~rest 0;
+  (first.(0), rest.(0))
+
+let of_event m e = fst (levels m e)
+
 let test_leakage_monotone_in_hw () =
   let m = Power.Leakage.default in
-  let p0 = Power.Leakage.of_event m (make_event ~rs1:0 ()) in
-  let p1 = Power.Leakage.of_event m (make_event ~rs1:0xFF ()) in
+  let p0 = of_event m (make_event ~rs1:0 ()) in
+  let p1 = of_event m (make_event ~rs1:0xFF ()) in
   Alcotest.(check bool) "more bits, more power" true (p1 > p0)
 
 let test_leakage_hd_term () =
   let m = Power.Leakage.default in
-  let quiet_write = Power.Leakage.of_event m (make_event ~rd_old:0xFF ~rd_new:0xFF ()) in
-  let toggling_write = Power.Leakage.of_event m (make_event ~rd_old:0xFF ~rd_new:0xFF00 ()) in
+  let quiet_write = of_event m (make_event ~rd_old:0xFF ~rd_new:0xFF ()) in
+  let toggling_write = of_event m (make_event ~rd_old:0xFF ~rd_new:0xFF00 ()) in
   Alcotest.(check bool) "toggles cost" true (toggling_write > quiet_write)
 
 let test_leakage_class_ordering () =
   let m = Power.Leakage.default in
-  let p k = Power.Leakage.of_event m (make_event ~klass:k ()) in
+  let p k = of_event m (make_event ~klass:k ()) in
   Alcotest.(check bool) "div > mul" true (p Riscv.Inst.K_div > p Riscv.Inst.K_mul);
   Alcotest.(check bool) "mul > arith" true (p Riscv.Inst.K_mul > p Riscv.Inst.K_arith);
   Alcotest.(check bool) "taken > not taken" true (p Riscv.Inst.K_branch_taken > p Riscv.Inst.K_branch_not_taken)
 
 let test_leakage_ablations () =
   let e = make_event ~rd_old:0 ~rd_new:0xFFFF ~rs1:0xF () in
-  let hw = Power.Leakage.of_event Power.Leakage.hw_only e in
-  let hd = Power.Leakage.of_event Power.Leakage.hd_only e in
-  let full = Power.Leakage.of_event Power.Leakage.default e in
+  let hw = of_event Power.Leakage.hw_only e in
+  let hd = of_event Power.Leakage.hd_only e in
+  let full = of_event Power.Leakage.default e in
   Alcotest.(check bool) "full >= hw variant" true (full >= hw);
   Alcotest.(check bool) "full >= hd variant" true (full >= hd)
 
@@ -90,8 +99,8 @@ let test_synth_sample_count () =
   Alcotest.(check int) "samples = cycles * spc" (total_cycles * 2) (Power.Ptrace.length t)
 
 (* At one sample per cycle the pulse shape is 1.0, so a trace is the
-   leakage model's levels themselves: an event's first cycle at
-   [of_event], the rest at [residual]. *)
+   leakage model's levels themselves: an event's first cycle at its
+   first level, the rest at its residual. *)
 let one_per_cycle = { Power.Synth.quiet with Power.Synth.samples_per_cycle = 1 }
 
 let expected_samples events =
@@ -101,7 +110,8 @@ let expected_samples events =
        (Array.map
           (fun e ->
             Array.init e.Riscv.Trace.cycles (fun c ->
-                if c = 0 then Power.Leakage.of_event model e else Power.Leakage.residual model e))
+                let first, rest = levels model e in
+                if c = 0 then first else rest))
           events))
 
 let check_trace label events (t : Power.Ptrace.t) =
@@ -432,6 +442,40 @@ let test_fault_scratch_reuse () =
       ("half", half, 7); ("heavy", heavy, 40_000);
     ]
 
+(* [apply_into] is [apply] written into the caller's array: [into] is
+   asked once for the exact output length, the trace fills that prefix
+   of a longer, reused buffer, nothing past it moves, and the draws
+   are the same.  The source runs on past [len] with a huge sample and
+   a nan, which would move the clip ceiling if the pass read them. *)
+let test_fault_apply_into () =
+  let buffer = Array.make 50_000 (-1.0) in
+  List.iteri
+    (fun k (name, cfg, n) ->
+      let t = fault_trace n ~ties:(k mod 2 = 0) (n + k) in
+      let src = Array.append t.Power.Ptrace.samples [| 1e9; nan |] in
+      let g = Mathkit.Prng.create ~seed:(Int64.of_int (k + 7)) () in
+      let g' = Mathkit.Prng.copy g in
+      let want = (Power.Fault.apply ~rng:g' cfg t).Power.Ptrace.samples in
+      let asked = ref [] in
+      let into m =
+        asked := m :: !asked;
+        buffer
+      in
+      Array.fill buffer 0 (Array.length buffer) (-1.0);
+      let out, m = Power.Fault.apply_into ~rng:g cfg src ~len:n ~into in
+      let label what = Printf.sprintf "%s, %d samples: %s" name n what in
+      Alcotest.(check (list int)) (label "into asked once, at the length") [ m ] !asked;
+      Alcotest.(check bool) (label "the array into returned") true (out == buffer);
+      Alcotest.(check bool) (label "samples") true (same_bits want (Array.sub buffer 0 m));
+      Alcotest.(check bool) (label "tail untouched") true (Array.for_all (fun x -> x = -1.0) (Array.sub buffer m 100));
+      Alcotest.(check int64) (label "next draw") (Mathkit.Prng.bits64 g') (Mathkit.Prng.bits64 g))
+    [
+      ("half", Power.Fault.of_intensity 0.5, 40_000);
+      ("jitter and clip only", { Power.Fault.none with Power.Fault.trigger_jitter = 40; clip_fraction = 0.3 }, 3_000);
+      ("heavy", Power.Fault.of_intensity 1.7, 300);
+      ("half", Power.Fault.of_intensity 0.5, 0);
+    ]
+
 (* The first and last 16 noisy samples of one synthesized trace (a
    mul/div loop at 3 samples per cycle) and the next draw after it,
    recorded before the noise kernel and the shape table replaced the
@@ -481,6 +525,7 @@ let suite =
       [
         ("fault drift row = staged oracle", test_fault_drift_row);
         ("fault scratch reuse = staged oracle", test_fault_scratch_reuse);
+        ("fault apply_into = apply, into a reused buffer", test_fault_apply_into);
         ("synth accumulator columns reused exactly", test_synth_accumulator_reuse);
         ("synthesize known answer", test_synthesize_known_answer);
       ]
