@@ -266,6 +266,18 @@ let perf_tests () =
     ( "device: acquire 256-coeff faulted trace",
       fun () -> ignore (Reveal.Device.acquire faulted256 ~scope_rng:rng ~draws:draws256) )
   in
+  (* what replay hands a worker per record: the CRC-32 of one pulled
+     n = 1024 frame, then its decode into the domain's reused samples
+     plane (reading the frame off disk is not part of it) *)
+  let decode_kernel =
+    let path = Filename.temp_file "reveal_bench_decode" ".rvt" in
+    at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+    let g = Mathkit.Prng.create ~seed:9L () in
+    Reveal.Device.record (Reveal.Device.create ~n:1024 ()) ~path ~seed:9L ~traces:1 ~scope_rng:g ~sampler_rng:g;
+    let frame = Traceio.Archive.with_reader path (fun r -> Option.get (Traceio.Archive.pull r)) in
+    ( "traceio: verify+decode 1024-coeff record into a reused plane",
+      fun () -> ignore (Traceio.Archive.decode_into frame ~into:Reveal.Device.samples_slot) )
+  in
   (* table3 kernel: integrate 1024 hints and re-estimate beta *)
   let table3_kernel =
     ( "table3: 1024 DBDD hints + beta search",
@@ -376,6 +388,7 @@ let perf_tests () =
     fault_kernel;
     segment_kernel;
     acquire_kernel;
+    decode_kernel;
     table1_kernel;
     scoring_fvec_kernel;
     replay_fvec_kernel;

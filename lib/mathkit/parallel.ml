@@ -9,7 +9,14 @@ let recommended_domains () = min 8 (Domain.recommended_domain_count ())
    race.  The schedule is fixed: worker [w] (the calling domain is
    worker 0) takes items [w], [w + workers], [w + 2 workers] ..., so
    which domain runs an item, and what each domain allocates, repeats
-   from run to run. *)
+   from run to run.
+
+   A failure is the lowest failing index's, as [Array.map] on one
+   domain would raise: [failed] holds the lowest failing index so far,
+   a worker stops at the first of its items above it, and every item
+   below it still runs, so a lower failure on another worker replaces
+   it.  Each failing worker writes only its own slot of [errors], and
+   the joins order those writes before the read. *)
 let map_array_with ?domains ~scratch f xs =
   let n = Array.length xs in
   let workers = max 1 (min (Option.value domains ~default:(recommended_domains ())) n) in
@@ -20,22 +27,31 @@ let map_array_with ?domains ~scratch f xs =
   end
   else begin
     let results = Array.make n None in
-    let failure = Atomic.make None in
+    let failed = Atomic.make n in
+    let errors = Array.make n None in
+    let rec lower_to i =
+      let cur = Atomic.get failed in
+      if i < cur && not (Atomic.compare_and_set failed cur i) then lower_to i
+    in
     let worker w () =
       let s = scratch () in
       let i = ref w in
-      while !i < n && Atomic.get failure = None do
+      while !i < Atomic.get failed do
         (match f s xs.(!i) with
         | v -> results.(!i) <- Some v
-        | exception e -> Atomic.set failure (Some e));
+        | exception e ->
+            errors.(!i) <- Some (e, Printexc.get_raw_backtrace ());
+            lower_to !i);
         i := !i + workers
       done
     in
     let handles = Array.init (workers - 1) (fun w -> Domain.spawn (worker (w + 1))) in
     worker 0 ();
     Array.iter Domain.join handles;
-    (match Atomic.get failure with Some e -> raise e | None -> ());
-    Array.map (function Some v -> v | None -> assert false) results
+    let k = Atomic.get failed in
+    if k < n then
+      match errors.(k) with Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> assert false
+    else Array.map (function Some v -> v | None -> assert false) results
   end
 
 let map_array ?domains f xs = map_array_with ?domains ~scratch:(fun () -> ()) (fun () x -> f x) xs

@@ -10,8 +10,10 @@ val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
     processed by up to [domains] worker domains (default:
     {!recommended_domains}).  The calling domain is one of the
     workers, so [~domains:1] spawns none.  [f] must not share
-    mutable state across items.  Exceptions raised by [f] are
-    re-raised in the caller. *)
+    mutable state across items.  When [f] raises, the caller gets the
+    exception of the lowest failing index, with every item before it
+    run first: what [Array.map f xs] raises, whatever the domain
+    count. *)
 
 val map_array_with : ?domains:int -> scratch:(unit -> 's) -> ('s -> 'a -> 'b) -> 'a array -> 'b array
 (** [map_array] with per-domain scratch: every worker domain calls

@@ -40,33 +40,45 @@ let mean_vector rows =
   let n = float_of_int (Array.length rows) in
   Array.map (fun x -> x /. n) m
 
-let scatter rows mu =
-  let d = Array.length mu in
-  let s = Matrix.create d d in
-  Array.iter
-    (fun r ->
-      let dvec = Array.init d (fun j -> r.(j) -. mu.(j)) in
-      for i = 0 to d - 1 do
-        if dvec.(i) <> 0.0 then
-          for j = 0 to d - 1 do
-            Matrix.set s i j (Matrix.get s i j +. (dvec.(i) *. dvec.(j)))
-          done
-      done)
-    rows;
-  s
-
+(* Each class's scatter accumulates in one flat row-major d x d array
+   from one reused deviation buffer, then adds into the total: the
+   rows, the classes and every sum run in the order a per-class
+   [Matrix] scatter would, and a zero deviation skips its row as
+   there, so every entry keeps its bits. *)
 let pooled_covariance classes =
   let classes = Array.to_list classes |> List.filter (fun c -> Array.length c >= 2) in
   (match classes with [] -> invalid_arg "Stats.pooled_covariance: no class with >= 2 rows" | _ -> ());
   let d = Array.length (List.hd classes).(0) in
-  let acc = ref (Matrix.create d d) and dof = ref 0 in
+  let total = Array.make (d * d) 0.0 and scatter = Array.make (d * d) 0.0 in
+  let dev = Array.make d 0.0 in
+  let dof = ref 0 in
   List.iter
     (fun rows ->
       let mu = mean_vector rows in
-      acc := Matrix.add !acc (scatter rows mu);
+      if Array.length mu <> d then invalid_arg "Stats.pooled_covariance: classes of different dimensions";
+      Array.fill scatter 0 (d * d) 0.0;
+      Array.iter
+        (fun r ->
+          for j = 0 to d - 1 do
+            dev.(j) <- r.(j) -. mu.(j)
+          done;
+          for i = 0 to d - 1 do
+            let di = dev.(i) in
+            if di <> 0.0 then begin
+              let row = i * d in
+              for j = 0 to d - 1 do
+                scatter.(row + j) <- scatter.(row + j) +. (di *. dev.(j))
+              done
+            end
+          done)
+        rows;
+      for k = 0 to (d * d) - 1 do
+        total.(k) <- total.(k) +. scatter.(k)
+      done;
       dof := !dof + Array.length rows - 1)
     classes;
-  Matrix.scale (1.0 /. float_of_int !dof) !acc
+  let s = 1.0 /. float_of_int !dof in
+  Matrix.init d d (fun i j -> s *. total.((i * d) + j))
 
 let argmax xs =
   if Array.length xs = 0 then invalid_arg "Stats.argmax: empty";

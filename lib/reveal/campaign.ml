@@ -44,8 +44,8 @@ let hint_of_result = Grading.hint_of_result
 let profile = Profiling.profile
 let profiling_windows = Profiling.profiling_windows
 let record_profiling = Profiling.record_profiling
-let profiling_windows_of_archive = Profiling.profiling_windows_of_archive
-let profile_of_archive = Profiling.profile_of_archive
+let profiling_windows_of_archive path = Profiling.profiling_windows_of_archive path
+let profile_of_archive path = Profiling.profile_of_archive path
 let save_profile = Profile_store.save
 let load_profile = Profile_store.load
 
@@ -152,13 +152,17 @@ let export_stats obs stats results =
   set "result.corrupt_skipped" stats.corrupt_skipped
 
 (* Pull up to [batch] items, attack them in parallel, tally in item
-   order; a `Skip (corrupt record a tolerant source dropped) counts
-   toward the batch budget and the corrupt counter, exactly as the
-   record it replaced would have.  Each item is acquired and graded by
-   one call on one worker domain, so a live item's borrowed samples
-   ([Pipeline.acquired]) are read before that domain acquires again.
+   order.  A record a tolerant source drops — at the pull ([`Skip]) or
+   on the worker that checks it ([Pipeline.Dropped]) — counts toward
+   the batch budget and the corrupt counter, exactly as the record it
+   replaced would have.  Each item is acquired and graded by one call
+   on one worker domain, so its borrowed samples ([Pipeline.acquired])
+   are read before that domain acquires again.  A pull that raises
+   (structural damage to an archive) ends the batch: the items pulled
+   before it are attacked first, so a damaged record before it raises
+   first, and the pull's exception follows.
 
-   With an enabled obs context each pull counts [source.items] or
+   With an enabled obs context each item counts [source.items] or
    [source.skips] (a skip also emits a warn-level [source.skip] event),
    each item's [acquire] runs inside a [stage.acquire] span on the
    worker domain that forces it, where the acquisition cost is paid,
@@ -178,6 +182,14 @@ let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.
   let c_items = counter "source.items" and c_skips = counter "source.skips" in
   let c_batches = counter "campaign.batches" in
   let bump = function Some c -> Obs.Metrics.incr c | None -> () in
+  let skip reason =
+    incr corrupt;
+    match c_skips with
+    | None -> ()
+    | Some c ->
+        Obs.Metrics.incr c;
+        Obs.Ctx.event ~level:Obs.Ctx.Warn ~attrs:[ ("reason", Obs.Json.String reason) ] obs "source.skip"
+  in
   let heartbeat () =
     if Obs.Ctx.enabled obs then
       Obs.Ctx.event obs Constants.heartbeat_event
@@ -185,31 +197,39 @@ let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.
           (("done", Obs.Json.Int tally.t_sign_total)
           :: (match expected with Some total -> [ ("total", Obs.Json.Int total) ] | None -> []))
   in
+  (* one item on its worker: the results, or the reason it was dropped *)
+  let attack ctx (it : Pipeline.item) =
+    let acquired =
+      Obs.Ctx.span obs "stage.acquire" (fun () ->
+          match it.Pipeline.acquire () with a -> Ok a | exception Pipeline.Dropped reason -> Error reason)
+    in
+    Result.map
+      (fun a ->
+        Grading.attack_resilient ~gate ~ctx ?retry:a.Pipeline.remeasure ~obs prof ~samples:a.Pipeline.samples
+          ~noises:a.Pipeline.noises)
+      acquired
+  in
   Obs.Ctx.span obs "campaign.run" (fun () ->
       Fun.protect
         ~finally:(fun () -> Pipeline.close_source source)
         (fun () ->
-          let finished = ref false in
+          let finished = ref false and pending = ref None in
           while not !finished do
             let rec take acc k =
               if k = 0 then acc
               else
                 match Pipeline.next_item source with
+                | exception e when acc <> [] ->
+                    pending := Some (e, Printexc.get_raw_backtrace ());
+                    finished := true;
+                    acc
                 | `End ->
                     finished := true;
                     acc
                 | `Skip reason ->
-                    incr corrupt;
-                    (match c_skips with
-                    | None -> ()
-                    | Some c ->
-                        Obs.Metrics.incr c;
-                        Obs.Ctx.event ~level:Obs.Ctx.Warn ~attrs:[ ("reason", Obs.Json.String reason) ] obs
-                          "source.skip");
+                    skip reason;
                     take acc (k - 1)
-                | `Item it ->
-                    bump c_items;
-                    take (it :: acc) (k - 1)
+                | `Item it -> take (it :: acc) (k - 1)
             in
             let items = Array.of_list (List.rev (take [] batch)) in
             if Array.length items > 0 then begin
@@ -218,18 +238,20 @@ let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.
                 Obs.Ctx.span obs "campaign.batch" (fun () ->
                     (* one classifier context per worker domain: templates
                        are shared, scratch is not *)
-                    Mathkit.Parallel.map_array_with ?domains
-                      ~scratch:(fun () -> Grading.make_ctx prof)
-                      (fun ctx (it : Pipeline.item) ->
-                        let a = Obs.Ctx.span obs "stage.acquire" it.Pipeline.acquire in
-                        Grading.attack_resilient ~gate ~ctx ?retry:a.Pipeline.remeasure ~obs prof
-                          ~samples:a.Pipeline.samples ~noises:a.Pipeline.noises)
-                      items)
+                    Mathkit.Parallel.map_array_with ?domains ~scratch:(fun () -> Grading.make_ctx prof) attack items)
               in
-              Obs.Ctx.span obs "stage.tally" (fun () -> Array.iter (tally_add tally) per_item);
+              Obs.Ctx.span obs "stage.tally" (fun () ->
+                  Array.iter
+                    (function
+                      | Ok results ->
+                          bump c_items;
+                          tally_add tally results
+                      | Error reason -> skip reason)
+                    per_item);
               heartbeat ()
             end
-          done));
+          done;
+          Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !pending));
   let stats, results = tally_finish ~corrupt_skipped:!corrupt tally in
   if Obs.Ctx.enabled obs then export_stats obs stats results;
   (stats, results)
@@ -247,8 +269,8 @@ let run_attacks_resilient ?obs ?domains prof device ~traces ~scope_rng ~sampler_
   run_source ?obs ?domains ~batch:(max 1 traces) prof source
 
 (* Re-attack a recorded campaign: records stream through in batches
-   (one batch of traces resident at a time), classification
-   parallelised over each batch with Mathkit.Parallel.  By default a
+   (one batch of frames in flight at a time), each record checked,
+   decoded and classified on a Mathkit.Parallel worker.  By default a
    record whose frame fails its CRC is skipped and counted
    ([stats.corrupt_skipped]) and the replay continues at the next
    frame boundary; [~strict:true] restores fail-fast.  Replay has no device to re-measure on, so

@@ -174,13 +174,17 @@ val run_source :
     [gate] (default {!default_gate}) — re-measuring through the item's
     [remeasure] when the source is live — in parallel over [domains]
     worker domains, tally in item order, repeat to exhaustion.  A
-    [`Skip]ped source record counts toward the batch budget and
-    [stats.corrupt_skipped].  The source is closed on exit, also on
-    exceptions.
+    source record dropped as damaged — a [`Skip] at the pull, or an
+    [acquire] raising {!Pipeline.Dropped} on the worker — counts
+    toward the batch budget and [stats.corrupt_skipped].  When items
+    raise, the lowest one's exception is raised
+    ({!Mathkit.Parallel.map_array_with}); when a pull raises, the
+    items pulled before it are attacked first.  The source is closed
+    on exit, also on exceptions.
 
     With an enabled [obs] context the whole run is one [campaign.run]
     span containing a [campaign.batch] span per batch (fan-out) and a
-    [stage.tally] span per fold; each pull counts [source.items] or
+    [stage.tally] span per fold; each item counts [source.items] or
     [source.skips] (a skip also emits a warn-level [source.skip]
     event), each item's [acquire] runs inside a [stage.acquire] span
     on the domain that forces it, each per-trace attack carries its
@@ -227,4 +231,4 @@ val attack_archive : ?obs:Obs.Ctx.t -> ?strict:bool -> profile -> string -> stat
     [Unrecoverable].
     @raise Traceio.Error.Corrupt when the archive is structurally
     damaged (truncation, bad length field) — or, with [~strict:true],
-    on the first bad record. *)
+    on the first bad record, in archive order. *)

@@ -136,8 +136,9 @@ let run_shuffled t ~scope_rng ~sampler_rng ~perm =
    trace, the fault pass's output and the vector segmentation reads.
    They only grow, with an eighth to spare, so traces a little longer
    than the last do not each reallocate, and a capture allocates no
-   trace-length array.  The vector is lent to the caller until the
-   domain's next acquisition. *)
+   trace-length array.  The vector is the domain's samples slot: a
+   capture and a replayed record's decode both write it, and it is
+   lent to the caller until the domain's next capture or decode. *)
 type buffers = { mutable synth : float array; mutable faulted : float array; mutable samples : Mathkit.Fvec.t }
 
 let buffers_key =
@@ -145,6 +146,11 @@ let buffers_key =
 
 let spare n = n + (n / 8)
 let at_least a n = if Array.length a >= n then a else Array.create_float (spare n)
+
+let samples_slot len =
+  let b = Domain.DLS.get buffers_key in
+  if Mathkit.Fvec.length b.samples < len then b.samples <- Mathkit.Fvec.create (spare len);
+  b.samples
 
 let acquire t ~scope_rng ~draws =
   let acc, _ = simulate t ~scope_rng ~draws ~perm:None in
@@ -162,8 +168,7 @@ let acquire t ~scope_rng ~draws =
         Power.Fault.apply_into ~rng f b.synth ~len ~into
     | None -> (b.synth, len)
   in
-  if Mathkit.Fvec.length b.samples < len then b.samples <- Mathkit.Fvec.create (spare len);
-  let samples = Mathkit.Fvec.sub b.samples 0 len in
+  let samples = Mathkit.Fvec.sub (samples_slot len) 0 len in
   Mathkit.Fvec.blit_from_array src samples;
   (samples, Array.map fst draws)
 

@@ -65,6 +65,13 @@ val acquire : t -> scope_rng:Mathkit.Prng.t -> draws:(int * int) array -> Mathki
     [acquire]: read or copy them before acquiring again on that
     domain.  Other domains' acquisitions do not touch them. *)
 
+val samples_slot : int -> Mathkit.Fvec.t
+(** The calling domain's samples vector, grown to hold at least the
+    given number of samples: the buffer {!acquire} lends its samples
+    from, and the one a replayed record is decoded into
+    ({!Source.archive_replay}, {!Profiling.profiling_windows_of_archive}).
+    Its contents belong to whoever wrote it last on this domain. *)
+
 val profiling_draw : t -> Mathkit.Prng.t -> value:int -> int * int
 (** A draw queue entry with the chosen [value] but a realistic,
     honestly sampled rejection count — how profiling "configures the

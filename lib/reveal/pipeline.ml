@@ -52,6 +52,8 @@ type acquired = {
 
 type item = { index : int; acquire : unit -> acquired }
 
+exception Dropped of string
+
 module type SOURCE = sig
   type t
 

@@ -71,18 +71,20 @@ val run_segmenter :
 (** {1 Source stage}
 
     A source yields attack traces one {!item} at a time.  The [acquire]
-    thunk does the expensive part (running the device, or decoding) so
-    a driver can fan items out to worker domains; sources whose
-    backing store is sequential (an archive reader) decode inside
-    [next] instead and return a constant thunk. *)
+    thunk does the expensive part (running the device, or checking and
+    decoding a replayed record) so a driver can fan items out to
+    worker domains; a sequential backing store (an archive reader)
+    only reads each record's bytes inside [next]. *)
 
 type acquired = {
   samples : Mathkit.Fvec.t;
-      (** A live source lends a view of the acquiring domain's buffer
-          ({!Device.acquire}): it stays valid until that domain's next
-          acquisition, a [remeasure] included.  Grade it, or copy it,
-          on the domain that acquired it and before acquiring again
-          there; {!Campaign.run_source} does. *)
+      (** Lent from the acquiring domain's samples slot
+          ({!Device.samples_slot}), for a live capture
+          ({!Device.acquire}) and a replayed record's decode alike: it
+          stays valid until that domain's next capture or decode, a
+          [remeasure] included.  Grade it, or copy it, on the domain
+          that acquired it and before acquiring again there;
+          {!Campaign.run_source} does. *)
   noises : int array;  (** ground truth, for scoring *)
   remeasure : (int -> Mathkit.Fvec.t) option;
       (** live sources only: capture the same coefficients again
@@ -93,14 +95,20 @@ type acquired = {
 
 type item = { index : int; acquire : unit -> acquired }
 
+exception Dropped of string
+(** Raised by an item's [acquire] when a tolerant source finds the
+    record it pulled damaged (a replayed frame failing its checksum on
+    the worker); carries the reason.  The driver counts it as it
+    counts a [`Skip]. *)
+
 module type SOURCE = sig
   type t
 
   val name : string
 
   val next : t -> [ `Item of item | `Skip of string | `End ]
-  (** [`Skip] is a record the source dropped (corrupt frame in a
-      tolerant archive replay); the driver counts it. *)
+  (** [`Skip] is a record the source dropped at the pull; the driver
+      counts it as it counts {!Dropped}. *)
 
   val close : t -> unit
 end

@@ -125,28 +125,34 @@ let fit_floor fits =
   let p50 = Mathkit.Stats.percentile fits 50.0 in
   mn -. (p50 -. mn) -. 30.0
 
-let profile_of_windows ~poi_count ~sign_poi_count (segment, window_length, classes) =
+let profile_of_windows ?domains ~poi_count ~sign_poi_count (segment, window_length, classes) =
   let values = Array.of_list (List.map fst classes) in
   let sigma = Mathkit.Gaussian.seal_default.Mathkit.Gaussian.sigma in
-  let attack = Sca.Attack.build ~poi_count ~sign_poi_count ~sigma classes in
+  let attack = Sca.Attack.build ?domains ~poi_count ~sign_poi_count ~sigma classes in
   (* Calibrate the goodness-of-fit floors on the profiling windows
      themselves — the reference for "what an honest window looks like".
-     One scratch and one window buffer serve the whole sweep. *)
-  let scratch = Sca.Attack.make_scratch attack in
-  let wv = Mathkit.Fvec.create window_length in
-  let sign_fits = ref [] and value_fits = ref [] in
-  List.iter
-    (fun (label, rows) ->
-      let sign = Sca.Attack.sign_of_label label in
-      Array.iter
-        (fun w ->
-          Mathkit.Fvec.blit_from_array w wv;
-          sign_fits := Sca.Attack.sign_fit_fv attack scratch wv :: !sign_fits;
-          if sign <> 0 then value_fits := Sca.Attack.value_fit_fv attack scratch ~sign wv :: !value_fits)
-        rows)
-    classes;
-  let sign_fit_floor = fit_floor (Array.of_list !sign_fits) in
-  let value_fit_floor = fit_floor (Array.of_list !value_fits) in
+     Each class is swept on one domain, with one scratch and one window
+     buffer per domain.  A floor is a minimum and a selected median of
+     its fits, so the order the classes' fits are gathered in does not
+     reach it. *)
+  let class_fits =
+    Mathkit.Parallel.map_array_with ?domains
+      ~scratch:(fun () -> (Sca.Attack.make_scratch attack, Mathkit.Fvec.create window_length))
+      (fun (scratch, wv) (label, rows) ->
+        let sign = Sca.Attack.sign_of_label label in
+        let sign_fits = Array.make (Array.length rows) 0.0 in
+        let value_fits = Array.make (if sign <> 0 then Array.length rows else 0) 0.0 in
+        Array.iteri
+          (fun i w ->
+            Mathkit.Fvec.blit_from_array w wv;
+            sign_fits.(i) <- Sca.Attack.sign_fit_fv attack scratch wv;
+            if sign <> 0 then value_fits.(i) <- Sca.Attack.value_fit_fv attack scratch ~sign wv)
+          rows;
+        (sign_fits, value_fits))
+      (Array.of_list classes)
+  in
+  let floor pick = fit_floor (Array.concat (Array.to_list (Array.map pick class_fits))) in
+  let sign_fit_floor = floor fst and value_fit_floor = floor snd in
   { Pipeline.attack; window_length; segment; values; sigma; sign_fit_floor; value_fit_floor }
 
 (* Fit templates inside a [profiling.build] span and export the
@@ -155,7 +161,7 @@ let profile ?per_value ?domains ?(obs = Obs.Ctx.disabled) ?(poi_count = Constant
   let windows = profiling_windows ?per_value ?domains ~obs device rng in
   let prof =
     Obs.Ctx.span obs "profiling.build" (fun () ->
-        profile_of_windows ~poi_count ~sign_poi_count:Constants.default_sign_poi_count windows)
+        profile_of_windows ?domains ~poi_count ~sign_poi_count:Constants.default_sign_poi_count windows)
   in
   if Obs.Ctx.enabled obs then begin
     Obs.Metrics.set (Obs.Ctx.gauge obs "profiling.sign_fit_floor") prof.Pipeline.sign_fit_floor;
@@ -211,32 +217,49 @@ let profiling_meta_of_header ~path (h : Traceio.Archive.header) =
   (threshold, values)
 
 (* Stream the labelled profiling windows out of an archive: one batch
-   of records resident at a time, each decoded straight into the
-   vector segmentation reads, segmentation parallelised over the
-   batch.  Memory is bounded by a batch of traces plus the (much
-   smaller) accumulated windows, never the whole trace set. *)
-let profiling_windows_of_archive path =
+   of frames in flight at a time, each checked, decoded into its
+   domain's samples slot and segmented by the worker it lands on, with
+   the frame's buffer recycled for a later pull.  Memory is bounded by
+   a batch of frames plus the (much smaller) accumulated windows,
+   never the whole trace set.  A pull that raises (structural damage)
+   ends its batch after the frames before it are decoded, so the first
+   damaged record in archive order raises. *)
+let profiling_windows_of_archive ?domains path =
   Traceio.Archive.with_reader path (fun reader ->
       let h = Traceio.Archive.header reader in
       let threshold, values = profiling_meta_of_header ~path h in
       let segment = segment_of_threshold threshold in
       let bags = make_bags values in
+      let windows frame =
+        let r =
+          Fun.protect
+            ~finally:(fun () -> Traceio.Archive.recycle frame)
+            (fun () -> Traceio.Archive.decode_into frame ~into:Device.samples_slot)
+        in
+        labelled_windows segment ~samples:r.Traceio.Archive.samples ~noises:r.Traceio.Archive.noises
+      in
       let rec loop () =
-        let records = Traceio.Archive.next_batch reader ~max:Constants.default_batch in
-        if Array.length records > 0 then begin
-          let labelled =
-            Mathkit.Parallel.map_array
-              (fun (r : Traceio.Archive.record) -> labelled_windows segment ~samples:r.samples ~noises:r.noises)
-              records
-          in
-          Array.iter (add_labelled bags) labelled;
-          loop ()
-        end
+        let pending = ref None in
+        let rec take acc k =
+          if k = 0 then acc
+          else
+            match Traceio.Archive.pull reader with
+            | exception e when acc <> [] ->
+                pending := Some (e, Printexc.get_raw_backtrace ());
+                acc
+            | None -> acc
+            | Some f -> take (f :: acc) (k - 1)
+        in
+        let frames = Array.of_list (List.rev (take [] Constants.default_batch)) in
+        Array.iter (add_labelled bags) (Mathkit.Parallel.map_array ?domains windows frames);
+        match !pending with
+        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+        | None -> if Array.length frames = Constants.default_batch then loop ()
       in
       loop ();
       let window_length, classes = finalize_bags values bags in
       (segment, window_length, classes))
 
-let profile_of_archive path =
-  profile_of_windows ~poi_count:Constants.default_poi_count ~sign_poi_count:Constants.default_sign_poi_count
-    (profiling_windows_of_archive path)
+let profile_of_archive ?domains path =
+  profile_of_windows ?domains ~poi_count:Constants.default_poi_count ~sign_poi_count:Constants.default_sign_poi_count
+    (profiling_windows_of_archive ?domains path)

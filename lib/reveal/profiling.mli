@@ -18,9 +18,10 @@ val profile :
     The value templates read [poi_count] POIs (default
     {!Constants.default_poi_count}), the sign template
     {!Constants.default_sign_poi_count}.  [per_value] defaults to
-    {!Constants.default_per_value} windows per candidate value; runs
-    are distributed over [domains] worker domains (results are
-    independent of the domain count — every run carries its own seed).
+    {!Constants.default_per_value} windows per candidate value; runs,
+    template fits and the fit-floor sweep are distributed over
+    [domains] worker domains (results are independent of the domain
+    count — every run carries its own seed).
     With an enabled [obs] context the phases run inside
     [profiling.calibrate] / [profiling.acquire] / [profiling.build]
     spans, the run and window totals land in [profiling.*] counters,
@@ -41,8 +42,14 @@ val profiling_windows :
     feature-selection ablation and for custom classifiers. *)
 
 val profile_of_windows :
-  poi_count:int -> sign_poi_count:int -> Sca.Segment.config * int * (int * float array array) list -> Pipeline.profile
-(** Fit templates and fit floors on already-collected windows. *)
+  ?domains:int ->
+  poi_count:int ->
+  sign_poi_count:int ->
+  Sca.Segment.config * int * (int * float array array) list ->
+  Pipeline.profile
+(** Fit templates and fit floors on already-collected windows, on up
+    to [domains] domains ({!Sca.Attack.build}'s three fits, then one
+    class's fits per item), bit for bit whatever their number. *)
 
 val record_profiling : ?per_value:int -> ?seed:int64 -> Device.t -> Mathkit.Prng.t -> path:string -> unit
 (** Capture the profiling campaign of {!profile} into an archive, one
@@ -51,16 +58,18 @@ val record_profiling : ?per_value:int -> ?seed:int64 -> Device.t -> Mathkit.Prng
     provenance.
     @raise Invalid_argument under the same conditions as {!profile}. *)
 
-val profiling_windows_of_archive : string -> Sca.Segment.config * int * (int * float array array) list
+val profiling_windows_of_archive :
+  ?domains:int -> string -> Sca.Segment.config * int * (int * float array array) list
 (** Stream the labelled windows back out of a profiling archive:
-    records are ingested in batches of {!Constants.default_batch}
-    traces — the peak resident set — each decoded straight into the
-    vector segmentation reads ({!Traceio.Archive.next_batch}), and
-    segmented in parallel over the default worker domains.
-    @raise Traceio.Error.Corrupt when the archive is damaged or is not
-    a profiling archive. *)
+    frames are pulled in batches of {!Constants.default_batch} — the
+    peak resident set — into buffers the reader recycles, and each is
+    checked, decoded into its worker's samples slot
+    ({!Device.samples_slot}) and segmented on one of up to [domains]
+    domains.
+    @raise Traceio.Error.Corrupt when the archive is damaged (the first
+    damage in archive order) or is not a profiling archive. *)
 
-val profile_of_archive : string -> Pipeline.profile
+val profile_of_archive : ?domains:int -> string -> Pipeline.profile
 (** {!profile} at the default POI counts, but from a recorded
     profiling archive. *)
 

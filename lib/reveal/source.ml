@@ -57,12 +57,18 @@ let device_live_range device ~traces ~lo ~hi ~scope_rng ~sampler_rng =
 let device_live device ~traces ~scope_rng ~sampler_rng =
   device_live_range device ~traces ~lo:0 ~hi:traces ~scope_rng ~sampler_rng
 
-(* Replay items carry the record's samples in the decoder's own Fvec —
-   no per-record boxed [float array] is ever materialised. *)
-let item_of_record index (r : Traceio.Archive.record) =
+(* A replay item's [acquire] checks and decodes its record on the
+   worker that grades it, into that domain's samples slot, so the
+   replayed samples are lent exactly as a live capture's are.  A
+   record a tolerant stream finds damaged there is dropped. *)
+let item_of_pulled index pulled =
   {
     Pipeline.index;
-    acquire = (fun () -> { Pipeline.samples = r.Traceio.Archive.samples; noises = r.noises; remeasure = None });
+    acquire =
+      (fun () ->
+        match Traceio.Source.decode pulled ~into:Device.samples_slot with
+        | `Record r -> { Pipeline.samples = r.Traceio.Archive.samples; noises = r.noises; remeasure = None }
+        | `Skipped reason -> raise (Pipeline.Dropped reason));
   }
 
 let of_trace_source stream =
@@ -79,7 +85,7 @@ let of_trace_source stream =
       | `Record r ->
           let i = !pos in
           incr pos;
-          `Item (item_of_record i r)
+          `Item (item_of_pulled i r)
 
     let close () = Traceio.Source.close stream
   end in

@@ -44,15 +44,21 @@ val device_live_range :
     @raise Invalid_argument unless [0 <= lo <= hi <= traces]. *)
 
 val archive_replay : ?strict:bool -> ?obs:Obs.Ctx.t -> string -> Pipeline.source
-(** Stream a recorded campaign.  Tolerant by default: a record failing
-    its CRC yields [`Skip] and the stream resumes at the next frame
-    boundary; with [~strict:true] the same condition raises
-    {!Traceio.Error.Corrupt} instead.  Records decode inside [next]
-    (the reader is sequential), so the acquire thunks are cheap.
-    [obs] forwards to the underlying archive reader, whose read/skip
-    counters land in the context's metrics registry.
+(** Stream a recorded campaign.  [next] reads one record's bytes; the
+    item's [acquire] compares its checksum and decodes it, on the
+    worker domain that grades it, into that domain's samples slot
+    ({!Device.samples_slot}), so its samples are lent like a live
+    capture's ({!Pipeline.acquired}).  Tolerant by default: a record
+    failing its CRC, or refusing to decode, makes [acquire] raise
+    {!Pipeline.Dropped} and the stream goes on at the next frame
+    boundary; with [~strict:true] [acquire] raises
+    {!Traceio.Error.Corrupt} instead.  [obs] forwards to the
+    underlying archive reader, whose read/skip counters land in the
+    context's metrics registry.
     @raise Traceio.Error.Io when the file cannot be opened. *)
 
 val of_trace_source : Traceio.Source.t -> Pipeline.source
 (** Adapt any {!Traceio.Source} record stream (indices assigned in
-    stream order). *)
+    stream order): each item decodes its pulled record as
+    {!archive_replay}'s do, and a pull the stream reports [`Skipped]
+    is a [`Skip]. *)

@@ -49,39 +49,53 @@ type verdict = {
 
 let sign_of_label v = compare v 0
 
-let group_template ~poi_count ~sigma classes =
-  (match classes with
-  | [] | [ _ ] -> invalid_arg "Attack.build: a sign group needs at least two candidate values"
-  | _ -> ());
+(* A sign group's value template: SOSD POIs over its classes, then
+   the Gaussian template on them. *)
+let group_fit ~poi_count classes () =
   let scores = Sosd.scores_t (Array.of_list (List.map snd classes)) in
   let pois = Sosd.select ~count:poi_count scores in
   let project rows = Array.map (fun w -> Sosd.pick w pois) rows in
-  let template = Template.build ~pois (List.map (fun (label, rows) -> (label, project rows)) classes) in
-  let priors =
-    Array.map (fun label -> Mathkit.Gaussian.discrete_probability ~sigma label) template.Template.labels
-    |> Mathkit.Stats.normalize_probs
-  in
-  (template, priors, pois)
+  (Template.build ~pois (List.map (fun (label, rows) -> (label, project rows)) classes), pois)
 
-let build ~poi_count ~sign_poi_count ~sigma classes =
-  (match classes with [] -> invalid_arg "Attack.build: no profiling classes" | _ -> ());
-  let group s = List.filter (fun (label, _) -> sign_of_label label = s) classes in
-  let neg_template, neg_priors, pois_neg = group_template ~poi_count ~sigma (group (-1)) in
-  let pos_template, pos_priors, pois_pos = group_template ~poi_count ~sigma (group 1) in
-  (* Sign template: SOSD between the three pooled sign groups. *)
-  let pooled s = group s |> List.map snd |> Array.concat in
+(* The sign template: SOSD between the three pooled sign groups. *)
+let sign_fit ~sign_poi_count classes () =
+  let pooled s = List.filter (fun (label, _) -> sign_of_label label = s) classes |> List.map snd |> Array.concat in
   let sign_groups = [| pooled (-1); pooled 0; pooled 1 |] in
-  let sign_scores = Sosd.scores_t sign_groups in
-  let pois_sign = Sosd.select ~count:sign_poi_count sign_scores in
-  let project rows = Array.map (fun w -> Sosd.pick w pois_sign) rows in
-  let sign_template =
-    Template.build ~pois:pois_sign
+  let pois = Sosd.select ~count:sign_poi_count (Sosd.scores_t sign_groups) in
+  let project rows = Array.map (fun w -> Sosd.pick w pois) rows in
+  ( Template.build ~pois
       (List.filter_map
          (fun s ->
            let rows = sign_groups.(s + 1) in
            if Array.length rows < 2 then None else Some (s, project rows))
-         [ -1; 0; 1 ])
+         [ -1; 0; 1 ]),
+    pois )
+
+let value_priors ~sigma (template : Template.t) =
+  Array.map (fun label -> Mathkit.Gaussian.discrete_probability ~sigma label) template.Template.labels
+  |> Mathkit.Stats.normalize_probs
+
+(* The three templates are independent fits, one per item of a
+   parallel map.  The sign fit, the longest (it reads every window),
+   sits between the two group fits, so on two domains it runs beside
+   them; the groups' sizes are checked first, negative then positive,
+   so no sign-fit failure can come before theirs. *)
+let build ?domains ~poi_count ~sign_poi_count ~sigma classes =
+  (match classes with [] -> invalid_arg "Attack.build: no profiling classes" | _ -> ());
+  let group s =
+    match List.filter (fun (label, _) -> sign_of_label label = s) classes with
+    | ([] | [ _ ]) -> invalid_arg "Attack.build: a sign group needs at least two candidate values"
+    | g -> g
   in
+  let neg = group (-1) in
+  let pos = group 1 in
+  let fitted =
+    Mathkit.Parallel.map_array ?domains
+      (fun fit -> fit ())
+      [| group_fit ~poi_count neg; sign_fit ~sign_poi_count classes; group_fit ~poi_count pos |]
+  in
+  let neg_template, pois_neg = fitted.(0) and sign_template, pois_sign = fitted.(1) in
+  let pos_template, pois_pos = fitted.(2) in
   let prior_of_sign =
     let mass s =
       List.fold_left
@@ -90,7 +104,8 @@ let build ~poi_count ~sign_poi_count ~sigma classes =
     in
     Mathkit.Stats.normalize_probs [| mass (-1); mass 0; mass 1 |]
   in
-  make ~sign_template ~neg_template ~pos_template ~neg_priors ~pos_priors ~prior_of_sign ~pois_sign ~pois_neg ~pois_pos
+  make ~sign_template ~neg_template ~pos_template ~neg_priors:(value_priors ~sigma neg_template)
+    ~pos_priors:(value_priors ~sigma pos_template) ~prior_of_sign ~pois_sign ~pois_neg ~pois_pos
 
 type graded = {
   g_verdict : verdict;

@@ -63,12 +63,16 @@ val make :
     @raise Invalid_argument when a prior's length does not match its
     template's class count. *)
 
-val build : poi_count:int -> sign_poi_count:int -> sigma:float -> (int * float array array) list -> t
+val build :
+  ?domains:int -> poi_count:int -> sign_poi_count:int -> sigma:float -> (int * float array array) list -> t
 (** [build ~poi_count ~sign_poi_count ~sigma classes] profiles from
     labelled windows ([label, window_vectors]).  POIs are selected by
     SOSD — [sign_poi_count] for the sign grouping and [poi_count]
     within each sign group (the pipeline uses 6 and 16).  [sigma]
-    shapes the value priors. *)
+    shapes the value priors.  The sign, negative and positive
+    templates are fitted on up to [domains] domains (default
+    {!Mathkit.Parallel.recommended_domains}); every fit, and the
+    first failure, is the one domain's. *)
 
 (** {1 Scoring}
 

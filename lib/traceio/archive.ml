@@ -171,6 +171,8 @@ type reader = {
   mutable next_index : int;
   mutable r_closed : bool;
   r_stats : reader_stats option;
+  r_lock : Mutex.t;  (* guards [r_spare]: frames are recycled on the domains that decode them *)
+  mutable r_spare : Bytes.t list;
 }
 
 let reader_stats_of obs =
@@ -184,12 +186,12 @@ let reader_stats_of obs =
       }
   else None
 
-let count_read r payload =
+let count_read r len =
   match r.r_stats with
   | None -> ()
   | Some s ->
       Obs.Metrics.incr s.rs_records;
-      Obs.Metrics.incr ~by:(String.length payload) s.rs_bytes
+      Obs.Metrics.incr ~by:len s.rs_bytes
 
 let count_skip r msg =
   match r.r_stats with
@@ -212,7 +214,16 @@ let open_reader ?(obs = Obs.Ctx.disabled) path =
     in
     if header.trace_count = count_unknown then
       Error.corruptf "%s: archive was never finalised (writer not closed) — record count unknown" path;
-    { r_path = path; ic; header; next_index = 0; r_closed = false; r_stats = reader_stats_of obs }
+    {
+      r_path = path;
+      ic;
+      header;
+      next_index = 0;
+      r_closed = false;
+      r_stats = reader_stats_of obs;
+      r_lock = Mutex.create ();
+      r_spare = [];
+    }
   with exn -> fail_with exn
 
 let header r = r.header
@@ -221,22 +232,6 @@ let close_reader r =
     r.r_closed <- true;
     try close_in r.ic with Sys_error _ -> ()
   end
-
-(* A record payload is [index | noise labels | sample plane]; the
-   index must be the one the cursor expects next. *)
-let decode r payload =
-  let c = Binio.cursor ~name:r.r_path payload in
-  let index = Binio.get_varint_int c in
-  if index <> r.next_index then
-    Error.corruptf "%s: record %d found where record %d was expected — records reordered or lost" r.r_path index
-      r.next_index;
-  let noises = Codec.get_ints c in
-  if Array.length noises <> r.header.n then
-    Error.corruptf "%s: record %d carries %d noise labels for an n=%d archive" r.r_path index
-      (Array.length noises) r.header.n;
-  let samples = Codec.get_plane c in
-  Binio.expect_end c;
-  { index; noises; samples }
 
 (* The cursor's two count checks against the header: at the end, every
    declared record was read; before a frame, one is still due. *)
@@ -249,52 +244,97 @@ let check_due r =
   if r.next_index >= r.header.trace_count then
     Error.corruptf "%s: trailing data after the %d records the header declares" r.r_path r.header.trace_count
 
-let next r =
-  if r.r_closed then invalid_arg "Archive.next: reader already closed";
-  match Frame.read ~path:r.r_path r.ic with
-  | None ->
-      check_complete r;
-      None
-  | Some payload ->
-      check_due r;
-      let rec_ = decode r payload in
-      r.next_index <- r.next_index + 1;
-      count_read r payload;
-      Some rec_
+(* --- frames: pulled on the reading domain, decoded where consumed ------- *)
 
-(* Tolerant cursor: a record whose frame fails its CRC — or whose
-   verified payload will not decode — is reported as [`Skipped] and the
-   cursor moves on to the next frame boundary.  [next_index] advances
-   over the skipped slot so the following records' index checks still
-   line up.  Structural damage (truncation, bad length field) has no
-   boundary to resume from and raises as in {!next}. *)
-let try_next r =
-  if r.r_closed then invalid_arg "Archive.try_next: reader already closed";
-  let skip msg =
-    r.next_index <- r.next_index + 1;
-    count_skip r msg;
-    `Skipped msg
+type frame = {
+  f_reader : reader;
+  f_index : int;  (* the index the cursor expected when it pulled the frame *)
+  f_buf : Bytes.t;  (* payload in the first [f_len] bytes *)
+  f_len : int;
+  f_crc : int;  (* as stored, not yet compared *)
+  mutable f_recycled : bool;
+}
+
+(* A spare buffer that holds [len] bytes, or a new one with an eighth
+   to spare, so records a little longer than the last do not each
+   reallocate. *)
+let take_buffer r len =
+  let spare =
+    Mutex.protect r.r_lock (fun () ->
+        match r.r_spare with
+        | b :: rest ->
+            r.r_spare <- rest;
+            Some b
+        | [] -> None)
   in
-  match Frame.try_read ~path:r.r_path r.ic with
+  match spare with Some b when Bytes.length b >= len -> b | _ -> Bytes.create (len + (len / 8))
+
+let recycle f =
+  let r = f.f_reader in
+  Mutex.protect r.r_lock (fun () ->
+      if not f.f_recycled then begin
+        f.f_recycled <- true;
+        r.r_spare <- f.f_buf :: r.r_spare
+      end)
+
+let pull r =
+  if r.r_closed then invalid_arg "Archive.pull: reader already closed";
+  match Frame.read_unverified ~path:r.r_path r.ic ~into:(take_buffer r) with
   | `End ->
       check_complete r;
-      `End_of_archive
-  | `Bad_crc msg ->
+      None
+  | `Frame (buf, len, crc) ->
       check_due r;
-      skip msg
-  | `Payload payload -> (
-      check_due r;
-      match decode r payload with
-      | rec_ ->
-          r.next_index <- r.next_index + 1;
-          count_read r payload;
-          `Record rec_
-      | exception Error.Corrupt msg -> skip msg)
+      let f = { f_reader = r; f_index = r.next_index; f_buf = buf; f_len = len; f_crc = crc; f_recycled = false } in
+      r.next_index <- r.next_index + 1;
+      Some f
 
-let next_batch r ~max =
-  if max <= 0 then invalid_arg "Archive.next_batch: max must be positive";
-  let rec take acc k = if k = 0 then acc else match next r with None -> acc | Some x -> take (x :: acc) (k - 1) in
-  Array.of_list (List.rev (take [] max))
+(* A record payload is [index | noise labels | sample plane].  The
+   checksum is compared before any byte is read; then the index must be
+   the one the cursor expected, and the label count the header's. *)
+let decode_into f ~into =
+  if f.f_recycled then invalid_arg "Archive.decode_into: frame already recycled";
+  let r = f.f_reader in
+  (match Frame.crc_mismatch ~path:r.r_path f.f_buf ~len:f.f_len ~stored:f.f_crc with
+  | Some msg -> raise (Error.Corrupt msg)
+  | None -> ());
+  let c = Binio.prefix_cursor ~name:r.r_path (Bytes.unsafe_to_string f.f_buf) f.f_len in
+  let index = Binio.get_varint_int c in
+  if index <> f.f_index then
+    Error.corruptf "%s: record %d found where record %d was expected — records reordered or lost" r.r_path index
+      f.f_index;
+  let noises = Codec.get_ints c in
+  if Array.length noises <> r.header.n then
+    Error.corruptf "%s: record %d carries %d noise labels for an n=%d archive" r.r_path index
+      (Array.length noises) r.header.n;
+  let samples = Codec.get_plane_into c ~into in
+  Binio.expect_end c;
+  count_read r f.f_len;
+  { index; noises; samples }
+
+(* Tolerant decode: a frame that fails its CRC, or whose verified
+   payload will not decode, is counted and reported as [`Skipped]. *)
+let try_decode_into f ~into =
+  match decode_into f ~into with
+  | rec_ -> `Record rec_
+  | exception Error.Corrupt msg ->
+      count_skip f.f_reader msg;
+      `Skipped msg
+
+let decoded f decode = Fun.protect ~finally:(fun () -> recycle f) (fun () -> decode f ~into:Mathkit.Fvec.create)
+
+let next r =
+  if r.r_closed then invalid_arg "Archive.next: reader already closed";
+  Option.map (fun f -> decoded f decode_into) (pull r)
+
+(* Tolerant cursor: the frame boundary survives a bad CRC or a bad
+   payload, and [pull] has already moved [next_index] past the slot,
+   so the following records' index checks still line up.  Structural
+   damage (truncation, bad length field) has no boundary to resume
+   from and raises as in {!next}. *)
+let try_next r =
+  if r.r_closed then invalid_arg "Archive.try_next: reader already closed";
+  match pull r with None -> `End_of_archive | Some f -> decoded f try_decode_into
 
 let with_reader ?obs path f =
   let r = open_reader ?obs path in

@@ -89,7 +89,14 @@ val close_writer : writer -> unit
 
 (** {1 Reading}
 
-    Strictly streaming: {!next} holds exactly one record in memory. *)
+    Strictly streaming: {!next} holds exactly one record in memory.
+    Reading a record has two halves.  {!pull} reads a frame's bytes on
+    the reading domain, into a buffer the reader recycles, and checks
+    only the framing and the record count; {!decode_into} compares the
+    checksum and decodes the payload, on whichever domain consumes
+    the record, so a batch of frames is checked and decoded on several
+    domains at once.  {!next} and {!try_next} are the two halves in a
+    row, decoding into a fresh vector. *)
 
 type reader
 
@@ -112,10 +119,6 @@ val next : reader -> record option
     records than the header declares), trailing data, or a record
     inconsistent with the header. *)
 
-val next_batch : reader -> max:int -> record array
-(** Up to [max] records read by {!next} — the unit parallel profiling
-    ingests. *)
-
 val try_next : reader -> [ `Record of record | `Skipped of string | `End_of_archive ]
 (** Tolerant {!next}: a record whose frame fails its CRC, or whose
     verified payload will not decode, is reported as [`Skipped] (with
@@ -123,6 +126,41 @@ val try_next : reader -> [ `Record of record | `Skipped of string | `End_of_arch
     campaign replay can drop the one bad trace and keep going.
     Structural damage that destroys the framing (truncation, damaged
     length field, trailing data) still raises {!Error.Corrupt}. *)
+
+type frame
+(** One record frame as read off disk: its payload bytes, the CRC-32
+    it stores and the index the cursor expects of it, none of them
+    checked yet.  The bytes sit in a buffer the reader hands out again
+    once the frame is {!recycle}d. *)
+
+val pull : reader -> frame option
+(** The next frame's bytes; [None] at the declared end.  Only the
+    framing is checked here: truncation, a damaged length field and
+    the record count (too few records, trailing data) raise
+    {!Error.Corrupt} as in {!next}.  Every frame moves the cursor's
+    expected index on, whatever its decode later finds. *)
+
+val decode_into : frame -> into:(int -> Mathkit.Fvec.t) -> record
+(** Check and decode a pulled frame: compare its CRC-32 first, then
+    check its index and label count against the cursor and the
+    header, and write its [count] samples into the first [count]
+    elements of [into count] (a vector at least that long — a fresh
+    one, or a domain's reused plane, whose tail stays as it was).  The
+    record's [samples] is that prefix.  Counts [traceio.records_read]
+    like {!next}.  Safe on any domain, and the frame may be decoded
+    again until it is recycled.
+    @raise Error.Corrupt as {!next} does for a damaged record.
+    @raise Invalid_argument when the frame was recycled. *)
+
+val try_decode_into : frame -> into:(int -> Mathkit.Fvec.t) -> [ `Record of record | `Skipped of string ]
+(** Tolerant {!decode_into}: a damaged record is counted in
+    [traceio.records_skipped] (with a [traceio.skip] event) and
+    reported as [`Skipped], as {!try_next} reports it. *)
+
+val recycle : frame -> unit
+(** Hand the frame's buffer back to its reader for a later {!pull};
+    the frame cannot be decoded after.  Idempotent, and safe on any
+    domain.  A frame never recycled costs its reader one fresh buffer. *)
 
 val close_reader : reader -> unit
 

@@ -47,16 +47,22 @@ let put_string b s =
   put_varint b (Int64.of_int (String.length s));
   Buffer.add_string b s
 
-type cursor = { data : string; mutable pos : int; name : string }
+(* A cursor reads [data.[0 .. lim - 1]]: the whole string, or the
+   payload at the front of a longer, recycled frame buffer. *)
+type cursor = { data : string; lim : int; mutable pos : int; name : string }
 
-let cursor ?(name = "buffer") data = { data; pos = 0; name }
-let remaining c = String.length c.data - c.pos
+let cursor ?(name = "buffer") data = { data; lim = String.length data; pos = 0; name }
+
+let prefix_cursor ?(name = "buffer") data lim =
+  if lim < 0 || lim > String.length data then invalid_arg "Binio.prefix_cursor: length out of range";
+  { data; lim; pos = 0; name }
+
+let remaining c = c.lim - c.pos
 let at_end c = remaining c = 0
 
 let need c n =
   if remaining c < n then
-    Error.corruptf "%s: truncated record (need %d more bytes at offset %d of %d)" c.name n c.pos
-      (String.length c.data)
+    Error.corruptf "%s: truncated record (need %d more bytes at offset %d of %d)" c.name n c.pos c.lim
 
 let get_u8 c =
   need c 1;

@@ -32,6 +32,11 @@ type cursor
 val cursor : ?name:string -> string -> cursor
 (** [name] prefixes corruption messages (e.g. the file path). *)
 
+val prefix_cursor : ?name:string -> string -> int -> cursor
+(** [prefix_cursor s len] reads only the first [len] bytes of [s]: a
+    frame payload at the front of a longer buffer.
+    @raise Invalid_argument unless [0 <= len <= String.length s]. *)
+
 val remaining : cursor -> int
 val at_end : cursor -> bool
 
@@ -58,7 +63,7 @@ val claim_words : cursor -> int -> int
     so no count overflows past the check). *)
 
 val contents : cursor -> string
-(** The string the cursor reads. *)
+(** The string the cursor reads (a prefix cursor's whole buffer). *)
 
 val expect_end : cursor -> unit
 (** @raise Error.Corrupt when decoded fields did not consume the whole

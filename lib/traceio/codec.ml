@@ -12,16 +12,22 @@ let put_plane b xs =
     Buffer.add_int64_le b (Int64.bits_of_float xs.(i))
   done
 
-(* Decoded straight into a fresh unboxed vector, the one every
-   consumer reads: no intermediate [float array] per record. *)
-let get_plane c =
+(* Decoded straight into the first [count] elements of [into count],
+   the vector segmentation reads: a fresh one, or a domain's reused
+   plane, whose tail is left as it was.  The words are claimed before
+   [into] runs, so a damaged count allocates nothing. *)
+let get_plane_into c ~into =
   let n = Binio.get_varint_int c in
   let pos = Binio.claim_words c n in
   let s = Binio.contents c in
-  let v = Mathkit.Fvec.create n in
-  let buf = Mathkit.Fvec.buffer v in
+  let v = into n in
+  if Mathkit.Fvec.length v < n then invalid_arg "Codec.get_plane_into: vector shorter than the plane";
+  let v = Mathkit.Fvec.sub v 0 n in
+  let buf = Mathkit.Fvec.buffer v and off = Mathkit.Fvec.offset v in
+  Mathkit.Fvec.check_range buf ~off ~len:n "Codec.get_plane_into";
   for i = 0 to n - 1 do
-    Bigarray.Array1.set buf i (Int64.float_of_bits (String.get_int64_le s (pos + (8 * i))))
+    (* srclint: allow unsafe-index i < n: the view's range is check_range'd above *)
+    Bigarray.Array1.unsafe_set buf (off + i) (Int64.float_of_bits (String.get_int64_le s (pos + (8 * i))))
   done;
   v
 

@@ -11,9 +11,13 @@
 val put_plane : Buffer.t -> float array -> unit
 (** Varint count, then one little-endian IEEE-754 word per float. *)
 
-val get_plane : Binio.cursor -> Mathkit.Fvec.t
-(** The plane decoded straight into a fresh unboxed vector, with no
-    intermediate [float array]. *)
+val get_plane_into : Binio.cursor -> into:(int -> Mathkit.Fvec.t) -> Mathkit.Fvec.t
+(** The plane of [count] samples decoded straight into the first
+    [count] elements of [into count] (a vector at least that long),
+    with no intermediate [float array]; returns that prefix view and
+    leaves the rest of the vector as it was.  The count is checked
+    against the bytes left before [into] is called.
+    @raise Invalid_argument when [into] returns a shorter vector. *)
 
 val put_floats : Buffer.t -> float array -> unit
 (** Deltas of consecutive IEEE-754 bit patterns, zigzag + varint. *)

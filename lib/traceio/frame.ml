@@ -31,13 +31,25 @@ let write ~path oc payload =
       output_string oc payload;
       output_u32 oc (Crc32.digest payload))
 
-(* Shared reader core.  A checksum mismatch is only detected after the
-   whole frame (length, payload, stored CRC) has been consumed, so the
-   channel is positioned at the next frame boundary either way — which
-   is what makes skip-and-continue recovery possible.  A damaged length
-   field or truncation mid-frame leaves no boundary to resume from and
-   stays a hard {!Error.Corrupt}. *)
-let read_result ~path ic =
+(* The diagnostic of a checksum mismatch over the first [len] bytes of
+   [buf], or [None] when they match [stored].  The bytes are read in
+   place, so nothing may write [buf] meanwhile. *)
+let crc_mismatch ~path buf ~len ~stored =
+  let actual = Crc32.update 0 (Bytes.unsafe_to_string buf) 0 len in
+  if stored = actual then None
+  else
+    Some
+      (Printf.sprintf "%s: checksum mismatch (stored %08x, computed %08x) — the archive is damaged" path stored
+         actual)
+
+(* Shared reader core: one frame's length, payload and stored CRC,
+   with only the framing checked.  The whole frame is consumed before
+   the checksum can be compared, so the channel is positioned at the
+   next frame boundary whatever the comparison says — which is what
+   makes skip-and-continue recovery possible.  A damaged length field
+   or truncation mid-frame leaves no boundary to resume from and stays
+   a hard {!Error.Corrupt}. *)
+let read_unverified ~path ic ~into =
   let first =
     try Some (input_char ic)
     with End_of_file -> None
@@ -55,14 +67,18 @@ let read_result ~path ic =
           if !len > max_payload then
             Error.corruptf "%s: frame length %d exceeds the format maximum (%d) — damaged length field" path !len
               max_payload;
-          let payload = really_input_string ic !len in
+          let buf = into !len in
+          really_input ic buf 0 !len;
           let stored = input_u32 ~path ic in
-          let actual = Crc32.digest payload in
-          if stored <> actual then
-            `Bad_crc
-              (Printf.sprintf "%s: checksum mismatch (stored %08x, computed %08x) — the archive is damaged" path
-                 stored actual)
-          else `Payload payload)
+          `Frame (buf, !len, stored))
+
+let read_result ~path ic =
+  match read_unverified ~path ic ~into:Bytes.create with
+  | `End -> `End
+  | `Frame (buf, len, stored) -> (
+      match crc_mismatch ~path buf ~len ~stored with
+      | None -> `Payload (Bytes.unsafe_to_string buf)
+      | Some msg -> `Bad_crc msg)
 
 (* [read ~path ic] returns the next verified payload, or [None] on a
    clean end of file (EOF exactly at a frame boundary). *)

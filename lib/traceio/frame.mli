@@ -25,6 +25,21 @@ val try_read : path:string -> in_channel -> [ `Payload of string | `Bad_crc of s
     damaged length fields still raise {!Error.Corrupt}: they destroy
     the framing itself, there is no boundary to resume from. *)
 
+val read_unverified :
+  path:string -> in_channel -> into:(int -> bytes) -> [ `Frame of bytes * int * int | `End ]
+(** The next frame with its checksum not yet compared:
+    [`Frame (buf, len, stored)] holds the payload in the first [len]
+    bytes of [buf = into len] (a buffer at least that long) and the
+    CRC-32 the frame stores.  [`End] on a clean end of file.  Only the
+    framing is checked, so a truncation or a damaged length field
+    raises {!Error.Corrupt} as in {!read}, and the channel is left at
+    the next frame boundary. *)
+
+val crc_mismatch : path:string -> bytes -> len:int -> stored:int -> string option
+(** [None] when the CRC-32 of the first [len] bytes equals [stored];
+    otherwise the diagnostic {!try_read} reports as [`Bad_crc].  The
+    bytes are read in place: nothing may write them meanwhile. *)
+
 (** {1 Files of the family} *)
 
 val write_preamble : path:string -> out_channel -> magic:string -> version:int -> unit

@@ -317,6 +317,8 @@ grep -q "numeric: template scoring, fvec+scratch" "$tmp/perf-strict.out"
 grep -q "numeric: replay attack, fvec views+scratch" "$tmp/perf-strict.out"
 # the acquisition chain a live campaign runs, into the domain's buffers
 grep -q "device: acquire 256-coeff faulted trace" "$tmp/perf-strict.out"
+# a replayed record's checksum and decode, the work each replay worker does
+grep -q "traceio: verify+decode 1024-coeff record into a reused plane" "$tmp/perf-strict.out"
 # the telemetry pair: replaying with a streaming sink attached vs obs
 # disabled — both land in BENCH_perf.json so the streaming overhead is
 # tracked run-over-run

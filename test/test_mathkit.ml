@@ -978,3 +978,63 @@ let suite =
         ("percentile rejects bad input", test_percentile_rejects);
       ]
   @ List.map QCheck_alcotest.to_alcotest [ percentile_prop; percentile_in_place_prop ]
+
+(* --- pooled covariance against its per-class Matrix formula ------------- *)
+
+(* The formula [Stats.pooled_covariance] had before it accumulated
+   into one flat array: a fresh Matrix scatter per class, a fresh
+   deviation row per profiling row, summed with [Matrix.add]. *)
+let reference_pooled_covariance classes =
+  let scatter rows mu =
+    let d = Array.length mu in
+    let s = Matrix.create d d in
+    Array.iter
+      (fun r ->
+        let dvec = Array.init d (fun j -> r.(j) -. mu.(j)) in
+        for i = 0 to d - 1 do
+          if dvec.(i) <> 0.0 then
+            for j = 0 to d - 1 do
+              Matrix.set s i j (Matrix.get s i j +. (dvec.(i) *. dvec.(j)))
+            done
+        done)
+      rows;
+    s
+  in
+  let classes = Array.to_list classes |> List.filter (fun c -> Array.length c >= 2) in
+  let d = Array.length (List.hd classes).(0) in
+  let acc = ref (Matrix.create d d) and dof = ref 0 in
+  List.iter
+    (fun rows ->
+      acc := Matrix.add !acc (scatter rows (Stats.mean_vector rows));
+      dof := !dof + Array.length rows - 1)
+    classes;
+  Matrix.scale (1.0 /. float_of_int !dof) !acc
+
+let pooled_covariance_prop =
+  (* rows drawn from a small pool, so deviations repeat; signed zeros
+     make zero and -0.0 deviations (a column of -0.0 has mean +0.0);
+     classes of fewer than two rows are dropped by both *)
+  let gen =
+    QCheck.Gen.(
+      int_range 1 6 >>= fun d ->
+      let value = oneof [ map float_of_int (int_range (-3) 3); float_range (-5.0) 5.0; oneofl [ 0.0; -0.0 ] ] in
+      array_size (int_range 1 4) (array_repeat d value) >>= fun pool ->
+      let row = map (fun i -> pool.(i)) (int_bound (Array.length pool - 1)) in
+      pair (array_size (int_range 2 9) row) (list_size (int_range 0 3) (array_size (int_range 0 9) row))
+      >|= fun (first, rest) -> Array.of_list (first :: rest))
+  in
+  QCheck.Test.make ~name:"Stats.pooled_covariance = the per-class Matrix formula, bit for bit" ~count:500
+    (QCheck.make ~print:QCheck.Print.(array (array (array float))) gen)
+    (fun classes ->
+      let a = Stats.pooled_covariance classes and b = reference_pooled_covariance classes in
+      let d = Matrix.rows b in
+      Matrix.rows a = d
+      && Matrix.cols a = d
+      && List.for_all
+           (fun i ->
+             List.for_all
+               (fun j -> Int64.bits_of_float (Matrix.get a i j) = Int64.bits_of_float (Matrix.get b i j))
+               (List.init d Fun.id))
+           (List.init d Fun.id))
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest pooled_covariance_prop ]

@@ -570,6 +570,39 @@ let test_parallel_map_propagates_exception () =
   Alcotest.check_raises "worker failure surfaces" (Failure "boom") (fun () ->
       ignore (Mathkit.Parallel.map_array ~domains:3 (fun x -> if x = 7 then failwith "boom" else x) (Array.init 20 (fun i -> i))))
 
+(* Items 4 and 9 both fail, on different workers at 2 and 3 domains.
+   The items before 4 on its worker are slow, so item 9 fails first
+   and a driver that stopped every worker at the first failure would
+   never run item 4.  Every run raises item 4's exception, as one
+   domain does, after every item below it ran. *)
+exception Item_failed of int
+
+let test_parallel_map_lowest_failure () =
+  List.iter
+    (fun domains ->
+      for _ = 1 to 10 do
+        let ran = Array.init 20 (fun _ -> Atomic.make false) in
+        let f i =
+          Atomic.set ran.(i) true;
+          if domains > 1 && i < 4 && i mod domains = 4 mod domains then begin
+            let acc = ref 0 in
+            for k = 1 to 5_000_000 do
+              acc := !acc + (k land 7)
+            done;
+            ignore (Sys.opaque_identity !acc)
+          end;
+          if i = 4 || i = 9 then raise (Item_failed i);
+          i
+        in
+        (match Mathkit.Parallel.map_array ~domains f (Array.init 20 Fun.id) with
+        | _ -> Alcotest.failf "%d domains: no failure raised" domains
+        | exception Item_failed k -> Alcotest.(check int) (Printf.sprintf "%d domains: lowest index" domains) 4 k);
+        for i = 0 to 3 do
+          Alcotest.(check bool) (Printf.sprintf "%d domains: item %d ran" domains i) true (Atomic.get ran.(i))
+        done
+      done)
+    [ 1; 2; 3 ]
+
 (* Every field of every coefficient result, posteriors as bits. *)
 let result_key (r : Reveal.Campaign.coefficient_result) =
   let dist d = Array.to_list (Array.map (fun (v, p) -> (v, Int64.bits_of_float p)) d) in
@@ -619,6 +652,7 @@ let parallel_cases =
     ("campaign results do not depend on the domain count", test_campaign_domain_count_invariant);
     ("parallel map basics", test_parallel_map_basic);
     ("parallel map propagates exceptions", test_parallel_map_propagates_exception);
+    ("parallel map raises the lowest failing index", test_parallel_map_lowest_failure);
   ]
 
 let suite = suite @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) parallel_cases

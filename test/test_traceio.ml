@@ -84,7 +84,7 @@ let prop_floats_roundtrip =
       Traceio.Codec.put_plane b xs;
       let c = Traceio.Binio.cursor (Buffer.contents b) in
       let ys = Traceio.Codec.get_floats c in
-      let plane = Mathkit.Fvec.to_array (Traceio.Codec.get_plane c) in
+      let plane = Mathkit.Fvec.to_array (Traceio.Codec.get_plane_into c ~into:Mathkit.Fvec.create) in
       Traceio.Binio.at_end c && float_bits_equal xs ys && float_bits_equal xs plane)
 
 let prop_ints_roundtrip =
@@ -478,9 +478,9 @@ let test_profile_of_archive_matches_live_profile () =
       Alcotest.(check bool) "offline profile is bit-identical to the live one" true (profile_equal live offline))
 
 let test_record_profiling_memory_is_streamed () =
-  (* structural guarantee: the reader hands out one record at a time,
-     batches are bounded by [max], and a batch holds exactly the
-     records [next] hands out *)
+  (* structural guarantee: the reader hands out one frame at a time,
+     a pulled frame decodes to exactly the record [next] hands out,
+     and a recycled frame's buffer serves the next pull *)
   let device = Reveal.Device.create ~n:64 () in
   with_tmp "stream.rvt" (fun path ->
       Reveal.Campaign.record_profiling ~per_value:8 ~seed:1L device (rng ()) ~path;
@@ -490,17 +490,21 @@ let test_record_profiling_memory_is_streamed () =
                 match Traceio.Archive.next r with Some rec_ -> rec_ | None -> Alcotest.fail "record missing"))
       in
       Traceio.Archive.with_reader path (fun r ->
-          let batch = Traceio.Archive.next_batch r ~max:2 in
-          Alcotest.(check int) "batch bounded" 2 (Array.length batch);
           List.iteri
             (fun i (single : Traceio.Archive.record) ->
-              let b = batch.(i) in
-              Alcotest.(check int) "batch index" single.Traceio.Archive.index b.Traceio.Archive.index;
-              Alcotest.(check (array int)) "batch labels" single.Traceio.Archive.noises b.Traceio.Archive.noises;
-              Alcotest.(check bool) "batch sample bits" true
+              let frame = match Traceio.Archive.pull r with Some f -> f | None -> Alcotest.fail "frame missing" in
+              let b = Traceio.Archive.decode_into frame ~into:Mathkit.Fvec.create in
+              Traceio.Archive.recycle frame;
+              Alcotest.(check int) "frame index" i b.Traceio.Archive.index;
+              Alcotest.(check int) "frame index = next's" single.Traceio.Archive.index b.Traceio.Archive.index;
+              Alcotest.(check (array int)) "frame labels" single.Traceio.Archive.noises b.Traceio.Archive.noises;
+              Alcotest.(check bool) "frame sample bits" true
                 (float_bits_equal
                    (Mathkit.Fvec.to_array single.Traceio.Archive.samples)
-                   (Mathkit.Fvec.to_array b.Traceio.Archive.samples)))
+                   (Mathkit.Fvec.to_array b.Traceio.Archive.samples));
+              Alcotest.check_raises "a recycled frame is not decoded again"
+                (Invalid_argument "Archive.decode_into: frame already recycled") (fun () ->
+                  ignore (Traceio.Archive.decode_into frame ~into:Mathkit.Fvec.create)))
             singles;
           let h = Traceio.Archive.header r in
           Alcotest.(check bool) "profiling metadata present" true
@@ -538,16 +542,17 @@ let suite =
 (* Byte offset of a mid-payload byte of record [k]: the file is
    magic(8) + version(2) followed by length-prefixed frames, frame 0
    being the header. *)
+let u32_at s off =
+  Char.code s.[off] lor (Char.code s.[off + 1] lsl 8) lor (Char.code s.[off + 2] lsl 16) lor (Char.code s.[off + 3] lsl 24)
+
+(* Byte offset of record [k]'s frame (its length field). *)
+let record_frame_offset s k =
+  let rec skip off frames = if frames = 0 then off else skip (off + 4 + u32_at s off + 4) (frames - 1) in
+  skip 10 (k + 1)
+
 let record_payload_offset s k =
-  let u32 off =
-    Char.code s.[off]
-    lor (Char.code s.[off + 1] lsl 8)
-    lor (Char.code s.[off + 2] lsl 16)
-    lor (Char.code s.[off + 3] lsl 24)
-  in
-  let rec skip off frames = if frames = 0 then off else skip (off + 4 + u32 off + 4) (frames - 1) in
-  let frame = skip 10 (k + 1) in
-  frame + 4 + (u32 frame / 2)
+  let frame = record_frame_offset s k in
+  frame + 4 + (u32_at s frame / 2)
 
 let flip_payload_byte path k =
   let original = read_file path in
@@ -611,7 +616,10 @@ let test_source_aliases_share_one_cursor () =
         ~finally:(fun () -> Traceio.Source.close src)
         (fun () ->
           let index = function
-            | `Record (r : Traceio.Archive.record) -> r.Traceio.Archive.index
+            | `Record pulled -> (
+                match Traceio.Source.decode pulled ~into:Mathkit.Fvec.create with
+                | `Record (r : Traceio.Archive.record) -> r.Traceio.Archive.index
+                | `Skipped reason -> Alcotest.failf "unexpected skip: %s" reason)
             | `Skipped reason -> Alcotest.failf "unexpected skip: %s" reason
             | `End_of_archive -> -1
           in
@@ -667,4 +675,137 @@ let suite =
       Alcotest.test_case "archive source: next and next_fv share one cursor" `Quick
         test_source_aliases_share_one_cursor;
       Alcotest.test_case "of_trace_source pulls make_fv's next_fv" `Quick test_trace_source_pulls_next_fv;
+    ]
+
+(* --- records checked and decoded on the workers ------------------------- *)
+
+(* Give record [k] the index [index] (both below 128, one varint byte)
+   and re-checksum its frame: the CRC passes, and the payload decodes
+   to a record out of sequence. *)
+let reindex_record path k index =
+  let original = read_file path in
+  let frame = record_frame_offset original k in
+  let len = u32_at original frame in
+  let b = Bytes.of_string original in
+  Bytes.set b (frame + 4) (Char.chr index);
+  let crc = Traceio.Crc32.digest (Bytes.sub_string b (frame + 4) len) in
+  for i = 0 to 3 do
+    Bytes.set b (frame + 4 + len + i) (Char.chr ((crc lsr (8 * i)) land 0xFF))
+  done;
+  write_file path (Bytes.to_string b)
+
+(* Every field of a coefficient result, posteriors as bits. *)
+let result_key (r : Reveal.Campaign.coefficient_result) =
+  let dist d = Array.to_list (Array.map (fun (v, p) -> (v, Int64.bits_of_float p)) d) in
+  ( (r.Reveal.Campaign.actual, r.verdict.Sca.Attack.sign, r.verdict.Sca.Attack.value),
+    (dist r.verdict.Sca.Attack.posterior, dist r.posterior_all),
+    (r.grade, r.recovery) )
+
+(* Records 2 and 3 fail their checksums (one batch of 2 or 16) and
+   record 5 carries index 9 under a valid checksum.  Tolerant replay
+   drops exactly those three, whatever the domain count and batch, and
+   still counts them toward their batches; strict replay raises record
+   2's error, the one a strict read of the archive raises. *)
+let test_corrupt_replay_parity () =
+  let device = Reveal.Device.create ~n:16 () in
+  let prof = Lazy.force tiny_profile in
+  with_tmp "parity.rvt" (fun path ->
+      let g = rng () in
+      Reveal.Device.record device ~path ~seed:0L ~traces:6 ~scope_rng:g ~sampler_rng:g;
+      let clean = snd (Reveal.Campaign.run_source ~domains:1 ~batch:1 prof (Reveal.Source.archive_replay path)) in
+      let expected = Array.concat (List.map (fun i -> Array.sub clean (i * 16) 16) [ 0; 1; 4 ]) in
+      flip_payload_byte path 2;
+      flip_payload_byte path 3;
+      reindex_record path 5 9;
+      let strict_msg =
+        match drain path with
+        | () -> Alcotest.fail "a strict read accepted the damaged archive"
+        | exception Traceio.Error.Corrupt msg -> msg
+      in
+      Alcotest.(check bool) "record 2's checksum is the first damage" true (contains ~affix:"checksum mismatch" strict_msg);
+      List.iter
+        (fun domains ->
+          List.iter
+            (fun batch ->
+              let label = Printf.sprintf "%d domains, batch %d" domains batch in
+              let sink, _ = Obs.Sink.memory () in
+              let obs = Obs.Ctx.create ~sink () in
+              let stats, results =
+                Reveal.Campaign.run_source ~obs ~domains ~batch prof (Reveal.Source.archive_replay ~obs path)
+              in
+              let count name = Obs.Metrics.counter_value (Obs.Ctx.counter obs name) in
+              Alcotest.(check int) (label ^ ": corrupt_skipped") 3 stats.Reveal.Campaign.corrupt_skipped;
+              Alcotest.(check int) (label ^ ": source.skips") 3 (count "source.skips");
+              Alcotest.(check int) (label ^ ": traceio.records_skipped") 3 (count "traceio.records_skipped");
+              Alcotest.(check int) (label ^ ": source.items") 3 (count "source.items");
+              Alcotest.(check int) (label ^ ": skips count toward batches") ((6 + batch - 1) / batch)
+                (count "campaign.batches");
+              Alcotest.(check int) (label ^ ": result count") (Array.length expected) (Array.length results);
+              Array.iteri
+                (fun i r -> if result_key r <> result_key expected.(i) then Alcotest.failf "%s: coefficient %d differs" label i)
+                results;
+              match Reveal.Campaign.run_source ~domains ~batch prof (Reveal.Source.archive_replay ~strict:true path) with
+              | _ -> Alcotest.failf "%s: strict replay accepted the damaged archive" label
+              | exception Traceio.Error.Corrupt msg -> Alcotest.(check string) (label ^ ": strict error") strict_msg msg)
+            [ 1; 2; 16 ])
+        [ 1; 2; 3 ])
+
+(* The decode kernel writes the plane into the front of the vector it
+   is given: decoded into one reused plane longer than every record,
+   each pulled frame is the record [next] returns, and the plane past
+   the record is left as it was. *)
+let test_frame_decode_matches_next () =
+  let device = Reveal.Device.create ~n:8 () in
+  let runs = sample_runs device 3 in
+  with_tmp "frames.rvt" (fun path ->
+      write_archive path device runs;
+      let expected = List.rev (Traceio.Archive.fold path (fun acc r -> r :: acc) []) in
+      let longest =
+        List.fold_left (fun m (r : Traceio.Archive.record) -> max m (Mathkit.Fvec.length r.samples)) 0 expected
+      in
+      let plane = Mathkit.Fvec.init (longest + 5) (fun i -> -1.5 -. float_of_int i) in
+      Traceio.Archive.with_reader path (fun r ->
+          List.iter
+            (fun (e : Traceio.Archive.record) ->
+              let frame = match Traceio.Archive.pull r with Some f -> f | None -> Alcotest.fail "frame missing" in
+              let before = Mathkit.Fvec.to_array plane in
+              let got = Traceio.Archive.decode_into frame ~into:(fun _ -> plane) in
+              Traceio.Archive.recycle frame;
+              let len = Mathkit.Fvec.length e.samples in
+              Alcotest.(check int) "index" e.index got.Traceio.Archive.index;
+              Alcotest.(check (array int)) "labels" e.noises got.Traceio.Archive.noises;
+              Alcotest.(check bool) "sample bits" true
+                (float_bits_equal (Mathkit.Fvec.to_array e.samples) (Mathkit.Fvec.to_array got.Traceio.Archive.samples));
+              Alcotest.(check bool) "decoded into the plane's front" true
+                (float_bits_equal (Mathkit.Fvec.to_array e.samples) (Array.sub (Mathkit.Fvec.to_array plane) 0 len));
+              let after = Mathkit.Fvec.to_array plane in
+              Alcotest.(check bool) "tail untouched" true
+                (float_bits_equal (Array.sub before len (longest + 5 - len)) (Array.sub after len (longest + 5 - len))))
+            expected;
+          Alcotest.(check bool) "then the end" true (Traceio.Archive.pull r = None)))
+
+(* Archive profiling decodes, segments, fits and sweeps its floors on
+   the workers: the profile is the same, as bits, on 1, 2 and 3. *)
+let test_profile_of_archive_domain_invariant () =
+  let device = Reveal.Device.create ~n:64 () in
+  with_tmp "domains.rvt" (fun path ->
+      (* 20 runs: more than one 16-frame batch *)
+      Reveal.Campaign.record_profiling ~per_value:40 ~seed:77L device (rng ()) ~path;
+      let one = Reveal.Profiling.profile_of_archive ~domains:1 path in
+      List.iter
+        (fun domains ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d domains: the one-domain profile" domains)
+            true
+            (profile_equal one (Reveal.Profiling.profile_of_archive ~domains path)))
+        [ 2; 3 ])
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "corrupt replay: same skips and errors on every domain count and batch" `Quick
+        test_corrupt_replay_parity;
+      Alcotest.test_case "archive frame decode = Archive.next" `Quick test_frame_decode_matches_next;
+      Alcotest.test_case "profile_of_archive does not depend on the domain count" `Quick
+        test_profile_of_archive_domain_invariant;
     ]
