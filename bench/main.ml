@@ -257,6 +257,17 @@ let perf_tests () =
     in
     ("sca: segment 256-coeff faulted trace", fun () -> ignore (Sca.Segment.segment_fv segment ~expected:257 faulted))
   in
+  (* archive profiling on one domain: each of two n = 1024 records
+     pulled, checked, decoded, segmented at the recorded threshold and
+     its windows copied out, then the classes formed *)
+  let profiling_windows_kernel =
+    let path = Filename.temp_file "reveal_bench_profiling" ".rvt" in
+    at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+    Reveal.Profiling.record_profiling ~per_value:70 (Reveal.Device.create ~n:1024 ()) (Mathkit.Prng.create ~seed:11L ())
+      ~path;
+    ( "profiling: windows of a 2-record 1024-coeff archive",
+      fun () -> ignore (Reveal.Profiling.profiling_windows_of_archive ~domains:1 path) )
+  in
   (* the chain a live campaign runs per capture: simulation, synthesis
      and the fault pass at intensity 0.5, written into the domain's
      acquisition buffers *)
@@ -387,6 +398,7 @@ let perf_tests () =
     synth_kernel;
     fault_kernel;
     segment_kernel;
+    profiling_windows_kernel;
     acquire_kernel;
     decode_kernel;
     table1_kernel;

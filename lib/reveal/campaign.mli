@@ -57,8 +57,8 @@ val record_profiling : ?per_value:int -> ?seed:int64 -> Device.t -> Mathkit.Prng
 
 val profiling_windows_of_archive : string -> Sca.Segment.config * int * (int * float array array) list
 (** {!Profiling.profiling_windows_of_archive}.
-    @raise Traceio.Error.Corrupt when the archive is damaged or is not
-    a profiling archive. *)
+    @raise Traceio.Error.Corrupt when the archive is damaged, is not a
+    profiling archive or has a record that does not segment. *)
 
 val profile_of_archive : string -> profile
 (** {!Profiling.profile_of_archive}: {!profile}, but from a recorded

@@ -3,7 +3,6 @@ let default_per_value = 400
 let default_poi_count = 16
 let default_sign_poi_count = 6
 let default_batch = 16
-let min_window_length = 16
 
 let profile_magic = "REVEALPF"
 let profile_version = 3

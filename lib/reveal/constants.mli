@@ -22,10 +22,6 @@ val default_sign_poi_count : int
 val default_batch : int
 (** Archive records resident at a time while streaming (16). *)
 
-val min_window_length : int
-(** Shortest usable per-coefficient window; shorter means the
-    segmentation is misconfigured. *)
-
 (** {1 Profile cache format} *)
 
 val profile_magic : string

@@ -1,18 +1,34 @@
-(* (label, full window) pairs of one run — the per-chunk unit both the
-   in-memory and the archive-streamed profiling paths produce, each
-   window copied out of the vector segmentation read.  The firmware
-   samples a trailing dummy coefficient, so a run over n coefficients
-   must segment into exactly n+1 windows; the dummy's is dropped. *)
-let labelled_windows segment ~samples ~noises =
+(* The (label, window) pairs of one run whose label is a candidate
+   value, each copied once out of the vector segmentation read, at the
+   run's shortest such window: the common length [finalize_bags] picks
+   is the minimum over runs, so it never exceeds a run's copy.  Each
+   of these windows lies between two bursts, which segmentation keeps
+   at least [merge_gap] samples apart, so none is too short to use.
+   The pairs come grouped by label, in trace order within a label,
+   which is the order each bag takes them in: one class's copies then
+   sit together in memory, where template fitting, which reads a
+   class's windows in turn, runs faster than on copies made in trace
+   order (DESIGN §16.2).  The firmware samples a trailing dummy
+   coefficient, so a run over n coefficients must segment into exactly
+   n+1 windows; the dummy's is dropped.  [fail] turns a message into
+   the caller's exception; [what] names the run or record. *)
+let labelled_windows ~fail ~what ~values segment ~samples ~noises =
   let count = Array.length noises in
   let wins = Sca.Segment.windows_fv segment samples in
   if Array.length wins <> count + 1 then
-    failwith
-      (Printf.sprintf "Campaign: segmentation found %d windows for %d coefficients" (Array.length wins) count);
-  Array.init count (fun i ->
-      let w = wins.(i) in
-      let len = w.Sca.Segment.stop - w.Sca.Segment.start in
-      (noises.(i), Mathkit.Fvec.to_array (Mathkit.Fvec.sub samples w.Sca.Segment.start len)))
+    raise (fail (Printf.sprintf "%s: segmentation found %d windows for %d coefficients" what (Array.length wins) count));
+  let kept =
+    List.init count Fun.id
+    |> List.filter (fun i -> Array.exists (Int.equal noises.(i)) values)
+    |> List.stable_sort (fun i j -> Int.compare noises.(i) noises.(j))
+  in
+  let len =
+    List.fold_left (fun acc i -> min acc (wins.(i).Sca.Segment.stop - wins.(i).Sca.Segment.start)) max_int kept
+  in
+  Array.of_list
+    (List.map
+       (fun i -> (noises.(i), Mathkit.Fvec.to_array (Mathkit.Fvec.sub samples wins.(i).Sca.Segment.start len)))
+       kept)
 
 (* Calibrate an absolute burst threshold once so that profiling and
    attack traces segment identically. *)
@@ -59,33 +75,21 @@ let make_bags values =
   Array.iter (fun v -> Hashtbl.replace bags v []) values;
   bags
 
-let add_labelled bags labelled =
-  Array.iter
-    (fun (v, w) ->
-      match Hashtbl.find_opt bags v with
-      | Some lst -> Hashtbl.replace bags v (w :: lst)
-      | None -> ())
-    labelled
+let add_labelled bags labelled = Array.iter (fun (v, w) -> Hashtbl.replace bags v (w :: Hashtbl.find bags v)) labelled
 
-let finalize_bags values bags =
-  (* Walk the bags in the caller's value order, not hash order, so any
-     failure (and the class layout) is reproducible run to run. *)
-  let bag v = Option.value ~default:[] (Hashtbl.find_opt bags v) in
-  let total = Array.fold_left (fun acc v -> acc + List.length (bag v)) 0 values in
-  if total = 0 then failwith "Campaign.profile: no profiling windows collected";
-  (* Common window length: the shortest observed window. *)
+(* Every run's copies are at least as long as the common length, the
+   shortest window observed; most already have it and are kept, the
+   others are cut to it. *)
+let finalize_bags ~fail values bags =
+  (* Walk the bags in the caller's value order, not hash order, so the
+     class layout is reproducible run to run. *)
+  let bag v = Hashtbl.find bags v in
+  if Array.for_all (fun v -> List.is_empty (bag v)) values then raise (fail "no profiling windows collected");
   let window_length =
     Array.fold_left (fun acc v -> List.fold_left (fun acc w -> min acc (Array.length w)) acc (bag v)) max_int values
   in
-  if window_length < Constants.min_window_length then
-    failwith "Campaign.profile: windows too short — segmentation is misconfigured";
-  let classes =
-    Array.to_list values
-    |> List.map (fun v ->
-           let ws = Hashtbl.find bags v in
-           (v, Array.of_list (List.map (fun w -> Array.sub w 0 window_length) ws)))
-  in
-  (window_length, classes)
+  let common w = if Array.length w = window_length then w else Array.sub w 0 window_length in
+  (window_length, Array.to_list values |> List.map (fun v -> (v, Array.of_list (List.map common (bag v)))))
 
 let profiling_windows ?(per_value = Constants.default_per_value) ?domains ?(obs = Obs.Ctx.disabled) device rng =
   let values = Constants.default_values in
@@ -93,19 +97,20 @@ let profiling_windows ?(per_value = Constants.default_per_value) ?domains ?(obs 
   let threshold = Obs.Ctx.span obs "profiling.calibrate" (fun () -> calibrate_threshold device rng) in
   let segment = segment_of_threshold threshold in
   let seeds = Array.init runs (fun _ -> Mathkit.Prng.bits64 rng) in
+  let fail msg = Invalid_argument ("Campaign.profile: " ^ msg) in
   (* [profiling_run] into the domain's buffers; the windows are copied
      out before the domain acquires again *)
-  let one_run seed =
-    let rng = Mathkit.Prng.create ~seed () in
+  let one_run i =
+    let rng = Mathkit.Prng.create ~seed:seeds.(i) () in
     let samples, noises = Device.acquire device ~scope_rng:rng ~draws:(profiling_draws device ~values ~copies rng) in
-    labelled_windows segment ~samples ~noises
+    labelled_windows ~fail ~what:(Printf.sprintf "run %d" i) ~values segment ~samples ~noises
   in
   let per_run =
-    Obs.Ctx.span obs "profiling.acquire" (fun () -> Mathkit.Parallel.map_array ?domains one_run seeds)
+    Obs.Ctx.span obs "profiling.acquire" (fun () -> Mathkit.Parallel.map_array ?domains one_run (Array.init runs Fun.id))
   in
   let bags = make_bags values in
   Array.iter (add_labelled bags) per_run;
-  let window_length, classes = finalize_bags values bags in
+  let window_length, classes = finalize_bags ~fail values bags in
   if Obs.Ctx.enabled obs then begin
     Obs.Metrics.incr ~by:runs (Obs.Ctx.counter obs "profiling.runs");
     Obs.Metrics.incr
@@ -230,13 +235,16 @@ let profiling_windows_of_archive ?domains path =
       let threshold, values = profiling_meta_of_header ~path h in
       let segment = segment_of_threshold threshold in
       let bags = make_bags values in
+      let fail msg = Traceio.Error.Corrupt (path ^ ": " ^ msg) in
       let windows frame =
         let r =
           Fun.protect
             ~finally:(fun () -> Traceio.Archive.recycle frame)
             (fun () -> Traceio.Archive.decode_into frame ~into:Device.samples_slot)
         in
-        labelled_windows segment ~samples:r.Traceio.Archive.samples ~noises:r.Traceio.Archive.noises
+        labelled_windows ~fail
+          ~what:(Printf.sprintf "record %d" r.Traceio.Archive.index)
+          ~values segment ~samples:r.Traceio.Archive.samples ~noises:r.Traceio.Archive.noises
       in
       let rec loop () =
         let pending = ref None in
@@ -257,7 +265,7 @@ let profiling_windows_of_archive ?domains path =
         | None -> if Array.length frames = Constants.default_batch then loop ()
       in
       loop ();
-      let window_length, classes = finalize_bags values bags in
+      let window_length, classes = finalize_bags ~fail values bags in
       (segment, window_length, classes))
 
 let profile_of_archive ?domains path =

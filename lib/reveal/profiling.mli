@@ -27,7 +27,9 @@ val profile :
     spans, the run and window totals land in [profiling.*] counters,
     and the calibrated fit floors are exported as gauges.
     @raise Invalid_argument when the device is too small to host every
-    candidate value twice per run. *)
+    candidate value twice per run, or when a run's trace does not
+    segment into one window per coefficient plus the firmware's
+    trailing dummy (the message names the run). *)
 
 val profiling_windows :
   ?per_value:int ->
@@ -38,8 +40,14 @@ val profiling_windows :
   Sca.Segment.config * int * (int * float array array) list
 (** The raw material {!profile} is built from: the calibrated
     segmentation config, the common window length, and the labelled
-    window vectors per candidate value.  Exposed for the
-    feature-selection ablation and for custom classifiers. *)
+    window vectors per candidate value, each the first [window length]
+    samples of its window.  The common length is the shortest
+    candidate-value window of any run; each window is copied once, at
+    its run's shortest such window, and cut to the common length only
+    when that is shorter.
+    Every row is a fresh array.  Exposed for the feature-selection
+    ablation and for custom classifiers.
+    @raise Invalid_argument as {!profile} does. *)
 
 val profile_of_windows :
   ?domains:int ->
@@ -65,9 +73,12 @@ val profiling_windows_of_archive :
     peak resident set — into buffers the reader recycles, and each is
     checked, decoded into its worker's samples slot
     ({!Device.samples_slot}) and segmented on one of up to [domains]
-    domains.
+    domains.  Windows are copied as {!profiling_windows} copies them.
     @raise Traceio.Error.Corrupt when the archive is damaged (the first
-    damage in archive order) or is not a profiling archive. *)
+    damage in archive order), is not a profiling archive, has a record
+    that does not segment into one window per coefficient plus the
+    trailing dummy (the message names the record), or holds no window
+    of a candidate value. *)
 
 val profile_of_archive : ?domains:int -> string -> Pipeline.profile
 (** {!profile} at the default POI counts, but from a recorded

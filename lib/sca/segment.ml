@@ -30,6 +30,20 @@ let[@inline] smoothed (buf : Fvec.buffer) off n radius i =
   done;
   !acc /. float_of_int (hi - lo + 1)
 
+(* [smoothed] at radius 2 where the window is not clipped: the five
+   samples around [b] summed in the same ascending order from 0.0 and
+   divided once by 5.0, so the same bits.  Unrolled: no clamp, no
+   width conversion, no inner loop.  The caller keeps [b - 2, b + 2]
+   inside its checked view. *)
+let[@inline] smoothed_r2 (buf : Fvec.buffer) b =
+  (* srclint: allow unsafe-index the caller keeps b-2..b+2 inside its check_range'd view *)
+  let x0 = Bigarray.Array1.unsafe_get buf (b - 2) and x1 = Bigarray.Array1.unsafe_get buf (b - 1) in
+  (* srclint: allow unsafe-index b-2..b+2 lie in the caller's check_range'd view *)
+  let x2 = Bigarray.Array1.unsafe_get buf b and x3 = Bigarray.Array1.unsafe_get buf (b + 1) in
+  (* srclint: allow unsafe-index b-2..b+2 lie in the caller's check_range'd view *)
+  let x4 = Bigarray.Array1.unsafe_get buf (b + 2) in
+  (0.0 +. x0 +. x1 +. x2 +. x3 +. x4) /. 5.0
+
 let smooth_fv radius samples =
   if radius <= 0 then Fvec.copy samples
   else begin
@@ -93,16 +107,26 @@ let auto_threshold_fv cfg samples =
 (* The maximal runs of samples whose [radius]-smoothed value exceeds
    [threshold], each tested as it is formed: no smoothed copy.  The
    average of a radius-0 window is the sample itself up to the sign of
-   a zero, which [>] does not see. *)
+   a zero, which [>] does not see.  At the default radius 2 the
+   samples [2, n - 3], whose windows are not clipped, read
+   [smoothed_r2]; the clipped edges and every other radius read
+   [smoothed]. *)
 let runs_above samples ~radius threshold =
   let n = Fvec.length samples in
   let buf = Fvec.buffer samples and off = Fvec.offset samples in
   Fvec.check_range buf ~off ~len:n "Segment.burst_regions_fv";
   let radius = Int.max 0 radius in
+  (* the unrolled body covers [fast_lo, fast_hi) *)
+  let fast_lo = if radius = 2 then Int.min n 2 else n in
+  let fast_hi = Int.max fast_lo (n - 2) in
   let runs = ref [] in
   let run_start = ref (-1) in
   for i = 0 to n - 1 do
-    if smoothed buf off n radius i > threshold then begin
+    let above =
+      if i >= fast_lo && i < fast_hi then smoothed_r2 buf (off + i) > threshold
+      else smoothed buf off n radius i > threshold
+    in
+    if above then begin
       if !run_start < 0 then run_start := i
     end
     else if !run_start >= 0 then begin

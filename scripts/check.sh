@@ -220,10 +220,12 @@ json_ok "$tmp/obs-export.json" clock spans counters histograms
 echo "== smoke: flight recorder — a killed trial leaves its last moments =="
 # trials under a tight timeout are SIGTERMed by the orchestrator; the
 # worker's handler dumps its flight ring in the grace window and the
-# fuzzer attaches the dump to the crash/timeout verdict
-if "$bin" fuzz --master-seed 42 --trials 4 --workers 2 --trial-timeout 0.3 \
+# fuzzer attaches the dump to the crash/timeout verdict.  These trials
+# run about 0.2 s each on a 2-vCPU VM; the timeout sits well below
+# that, so every run kills a trial
+if "$bin" fuzz --master-seed 42 --trials 4 --workers 2 --trial-timeout 0.1 \
   --work-dir "$tmp/fuzz-flight" --no-minimize --json > "$tmp/fuzz-flight.json" 2> /dev/null; then
-  echo "fuzz: expected a novel-failure exit under a 0.3s trial timeout" >&2
+  echo "fuzz: expected a novel-failure exit under a 0.1s trial timeout" >&2
   exit 1
 fi
 grep -q '"flight":' "$tmp/fuzz-flight.json"
@@ -317,6 +319,10 @@ grep -q "numeric: template scoring, fvec+scratch" "$tmp/perf-strict.out"
 grep -q "numeric: replay attack, fvec views+scratch" "$tmp/perf-strict.out"
 # the acquisition chain a live campaign runs, into the domain's buffers
 grep -q "device: acquire 256-coeff faulted trace" "$tmp/perf-strict.out"
+# resilient segmentation of a faulted trace, and archive profiling's
+# per-record work (check, decode, segment, copy the windows out)
+grep -q "sca: segment 256-coeff faulted trace" "$tmp/perf-strict.out"
+grep -q "profiling: windows of a 2-record 1024-coeff archive" "$tmp/perf-strict.out"
 # a replayed record's checksum and decode, the work each replay worker does
 grep -q "traceio: verify+decode 1024-coeff record into a reused plane" "$tmp/perf-strict.out"
 # the telemetry pair: replaying with a streaming sink attached vs obs

@@ -557,6 +557,67 @@ let test_parallel_profiling_deterministic () =
         c1 c)
     [ 2; 3 ]
 
+(* Each profiling window is copied once, at its run's shortest
+   candidate window, then kept when that is the common length or cut to
+   it.  The oracle is the double copy this replaced: every window of
+   the run's fresh [Device.run] trace at full length, bagged per value
+   newest first, then cut to the shortest.  At this size and seed the
+   runs' shortest windows differ, so copies are both kept and cut. *)
+let test_profiling_windows_copied_once () =
+  let per_value = 16 and seed = 808L in
+  let device = Reveal.Device.create ~n:64 () in
+  let values = Reveal.Constants.default_values in
+  let copies, runs = Reveal.Profiling.profiling_shape ~values ~per_value device in
+  let g = Mathkit.Prng.create ~seed () in
+  let threshold = Reveal.Profiling.calibrate_threshold device g in
+  let segment = { Sca.Segment.default with Sca.Segment.threshold = Sca.Segment.Absolute threshold } in
+  let full_windows run_seed =
+    let run = Reveal.Profiling.profiling_run device ~values ~copies run_seed in
+    let samples = Mathkit.Fvec.of_array run.Reveal.Device.trace.Power.Ptrace.samples in
+    let wins = Sca.Segment.windows_fv segment samples in
+    Array.to_list run.Reveal.Device.noises
+    |> List.mapi (fun i v ->
+           let w = wins.(i) in
+           (v, Mathkit.Fvec.to_array (Mathkit.Fvec.sub samples w.Sca.Segment.start (w.Sca.Segment.stop - w.Sca.Segment.start))))
+    |> List.filter (fun (v, _) -> Array.mem v values)
+  in
+  let per_run = Array.map full_windows (Array.init runs (fun _ -> Mathkit.Prng.bits64 g)) in
+  let minima = Array.map (List.fold_left (fun acc (_, w) -> min acc (Array.length w)) max_int) per_run in
+  let common = Array.fold_left min max_int minima in
+  Alcotest.(check bool) "some run's shortest window is longer than the common length" true
+    (Array.exists (fun m -> m > common) minima);
+  let expected =
+    Array.to_list values
+    |> List.map (fun v ->
+           let bag =
+             Array.fold_left
+               (fun acc ws -> List.fold_left (fun acc (label, w) -> if label = v then w :: acc else acc) acc ws)
+               [] per_run
+           in
+           (v, List.map (fun w -> Array.sub w 0 common) bag))
+  in
+  let check what (_, len, classes) =
+    Alcotest.(check int) (what ^ ": common length") common len;
+    Alcotest.(check (list int)) (what ^ ": classes") (List.map fst expected) (List.map fst classes);
+    List.iter2
+      (fun (v, want) (_, got) ->
+        Alcotest.(check int) (Printf.sprintf "%s: value %d: windows" what v) (List.length want) (Array.length got);
+        List.iteri
+          (fun i w ->
+            Alcotest.(check (array int64))
+              (Printf.sprintf "%s: value %d, window %d" what v i)
+              (Array.map Int64.bits_of_float w) (Array.map Int64.bits_of_float got.(i)))
+          want)
+      expected classes
+  in
+  check "live" (Reveal.Campaign.profiling_windows ~per_value device (Mathkit.Prng.create ~seed ()));
+  let path = Filename.temp_file "reveal_profiling" ".rvt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Reveal.Campaign.record_profiling ~per_value device (Mathkit.Prng.create ~seed ()) ~path;
+      check "archive" (Reveal.Campaign.profiling_windows_of_archive path))
+
 let test_parallel_map_basic () =
   Alcotest.(check int) "the default counts the calling domain"
     (min 8 (Domain.recommended_domain_count ()))
@@ -649,6 +710,7 @@ let test_campaign_domain_count_invariant () =
 let parallel_cases =
   [
     ("parallel profiling deterministic", test_parallel_profiling_deterministic);
+    ("profiling windows: one copy, cut to the common length", test_profiling_windows_copied_once);
     ("campaign results do not depend on the domain count", test_campaign_domain_count_invariant);
     ("parallel map basics", test_parallel_map_basic);
     ("parallel map propagates exceptions", test_parallel_map_propagates_exception);

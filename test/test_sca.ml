@@ -434,15 +434,18 @@ let segment_qcheck =
 
 (* An absolute threshold is tested on each smoothed sample as it is
    formed; it must find what a threshold scan of the materialised
-   [smooth_fv] finds.  Lengths around the window size (0, 1, 2r, 2r+1)
-   are drawn often, samples are a few levels (signed zeros included) so
-   smoothed values tie, the threshold is one of the smoothed values, so
-   [>] meets equality, and the trace is a view at a nonzero offset. *)
+   [smooth_fv] finds.  Every length from 0 to 2r + 3 is drawn often,
+   so the unrolled radius-2 body meets traces it does not fit and
+   traces with one or two interior samples.  Samples are a few levels
+   (signed zeros included) so smoothed values tie, and a trace may mix
+   in NaN, infinities and 1e300-scale values, whose sums overflow or
+   cancel unless they run in [smooth_fv]'s order.  The threshold is one
+   of the smoothed values, so [>] meets equality, and the trace is a
+   view at a nonzero offset. *)
 let streaming_case =
   QCheck.Gen.(
     int_range 0 3 >>= fun radius ->
-    oneofl [ 0; 1; 2 * radius; (2 * radius) + 1; 7 ] >>= fun small ->
-    oneof [ return small; int_range 0 400 ] >>= fun n ->
+    oneof [ int_range 0 ((2 * radius) + 3); int_range 0 400 ] >>= fun n ->
     quad (return radius) (return n) (int_range 0 12) (pair (int_range 0 6) int))
 
 let streaming_print (radius, n, gap, (min_burst, seed)) =
@@ -460,16 +463,30 @@ let raw_runs s t =
   if !start >= 0 then runs := { Sca.Segment.start = !start; stop = Mathkit.Fvec.length s } :: !runs;
   Array.of_list (List.rev !runs)
 
+(* [n] samples after a pad of 3, drawn by [streaming_case]'s rules. *)
+let random_trace g n =
+  (* in 16ths: how often a sample is extreme; never in a third of the cases *)
+  let extreme_rate = [| 0; 1; 6 |].(Mathkit.Prng.int g 3) in
+  let extreme () =
+    match Mathkit.Prng.int g 5 with
+    | 0 -> Float.nan
+    | 1 -> Float.infinity
+    | 2 -> Float.neg_infinity
+    | k -> (if k = 3 then 1e300 else -1e300) *. (1.0 +. Mathkit.Prng.float g)
+  in
+  let level () =
+    if Mathkit.Prng.int g 16 < extreme_rate then extreme ()
+    else match Mathkit.Prng.int g 8 with 7 -> -0.0 | 6 -> 20.0 +. Mathkit.Prng.float g | k -> float_of_int k
+  in
+  let pad = 3 in
+  Mathkit.Fvec.sub (fv (Array.init (n + pad) (fun _ -> level ()))) pad n
+
 let streaming_threshold_prop =
-  QCheck.Test.make ~name:"segment: streaming threshold = threshold of the materialised smooth_fv" ~count:500
+  QCheck.Test.make ~name:"segment: streaming threshold = threshold of the materialised smooth_fv" ~count:2000
     (QCheck.make ~print:streaming_print streaming_case)
     (fun (radius, n, merge_gap, (min_burst, seed)) ->
       let g = Mathkit.Prng.create ~seed:(Int64.of_int seed) () in
-      let level () =
-        match Mathkit.Prng.int g 8 with 7 -> -0.0 | 6 -> 20.0 +. Mathkit.Prng.float g | k -> float_of_int k
-      in
-      let pad = 3 in
-      let x = Mathkit.Fvec.sub (fv (Array.init (n + pad) (fun _ -> level ()))) pad n in
+      let x = random_trace g n in
       let s = Sca.Segment.smooth_fv radius x in
       let t = if n = 0 then 1.0 else Mathkit.Fvec.get s (Mathkit.Prng.int g n) in
       let cfg = { Sca.Segment.threshold = Sca.Segment.Absolute t; smooth_radius = radius; merge_gap; min_burst } in
@@ -478,9 +495,50 @@ let streaming_threshold_prop =
       && Sca.Segment.burst_regions_fv cfg x
          = Sca.Segment.burst_regions_fv { cfg with Sca.Segment.smooth_radius = 0 } s)
 
-let segment_qcheck = segment_qcheck @ [ streaming_threshold_prop ]
+(* Bursts closer than [merge_gap] merge, so every window but the last,
+   which lies between two bursts, spans at least [merge_gap] samples
+   and is never empty.  Profiling relies on it: its windows all lie
+   between bursts, at the default gap of 55 samples. *)
+let window_gap_prop =
+  QCheck.Test.make ~name:"segment: a window between two bursts spans at least merge_gap" ~count:500
+    (QCheck.make ~print:streaming_print streaming_case)
+    (fun (radius, n, merge_gap, (min_burst, seed)) ->
+      let g = Mathkit.Prng.create ~seed:(Int64.of_int seed) () in
+      let x = random_trace g n in
+      let s = Sca.Segment.smooth_fv radius x in
+      let t = if n = 0 then 1.0 else Mathkit.Fvec.get s (Mathkit.Prng.int g n) in
+      let cfg = { Sca.Segment.threshold = Sca.Segment.Absolute t; smooth_radius = radius; merge_gap; min_burst } in
+      let wins = Sca.Segment.windows_fv cfg x in
+      let between = Array.sub wins 0 (Int.max 0 (Array.length wins - 1)) in
+      Array.for_all (fun w -> w.Sca.Segment.stop - w.Sca.Segment.start >= Int.max 1 merge_gap) between)
+
+let segment_qcheck = segment_qcheck @ [ streaming_threshold_prop; window_gap_prop ]
 
 let suite = suite @ List.map QCheck_alcotest.to_alcotest segment_qcheck
+
+(* At an absolute threshold the scan reads every sample unboxed, in the
+   unrolled radius-2 body and in [smoothed] alike: a boxed read would
+   cost 10 minor words a sample (DESIGN §16.1), the runs list costs a
+   few words a run. *)
+let test_burst_regions_allocation () =
+  let n = 100_000 in
+  let g = rng () in
+  let x = fv (Array.init n (fun i -> (if i mod 1000 < 300 then 25.0 else 10.0) +. Mathkit.Prng.float g)) in
+  List.iter
+    (fun radius ->
+      let cfg =
+        { Sca.Segment.default with Sca.Segment.threshold = Sca.Segment.Absolute 17.5; smooth_radius = radius }
+      in
+      ignore (Sca.Segment.burst_regions_fv cfg x);
+      let before = Gc.minor_words () in
+      let bursts = Sca.Segment.burst_regions_fv cfg x in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) (Printf.sprintf "radius %d: bursts" radius) 100 (Array.length bursts);
+      if words >= float_of_int n then Alcotest.failf "radius %d: %.0f minor words for %d samples" radius words n)
+    [ 0; 1; 2; 3 ]
+
+let suite =
+  suite @ [ Alcotest.test_case "segment: absolute-threshold scan allocates under a word a sample" `Quick test_burst_regions_allocation ]
 
 (* --- resilient segmentation -------------------------------------------- *)
 

@@ -477,6 +477,33 @@ let test_profile_of_archive_matches_live_profile () =
       let offline = Reveal.Campaign.profile_of_archive path in
       Alcotest.(check bool) "offline profile is bit-identical to the live one" true (profile_equal live offline))
 
+(* The profiling window checks raise typed errors.  A profiling archive
+   whose records do not segment, or that holds no window, is corrupt
+   input, named by record where there is one (the CLI's exit 3); live
+   traces that do not segment are an Invalid_argument. *)
+let test_profiling_window_errors () =
+  let device = Reveal.Device.create ~n:64 () in
+  let expect_corrupt what affix path =
+    match Reveal.Campaign.profiling_windows_of_archive path with
+    | _ -> Alcotest.failf "%s: expected Traceio.Error.Corrupt" what
+    | exception Traceio.Error.Corrupt msg ->
+        if not (contains ~affix msg) then Alcotest.failf "%s: %S does not say %S" what msg affix
+  in
+  with_tmp "profiling.rvt" (fun path ->
+      Reveal.Campaign.record_profiling ~per_value:4 ~seed:5L device (rng ()) ~path;
+      with_tmp "cropped.rvt" (fun cropped ->
+          (* every record keeps about a third of its trace *)
+          ignore (Traceio.Archive.rewrite ~span:(0, 10_000) ~src:path ~dst:cropped ());
+          expect_corrupt "cropped records" "record 0: segmentation found" cropped);
+      with_tmp "empty.rvt" (fun empty ->
+          ignore (Traceio.Archive.rewrite ~keep:[] ~src:path ~dst:empty ());
+          expect_corrupt "no records" "no profiling windows" empty));
+  let faulted = Reveal.Device.create ~fault:(Power.Fault.of_intensity 1.0) ~n:64 () in
+  match Reveal.Campaign.profiling_windows ~per_value:4 faulted (rng ()) with
+  | _ -> Alcotest.fail "faulted live profiling: expected Invalid_argument"
+  | exception Invalid_argument msg ->
+      if not (contains ~affix:"segmentation found" msg) then Alcotest.failf "faulted live profiling: %S" msg
+
 let test_record_profiling_memory_is_streamed () =
   (* structural guarantee: the reader hands out one frame at a time,
      a pulled frame decodes to exactly the record [next] hands out,
@@ -535,6 +562,7 @@ let suite =
     Alcotest.test_case "attack_archive = per-trace replay attacks" `Quick test_attack_archive_matches_per_trace_attacks;
     Alcotest.test_case "profile_of_archive = live profile" `Quick test_profile_of_archive_matches_live_profile;
     Alcotest.test_case "archive streaming is batch-bounded" `Quick test_record_profiling_memory_is_streamed;
+    Alcotest.test_case "profiling window errors are typed" `Quick test_profiling_window_errors;
   ]
 
 (* --- tolerant replay (CRC skip-and-continue) ----------------------------- *)
