@@ -45,7 +45,7 @@ let profile = Profiling.profile
 let profiling_windows = Profiling.profiling_windows
 let record_profiling = Profiling.record_profiling
 let profiling_windows_of_archive path = Profiling.profiling_windows_of_archive path
-let profile_of_archive path = Profiling.profile_of_archive path
+let profile_of_archive = Profiling.profile_of_archive
 let save_profile = Profile_store.save
 let load_profile = Profile_store.load
 
@@ -151,16 +151,14 @@ let export_stats obs stats results =
   set "result.skipped_out_of_range" stats.skipped_out_of_range;
   set "result.corrupt_skipped" stats.corrupt_skipped
 
-(* Pull up to [batch] items, attack them in parallel, tally in item
-   order.  A record a tolerant source drops — at the pull ([`Skip]) or
-   on the worker that checks it ([Pipeline.Dropped]) — counts toward
-   the batch budget and the corrupt counter, exactly as the record it
-   replaced would have.  Each item is acquired and graded by one call
-   on one worker domain, so its borrowed samples ([Pipeline.acquired])
-   are read before that domain acquires again.  A pull that raises
-   (structural damage to an archive) ends the batch: the items pulled
-   before it are attacked first, so a damaged record before it raises
-   first, and the pull's exception follows.
+(* Pull batches through [Pipeline.iter_batches], attack each batch's
+   items in parallel, tally in item order.  A record a tolerant source
+   drops — at the pull ([`Skip]) or on the worker that checks it
+   ([Pipeline.Dropped]) — counts toward the batch budget and the
+   corrupt counter, exactly as the record it replaced would have.
+   Each item is acquired and graded by one call on one worker domain,
+   so its borrowed samples ([Pipeline.acquired]) are read before that
+   domain acquires again.
 
    With an enabled obs context each item counts [source.items] or
    [source.skips] (a skip also emits a warn-level [source.skip] event),
@@ -210,48 +208,23 @@ let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.
       acquired
   in
   Obs.Ctx.span obs "campaign.run" (fun () ->
-      Fun.protect
-        ~finally:(fun () -> Pipeline.close_source source)
-        (fun () ->
-          let finished = ref false and pending = ref None in
-          while not !finished do
-            let rec take acc k =
-              if k = 0 then acc
-              else
-                match Pipeline.next_item source with
-                | exception e when acc <> [] ->
-                    pending := Some (e, Printexc.get_raw_backtrace ());
-                    finished := true;
-                    acc
-                | `End ->
-                    finished := true;
-                    acc
-                | `Skip reason ->
-                    skip reason;
-                    take acc (k - 1)
-                | `Item it -> take (it :: acc) (k - 1)
-            in
-            let items = Array.of_list (List.rev (take [] batch)) in
-            if Array.length items > 0 then begin
-              bump c_batches;
-              let per_item =
-                Obs.Ctx.span obs "campaign.batch" (fun () ->
-                    (* one classifier context per worker domain: templates
-                       are shared, scratch is not *)
-                    Mathkit.Parallel.map_array_with ?domains ~scratch:(fun () -> Grading.make_ctx prof) attack items)
-              in
-              Obs.Ctx.span obs "stage.tally" (fun () ->
-                  Array.iter
-                    (function
-                      | Ok results ->
-                          bump c_items;
-                          tally_add tally results
-                      | Error reason -> skip reason)
-                    per_item);
-              heartbeat ()
-            end
-          done;
-          Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !pending));
+      Pipeline.iter_batches ~batch ~skip source (fun items ->
+          bump c_batches;
+          let per_item =
+            Obs.Ctx.span obs "campaign.batch" (fun () ->
+                (* one classifier context per worker domain: templates
+                   are shared, scratch is not *)
+                Mathkit.Parallel.map_array_with ?domains ~scratch:(fun () -> Grading.make_ctx prof) attack items)
+          in
+          Obs.Ctx.span obs "stage.tally" (fun () ->
+              Array.iter
+                (function
+                  | Ok results ->
+                      bump c_items;
+                      tally_add tally results
+                  | Error reason -> skip reason)
+                per_item);
+          heartbeat ()));
   let stats, results = tally_finish ~corrupt_skipped:!corrupt tally in
   if Obs.Ctx.enabled obs then export_stats obs stats results;
   (stats, results)

@@ -169,18 +169,18 @@ val run_source :
   Pipeline.source ->
   stats * coefficient_result array
 (** The one generic driver every campaign below is a wrapper around:
-    pull up to [batch] items (default {!Constants.default_batch}) from
-    the source, attack each with {!Grading.attack_resilient} under
-    [gate] (default {!default_gate}) — re-measuring through the item's
-    [remeasure] when the source is live — in parallel over [domains]
-    worker domains, tally in item order, repeat to exhaustion.  A
-    source record dropped as damaged — a [`Skip] at the pull, or an
-    [acquire] raising {!Pipeline.Dropped} on the worker — counts
-    toward the batch budget and [stats.corrupt_skipped].  When items
-    raise, the lowest one's exception is raised
-    ({!Mathkit.Parallel.map_array_with}); when a pull raises, the
-    items pulled before it are attacked first.  The source is closed
-    on exit, also on exceptions.
+    pull the source through {!Pipeline.iter_batches}, up to [batch]
+    items at a time (default {!Constants.default_batch}), attack each
+    with {!Grading.attack_resilient} under [gate] (default
+    {!default_gate}) — re-measuring through the item's [remeasure]
+    when the source is live — in parallel over [domains] worker
+    domains, and tally in item order.  A source record dropped as
+    damaged — a [`Skip] at the pull, or an [acquire] raising
+    {!Pipeline.Dropped} on the worker — counts toward the batch budget
+    and [stats.corrupt_skipped].  When items raise, the lowest one's
+    exception is raised ({!Mathkit.Parallel.map_array_with}); when a
+    pull raises, the items pulled before it are attacked first.  The
+    source is closed on exit, also on exceptions.
 
     With an enabled [obs] context the whole run is one [campaign.run]
     span containing a [campaign.batch] span per batch (fan-out) and a

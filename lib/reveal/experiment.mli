@@ -176,9 +176,11 @@ type feature_row = { feature_method : string; accuracy : float }
 
 val ablate_timing : config -> ablation_row list
 (** Robustness to the CPU timing model: the attack must survive
-    plausible variations of the core's latency table; a machine whose
-    divider is too fast breaks the peak-based segmentation — a real
-    limitation the paper's 1.5 MHz multi-cycle target avoids. *)
+    plausible variations of the core's latency table, and every row
+    segments.  At n = 64 even a 1-cycle divider profiles; a uniform
+    1-cycle machine merges the peaks and profiling raises
+    [Invalid_argument] — a limit the paper's multi-cycle target stays
+    clear of. *)
 
 val ablate_features : config -> feature_row list
 (** Feature-extraction comparison on the same profiling data: SOST

@@ -66,3 +66,34 @@ type source = Source : (module SOURCE with type t = 's) * 's -> source
 
 let next_item (Source ((module S), s)) = S.next s
 let close_source (Source ((module S), s)) = S.close s
+
+(* A pull that raises ends its batch: [f] gets the items pulled before
+   it, so a damaged record among them raises first, and the pull's
+   exception follows with its backtrace. *)
+let iter_batches ~batch ~skip source f =
+  Fun.protect
+    ~finally:(fun () -> close_source source)
+    (fun () ->
+      if batch <= 0 then invalid_arg "Pipeline.iter_batches: batch must be positive";
+      let finished = ref false and pending = ref None in
+      while not !finished do
+        let rec take acc k =
+          if k = 0 then acc
+          else
+            match next_item source with
+            | exception e when acc <> [] ->
+                pending := Some (e, Printexc.get_raw_backtrace ());
+                finished := true;
+                acc
+            | `End ->
+                finished := true;
+                acc
+            | `Skip reason ->
+                skip reason;
+                take acc (k - 1)
+            | `Item it -> take (it :: acc) (k - 1)
+        in
+        let items = Array.of_list (List.rev (take [] batch)) in
+        if Array.length items > 0 then f items
+      done;
+      Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !pending)

@@ -117,3 +117,13 @@ type source = Source : (module SOURCE with type t = 's) * 's -> source
 
 val next_item : source -> [ `Item of item | `Skip of string | `End ]
 val close_source : source -> unit
+
+val iter_batches : batch:int -> skip:(string -> unit) -> source -> (item array -> unit) -> unit
+(** The one loop that pulls a source, for campaigns
+    ({!Campaign.run_source}) and archive profiling alike: hand [f] up
+    to [batch] items at a time, in source order, until [`End].  A
+    [`Skip] calls [skip] and counts toward the batch.  A pull that
+    raises ends its batch: [f] first gets the items pulled before it,
+    if any, then the exception is re-raised with its backtrace.  The
+    source is closed on exit, also on exceptions.
+    @raise Invalid_argument when [batch <= 0]. *)

@@ -221,53 +221,32 @@ let profiling_meta_of_header ~path (h : Traceio.Archive.header) =
   if Array.length values = 0 then Traceio.Error.corruptf "%s: empty candidate-value list" path;
   (threshold, values)
 
-(* Stream the labelled profiling windows out of an archive: one batch
-   of frames in flight at a time, each checked, decoded into its
-   domain's samples slot and segmented by the worker it lands on, with
-   the frame's buffer recycled for a later pull.  Memory is bounded by
-   a batch of frames plus the (much smaller) accumulated windows,
-   never the whole trace set.  A pull that raises (structural damage)
-   ends its batch after the frames before it are decoded, so the first
-   damaged record in archive order raises. *)
+(* Archive profiling is a strict replay pulled through the campaign's
+   batch loop: one batch of records in flight, each checked, decoded
+   into its domain's samples slot and segmented by its worker.  A
+   strict stream numbers items in record order and yields no [`Skip];
+   a damaged record raises from its [acquire], the first in archive
+   order first. *)
 let profiling_windows_of_archive ?domains path =
-  Traceio.Archive.with_reader path (fun reader ->
-      let h = Traceio.Archive.header reader in
-      let threshold, values = profiling_meta_of_header ~path h in
-      let segment = segment_of_threshold threshold in
-      let bags = make_bags values in
-      let fail msg = Traceio.Error.Corrupt (path ^ ": " ^ msg) in
-      let windows frame =
-        let r =
-          Fun.protect
-            ~finally:(fun () -> Traceio.Archive.recycle frame)
-            (fun () -> Traceio.Archive.decode_into frame ~into:Device.samples_slot)
-        in
-        labelled_windows ~fail
-          ~what:(Printf.sprintf "record %d" r.Traceio.Archive.index)
-          ~values segment ~samples:r.Traceio.Archive.samples ~noises:r.Traceio.Archive.noises
-      in
-      let rec loop () =
-        let pending = ref None in
-        let rec take acc k =
-          if k = 0 then acc
-          else
-            match Traceio.Archive.pull reader with
-            | exception e when acc <> [] ->
-                pending := Some (e, Printexc.get_raw_backtrace ());
-                acc
-            | None -> acc
-            | Some f -> take (f :: acc) (k - 1)
-        in
-        let frames = Array.of_list (List.rev (take [] Constants.default_batch)) in
-        Array.iter (add_labelled bags) (Mathkit.Parallel.map_array ?domains windows frames);
-        match !pending with
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> if Array.length frames = Constants.default_batch then loop ()
-      in
-      loop ();
-      let window_length, classes = finalize_bags ~fail values bags in
-      (segment, window_length, classes))
+  let threshold, values =
+    Traceio.Archive.with_reader path (fun r -> profiling_meta_of_header ~path (Traceio.Archive.header r))
+  in
+  let segment = segment_of_threshold threshold in
+  let bags = make_bags values in
+  let fail msg = Traceio.Error.Corrupt (path ^ ": " ^ msg) in
+  let windows (it : Pipeline.item) =
+    let a = it.Pipeline.acquire () in
+    labelled_windows ~fail
+      ~what:(Printf.sprintf "record %d" it.Pipeline.index)
+      ~values segment ~samples:a.Pipeline.samples ~noises:a.Pipeline.noises
+  in
+  Pipeline.iter_batches ~batch:Constants.default_batch
+    ~skip:(fun reason -> raise (Traceio.Error.Corrupt reason))
+    (Source.archive_replay ~strict:true path)
+    (fun items -> Array.iter (add_labelled bags) (Mathkit.Parallel.map_array ?domains windows items));
+  let window_length, classes = finalize_bags ~fail values bags in
+  (segment, window_length, classes)
 
-let profile_of_archive ?domains path =
-  profile_of_windows ?domains ~poi_count:Constants.default_poi_count ~sign_poi_count:Constants.default_sign_poi_count
-    (profiling_windows_of_archive ?domains path)
+let profile_of_archive path =
+  profile_of_windows ~poi_count:Constants.default_poi_count ~sign_poi_count:Constants.default_sign_poi_count
+    (profiling_windows_of_archive path)

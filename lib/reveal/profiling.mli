@@ -68,21 +68,23 @@ val record_profiling : ?per_value:int -> ?seed:int64 -> Device.t -> Mathkit.Prng
 
 val profiling_windows_of_archive :
   ?domains:int -> string -> Sca.Segment.config * int * (int * float array array) list
-(** Stream the labelled windows back out of a profiling archive:
-    frames are pulled in batches of {!Constants.default_batch} — the
-    peak resident set — into buffers the reader recycles, and each is
-    checked, decoded into its worker's samples slot
-    ({!Device.samples_slot}) and segmented on one of up to [domains]
-    domains.  Windows are copied as {!profiling_windows} copies them.
+(** Stream the labelled windows back out of a profiling archive: after
+    the header's calibration metadata, a strict {!Source.archive_replay}
+    pulled through {!Pipeline.iter_batches}, the campaigns' loop, in
+    batches of {!Constants.default_batch} (the peak resident set).
+    Each item's [acquire] checks and decodes its record into its
+    worker's samples slot ({!Device.samples_slot}), and that worker,
+    one of up to [domains], segments it.  Windows are copied as
+    {!profiling_windows} copies them.
     @raise Traceio.Error.Corrupt when the archive is damaged (the first
     damage in archive order), is not a profiling archive, has a record
     that does not segment into one window per coefficient plus the
     trailing dummy (the message names the record), or holds no window
     of a candidate value. *)
 
-val profile_of_archive : ?domains:int -> string -> Pipeline.profile
-(** {!profile} at the default POI counts, but from a recorded
-    profiling archive. *)
+val profile_of_archive : string -> Pipeline.profile
+(** {!profile} at the default POI and domain counts, but from a
+    recorded profiling archive. *)
 
 (**/**)
 

@@ -313,7 +313,9 @@ let decode_into f ~into =
   { index; noises; samples }
 
 (* Tolerant decode: a frame that fails its CRC, or whose verified
-   payload will not decode, is counted and reported as [`Skipped]. *)
+   payload will not decode, is counted and reported as [`Skipped].
+   [pull] has already moved [next_index] past the slot, so the
+   following records' index checks still line up. *)
 let try_decode_into f ~into =
   match decode_into f ~into with
   | rec_ -> `Record rec_
@@ -321,20 +323,11 @@ let try_decode_into f ~into =
       count_skip f.f_reader msg;
       `Skipped msg
 
-let decoded f decode = Fun.protect ~finally:(fun () -> recycle f) (fun () -> decode f ~into:Mathkit.Fvec.create)
-
 let next r =
   if r.r_closed then invalid_arg "Archive.next: reader already closed";
-  Option.map (fun f -> decoded f decode_into) (pull r)
-
-(* Tolerant cursor: the frame boundary survives a bad CRC or a bad
-   payload, and [pull] has already moved [next_index] past the slot,
-   so the following records' index checks still line up.  Structural
-   damage (truncation, bad length field) has no boundary to resume
-   from and raises as in {!next}. *)
-let try_next r =
-  if r.r_closed then invalid_arg "Archive.try_next: reader already closed";
-  match pull r with None -> `End_of_archive | Some f -> decoded f try_decode_into
+  Option.map
+    (fun f -> Fun.protect ~finally:(fun () -> recycle f) (fun () -> decode_into f ~into:Mathkit.Fvec.create))
+    (pull r)
 
 let with_reader ?obs path f =
   let r = open_reader ?obs path in

@@ -95,8 +95,9 @@ val close_writer : writer -> unit
     only the framing and the record count; {!decode_into} compares the
     checksum and decodes the payload, on whichever domain consumes
     the record, so a batch of frames is checked and decoded on several
-    domains at once.  {!next} and {!try_next} are the two halves in a
-    row, decoding into a fresh vector. *)
+    domains at once.  {!next} is the two halves in a row, decoding into
+    a fresh vector; the tolerant read is {!Source.of_archive} with
+    {!Source.decode}. *)
 
 type reader
 
@@ -118,14 +119,6 @@ val next : reader -> record option
     @raise Error.Corrupt on checksum mismatch, truncation (fewer
     records than the header declares), trailing data, or a record
     inconsistent with the header. *)
-
-val try_next : reader -> [ `Record of record | `Skipped of string | `End_of_archive ]
-(** Tolerant {!next}: a record whose frame fails its CRC, or whose
-    verified payload will not decode, is reported as [`Skipped] (with
-    the diagnostic) and the cursor resumes at the next frame boundary —
-    campaign replay can drop the one bad trace and keep going.
-    Structural damage that destroys the framing (truncation, damaged
-    length field, trailing data) still raises {!Error.Corrupt}. *)
 
 type frame
 (** One record frame as read off disk: its payload bytes, the CRC-32
@@ -155,7 +148,10 @@ val decode_into : frame -> into:(int -> Mathkit.Fvec.t) -> record
 val try_decode_into : frame -> into:(int -> Mathkit.Fvec.t) -> [ `Record of record | `Skipped of string ]
 (** Tolerant {!decode_into}: a damaged record is counted in
     [traceio.records_skipped] (with a [traceio.skip] event) and
-    reported as [`Skipped], as {!try_next} reports it. *)
+    reported as [`Skipped] with the diagnostic.  The frame boundary
+    survives, so replay drops the one bad trace and the next {!pull}
+    resumes at the following record; framing damage raises from
+    {!pull}. *)
 
 val recycle : frame -> unit
 (** Hand the frame's buffer back to its reader for a later {!pull};

@@ -19,7 +19,8 @@
     and the receiver raises {!Error.Corrupt} instead of mistaking the
     cut for a clean end.
 
-    Corruption discipline mirrors {!Archive.try_next}: a 'T' frame
+    Corruption discipline mirrors the tolerant archive read
+    ({!Source.of_archive}, then {!Source.decode}): a 'T' frame
     that fails its CRC is skippable — the frame boundary survives, the
     receiver counts the slot and moves on — while preamble or framing
     damage, any other tag, or a cut before the end frame is structural

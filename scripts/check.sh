@@ -94,25 +94,13 @@ json_ok "$tmp/sweep.json" rows intensity bikz
 
 echo "== smoke: report subcommand lists and renders artefacts, text and JSON =="
 dune exec bin/reveal_cli.exe -- report --list | grep -q "zero-consistency"
-# the golden configuration: report text must reproduce the committed goldens
-dune exec bin/reveal_cli.exe -- report table1 --seed 54398 -n 64 --per-value 80 --traces 2 \
-  | cmp - test/golden/table1.txt
-dune exec bin/reveal_cli.exe -- report table2 --seed 54398 -n 64 --per-value 80 --traces 2 \
-  | cmp - test/golden/table2.txt
-dune exec bin/reveal_cli.exe -- report table3 --seed 54398 -n 64 --per-value 80 --traces 2 \
-  | cmp - test/golden/table3.txt
-dune exec bin/reveal_cli.exe -- report table4 --seed 54398 -n 64 --per-value 80 --traces 2 \
-  | cmp - test/golden/table4.txt
-dune exec bin/reveal_cli.exe -- report signs --seed 54398 -n 64 --per-value 80 --traces 2 \
-  | cmp - test/golden/signs.txt
-dune exec bin/reveal_cli.exe -- report fig3 --seed 54398 -n 64 --per-value 80 --traces 2 \
-  | cmp - test/golden/fig3.txt
-dune exec bin/reveal_cli.exe -- report averaging --seed 54398 -n 64 --per-value 80 --traces 2 \
-  | cmp - test/golden/averaging.txt
-dune exec bin/reveal_cli.exe -- report ablate-features --seed 54398 -n 64 --per-value 80 --traces 2 \
-  | cmp - test/golden/ablate_features.txt
-dune exec bin/reveal_cli.exe -- report fault-sweep --seed 54398 -n 64 --per-value 80 --traces 2 \
-  | cmp - test/golden/fault_sweep.txt
+# the golden configuration: report text must reproduce the committed
+# goldens (the file names spell the artefact's dashes as underscores)
+golden_args="--seed 54398 -n 64 --per-value 80 --traces 2"
+for name in table1 table2 table3 table4 signs fig3 averaging ablate-features fault-sweep; do
+  dune exec bin/reveal_cli.exe -- report "$name" $golden_args \
+    | cmp - "test/golden/$(echo "$name" | tr - _).txt"
+done
 dune exec bin/reveal_cli.exe -- report signs --seed 7 -n 64 --per-value 40 --json > "$tmp/report.json"
 json_ok "$tmp/report.json" correct total accuracy_percent
 # unknown artefacts are a usage error
@@ -335,9 +323,7 @@ echo "== goldens re-verified after the numeric-core bench =="
 # the refactored kernels must still reproduce the committed report
 # goldens byte-for-byte — scoring through Fvec is required to be
 # observationally invisible, and this is the end-of-run proof
-dune exec bin/reveal_cli.exe -- report signs --seed 54398 -n 64 --per-value 80 --traces 2 \
-  | cmp - test/golden/signs.txt
-dune exec bin/reveal_cli.exe -- report fig3 --seed 54398 -n 64 --per-value 80 --traces 2 \
-  | cmp - test/golden/fig3.txt
+dune exec bin/reveal_cli.exe -- report signs $golden_args | cmp - test/golden/signs.txt
+dune exec bin/reveal_cli.exe -- report fig3 $golden_args | cmp - test/golden/fig3.txt
 
 echo "== all checks passed =="

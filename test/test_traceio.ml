@@ -148,6 +148,26 @@ let expect_corrupt name f =
 
 let drain path = Traceio.Archive.fold path (fun () _ -> ()) ()
 
+(* The tolerant read every replay runs: each record pulled through
+   [Traceio.Source] and decoded under its default policy, as [Ok] of
+   its index or [Error] of the reason it was skipped, in archive
+   order. *)
+let tolerant_read path =
+  let src = Traceio.Source.of_archive path in
+  Fun.protect
+    ~finally:(fun () -> Traceio.Source.close src)
+    (fun () ->
+      let rec go acc =
+        match Traceio.Source.next src with
+        | `End_of_archive -> List.rev acc
+        | `Skipped reason -> go (Error reason :: acc)
+        | `Record pulled -> (
+            match Traceio.Source.decode pulled ~into:Mathkit.Fvec.create with
+            | `Record r -> go (Ok r.Traceio.Archive.index :: acc)
+            | `Skipped reason -> go (Error reason :: acc))
+      in
+      go [])
+
 let test_archive_flipped_byte_rejected () =
   let device = Reveal.Device.create ~n:4 () in
   let runs = sample_runs device 2 in
@@ -265,10 +285,9 @@ let test_archive_plane_count_rejected () =
               match Traceio.Archive.next r with
               | exception Traceio.Error.Corrupt msg when plane_check msg -> ()
               | _ -> Alcotest.failf "%s: next did not refuse it at the plane" what);
-          Traceio.Archive.with_reader path (fun r ->
-              match Traceio.Archive.try_next r with
-              | `Skipped msg when plane_check msg -> ()
-              | _ -> Alcotest.failf "%s: try_next did not skip it at the plane" what))
+          match tolerant_read path with
+          | [ Error msg ] when plane_check msg -> ()
+          | _ -> Alcotest.failf "%s: the tolerant read did not skip it at the plane" what)
         [ 3; 1 lsl 40; max_int / 4; max_int ])
 
 (* Values no scope produces, which a lossy or normalising codec would
@@ -589,7 +608,7 @@ let flip_payload_byte path k =
   Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x40));
   write_file path (Bytes.to_string b)
 
-let test_archive_try_next_skips_bad_crc () =
+let test_tolerant_read_skips_bad_crc () =
   let device = Reveal.Device.create ~n:8 () in
   let runs = sample_runs device 3 in
   with_tmp "skip.rvt" (fun path ->
@@ -598,16 +617,9 @@ let test_archive_try_next_skips_bad_crc () =
       (* the strict path still fails fast *)
       expect_corrupt "strict drain" (fun () -> drain path);
       (* the tolerant path drops exactly the damaged record *)
-      Traceio.Archive.with_reader path (fun r ->
-          let rec go recs skipped =
-            match Traceio.Archive.try_next r with
-            | `Record rec_ -> go (rec_.Traceio.Archive.index :: recs) skipped
-            | `Skipped _ -> go recs (skipped + 1)
-            | `End_of_archive -> (List.rev recs, skipped)
-          in
-          let indices, skipped = go [] 0 in
-          Alcotest.(check (list int)) "survivors resume at the frame boundary" [ 0; 2 ] indices;
-          Alcotest.(check int) "one record skipped" 1 skipped))
+      let read = tolerant_read path in
+      Alcotest.(check (list int)) "survivors resume at the frame boundary" [ 0; 2 ] (List.filter_map Result.to_option read);
+      Alcotest.(check int) "one record skipped" 1 (List.length (List.filter Result.is_error read)))
 
 let test_attack_archive_skips_corrupt_record () =
   let device = Reveal.Device.create ~n:16 () in
@@ -626,7 +638,7 @@ let test_attack_archive_skips_corrupt_record () =
 let suite =
   suite
   @ [
-      Alcotest.test_case "try_next skips a bad-CRC record" `Quick test_archive_try_next_skips_bad_crc;
+      Alcotest.test_case "tolerant read skips a bad-CRC record" `Quick test_tolerant_read_skips_bad_crc;
       Alcotest.test_case "attack_archive tolerant vs strict" `Quick test_attack_archive_skips_corrupt_record;
     ]
 
@@ -778,6 +790,59 @@ let test_corrupt_replay_parity () =
             [ 1; 2; 16 ])
         [ 1; 2; 3 ])
 
+(* Archive profiling raises the first damage in archive order, on any
+   domain count, as strict replay does.  The 20 records are two
+   batches: each case damages a record in each, or cuts the file inside
+   the second batch after a damaged record, so the pull raises only
+   once the records before it are decoded.  The cut alone raises the
+   truncation. *)
+let test_profiling_damage_order () =
+  let device = Reveal.Device.create ~n:64 () in
+  with_tmp "profiling-clean.rvt" (fun clean ->
+      (* 40 windows per value take 20 runs *)
+      Reveal.Campaign.record_profiling ~per_value:40 ~seed:77L device (rng ()) ~path:clean;
+      let original = read_file clean in
+      let cut_inside k path =
+        let s = read_file path in
+        write_file path (String.sub s 0 (record_payload_offset s k))
+      in
+      List.iter
+        (fun (what, damage, affix) ->
+          with_tmp "profiling-damaged.rvt" (fun path ->
+              write_file path original;
+              damage path;
+              let first =
+                match drain path with
+                | () -> Alcotest.failf "%s: a strict read accepted the damaged archive" what
+                | exception Traceio.Error.Corrupt msg -> msg
+              in
+              if not (contains ~affix first) then Alcotest.failf "%s: the first damage %S does not say %S" what first affix;
+              List.iter
+                (fun domains ->
+                  match Reveal.Profiling.profiling_windows_of_archive ~domains path with
+                  | _ -> Alcotest.failf "%s, %d domains: profiling accepted the damaged archive" what domains
+                  | exception Traceio.Error.Corrupt msg ->
+                      Alcotest.(check string) (Printf.sprintf "%s, %d domains" what domains) first msg)
+                [ 1; 2; 3 ]))
+        [
+          ( "record 3 re-indexed, record 18's CRC flipped",
+            (fun p ->
+              reindex_record p 3 9;
+              flip_payload_byte p 18),
+            "found where record 3 was expected" );
+          ( "record 3's CRC flipped, record 18 re-indexed",
+            (fun p ->
+              flip_payload_byte p 3;
+              reindex_record p 18 9),
+            "checksum mismatch" );
+          ( "record 18's CRC flipped, the file cut inside record 19",
+            (fun p ->
+              flip_payload_byte p 18;
+              cut_inside 19 p),
+            "checksum mismatch" );
+          ("the file cut inside record 19", cut_inside 19, "unexpected end of file");
+        ])
+
 (* The decode kernel writes the plane into the front of the vector it
    is given: decoded into one reused plane longer than every record,
    each pulled frame is the record [next] returns, and the plane past
@@ -819,13 +884,20 @@ let test_profile_of_archive_domain_invariant () =
   with_tmp "domains.rvt" (fun path ->
       (* 20 runs: more than one 16-frame batch *)
       Reveal.Campaign.record_profiling ~per_value:40 ~seed:77L device (rng ()) ~path;
-      let one = Reveal.Profiling.profile_of_archive ~domains:1 path in
+      (* [profile_of_archive]'s body, at a chosen domain count *)
+      let profile domains =
+        Reveal.Profiling.profile_of_windows ~domains ~poi_count:Reveal.Constants.default_poi_count
+          ~sign_poi_count:Reveal.Constants.default_sign_poi_count
+          (Reveal.Profiling.profiling_windows_of_archive ~domains path)
+      in
+      let one = profile 1 in
+      Alcotest.(check bool) "1 domain: profile_of_archive" true (profile_equal one (Reveal.Campaign.profile_of_archive path));
       List.iter
         (fun domains ->
           Alcotest.(check bool)
             (Printf.sprintf "%d domains: the one-domain profile" domains)
             true
-            (profile_equal one (Reveal.Profiling.profile_of_archive ~domains path)))
+            (profile_equal one (profile domains)))
         [ 2; 3 ])
 
 let suite =
@@ -833,6 +905,8 @@ let suite =
   @ [
       Alcotest.test_case "corrupt replay: same skips and errors on every domain count and batch" `Quick
         test_corrupt_replay_parity;
+      Alcotest.test_case "archive profiling raises the first damage on every domain count" `Quick
+        test_profiling_damage_order;
       Alcotest.test_case "archive frame decode = Archive.next" `Quick test_frame_decode_matches_next;
       Alcotest.test_case "profile_of_archive does not depend on the domain count" `Quick
         test_profile_of_archive_domain_invariant;
